@@ -16,6 +16,7 @@ reference count of the identical scenario.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -160,6 +161,7 @@ class SweepPoint:
     dbar: float
     collision_events: int
     failed: bool = False
+    error: str = ""           # "<ExcType>: <message>" of a failed point
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,8 @@ def run_sweep(
     grid = [(m, a, e) for (m, a, e) in grid if m is not FilterMode.WITHOUT_CBF]
     tasks = [(path, m, a, e, seed, out) for (m, a, e) in grid]
 
-    outcomes: dict[tuple, dict | None] = {}
+    # A point's outcome is its summary, or the exception that ended it.
+    outcomes: dict[tuple, dict | Exception] = {}
     if jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_sweep_worker, args): args for args in tasks}
@@ -228,16 +231,16 @@ def run_sweep(
                 try:
                     mode_v, a, e, summary = future.result()
                     outcomes[(mode_v, a, e)] = summary
-                except Exception:  # partial failure: record and continue
-                    outcomes[key] = None
+                except Exception as exc:  # partial failure: record and continue
+                    outcomes[key] = exc
     else:
         for args in tasks:
             key = (args[1].value, args[2], args[3])
             try:
                 mode_v, a, e, summary = _sweep_worker(args)
                 outcomes[(mode_v, a, e)] = summary
-            except Exception:  # partial failure: record and continue
-                outcomes[key] = None
+            except Exception as exc:  # partial failure: record and continue
+                outcomes[key] = exc
 
     def ratio(events: int) -> float:
         if ref_events == 0:
@@ -255,12 +258,13 @@ def run_sweep(
     )] if any(FilterMode(m) is FilterMode.WITHOUT_CBF for m in modes) else []
 
     for (mode, a, e) in grid:
-        summary = outcomes.get((mode.value, a, e))
-        if summary is None:
+        summary = outcomes[(mode.value, a, e)]
+        if isinstance(summary, Exception):
             points.append(SweepPoint(mode=mode.value, alpha=a, epsilon=e,
                                      remaining_collision_ratio=math.nan, min_h=math.nan,
                                      mean_qdot_dev=math.nan, jitter=math.nan,
-                                     dbar=math.nan, collision_events=-1, failed=True))
+                                     dbar=math.nan, collision_events=-1, failed=True,
+                                     error=f"{type(summary).__name__}: {summary}"))
             continue
         points.append(SweepPoint(
             mode=mode.value, alpha=a, epsilon=e,
@@ -275,13 +279,14 @@ def run_sweep(
     root = output_root(out) / scenario.name
     root.mkdir(parents=True, exist_ok=True)
     csv_path = root / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mode,alpha,epsilon,remaining_collision_ratio,min_h,"
-                 "mean_qdot_dev,jitter,dbar,collision_events,failed\n")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["mode", "alpha", "epsilon", "remaining_collision_ratio", "min_h",
+                         "mean_qdot_dev", "jitter", "dbar", "collision_events", "failed",
+                         "error"])
         for p in points:
-            fh.write(f"{p.mode},{p.alpha!r},{p.epsilon!r},"
-                     f"{p.remaining_collision_ratio!r},{p.min_h!r},"
-                     f"{p.mean_qdot_dev!r},{p.jitter!r},{p.dbar!r},"
-                     f"{p.collision_events},{int(p.failed)}\n")
+            writer.writerow([p.mode, p.alpha, p.epsilon, p.remaining_collision_ratio,
+                             p.min_h, p.mean_qdot_dev, p.jitter, p.dbar,
+                             p.collision_events, int(p.failed), p.error])
     return SweepResult(scenario=scenario.name, reference_events=ref_events,
                        points=tuple(points), csv_path=csv_path)

@@ -229,11 +229,19 @@ def point_jacobian(
         raise ModelError(f"link index {link_index} out of range")
     if fk is None:
         fk = forward_kinematics(model, q)
-    p = fk.link_point(link_index, point_in_link)
-    jac = np.zeros((3, model.n_dof))
+    px, py, pz = fk.link_point(link_index, point_in_link).tolist()
     k = link_index + 1
-    jac[:, :k] = np.cross(fk.joint_axis[:k], p[None, :] - fk.joint_origin[:k]).T
-    return jac
+    # Scalar cross products: np.cross has a large per-call overhead at this
+    # size, and these are the same IEEE operations, so the result is equal.
+    row_x, row_y, row_z = [], [], []
+    for (ax, ay, az), (ox, oy, oz) in zip(fk.joint_axis[:k].tolist(),
+                                          fk.joint_origin[:k].tolist()):
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        row_x.append(ay * rz - az * ry)
+        row_y.append(az * rx - ax * rz)
+        row_z.append(ax * ry - ay * rx)
+    pad = [0.0] * (model.n_dof - k)
+    return np.array([row_x + pad, row_y + pad, row_z + pad])
 
 
 def _world_inertials(model: RobotModel, fk: FkResult):

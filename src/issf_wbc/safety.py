@@ -74,6 +74,9 @@ class BarrierConstraint:
     alpha: float
     epsilon: float            # > 0, or inf for the plain barrier condition
     drift: float = 0.0        # rhs offset (obstacle-velocity term)
+    # Body pair or WorkspacePair the row was evaluated from; None for joint limits.
+    geometry: tuple[CollisionBody, CollisionBody] | WorkspacePair | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
@@ -219,6 +222,7 @@ def collect_constraints(
                 grad=grad,
                 alpha=config.alpha[BarrierKind.SELF_COLLISION],
                 epsilon=config.epsilon[BarrierKind.SELF_COLLISION],
+                geometry=(body_a, body_b),
             )
         )
 
@@ -241,6 +245,7 @@ def collect_constraints(
                     alpha=config.alpha[BarrierKind.OBJECT_COLLISION],
                     epsilon=config.epsilon[BarrierKind.OBJECT_COLLISION],
                     drift=drift,
+                    geometry=(body, obstacle.body),
                 )
             )
 
@@ -257,6 +262,7 @@ def collect_constraints(
                 grad=grad,
                 alpha=config.alpha[BarrierKind.WORKSPACE],
                 epsilon=config.epsilon[BarrierKind.WORKSPACE],
+                geometry=pair,
             )
         )
     return rows
@@ -344,47 +350,61 @@ class AccelConstraint:
     h_e: float
 
 
+JOINT_LIMIT_KINDS = (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)
+
+
+def _gradient_at(
+    model: RobotModel, q: np.ndarray, fk: FkResult, row: BarrierConstraint
+) -> np.ndarray | None:
+    """Gradient of a geometric row's barrier at configuration q (None if undefined)."""
+    geometry = row.geometry
+    if isinstance(geometry, WorkspacePair):
+        return workspace_barrier(
+            model, q, (geometry.link_a, geometry.point_a),
+            (geometry.link_b, geometry.point_b), geometry.d_max, fk=fk,
+        )[1]
+    try:
+        return body_pair_barrier(model, q, *geometry, fk=fk)[1]
+    except DegenerateWitnessError:
+        return None
+
+
 def ecbf_rows(
     model: RobotModel,
     state: JointState,
-    obstacles: list[Obstacle],
-    config: FilterConfig,
-    pairs: list[tuple[CollisionBody, CollisionBody]],
-    workspace_pairs: list[WorkspacePair] = (),
+    rows: list[BarrierConstraint],
     alpha_e: float | None = None,
     fd_step: float = ECBF_FD_STEP,
 ) -> list[AccelConstraint]:
     """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha_e h_e.
 
-    alpha_e defaults to each row's own alpha.  The gradient's configuration
-    derivative (the curvature term of hd_e) is obtained from central finite
-    differences of grad(h) along the current velocity direction; joint-limit
-    rows have constant gradients and skip it.
+    ``rows`` are this cycle's barrier rows, as collect_constraints returned
+    them for ``state``; one eCBF row is built from each.  alpha_e defaults to
+    each row's own alpha.  The gradient's configuration derivative (the
+    curvature term of hd_e) is obtained from central finite differences of
+    grad(h) along the current velocity direction: one forward-kinematics pass
+    per probe, re-posing only the given rows' geometry.  Joint-limit rows
+    have constant gradients and skip it; a row whose gradient is undefined at
+    a probe is dropped with a logged event.
     """
-    rows = collect_constraints(model, state, obstacles, config, pairs, workspace_pairs)
     qd = state.qd
     speed = float(np.linalg.norm(qd))
-    grad_plus: dict[tuple[BarrierKind, str], np.ndarray] = {}
-    grad_minus: dict[tuple[BarrierKind, str], np.ndarray] = {}
-    if speed > 0.0:
-        unit = qd / speed
-        wide = replace(config, activation_distance=math.inf)
-        for sign, store in ((1.0, grad_plus), (-1.0, grad_minus)):
-            probe = JointState(q=state.q + sign * fd_step * unit, qd=qd, t=state.t)
-            for c in collect_constraints(model, probe, obstacles, wide, pairs, workspace_pairs):
-                store[(c.kind, c.pair)] = c.grad
+    probes: list[tuple[np.ndarray, FkResult]] = []
+    if speed > 0.0 and any(c.kind not in JOINT_LIMIT_KINDS for c in rows):
+        step = fd_step * (qd / speed)
+        probes = [(q, forward_kinematics(model, q)) for q in (state.q + step, state.q - step)]
 
     out: list[AccelConstraint] = []
     for c in rows:
-        key = (c.kind, c.pair)
-        if c.kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX) or speed == 0.0:
+        if c.kind in JOINT_LIMIT_KINDS or speed == 0.0:
             curvature = 0.0
-        elif key in grad_plus and key in grad_minus:
-            dgrad_dt = (grad_plus[key] - grad_minus[key]) / (2.0 * fd_step) * speed
-            curvature = float(dgrad_dt @ qd)
         else:
-            log.warning("dropping eCBF row %s: gradient probe failed", c.pair)
-            continue
+            grad_plus, grad_minus = (_gradient_at(model, q, fk, c) for q, fk in probes)
+            if grad_plus is None or grad_minus is None:
+                log.warning("dropping eCBF row %s: gradient probe failed", c.pair)
+                continue
+            dgrad_dt = (grad_plus - grad_minus) / (2.0 * fd_step) * speed
+            curvature = float(dgrad_dt @ qd)
         h_dot = float(c.grad @ qd) - c.drift
         h_e = h_dot + c.alpha * c.h
         ae = c.alpha if alpha_e is None else alpha_e

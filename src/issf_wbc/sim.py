@@ -178,13 +178,11 @@ class ConstantVelocityKalman:
 
 @dataclass
 class DiscrepancyTrace:
-    """Per-cycle velocity-tracking discrepancy and its running max-norm bound."""
+    """Running max-norm bound of the per-cycle velocity-tracking discrepancy."""
 
-    d: list[np.ndarray] = field(default_factory=list)
     dbar: float = 0.0
 
     def record(self, d_k: np.ndarray) -> float:
-        self.d.append(d_k)
         self.dbar = max(self.dbar, float(np.max(np.abs(d_k))))
         return self.dbar
 
@@ -443,10 +441,7 @@ def run_closed_loop(
 
         extra_rows = []
         if filter_config.mode is FilterMode.ECBF:
-            extra_rows = ecbf_rows(
-                nominal_model, state, obstacles, filter_config,
-                scenario.collision_pairs, scenario.workspace_pairs,
-            )
+            extra_rows = ecbf_rows(nominal_model, state, rows)
             cols["h_e_min"][k] = min((r.h_e for r in extra_rows), default=np.nan)
 
         if ideal_acceleration:

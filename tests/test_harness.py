@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestScenarioParsing:
         path = tmp_path / "broken.scenario"
         path.write_text('{\n  "format": oops\n}')
         with pytest.raises(ScenarioError, match="line 2"):
+            load_scenario(path)
+
+    def test_sim_pipelined_key_is_honoured(self, tmp_path):
+        path = write_mini_scenario(tmp_path, extra={"sim": {
+            "duration": 0.05, "mass_scale": 1.1, "seed": 3, "pipelined": True}})
+        assert load_scenario(path).sim.pipelined is True
+        assert load_scenario(write_mini_scenario(tmp_path, name="seq")).sim.pipelined is False
+
+    def test_sim_pipelined_rejects_non_bool(self, tmp_path):
+        path = write_mini_scenario(tmp_path, extra={"sim": {
+            "duration": 0.05, "pipelined": "yes"}})
+        with pytest.raises(ScenarioError, match="sim.pipelined"):
             load_scenario(path)
 
     def test_seed_override(self):
@@ -183,6 +196,35 @@ class TestSweep:
         second = run_sweep(path, **kwargs)
         assert len(first.points) == 2
         assert first.points == second.points
+
+    def test_failed_point_records_its_error(self, tmp_path, monkeypatch):
+        import issf_wbc.harness as harness
+        real_worker = harness._sweep_worker
+
+        def worker(args):
+            if args[2] == 5.0:
+                raise RuntimeError('QP "torque", 3 rows')
+            return real_worker(args)
+
+        monkeypatch.setattr(harness, "_sweep_worker", worker)
+        path = write_mini_scenario(tmp_path)
+        sweep = run_sweep(path, alphas=[5.0, 10.0], epsilons=[10.0],
+                          modes=["without-cbf", "issf-cbf"], seed=3, out=tmp_path / "o")
+        bad = sweep.point("issf-cbf", 5.0, 10.0)
+        assert bad.failed
+        assert bad.error == 'RuntimeError: QP "torque", 3 rows'
+        good = sweep.point("issf-cbf", 10.0, 10.0)
+        assert not good.failed and good.error == ""
+        with open(sweep.csv_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["mode", "alpha", "epsilon", "remaining_collision_ratio",
+                                 "min_h", "mean_qdot_dev", "jitter", "dbar",
+                                 "collision_events", "failed", "error"]
+        by_alpha = {(r["mode"], float(r["alpha"])): r for r in rows}
+        assert by_alpha[("issf-cbf", 5.0)]["failed"] == "1"
+        assert by_alpha[("issf-cbf", 5.0)]["error"] == bad.error
+        assert by_alpha[("issf-cbf", 10.0)]["error"] == ""
+        assert by_alpha[("without-cbf", 10.0)]["failed"] == "0"
 
     def test_rejects_empty_grid(self, tmp_path):
         path = write_mini_scenario(tmp_path)

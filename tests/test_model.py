@@ -93,6 +93,21 @@ class TestPointJacobian:
                 worst = max(worst, np.abs(jac - fd).max() / scale)
         assert worst < 1e-5
 
+    def test_equals_np_cross_columns(self, rng):
+        # the scalar kernel performs np.cross's IEEE operations: exact equality
+        for _ in range(20):
+            model = random_chain(rng, int(rng.integers(1, 8)))
+            q = rng.uniform(-3, 3, model.n_dof)
+            fk = forward_kinematics(model, q)
+            for link in range(model.n_dof):
+                point = rng.uniform(-0.4, 0.4, 3)
+                jac = point_jacobian(model, q, link, point, fk=fk)
+                p = fk.link_point(link, point)
+                for j in range(model.n_dof):
+                    expected = (np.cross(fk.joint_axis[j], p - fk.joint_origin[j])
+                                if j <= link else np.zeros(3))
+                    np.testing.assert_array_equal(jac[:, j], expected)
+
 
 class TestDynamics:
     def pendulum(self, m=1.7, l=0.5):

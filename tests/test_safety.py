@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from issf_wbc.kinwbc import Task, prioritized_ik
 from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import (
+    ECBF_FD_STEP,
+    AccelConstraint,
     BarrierConstraint,
     BarrierKind,
     FilterConfig,
@@ -20,7 +23,7 @@ from issf_wbc.safety import (
     filter_velocity,
 )
 
-from conftest import enumerate_qp, two_link_planar
+from conftest import enumerate_qp, random_chain, two_link_planar
 
 
 def jl_row(h, alpha=10.0, epsilon=10.0, n=1, idx=0, sign=1.0):
@@ -260,8 +263,8 @@ class TestEcbf:
         config = FilterConfig(mode=FilterMode.ECBF,
                               alpha={k: 5.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
-        rows = ecbf_rows(model, JointState(q=np.array([0.4]), qd=np.zeros(1)),
-                         [], config, [])
+        state = JointState(q=np.array([0.4]), qd=np.zeros(1))
+        rows = ecbf_rows(model, state, collect_constraints(model, state, [], config, []))
         row = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MIN)
         assert row.h_e == pytest.approx(5.0 * 0.4)
         np.testing.assert_allclose(row.grad, [1.0])
@@ -303,7 +306,8 @@ class TestEcbf:
             q = rng.uniform(0.5, 1.5, 2)
             qd = rng.normal(size=2)
             state = JointState(q=q, qd=qd)
-            rows = [r for r in ecbf_rows(model, state, [], config, [(tip, base)])
+            collected = collect_constraints(model, state, [], config, [(tip, base)])
+            rows = [r for r in ecbf_rows(model, state, collected)
                     if r.kind is BarrierKind.SELF_COLLISION]
             if not rows:
                 continue
@@ -319,3 +323,112 @@ class TestEcbf:
             h_e = float(g0 @ qd) + alpha * h0
             rhs_expected = -alpha * h_e - hdd_fd - alpha * float(g0 @ qd)
             assert row.rhs == pytest.approx(rhs_expected, rel=1e-3, abs=1e-6)
+
+
+def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=(),
+                        alpha_e=None, fd_step=ECBF_FD_STEP):
+    """Reference eCBF rows: re-collects every barrier row at the state and at
+    q +- fd_step qd/|qd| with unlimited activation distance, and takes each
+    row's curvature from the gradients of the same (kind, pair) there."""
+    rows = collect_constraints(model, state, obstacles, config, pairs, workspace_pairs)
+    qd = state.qd
+    speed = float(np.linalg.norm(qd))
+    grad_plus, grad_minus = {}, {}
+    if speed > 0.0:
+        unit = qd / speed
+        wide = replace(config, activation_distance=math.inf)
+        for sign, store in ((1.0, grad_plus), (-1.0, grad_minus)):
+            probe = JointState(q=state.q + sign * fd_step * unit, qd=qd, t=state.t)
+            for c in collect_constraints(model, probe, obstacles, wide, pairs,
+                                         workspace_pairs):
+                store[(c.kind, c.pair)] = c.grad
+    out = []
+    for c in rows:
+        key = (c.kind, c.pair)
+        if c.kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX) or speed == 0.0:
+            curvature = 0.0
+        elif key in grad_plus and key in grad_minus:
+            dgrad_dt = (grad_plus[key] - grad_minus[key]) / (2.0 * fd_step) * speed
+            curvature = float(dgrad_dt @ qd)
+        else:
+            continue
+        h_dot = float(c.grad @ qd) - c.drift
+        h_e = h_dot + c.alpha * c.h
+        ae = c.alpha if alpha_e is None else alpha_e
+        rhs = -ae * h_e - curvature - c.alpha * h_dot
+        out.append(AccelConstraint(kind=c.kind, pair=c.pair, grad=c.grad, rhs=rhs, h_e=h_e))
+    return out
+
+
+def assert_rows_equal(rows, expected):
+    assert [(r.kind, r.pair) for r in rows] == [(r.kind, r.pair) for r in expected]
+    for row, ref in zip(rows, expected):
+        np.testing.assert_array_equal(row.grad, ref.grad)
+        assert row.rhs == ref.rhs
+        assert row.h_e == ref.h_e
+
+
+def bodied_chain(rng, n):
+    """Random chain with a capsule on every link and a sphere at the tip."""
+    model = random_chain(rng, n)
+    bodies = [CollisionBody(f"cap{i}", i, float(rng.uniform(0.03, 0.08)),
+                            rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.2, 0.2, 3))
+              for i in range(n)]
+    bodies.append(CollisionBody("tip", n - 1, 0.05, np.zeros(3), np.zeros(3)))
+    return replace(model, collision_bodies=tuple(bodies))
+
+
+class TestEcbfAgainstRecollect:
+    """ecbf_rows on the cycle's rows equals the re-collecting reference bit for bit."""
+
+    def test_random_chains_with_obstacle_and_workspace(self, rng):
+        checked = 0
+        for trial in range(12):
+            n = int(rng.integers(3, 7))
+            model = bodied_chain(rng, n)
+            bodies = model.collision_bodies
+            pairs = [(bodies[-1], bodies[0]), (bodies[n - 1], bodies[1])]
+            ball = CollisionBody("ball", -1, 0.1, rng.uniform(-0.5, 0.5, 3),
+                                 np.zeros(3))
+            obstacles = [Obstacle(body=ball, velocity=rng.normal(size=3))]
+            workspace = [WorkspacePair("reach", n - 1, np.zeros(3), 0, np.zeros(3),
+                                       d_max=float(rng.uniform(0.3, 1.0)))]
+            config = FilterConfig(mode=FilterMode.ECBF,
+                                  activation_distance=float(rng.uniform(0.3, 2.0)))
+            alpha_e = None if trial % 2 else 7.0
+            for _ in range(4):
+                q = rng.uniform(-2.0, 2.0, n)
+                qd = rng.normal(size=n) if trial % 4 else np.zeros(n)
+                state = JointState(q=q, qd=qd)
+                collected = collect_constraints(model, state, obstacles, config, pairs,
+                                                workspace, fk=forward_kinematics(model, q))
+                rows = ecbf_rows(model, state, collected, alpha_e=alpha_e)
+                expected = ecbf_rows_recollect(model, state, obstacles, config, pairs,
+                                               workspace, alpha_e=alpha_e)
+                assert_rows_equal(rows, expected)
+                checked += sum(r.kind is not BarrierKind.JOINT_LIMIT_MIN
+                               and r.kind is not BarrierKind.JOINT_LIMIT_MAX for r in rows)
+        assert checked > 50   # the comparison covered many geometric rows
+
+    def test_degenerate_probe_drops_row_on_both_sides(self, rng, caplog):
+        # the obstacle sits exactly where the tip sphere's centre is at the
+        # + probe, so the witness points coincide there and the row is dropped
+        n = 4
+        model = bodied_chain(rng, n)
+        tip = model.collision_body("tip")
+        q = rng.uniform(-1.0, 1.0, n)
+        qd = rng.normal(size=n)
+        state = JointState(q=q, qd=qd)
+        probe_q = q + ECBF_FD_STEP * (qd / float(np.linalg.norm(qd)))
+        centre = forward_kinematics(model, probe_q).link_point(tip.link, tip.p0)
+        ball = CollisionBody("ball", -1, 0.1, centre, centre)
+        obstacles = [Obstacle(body=ball, velocity=np.array([0.1, 0.0, 0.0]))]
+        config = FilterConfig(mode=FilterMode.ECBF)
+        collected = collect_constraints(model, state, obstacles, config, [])
+        assert any(c.pair == "tip|ball" for c in collected)
+        with caplog.at_level("WARNING", logger="issf_wbc.safety"):
+            rows = ecbf_rows(model, state, collected)
+        assert any("gradient probe failed" in rec.message for rec in caplog.records)
+        expected = ecbf_rows_recollect(model, state, obstacles, config, [])
+        assert all(r.pair != "tip|ball" for r in expected)
+        assert_rows_equal(rows, expected)
