@@ -1,14 +1,16 @@
 """Scalar-arithmetic fast path for joint-space dynamics.
 
-numpy's per-call overhead dominates the recursive dynamics at n <= 7, so the
-Newton-Euler bias pass and the composite-rigid-body mass-matrix pass run
-here on plain Python floats (FK stays in numpy and is converted once).
-``joint_dynamics`` must agree with model.mass_matrix / model.bias_forces to
-machine precision; the test suite cross-checks that on random chains.
+numpy's per-call overhead dominates the recursive dynamics at n <= 7, so
+forward kinematics, the Newton-Euler bias pass and the composite-rigid-body
+mass-matrix pass all run here on plain Python floats, written out as named
+scalars.  ``joint_dynamics`` must agree with model.mass_matrix /
+model.bias_forces to machine precision; the test suite cross-checks that on
+random chains.
 """
 
 from __future__ import annotations
 
+from math import cos, sin
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -19,19 +21,22 @@ _CACHE: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
 
 
 def _constants(model: RobotModel) -> tuple:
+    """Per-link (mass, com, inertia 9-tuple) and per-frame FK constants."""
     cached = _CACHE.get(model)
     if cached is None:
         inertial = [
-            (float(link.mass), link.com.tolist(), np.asarray(link.inertia).tolist())
+            (float(link.mass), tuple(link.com.tolist()),
+             tuple(np.asarray(link.inertia).ravel().tolist()))
             for link in model.links
         ]
         frames = []
         for link, joint in zip(model.links, model.joints):
+            x, y, z = (float(v) for v in joint.axis)
             rfix = link.origin_rotation
             frames.append((
-                tuple(float(v) for v in joint.axis),
+                x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
                 tuple(float(v) for v in link.origin_xyz),
-                None if np.allclose(rfix, np.eye(3)) else rfix.tolist(),
+                None if np.allclose(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
             ))
         cached = (inertial, frames)
         _CACHE[model] = cached
@@ -39,33 +44,31 @@ def _constants(model: RobotModel) -> tuple:
 
 
 def _fk_scalar(model: RobotModel, q) -> tuple[list, list, list, list]:
-    """Scalar forward kinematics: (rot, pos, joint_axis, joint_origin) as lists."""
-    from math import cos, sin
-
+    """Scalar forward kinematics: (rot 9-tuples, pos, joint_axis, joint_origin)."""
     _, frames = _constants(model)
     ql = [float(v) for v in q]
     rot, pos, axes, orig = [], [], [], []
-    rp = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    pp = (0.0, 0.0, 0.0)
-    for i, (axis, xyz, rfix) in enumerate(frames):
-        x, y, z = axis
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(frames):
         c = cos(ql[i])
         s = sin(ql[i])
         v = 1.0 - c
-        q00 = x * x * v + c
-        q01 = x * y * v - z * s
-        q02 = x * z * v + y * s
-        q10 = x * y * v + z * s
-        q11 = y * y * v + c
-        q12 = y * z * v - x * s
-        q20 = x * z * v - y * s
-        q21 = y * z * v + x * s
-        q22 = z * z * v + c
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rp
+        xs, ys, zs = x * s, y * s, z * s
+        xyv, xzv, yzv = xy * v, xz * v, yz * v
+        q00 = xx * v + c
+        q01 = xyv - zs
+        q02 = xzv + ys
+        q10 = xyv + zs
+        q11 = yy * v + c
+        q12 = yzv - xs
+        q20 = xzv - ys
+        q21 = yzv + xs
+        q22 = zz * v + c
         axes.append((a00 * x + a01 * y + a02 * z,
                      a10 * x + a11 * y + a12 * z,
                      a20 * x + a21 * y + a22 * z))
-        orig.append(pp)
+        orig.append((px, py, pz))
         j00 = a00 * q00 + a01 * q10 + a02 * q20
         j01 = a00 * q01 + a01 * q11 + a02 * q21
         j02 = a00 * q02 + a01 * q12 + a02 * q22
@@ -76,26 +79,25 @@ def _fk_scalar(model: RobotModel, q) -> tuple[list, list, list, list]:
         j21 = a20 * q01 + a21 * q11 + a22 * q21
         j22 = a20 * q02 + a21 * q12 + a22 * q22
         ox, oy, oz = xyz
-        pp = (pp[0] + j00 * ox + j01 * oy + j02 * oz,
-              pp[1] + j10 * ox + j11 * oy + j12 * oz,
-              pp[2] + j20 * ox + j21 * oy + j22 * oz)
+        px = px + j00 * ox + j01 * oy + j02 * oz
+        py = py + j10 * ox + j11 * oy + j12 * oz
+        pz = pz + j20 * ox + j21 * oy + j22 * oz
         if rfix is None:
-            rp = ((j00, j01, j02), (j10, j11, j12), (j20, j21, j22))
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+                j00, j01, j02, j10, j11, j12, j20, j21, j22)
         else:
-            f = rfix
-            rp = (
-                (j00 * f[0][0] + j01 * f[1][0] + j02 * f[2][0],
-                 j00 * f[0][1] + j01 * f[1][1] + j02 * f[2][1],
-                 j00 * f[0][2] + j01 * f[1][2] + j02 * f[2][2]),
-                (j10 * f[0][0] + j11 * f[1][0] + j12 * f[2][0],
-                 j10 * f[0][1] + j11 * f[1][1] + j12 * f[2][1],
-                 j10 * f[0][2] + j11 * f[1][2] + j12 * f[2][2]),
-                (j20 * f[0][0] + j21 * f[1][0] + j22 * f[2][0],
-                 j20 * f[0][1] + j21 * f[1][1] + j22 * f[2][1],
-                 j20 * f[0][2] + j21 * f[1][2] + j22 * f[2][2]),
-            )
-        rot.append(rp)
-        pos.append(pp)
+            f00, f01, f02, f10, f11, f12, f20, f21, f22 = rfix
+            a00 = j00 * f00 + j01 * f10 + j02 * f20
+            a01 = j00 * f01 + j01 * f11 + j02 * f21
+            a02 = j00 * f02 + j01 * f12 + j02 * f22
+            a10 = j10 * f00 + j11 * f10 + j12 * f20
+            a11 = j10 * f01 + j11 * f11 + j12 * f21
+            a12 = j10 * f02 + j11 * f12 + j12 * f22
+            a20 = j20 * f00 + j21 * f10 + j22 * f20
+            a21 = j20 * f01 + j21 * f11 + j22 * f21
+            a22 = j20 * f02 + j21 * f12 + j22 * f22
+        rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
+        pos.append((px, py, pz))
     return rot, pos, axes, orig
 
 
@@ -104,45 +106,47 @@ def joint_dynamics(
     q: np.ndarray,
     qd: np.ndarray,
     gravity: np.ndarray,
-    fk=None,
-    need_mass: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """(M, h) in one pass; M is None when need_mass is False."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, h) in one pass: mass matrix and bias forces at (q, qd)."""
     n = model.n_dof
-    if fk is None:
-        rot, pos, axes, orig = _fk_scalar(model, q)
-    else:
-        rot = fk.rot.tolist()
-        pos = fk.pos.tolist()
-        axes = fk.joint_axis.tolist()
-        orig = fk.joint_origin.tolist()
+    rot, pos, axes, orig = _fk_scalar(model, q)
     qdl = [float(v) for v in qd]
     gx, gy, gz = (float(v) for v in gravity)
-    consts = _constants(model)[0]
+    inertial = _constants(model)[0]
 
-    # World-frame CoM and inertia per link.
+    # World-frame CoM and inertia R I R^T per link.  All nine entries are
+    # kept: the product is not exactly symmetric in floating point.
     com_w = []
     inertia_w = []
-    masses = []
     for i in range(n):
-        m, com, ine = consts[i]
-        r = rot[i]
-        cx, cy, cz = com
+        _, (cx, cy, cz), (i00, i01, i02, i10, i11, i12, i20, i21, i22) = inertial[i]
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot[i]
         px, py, pz = pos[i]
         com_w.append((
-            px + r[0][0] * cx + r[0][1] * cy + r[0][2] * cz,
-            py + r[1][0] * cx + r[1][1] * cy + r[1][2] * cz,
-            pz + r[2][0] * cx + r[2][1] * cy + r[2][2] * cz,
+            px + r00 * cx + r01 * cy + r02 * cz,
+            py + r10 * cx + r11 * cy + r12 * cz,
+            pz + r20 * cx + r21 * cy + r22 * cz,
         ))
-        # R I R^T
-        a = [[r[row][0] * ine[0][col] + r[row][1] * ine[1][col] + r[row][2] * ine[2][col]
-              for col in range(3)] for row in range(3)]
-        inertia_w.append(tuple(
-            tuple(a[row][0] * r[col][0] + a[row][1] * r[col][1] + a[row][2] * r[col][2]
-                  for col in range(3))
-            for row in range(3)
+        a00 = r00 * i00 + r01 * i10 + r02 * i20
+        a01 = r00 * i01 + r01 * i11 + r02 * i21
+        a02 = r00 * i02 + r01 * i12 + r02 * i22
+        a10 = r10 * i00 + r11 * i10 + r12 * i20
+        a11 = r10 * i01 + r11 * i11 + r12 * i21
+        a12 = r10 * i02 + r11 * i12 + r12 * i22
+        a20 = r20 * i00 + r21 * i10 + r22 * i20
+        a21 = r20 * i01 + r21 * i11 + r22 * i21
+        a22 = r20 * i02 + r21 * i12 + r22 * i22
+        inertia_w.append((
+            a00 * r00 + a01 * r01 + a02 * r02,
+            a00 * r10 + a01 * r11 + a02 * r12,
+            a00 * r20 + a01 * r21 + a02 * r22,
+            a10 * r00 + a11 * r01 + a12 * r02,
+            a10 * r10 + a11 * r11 + a12 * r12,
+            a10 * r20 + a11 * r21 + a12 * r22,
+            a20 * r00 + a21 * r01 + a22 * r02,
+            a20 * r10 + a21 * r11 + a22 * r12,
+            a20 * r20 + a21 * r21 + a22 * r22,
         ))
-        masses.append(m)
 
     # Forward velocity/acceleration pass (qdd = 0, base acceleration -g).
     wx = wy = wz = 0.0
@@ -189,19 +193,19 @@ def joint_dynamics(
     fx = fy = fz = 0.0
     ncx = ncy = ncz = 0.0
     for i in range(n - 1, -1, -1):
-        m = masses[i]
+        m = inertial[i][0]
         acx, acy, acz = acc_com[i]
         fix, fiy, fiz = m * acx, m * acy, m * acz
-        iw = inertia_w[i]
+        w00, w01, w02, w10, w11, w12, w20, w21, w22 = inertia_w[i]
         alx, aly, alz = alphas[i]
         wx, wy, wz = omegas[i]
         # I alpha + w x (I w)
-        iwx = iw[0][0] * wx + iw[0][1] * wy + iw[0][2] * wz
-        iwy = iw[1][0] * wx + iw[1][1] * wy + iw[1][2] * wz
-        iwz = iw[2][0] * wx + iw[2][1] * wy + iw[2][2] * wz
-        tx = iw[0][0] * alx + iw[0][1] * aly + iw[0][2] * alz + wy * iwz - wz * iwy
-        ty = iw[1][0] * alx + iw[1][1] * aly + iw[1][2] * alz + wz * iwx - wx * iwz
-        tz = iw[2][0] * alx + iw[2][1] * aly + iw[2][2] * alz + wx * iwy - wy * iwx
+        iwx = w00 * wx + w01 * wy + w02 * wz
+        iwy = w10 * wx + w11 * wy + w12 * wz
+        iwz = w20 * wx + w21 * wy + w22 * wz
+        tx = w00 * alx + w01 * aly + w02 * alz + wy * iwz - wz * iwy
+        ty = w10 * alx + w11 * aly + w12 * alz + wz * iwx - wx * iwz
+        tz = w20 * alx + w21 * aly + w22 * alz + wx * iwy - wy * iwx
         ox, oy, oz = orig[i]
         cx, cy, cz = com_w[i]
         rx, ry, rz = cx - ox, cy - oy, cz - oz
@@ -220,58 +224,56 @@ def joint_dynamics(
         fz += fiz
         ncx, ncy, ncz = tx, ty, tz
 
-    h_arr = np.array(h)
-    if not need_mass:
-        return None, h_arr
-
-    # Composite bodies tip-to-base: mass, CoM, inertia about composite CoM.
-    comp_m = [0.0] * n
-    comp_c = [None] * n
-    comp_i = [None] * n
+    # Composite bodies tip-to-base (mass m_acc, CoM k, inertia K about k),
+    # each closing column j of M as soon as body j joins the composite.
+    mat = [[0.0] * n for _ in range(n)]
     m_acc = 0.0
-    cacc = (0.0, 0.0, 0.0)
-    iacc = ((0.0,) * 3,) * 3
-
-    def shifted(ine, mass, dx, dy, dz):
-        d2 = dx * dx + dy * dy + dz * dz
-        return (
-            (ine[0][0] + mass * (d2 - dx * dx), ine[0][1] - mass * dx * dy, ine[0][2] - mass * dx * dz),
-            (ine[1][0] - mass * dy * dx, ine[1][1] + mass * (d2 - dy * dy), ine[1][2] - mass * dy * dz),
-            (ine[2][0] - mass * dz * dx, ine[2][1] - mass * dz * dy, ine[2][2] + mass * (d2 - dz * dz)),
-        )
-
-    for i in range(n - 1, -1, -1):
-        m = masses[i]
+    kx = ky = kz = 0.0
+    k00 = k01 = k02 = k10 = k11 = k12 = k20 = k21 = k22 = 0.0
+    for j in range(n - 1, -1, -1):
+        m = inertial[j][0]
         m_new = m_acc + m
-        cx, cy, cz = com_w[i]
-        ncx_, ncy_, ncz_ = (
-            (m * cx + m_acc * cacc[0]) / m_new,
-            (m * cy + m_acc * cacc[1]) / m_new,
-            (m * cz + m_acc * cacc[2]) / m_new,
-        )
-        i_new = shifted(inertia_w[i], m, cx - ncx_, cy - ncy_, cz - ncz_)
+        cx, cy, cz = com_w[j]
+        nx = (m * cx + m_acc * kx) / m_new
+        ny = (m * cy + m_acc * ky) / m_new
+        nz = (m * cz + m_acc * kz) / m_new
+        w00, w01, w02, w10, w11, w12, w20, w21, w22 = inertia_w[j]
+        dx, dy, dz = cx - nx, cy - ny, cz - nz
+        d2 = dx * dx + dy * dy + dz * dz
+        c00 = w00 + m * (d2 - dx * dx)
+        c01 = w01 - m * dx * dy
+        c02 = w02 - m * dx * dz
+        c10 = w10 - m * dy * dx
+        c11 = w11 + m * (d2 - dy * dy)
+        c12 = w12 - m * dy * dz
+        c20 = w20 - m * dz * dx
+        c21 = w21 - m * dz * dy
+        c22 = w22 + m * (d2 - dz * dz)
         if m_acc > 0.0:
-            i_shift = shifted(iacc, m_acc, cacc[0] - ncx_, cacc[1] - ncy_, cacc[2] - ncz_)
-            i_new = tuple(
-                tuple(i_new[r][c] + i_shift[r][c] for c in range(3)) for r in range(3)
-            )
-        comp_m[i], comp_c[i], comp_i[i] = m_new, (ncx_, ncy_, ncz_), i_new
-        m_acc, cacc, iacc = m_new, (ncx_, ncy_, ncz_), i_new
+            dx, dy, dz = kx - nx, ky - ny, kz - nz
+            d2 = dx * dx + dy * dy + dz * dz
+            c00 += k00 + m_acc * (d2 - dx * dx)
+            c01 += k01 - m_acc * dx * dy
+            c02 += k02 - m_acc * dx * dz
+            c10 += k10 - m_acc * dy * dx
+            c11 += k11 + m_acc * (d2 - dy * dy)
+            c12 += k12 - m_acc * dy * dz
+            c20 += k20 - m_acc * dz * dx
+            c21 += k21 - m_acc * dz * dy
+            c22 += k22 + m_acc * (d2 - dz * dz)
+        m_acc, kx, ky, kz = m_new, nx, ny, nz
+        k00, k01, k02, k10, k11, k12, k20, k21, k22 = c00, c01, c02, c10, c11, c12, c20, c21, c22
 
-    mat = np.zeros((n, n))
-    for j in range(n):
         zx, zy, zz = axes[j]
         ojx, ojy, ojz = orig[j]
-        ccx, ccy, ccz = comp_c[j]
-        rx, ry, rz = ccx - ojx, ccy - ojy, ccz - ojz
-        mj = comp_m[j]
-        fjx = mj * (zy * rz - zz * ry)
-        fjy = mj * (zz * rx - zx * rz)
-        fjz = mj * (zx * ry - zy * rx)
-        ij = comp_i[j]
-        njx = ij[0][0] * zx + ij[0][1] * zy + ij[0][2] * zz + ry * fjz - rz * fjy
-        njy = ij[1][0] * zx + ij[1][1] * zy + ij[1][2] * zz + rz * fjx - rx * fjz
-        njz = ij[2][0] * zx + ij[2][1] * zy + ij[2][2] * zz + rx * fjy - ry * fjx
+        rx, ry, rz = nx - ojx, ny - ojy, nz - ojz
+        fjx = m_new * (zy * rz - zz * ry)
+        fjy = m_new * (zz * rx - zx * rz)
+        fjz = m_new * (zx * ry - zy * rx)
+        njx = c00 * zx + c01 * zy + c02 * zz + ry * fjz - rz * fjy
+        njy = c10 * zx + c11 * zy + c12 * zz + rz * fjx - rx * fjz
+        njz = c20 * zx + c21 * zy + c22 * zz + rx * fjy - ry * fjx
+        row_j = mat[j]
         for i in range(j + 1):
             aix, aiy, aiz = axes[i]
             oix, oiy, oiz = orig[i]
@@ -281,6 +283,6 @@ def joint_dynamics(
                 + aiy * (njy + dz * fjx - dx * fjz)
                 + aiz * (njz + dx * fjy - dy * fjx)
             )
-            mat[i, j] = mij
-            mat[j, i] = mij
-    return mat, h_arr
+            mat[i][j] = mij
+            row_j[i] = mij
+    return np.array(mat), np.array(h)

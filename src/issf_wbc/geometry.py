@@ -186,6 +186,38 @@ def body_pair_barrier(
     return prox.h, grad, prox
 
 
+def _workspace_separation(
+    model: RobotModel,
+    q: np.ndarray,
+    point_a: tuple[int, np.ndarray],
+    point_b: tuple[int, np.ndarray],
+    d_max: float,
+    fk: FkResult | None,
+) -> tuple[FkResult, np.ndarray, float]:
+    """(fk, p_A - p_B, ||p_A - p_B||) for a workspace pair."""
+    if d_max <= 0.0:
+        raise ValueError("d_max must be > 0")
+    if fk is None:
+        fk = forward_kinematics(model, q)
+    diff = fk.link_point(*point_a) - fk.link_point(*point_b)
+    return fk, diff, float(np.linalg.norm(diff))
+
+
+def workspace_barrier_value(
+    model: RobotModel,
+    q: np.ndarray,
+    point_a: tuple[int, np.ndarray],
+    point_b: tuple[int, np.ndarray],
+    d_max: float,
+    fk: FkResult | None = None,
+) -> float:
+    """The h of ``workspace_barrier`` alone, without building its Jacobians."""
+    _, _, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
+    if dist < DEGENERATE_DISTANCE:
+        return d_max
+    return d_max - dist
+
+
 def workspace_barrier(
     model: RobotModel,
     q: np.ndarray,
@@ -199,18 +231,11 @@ def workspace_barrier(
     The coincident case p_A = p_B is the interior of the safe set: returns
     (d_max, 0).
     """
-    if d_max <= 0.0:
-        raise ValueError("d_max must be > 0")
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    link_a, local_a = point_a
-    link_b, local_b = point_b
-    pa = fk.link_point(link_a, local_a)
-    pb = fk.link_point(link_b, local_b)
-    diff = pa - pb
-    dist = float(np.linalg.norm(diff))
+    fk, diff, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
     if dist < DEGENERATE_DISTANCE:
         return d_max, np.zeros(model.n_dof)
+    link_a, local_a = point_a
+    link_b, local_b = point_b
     n = diff / dist
     grad = -(
         n @ point_jacobian(model, q, link_a, local_a, fk=fk)

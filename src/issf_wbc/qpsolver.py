@@ -65,7 +65,9 @@ class QpProblem:
         n, m, p = self.dims()
         if self.H.shape != (n, n):
             raise QpDimensionError(f"H shape {self.H.shape} vs n={n}")
-        if not np.allclose(self.H, self.H.T, atol=1e-10):
+        # Exact symmetry (every H the controllers build) implies allclose;
+        # only an inexactly symmetric H pays for the tolerance test.
+        if not (self.H == self.H.T).all() and not np.allclose(self.H, self.H.T, atol=1e-10):
             raise QpDimensionError("H must be symmetric")
         if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
             raise QpDimensionError("inequality block shapes inconsistent")
@@ -92,10 +94,13 @@ class QpSolution:
 
 def _dedup_rows(A: np.ndarray, b: np.ndarray) -> list[int]:
     """Indices of the first occurrence of each distinct (row, rhs) pair."""
+    rows = np.hstack([A, b[:, None]])
+    buf = rows.tobytes()
+    width = rows.shape[1] * rows.itemsize
     seen: set[bytes] = set()
     keep: list[int] = []
     for i in range(A.shape[0]):
-        key = A[i].tobytes() + b[i].tobytes()
+        key = buf[i * width:(i + 1) * width]
         if key not in seen:
             seen.add(key)
             keep.append(i)
@@ -217,11 +222,13 @@ class QpSolver:
             _, s, vt = np.linalg.svd(A_eq)
             rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
             z = vt[rank:].T
+        elif n and np.isfinite(H).all():
+            z = None        # nullspace basis I, and I^T H I == H for a finite H
         else:
             z = np.eye(n)
-        if z.shape[1] == 0:
+        if z is not None and z.shape[1] == 0:
             return
-        reduced = z.T @ H @ z
+        reduced = H if z is None else z.T @ H @ z
         scale = max(1.0, float(np.max(np.abs(H))))
         if np.min(np.linalg.eigvalsh(reduced)) <= 1e-11 * scale:
             raise ValueError(

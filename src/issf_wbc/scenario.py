@@ -195,6 +195,15 @@ def _vec(raw, length, problems, where) -> np.ndarray:
     return arr
 
 
+_FILTER_KEYS = frozenset({"mode", "alpha", "epsilon", "slack", "activation_distance"})
+
+
+def _reject_unknown(raw: dict, known, problems: list, where: str) -> None:
+    for key in raw or {}:
+        if key not in known:
+            problems.append(f"{where}.{key}: unknown key")
+
+
 def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> dict:
     table = dict(defaults)
     for key, value in (raw or {}).items():
@@ -208,6 +217,7 @@ def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> 
 
 
 def _parse_filter(raw: dict, problems: list) -> FilterConfig:
+    _reject_unknown(raw, _FILTER_KEYS, problems, "filter")
     mode_name = (raw or {}).get("mode", "issf-cbf")
     try:
         mode = FilterMode(mode_name)
@@ -234,6 +244,7 @@ def _parse_filter(raw: dict, problems: list) -> FilterConfig:
 
 def _parse_sim(raw: dict, problems: list) -> SimConfig:
     raw = raw or {}
+    _reject_unknown(raw, SimConfig.__dataclass_fields__, problems, "sim")
     if "duration" not in raw:
         problems.append("sim.duration: required")
     integ_name = raw.get("integrator", "semi-implicit-euler")
@@ -300,10 +311,12 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         sim = dc_replace(sim, seed=seed)
     filter_config = _parse_filter(doc.get("filter"), problems)
 
+    fields = DynWbcWeights.__dataclass_fields__
+    _reject_unknown(doc.get("dynwbc"), fields, problems, "dynwbc")
     try:
         weights = DynWbcWeights(**{
             key: value for key, value in (doc.get("dynwbc") or {}).items()
-            if key in DynWbcWeights.__dataclass_fields__
+            if key in fields
         })
     except (TypeError, ValueError) as exc:
         problems.append(f"dynwbc: {exc}")

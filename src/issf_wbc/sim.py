@@ -31,7 +31,7 @@ import numpy as np
 
 from ._fastdyn import joint_dynamics
 from .dynwbc import DynWbcWeights, motor_torque, safe_acceleration, solve_dynwbc
-from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier
+from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
 from .model import JointState, RobotModel, bias_forces, forward_kinematics
 from .qpsolver import QpSolver
@@ -147,25 +147,36 @@ class ConstantVelocityKalman:
         self.q = process_noise
         self.x: np.ndarray | None = None
         self.P = np.zeros((6, 6))
+        self._R = self.r * np.eye(3)
+        self._models: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _transition(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """State transition F and process noise Q over dt, built once per dt."""
+        model = self._models.get(dt)
+        if model is None:
+            eye3 = np.eye(3)
+            F = np.block([[eye3, dt * eye3], [np.zeros((3, 3)), eye3]])
+            Q = self.q * np.block([
+                [dt ** 3 / 3.0 * eye3, dt ** 2 / 2.0 * eye3],
+                [dt ** 2 / 2.0 * eye3, dt * eye3],
+            ])
+            model = self._models[dt] = (F, Q)
+        return model
 
     def update(self, measurement: np.ndarray, dt: float) -> ObstacleEstimate:
         z = np.asarray(measurement, dtype=float)
-        eye3 = np.eye(3)
         if self.x is None:
+            eye3 = np.eye(3)
             self.x = np.concatenate([z, np.zeros(3)])
             self.P = np.block([
                 [self.r * eye3, np.zeros((3, 3))],
                 [np.zeros((3, 3)), 1.0 * eye3],
             ])
         else:
-            F = np.block([[eye3, dt * eye3], [np.zeros((3, 3)), eye3]])
-            Q = self.q * np.block([
-                [dt ** 3 / 3.0 * eye3, dt ** 2 / 2.0 * eye3],
-                [dt ** 2 / 2.0 * eye3, dt * eye3],
-            ])
+            F, Q = self._transition(dt)
             self.x = F @ self.x
             self.P = F @ self.P @ F.T + Q
-            S = self.P[:3, :3] + self.r * eye3
+            S = self.P[:3, :3] + self._R
             K = np.linalg.solve(S.T, self.P[:, :3].T).T
             self.x = self.x + K @ (z - self.x[:3])
             self.P = self.P - K @ self.P[:3, :]
@@ -338,11 +349,10 @@ def _truth_barriers(model, q, fk, scenario, obstacle_truths, t) -> np.ndarray:
             prox = closest_points(pose_body(body, fk), pose_body(obs_body, fk))
             vals.append(prox.h)
     for pair in scenario.workspace_pairs:
-        h, _ = workspace_barrier(
+        vals.append(workspace_barrier_value(
             model, q, (pair.link_a, pair.point_a), (pair.link_b, pair.point_b),
             pair.d_max, fk=fk,
-        )
-        vals.append(h)
+        ))
     return np.array(vals)
 
 

@@ -10,10 +10,11 @@ from issf_wbc.geometry import (
     pose_body,
     segment_closest_points,
     workspace_barrier,
+    workspace_barrier_value,
 )
 from issf_wbc.model import forward_kinematics
 
-from conftest import two_link_planar
+from conftest import random_chain, two_link_planar
 
 
 def sphere(center, radius):
@@ -235,6 +236,41 @@ class TestWorkspaceBarrier:
         with pytest.raises(ValueError):
             workspace_barrier(two_link_planar(), np.zeros(2), (1, np.zeros(3)),
                               (0, np.zeros(3)), 0.0)
+
+
+class TestWorkspaceBarrierValue:
+    """h alone equals workspace_barrier's h bit for bit, without the Jacobians."""
+
+    def test_equals_workspace_barrier_h(self, rng):
+        for _ in range(60):
+            model = random_chain(rng, int(rng.integers(1, 7)))
+            n = model.n_dof
+            pa = (int(rng.integers(0, n)), rng.uniform(-0.3, 0.3, 3))
+            pb = (int(rng.integers(0, n)), rng.uniform(-0.3, 0.3, 3))
+            d_max = float(rng.uniform(0.05, 1.5))
+            for _ in range(5):
+                q = rng.uniform(-3, 3, n)
+                fk = forward_kinematics(model, q)
+                h, _ = workspace_barrier(model, q, pa, pb, d_max, fk=fk)
+                assert workspace_barrier_value(model, q, pa, pb, d_max, fk=fk) == h
+                assert workspace_barrier_value(model, q, pa, pb, d_max) == h
+
+    def test_coincident_points_return_d_max(self):
+        model = two_link_planar()
+        for q in (np.zeros(2), np.array([0.3, -1.2])):
+            h, _ = workspace_barrier(model, q, (1, np.zeros(3)), (1, np.zeros(3)), 0.62)
+            value = workspace_barrier_value(model, q, (1, np.zeros(3)), (1, np.zeros(3)), 0.62)
+            assert value == h == 0.62
+            # Within DEGENERATE_DISTANCE the value is still d_max exactly.
+            near = workspace_barrier_value(model, q, (1, np.zeros(3)),
+                                           (1, np.array([1e-10, 0.0, 0.0])), 0.62)
+            assert near == 0.62
+
+    def test_rejects_nonpositive_dmax(self):
+        for d_max in (0.0, -0.1):
+            with pytest.raises(ValueError, match="d_max"):
+                workspace_barrier_value(two_link_planar(), np.zeros(2), (1, np.zeros(3)),
+                                        (0, np.zeros(3)), d_max)
 
 
 def test_pose_body_world_passthrough():

@@ -84,6 +84,42 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="sim.pipelined"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("dynwbc", "kp_dynn", 300.0),
+        ("sim", "dt_contrl", 1e-3),
+        ("filter", "activaton_distance", 0.5),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, block, key, value):
+        doc = {
+            "filter": {"mode": "issf-cbf"},
+            "sim": {"duration": 0.05, "mass_scale": 1.1, "seed": 3},
+            "dynwbc": {"kp_dyn": 400.0},
+        }
+        doc[block][key] = value
+        path = write_mini_scenario(tmp_path, extra=doc)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [f"{block}.{key}: unknown key"]
+
+    def test_every_known_key_accepted(self, tmp_path):
+        path = write_mini_scenario(tmp_path, extra={
+            "filter": {"mode": "cbf", "alpha": {"workspace": 5.0},
+                       "epsilon": {"joint-limit": 20.0}, "slack": "hard-fail",
+                       "activation_distance": 0.25},
+            "sim": {"duration": 0.05, "dt_control": 1e-3, "dt_physics": 2.5e-4,
+                    "mass_scale": 1.1, "integrator": "rk4", "seed": 4,
+                    "gravity": [0.0, 0.0, -9.0], "pipelined": True,
+                    "external_torque": [{"start": 0.0, "end": 0.01,
+                                         "torque": [0.1, 0.0, 0.0]}]},
+            "dynwbc": {"w_qdd": 1.0, "w_c": 1e-2, "w_tau": 1e-4, "w_M": 1e-5,
+                       "kp_dyn": 300.0, "kd_dyn": 30.0, "motor_kp": 90.0,
+                       "motor_kd": 9.0},
+        })
+        scenario = load_scenario(path)
+        assert scenario.filter_config.activation_distance == 0.25
+        assert scenario.sim.dt_control == 1e-3
+        assert scenario.weights.kp_dyn == 300.0
+
     def test_seed_override(self):
         scenario = load_scenario(data_path("hand_track.scenario"), seed=99)
         assert scenario.sim.seed == 99

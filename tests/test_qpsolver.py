@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from issf_wbc.qpsolver import QpDimensionError, QpProblem, QpSolver, QpStatus, solve_qp
+from issf_wbc.qpsolver import (
+    QpDimensionError,
+    QpProblem,
+    QpSolver,
+    QpStatus,
+    _dedup_rows,
+    solve_qp,
+)
 
 from conftest import enumerate_qp
 
@@ -151,3 +158,124 @@ class TestContract:
                             A_ineq=-np.eye(2), b_ineq=np.array([-0.1, -0.1]))
         sol = solver.solve(problem)
         assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL)
+
+
+# Reference versions of the per-solve checks, as they were written before the
+# fast paths; the solver's checks must reach the same verdict on every input.
+
+def dedup_rows_per_row(A, b):
+    seen, keep = set(), []
+    for i in range(A.shape[0]):
+        key = A[i].tobytes() + b[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
+def strict_convexity_reference(H, A_eq):
+    n = H.shape[0]
+    if A_eq.shape[0]:
+        _, s, vt = np.linalg.svd(A_eq)
+        rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
+        z = vt[rank:].T
+    else:
+        z = np.eye(n)
+    if z.shape[1] == 0:
+        return
+    reduced = z.T @ H @ z
+    scale = max(1.0, float(np.max(np.abs(H))))
+    if np.min(np.linalg.eigvalsh(reduced)) <= 1e-11 * scale:
+        raise ValueError("not strictly convex")
+
+
+def outcome(fn, *args):
+    try:
+        with np.errstate(invalid="ignore"):
+            fn(*args)
+    except Exception as exc:        # the verdict is the exception type
+        return type(exc).__name__
+    return "accept"
+
+
+class TestChecksAgainstReference:
+    def test_symmetry_verdict_matches_allclose(self, rng):
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        verdicts = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 6))
+            f = rng.normal(size=(n, n))
+            H = f @ f.T + np.eye(n)
+            kind = rng.integers(0, 4)
+            if kind == 1:       # off by about the tolerance
+                H = H + rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-13, -9)
+            elif kind >= 2:     # non-finite or signed-zero entries
+                for _ in range(int(rng.integers(1, 3))):
+                    i, j = rng.integers(0, n, 2)
+                    H[i, j] = specials[int(rng.integers(0, len(specials)))]
+                    if kind == 3:
+                        H[j, i] = H[i, j]
+            problem = QpProblem(H=H, g=np.zeros(n))
+            with np.errstate(invalid="ignore"):
+                expected = bool(np.allclose(H, H.T, atol=1e-10))
+            try:
+                problem.validate()
+                accepted = True
+            except QpDimensionError:
+                accepted = False
+            assert accepted == expected, H
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+    def test_dedup_matches_per_row_keys(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(0, 5))
+            m = int(rng.integers(1, 9))
+            pool = rng.integers(-2, 3, size=(3, n)).astype(float)
+            A = pool[rng.integers(0, 3, m)]
+            b = rng.integers(-1, 2, m).astype(float)
+            # Zero entries flip sign at random: +0.0 and -0.0 rows stay distinct.
+            A = np.where((A == 0.0) & (rng.random(A.shape) < 0.5), -0.0, A)
+            b = np.where((b == 0.0) & (rng.random(m) < 0.5), -0.0, b)
+            if rng.random() < 0.2:
+                A = np.asfortranarray(A)
+            assert _dedup_rows(A, b) == dedup_rows_per_row(A, b)
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        assert _dedup_rows(signed, np.zeros(3)) == [0, 1]
+        assert _dedup_rows(np.ones((3, 2)), np.array([0.0, -0.0, 0.0])) == [0, 1]
+
+    def test_convexity_verdict_matches_reference(self, rng):
+        cases = [
+            (np.zeros((0, 0)), np.zeros((0, 0))),                     # n = 0
+            (np.diag([2.0, 0.0]), np.array([[1.0, -1.0]])),          # PSD, PD on nullspace
+            (np.diag([2.0, 0.0]), np.array([[1.0, 0.0]])),           # singular on nullspace
+            (np.diag([1.0, -1.0]), np.zeros((0, 2))),                # indefinite
+            (np.diag([1.0, 0.5e-11]), np.zeros((0, 2))),             # below the threshold
+            (np.diag([1.0, 2e-11]), np.zeros((0, 2))),               # above the threshold
+            (np.diag([1.0, -1.0]), np.eye(2)),                       # nullspace is {0}
+        ]
+        for value in (np.inf, -np.inf, np.nan):                       # non-finite H
+            for i, j in ((0, 0), (0, 1)):
+                for n in (2, 3):
+                    H = 2.0 * np.eye(n)
+                    H[i, j] = H[j, i] = value
+                    cases.append((H, np.zeros((0, n))))
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            f = rng.normal(size=(n, n))
+            eig = rng.choice([-1.0, 0.0, 1e-12, 1.0], size=n, p=[0.1, 0.1, 0.1, 0.7])
+            q, _ = np.linalg.qr(f)
+            H = q @ np.diag(eig) @ q.T
+            H = 0.5 * (H + H.T)
+            p = int(rng.integers(0, n + 1))
+            cases.append((H, rng.normal(size=(p, n))))
+        verdicts = set()
+        for H, A_eq in cases:
+            got = outcome(QpSolver._check_strict_convexity, H, A_eq)
+            assert got == outcome(strict_convexity_reference, H, A_eq), (H, A_eq)
+            verdicts.add(got)
+        assert {"accept", "ValueError"} <= verdicts
+
+    def test_empty_problem_solves(self):
+        sol = solve_qp(QpProblem(H=np.zeros((0, 0)), g=np.zeros(0)))
+        assert sol.optimal and sol.x.shape == (0,)

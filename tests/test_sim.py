@@ -152,6 +152,48 @@ class TestKalman:
         assert np.linalg.eigvalsh(est.covariance).min() > 0.0
 
 
+class KalmanPerUpdateReference(ConstantVelocityKalman):
+    """The update as written before F and Q were cached: both rebuilt per call."""
+
+    def update(self, measurement, dt):
+        z = np.asarray(measurement, dtype=float)
+        eye3 = np.eye(3)
+        if self.x is None:
+            self.x = np.concatenate([z, np.zeros(3)])
+            self.P = np.block([
+                [self.r * eye3, np.zeros((3, 3))],
+                [np.zeros((3, 3)), 1.0 * eye3],
+            ])
+        else:
+            F = np.block([[eye3, dt * eye3], [np.zeros((3, 3)), eye3]])
+            Q = self.q * np.block([
+                [dt ** 3 / 3.0 * eye3, dt ** 2 / 2.0 * eye3],
+                [dt ** 2 / 2.0 * eye3, dt * eye3],
+            ])
+            self.x = F @ self.x
+            self.P = F @ self.P @ F.T + Q
+            S = self.P[:3, :3] + self.r * eye3
+            K = np.linalg.solve(S.T, self.P[:, :3].T).T
+            self.x = self.x + K @ (z - self.x[:3])
+            self.P = self.P - K @ self.P[:3, :]
+        return self.x[:3].copy(), self.x[3:].copy(), self.P.copy()
+
+
+class TestKalmanAgainstPerUpdateReference:
+    @pytest.mark.parametrize("meas_std,process_noise", [(0.005, 1e-2), (0.0, 0.3)])
+    def test_bitwise_equal_when_dt_changes_midway(self, rng, meas_std, process_noise):
+        kf = ConstantVelocityKalman(meas_std, process_noise)
+        ref = KalmanPerUpdateReference(meas_std, process_noise)
+        dts = [5e-4] * 150 + [1e-3] * 100 + [5e-4] * 50 + [2.5e-4, 1e-3, 5e-4] * 20
+        for k, dt in enumerate(dts):
+            z = np.array([0.4, -0.2, 0.1]) * k * dt + rng.normal(0.0, 0.005, 3)
+            est = kf.update(z, dt)
+            pos, vel, cov = ref.update(z, dt)
+            assert est.position.tobytes() == pos.tobytes()
+            assert est.velocity.tobytes() == vel.tobytes()
+            assert est.covariance.tobytes() == cov.tobytes()
+
+
 class TestClosedLoop:
     def test_zero_duration_empty_trace(self, tmp_path):
         model = two_link_planar()
