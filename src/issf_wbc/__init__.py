@@ -17,10 +17,8 @@ from .model import (
     JointState,
     LinkSpec,
     RobotModel,
-    bias_forces,
     forward_kinematics,
     load_robot,
-    mass_matrix,
     point_jacobian,
     scale_link_masses,
 )

@@ -3,9 +3,9 @@
 numpy's per-call overhead dominates the recursive dynamics at n <= 7, so
 forward kinematics, the Newton-Euler bias pass and the composite-rigid-body
 mass-matrix pass all run here on plain Python floats, written out as named
-scalars.  ``joint_dynamics`` must agree with model.mass_matrix /
-model.bias_forces to machine precision; the test suite cross-checks that on
-random chains.
+scalars.  ``joint_dynamics`` must agree to machine precision with the numpy
+reference ``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``;
+the test suite cross-checks that on random chains.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _constants(model: RobotModel) -> tuple:
             frames.append((
                 x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
                 tuple(float(v) for v in link.origin_xyz),
-                None if np.allclose(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
+                None if np.array_equal(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
             ))
         cached = (inertial, frames)
         _CACHE[model] = cached

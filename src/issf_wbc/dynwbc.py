@@ -1,14 +1,18 @@
 """Dynamic whole-body control: acceleration/torque QP and the motor command.
 
-The QP jointly optimizes generalized acceleration, optional contact forces
-and joint torque,
+The QP optimizes generalized acceleration and optional contact forces,
+z = [qdd, F_c]; the joint torque follows from the equations of motion
+(fixed base),
+
+    tau = M qdd + h - J_c^T F_c = T z + h,    T = [M, -J_c^T],
+
+so they hold by construction and need no equality rows:
 
     min  w_qdd ||qdd - qdd_safe||^2 + w_c ||F_c - F_c_des||^2
-         + w_tau ||tau - tau_prev||^2 + w_M qdd^T M qdd
-    s.t. M qdd + h = tau + J_c^T F_c          (equations of motion, fixed base)
-         U F_c <= 0                           (linearized contact cone)
+         + w_tau ||T z + h - tau_prev||^2 + w_M qdd^T M qdd
+    s.t. U F_c <= 0                           (linearized contact cone)
          grad . qdd >= rhs                    (optional acceleration barriers)
-         |tau| <= tau_max                     (finite joint torque limits)
+         |T z + h| <= tau_max                 (finite joint torque limits)
 
 The reference acceleration comes from PD feedback on the safety-filtered
 kinematic reference, qdd_safe = Kp (q_safe - q) + Kd (qd_safe - qd), and the
@@ -119,37 +123,31 @@ def solve_dynwbc(
     solver: QpSolver,
     gravity: np.ndarray,
     warm_start: np.ndarray | None = None,
-    enforce_torque_limits: bool = True,
 ) -> DynWbcResult:
-    """Solve the torque QP; variables are stacked [qdd, F_c, tau]."""
+    """Solve the torque QP; variables are stacked [qdd, F_c], tau is recovered."""
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
-    nz = n + k + n
+    nz = n + k
     mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
-
-    H = np.zeros((nz, nz))
-    g = np.zeros(nz)
-    H[:n, :n] = 2.0 * (weights.w_qdd * np.eye(n) + weights.w_M * mass)
-    g[:n] = -2.0 * weights.w_qdd * qddot_safe
+    T = np.empty((n, nz))
+    T[:, :n] = mass
     if k:
-        H[n:n + k, n:n + k] = 2.0 * weights.w_c * np.eye(k)
-        g[n:n + k] = -2.0 * weights.w_c * contact.F_c_des
-    H[n + k:, n + k:] = 2.0 * weights.w_tau * np.eye(n)
-    g[n + k:] = -2.0 * weights.w_tau * tau_prev
+        T[:, n:] = -contact.J_c.T
 
-    A_eq = np.zeros((n, nz))
-    A_eq[:, :n] = mass
+    H = 2.0 * weights.w_tau * (T.T @ T)
+    g = 2.0 * weights.w_tau * (T.T @ (bias - tau_prev))
+    H[:n, :n] += 2.0 * (weights.w_qdd * np.eye(n) + weights.w_M * mass)
+    g[:n] -= 2.0 * weights.w_qdd * qddot_safe
     if k:
-        A_eq[:, n:n + k] = -contact.J_c.T
-    A_eq[:, n + k:] = -np.eye(n)
-    b_eq = -bias
+        H[n:, n:] += 2.0 * weights.w_c * np.eye(k)
+        g[n:] -= 2.0 * weights.w_c * contact.F_c_des
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     if k:
         for u_row in contact.U:
             row = np.zeros(nz)
-            row[n:n + k] = -u_row
+            row[n:] = -u_row
             rows.append(row)
             rhs.append(0.0)
     for c in extra_rows:
@@ -157,28 +155,24 @@ def solve_dynwbc(
         row[:n] = c.grad
         rows.append(row)
         rhs.append(c.rhs)
-    if enforce_torque_limits:
-        for i, joint in enumerate(model.joints):
-            if math.isfinite(joint.tau_max):
-                row = np.zeros(nz)
-                row[n + k + i] = 1.0
-                rows.append(row)
-                rhs.append(-joint.tau_max)
-                rows.append(-row)
-                rhs.append(-joint.tau_max)
+    for i, joint in enumerate(model.joints):
+        if math.isfinite(joint.tau_max):
+            rows.append(T[i])
+            rhs.append(-bias[i] - joint.tau_max)
+            rows.append(-T[i])
+            rhs.append(bias[i] - joint.tau_max)
 
     problem = QpProblem(
         H=H, g=g,
         A_ineq=np.array(rows) if rows else None,
         b_ineq=np.array(rhs) if rows else None,
-        A_eq=A_eq, b_eq=b_eq,
     )
     sol = solver.solve(problem, warm_start=warm_start)
     if not sol.optimal:
         raise DynWbcInfeasibleError(sol)
     qdd = sol.x[:n]
-    fc = sol.x[n:n + k] if k else np.zeros(0)
-    tau = sol.x[n + k:]
+    fc = sol.x[n:]
+    tau = T @ sol.x + bias
     residual = mass @ qdd + bias - tau
     if k:
         residual = residual - contact.J_c.T @ fc

@@ -3,23 +3,23 @@
 Solves
 
     min  0.5 x^T H x + g^T x
-    s.t. A_ineq x >= b_ineq,   A_eq x = b_eq
+    s.t. A_ineq x >= b_ineq
 
 for small dense problems (n up to ~40, a few dozen rows), the shape of both
 the velocity-level safety filter and the torque-level controller QPs.
 
-The iteration is Goldfarb–Idnani style: start from the (equality-
-constrained) unconstrained optimum, pick the most violated inequality, and
-take the smaller of the full primal step (which makes it active) and the
-partial dual step (which drops the blocking working row), keeping all
-working-set multipliers nonnegative throughout.  The dual objective is
-nondecreasing, so termination is exact for strictly convex problems.
-Infeasibility is certified when the incoming row's normal lies in the span
-of the working rows with no droppable blocker.  Each step refactorizes one
-dense KKT system instead of updating a Cholesky factor; at these sizes a
-solve is tens of microseconds, well inside a 2 kHz budget.  All ties break
-toward the lowest row index, so results are deterministic, and a
-warm-started re-solve of an unchanged problem finishes in one iteration.
+The iteration is Goldfarb–Idnani style: start from the unconstrained
+optimum, pick the most violated inequality, and take the smaller of the full
+primal step (which makes it active) and the partial dual step (which drops
+the blocking working row), keeping all working-set multipliers nonnegative
+throughout.  The dual objective is nondecreasing, so termination is exact
+for strictly convex problems.  Infeasibility is certified when the incoming
+row's normal lies in the span of the working rows with no droppable
+blocker.  Each step refactorizes one dense KKT system instead of updating a
+Cholesky factor; at these sizes a solve is tens of microseconds, well inside
+a 2 kHz budget.  All ties break toward the lowest row index, so results are
+deterministic, and a warm-started re-solve of an unchanged problem finishes
+in one iteration.
 """
 
 from __future__ import annotations
@@ -46,33 +46,31 @@ class QpDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense QP data. ``A_ineq x >= b_ineq``; equalities optional."""
+    """Dense QP data: finite H and g, optional inequalities ``A_ineq x >= b_ineq``."""
 
     H: np.ndarray
     g: np.ndarray
     A_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
 
-    def dims(self) -> tuple[int, int, int]:
+    def dims(self) -> tuple[int, int]:
         n = self.g.shape[0]
         m = 0 if self.A_ineq is None else self.A_ineq.shape[0]
-        p = 0 if self.A_eq is None else self.A_eq.shape[0]
-        return n, m, p
+        return n, m
 
     def validate(self) -> None:
-        n, m, p = self.dims()
+        n, m = self.dims()
         if self.H.shape != (n, n):
             raise QpDimensionError(f"H shape {self.H.shape} vs n={n}")
+        data = (self.H, self.g, self.A_ineq, self.b_ineq) if m else (self.H, self.g)
+        if not all(np.isfinite(arr).all() for arr in data):
+            raise QpDimensionError("QP data must be finite")
         # Exact symmetry (every H the controllers build) implies allclose;
         # only an inexactly symmetric H pays for the tolerance test.
         if not (self.H == self.H.T).all() and not np.allclose(self.H, self.H.T, atol=1e-10):
             raise QpDimensionError("H must be symmetric")
         if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
             raise QpDimensionError("inequality block shapes inconsistent")
-        if p and (self.A_eq.shape != (p, n) or self.b_eq.shape != (p,)):
-            raise QpDimensionError("equality block shapes inconsistent")
 
     def objective(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ self.H @ x) + float(self.g @ x)
@@ -120,11 +118,9 @@ class QpSolver:
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
         problem.validate()
-        n, m_all, p = problem.dims()
+        n, m_all = problem.dims()
         H = problem.H
         g = problem.g
-        A_eq = problem.A_eq if p else np.zeros((0, n))
-        b_eq = problem.b_eq if p else np.zeros(0)
 
         if m_all:
             keep = _dedup_rows(problem.A_ineq, problem.b_ineq)
@@ -136,13 +132,11 @@ class QpSolver:
             b = np.zeros(0)
         m = A.shape[0]
 
-        self._check_strict_convexity(H, A_eq)
+        self._check_strict_convexity(H)
 
-        scale_b = 1.0 + (float(np.max(np.abs(b))) if m else 0.0) + (
-            float(np.max(np.abs(b_eq))) if p else 0.0
-        )
+        scale_b = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
         feas_tol = FEAS_TOL * scale_b
-        max_iter = self.max_iter_override or max(10 * (n + m + p), 20)
+        max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
         work: list[int] = []
         lam: list[float] = []
@@ -150,7 +144,7 @@ class QpSolver:
             resid = A @ warm_start - b
             row_scale = 1.0 + np.max(np.abs(A), axis=1)
             cand = [i for i in range(m) if abs(resid[i]) <= 1e-7 * row_scale[i] * scale_b]
-            work = self._independent_subset(A_eq, A, cand)
+            work = self._independent_subset(A, cand)
 
         iterations = 0
 
@@ -161,7 +155,8 @@ class QpSolver:
         # negative-multiplier rows discarded so the dual invariant holds.
         while True:
             iterations += 1
-            x, lam_arr = self._solve_eqp(H, g, A_eq, b_eq, A, b, work)
+            x, neg_lam = self._kkt_solve(H, A, work, -g, b[work])
+            lam_arr = -neg_lam
             lam = list(lam_arr)
             if not work or min(lam) >= -DUAL_TOL:
                 break
@@ -182,7 +177,9 @@ class QpSolver:
             lam_cand = 0.0
             while iterations < max_iter:
                 iterations += 1
-                z, r = self._step_directions(H, A_eq, A, work, A[cand])
+                # Primal step z and multiplier decrease rate r for a unit
+                # increase of the incoming multiplier.
+                z, r = self._kkt_solve(H, A, work, A[cand], np.zeros(len(work)))
                 slope = float(A[cand] @ z)
                 gap = float(b[cand] - A[cand] @ x)
                 t_full = gap / slope if slope > DEP_TOL else np.inf
@@ -216,90 +213,43 @@ class QpSolver:
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def _check_strict_convexity(H: np.ndarray, A_eq: np.ndarray) -> None:
-        n = H.shape[0]
-        if A_eq.shape[0]:
-            _, s, vt = np.linalg.svd(A_eq)
-            rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
-            z = vt[rank:].T
-        elif n and np.isfinite(H).all():
-            z = None        # nullspace basis I, and I^T H I == H for a finite H
-        else:
-            z = np.eye(n)
-        if z is not None and z.shape[1] == 0:
+    def _check_strict_convexity(H: np.ndarray) -> None:
+        if not H.shape[0]:
             return
-        reduced = H if z is None else z.T @ H @ z
         scale = max(1.0, float(np.max(np.abs(H))))
-        if np.min(np.linalg.eigvalsh(reduced)) <= 1e-11 * scale:
+        if np.min(np.linalg.eigvalsh(H)) <= 1e-11 * scale:
             raise ValueError(
-                "QP is not strictly convex on the equality nullspace; "
-                "the minimizer would not be unique"
+                "QP is not strictly convex; the minimizer would not be unique"
             )
 
     @staticmethod
-    def _independent_subset(A_eq: np.ndarray, A: np.ndarray, rows: list[int]) -> list[int]:
+    def _independent_subset(A: np.ndarray, rows: list[int]) -> list[int]:
         picked: list[int] = []
         for i in rows:
-            stack = np.vstack([A_eq] + [A[j] for j in picked] + [A[i]])
-            sv = np.linalg.svd(stack, compute_uv=False)
+            sv = np.linalg.svd(A[picked + [i]], compute_uv=False)
             if sv[-1] > 1e-9 * max(1.0, sv[0]):
                 picked.append(i)
         return picked
 
     @staticmethod
-    def _solve_eqp(H, g, A_eq, b_eq, A, b, work):
-        """Optimum with the working rows held as equalities (one dense KKT solve)."""
+    def _kkt_solve(H, A, work, top, bottom):
+        """Solve [[H, A_w^T], [A_w, 0]] [x; y] = [top; bottom] with A_w = A[work]."""
         n = H.shape[0]
-        if A_eq.shape[0] or work:
-            rows = np.vstack([A_eq] + [A[j] for j in work])
-            rhs_rows = np.concatenate([b_eq, b[work]])
-        else:
-            rows = np.zeros((0, n))
-            rhs_rows = np.zeros(0)
+        rows = A[work]
         k = rows.shape[0]
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = H
         kkt[:n, n:] = rows.T
         kkt[n:, :n] = rows
-        rhs = np.concatenate([-g, rhs_rows])
+        rhs = np.concatenate([top, bottom])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        x = sol[:n]
-        lam_work = -sol[n + A_eq.shape[0]:]
-        return x, lam_work
-
-    @staticmethod
-    def _step_directions(H, A_eq, A, work, a_new):
-        """Primal/dual step directions for a unit increase of the incoming multiplier.
-
-        Solves  H z - A_act^T dmu = a_new,  A_act z = 0; returns z and the
-        rate r at which working-set multipliers decrease (equality rows never
-        block and are excluded from r).
-        """
-        n = H.shape[0]
-        if A_eq.shape[0] or work:
-            rows = np.vstack([A_eq] + [A[j] for j in work])
-        else:
-            rows = np.zeros((0, n))
-        k = rows.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = H
-        kkt[:n, n:] = rows.T
-        kkt[n:, :n] = rows
-        rhs = np.concatenate([a_new, np.zeros(k)])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        z = sol[:n]
-        r = sol[n + A_eq.shape[0]:]
-        return z, r
+        return sol[:n], sol[n:]
 
     def _finish(self, problem, keep, x, status, work, lam, iterations):
-        n, m_all, p = problem.dims()
-        lam_full = np.zeros(m_all)
+        lam_full = np.zeros(problem.dims()[1])
         active_orig: list[int] = []
         if status is not QpStatus.INFEASIBLE:
             for lam_k, local in zip(lam, work):
@@ -317,25 +267,14 @@ class QpSolver:
 
     @staticmethod
     def _kkt_residual(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> float:
-        n, m, p = problem.dims()
         stat = problem.H @ x + problem.g
         feas = 0.0
         comp = 0.0
-        if m:
+        if problem.dims()[1]:
             stat = stat - problem.A_ineq.T @ lam
             slack = problem.A_ineq @ x - problem.b_ineq
-            feas = max(feas, float(np.max(-slack, initial=0.0)))
+            feas = float(np.max(-slack, initial=0.0))
             comp = float(np.max(np.abs(lam * slack), initial=0.0))
-        if p:
-            # Equality multipliers reconstructed by projection; they only
-            # enter the stationarity residual, not the returned solution.
-            aeq = problem.A_eq
-            try:
-                nu = np.linalg.solve(aeq @ aeq.T, aeq @ stat)
-            except np.linalg.LinAlgError:
-                nu, *_ = np.linalg.lstsq(aeq.T, stat, rcond=None)
-            stat = stat - problem.A_eq.T @ nu
-            feas = max(feas, float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
         return max(float(np.max(np.abs(stat), initial=0.0)), feas, comp)
 
 

@@ -33,7 +33,7 @@ from ._fastdyn import joint_dynamics
 from .dynwbc import DynWbcWeights, motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
-from .model import JointState, RobotModel, bias_forces, forward_kinematics
+from .model import JointState, RobotModel, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
     BarrierKind,
@@ -390,7 +390,7 @@ def run_closed_loop(
 
     cycles = int(round(cfg.duration / cfg.dt_control))
     state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
-    tau_prev = bias_forces(nominal_model, state.q, np.zeros(n), gravity)
+    tau_prev = joint_dynamics(nominal_model, state.q, np.zeros(n), gravity)[1]
     filter_solver = QpSolver()
     dyn_solver = QpSolver()
     filter_warm: np.ndarray | None = None

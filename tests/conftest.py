@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def random_chain(rng: np.random.Generator, n: int, planar: bool = False) -> Robo
     return RobotModel(f"chain{n}", tuple(links), tuple(joints))
 
 
+def near_identity_chain(rng: np.random.Generator) -> RobotModel:
+    """4-link planar chain whose origin rotations are 5e-9 rad off the identity."""
+    chain = random_chain(rng, 4, planar=True)
+    links = tuple(replace(link, origin_rpy=np.array([5e-9, 0.0, 5e-9]))
+                  for link in chain.links)
+    return replace(chain, links=links)
+
+
 def two_link_planar(l1: float = 0.31, l2: float = 0.31, bodies=()) -> RobotModel:
     link = lambda L, parent: LinkSpec(
         mass=1.0, com=np.array([-L / 2, 0.0, 0.0]), inertia=np.eye(3) * 1e-3,
@@ -39,15 +48,18 @@ def two_link_planar(l1: float = 0.31, l2: float = 0.31, bodies=()) -> RobotModel
                       collision_bodies=tuple(bodies))
 
 
-def enumerate_qp(problem: QpProblem, tol: float = 1e-9):
+def enumerate_qp(problem: QpProblem, tol: float = 1e-9,
+                 A_eq: np.ndarray | None = None, b_eq: np.ndarray | None = None):
     """Exhaustive active-set enumeration: solve every equality-constrained
     subproblem, keep the feasible candidate with the lowest objective.
+    ``A_eq x = b_eq`` are extra equality rows held in every subproblem.
     Returns (objective, x) or None when no subset yields a feasible point."""
-    n, m, p = problem.dims()
+    n, m = problem.dims()
     A = problem.A_ineq if m else np.zeros((0, n))
     b = problem.b_ineq if m else np.zeros(0)
-    Aeq = problem.A_eq if p else np.zeros((0, n))
-    beq = problem.b_eq if p else np.zeros(0)
+    p = 0 if A_eq is None else A_eq.shape[0]
+    Aeq = A_eq if p else np.zeros((0, n))
+    beq = b_eq if p else np.zeros(0)
     best = None
     for k in range(0, min(m, n) + 1):
         for subset in itertools.combinations(range(m), k):

@@ -31,7 +31,7 @@ def _constants(model: RobotModel) -> tuple:
             frames.append((
                 tuple(float(v) for v in joint.axis),
                 tuple(float(v) for v in link.origin_xyz),
-                None if np.allclose(rfix, np.eye(3)) else rfix.tolist(),
+                None if np.array_equal(rfix, np.eye(3)) else rfix.tolist(),
             ))
         cached = (inertial, frames)
         _CACHE[model] = cached

@@ -336,7 +336,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
     qdd_safe = rng.normal(size=6)
     res = solve_dynwbc(model, state, qdd_safe, contact, [], weights, np.zeros(6),
-                       QpSolver(), gravity, enforce_torque_limits=False)
+                       QpSolver(), gravity)
     mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
     nz = 15
     H = np.zeros((nz, nz))
@@ -351,8 +351,8 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     a_eq[:, 9:] = -np.eye(6)
     a_ineq = np.zeros((5, nz))
     a_ineq[:, 6:9] = -cone
-    oracle = enumerate_qp(QpProblem(H=H, g=g, A_ineq=a_ineq, b_ineq=np.zeros(5),
-                                    A_eq=a_eq, b_eq=-bias))
+    oracle = enumerate_qp(QpProblem(H=H, g=g, A_ineq=a_ineq, b_ineq=np.zeros(5)),
+                          A_eq=a_eq, b_eq=-bias)
     z = np.concatenate([res.qddot_opt, res.fc_opt, res.tau_opt])
     planted_err = np.abs(z - oracle[1]).max()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,7 @@ class TestSolveDynWbc:
         weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
         qdd_safe = rng.normal(size=6)
         result = solve_dynwbc(model, state, qdd_safe, contact, [], weights,
-                              np.zeros(6), QpSolver(), GRAVITY,
-                              enforce_torque_limits=False)
+                              np.zeros(6), QpSolver(), GRAVITY)
         mass, bias = joint_dynamics(model, state.q, state.qd, GRAVITY)
         nz = 6 + 3 + 6
         H = np.zeros((nz, nz))
@@ -123,19 +124,82 @@ class TestSolveDynWbc:
         a_eq[:, 9:] = -np.eye(6)
         a_ineq = np.zeros((5, nz))
         a_ineq[:, 6:9] = -cone
-        problem = QpProblem(H=H, g=g, A_ineq=a_ineq, b_ineq=np.zeros(5),
-                            A_eq=a_eq, b_eq=-bias)
-        oracle = enumerate_qp(problem)
+        problem = QpProblem(H=H, g=g, A_ineq=a_ineq, b_ineq=np.zeros(5))
+        oracle = enumerate_qp(problem, A_eq=a_eq, b_eq=-bias)
         assert oracle is not None
         z = np.concatenate([result.qddot_opt, result.fc_opt, result.tau_opt])
         np.testing.assert_allclose(z, oracle[1], atol=1e-6)
         # and the cone actually holds
         assert np.all(cone @ result.fc_opt <= 1e-10)
 
+    def test_torque_limits_and_ecbf_rows_match_three_block_enumeration(self, rng):
+        # The QP over [qdd, F_c] against the QP it replaces, over [qdd, F_c, tau]
+        # with the equations of motion as equality rows, solved by enumeration.
+        weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
+        cone = np.array([[1.0, -0.6], [-1.0, -0.6], [0.0, -1.0]])
+        limited = 0
+        for n in (2, 3, 4):
+            for with_contact in (False, True):
+                chain = random_chain(rng, n)
+                state = JointState(q=rng.uniform(-1, 1, n), qd=rng.uniform(-0.5, 0.5, n))
+                mass, bias = joint_dynamics(chain, state.q, state.qd, GRAVITY)
+                tau_max = np.abs(bias) + rng.uniform(0.5, 2.0, n)
+                joints = tuple(dataclasses.replace(j, tau_max=float(t))
+                               for j, t in zip(chain.joints, tau_max))
+                model = dataclasses.replace(chain, joints=joints)
+                k = 2 if with_contact else 0
+                contact = None
+                if with_contact:
+                    contact = ContactBlock(J_c=rng.normal(size=(k, n)), U=cone,
+                                           F_c_des=np.array([0.5, 10.0]))
+                rows = [AccelConstraint(kind=BarrierKind.JOINT_LIMIT_MIN, pair=f"q{i}",
+                                        grad=rng.normal(size=n), rhs=float(rng.normal()),
+                                        h_e=0.0)
+                        for i in range(2)]
+                qdd_safe = rng.normal(size=n) * 20.0
+                tau_prev = rng.normal(size=n)
+                result = solve_dynwbc(model, state, qdd_safe, contact, rows, weights,
+                                      tau_prev, QpSolver(), GRAVITY)
+
+                nz = 2 * n + k
+                H = np.zeros((nz, nz))
+                H[:n, :n] = 2 * (weights.w_qdd * np.eye(n) + weights.w_M * mass)
+                H[n:n + k, n:n + k] = 2 * weights.w_c * np.eye(k)
+                H[n + k:, n + k:] = 2 * weights.w_tau * np.eye(n)
+                g = np.zeros(nz)
+                g[:n] = -2 * weights.w_qdd * qdd_safe
+                g[n + k:] = -2 * weights.w_tau * tau_prev
+                a_eq = np.zeros((n, nz))
+                a_eq[:, :n] = mass
+                a_eq[:, n + k:] = -np.eye(n)
+                a_ineq, b_ineq = [], []
+                if with_contact:
+                    g[n:n + k] = -2 * weights.w_c * contact.F_c_des
+                    a_eq[:, n:n + k] = -contact.J_c.T
+                    for u_row in cone:
+                        a_ineq.append(np.concatenate([np.zeros(n), -u_row, np.zeros(n)]))
+                        b_ineq.append(0.0)
+                for row in rows:
+                    a_ineq.append(np.concatenate([row.grad, np.zeros(k + n)]))
+                    b_ineq.append(row.rhs)
+                for i in range(n):
+                    unit = np.zeros(nz)
+                    unit[n + k + i] = 1.0
+                    a_ineq += [unit, -unit]
+                    b_ineq += [-tau_max[i], -tau_max[i]]
+                problem = QpProblem(H=H, g=g, A_ineq=np.array(a_ineq),
+                                    b_ineq=np.array(b_ineq))
+                oracle = enumerate_qp(problem, A_eq=a_eq, b_eq=-bias)
+                assert oracle is not None
+                z = np.concatenate([result.qddot_opt, result.fc_opt, result.tau_opt])
+                np.testing.assert_allclose(z, oracle[1], atol=1e-6)
+                assert np.all(np.abs(result.tau_opt) <= tau_max + 1e-9)
+                limited += int(np.any(np.abs(result.tau_opt) > tau_max - 1e-9))
+        assert limited >= 4     # most cases press against a torque limit
+
     def test_torque_limits_enforced(self, rng):
         model = two_link_planar(0.4, 0.4)
         # tiny limits force the QP to trade acceleration for feasibility
-        import dataclasses
         joints = tuple(dataclasses.replace(j, tau_max=1.0) for j in model.joints)
         model = dataclasses.replace(model, joints=joints)
         state = JointState(q=np.array([0.3, -0.5]), qd=np.zeros(2))

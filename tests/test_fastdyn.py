@@ -5,7 +5,7 @@ from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.model import load_robot, scale_link_masses
 from issf_wbc.scenario import data_path
 
-from conftest import random_chain
+from conftest import near_identity_chain, random_chain
 from fastdyn_oracle import joint_dynamics_reference
 
 
@@ -42,6 +42,12 @@ class TestAgainstNestedLoopKernel:
                 assert_same_dynamics(
                     model, rng.uniform(-3, 3, n), rng.uniform(-4, 4, n),
                     np.array([0.0, 0.0, -9.81]))
+
+    def test_near_identity_origin_rotation(self, rng):
+        model = near_identity_chain(rng)
+        for _ in range(5):
+            assert_same_dynamics(model, rng.uniform(-3, 3, 4), rng.uniform(-4, 4, 4),
+                                 np.array([0.0, 0.0, -9.81]))
 
     @pytest.mark.parametrize("robot", ["planar3.robot", "arm7.robot"])
     @pytest.mark.parametrize("mass_scale", [1.0, 0.8, 1.2])

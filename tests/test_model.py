@@ -7,18 +7,15 @@ from issf_wbc.model import (
     LinkSpec,
     ModelError,
     RobotModel,
-    bias_forces,
     forward_kinematics,
-    kinetic_energy,
     load_robot,
-    mass_matrix,
     point_jacobian,
-    potential_energy,
     scale_link_masses,
 )
 from issf_wbc.scenario import data_path
 
-from conftest import random_chain
+from conftest import near_identity_chain, random_chain
+from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix, potential_energy
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -163,6 +160,17 @@ class TestDynamics:
             mm, h = joint_dynamics(model, q, qd, g)
             np.testing.assert_allclose(mm, mass_matrix(model, q), atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, g), atol=1e-12)
+
+    def test_fast_path_near_identity_origin_rotation(self, rng):
+        # A rotation within allclose of the identity is still not the identity.
+        model = near_identity_chain(rng)
+        for _ in range(5):
+            q = rng.uniform(-2, 2, 4)
+            qd = rng.uniform(-3, 3, 4)
+            mm, h = joint_dynamics(model, q, qd, GRAVITY)
+            np.testing.assert_allclose(mm, mass_matrix(model, q), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(h, bias_forces(model, q, qd, GRAVITY),
+                                       rtol=0.0, atol=1e-12)
 
     def test_mass_scaling(self):
         model = self.pendulum()

@@ -10,9 +10,6 @@ from issf_wbc.model import (
     JointState,
     LinkSpec,
     RobotModel,
-    bias_forces,
-    kinetic_energy,
-    mass_matrix,
     scale_link_masses,
 )
 from issf_wbc.safety import FilterConfig, FilterMode
@@ -28,6 +25,7 @@ from issf_wbc.sim import (
 )
 
 from conftest import random_chain, two_link_planar
+from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
