@@ -1,104 +1,36 @@
-"""Scalar-arithmetic fast path for joint-space dynamics.
+"""Joint-space dynamics on plain Python floats.
 
 numpy's per-call overhead dominates the recursive dynamics at n <= 7, so
-forward kinematics, the Newton-Euler bias pass and the composite-rigid-body
-mass-matrix pass all run here on plain Python floats, written out as named
-scalars.  ``joint_dynamics`` must agree to machine precision with the numpy
-reference ``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``;
-the test suite cross-checks that on random chains.
+the Newton-Euler bias pass and the composite-rigid-body mass-matrix pass run
+here on floats, written out as named scalars, on the poses of the package's
+one forward-kinematics kernel (``model._fk``).  ``joint_dynamics`` must agree
+to machine precision with the numpy reference ``mass_matrix`` /
+``bias_forces`` in ``tests/dynamics_oracle.py``; the test suite cross-checks
+that on random chains.
 """
 
 from __future__ import annotations
 
-from math import cos, sin
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .model import RobotModel
+from .model import RobotModel, _fk
 
-_CACHE: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
+_CACHE: "WeakKeyDictionary[RobotModel, list]" = WeakKeyDictionary()
 
 
-def _constants(model: RobotModel) -> tuple:
-    """Per-link (mass, com, inertia 9-tuple) and per-frame FK constants."""
-    cached = _CACHE.get(model)
-    if cached is None:
+def _constants(model: RobotModel) -> list[tuple]:
+    """Per-link (mass, com, inertia 9-tuple)."""
+    inertial = _CACHE.get(model)
+    if inertial is None:
         inertial = [
             (float(link.mass), tuple(link.com.tolist()),
              tuple(np.asarray(link.inertia).ravel().tolist()))
             for link in model.links
         ]
-        frames = []
-        for link, joint in zip(model.links, model.joints):
-            x, y, z = (float(v) for v in joint.axis)
-            rfix = link.origin_rotation
-            frames.append((
-                x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
-                tuple(float(v) for v in link.origin_xyz),
-                None if np.array_equal(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
-            ))
-        cached = (inertial, frames)
-        _CACHE[model] = cached
-    return cached
-
-
-def _fk_scalar(model: RobotModel, q) -> tuple[list, list, list, list]:
-    """Scalar forward kinematics: (rot 9-tuples, pos, joint_axis, joint_origin)."""
-    _, frames = _constants(model)
-    ql = [float(v) for v in q]
-    rot, pos, axes, orig = [], [], [], []
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    px = py = pz = 0.0
-    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(frames):
-        c = cos(ql[i])
-        s = sin(ql[i])
-        v = 1.0 - c
-        xs, ys, zs = x * s, y * s, z * s
-        xyv, xzv, yzv = xy * v, xz * v, yz * v
-        q00 = xx * v + c
-        q01 = xyv - zs
-        q02 = xzv + ys
-        q10 = xyv + zs
-        q11 = yy * v + c
-        q12 = yzv - xs
-        q20 = xzv - ys
-        q21 = yzv + xs
-        q22 = zz * v + c
-        axes.append((a00 * x + a01 * y + a02 * z,
-                     a10 * x + a11 * y + a12 * z,
-                     a20 * x + a21 * y + a22 * z))
-        orig.append((px, py, pz))
-        j00 = a00 * q00 + a01 * q10 + a02 * q20
-        j01 = a00 * q01 + a01 * q11 + a02 * q21
-        j02 = a00 * q02 + a01 * q12 + a02 * q22
-        j10 = a10 * q00 + a11 * q10 + a12 * q20
-        j11 = a10 * q01 + a11 * q11 + a12 * q21
-        j12 = a10 * q02 + a11 * q12 + a12 * q22
-        j20 = a20 * q00 + a21 * q10 + a22 * q20
-        j21 = a20 * q01 + a21 * q11 + a22 * q21
-        j22 = a20 * q02 + a21 * q12 + a22 * q22
-        ox, oy, oz = xyz
-        px = px + j00 * ox + j01 * oy + j02 * oz
-        py = py + j10 * ox + j11 * oy + j12 * oz
-        pz = pz + j20 * ox + j21 * oy + j22 * oz
-        if rfix is None:
-            a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
-                j00, j01, j02, j10, j11, j12, j20, j21, j22)
-        else:
-            f00, f01, f02, f10, f11, f12, f20, f21, f22 = rfix
-            a00 = j00 * f00 + j01 * f10 + j02 * f20
-            a01 = j00 * f01 + j01 * f11 + j02 * f21
-            a02 = j00 * f02 + j01 * f12 + j02 * f22
-            a10 = j10 * f00 + j11 * f10 + j12 * f20
-            a11 = j10 * f01 + j11 * f11 + j12 * f21
-            a12 = j10 * f02 + j11 * f12 + j12 * f22
-            a20 = j20 * f00 + j21 * f10 + j22 * f20
-            a21 = j20 * f01 + j21 * f11 + j22 * f21
-            a22 = j20 * f02 + j21 * f12 + j22 * f22
-        rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
-        pos.append((px, py, pz))
-    return rot, pos, axes, orig
+        _CACHE[model] = inertial
+    return inertial
 
 
 def joint_dynamics(
@@ -109,10 +41,10 @@ def joint_dynamics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, h) in one pass: mass matrix and bias forces at (q, qd)."""
     n = model.n_dof
-    rot, pos, axes, orig = _fk_scalar(model, q)
+    rot, pos, axes, orig = _fk(model, q)
     qdl = [float(v) for v in qd]
     gx, gy, gz = (float(v) for v in gravity)
-    inertial = _constants(model)[0]
+    inertial = _constants(model)
 
     # World-frame CoM and inertia R I R^T per link.  All nine entries are
     # kept: the product is not exactly symmetric in floating point.

@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .dynwbc import DynWbcInfeasibleError
 from .harness import run_scenario, run_sweep
-from .safety import FilterMode
+from .safety import FilterInfeasibleError, FilterMode
 from .scenario import ScenarioError, load_scenario, resolve_input
 from .sim import SimulationDivergedError
 
@@ -95,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, SimulationDivergedError) as exc:
+    except (FileNotFoundError, SimulationDivergedError, FilterInfeasibleError,
+            DynWbcInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

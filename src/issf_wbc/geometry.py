@@ -8,18 +8,23 @@ and B is
 
 with p_A^r, p_B^r the closest points on the centerline segments.  Its
 configuration gradient, by the envelope theorem (witness points move as
-material points), is n^T (J_A - J_B) with n = (p_A^r - p_B^r)/||.||;
-offsetting the Jacobian point by rho*n along the normal does not change
-the row because n . (w x n) = 0 for any angular velocity w.
+material points), is n^T (J_A - J_B) with n = (p_A^r - p_B^r)/||.||.
+The Jacobians are taken at the centerline witness points themselves:
+offsetting them by rho*n to the surface would not change the row, because
+n . (w x n) = 0 for any angular velocity w.  Points, normals and gradients
+are computed on plain Python floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
-from .model import FkResult, RobotModel, forward_kinematics, point_jacobian
+from .model import FkResult, RobotModel, _normal_jacobian, _xyz, forward_kinematics
+
+Vec3 = tuple[float, float, float]
 
 # Below this witness separation the contact normal is numerically meaningless.
 DEGENERATE_DISTANCE = 1e-9
@@ -52,101 +57,104 @@ class CollisionBody:
     def is_world(self) -> bool:
         return self.link < 0
 
-    @property
-    def is_sphere(self) -> bool:
-        return bool(np.array_equal(self.p0, self.p1))
-
 
 @dataclass(frozen=True)
 class WorldSegment:
-    """A collision body posed in the world frame."""
+    """A collision body posed in the world frame (end points as 3-vectors)."""
 
-    a: np.ndarray
-    b: np.ndarray
+    a: Vec3
+    b: Vec3
     radius: float
 
 
 @dataclass(frozen=True)
 class ProximityResult:
-    """Closest-point query result between two posed bodies."""
+    """Closest-point query result between two posed bodies (points as floats)."""
 
     h: float                  # signed distance [m]
-    point_a: np.ndarray       # witness point on A's centerline (world)
-    point_b: np.ndarray       # witness point on B's centerline (world)
-    normal: np.ndarray        # unit vector from B's witness toward A's
+    point_a: Vec3             # witness point on A's centerline (world)
+    point_b: Vec3             # witness point on B's centerline (world)
+    normal: Vec3              # unit vector from B's witness toward A's
     sign: int                 # sign of h (+1 when h >= 0)
     degenerate: bool = False  # witness points coincide; normal meaningless
 
 
 def pose_body(body: CollisionBody, fk: FkResult) -> WorldSegment:
-    """World-frame segment of a body; world bodies pass through unchanged."""
+    """World-frame segment of a body; world bodies keep their coordinates."""
+    p0, p1 = _xyz(body.p0), _xyz(body.p1)
     if body.is_world:
-        return WorldSegment(a=body.p0, b=body.p1, radius=body.radius)
+        return WorldSegment(a=p0, b=p1, radius=body.radius)
     return WorldSegment(
-        a=fk.link_point(body.link, body.p0),
-        b=fk.link_point(body.link, body.p1),
+        a=fk._point(body.link, p0),
+        b=fk._point(body.link, p1),
         radius=body.radius,
     )
 
 
-def segment_closest_points(
-    a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closest points between segments [a0,a1] and [b0,b1].
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def segment_closest_points(a0, a1, b0, b1) -> tuple[Vec3, Vec3]:
+    """Closest points between segments [a0,a1] and [b0,b1], as 3-tuples.
 
     Clamped-parameter algorithm; the parallel case breaks ties by picking,
     among minimizers, the point pair nearest the segment-A midpoint so the
     result is deterministic.
     """
-    u = a1 - a0
-    v = b1 - b0
-    w = a0 - b0
-    uu = float(u @ u)
-    vv = float(v @ v)
-    uv = float(u @ v)
-    uw = float(u @ w)
-    vw = float(v @ w)
+    a0x, a0y, a0z = a0
+    a1x, a1y, a1z = a1
+    b0x, b0y, b0z = b0
+    b1x, b1y, b1z = b1
+    ux, uy, uz = a1x - a0x, a1y - a0y, a1z - a0z
+    vx, vy, vz = b1x - b0x, b1y - b0y, b1z - b0z
+    wx, wy, wz = a0x - b0x, a0y - b0y, a0z - b0z
+    uu = ux * ux + uy * uy + uz * uz
+    vv = vx * vx + vy * vy + vz * vz
+    uv = ux * vx + uy * vy + uz * vz
+    uw = ux * wx + uy * wy + uz * wz
+    vw = vx * wx + vy * wy + vz * wz
 
     if uu < 1e-18 and vv < 1e-18:
-        return a0, b0
+        return (a0x, a0y, a0z), (b0x, b0y, b0z)
     if uu < 1e-18:
-        t = np.clip(vw / vv, 0.0, 1.0)
-        return a0, b0 + t * v
+        t = _clamp01(vw / vv)
+        return (a0x, a0y, a0z), (b0x + t * vx, b0y + t * vy, b0z + t * vz)
     if vv < 1e-18:
-        s = np.clip(-uw / uu, 0.0, 1.0)
-        return a0 + s * u, b0
+        s = _clamp01(-uw / uu)
+        return (a0x + s * ux, a0y + s * uy, a0z + s * uz), (b0x, b0y, b0z)
 
     denom = uu * vv - uv * uv
     if denom > 1e-12 * uu * vv:
-        s = np.clip((uv * vw - vv * uw) / denom, 0.0, 1.0)
+        s = _clamp01((uv * vw - vv * uw) / denom)
     else:
         # Parallel lines: the minimizing s-interval on A is the projection of
         # B's parameter range; take the admissible s nearest to 1/2.
         s_lo = -uw / uu
         s_hi = (uv - uw) / uu
-        lo, hi = min(s_lo, s_hi), max(s_lo, s_hi)
-        lo = float(np.clip(lo, 0.0, 1.0))
-        hi = float(np.clip(hi, 0.0, 1.0))
-        s = float(np.clip(0.5, lo, hi))
-    t = np.clip((uv * s + vw) / vv, 0.0, 1.0)
+        lo = _clamp01(min(s_lo, s_hi))
+        hi = _clamp01(max(s_lo, s_hi))
+        s = min(max(0.5, lo), hi)
+    t = _clamp01((uv * s + vw) / vv)
     # Re-clamp s against the now-fixed t (required when t was clamped).
-    s = np.clip((uv * t - uw) / uu, 0.0, 1.0)
-    return a0 + s * u, b0 + t * v
+    s = _clamp01((uv * t - uw) / uu)
+    return ((a0x + s * ux, a0y + s * uy, a0z + s * uz),
+            (b0x + t * vx, b0y + t * vy, b0z + t * vz))
 
 
 def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityResult:
     """Signed distance and witness points between two posed bodies."""
     pa, pb = segment_closest_points(shape_a.a, shape_a.b, shape_b.a, shape_b.b)
-    diff = pa - pb
-    dist = float(np.linalg.norm(diff))
+    dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+    dist = sqrt(dx * dx + dy * dy + dz * dz)
     h = dist - (shape_a.radius + shape_b.radius)
     if dist < DEGENERATE_DISTANCE:
         return ProximityResult(
-            h=h, point_a=pa, point_b=pb, normal=np.zeros(3),
+            h=h, point_a=pa, point_b=pb, normal=(0.0, 0.0, 0.0),
             sign=1 if h >= 0.0 else -1, degenerate=True,
         )
     return ProximityResult(
-        h=h, point_a=pa, point_b=pb, normal=diff / dist,
+        h=h, point_a=pa, point_b=pb, normal=(dx / dist, dy / dist, dz / dist),
         sign=1 if h >= 0.0 else -1,
     )
 
@@ -160,7 +168,8 @@ def body_pair_barrier(
 ) -> tuple[float, np.ndarray, ProximityResult]:
     """Barrier value h and its 1 x n_dof gradient for a collision-body pair.
 
-    World-attached bodies contribute a zero Jacobian.  Raises
+    The gradient is n . (J_A(p_A) - J_B(p_B)) at the world witness points;
+    world-attached bodies contribute a zero Jacobian.  Raises
     DegenerateWitnessError when the witness points coincide (gradient
     undefined; the caller drops the row for this cycle).
     """
@@ -173,17 +182,17 @@ def body_pair_barrier(
         raise DegenerateWitnessError(
             f"coincident witness points for pair ({body_a.name}, {body_b.name})"
         )
-    n = prox.normal
-    grad = np.zeros(model.n_dof)
-    if not body_a.is_world:
-        surf_a = prox.point_a + body_a.radius * n
-        local = fk.rot[body_a.link].T @ (surf_a - fk.pos[body_a.link])
-        grad += n @ point_jacobian(model, q, body_a.link, local, fk=fk)
-    if not body_b.is_world:
-        surf_b = prox.point_b + body_b.radius * n
-        local = fk.rot[body_b.link].T @ (surf_b - fk.pos[body_b.link])
-        grad -= n @ point_jacobian(model, q, body_b.link, local, fk=fk)
-    return prox.h, grad, prox
+    n_dof = model.n_dof
+    if body_b.is_world:
+        grad = _normal_jacobian(fk, n_dof, body_a.link, prox.point_a, prox.normal)
+    else:
+        grad_b = _normal_jacobian(fk, n_dof, body_b.link, prox.point_b, prox.normal)
+        if body_a.is_world:
+            grad = [-g for g in grad_b]
+        else:
+            grad_a = _normal_jacobian(fk, n_dof, body_a.link, prox.point_a, prox.normal)
+            grad = [ga - gb for ga, gb in zip(grad_a, grad_b)]
+    return prox.h, np.array(grad), prox
 
 
 def _workspace_separation(
@@ -193,14 +202,16 @@ def _workspace_separation(
     point_b: tuple[int, np.ndarray],
     d_max: float,
     fk: FkResult | None,
-) -> tuple[FkResult, np.ndarray, float]:
-    """(fk, p_A - p_B, ||p_A - p_B||) for a workspace pair."""
+) -> tuple[FkResult, Vec3, Vec3, float]:
+    """(fk, p_A, p_B, ||p_A - p_B||) for a workspace pair."""
     if d_max <= 0.0:
         raise ValueError("d_max must be > 0")
     if fk is None:
         fk = forward_kinematics(model, q)
-    diff = fk.link_point(*point_a) - fk.link_point(*point_b)
-    return fk, diff, float(np.linalg.norm(diff))
+    pa = fk._point(point_a[0], _xyz(point_a[1]))
+    pb = fk._point(point_b[0], _xyz(point_b[1]))
+    dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+    return fk, pa, pb, sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def workspace_barrier_value(
@@ -211,8 +222,8 @@ def workspace_barrier_value(
     d_max: float,
     fk: FkResult | None = None,
 ) -> float:
-    """The h of ``workspace_barrier`` alone, without building its Jacobians."""
-    _, _, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
+    """The h of ``workspace_barrier`` alone, without building its gradient."""
+    dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)[3]
     if dist < DEGENERATE_DISTANCE:
         return d_max
     return d_max - dist
@@ -231,14 +242,11 @@ def workspace_barrier(
     The coincident case p_A = p_B is the interior of the safe set: returns
     (d_max, 0).
     """
-    fk, diff, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
+    fk, pa, pb, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
     if dist < DEGENERATE_DISTANCE:
         return d_max, np.zeros(model.n_dof)
-    link_a, local_a = point_a
-    link_b, local_b = point_b
-    n = diff / dist
-    grad = -(
-        n @ point_jacobian(model, q, link_a, local_a, fk=fk)
-        - n @ point_jacobian(model, q, link_b, local_b, fk=fk)
-    )
-    return d_max - dist, grad
+    normal = ((pa[0] - pb[0]) / dist, (pa[1] - pb[1]) / dist, (pa[2] - pb[2]) / dist)
+    n_dof = model.n_dof
+    grad_a = _normal_jacobian(fk, n_dof, point_a[0], pa, normal)
+    grad_b = _normal_jacobian(fk, n_dof, point_b[0], pb, normal)
+    return d_max - dist, np.array([gb - ga for ga, gb in zip(grad_a, grad_b)])

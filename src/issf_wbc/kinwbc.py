@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FkResult, JointState, RobotModel, forward_kinematics, point_jacobian
+from .model import FkResult, JointState, RobotModel, _jacobian_rows, _xyz, forward_kinematics
 
 SIGMA_REL_DEFAULT = 1e-4
 DEFAULT_TASK_GAIN = 5.0
@@ -53,8 +53,8 @@ class Task:
         self, model: RobotModel, q: np.ndarray, fk: FkResult
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.link is not None:
-            jac = point_jacobian(model, q, self.link, self.point_in_link, fk=fk)
-            return jac, fk.link_point(self.link, self.point_in_link)
+            point = fk._point(self.link, _xyz(self.point_in_link))
+            return np.array(_jacobian_rows(fk, model.n_dof, self.link, point)), np.array(point)
         idx = list(self.joint_indices)
         jac = np.zeros((len(idx), model.n_dof))
         jac[range(len(idx)), idx] = 1.0

@@ -11,8 +11,11 @@ frame sits at the distal end of the link:
 where Xfix_i is the link's fixed transform (where the next joint sits).
 With unit x offsets, a 2-link chain at q = 0 therefore ends at (2, 0, 0).
 
-The rigid-body dynamics (mass matrix and bias forces) are in ``_fastdyn``.
-All functions are pure (no caching, thread-safe).
+Forward kinematics and point Jacobians run on plain Python floats: at
+n <= 7 numpy's per-call overhead costs more than the arithmetic.  The
+per-frame constants of a model are cached on first use (keyed weakly by the
+model, which is immutable); otherwise the functions are pure.  The
+rigid-body dynamics (mass matrix and bias forces) are in ``_fastdyn``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import cos, sin
 from pathlib import Path
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -34,20 +39,6 @@ ROBOT_FORMAT = "issf-wbc/robot/v1"
 
 class ModelError(ValueError):
     """Invalid robot description or state."""
-
-
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for a unit axis."""
-    x, y, z = axis
-    c, s = math.cos(angle), math.sin(angle)
-    v = 1.0 - c
-    return np.array(
-        [
-            [x * x * v + c, x * y * v - z * s, x * z * v + y * s],
-            [x * y * v + z * s, y * y * v + c, y * z * v - x * s],
-            [x * z * v - y * s, y * z * v + x * s, z * z * v + c],
-        ]
-    )
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -168,39 +159,146 @@ class RobotModel:
         return q
 
 
+def _xyz(point) -> tuple[float, float, float]:
+    """A 3-vector (array, list or tuple) as a tuple of Python floats."""
+    return tuple(np.asarray(point, dtype=float).tolist())
+
+
+_FRAMES: "WeakKeyDictionary[RobotModel, list]" = WeakKeyDictionary()
+
+
+def _frames(model: RobotModel) -> list[tuple]:
+    """Per-frame FK constants: joint axis, its products, origin offset and rotation."""
+    frames = _FRAMES.get(model)
+    if frames is None:
+        frames = []
+        for link, joint in zip(model.links, model.joints):
+            x, y, z = _xyz(joint.axis)
+            rfix = link.origin_rotation
+            frames.append((
+                x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
+                _xyz(link.origin_xyz),
+                None if np.array_equal(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
+            ))
+        _FRAMES[model] = frames
+    return frames
+
+
+def _fk(model: RobotModel, q) -> tuple[list, list, list, list]:
+    """Forward kinematics on floats: (rot 9-tuples, pos, joint_axis, joint_origin)."""
+    ql = np.asarray(q, dtype=float).tolist()
+    rot, pos, axes, orig = [], [], [], []
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(_frames(model)):
+        c = cos(ql[i])
+        s = sin(ql[i])
+        v = 1.0 - c
+        xs, ys, zs = x * s, y * s, z * s
+        xyv, xzv, yzv = xy * v, xz * v, yz * v
+        q00 = xx * v + c
+        q01 = xyv - zs
+        q02 = xzv + ys
+        q10 = xyv + zs
+        q11 = yy * v + c
+        q12 = yzv - xs
+        q20 = xzv - ys
+        q21 = yzv + xs
+        q22 = zz * v + c
+        axes.append((a00 * x + a01 * y + a02 * z,
+                     a10 * x + a11 * y + a12 * z,
+                     a20 * x + a21 * y + a22 * z))
+        orig.append((px, py, pz))
+        j00 = a00 * q00 + a01 * q10 + a02 * q20
+        j01 = a00 * q01 + a01 * q11 + a02 * q21
+        j02 = a00 * q02 + a01 * q12 + a02 * q22
+        j10 = a10 * q00 + a11 * q10 + a12 * q20
+        j11 = a10 * q01 + a11 * q11 + a12 * q21
+        j12 = a10 * q02 + a11 * q12 + a12 * q22
+        j20 = a20 * q00 + a21 * q10 + a22 * q20
+        j21 = a20 * q01 + a21 * q11 + a22 * q21
+        j22 = a20 * q02 + a21 * q12 + a22 * q22
+        ox, oy, oz = xyz
+        px = px + j00 * ox + j01 * oy + j02 * oz
+        py = py + j10 * ox + j11 * oy + j12 * oz
+        pz = pz + j20 * ox + j21 * oy + j22 * oz
+        if rfix is None:
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+                j00, j01, j02, j10, j11, j12, j20, j21, j22)
+        else:
+            f00, f01, f02, f10, f11, f12, f20, f21, f22 = rfix
+            a00 = j00 * f00 + j01 * f10 + j02 * f20
+            a01 = j00 * f01 + j01 * f11 + j02 * f21
+            a02 = j00 * f02 + j01 * f12 + j02 * f22
+            a10 = j10 * f00 + j11 * f10 + j12 * f20
+            a11 = j10 * f01 + j11 * f11 + j12 * f21
+            a12 = j10 * f02 + j11 * f12 + j12 * f22
+            a20 = j20 * f00 + j21 * f10 + j22 * f20
+            a21 = j20 * f01 + j21 * f11 + j22 * f21
+            a22 = j20 * f02 + j21 * f12 + j22 * f22
+        rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
+        pos.append((px, py, pz))
+    return rot, pos, axes, orig
+
+
 @dataclass(frozen=True)
 class FkResult:
-    """World-frame link frames plus joint axes/origins (reused by Jacobians)."""
+    """World-frame link frames plus joint axes/origins (reused by Jacobians).
 
-    rot: np.ndarray           # (n, 3, 3) link orientations
-    pos: np.ndarray           # (n, 3) link origins
-    joint_axis: np.ndarray    # (n, 3) world joint axes
-    joint_origin: np.ndarray  # (n, 3) world joint positions
+    Every entry is a tuple of Python floats, one per link: ``rot[i]`` is the
+    orientation as a row-major 9-tuple, the others are 3-tuples.
+    """
+
+    rot: list[tuple[float, ...]]
+    pos: list[tuple[float, float, float]]
+    joint_axis: list[tuple[float, float, float]]    # world joint axes
+    joint_origin: list[tuple[float, float, float]]  # world joint positions
+
+    def _point(self, link: int, point_in_link) -> tuple[float, float, float]:
+        """World position of a link-frame point given as three floats."""
+        x, y, z = point_in_link
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rot[link]
+        px, py, pz = self.pos[link]
+        return (px + (r00 * x + r01 * y + r02 * z),
+                py + (r10 * x + r11 * y + r12 * z),
+                pz + (r20 * x + r21 * y + r22 * z))
 
     def link_point(self, link: int, point_in_link: np.ndarray) -> np.ndarray:
-        return self.pos[link] + self.rot[link] @ np.asarray(point_in_link, dtype=float)
+        return np.array(self._point(link, _xyz(point_in_link)))
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> FkResult:
     """Compose world-frame link poses parent-to-child (base is the identity)."""
-    q = model.check_q(q)
-    n = model.n_dof
-    rot = np.empty((n, 3, 3))
-    pos = np.empty((n, 3))
-    axes = np.empty((n, 3))
-    origins = np.empty((n, 3))
-    r_parent = np.eye(3)
-    p_parent = np.zeros(3)
-    for i in range(n):
-        axis_w = r_parent @ model.joints[i].axis
-        axes[i] = axis_w
-        origins[i] = p_parent
-        r_joint = r_parent @ rotation_about_axis(model.joints[i].axis, float(q[i]))
-        link = model.links[i]
-        rot[i] = r_joint @ link.origin_rotation
-        pos[i] = p_parent + r_joint @ link.origin_xyz
-        r_parent, p_parent = rot[i], pos[i]
-    return FkResult(rot=rot, pos=pos, joint_axis=axes, joint_origin=origins)
+    return FkResult(*_fk(model, model.check_q(q)))
+
+
+def _jacobian_rows(fk: FkResult, n_dof: int, link: int, point) -> list[list[float]]:
+    """The 3 rows of the positional Jacobian at a world point moving with ``link``.
+
+    Column j is axis_j x (p - o_j) for joints on the path (j <= link), zero
+    otherwise.
+    """
+    px, py, pz = point
+    row_x, row_y, row_z = [], [], []
+    for (ax, ay, az), (ox, oy, oz) in zip(fk.joint_axis[:link + 1], fk.joint_origin):
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        row_x.append(ay * rz - az * ry)
+        row_y.append(az * rx - ax * rz)
+        row_z.append(ax * ry - ay * rx)
+    pad = [0.0] * (n_dof - link - 1)
+    return [row_x + pad, row_y + pad, row_z + pad]
+
+
+def _normal_jacobian(fk: FkResult, n_dof: int, link: int, point, normal) -> list[float]:
+    """n . J(p), the Jacobian at a world point moving with ``link`` projected on n."""
+    px, py, pz = point
+    nx, ny, nz = normal
+    out = []
+    for (ax, ay, az), (ox, oy, oz) in zip(fk.joint_axis[:link + 1], fk.joint_origin):
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        out.append(nx * (ay * rz - az * ry) + ny * (az * rx - ax * rz)
+                   + nz * (ax * ry - ay * rx))
+    return out + [0.0] * (n_dof - link - 1)
 
 
 def point_jacobian(
@@ -210,28 +308,13 @@ def point_jacobian(
     point_in_link: np.ndarray,
     fk: FkResult | None = None,
 ) -> np.ndarray:
-    """3 x n_dof positional Jacobian of a point rigidly attached to a link.
-
-    Column j is axis_j x (p - o_j) for joints on the path (j <= link_index),
-    zero otherwise.
-    """
+    """3 x n_dof positional Jacobian of a point rigidly attached to a link."""
     if not 0 <= link_index < model.n_dof:
         raise ModelError(f"link index {link_index} out of range")
     if fk is None:
         fk = forward_kinematics(model, q)
-    px, py, pz = fk.link_point(link_index, point_in_link).tolist()
-    k = link_index + 1
-    # Scalar cross products: np.cross has a large per-call overhead at this
-    # size, and these are the same IEEE operations, so the result is equal.
-    row_x, row_y, row_z = [], [], []
-    for (ax, ay, az), (ox, oy, oz) in zip(fk.joint_axis[:k].tolist(),
-                                          fk.joint_origin[:k].tolist()):
-        rx, ry, rz = px - ox, py - oy, pz - oz
-        row_x.append(ay * rz - az * ry)
-        row_y.append(az * rx - ax * rz)
-        row_z.append(ax * ry - ay * rx)
-    pad = [0.0] * (model.n_dof - k)
-    return np.array([row_x + pad, row_y + pad, row_z + pad])
+    return np.array(_jacobian_rows(fk, model.n_dof, link_index,
+                                   fk._point(link_index, _xyz(point_in_link))))
 
 
 def scale_link_masses(model: RobotModel, factor: float) -> RobotModel:

@@ -34,7 +34,7 @@ from .geometry import (
     body_pair_barrier,
     workspace_barrier,
 )
-from .model import FkResult, JointState, RobotModel, forward_kinematics
+from .model import FkResult, JointState, RobotModel, _xyz, forward_kinematics
 from .qpsolver import QpProblem, QpSolution, QpSolver
 
 log = logging.getLogger(__name__)
@@ -227,6 +227,7 @@ def collect_constraints(
         )
 
     for obstacle in obstacles:
+        vx, vy, vz = _xyz(obstacle.velocity)
         for body in model.collision_bodies:
             try:
                 h, grad, prox = body_pair_barrier(model, q, body, obstacle.body, fk=fk)
@@ -235,7 +236,8 @@ def collect_constraints(
                 continue
             if h > config.activation_distance:
                 continue
-            drift = float(prox.normal @ obstacle.velocity)
+            nx, ny, nz = prox.normal
+            drift = nx * vx + ny * vy + nz * vz
             rows.append(
                 BarrierConstraint(
                     kind=BarrierKind.OBJECT_COLLISION,

@@ -2,16 +2,18 @@
 
 The mass matrix by composite-rigid-body accumulation and the bias forces by
 a recursive Newton-Euler pass, both on world-frame numpy quantities from
-``issf_wbc.model.forward_kinematics``.  ``issf_wbc._fastdyn.joint_dynamics``
-is the package's one dynamics kernel; it must agree with these functions to
-machine precision.  The energies check the dynamics against physics.
+the numpy forward kinematics of ``kinematics_oracle``.
+``issf_wbc._fastdyn.joint_dynamics`` is the package's one dynamics kernel;
+it must agree with these functions to machine precision.  The energies check the dynamics against physics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from issf_wbc.model import FkResult, ModelError, RobotModel, forward_kinematics
+from issf_wbc.model import ModelError, RobotModel
+
+from kinematics_oracle import FkResult, forward_kinematics
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion_5_geometry_oracle(rng):
             qm[k] -= eps
             hp, _, proxp = body_pair_barrier(model, qp, *pair)
             hm, _, proxm = body_pair_barrier(model, qm, *pair)
-            if np.linalg.norm(proxp.point_b - proxm.point_b) > 100 * eps:
+            if np.linalg.norm(np.subtract(proxp.point_b, proxm.point_b)) > 100 * eps:
                 switching = True
             fd[k] = (hp - hm) / (2 * eps)
         if switching:

@@ -14,7 +14,9 @@ from issf_wbc.geometry import (
 )
 from issf_wbc.model import forward_kinematics
 
+import geometry_oracle
 from conftest import random_chain, two_link_planar
+from kinematics_oracle import rotation_about_axis
 
 
 def sphere(center, radius):
@@ -72,7 +74,6 @@ class TestClosestPoints:
             assert closest_points(seg_a, seg_b).h == closest_points(seg_b, seg_a).h
 
     def test_rigid_motion_invariance(self, rng):
-        from issf_wbc.model import rotation_about_axis
         for _ in range(50):
             seg_a, seg_b = random_segment(rng), random_segment(rng)
             axis = rng.normal(size=3)
@@ -114,12 +115,109 @@ class TestClosestPoints:
             a0, a1 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             b0, b1 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             pa, pb = segment_closest_points(a0, a1, b0, b1)
-            d = np.linalg.norm(pa - pb)
+            d = np.linalg.norm(np.subtract(pa, pb))
             ts = np.linspace(0, 1, 250)[:, None]
             grid = np.linalg.norm(
                 (a0 * (1 - ts) + a1 * ts)[:, None, :]
                 - (b0 * (1 - ts) + b1 * ts)[None, :, :], axis=2).min()
             assert d <= grid + 1e-9
+
+
+CLOSE = dict(rtol=0.0, atol=1e-12)
+
+
+def oracle_pair(rng, case):
+    """Two segments of one kind: general, parallel, zero-length or clamped."""
+    a0 = rng.uniform(-1.0, 1.0, 3)
+    u = rng.normal(size=3) * rng.uniform(0.05, 0.8)
+    b0 = rng.uniform(-1.0, 1.0, 3)
+    v = rng.normal(size=3) * rng.uniform(0.05, 0.8)
+    if case == "parallel":
+        # B on a line parallel to A, overlapping A's span or not, either direction
+        b0 = a0 + u * rng.uniform(-1.5, 1.5) + rng.normal(size=3) * 0.3
+        v = u * rng.uniform(-1.5, 1.5)
+    elif case == "zero-a":
+        u = np.zeros(3)
+    elif case == "zero-b":
+        v = np.zeros(3)
+    elif case == "zero-both":
+        u = v = np.zeros(3)
+    elif case == "clamped":
+        # B lies beyond A's end, so s clamps to 1 and the witness on A is a1
+        b0 = a0 + u * rng.uniform(2.0, 4.0) + rng.normal(size=3) * 0.2
+    radii = rng.uniform(0.02, 0.3, 2)
+    return capsule(a0, a0 + u, radii[0]), capsule(b0, b0 + v, radii[1])
+
+
+class TestAgainstNumpyOracle:
+    """Float closest points and barrier gradients agree with the numpy oracle."""
+
+    CASES = ("general", "parallel", "zero-a", "zero-b", "zero-both", "clamped")
+
+    def test_closest_points_600_pairs(self, rng):
+        tie_broken = clamped = 0
+        for i in range(600):
+            case = self.CASES[i % len(self.CASES)]
+            seg_a, seg_b = oracle_pair(rng, case)
+            res = closest_points(seg_a, seg_b)
+            ref = geometry_oracle.closest_points(seg_a, seg_b)
+            assert res.h == pytest.approx(ref.h, rel=0.0, abs=1e-12)
+            np.testing.assert_allclose(res.point_a, ref.point_a, **CLOSE)
+            np.testing.assert_allclose(res.point_b, ref.point_b, **CLOSE)
+            np.testing.assert_allclose(res.normal, ref.normal, **CLOSE)
+            assert (res.sign, res.degenerate) == (ref.sign, ref.degenerate)
+            pa, pb = segment_closest_points(seg_a.a, seg_a.b, seg_b.a, seg_b.b)
+            np.testing.assert_allclose(pa, ref.point_a, **CLOSE)
+            np.testing.assert_allclose(pb, ref.point_b, **CLOSE)
+            # the cases reach the parallel tie-break and the clamps
+            u = seg_a.b - seg_a.a
+            s = float((ref.point_a - seg_a.a) @ u / (u @ u)) if u.any() else 0.0
+            tie_broken += case == "parallel" and abs(s - 0.5) < 1e-9
+            clamped += case == "clamped" and abs(s - 1.0) < 1e-9
+        assert tie_broken >= 10 and clamped >= 50
+
+    def test_body_pair_barrier_gradients(self, rng):
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            model = random_chain(rng, n)
+            bodies = []
+            for i in range(4):
+                p0 = rng.uniform(-0.3, 0.3, 3)
+                p1 = p0 if i % 2 else p0 + rng.normal(size=3) * 0.2
+                link = int(rng.integers(0, n)) if i < 3 else -1
+                if link < 0:
+                    p0 = rng.uniform(-1.0, 1.0, 3)
+                    p1 = p0 + rng.normal(size=3) * 0.2
+                bodies.append(CollisionBody(f"b{i}", link, float(rng.uniform(0.02, 0.1)),
+                                            p0, p1))
+            for _ in range(5):
+                q = rng.uniform(-3, 3, n)
+                fk = forward_kinematics(model, q)
+                for a, b in [(0, 1), (1, 2), (0, 3), (3, 2)]:
+                    h, grad, prox = body_pair_barrier(model, q, bodies[a], bodies[b], fk=fk)
+                    h_ref, grad_ref, prox_ref = geometry_oracle.body_pair_barrier(
+                        model, q, bodies[a], bodies[b])
+                    assert h == pytest.approx(h_ref, rel=0.0, abs=1e-12)
+                    np.testing.assert_allclose(grad, grad_ref, **CLOSE)
+                    np.testing.assert_allclose(prox.point_a, prox_ref.point_a, **CLOSE)
+                    np.testing.assert_allclose(prox.point_b, prox_ref.point_b, **CLOSE)
+                    checked += bool(np.any(grad != 0.0))
+        assert checked > 500
+
+    def test_workspace_barrier_gradients(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            model = random_chain(rng, n)
+            pa = (int(rng.integers(0, n)), rng.uniform(-0.3, 0.3, 3))
+            pb = (int(rng.integers(0, n)), rng.uniform(-0.3, 0.3, 3))
+            d_max = float(rng.uniform(0.05, 1.5))
+            for _ in range(5):
+                q = rng.uniform(-3, 3, n)
+                h, grad = workspace_barrier(model, q, pa, pb, d_max)
+                h_ref, grad_ref = geometry_oracle.workspace_barrier(model, q, pa, pb, d_max)
+                assert h == pytest.approx(h_ref, rel=0.0, abs=1e-12)
+                np.testing.assert_allclose(grad, grad_ref, **CLOSE)
 
 
 class TestBarrierJacobian:
@@ -170,8 +268,8 @@ class TestBarrierJacobian:
                 hp, _, proxp = body_pair_barrier(self.model, qp, *pair)
                 hm, _, proxm = body_pair_barrier(self.model, qm, *pair)
                 # exclude witness-point switching events (capsule end <-> interior)
-                if (np.linalg.norm(proxp.point_b - proxm.point_b) > 100 * eps
-                        and np.linalg.norm(prox.point_a - prox.point_b) > 1e-6):
+                if (np.linalg.norm(np.subtract(proxp.point_b, proxm.point_b)) > 100 * eps
+                        and np.linalg.norm(np.subtract(prox.point_a, prox.point_b)) > 1e-6):
                     witness_jump = True
                 fd[k] = (hp - hm) / (2 * eps)
             if witness_jump:

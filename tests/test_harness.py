@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import issf_wbc.cli
 from issf_wbc.cli import main as cli_main
+from issf_wbc.dynwbc import DynWbcInfeasibleError
 from issf_wbc.harness import collision_events, output_root, run_scenario, run_sweep
-from issf_wbc.safety import BarrierKind
+from issf_wbc.qpsolver import QpSolution, QpStatus
+from issf_wbc.safety import BarrierKind, FilterInfeasibleError
 from issf_wbc.scenario import (
     ScenarioError,
     WaypointSpline,
@@ -307,3 +310,20 @@ class TestCli:
 
     def test_missing_file_exit_code(self, capsys):
         assert cli_main(["run", "nope.scenario"]) == 1
+
+    @pytest.mark.parametrize("error", [
+        FilterInfeasibleError("safety filter QP infeasible with 7 rows"),
+        DynWbcInfeasibleError(QpSolution(x=np.zeros(2), status=QpStatus.INFEASIBLE,
+                                         kkt_residual=0.0, active_set=(1, 4),
+                                         iterations=3)),
+    ])
+    def test_infeasible_run_reports_error(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(issf_wbc.cli, "run_scenario", fail)
+        assert cli_main(["run", "hand_track.scenario"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

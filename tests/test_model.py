@@ -14,6 +14,7 @@ from issf_wbc.model import (
 )
 from issf_wbc.scenario import data_path
 
+import kinematics_oracle
 from conftest import near_identity_chain, random_chain
 from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix, potential_energy
 
@@ -34,7 +35,7 @@ class TestForwardKinematics:
     def test_zero_configuration_unit_offsets(self):
         fk = forward_kinematics(unit_chain(2), np.zeros(2))
         np.testing.assert_allclose(fk.pos[-1], [2.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(fk.rot[-1], np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.reshape(fk.rot[-1], (3, 3)), np.eye(3), atol=1e-12)
 
     def test_planar_right_angle(self):
         fk = forward_kinematics(unit_chain(2), np.array([np.pi / 2, 0.0]))
@@ -104,6 +105,63 @@ class TestPointJacobian:
                     expected = (np.cross(fk.joint_axis[j], p - fk.joint_origin[j])
                                 if j <= link else np.zeros(3))
                     np.testing.assert_array_equal(jac[:, j], expected)
+
+
+class TestAgainstNumpyKinematics:
+    """The float FK and point Jacobian agree with the numpy oracle to 1e-12."""
+
+    close = dict(rtol=0.0, atol=1e-12)
+
+    def assert_matches_oracle(self, model, q, rng):
+        fk = forward_kinematics(model, q)
+        ref = kinematics_oracle.forward_kinematics(model, q)
+        np.testing.assert_allclose(np.reshape(fk.rot, (-1, 3, 3)), ref.rot, **self.close)
+        np.testing.assert_allclose(fk.pos, ref.pos, **self.close)
+        np.testing.assert_allclose(fk.joint_axis, ref.joint_axis, **self.close)
+        np.testing.assert_allclose(fk.joint_origin, ref.joint_origin, **self.close)
+        for link in range(model.n_dof):
+            point = rng.uniform(-0.4, 0.4, 3)
+            np.testing.assert_allclose(fk.link_point(link, point),
+                                       ref.link_point(link, point), **self.close)
+            np.testing.assert_allclose(
+                point_jacobian(model, q, link, point, fk=fk),
+                kinematics_oracle.point_jacobian(model, q, link, point, fk=ref),
+                **self.close)
+            np.testing.assert_allclose(
+                point_jacobian(model, q, link, point),
+                kinematics_oracle.point_jacobian(model, q, link, point), **self.close)
+
+    def test_random_chains_n1_to_7(self, rng):
+        # 210 chains with random axes and non-identity origin rotations.
+        for n in range(1, 8):
+            for _ in range(30):
+                model = random_chain(rng, n)
+                for _ in range(2):
+                    self.assert_matches_oracle(model, rng.uniform(-3, 3, n), rng)
+
+    def test_planar_chains_identity_origin_rotation(self, rng):
+        for n in range(1, 8):
+            model = random_chain(rng, n, planar=True)
+            for _ in range(5):
+                self.assert_matches_oracle(model, rng.uniform(-3, 3, n), rng)
+
+    def test_near_identity_chain(self, rng):
+        model = near_identity_chain(rng)
+        for _ in range(10):
+            self.assert_matches_oracle(model, rng.uniform(-3, 3, 4), rng)
+
+    @pytest.mark.parametrize("name", ["planar3.robot", "arm7.robot"])
+    def test_bundled_robots(self, rng, name):
+        model = load_robot(data_path(name))
+        for _ in range(20):
+            self.assert_matches_oracle(model, rng.uniform(model.q_min, model.q_max), rng)
+
+    def test_fields_are_float_tuples(self, rng):
+        model = random_chain(rng, 3)
+        fk = forward_kinematics(model, rng.uniform(-3, 3, 3))
+        for field in (fk.rot, fk.pos, fk.joint_axis, fk.joint_origin):
+            assert len(field) == 3
+            assert all(type(v) is float for entry in field for v in entry)
 
 
 class TestDynamics:
