@@ -22,7 +22,7 @@ from .model import (
     point_jacobian,
     scale_link_masses,
 )
-from .qpsolver import QpProblem, QpSolution, QpSolver, QpStatus, solve_qp
+from .qpsolver import QpProblem, QpSolution, QpSolver, QpStatus
 from .safety import (
     BarrierConstraint,
     BarrierKind,
@@ -37,6 +37,8 @@ from .safety import (
 from .scenario import Scenario, load_scenario
 from .sim import (
     ConstantVelocityKalman,
+    Controller,
+    CycleRecord,
     Integrator,
     RunTrace,
     SimConfig,

@@ -17,7 +17,7 @@ are computed on plain Python floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -39,7 +39,7 @@ class CollisionBody:
     """Sphere or capsule attached to a robot link (``link >= 0``) or the world.
 
     ``p0 == p1`` encodes a sphere.  For world bodies the segment is given
-    directly in world coordinates and ``velocity`` is its rigid velocity.
+    directly in world coordinates.
     """
 
     name: str
@@ -47,7 +47,6 @@ class CollisionBody:
     radius: float
     p0: np.ndarray
     p1: np.ndarray
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
@@ -75,7 +74,6 @@ class ProximityResult:
     point_a: Vec3             # witness point on A's centerline (world)
     point_b: Vec3             # witness point on B's centerline (world)
     normal: Vec3              # unit vector from B's witness toward A's
-    sign: int                 # sign of h (+1 when h >= 0)
     degenerate: bool = False  # witness points coincide; normal meaningless
 
 
@@ -149,14 +147,10 @@ def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityRes
     dist = sqrt(dx * dx + dy * dy + dz * dz)
     h = dist - (shape_a.radius + shape_b.radius)
     if dist < DEGENERATE_DISTANCE:
-        return ProximityResult(
-            h=h, point_a=pa, point_b=pb, normal=(0.0, 0.0, 0.0),
-            sign=1 if h >= 0.0 else -1, degenerate=True,
-        )
-    return ProximityResult(
-        h=h, point_a=pa, point_b=pb, normal=(dx / dist, dy / dist, dz / dist),
-        sign=1 if h >= 0.0 else -1,
-    )
+        return ProximityResult(h=h, point_a=pa, point_b=pb, normal=(0.0, 0.0, 0.0),
+                               degenerate=True)
+    return ProximityResult(h=h, point_a=pa, point_b=pb,
+                           normal=(dx / dist, dy / dist, dz / dist))
 
 
 def body_pair_barrier(

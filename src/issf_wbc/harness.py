@@ -100,7 +100,7 @@ def summarize(trace: RunTrace, *, mode: str, alpha: float | None, epsilon: float
 class RunResult:
     trace: RunTrace
     summary: dict
-    out_dir: Path | None
+    out_dir: Path
 
 
 def run_scenario(
@@ -111,9 +111,8 @@ def run_scenario(
     seed: int | None = None,
     out: str | Path | None = None,
     trace_constraints: bool = False,
-    write: bool = True,
 ) -> RunResult:
-    """One closed-loop run; persists trace.csv and summary.json unless write=False."""
+    """One closed-loop run; persists trace.csv, torques.csv and summary.json."""
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(resolve_input(scenario), seed=seed)
     elif seed is not None and seed != scenario.sim.seed:
@@ -136,16 +135,14 @@ def run_scenario(
     summary = summarize(trace, mode=mode.value, alpha=eff_alpha, epsilon=eff_eps,
                         seed=scenario.sim.seed, runtime_s=runtime_s)
 
-    out_dir = None
-    if write:
-        out_dir = (output_root(out) / scenario.name / mode.value
-                   / f"{_num_label(eff_alpha)}_{_num_label(eff_eps)}")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(out_dir / "trace.csv")
-        trace.to_torque_csv(out_dir / "torques.csv")
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        if trace_constraints:
-            trace.dump_constraints_csv(out_dir / "constraints.csv")
+    out_dir = (output_root(out) / scenario.name / mode.value
+               / f"{_num_label(eff_alpha)}_{_num_label(eff_eps)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace.to_csv(out_dir / "trace.csv")
+    trace.to_torque_csv(out_dir / "torques.csv")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    if trace_constraints:
+        trace.dump_constraints_csv(out_dir / "constraints.csv")
     return RunResult(trace=trace, summary=summary, out_dir=out_dir)
 
 

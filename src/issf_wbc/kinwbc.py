@@ -7,12 +7,11 @@ null space of all higher levels,
     qd_i = qd_{i-1} + pinv(J_i N_{i-1}) (xd_i_cmd - xd_i - J_i qd_{i-1}),
 
 initialized with qd_0 = 0, N_0 = I.  The commanded task velocity adds
-position-error feedback, xd_cmd = xd_ff + k (x_target - x), and xd_i is the
-task velocity induced by the reference motion qd_ref (zero by default:
-subtracting the *measured* task velocity instead closes a positive-feedback
-loop through the tracking controller -- the plant realizes the command one
-cycle later and the command negates it again, which rings at the control
-rate on a stiff plant).  The pseudo-inverse is SVD-based with small
+position-error feedback, xd_cmd = xd_ff + k (x_target - x), and xd_i is
+taken as zero: subtracting the *measured* task velocity instead closes a
+positive-feedback loop through the tracking controller -- the plant realizes
+the command one cycle later and the command negates it again, which rings at
+the control rate on a stiff plant.  The pseudo-inverse is SVD-based with small
 singular values zeroed at a relative threshold, so commands stay bounded
 through kinematic singularities.  The desired position is q + qd dt.
 """
@@ -98,13 +97,12 @@ def prioritized_ik(
     dt: float,
     sigma_rel: float = SIGMA_REL_DEFAULT,
     fk: FkResult | None = None,
-    qd_ref: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nominal joint velocity command and its integrated position reference.
 
-    Tasks must carry strictly increasing priorities (1 = highest).  qd_ref
-    is the reference joint velocity whose induced task velocity is
-    subtracted at each level; it defaults to zero (see module docstring).
+    Tasks must carry strictly increasing priorities (1 = highest).  The
+    measured velocity is not fed back into the task terms (see module
+    docstring).
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -122,9 +120,8 @@ def prioritized_ik(
         jac, value = task.jacobian_and_value(model, state.q, fk)
         ff = np.zeros(jac.shape[0]) if task.feedforward is None else task.feedforward
         xd_cmd = ff + task.gain * (task.target - value)
-        xd_ref = jac @ qd_ref if qd_ref is not None else 0.0
         jacobians.append(jac)
-        terms.append(xd_cmd - xd_ref)
+        terms.append(xd_cmd)
 
     qdot_des = solve_priority_stack(jacobians, terms, model.n_dof, sigma_rel)
     q_des = state.q + qdot_des * dt

@@ -96,7 +96,7 @@ class JointState:
                 f"state dimension mismatch: q {self.q.shape}, qd {self.qd.shape}, "
                 f"expected ({n_dof},)"
             )
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
             raise ModelError("non-finite entries in joint state")
 
 

@@ -276,8 +276,3 @@ class QpSolver:
             feas = float(np.max(-slack, initial=0.0))
             comp = float(np.max(np.abs(lam * slack), initial=0.0))
         return max(float(np.max(np.abs(stat), initial=0.0)), feas, comp)
-
-
-def solve_qp(problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
-    """One-shot convenience wrapper around a fresh ``QpSolver``."""
-    return QpSolver().solve(problem, warm_start=warm_start)

@@ -35,7 +35,7 @@ from .geometry import (
     workspace_barrier,
 )
 from .model import FkResult, JointState, RobotModel, _xyz, forward_kinematics
-from .qpsolver import QpProblem, QpSolution, QpSolver
+from .qpsolver import QpProblem, QpSolver
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class BarrierConstraint:
             raise ValueError(f"{self.pair}: alpha must be > 0")
         if self.epsilon <= 0.0:
             raise ValueError(f"{self.pair}: epsilon must be > 0 (or inf)")
-        if not np.all(np.isfinite(self.grad)):
+        if not np.isfinite(self.grad).all():
             raise ValueError(f"{self.pair}: non-finite gradient")
 
     def margin(self, epsilon: float | None = None) -> float:
@@ -276,7 +276,6 @@ class FilterResult:
     status: str                  # "passthrough" | "optimal" | "relaxed"
     iterations: int
     relaxed: bool
-    solution: QpSolution | None = None
 
 
 def filter_velocity(
@@ -298,8 +297,7 @@ def filter_velocity(
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
         return FilterResult(
-            qdot_safe=sol.x, status="optimal", iterations=sol.iterations,
-            relaxed=False, solution=sol,
+            qdot_safe=sol.x, status="optimal", iterations=sol.iterations, relaxed=False,
         )
 
     if config.slack_policy == "hard-fail":
@@ -337,7 +335,6 @@ def filter_velocity(
     return FilterResult(
         qdot_safe=relaxed_sol.x[:n], status="relaxed",
         iterations=sol.iterations + relaxed_sol.iterations, relaxed=True,
-        solution=relaxed_sol,
     )
 
 
@@ -375,25 +372,23 @@ def ecbf_rows(
     model: RobotModel,
     state: JointState,
     rows: list[BarrierConstraint],
-    alpha_e: float | None = None,
-    fd_step: float = ECBF_FD_STEP,
 ) -> list[AccelConstraint]:
-    """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha_e h_e.
+    """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha h_e.
 
     ``rows`` are this cycle's barrier rows, as collect_constraints returned
-    them for ``state``; one eCBF row is built from each.  alpha_e defaults to
-    each row's own alpha.  The gradient's configuration derivative (the
-    curvature term of hd_e) is obtained from central finite differences of
-    grad(h) along the current velocity direction: one forward-kinematics pass
-    per probe, re-posing only the given rows' geometry.  Joint-limit rows
-    have constant gradients and skip it; a row whose gradient is undefined at
-    a probe is dropped with a logged event.
+    them for ``state``; one eCBF row is built from each, with that row's own
+    alpha.  The gradient's configuration derivative (the curvature term of
+    hd_e) is obtained from central finite differences of grad(h) along the
+    current velocity direction: one forward-kinematics pass per probe,
+    re-posing only the given rows' geometry.  Joint-limit rows have constant
+    gradients and skip it; a row whose gradient is undefined at a probe is
+    dropped with a logged event.
     """
     qd = state.qd
     speed = float(np.linalg.norm(qd))
     probes: list[tuple[np.ndarray, FkResult]] = []
     if speed > 0.0 and any(c.kind not in JOINT_LIMIT_KINDS for c in rows):
-        step = fd_step * (qd / speed)
+        step = ECBF_FD_STEP * (qd / speed)
         probes = [(q, forward_kinematics(model, q)) for q in (state.q + step, state.q - step)]
 
     out: list[AccelConstraint] = []
@@ -405,11 +400,10 @@ def ecbf_rows(
             if grad_plus is None or grad_minus is None:
                 log.warning("dropping eCBF row %s: gradient probe failed", c.pair)
                 continue
-            dgrad_dt = (grad_plus - grad_minus) / (2.0 * fd_step) * speed
+            dgrad_dt = (grad_plus - grad_minus) / (2.0 * ECBF_FD_STEP) * speed
             curvature = float(dgrad_dt @ qd)
         h_dot = float(c.grad @ qd) - c.drift
         h_e = h_dot + c.alpha * c.h
-        ae = c.alpha if alpha_e is None else alpha_e
-        rhs = -ae * h_e - curvature - c.alpha * h_dot
+        rhs = -c.alpha * h_e - curvature - c.alpha * h_dot
         out.append(AccelConstraint(kind=c.kind, pair=c.pair, grad=c.grad, rhs=rhs, h_e=h_e))
     return out

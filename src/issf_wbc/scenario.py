@@ -260,10 +260,6 @@ def _parse_sim(raw: dict, problems: list) -> SimConfig:
             end=float(p.get("end", 0.0)),
             torque=np.asarray(p.get("torque", []), dtype=float),
         ))
-    pipelined = raw.get("pipelined", False)
-    if not isinstance(pipelined, bool):
-        problems.append(f"sim.pipelined: expected true or false, got {pipelined!r}")
-        pipelined = False
     try:
         return SimConfig(
             duration=float(raw.get("duration", 0.0)),
@@ -274,7 +270,6 @@ def _parse_sim(raw: dict, problems: list) -> SimConfig:
             seed=int(raw.get("seed", 0)),
             gravity=np.asarray(raw.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
             external_torque=tuple(pulses),
-            pipelined=pipelined,
         )
     except ValueError as exc:
         problems.append(f"sim: {exc}")

@@ -1,12 +1,20 @@
-"""Closed-loop simulation: torque-level plant, obstacle estimation, discrepancy.
+"""Closed-loop simulation: the whole-body controller and the plant loop around it.
 
-The plant integrates the full-order dynamics qdd = M^-1 (tau - h) of a
-*separately scaled* model (mass mismatch injected only on the plant side;
-the controller keeps the nominal model), while the control loop runs the
-whole pipeline at the control rate:
+``Controller`` is one cycle of the controller on the nominal model.  It owns
+what carries over between cycles (the two QP solvers, their warm starts and
+the previous torque), and its ``step`` maps a measured state and the
+estimated obstacles to a motor torque command:
 
-    prioritized IK -> constraint collection -> velocity safety filter
-    -> reference acceleration -> torque QP -> motor command -> physics substeps
+    forward kinematics -> prioritized IK -> constraint collection
+    -> velocity safety filter -> reference acceleration
+    -> eCBF rows (ecbf mode only) -> torque QP -> motor command
+
+``run_closed_loop`` is the plant loop that drives it at the control rate:
+sense the obstacles, step the controller, log the ground-truth barrier
+values, then hold the command over the physics substeps of the full-order
+dynamics qdd = M^-1 (tau - h).  The plant is a *separately scaled* model:
+mass mismatch is injected only on the plant side, and the controller keeps
+the nominal model.
 
 The per-cycle discrepancy between the commanded and realized joint velocity,
 
@@ -22,7 +30,6 @@ object-row drift term.  Runs are bitwise deterministic for a fixed seed.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -30,23 +37,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._fastdyn import joint_dynamics
-from .dynwbc import DynWbcWeights, motor_torque, safe_acceleration, solve_dynwbc
+from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
-from .model import JointState, RobotModel, forward_kinematics
+from .model import FkResult, JointState, RobotModel, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
+    BarrierConstraint,
     BarrierKind,
-    FilterConfig,
     FilterMode,
+    FilterResult,
     Obstacle,
-    WorkspacePair,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
 )
-
-log = logging.getLogger(__name__)
 
 
 class Integrator(enum.Enum):
@@ -82,7 +87,6 @@ class SimConfig:
     seed: int = 0
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     external_torque: tuple[TorquePulse, ...] = ()
-    pipelined: bool = False
 
     def __post_init__(self) -> None:
         if self.dt_physics > self.dt_control + 1e-15:
@@ -125,7 +129,7 @@ def step_physics(
         k4q, k4v = f(q + dt * k3q, qd + dt * k3v)
         q_next = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
         qd_next = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(qd_next))):
+    if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):
         raise SimulationDivergedError(
             f"non-finite state at t={state.t + dt:.6f}: q={q_next}, qd={qd_next}"
         )
@@ -185,17 +189,6 @@ class ConstantVelocityKalman:
             velocity=self.x[3:].copy(),
             covariance=self.P.copy(),
         )
-
-
-@dataclass
-class DiscrepancyTrace:
-    """Running max-norm bound of the per-cycle velocity-tracking discrepancy."""
-
-    dbar: float = 0.0
-
-    def record(self, d_k: np.ndarray) -> float:
-        self.dbar = max(self.dbar, float(np.max(np.abs(d_k))))
-        return self.dbar
 
 
 @dataclass
@@ -304,16 +297,14 @@ class _ObstacleTruth:
 
     def at(self, t: float) -> CollisionBody:
         shift = self.velocity * t
-        return replace(self.body, p0=self.body.p0 + shift, p1=self.body.p1 + shift,
-                       velocity=self.velocity)
+        return replace(self.body, p0=self.body.p0 + shift, p1=self.body.p1 + shift)
 
     def estimate(self, t: float, dt: float, rng: np.random.Generator) -> Obstacle:
         truth = self.at(t)
         noise = rng.normal(0.0, self.meas_std, 3) if self.meas_std > 0 else np.zeros(3)
         est = self.kalman.update(truth.p0 + noise, dt)
         offset = est.position - self.body.p0
-        body = replace(self.body, p0=self.body.p0 + offset, p1=self.body.p1 + offset,
-                       velocity=est.velocity)
+        body = replace(self.body, p0=self.body.p0 + offset, p1=self.body.p1 + offset)
         return Obstacle(body=body, velocity=est.velocity)
 
 
@@ -356,140 +347,145 @@ def _truth_barriers(model, q, fk, scenario, obstacle_truths, t) -> np.ndarray:
     return np.array(vals)
 
 
+@dataclass(frozen=True)
+class CycleRecord:
+    """What one controller cycle computed besides the torque command."""
+
+    fk: FkResult                    # nominal kinematics at the measured q
+    qdot_des: np.ndarray
+    filtered: FilterResult          # qdot_safe and the filter QP's outcome
+    qdd_safe: np.ndarray
+    rows: list[BarrierConstraint]   # the barrier rows the filter was given
+    h_e_min: float                  # min over eCBF rows, nan outside ecbf mode
+    dynamics_residual: float
+    clamped: np.ndarray             # per-joint motor clamp flags
+
+
+class Controller:
+    """The whole-body controller of ``scenario`` on ``model``, one cycle per step.
+
+    ``mode`` overrides the scenario's filter mode.  The first torque QP
+    measures its torque-rate term from the gravity torque at the scenario's
+    initial configuration.
+    """
+
+    def __init__(self, model: RobotModel, scenario, mode: FilterMode | None = None):
+        self.model = model
+        self.scenario = scenario
+        self.filter_config = scenario.filter_config
+        if mode is not None:
+            self.filter_config = self.filter_config.with_mode(mode)
+        self.filter_solver = QpSolver()
+        self.dyn_solver = QpSolver()
+        self.filter_warm: np.ndarray | None = None
+        self.dyn_warm: np.ndarray | None = None
+        self.tau_prev = joint_dynamics(model, scenario.q0, np.zeros(model.n_dof),
+                                       scenario.sim.gravity)[1]
+
+    def step(self, state: JointState, t: float,
+             obstacles: list[Obstacle]) -> tuple[np.ndarray, CycleRecord]:
+        """Motor torque command for the measured ``state`` at cycle time ``t``."""
+        model, scenario, config = self.model, self.scenario, self.filter_config
+        weights = scenario.weights
+        dt = scenario.sim.dt_control
+        fk = forward_kinematics(model, state.q)
+
+        tasks = [spec.task_at(t) for spec in scenario.tasks]
+        if tasks:
+            qdot_des, _ = prioritized_ik(model, state, tasks, dt, fk=fk)
+        else:
+            qdot_des = np.zeros(model.n_dof)
+
+        rows = collect_constraints(model, state, obstacles, config,
+                                   scenario.collision_pairs, scenario.workspace_pairs, fk=fk)
+        filtered = filter_velocity(qdot_des, rows, config, self.filter_solver,
+                                   warm_start=self.filter_warm)
+        qdot_safe = self.filter_warm = filtered.qdot_safe
+        q_safe = state.q + qdot_safe * dt
+        qdd_safe = safe_acceleration(q_safe, qdot_safe, state, weights)
+
+        extra_rows = []
+        h_e_min = np.nan
+        if config.mode is FilterMode.ECBF:
+            extra_rows = ecbf_rows(model, state, rows)
+            h_e_min = min((r.h_e for r in extra_rows), default=np.nan)
+
+        dyn = solve_dynwbc(model, state, qdd_safe, None, extra_rows, weights, self.tau_prev,
+                           self.dyn_solver, scenario.sim.gravity, warm_start=self.dyn_warm)
+        self.dyn_warm = dyn.solution.x
+        self.tau_prev = dyn.tau_opt
+        tau_cmd, clamped = motor_torque(dyn.tau_opt, q_safe, qdot_safe, state, weights,
+                                        tau_max=model.tau_max)
+        return tau_cmd, CycleRecord(
+            fk=fk, qdot_des=qdot_des, filtered=filtered, qdd_safe=qdd_safe, rows=rows,
+            h_e_min=h_e_min, dynamics_residual=dyn.dynamics_residual, clamped=clamped,
+        )
+
+
 def run_closed_loop(
     nominal_model: RobotModel,
     plant_model: RobotModel,
     scenario,
     mode: FilterMode | None = None,
     trace_constraints: bool = False,
-    ideal_acceleration: bool = False,
 ) -> RunTrace:
-    """Run the full control pipeline against the (possibly mismatched) plant.
+    """Drive a ``Controller`` on the nominal model against the (mismatched) plant.
 
     ``scenario`` provides tasks, obstacles, collision pairs, filter and
-    controller configuration (see scenario.Scenario).  ``ideal_acceleration``
-    is a diagnostic mode that integrates qdd := qdd_safe directly, bypassing
-    the torque controller, to expose the discretization-only discrepancy.
+    controller configuration (see scenario.Scenario).
     """
     cfg: SimConfig = scenario.sim
-    filter_config: FilterConfig = scenario.filter_config
-    if mode is not None:
-        filter_config = filter_config.with_mode(mode)
-    weights: DynWbcWeights = scenario.weights
-    gravity = cfg.gravity
     n = nominal_model.n_dof
     rng = np.random.default_rng(cfg.seed)
-
     obstacle_truths = [
         _ObstacleTruth(spec.body, spec.velocity, spec.measurement_noise_std,
                        spec.process_noise)
         for spec in scenario.obstacles
     ]
-    catalog = _barrier_catalog(scenario)
-    barrier_keys = [f"{kind}|{pair}" for kind, pair in catalog]
+    controller = Controller(nominal_model, scenario, mode)
+    plain = controller.filter_config.mode is FilterMode.CBF
 
     cycles = int(round(cfg.duration / cfg.dt_control))
+    catalog = _barrier_catalog(scenario)
+    trace = RunTrace(
+        n_dof=n, barrier_keys=[f"{kind}|{pair}" for kind, pair in catalog],
+        t=np.zeros(cycles), q=np.zeros((cycles, n)), qd=np.zeros((cycles, n)),
+        qdot_des=np.zeros((cycles, n)), qdot_safe=np.zeros((cycles, n)),
+        tau_cmd=np.zeros((cycles, n)), h=np.zeros((cycles, len(catalog))),
+        d_inf=np.zeros(cycles), dbar=np.zeros(cycles),
+        qp_iters=np.zeros(cycles, dtype=int), qp_status=[],
+        dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
+        relaxed=np.zeros(cycles, dtype=bool), clamped=np.zeros((cycles, n), dtype=bool),
+    )
     state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
-    tau_prev = joint_dynamics(nominal_model, state.q, np.zeros(n), gravity)[1]
-    filter_solver = QpSolver()
-    dyn_solver = QpSolver()
-    filter_warm: np.ndarray | None = None
-    dyn_warm: np.ndarray | None = None
-    qdd_safe_pipeline = np.zeros(n)
-
-    cols = {
-        "t": np.zeros(cycles),
-        "q": np.zeros((cycles, n)),
-        "qd": np.zeros((cycles, n)),
-        "qdot_des": np.zeros((cycles, n)),
-        "qdot_safe": np.zeros((cycles, n)),
-        "tau_cmd": np.zeros((cycles, n)),
-        "h": np.zeros((cycles, len(barrier_keys))),
-        "d_inf": np.zeros(cycles),
-        "dbar": np.zeros(cycles),
-        "qp_iters": np.zeros(cycles, dtype=int),
-        "residual": np.zeros(cycles),
-        "h_e_min": np.full(cycles, np.nan),
-        "relaxed": np.zeros(cycles, dtype=bool),
-        "clamped": np.zeros((cycles, n), dtype=bool),
-    }
-    statuses: list[str] = []
-    dump: list[ConstraintDumpRow] = []
-    discrepancy = DiscrepancyTrace()
+    dbar = 0.0
 
     wall_start = time.perf_counter()
     for k in range(cycles):
         t = k * cfg.dt_control
-        fk = forward_kinematics(nominal_model, state.q)
+        obstacles = [truth.estimate(t, cfg.dt_control, rng) for truth in obstacle_truths]
+        tau_cmd, rec = controller.step(state, t, obstacles)
+        qdot_safe = rec.filtered.qdot_safe
 
-        obstacles = [
-            truth.estimate(t, cfg.dt_control, rng) for truth in obstacle_truths
-        ]
-
-        tasks = [spec.task_at(t) for spec in scenario.tasks]
-        if tasks:
-            qdot_des, _ = prioritized_ik(nominal_model, state, tasks, cfg.dt_control, fk=fk)
-        else:
-            qdot_des = np.zeros(n)
-
-        rows = collect_constraints(
-            nominal_model, state, obstacles, filter_config,
-            scenario.collision_pairs, scenario.workspace_pairs, fk=fk,
-        )
-        result = filter_velocity(qdot_des, rows, filter_config, filter_solver,
-                                 warm_start=filter_warm)
-        qdot_safe = result.qdot_safe
-        filter_warm = qdot_safe
-
-        q_safe = state.q + qdot_safe * cfg.dt_control
-        qdd_safe = safe_acceleration(q_safe, qdot_safe, state, weights)
-        if cfg.pipelined:
-            qdd_safe_used = qdd_safe_pipeline
-            qdd_safe_pipeline = qdd_safe
-        else:
-            qdd_safe_used = qdd_safe
-
-        extra_rows = []
-        if filter_config.mode is FilterMode.ECBF:
-            extra_rows = ecbf_rows(nominal_model, state, rows)
-            cols["h_e_min"][k] = min((r.h_e for r in extra_rows), default=np.nan)
-
-        if ideal_acceleration:
-            tau_cmd = np.zeros(n)
-            clamp = np.zeros(n, dtype=bool)
-            cols["residual"][k] = 0.0
-        else:
-            dyn = solve_dynwbc(
-                nominal_model, state, qdd_safe_used, None, extra_rows, weights,
-                tau_prev, dyn_solver, gravity, warm_start=dyn_warm,
-            )
-            dyn_warm = dyn.solution.x
-            tau_prev = dyn.tau_opt
-            cols["residual"][k] = dyn.dynamics_residual
-            tau_cmd, clamp = motor_torque(
-                dyn.tau_opt, q_safe, qdot_safe, state, weights,
-                tau_max=nominal_model.tau_max,
-            )
-
-        cols["t"][k] = t
-        cols["q"][k] = state.q
-        cols["qd"][k] = state.qd
-        cols["qdot_des"][k] = qdot_des
-        cols["qdot_safe"][k] = qdot_safe
-        cols["tau_cmd"][k] = tau_cmd
-        cols["h"][k] = _truth_barriers(nominal_model, state.q, fk, scenario,
-                                       obstacle_truths, t)
-        cols["qp_iters"][k] = result.iterations
-        cols["relaxed"][k] = result.relaxed
-        cols["clamped"][k] = clamp
-        statuses.append(result.status)
-
+        trace.t[k] = t
+        trace.q[k] = state.q
+        trace.qd[k] = state.qd
+        trace.qdot_des[k] = rec.qdot_des
+        trace.qdot_safe[k] = qdot_safe
+        trace.tau_cmd[k] = tau_cmd
+        trace.h[k] = _truth_barriers(nominal_model, state.q, rec.fk, scenario,
+                                     obstacle_truths, t)
+        trace.qp_iters[k] = rec.filtered.iterations
+        trace.qp_status.append(rec.filtered.status)
+        trace.dynamics_residual[k] = rec.dynamics_residual
+        trace.h_e_min[k] = rec.h_e_min
+        trace.relaxed[k] = rec.filtered.relaxed
+        trace.clamped[k] = rec.clamped
         if trace_constraints:
             tol = 1e-8 * (1.0 + float(np.max(np.abs(qdot_safe), initial=0.0)))
-            plain = filter_config.mode is FilterMode.CBF
-            for c in rows:
+            for c in rec.rows:
                 rhs = c.rhs(plain_cbf=plain)
-                dump.append(ConstraintDumpRow(
+                trace.constraint_dump.append(ConstraintDumpRow(
                     t=t, kind=c.kind.value, pair=c.pair, h=c.h, rhs=rhs,
                     active=bool(c.grad @ qdot_safe - rhs <= tol),
                 ))
@@ -499,41 +495,12 @@ def run_closed_loop(
             tau_ext = sum(
                 (p.at(state.t, n) for p in cfg.external_torque), np.zeros(n)
             )
-            if ideal_acceleration:
-                qd_next = state.qd + qdd_safe_used * cfg.dt_physics
-                q_next = state.q + qd_next * cfg.dt_physics
-                state = JointState(q=q_next, qd=qd_next, t=state.t + cfg.dt_physics)
-            else:
-                state = step_physics(
-                    plant_model, state, tau_cmd + tau_ext, gravity,
-                    cfg.dt_physics, cfg.integrator,
-                )
-
+            state = step_physics(plant_model, state, tau_cmd + tau_ext, cfg.gravity,
+                                 cfg.dt_physics, cfg.integrator)
         d_k = (state.q - q_before) / cfg.dt_control - qdot_safe
-        cols["d_inf"][k] = float(np.max(np.abs(d_k), initial=0.0))
-        cols["dbar"][k] = discrepancy.record(d_k)
+        trace.d_inf[k] = d_inf = float(np.max(np.abs(d_k), initial=0.0))
+        trace.dbar[k] = dbar = max(dbar, d_inf)
 
-    runtime_us = (
-        (time.perf_counter() - wall_start) / cycles * 1e6 if cycles else 0.0
-    )
-    return RunTrace(
-        n_dof=n,
-        barrier_keys=barrier_keys,
-        t=cols["t"],
-        q=cols["q"],
-        qd=cols["qd"],
-        qdot_des=cols["qdot_des"],
-        qdot_safe=cols["qdot_safe"],
-        tau_cmd=cols["tau_cmd"],
-        h=cols["h"],
-        d_inf=cols["d_inf"],
-        dbar=cols["dbar"],
-        qp_iters=cols["qp_iters"],
-        qp_status=statuses,
-        dynamics_residual=cols["residual"],
-        h_e_min=cols["h_e_min"],
-        relaxed=cols["relaxed"],
-        clamped=cols["clamped"],
-        runtime_per_cycle_us=runtime_us,
-        constraint_dump=dump,
-    )
+    if cycles:
+        trace.runtime_per_cycle_us = (time.perf_counter() - wall_start) / cycles * 1e6
+    return trace

@@ -89,14 +89,9 @@ def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityRes
     dist = float(np.linalg.norm(diff))
     h = dist - (shape_a.radius + shape_b.radius)
     if dist < DEGENERATE_DISTANCE:
-        return ProximityResult(
-            h=h, point_a=pa, point_b=pb, normal=np.zeros(3),
-            sign=1 if h >= 0.0 else -1, degenerate=True,
-        )
-    return ProximityResult(
-        h=h, point_a=pa, point_b=pb, normal=diff / dist,
-        sign=1 if h >= 0.0 else -1,
-    )
+        return ProximityResult(h=h, point_a=pa, point_b=pb, normal=np.zeros(3),
+                               degenerate=True)
+    return ProximityResult(h=h, point_a=pa, point_b=pb, normal=diff / dist)
 
 
 def body_pair_barrier(

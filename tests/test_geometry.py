@@ -50,7 +50,7 @@ class TestClosestPoints:
         res = closest_points(sphere([0, 0, 0], 1.0), sphere([3, 0, 0], 1.0))
         assert res.h == pytest.approx(1.0)
         np.testing.assert_allclose(np.abs(res.normal), [1, 0, 0], atol=1e-12)
-        assert res.sign == 1
+        assert res.h > 0.0
 
     def test_parallel_capsules_with_midpoint_tiebreak(self):
         res = closest_points(capsule([0, 0, 0], [1, 0, 0], 0.1),
@@ -102,8 +102,7 @@ class TestClosestPoints:
 
     def test_penetration_sign(self):
         res = closest_points(sphere([0, 0, 0], 1.0), sphere([1.5, 0, 0], 1.0))
-        assert res.h < 0.0
-        assert res.sign == -1
+        assert res.h == pytest.approx(-0.5)
 
     def test_degenerate_concentric(self):
         res = closest_points(sphere([0, 0, 0], 1.0), sphere([0, 0, 0], 0.5))
@@ -165,7 +164,7 @@ class TestAgainstNumpyOracle:
             np.testing.assert_allclose(res.point_a, ref.point_a, **CLOSE)
             np.testing.assert_allclose(res.point_b, ref.point_b, **CLOSE)
             np.testing.assert_allclose(res.normal, ref.normal, **CLOSE)
-            assert (res.sign, res.degenerate) == (ref.sign, ref.degenerate)
+            assert (res.h >= 0.0, res.degenerate) == (ref.h >= 0.0, ref.degenerate)
             pa, pb = segment_closest_points(seg_a.a, seg_a.b, seg_b.a, seg_b.b)
             np.testing.assert_allclose(pa, ref.point_a, **CLOSE)
             np.testing.assert_allclose(pb, ref.point_b, **CLOSE)

@@ -75,21 +75,10 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(path)
 
-    def test_sim_pipelined_key_is_honoured(self, tmp_path):
-        path = write_mini_scenario(tmp_path, extra={"sim": {
-            "duration": 0.05, "mass_scale": 1.1, "seed": 3, "pipelined": True}})
-        assert load_scenario(path).sim.pipelined is True
-        assert load_scenario(write_mini_scenario(tmp_path, name="seq")).sim.pipelined is False
-
-    def test_sim_pipelined_rejects_non_bool(self, tmp_path):
-        path = write_mini_scenario(tmp_path, extra={"sim": {
-            "duration": 0.05, "pipelined": "yes"}})
-        with pytest.raises(ScenarioError, match="sim.pipelined"):
-            load_scenario(path)
-
     @pytest.mark.parametrize("block,key,value", [
         ("dynwbc", "kp_dynn", 300.0),
         ("sim", "dt_contrl", 1e-3),
+        ("sim", "pipelined", True),
         ("filter", "activaton_distance", 0.5),
     ])
     def test_unknown_keys_rejected(self, tmp_path, block, key, value):
@@ -111,7 +100,7 @@ class TestScenarioParsing:
                        "activation_distance": 0.25},
             "sim": {"duration": 0.05, "dt_control": 1e-3, "dt_physics": 2.5e-4,
                     "mass_scale": 1.1, "integrator": "rk4", "seed": 4,
-                    "gravity": [0.0, 0.0, -9.0], "pipelined": True,
+                    "gravity": [0.0, 0.0, -9.0],
                     "external_torque": [{"start": 0.0, "end": 0.01,
                                          "torque": [0.1, 0.0, 0.0]}]},
             "dynwbc": {"w_qdd": 1.0, "w_c": 1e-2, "w_tau": 1e-4, "w_M": 1e-5,

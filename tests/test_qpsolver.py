@@ -7,7 +7,6 @@ from issf_wbc.qpsolver import (
     QpSolver,
     QpStatus,
     _dedup_rows,
-    solve_qp,
 )
 
 from conftest import enumerate_qp
@@ -26,14 +25,14 @@ def random_problem(rng, n=None, m=None):
 
 class TestExamples:
     def test_scalar_projection_onto_halfline(self):
-        sol = solve_qp(QpProblem(H=np.array([[2.0]]), g=np.zeros(1),
+        sol = QpSolver().solve(QpProblem(H=np.array([[2.0]]), g=np.zeros(1),
                                  A_ineq=np.array([[1.0]]), b_ineq=np.array([1.0])))
         assert sol.optimal
         assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unconstrained_center(self, rng):
         x0 = rng.normal(size=4)
-        sol = solve_qp(QpProblem(H=2 * np.eye(4), g=-2 * x0))
+        sol = QpSolver().solve(QpProblem(H=2 * np.eye(4), g=-2 * x0))
         assert sol.optimal and sol.iterations == 1
         np.testing.assert_allclose(sol.x, x0, atol=1e-12)
 
@@ -59,7 +58,7 @@ class TestContract:
     def test_kkt_certificates(self, rng):
         for _ in range(50):
             problem = random_problem(rng)
-            sol = solve_qp(problem)
+            sol = QpSolver().solve(problem)
             if not sol.optimal:
                 continue
             n, m = problem.dims()
@@ -91,22 +90,22 @@ class TestContract:
             x0 = rng.normal(size=n)
             A = rng.normal(size=(4, n))
             b = A @ x0 - rng.uniform(0.1, 1.0, 4)   # strictly feasible center
-            sol = solve_qp(QpProblem(H=2 * np.eye(n), g=-2 * x0, A_ineq=A, b_ineq=b))
+            sol = QpSolver().solve(QpProblem(H=2 * np.eye(n), g=-2 * x0, A_ineq=A, b_ineq=b))
             assert sol.optimal
             assert np.abs(sol.x - x0).max() < 1e-9
 
     def test_duplicate_rows_deduplicated(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = np.array([1.0, 1.0, -5.0])
-        sol = solve_qp(QpProblem(H=2 * np.eye(2), g=np.zeros(2), A_ineq=A, b_ineq=b))
+        sol = QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.zeros(2), A_ineq=A, b_ineq=b))
         assert sol.optimal
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-10)
         assert 1 not in sol.active_set  # duplicate's slot never activates
 
     def test_determinism(self, rng):
         problem = random_problem(rng, n=4, m=6)
-        a = solve_qp(problem)
-        b = solve_qp(problem)
+        a = QpSolver().solve(problem)
+        b = QpSolver().solve(problem)
         assert a.x.tobytes() == b.x.tobytes()
         assert a.active_set == b.active_set and a.iterations == b.iterations
 
@@ -114,18 +113,18 @@ class TestContract:
         problem = QpProblem(H=2 * np.eye(1), g=np.zeros(1),
                             A_ineq=np.array([[1.0], [-1.0]]),
                             b_ineq=np.array([1.0, 1.0]))  # x >= 1 and x <= -1
-        sol = solve_qp(problem)
+        sol = QpSolver().solve(problem)
         assert sol.status is QpStatus.INFEASIBLE
 
     def test_rejects_nonconvex(self):
         with pytest.raises(ValueError):
-            solve_qp(QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2)))
+            QpSolver().solve(QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2)))
 
     def test_dimension_errors(self):
         with pytest.raises(QpDimensionError):
-            solve_qp(QpProblem(H=np.eye(2), g=np.zeros(3)))
+            QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros(3)))
         with pytest.raises(QpDimensionError):
-            solve_qp(QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2)))
+            QpSolver().solve(QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2)))
 
     def test_non_finite_data_rejected(self):
         A = np.array([[1.0, 0.0]])
@@ -139,7 +138,7 @@ class TestContract:
         ]
         for problem in bad:
             with pytest.raises(QpDimensionError, match="finite"):
-                solve_qp(problem)
+                QpSolver().solve(problem)
 
     def test_max_iter_reported(self, rng):
         solver = QpSolver(max_iter=1)
@@ -258,5 +257,5 @@ class TestChecksAgainstReference:
                     assert outcome(problem.validate) == "QpDimensionError", H
 
     def test_empty_problem_solves(self):
-        sol = solve_qp(QpProblem(H=np.zeros((0, 0)), g=np.zeros(0)))
+        sol = QpSolver().solve(QpProblem(H=np.zeros((0, 0)), g=np.zeros(0)))
         assert sol.optimal and sol.x.shape == (0,)

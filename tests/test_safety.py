@@ -254,7 +254,7 @@ class TestFilter:
 
 class TestEcbf:
     def test_static_joint_limit_reduction(self):
-        # qd = 0: h_e = alpha h and the row reduces to e_i qdd >= -alpha_e alpha h
+        # qd = 0: h_e = alpha h and the row reduces to e_i qdd >= -alpha^2 h
         import issf_wbc.model as m
         link = m.LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-3,
                           parent=-1, origin_xyz=np.array([1.0, 0.0, 0.0]))
@@ -326,7 +326,7 @@ class TestEcbf:
 
 
 def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=(),
-                        alpha_e=None, fd_step=ECBF_FD_STEP):
+                        fd_step=ECBF_FD_STEP):
     """Reference eCBF rows: re-collects every barrier row at the state and at
     q +- fd_step qd/|qd| with unlimited activation distance, and takes each
     row's curvature from the gradients of the same (kind, pair) there."""
@@ -354,8 +354,7 @@ def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=
             continue
         h_dot = float(c.grad @ qd) - c.drift
         h_e = h_dot + c.alpha * c.h
-        ae = c.alpha if alpha_e is None else alpha_e
-        rhs = -ae * h_e - curvature - c.alpha * h_dot
+        rhs = -c.alpha * h_e - curvature - c.alpha * h_dot
         out.append(AccelConstraint(kind=c.kind, pair=c.pair, grad=c.grad, rhs=rhs, h_e=h_e))
     return out
 
@@ -395,16 +394,15 @@ class TestEcbfAgainstRecollect:
                                        d_max=float(rng.uniform(0.3, 1.0)))]
             config = FilterConfig(mode=FilterMode.ECBF,
                                   activation_distance=float(rng.uniform(0.3, 2.0)))
-            alpha_e = None if trial % 2 else 7.0
             for _ in range(4):
                 q = rng.uniform(-2.0, 2.0, n)
                 qd = rng.normal(size=n) if trial % 4 else np.zeros(n)
                 state = JointState(q=q, qd=qd)
                 collected = collect_constraints(model, state, obstacles, config, pairs,
                                                 workspace, fk=forward_kinematics(model, q))
-                rows = ecbf_rows(model, state, collected, alpha_e=alpha_e)
+                rows = ecbf_rows(model, state, collected)
                 expected = ecbf_rows_recollect(model, state, obstacles, config, pairs,
-                                               workspace, alpha_e=alpha_e)
+                                               workspace)
                 assert_rows_equal(rows, expected)
                 checked += sum(r.kind is not BarrierKind.JOINT_LIMIT_MIN
                                and r.kind is not BarrierKind.JOINT_LIMIT_MAX for r in rows)

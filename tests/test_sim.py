@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from issf_wbc.safety import FilterConfig, FilterMode
 from issf_wbc.scenario import ObstacleSpec, Scenario, TaskSpec, WaypointSpline
 from issf_wbc.sim import (
     ConstantVelocityKalman,
+    Controller,
     Integrator,
     SimConfig,
     SimulationDivergedError,
@@ -38,11 +40,10 @@ def point_pendulum(m=1.0, l=0.5):
 
 def mini_scenario(model, duration, *, tasks=(), obstacles=(), pairs=(),
                   mass_scale=1.0, seed=0, weights=None, filter_config=None,
-                  dt_control=5e-4, dt_physics=1e-4, pulses=(), pipelined=False,
-                  gravity=GRAVITY):
+                  dt_control=5e-4, dt_physics=1e-4, pulses=(), gravity=GRAVITY):
     sim = SimConfig(duration=duration, dt_control=dt_control, dt_physics=dt_physics,
                     mass_scale=mass_scale, seed=seed, gravity=gravity,
-                    external_torque=tuple(pulses), pipelined=pipelined)
+                    external_torque=tuple(pulses))
     return Scenario(
         name="mini", robot=model, robot_path=None,
         q0=np.zeros(model.n_dof), qd0=np.zeros(model.n_dof),
@@ -235,9 +236,10 @@ class TestClosedLoop:
         assert not np.array_equal(traces[0].qdot_safe, traces[1].qdot_safe)
 
     def test_ideal_acceleration_discrepancy_is_discretization_order(self):
-        # diagnostic mode (qdd := qdd_safe, nominal plant): dbar = O(dt).
-        # The reference starts at rest with a zero-slope spline and the
-        # tracking gain scales with the rate, so only discretization remains.
+        # Integrating qdd := qdd_safe exactly (no torque loop, no mismatch)
+        # leaves dbar = O(dt).  The reference starts at rest with a
+        # zero-slope spline and the tracking gain scales with the rate, so
+        # only discretization remains.
         model = two_link_planar(0.4, 0.4)
         target = np.array([0.3, -0.45])
         dbars = []
@@ -249,8 +251,18 @@ class TestClosedLoop:
             scenario = mini_scenario(model, 0.4, tasks=[task],
                                      dt_control=dt_c, dt_physics=dt_p,
                                      weights=DynWbcWeights(kd_dyn=0.8 / dt_c))
-            trace = run_closed_loop(model, model, scenario, ideal_acceleration=True)
-            dbars.append(trace.final_dbar())
+            controller = Controller(model, scenario)
+            state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy())
+            dbar = 0.0
+            for k in range(round(0.4 / dt_c)):
+                _, rec = controller.step(state, k * dt_c, [])
+                q_before = state.q
+                for _ in range(scenario.sim.substeps):
+                    qd = state.qd + rec.qdd_safe * dt_p
+                    state = JointState(q=state.q + qd * dt_p, qd=qd, t=state.t + dt_p)
+                d_k = (state.q - q_before) / dt_c - rec.filtered.qdot_safe
+                dbar = max(dbar, float(np.abs(d_k).max()))
+            dbars.append(dbar)
         assert dbars[1] < 0.6 * dbars[0]
         assert dbars[1] < 0.01
 
@@ -272,18 +284,6 @@ class TestClosedLoop:
         trace = run_closed_loop(model, scale_link_masses(model, 1.2), scenario)
         assert np.all(np.diff(trace.dbar) >= 0.0)
         np.testing.assert_allclose(trace.dbar, np.maximum.accumulate(trace.d_inf))
-
-    def test_pipelined_trace_bounded_difference(self):
-        model = two_link_planar(0.4, 0.4)
-        task = hold_task(model, np.array([0.5, -0.8]), 0.4, gain=4.0)
-        traces = {}
-        for pipelined in (False, True):
-            scenario = mini_scenario(model, 0.4, tasks=[task], mass_scale=1.1,
-                                     pipelined=pipelined)
-            traces[pipelined] = run_closed_loop(model, scale_link_masses(model, 1.1),
-                                                scenario)
-        diff = np.abs(traces[True].q - traces[False].q).max()
-        assert 0.0 < diff <= 0.05
 
     def test_external_pulse_perturbs_plant(self):
         model = two_link_planar(0.4, 0.4)
@@ -323,6 +323,41 @@ class TestClosedLoop:
         scenario = mini_scenario(model, 0.05, tasks=[task], filter_config=config)
         trace = run_closed_loop(model, model, scenario)
         assert trace.relaxed.any()
+
+
+class TestController:
+    def test_plant_loop_in_test_matches_run_closed_loop_bitwise(self):
+        # The controller steps without the simulator: a plant loop written
+        # here reproduces run_closed_loop's trace bit for bit, in a run where
+        # the hand is driven toward a body on the upper arm.
+        tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
+        base = CollisionBody("base", 0, 0.05, np.array([-0.3, 0.0, 0.0]), np.zeros(3))
+        model = two_link_planar(0.4, 0.4, bodies=[tip, base])
+        plant = scale_link_masses(model, 1.2)
+        task = hold_task(model, np.array([0.0, 3.1]), 0.1, gain=8.0)
+        scenario = replace(mini_scenario(model, 0.1, tasks=[task], pairs=[(tip, base)],
+                                         mass_scale=1.2), q0=np.array([0.0, 2.7]))
+        dt = scenario.sim.dt_control
+        for mode in (FilterMode.ISSF_CBF, FilterMode.ECBF):
+            trace = run_closed_loop(model, plant, scenario, mode=mode)
+            controller = Controller(model, scenario, mode)
+            state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy())
+            for k in range(trace.cycles):
+                tau_cmd, rec = controller.step(state, k * dt, [])
+                assert trace.q[k].tobytes() == state.q.tobytes()
+                assert trace.qdot_des[k].tobytes() == rec.qdot_des.tobytes()
+                assert trace.qdot_safe[k].tobytes() == rec.filtered.qdot_safe.tobytes()
+                assert trace.tau_cmd[k].tobytes() == tau_cmd.tobytes()
+                assert trace.qp_status[k] == rec.filtered.status
+                for _ in range(scenario.sim.substeps):
+                    # + the (zero) external torque, as run_closed_loop adds it
+                    state = step_physics(plant, state, tau_cmd + np.zeros(2), GRAVITY,
+                                         scenario.sim.dt_physics)
+            assert trace.cycles == 200
+            if mode is FilterMode.ISSF_CBF:
+                assert not np.array_equal(trace.qdot_safe, trace.qdot_des)
+            else:
+                assert np.isfinite(trace.h_e_min).all()
 
 
 def config_kinds():
