@@ -10,7 +10,11 @@ scenarios (``hand_track``: 3-DoF ``planar3``; ``obstacle_track``: 7-DoF
 - ``point_jacobian`` of the last link's collision body, given the FK;
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
-- ``joint_dynamics`` (mass matrix and bias forces).
+- ``joint_dynamics`` (mass matrix and bias forces), given the FK.
+
+Every kernel after the first takes the pose as an argument, so no row
+includes the cost of FK: the ``joint_dynamics`` row now excludes it, as the
+torque QP reuses its control cycle's pose.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -46,10 +50,10 @@ def kernels(scenario) -> dict[str, callable]:
     tip = model.collision_bodies[-1]
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
-        "point_jacobian": lambda: point_jacobian(model, q, tip.link, tip.p0, fk=fk),
+        "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
-        "body_pair_barrier": lambda: body_pair_barrier(model, q, body_a, body_b, fk=fk),
-        "joint_dynamics": lambda: joint_dynamics(model, q, qd, gravity),
+        "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
+        "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
     }
 
 

@@ -9,7 +9,14 @@ velocity-level safety guarantee transfers to the torque-controlled plant.
 """
 
 from .dynwbc import ContactBlock, DynWbcWeights, motor_torque, safe_acceleration, solve_dynwbc
-from .geometry import CollisionBody, ProximityResult, body_pair_barrier, closest_points, workspace_barrier
+from .geometry import (
+    CollisionBody,
+    ProximityResult,
+    WorkspacePair,
+    body_pair_barrier,
+    closest_points,
+    workspace_barrier,
+)
 from .harness import RunResult, SweepResult, run_scenario, run_sweep
 from .kinwbc import Task, prioritized_ik, truncated_pinv
 from .model import (
@@ -29,7 +36,6 @@ from .safety import (
     FilterConfig,
     FilterMode,
     Obstacle,
-    WorkspacePair,
     collect_constraints,
     ecbf_rows,
     filter_velocity,

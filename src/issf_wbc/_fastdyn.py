@@ -2,11 +2,11 @@
 
 numpy's per-call overhead dominates the recursive dynamics at n <= 7, so
 the Newton-Euler bias pass and the composite-rigid-body mass-matrix pass run
-here on floats, written out as named scalars, on the poses of the package's
-one forward-kinematics kernel (``model._fk``).  ``joint_dynamics`` must agree
-to machine precision with the numpy reference ``mass_matrix`` /
-``bias_forces`` in ``tests/dynamics_oracle.py``; the test suite cross-checks
-that on random chains.
+here on floats, written out as named scalars, on a pose (``FkResult``) the
+caller already computed, so the torque QP reuses its control cycle's pose.
+``joint_dynamics`` must agree to machine precision with the numpy reference
+``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``; the test
+suite cross-checks that on random chains.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .model import RobotModel, _fk
+from .model import FkResult, RobotModel
 
 _CACHE: "WeakKeyDictionary[RobotModel, list]" = WeakKeyDictionary()
 
@@ -35,13 +35,13 @@ def _constants(model: RobotModel) -> list[tuple]:
 
 def joint_dynamics(
     model: RobotModel,
-    q: np.ndarray,
+    fk: FkResult,
     qd: np.ndarray,
     gravity: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, h) in one pass: mass matrix and bias forces at (q, qd)."""
+    """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q."""
     n = model.n_dof
-    rot, pos, axes, orig = _fk(model, q)
+    rot, pos, axes, orig = fk.rot, fk.pos, fk.joint_axis, fk.joint_origin
     qdl = [float(v) for v in qd]
     gx, gy, gz = (float(v) for v in gravity)
     inertial = _constants(model)

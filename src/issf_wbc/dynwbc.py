@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fastdyn import joint_dynamics
-from .model import JointState, RobotModel
+from .model import FkResult, JointState, RobotModel
 from .qpsolver import QpProblem, QpSolution, QpSolver
 from .safety import AccelConstraint
 
@@ -115,6 +115,7 @@ def safe_acceleration(
 def solve_dynwbc(
     model: RobotModel,
     state: JointState,
+    fk: FkResult,
     qddot_safe: np.ndarray,
     contact: ContactBlock | None,
     extra_rows: list[AccelConstraint],
@@ -124,11 +125,14 @@ def solve_dynwbc(
     gravity: np.ndarray,
     warm_start: np.ndarray | None = None,
 ) -> DynWbcResult:
-    """Solve the torque QP; variables are stacked [qdd, F_c], tau is recovered."""
+    """Solve the torque QP at ``state``, whose pose is ``fk``.
+
+    The variables are stacked [qdd, F_c]; tau is recovered.
+    """
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
     nz = n + k
-    mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
+    mass, bias = joint_dynamics(model, fk, state.qd, gravity)
     T = np.empty((n, nz))
     T[:, :n] = mass
     if k:

@@ -1,4 +1,4 @@
-"""Sphere/capsule collision primitives and signed-distance barriers.
+"""Sphere/capsule collision primitives, signed-distance and workspace barriers.
 
 Every collision body reduces to a world-frame segment plus a radius (a
 sphere is a zero-length segment).  The signed distance between bodies A
@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .model import FkResult, RobotModel, _normal_jacobian, _xyz, forward_kinematics
+from .model import FkResult, RobotModel, _normal_jacobian, _xyz
 
 Vec3 = tuple[float, float, float]
 
@@ -55,6 +55,22 @@ class CollisionBody:
     @property
     def is_world(self) -> bool:
         return self.link < 0
+
+
+@dataclass(frozen=True)
+class WorkspacePair:
+    """Maximum-distance bound d_max between two points attached to links."""
+
+    name: str
+    link_a: int
+    point_a: np.ndarray
+    link_b: int
+    point_b: np.ndarray
+    d_max: float
+
+    def __post_init__(self) -> None:
+        if self.d_max <= 0.0:
+            raise ValueError(f"workspace pair {self.name!r}: d_max must be > 0")
 
 
 @dataclass(frozen=True)
@@ -155,12 +171,11 @@ def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityRes
 
 def body_pair_barrier(
     model: RobotModel,
-    q: np.ndarray,
+    fk: FkResult,
     body_a: CollisionBody,
     body_b: CollisionBody,
-    fk: FkResult | None = None,
 ) -> tuple[float, np.ndarray, ProximityResult]:
-    """Barrier value h and its 1 x n_dof gradient for a collision-body pair.
+    """Barrier value h and its 1 x n_dof gradient for a collision-body pair at pose ``fk``.
 
     The gradient is n . (J_A(p_A) - J_B(p_B)) at the world witness points;
     world-attached bodies contribute a zero Jacobian.  Raises
@@ -169,8 +184,6 @@ def body_pair_barrier(
     """
     if body_a.is_world and body_b.is_world:
         raise ValueError("at least one body must be attached to the robot")
-    if fk is None:
-        fk = forward_kinematics(model, q)
     prox = closest_points(pose_body(body_a, fk), pose_body(body_b, fk))
     if prox.degenerate:
         raise DegenerateWitnessError(
@@ -189,58 +202,33 @@ def body_pair_barrier(
     return prox.h, np.array(grad), prox
 
 
-def _workspace_separation(
-    model: RobotModel,
-    q: np.ndarray,
-    point_a: tuple[int, np.ndarray],
-    point_b: tuple[int, np.ndarray],
-    d_max: float,
-    fk: FkResult | None,
-) -> tuple[FkResult, Vec3, Vec3, float]:
-    """(fk, p_A, p_B, ||p_A - p_B||) for a workspace pair."""
-    if d_max <= 0.0:
-        raise ValueError("d_max must be > 0")
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    pa = fk._point(point_a[0], _xyz(point_a[1]))
-    pb = fk._point(point_b[0], _xyz(point_b[1]))
+def _workspace_separation(fk: FkResult, pair: WorkspacePair) -> tuple[Vec3, Vec3, float]:
+    """(p_A, p_B, ||p_A - p_B||) for a workspace pair at pose ``fk``."""
+    pa = fk._point(pair.link_a, _xyz(pair.point_a))
+    pb = fk._point(pair.link_b, _xyz(pair.point_b))
     dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
-    return fk, pa, pb, sqrt(dx * dx + dy * dy + dz * dz)
+    return pa, pb, sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def workspace_barrier_value(
-    model: RobotModel,
-    q: np.ndarray,
-    point_a: tuple[int, np.ndarray],
-    point_b: tuple[int, np.ndarray],
-    d_max: float,
-    fk: FkResult | None = None,
-) -> float:
+def workspace_barrier_value(fk: FkResult, pair: WorkspacePair) -> float:
     """The h of ``workspace_barrier`` alone, without building its gradient."""
-    dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)[3]
+    dist = _workspace_separation(fk, pair)[2]
     if dist < DEGENERATE_DISTANCE:
-        return d_max
-    return d_max - dist
+        return pair.d_max
+    return pair.d_max - dist
 
 
-def workspace_barrier(
-    model: RobotModel,
-    q: np.ndarray,
-    point_a: tuple[int, np.ndarray],
-    point_b: tuple[int, np.ndarray],
-    d_max: float,
-    fk: FkResult | None = None,
-) -> tuple[float, np.ndarray]:
-    """Maximum-allowable-distance barrier h = d_max - ||p_A - p_B||.
+def workspace_barrier(fk: FkResult, pair: WorkspacePair) -> tuple[float, np.ndarray]:
+    """Maximum-allowable-distance barrier h = d_max - ||p_A - p_B|| at pose ``fk``.
 
     The coincident case p_A = p_B is the interior of the safe set: returns
     (d_max, 0).
     """
-    fk, pa, pb, dist = _workspace_separation(model, q, point_a, point_b, d_max, fk)
+    pa, pb, dist = _workspace_separation(fk, pair)
+    n_dof = len(fk.pos)
     if dist < DEGENERATE_DISTANCE:
-        return d_max, np.zeros(model.n_dof)
+        return pair.d_max, np.zeros(n_dof)
     normal = ((pa[0] - pb[0]) / dist, (pa[1] - pb[1]) / dist, (pa[2] - pb[2]) / dist)
-    n_dof = model.n_dof
-    grad_a = _normal_jacobian(fk, n_dof, point_a[0], pa, normal)
-    grad_b = _normal_jacobian(fk, n_dof, point_b[0], pb, normal)
-    return d_max - dist, np.array([gb - ga for ga, gb in zip(grad_a, grad_b)])
+    grad_a = _normal_jacobian(fk, n_dof, pair.link_a, pa, normal)
+    grad_b = _normal_jacobian(fk, n_dof, pair.link_b, pb, normal)
+    return pair.d_max - dist, np.array([gb - ga for ga, gb in zip(grad_a, grad_b)])

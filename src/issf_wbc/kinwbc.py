@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FkResult, JointState, RobotModel, _jacobian_rows, _xyz, forward_kinematics
+from .model import FkResult, JointState, RobotModel, _jacobian_rows, _xyz
 
 SIGMA_REL_DEFAULT = 1e-4
 DEFAULT_TASK_GAIN = 5.0
@@ -93,12 +93,13 @@ def solve_priority_stack(
 def prioritized_ik(
     model: RobotModel,
     state: JointState,
+    fk: FkResult,
     tasks: list[Task],
     dt: float,
-    sigma_rel: float = SIGMA_REL_DEFAULT,
-    fk: FkResult | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nominal joint velocity command and its integrated position reference.
+
+    ``fk`` is the pose at ``state.q``.
 
     Tasks must carry strictly increasing priorities (1 = highest).  The
     measured velocity is not fed back into the task terms (see module
@@ -111,8 +112,6 @@ def prioritized_ik(
         if a.priority == b.priority:
             raise ValueError(f"duplicate task priority {a.priority}")
     state.validate(model.n_dof)
-    if fk is None:
-        fk = forward_kinematics(model, state.q)
 
     jacobians: list[np.ndarray] = []
     terms: list[np.ndarray] = []
@@ -123,6 +122,6 @@ def prioritized_ik(
         jacobians.append(jac)
         terms.append(xd_cmd)
 
-    qdot_des = solve_priority_stack(jacobians, terms, model.n_dof, sigma_rel)
+    qdot_des = solve_priority_stack(jacobians, terms, model.n_dof)
     q_des = state.q + qdot_des * dt
     return qdot_des, q_des

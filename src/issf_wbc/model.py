@@ -14,8 +14,10 @@ With unit x offsets, a 2-link chain at q = 0 therefore ends at (2, 0, 0).
 Forward kinematics and point Jacobians run on plain Python floats: at
 n <= 7 numpy's per-call overhead costs more than the arithmetic.  The
 per-frame constants of a model are cached on first use (keyed weakly by the
-model, which is immutable); otherwise the functions are pure.  The
-rigid-body dynamics (mass matrix and bias forces) are in ``_fastdyn``.
+model, which is immutable); otherwise the functions are pure.  A pose is
+computed once and then read by every consumer: the point Jacobians here, the
+barriers in ``geometry``, IK, and the rigid-body dynamics (mass matrix and
+bias forces) in ``_fastdyn`` all take an ``FkResult``.
 """
 
 from __future__ import annotations
@@ -303,16 +305,13 @@ def _normal_jacobian(fk: FkResult, n_dof: int, link: int, point, normal) -> list
 
 def point_jacobian(
     model: RobotModel,
-    q: np.ndarray,
+    fk: FkResult,
     link_index: int,
     point_in_link: np.ndarray,
-    fk: FkResult | None = None,
 ) -> np.ndarray:
-    """3 x n_dof positional Jacobian of a point rigidly attached to a link."""
+    """3 x n_dof positional Jacobian of a point rigidly attached to a link, at pose ``fk``."""
     if not 0 <= link_index < model.n_dof:
         raise ModelError(f"link index {link_index} out of range")
-    if fk is None:
-        fk = forward_kinematics(model, q)
     return np.array(_jacobian_rows(fk, model.n_dof, link_index,
                                    fk._point(link_index, _xyz(point_in_link))))
 

@@ -31,6 +31,7 @@ import numpy as np
 from .geometry import (
     CollisionBody,
     DegenerateWitnessError,
+    WorkspacePair,
     body_pair_barrier,
     workspace_barrier,
 )
@@ -150,26 +151,16 @@ class Obstacle:
     velocity: np.ndarray
 
 
-@dataclass(frozen=True)
-class WorkspacePair:
-    name: str
-    link_a: int
-    point_a: np.ndarray
-    link_b: int
-    point_b: np.ndarray
-    d_max: float
-
-
 def collect_constraints(
     model: RobotModel,
     state: JointState,
+    fk: FkResult,
     obstacles: list[Obstacle],
     config: FilterConfig,
     pairs: list[tuple[CollisionBody, CollisionBody]],
     workspace_pairs: list[WorkspacePair] = (),
-    fk: FkResult | None = None,
 ) -> list[BarrierConstraint]:
-    """Assemble the barrier rows for the current state.
+    """Assemble the barrier rows for the current state, whose pose is ``fk``.
 
     Joint-limit and workspace rows are always emitted; collision rows only
     inside the activation distance.  Rows with a degenerate (coincident-
@@ -178,8 +169,6 @@ def collect_constraints(
     state.validate(model.n_dof)
     q = state.q
     n = model.n_dof
-    if fk is None:
-        fk = forward_kinematics(model, q)
     rows: list[BarrierConstraint] = []
 
     for i, joint in enumerate(model.joints):
@@ -208,7 +197,7 @@ def collect_constraints(
 
     for body_a, body_b in pairs:
         try:
-            h, grad, _ = body_pair_barrier(model, q, body_a, body_b, fk=fk)
+            h, grad, _ = body_pair_barrier(model, fk, body_a, body_b)
         except DegenerateWitnessError as exc:
             log.warning("dropping self-collision row: %s", exc)
             continue
@@ -230,7 +219,7 @@ def collect_constraints(
         vx, vy, vz = _xyz(obstacle.velocity)
         for body in model.collision_bodies:
             try:
-                h, grad, prox = body_pair_barrier(model, q, body, obstacle.body, fk=fk)
+                h, grad, prox = body_pair_barrier(model, fk, body, obstacle.body)
             except DegenerateWitnessError as exc:
                 log.warning("dropping object-collision row: %s", exc)
                 continue
@@ -252,10 +241,7 @@ def collect_constraints(
             )
 
     for pair in workspace_pairs:
-        h, grad = workspace_barrier(
-            model, q, (pair.link_a, pair.point_a), (pair.link_b, pair.point_b),
-            pair.d_max, fk=fk,
-        )
+        h, grad = workspace_barrier(fk, pair)
         rows.append(
             BarrierConstraint(
                 kind=BarrierKind.WORKSPACE,
@@ -352,18 +338,13 @@ class AccelConstraint:
 JOINT_LIMIT_KINDS = (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)
 
 
-def _gradient_at(
-    model: RobotModel, q: np.ndarray, fk: FkResult, row: BarrierConstraint
-) -> np.ndarray | None:
-    """Gradient of a geometric row's barrier at configuration q (None if undefined)."""
+def _gradient_at(model: RobotModel, fk: FkResult, row: BarrierConstraint) -> np.ndarray | None:
+    """Gradient of a geometric row's barrier at pose ``fk`` (None if undefined)."""
     geometry = row.geometry
     if isinstance(geometry, WorkspacePair):
-        return workspace_barrier(
-            model, q, (geometry.link_a, geometry.point_a),
-            (geometry.link_b, geometry.point_b), geometry.d_max, fk=fk,
-        )[1]
+        return workspace_barrier(fk, geometry)[1]
     try:
-        return body_pair_barrier(model, q, *geometry, fk=fk)[1]
+        return body_pair_barrier(model, fk, *geometry)[1]
     except DegenerateWitnessError:
         return None
 
@@ -386,17 +367,17 @@ def ecbf_rows(
     """
     qd = state.qd
     speed = float(np.linalg.norm(qd))
-    probes: list[tuple[np.ndarray, FkResult]] = []
+    probes: list[FkResult] = []
     if speed > 0.0 and any(c.kind not in JOINT_LIMIT_KINDS for c in rows):
         step = ECBF_FD_STEP * (qd / speed)
-        probes = [(q, forward_kinematics(model, q)) for q in (state.q + step, state.q - step)]
+        probes = [forward_kinematics(model, q) for q in (state.q + step, state.q - step)]
 
     out: list[AccelConstraint] = []
     for c in rows:
         if c.kind in JOINT_LIMIT_KINDS or speed == 0.0:
             curvature = 0.0
         else:
-            grad_plus, grad_minus = (_gradient_at(model, q, fk, c) for q, fk in probes)
+            grad_plus, grad_minus = (_gradient_at(model, fk, c) for fk in probes)
             if grad_plus is None or grad_minus is None:
                 log.warning("dropping eCBF row %s: gradient probe failed", c.pair)
                 continue

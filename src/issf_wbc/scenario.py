@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynwbc import DynWbcWeights
-from .geometry import CollisionBody
+from .geometry import CollisionBody, WorkspacePair
 from .kinwbc import Task
 from .model import RobotModel, load_robot
 from .safety import (
@@ -28,7 +28,6 @@ from .safety import (
     DEFAULT_EPSILON,
     FilterConfig,
     FilterMode,
-    WorkspacePair,
 )
 from .sim import Integrator, SimConfig, TorquePulse
 

@@ -9,6 +9,13 @@ estimated obstacles to a motor torque command:
     -> velocity safety filter -> reference acceleration
     -> eCBF rows (ecbf mode only) -> torque QP -> motor command
 
+The pose from the first stage is the only one a cycle computes outside ecbf
+mode: IK, the barrier rows and the torque QP's dynamics all read it, and only
+the two eCBF curvature probes pose the robot again.  The call to
+``forward_kinematics`` at the top of ``Controller.step`` is this module's
+only one (``perfbench`` counts cycles by it), so the plant and the initial
+gravity torque pose through ``_fk``.
+
 ``run_closed_loop`` is the plant loop that drives it at the control rate:
 sense the obstacles, step the controller, log the ground-truth barrier
 values, then hold the command over the physics substeps of the full-order
@@ -40,7 +47,7 @@ from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
-from .model import FkResult, JointState, RobotModel, forward_kinematics
+from .model import FkResult, JointState, RobotModel, _fk, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
     BarrierConstraint,
@@ -101,7 +108,7 @@ class SimConfig:
 
 def _accel(model: RobotModel, q: np.ndarray, qd: np.ndarray, tau: np.ndarray,
            gravity: np.ndarray) -> np.ndarray:
-    mass, bias = joint_dynamics(model, q, qd, gravity)
+    mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
     return np.linalg.solve(mass, tau - bias)
 
 
@@ -340,10 +347,7 @@ def _truth_barriers(model, q, fk, scenario, obstacle_truths, t) -> np.ndarray:
             prox = closest_points(pose_body(body, fk), pose_body(obs_body, fk))
             vals.append(prox.h)
     for pair in scenario.workspace_pairs:
-        vals.append(workspace_barrier_value(
-            model, q, (pair.link_a, pair.point_a), (pair.link_b, pair.point_b),
-            pair.d_max, fk=fk,
-        ))
+        vals.append(workspace_barrier_value(fk, pair))
     return np.array(vals)
 
 
@@ -379,8 +383,8 @@ class Controller:
         self.dyn_solver = QpSolver()
         self.filter_warm: np.ndarray | None = None
         self.dyn_warm: np.ndarray | None = None
-        self.tau_prev = joint_dynamics(model, scenario.q0, np.zeros(model.n_dof),
-                                       scenario.sim.gravity)[1]
+        self.tau_prev = joint_dynamics(model, FkResult(*_fk(model, scenario.q0)),
+                                       np.zeros(model.n_dof), scenario.sim.gravity)[1]
 
     def step(self, state: JointState, t: float,
              obstacles: list[Obstacle]) -> tuple[np.ndarray, CycleRecord]:
@@ -392,12 +396,12 @@ class Controller:
 
         tasks = [spec.task_at(t) for spec in scenario.tasks]
         if tasks:
-            qdot_des, _ = prioritized_ik(model, state, tasks, dt, fk=fk)
+            qdot_des, _ = prioritized_ik(model, state, fk, tasks, dt)
         else:
             qdot_des = np.zeros(model.n_dof)
 
-        rows = collect_constraints(model, state, obstacles, config,
-                                   scenario.collision_pairs, scenario.workspace_pairs, fk=fk)
+        rows = collect_constraints(model, state, fk, obstacles, config,
+                                   scenario.collision_pairs, scenario.workspace_pairs)
         filtered = filter_velocity(qdot_des, rows, config, self.filter_solver,
                                    warm_start=self.filter_warm)
         qdot_safe = self.filter_warm = filtered.qdot_safe
@@ -410,8 +414,9 @@ class Controller:
             extra_rows = ecbf_rows(model, state, rows)
             h_e_min = min((r.h_e for r in extra_rows), default=np.nan)
 
-        dyn = solve_dynwbc(model, state, qdd_safe, None, extra_rows, weights, self.tau_prev,
-                           self.dyn_solver, scenario.sim.gravity, warm_start=self.dyn_warm)
+        dyn = solve_dynwbc(model, state, fk, qdd_safe, None, extra_rows, weights,
+                           self.tau_prev, self.dyn_solver, scenario.sim.gravity,
+                           warm_start=self.dyn_warm)
         self.dyn_warm = dyn.solution.x
         self.tau_prev = dyn.tau_opt
         tau_cmd, clamped = motor_torque(dyn.tau_opt, q_safe, qdot_safe, state, weights,
@@ -491,10 +496,11 @@ def run_closed_loop(
                 ))
 
         q_before = state.q
-        for _ in range(cfg.substeps):
-            tau_ext = sum(
-                (p.at(state.t, n) for p in cfg.external_torque), np.zeros(n)
-            )
+        for j in range(cfg.substeps):
+            # Pulse windows are tested against the substep's exact time, not the
+            # accumulated state.t, whose rounding moves the window edges.
+            t_sub = t + j * cfg.dt_physics
+            tau_ext = sum((p.at(t_sub, n) for p in cfg.external_torque), np.zeros(n))
             state = step_physics(plant_model, state, tau_cmd + tau_ext, cfg.gravity,
                                  cfg.dt_physics, cfg.integrator)
         d_k = (state.q - q_before) / cfg.dt_control - qdot_safe

@@ -218,6 +218,7 @@ def test_criterion_4_qp_oracle_and_budget(rng):
 def test_criterion_5_geometry_oracle(rng):
     from issf_wbc.geometry import WorldSegment, body_pair_barrier, closest_points
     from issf_wbc.geometry import CollisionBody, DegenerateWitnessError
+    from issf_wbc.model import forward_kinematics
     from conftest import two_link_planar
 
     worst_h = 0.0
@@ -248,7 +249,7 @@ def test_criterion_5_geometry_oracle(rng):
         q = rng.uniform(-2.2, 2.2, 2)
         pair = (tip, cap) if checked % 2 else (tip, obs)
         try:
-            _, grad, prox = body_pair_barrier(model, q, *pair)
+            _, grad, prox = body_pair_barrier(model, forward_kinematics(model, q), *pair)
         except DegenerateWitnessError:
             continue
         fd = np.zeros(2)
@@ -257,8 +258,8 @@ def test_criterion_5_geometry_oracle(rng):
             qp, qm = q.copy(), q.copy()
             qp[k] += eps
             qm[k] -= eps
-            hp, _, proxp = body_pair_barrier(model, qp, *pair)
-            hm, _, proxm = body_pair_barrier(model, qm, *pair)
+            hp, _, proxp = body_pair_barrier(model, forward_kinematics(model, qp), *pair)
+            hm, _, proxm = body_pair_barrier(model, forward_kinematics(model, qm), *pair)
             if np.linalg.norm(np.subtract(proxp.point_b, proxm.point_b)) > 100 * eps:
                 switching = True
             fd[k] = (hp - hm) / (2 * eps)
@@ -308,7 +309,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
                                       obstacle_issf, obstacle_ref, out_root):
     from issf_wbc._fastdyn import joint_dynamics
     from issf_wbc.dynwbc import ContactBlock, DynWbcWeights, solve_dynwbc
-    from issf_wbc.model import JointState
+    from issf_wbc.model import JointState, forward_kinematics
     from conftest import random_chain
 
     gravity = np.array([0.0, 0.0, -9.81])
@@ -318,10 +319,11 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
         model = random_chain(rng, 4)
         state = JointState(q=rng.uniform(-1, 1, 4), qd=rng.uniform(-1, 1, 4))
         qdd_safe = rng.normal(size=4)
-        res = solve_dynwbc(model, state, qdd_safe, None, [],
+        fk = forward_kinematics(model, state.q)
+        res = solve_dynwbc(model, state, fk, qdd_safe, None, [],
                            DynWbcWeights(w_tau=0.0, w_M=0.0), np.zeros(4),
                            QpSolver(), gravity)
-        mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
+        mass, bias = joint_dynamics(model, fk, state.qd, gravity)
         worst_id = max(worst_id,
                        np.abs(res.qddot_opt - qdd_safe).max(),
                        np.abs(res.tau_opt - (mass @ qdd_safe + bias)).max())
@@ -335,9 +337,10 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     contact = ContactBlock(J_c=j_c, U=cone, F_c_des=np.array([1.0, -0.5, 30.0]))
     weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
     qdd_safe = rng.normal(size=6)
-    res = solve_dynwbc(model, state, qdd_safe, contact, [], weights, np.zeros(6),
+    fk = forward_kinematics(model, state.q)
+    res = solve_dynwbc(model, state, fk, qdd_safe, contact, [], weights, np.zeros(6),
                        QpSolver(), gravity)
-    mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
+    mass, bias = joint_dynamics(model, fk, state.qd, gravity)
     nz = 15
     H = np.zeros((nz, nz))
     H[:6, :6] = 2 * (weights.w_qdd * np.eye(6) + weights.w_M * mass)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from issf_wbc.geometry import (
     CollisionBody,
     DegenerateWitnessError,
+    WorkspacePair,
     WorldSegment,
     body_pair_barrier,
     closest_points,
@@ -27,6 +30,11 @@ def sphere(center, radius):
 def capsule(a, b, radius):
     return WorldSegment(a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
                         radius=radius)
+
+
+def ws_pair(point_a, point_b, d_max):
+    """A WorkspacePair from (link, point) tuples."""
+    return WorkspacePair("ws", point_a[0], point_a[1], point_b[0], point_b[1], d_max)
 
 
 def random_segment(rng, max_len=0.8):
@@ -194,7 +202,7 @@ class TestAgainstNumpyOracle:
                 q = rng.uniform(-3, 3, n)
                 fk = forward_kinematics(model, q)
                 for a, b in [(0, 1), (1, 2), (0, 3), (3, 2)]:
-                    h, grad, prox = body_pair_barrier(model, q, bodies[a], bodies[b], fk=fk)
+                    h, grad, prox = body_pair_barrier(model, fk, bodies[a], bodies[b])
                     h_ref, grad_ref, prox_ref = geometry_oracle.body_pair_barrier(
                         model, q, bodies[a], bodies[b])
                     assert h == pytest.approx(h_ref, rel=0.0, abs=1e-12)
@@ -213,7 +221,7 @@ class TestAgainstNumpyOracle:
             d_max = float(rng.uniform(0.05, 1.5))
             for _ in range(5):
                 q = rng.uniform(-3, 3, n)
-                h, grad = workspace_barrier(model, q, pa, pb, d_max)
+                h, grad = workspace_barrier(forward_kinematics(model, q), ws_pair(pa, pb, d_max))
                 h_ref, grad_ref = geometry_oracle.workspace_barrier(model, q, pa, pb, d_max)
                 assert h == pytest.approx(h_ref, rel=0.0, abs=1e-12)
                 np.testing.assert_allclose(grad, grad_ref, **CLOSE)
@@ -227,6 +235,9 @@ class TestBarrierJacobian:
         self.world = CollisionBody("obs", -1, 0.1, np.array([0.5, 0.3, 0.2]),
                                    np.array([0.6, 0.4, 0.2]))
 
+    def barrier(self, q, body_a, body_b):
+        return body_pair_barrier(self.model, forward_kinematics(self.model, q), body_a, body_b)
+
     def test_sign_pushes_away(self):
         # one-link arm, robot sphere at the tip, world sphere directly above:
         # moving the tip away from the obstacle must increase h
@@ -234,7 +245,7 @@ class TestBarrierJacobian:
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
         above = CollisionBody("obs", -1, 0.05, np.array([1.0, 0.3, 0.0]),
                               np.array([1.0, 0.3, 0.0]))
-        h, grad, _ = body_pair_barrier(model, np.zeros(2), tip, above)
+        h, grad, _ = body_pair_barrier(model, forward_kinematics(model, np.zeros(2)), tip, above)
         # positive qd on joint 0 moves the tip toward +y (toward the obstacle)
         assert grad @ np.array([1.0, 0.0]) < 0.0
         assert grad @ np.array([-1.0, 0.0]) > 0.0
@@ -243,7 +254,7 @@ class TestBarrierJacobian:
         b1 = CollisionBody("b1", 0, 0.02, np.array([-0.3, 0.1, 0.0]), np.array([-0.3, 0.1, 0.0]))
         b2 = CollisionBody("b2", 0, 0.02, np.array([-0.1, -0.2, 0.0]), np.array([-0.1, -0.2, 0.0]))
         for _ in range(10):
-            _, grad, _ = body_pair_barrier(self.model, rng.uniform(-2, 2, 2), b1, b2)
+            _, grad, _ = self.barrier(rng.uniform(-2, 2, 2), b1, b2)
             np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("pair_name", ["world", "self"])
@@ -255,7 +266,7 @@ class TestBarrierJacobian:
         while checked < 60:
             q = rng.uniform(-2.2, 2.2, 2)
             try:
-                _, grad, prox = body_pair_barrier(self.model, q, *pair)
+                _, grad, prox = self.barrier(q, *pair)
             except DegenerateWitnessError:
                 continue
             fd = np.zeros(2)
@@ -264,8 +275,8 @@ class TestBarrierJacobian:
                 qp, qm = q.copy(), q.copy()
                 qp[k] += eps
                 qm[k] -= eps
-                hp, _, proxp = body_pair_barrier(self.model, qp, *pair)
-                hm, _, proxm = body_pair_barrier(self.model, qm, *pair)
+                hp, _, proxp = self.barrier(qp, *pair)
+                hm, _, proxm = self.barrier(qm, *pair)
                 # exclude witness-point switching events (capsule end <-> interior)
                 if (np.linalg.norm(np.subtract(proxp.point_b, proxm.point_b)) > 100 * eps
                         and np.linalg.norm(np.subtract(prox.point_a, prox.point_b)) > 1e-6):
@@ -280,7 +291,7 @@ class TestBarrierJacobian:
 
     def test_world_world_rejected(self):
         with pytest.raises(ValueError):
-            body_pair_barrier(self.model, np.zeros(2), self.world, self.world)
+            self.barrier(np.zeros(2), self.world, self.world)
 
     def test_degenerate_raises(self):
         # obstacle centered exactly on the tip
@@ -288,51 +299,53 @@ class TestBarrierJacobian:
         tip_pos = fk.link_point(1, np.zeros(3))
         ghost = CollisionBody("ghost", -1, 0.2, tip_pos, tip_pos)
         with pytest.raises(DegenerateWitnessError):
-            body_pair_barrier(self.model, np.zeros(2), self.tip, ghost)
+            self.barrier(np.zeros(2), self.tip, ghost)
 
 
 class TestWorkspaceBarrier:
     def test_stretched_arm_at_bound(self):
         model = two_link_planar(0.31, 0.31)
-        h, _ = workspace_barrier(model, np.zeros(2), (1, np.zeros(3)),
-                                 (0, np.array([-0.31, 0.0, 0.0])), 0.62)
+        h, _ = workspace_barrier(forward_kinematics(model, np.zeros(2)),
+                                 ws_pair((1, np.zeros(3)), (0, np.array([-0.31, 0.0, 0.0])), 0.62))
         assert h == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_substitution(self):
         model = two_link_planar()
-        h, grad = workspace_barrier(model, np.zeros(2), (0, np.array([0.1, 0.0, 0.0])),
-                                    (0, np.zeros(3)), 0.62)
+        h, grad = workspace_barrier(forward_kinematics(model, np.zeros(2)),
+                                    ws_pair((0, np.array([0.1, 0.0, 0.0])), (0, np.zeros(3)), 0.62))
         assert h == pytest.approx(0.52)
 
     def test_coincident_points_interior(self):
         model = two_link_planar()
-        h, grad = workspace_barrier(model, np.zeros(2), (1, np.zeros(3)), (1, np.zeros(3)), 0.62)
+        h, grad = workspace_barrier(forward_kinematics(model, np.zeros(2)),
+                                    ws_pair((1, np.zeros(3)), (1, np.zeros(3)), 0.62))
         assert h == pytest.approx(0.62)
         np.testing.assert_allclose(grad, 0.0)
 
     def test_matches_finite_differences(self, rng):
         model = two_link_planar(0.4, 0.35)
-        pa, pb = (1, np.zeros(3)), (0, np.array([-0.4, 0.0, 0.0]))
+        pair = ws_pair((1, np.zeros(3)), (0, np.array([-0.4, 0.0, 0.0])), 0.7)
         eps = 1e-6
         worst = 0.0
         for _ in range(60):
             q = rng.uniform(-2.5, 2.5, 2)
-            _, grad = workspace_barrier(model, q, pa, pb, 0.7)
+            _, grad = workspace_barrier(forward_kinematics(model, q), pair)
             fd = np.zeros(2)
             for k in range(2):
                 qp, qm = q.copy(), q.copy()
                 qp[k] += eps
                 qm[k] -= eps
-                fd[k] = (workspace_barrier(model, qp, pa, pb, 0.7)[0]
-                         - workspace_barrier(model, qm, pa, pb, 0.7)[0]) / (2 * eps)
+                fd[k] = (workspace_barrier(forward_kinematics(model, qp), pair)[0]
+                         - workspace_barrier(forward_kinematics(model, qm), pair)[0]) / (2 * eps)
             scale = max(1.0, np.abs(fd).max())
             worst = max(worst, np.abs(grad - fd).max() / scale)
         assert worst < 1e-5
 
     def test_rejects_nonpositive_dmax(self):
-        with pytest.raises(ValueError):
-            workspace_barrier(two_link_planar(), np.zeros(2), (1, np.zeros(3)),
-                              (0, np.zeros(3)), 0.0)
+        # the bound is checked once, when the pair is built
+        for d_max in (0.0, -0.1):
+            with pytest.raises(ValueError, match="d_max"):
+                ws_pair((1, np.zeros(3)), (0, np.zeros(3)), d_max)
 
 
 class TestWorkspaceBarrierValue:
@@ -348,26 +361,28 @@ class TestWorkspaceBarrierValue:
             for _ in range(5):
                 q = rng.uniform(-3, 3, n)
                 fk = forward_kinematics(model, q)
-                h, _ = workspace_barrier(model, q, pa, pb, d_max, fk=fk)
-                assert workspace_barrier_value(model, q, pa, pb, d_max, fk=fk) == h
-                assert workspace_barrier_value(model, q, pa, pb, d_max) == h
+                pair = ws_pair(pa, pb, d_max)
+                h, _ = workspace_barrier(fk, pair)
+                assert workspace_barrier_value(fk, pair) == h
 
     def test_coincident_points_return_d_max(self):
         model = two_link_planar()
+        coincident = ws_pair((1, np.zeros(3)), (1, np.zeros(3)), 0.62)
         for q in (np.zeros(2), np.array([0.3, -1.2])):
-            h, _ = workspace_barrier(model, q, (1, np.zeros(3)), (1, np.zeros(3)), 0.62)
-            value = workspace_barrier_value(model, q, (1, np.zeros(3)), (1, np.zeros(3)), 0.62)
-            assert value == h == 0.62
+            fk = forward_kinematics(model, q)
+            h, _ = workspace_barrier(fk, coincident)
+            assert workspace_barrier_value(fk, coincident) == h == 0.62
             # Within DEGENERATE_DISTANCE the value is still d_max exactly.
-            near = workspace_barrier_value(model, q, (1, np.zeros(3)),
-                                           (1, np.array([1e-10, 0.0, 0.0])), 0.62)
-            assert near == 0.62
+            near = ws_pair((1, np.zeros(3)), (1, np.array([1e-10, 0.0, 0.0])), 0.62)
+            assert workspace_barrier_value(fk, near) == 0.62
 
     def test_rejects_nonpositive_dmax(self):
+        # no pair with d_max <= 0 reaches workspace_barrier_value: editing a
+        # valid pair's bound goes through the same construction check
+        valid = ws_pair((1, np.zeros(3)), (0, np.zeros(3)), 0.62)
         for d_max in (0.0, -0.1):
             with pytest.raises(ValueError, match="d_max"):
-                workspace_barrier_value(two_link_planar(), np.zeros(2), (1, np.zeros(3)),
-                                        (0, np.zeros(3)), d_max)
+                dataclasses.replace(valid, d_max=d_max)
 
 
 def test_pose_body_world_passthrough():

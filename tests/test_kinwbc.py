@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from issf_wbc.kinwbc import Task, prioritized_ik, solve_priority_stack, truncated_pinv
-from issf_wbc.model import JointState
+from issf_wbc.model import JointState, forward_kinematics, point_jacobian
 
 from conftest import random_chain, two_link_planar
 
@@ -14,7 +14,8 @@ class TestRecursion:
         xd = np.array([0.3, -0.7])
         task = Task(priority=1, target=np.zeros(2), feedforward=xd, gain=0.0,
                     joint_indices=(0, 1))
-        qdot, q_des = prioritized_ik(model, state, [task], dt=5e-4)
+        qdot, q_des = prioritized_ik(model, state, forward_kinematics(model, state.q), [task],
+                                     dt=5e-4)
         np.testing.assert_allclose(qdot, xd, atol=1e-12)
         np.testing.assert_allclose(q_des, state.q + xd * 5e-4, atol=1e-15)
 
@@ -35,9 +36,9 @@ class TestRecursion:
         xd = np.array([1.0, 0.0, 0.0])   # outward at the singularity
         task = Task(priority=1, target=np.array([0.8, 0.0, 0.0]), feedforward=xd,
                     gain=0.0, link=1)
-        qdot, _ = prioritized_ik(model, state, [task], dt=5e-4, sigma_rel=1e-4)
-        from issf_wbc.model import point_jacobian
-        jac = point_jacobian(model, np.zeros(2), 1, np.zeros(3))
+        fk = forward_kinematics(model, state.q)
+        qdot, _ = prioritized_ik(model, state, fk, [task], dt=5e-4)
+        jac = point_jacobian(model, fk, 1, np.zeros(3))
         sigma_max = np.linalg.svd(jac, compute_uv=False)[0]
         assert np.linalg.norm(qdot) <= np.linalg.norm(xd) / (1e-4 * sigma_max) + 1e-9
 
@@ -47,7 +48,7 @@ class TestRecursion:
         tasks = [Task(priority=1, target=np.zeros(2), joint_indices=(0, 1)),
                  Task(priority=1, target=np.zeros(1), joint_indices=(0,))]
         with pytest.raises(ValueError, match="priority"):
-            prioritized_ik(model, state, tasks, dt=1e-3)
+            prioritized_ik(model, state, forward_kinematics(model, state.q), tasks, dt=1e-3)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -125,12 +126,11 @@ def test_point_task_tracks_target_direction(rng):
     model = random_chain(rng, 4, planar=False)
     q = rng.uniform(-1, 1, 4)
     state = JointState(q=q, qd=np.zeros(4))
-    from issf_wbc.model import forward_kinematics
-    current = forward_kinematics(model, q).link_point(3, np.zeros(3))
+    fk = forward_kinematics(model, q)
+    current = fk.link_point(3, np.zeros(3))
     target = current + np.array([0.05, -0.02, 0.04])
     task = Task(priority=1, target=target, gain=5.0, link=3)
-    qdot, _ = prioritized_ik(model, state, [task], dt=5e-4)
-    from issf_wbc.model import point_jacobian
-    jac = point_jacobian(model, q, 3, np.zeros(3))
+    qdot, _ = prioritized_ik(model, state, fk, [task], dt=5e-4)
+    jac = point_jacobian(model, fk, 3, np.zeros(3))
     # realized task velocity points toward the target
     assert (jac @ qdot) @ (target - current) > 0.0

@@ -54,18 +54,20 @@ class TestForwardKinematics:
 
 class TestPointJacobian:
     def test_single_joint_about_z(self):
-        jac = point_jacobian(unit_chain(1), np.zeros(1), 0, np.array([0.0, 0.0, 0.0]))
+        model = unit_chain(1)
+        jac = point_jacobian(model, forward_kinematics(model, np.zeros(1)), 0, np.zeros(3))
         # frame origin sits at (1,0,0): column is z x p
         np.testing.assert_allclose(jac[:, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_point_on_axis_zero_column(self):
         model = unit_chain(1, offset=(0.0, 0.0, 0.0))
-        jac = point_jacobian(model, np.array([0.7]), 0, np.zeros(3))
+        jac = point_jacobian(model, forward_kinematics(model, np.array([0.7])), 0, np.zeros(3))
         np.testing.assert_allclose(jac, 0.0, atol=1e-12)
 
     def test_invalid_link_index(self):
+        model = unit_chain(1)
         with pytest.raises(ModelError):
-            point_jacobian(unit_chain(1), np.zeros(1), 3, np.zeros(3))
+            point_jacobian(model, forward_kinematics(model, np.zeros(1)), 3, np.zeros(3))
 
     def test_matches_finite_differences(self, rng):
         # 100 random (model, q, point) samples, central differences, step 1e-6
@@ -76,7 +78,7 @@ class TestPointJacobian:
                 q = rng.uniform(-2, 2, model.n_dof)
                 link = int(rng.integers(0, model.n_dof))
                 point = rng.uniform(-0.4, 0.4, 3)
-                jac = point_jacobian(model, q, link, point)
+                jac = point_jacobian(model, forward_kinematics(model, q), link, point)
                 fd = np.zeros((3, model.n_dof))
                 eps = 1e-6
                 for k in range(model.n_dof):
@@ -99,7 +101,7 @@ class TestPointJacobian:
             fk = forward_kinematics(model, q)
             for link in range(model.n_dof):
                 point = rng.uniform(-0.4, 0.4, 3)
-                jac = point_jacobian(model, q, link, point, fk=fk)
+                jac = point_jacobian(model, fk, link, point)
                 p = fk.link_point(link, point)
                 for j in range(model.n_dof):
                     expected = (np.cross(fk.joint_axis[j], p - fk.joint_origin[j])
@@ -124,12 +126,9 @@ class TestAgainstNumpyKinematics:
             np.testing.assert_allclose(fk.link_point(link, point),
                                        ref.link_point(link, point), **self.close)
             np.testing.assert_allclose(
-                point_jacobian(model, q, link, point, fk=fk),
+                point_jacobian(model, fk, link, point),
                 kinematics_oracle.point_jacobian(model, q, link, point, fk=ref),
                 **self.close)
-            np.testing.assert_allclose(
-                point_jacobian(model, q, link, point),
-                kinematics_oracle.point_jacobian(model, q, link, point), **self.close)
 
     def test_random_chains_n1_to_7(self, rng):
         # 210 chains with random axes and non-identity origin rotations.
@@ -201,7 +200,7 @@ class TestDynamics:
         e0 = kinetic_energy(model, q, qd) + potential_energy(model, q, GRAVITY)
         work = 0.0
         for _ in range(steps):
-            mm, h = joint_dynamics(model, q, qd, GRAVITY)
+            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, GRAVITY)
             qdd = np.linalg.solve(mm, tau - h)
             work += float(qd @ tau) * dt + 0.5 * float(qdd @ tau) * dt * dt
             q = q + qd * dt + 0.5 * qdd * dt * dt
@@ -215,7 +214,7 @@ class TestDynamics:
             q = rng.uniform(-2, 2, model.n_dof)
             qd = rng.uniform(-3, 3, model.n_dof)
             g = rng.normal(size=3) * 4
-            mm, h = joint_dynamics(model, q, qd, g)
+            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, g)
             np.testing.assert_allclose(mm, mass_matrix(model, q), atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, g), atol=1e-12)
 
@@ -225,7 +224,7 @@ class TestDynamics:
         for _ in range(5):
             q = rng.uniform(-2, 2, 4)
             qd = rng.uniform(-3, 3, 4)
-            mm, h = joint_dynamics(model, q, qd, GRAVITY)
+            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, GRAVITY)
             np.testing.assert_allclose(mm, mass_matrix(model, q), rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, GRAVITY),
                                        rtol=0.0, atol=1e-12)

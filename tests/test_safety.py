@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from issf_wbc.geometry import CollisionBody
+from issf_wbc.geometry import CollisionBody, WorkspacePair
 from issf_wbc.kinwbc import Task, prioritized_ik
 from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
@@ -17,13 +17,17 @@ from issf_wbc.safety import (
     FilterInfeasibleError,
     FilterMode,
     Obstacle,
-    WorkspacePair,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
 )
 
 from conftest import enumerate_qp, random_chain, two_link_planar
+
+
+def collect(model, state, *args):
+    """collect_constraints at the pose of ``state``."""
+    return collect_constraints(model, state, forward_kinematics(model, state.q), *args)
 
 
 def jl_row(h, alpha=10.0, epsilon=10.0, n=1, idx=0, sign=1.0):
@@ -47,8 +51,7 @@ class TestCollect:
         model = m.RobotModel("one", (link,), (joint,))
         config = FilterConfig(alpha={k: 10.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
-        rows = collect_constraints(model, JointState(q=np.array([0.5]), qd=np.zeros(1)),
-                                   [], config, [])
+        rows = collect(model, JointState(q=np.array([0.5]), qd=np.zeros(1)), [], config, [])
         row_min = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MIN)
         row_max = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MAX)
         np.testing.assert_allclose(row_min.grad, [1.0])
@@ -64,7 +67,7 @@ class TestCollect:
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
         far = CollisionBody("far", -1, 0.1, np.array([5.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0]))
         base = CollisionBody("base", 0, 0.04, np.array([-0.5, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0]))
-        rows = collect_constraints(
+        rows = collect(
             model, JointState(q=np.zeros(2), qd=np.zeros(2)),
             [Obstacle(body=far, velocity=np.zeros(3))], FilterConfig(),
             [(tip, base)],
@@ -80,7 +83,7 @@ class TestCollect:
         model = two_link_planar(0.5, 0.5, bodies=[tip])
         obstacle_body = CollisionBody("ball", -1, 0.1, np.array([1.0, 0.25, 0.0]),
                                       np.array([1.0, 0.25, 0.0]))
-        rows = collect_constraints(
+        rows = collect(
             model, JointState(q=np.zeros(2), qd=np.zeros(2)),
             [Obstacle(body=obstacle_body, velocity=np.array([0.0, -1.0, 0.0]))],
             FilterConfig(), [],
@@ -88,7 +91,7 @@ class TestCollect:
         object_rows = [r for r in rows if r.kind is BarrierKind.OBJECT_COLLISION]
         assert len(object_rows) == 1
         assert object_rows[0].drift == pytest.approx(1.0, abs=1e-9)
-        stationary = collect_constraints(
+        stationary = collect(
             model, JointState(q=np.zeros(2), qd=np.zeros(2)),
             [Obstacle(body=obstacle_body, velocity=np.zeros(3))], FilterConfig(), [],
         )
@@ -98,8 +101,8 @@ class TestCollect:
     def test_workspace_rows_always_emitted(self):
         model = two_link_planar(0.31, 0.31)
         pair = WorkspacePair("reach", 1, np.zeros(3), 0, np.array([-0.31, 0.0, 0.0]), 0.62)
-        rows = collect_constraints(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
-                                   [], FilterConfig(), [], [pair])
+        rows = collect(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
+                       [], FilterConfig(), [], [pair])
         ws = [r for r in rows if r.kind is BarrierKind.WORKSPACE]
         assert len(ws) == 1
         assert ws[0].h == pytest.approx(0.0, abs=1e-12)
@@ -111,9 +114,8 @@ class TestCollect:
         ghost = CollisionBody("ghost", -1, 0.2, fk.link_point(1, np.zeros(3)),
                               fk.link_point(1, np.zeros(3)))
         with caplog.at_level("WARNING", logger="issf_wbc.safety"):
-            rows = collect_constraints(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
-                                       [Obstacle(body=ghost, velocity=np.zeros(3))],
-                                       FilterConfig(), [])
+            rows = collect(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
+                           [Obstacle(body=ghost, velocity=np.zeros(3))], FilterConfig(), [])
         assert not any(r.kind is BarrierKind.OBJECT_COLLISION for r in rows)
         assert any("dropping" in rec.message for rec in caplog.records)
 
@@ -216,8 +218,9 @@ class TestFilter:
         for step in range(1200):
             state = JointState(q=q, qd=np.zeros(2))
             task = Task(priority=1, target=target, gain=5.0, link=1)
-            qdot_des, _ = prioritized_ik(model, state, [task], dt)
-            rows = collect_constraints(model, state, [], config, [(tip, base)])
+            fk = forward_kinematics(model, q)
+            qdot_des, _ = prioritized_ik(model, state, fk, [task], dt)
+            rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
             result = filter_velocity(qdot_des, rows, config, solver)
             for row in rows:
                 key = (row.kind, row.pair)
@@ -242,8 +245,9 @@ class TestFilter:
             for step in range(1500):
                 state = JointState(q=q, qd=np.zeros(2))
                 task = Task(priority=1, target=np.array([0.05, 0.0, 0.02]), gain=5.0, link=1)
-                qdot_des, _ = prioritized_ik(model, state, [task], dt)
-                rows = collect_constraints(model, state, [], config, [(tip, base)])
+                fk = forward_kinematics(model, q)
+                qdot_des, _ = prioritized_ik(model, state, fk, [task], dt)
+                rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
                 result = filter_velocity(qdot_des, rows, config, solver)
                 h_min = min(h_min, min(r.h for r in rows
                                        if r.kind is BarrierKind.SELF_COLLISION))
@@ -264,7 +268,7 @@ class TestEcbf:
                               alpha={k: 5.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
         state = JointState(q=np.array([0.4]), qd=np.zeros(1))
-        rows = ecbf_rows(model, state, collect_constraints(model, state, [], config, []))
+        rows = ecbf_rows(model, state, collect(model, state, [], config, []))
         row = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MIN)
         assert row.h_e == pytest.approx(5.0 * 0.4)
         np.testing.assert_allclose(row.grad, [1.0])
@@ -302,11 +306,15 @@ class TestEcbf:
         base = CollisionBody("base", 0, 0.05, np.array([-0.4, 0.0, 0.0]), np.zeros(3))
         config = FilterConfig(mode=FilterMode.ECBF)
         from issf_wbc.geometry import body_pair_barrier
+
+        def barrier(qq):
+            return body_pair_barrier(model, forward_kinematics(model, qq), tip, base)
+
         for _ in range(10):
             q = rng.uniform(0.5, 1.5, 2)
             qd = rng.normal(size=2)
             state = JointState(q=q, qd=qd)
-            collected = collect_constraints(model, state, [], config, [(tip, base)])
+            collected = collect(model, state, [], config, [(tip, base)])
             rows = [r for r in ecbf_rows(model, state, collected)
                     if r.kind is BarrierKind.SELF_COLLISION]
             if not rows:
@@ -315,9 +323,9 @@ class TestEcbf:
             # hd(q, qd) by finite differences of h along qd, with qdd = 0:
             # hdd = curvature only; reconstruct from the row rhs definition
             eps = 1e-5
-            h0, g0, _ = body_pair_barrier(model, q, tip, base)
-            hp, gp, _ = body_pair_barrier(model, q + eps * qd, tip, base)
-            hm, gm, _ = body_pair_barrier(model, q - eps * qd, tip, base)
+            h0, g0, _ = barrier(q)
+            hp, _, _ = barrier(q + eps * qd)
+            hm, _, _ = barrier(q - eps * qd)
             hdd_fd = (hp - 2 * h0 + hm) / eps**2     # = qd' d(grad)/dq qd
             alpha = config.alpha[BarrierKind.SELF_COLLISION]
             h_e = float(g0 @ qd) + alpha * h0
@@ -330,7 +338,7 @@ def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=
     """Reference eCBF rows: re-collects every barrier row at the state and at
     q +- fd_step qd/|qd| with unlimited activation distance, and takes each
     row's curvature from the gradients of the same (kind, pair) there."""
-    rows = collect_constraints(model, state, obstacles, config, pairs, workspace_pairs)
+    rows = collect(model, state, obstacles, config, pairs, workspace_pairs)
     qd = state.qd
     speed = float(np.linalg.norm(qd))
     grad_plus, grad_minus = {}, {}
@@ -339,8 +347,7 @@ def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=
         wide = replace(config, activation_distance=math.inf)
         for sign, store in ((1.0, grad_plus), (-1.0, grad_minus)):
             probe = JointState(q=state.q + sign * fd_step * unit, qd=qd, t=state.t)
-            for c in collect_constraints(model, probe, obstacles, wide, pairs,
-                                         workspace_pairs):
+            for c in collect(model, probe, obstacles, wide, pairs, workspace_pairs):
                 store[(c.kind, c.pair)] = c.grad
     out = []
     for c in rows:
@@ -398,8 +405,7 @@ class TestEcbfAgainstRecollect:
                 q = rng.uniform(-2.0, 2.0, n)
                 qd = rng.normal(size=n) if trial % 4 else np.zeros(n)
                 state = JointState(q=q, qd=qd)
-                collected = collect_constraints(model, state, obstacles, config, pairs,
-                                                workspace, fk=forward_kinematics(model, q))
+                collected = collect(model, state, obstacles, config, pairs, workspace)
                 rows = ecbf_rows(model, state, collected)
                 expected = ecbf_rows_recollect(model, state, obstacles, config, pairs,
                                                workspace)
@@ -422,7 +428,7 @@ class TestEcbfAgainstRecollect:
         ball = CollisionBody("ball", -1, 0.1, centre, centre)
         obstacles = [Obstacle(body=ball, velocity=np.array([0.1, 0.0, 0.0]))]
         config = FilterConfig(mode=FilterMode.ECBF)
-        collected = collect_constraints(model, state, obstacles, config, [])
+        collected = collect(model, state, obstacles, config, [])
         assert any(c.pair == "tip|ball" for c in collected)
         with caplog.at_level("WARNING", logger="issf_wbc.safety"):
             rows = ecbf_rows(model, state, collected)

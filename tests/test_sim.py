@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,15 @@ from issf_wbc.model import (
     RobotModel,
     scale_link_masses,
 )
-from issf_wbc.safety import FilterConfig, FilterMode
-from issf_wbc.scenario import ObstacleSpec, Scenario, TaskSpec, WaypointSpline
+from issf_wbc.safety import FilterConfig, FilterMode, Obstacle
+from issf_wbc.scenario import (
+    ObstacleSpec,
+    Scenario,
+    TaskSpec,
+    WaypointSpline,
+    data_path,
+    load_scenario,
+)
 from issf_wbc.sim import (
     ConstantVelocityKalman,
     Controller,
@@ -295,6 +303,25 @@ class TestClosedLoop:
         t_kicked = run_closed_loop(model, model, kicked)
         assert t_kicked.final_dbar() > t_quiet.final_dbar()
 
+    def test_pulse_applied_on_exactly_its_window(self, monkeypatch):
+        # [1e-4, 25e-4) at dt_physics 1e-4 holds substeps 1..24.  The time
+        # accumulated by summing dt_physics reads 0.0024999999999999996 at
+        # substep 25, so a window tested against it takes one substep too many.
+        model = two_link_planar(0.4, 0.4)
+        pulse = TorquePulse(start=1e-4, end=25e-4, torque=np.array([2.0, 0.0]))
+        applied = []
+        original = TorquePulse.at
+
+        def at(self, t, n):
+            tau = original(self, t, n)
+            applied.append(tau is self.torque)
+            return tau
+
+        monkeypatch.setattr(TorquePulse, "at", at)
+        run_closed_loop(model, model, mini_scenario(model, 0.005, pulses=[pulse]))
+        assert len(applied) == 50
+        assert [i for i, on in enumerate(applied) if on] == list(range(1, 25))
+
     def test_ecbf_mode_keeps_extended_barrier_nonnegative(self):
         # exact dynamics (no mismatch, no motor PD), fine dt: h_e >= -1e-4
         model = two_link_planar(0.4, 0.4)
@@ -358,6 +385,32 @@ class TestController:
                 assert not np.array_equal(trace.qdot_safe, trace.qdot_des)
             else:
                 assert np.isfinite(trace.h_e_min).all()
+
+    def test_one_pose_per_step(self, monkeypatch):
+        # IK, the barrier rows and the torque QP's dynamics share the step's
+        # pose; only ecbf mode poses the robot again, once per curvature probe.
+        from issf_wbc import model as model_module
+        original = model_module._fk
+        calls = []
+
+        def counted(model, q):
+            calls.append(1)
+            return original(model, q)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("issf_wbc") and getattr(module, "_fk", None) is original:
+                monkeypatch.setattr(module, "_fk", counted)
+        for name in ("hand_track.scenario", "obstacle_track.scenario"):
+            scenario = load_scenario(data_path(name))
+            model = scenario.robot
+            obstacles = [Obstacle(body=spec.body, velocity=spec.velocity)
+                         for spec in scenario.obstacles]
+            state = JointState(q=scenario.q0, qd=np.full(model.n_dof, 0.1))
+            for mode in FilterMode:
+                controller = Controller(model, scenario, mode)
+                calls.clear()
+                controller.step(state, 0.0, obstacles)
+                assert len(calls) == (3 if mode is FilterMode.ECBF else 1), (name, mode)
 
 
 def config_kinds():
