@@ -1,4 +1,4 @@
-"""Micro-benchmark of the kinematics, geometry and dynamics kernels.
+"""Micro-benchmark of the kinematics, geometry, dynamics and QP kernels.
 
     python3 benchmarks/kernels.py [--repeat 7] [--seconds 0.2]
 
@@ -10,11 +10,15 @@ scenarios (``hand_track``: 3-DoF ``planar3``; ``obstacle_track``: 7-DoF
 - ``point_jacobian`` of the last link's collision body, given the FK;
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
-- ``joint_dynamics`` (mass matrix and bias forces), given the FK.
+- ``joint_dynamics`` (mass matrix and bias forces), given the FK;
+- ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
+  filter QP and of the torque QP of the scenario's first control cycle, in
+  its own filter mode, with each obstacle at its initial pose and velocity.
 
 Every kernel after the first takes the pose as an argument, so no row
 includes the cost of FK: the ``joint_dynamics`` row now excludes it, as the
-torque QP reuses its control cycle's pose.
+torque QP reuses its control cycle's pose.  Each timed run makes as many
+calls as one call's time fits into ``--seconds``.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -33,10 +37,32 @@ import numpy as np  # noqa: E402
 
 from issf_wbc._fastdyn import joint_dynamics  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
-from issf_wbc.model import forward_kinematics, point_jacobian  # noqa: E402
+from issf_wbc.model import JointState, forward_kinematics, point_jacobian  # noqa: E402
+from issf_wbc.qpsolver import QpSolver  # noqa: E402
+from issf_wbc.safety import Obstacle  # noqa: E402
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
+from issf_wbc.sim import Controller  # noqa: E402
 
 SCENARIOS = ("hand_track.scenario", "obstacle_track.scenario")
+
+
+class _KeepProblem(QpSolver):
+    """A solver that keeps the last problem it was given."""
+
+    def solve(self, problem, warm_start=None):
+        self.problem = problem
+        return super().solve(problem, warm_start)
+
+
+def first_cycle_problems(scenario):
+    """The filter QP and the torque QP of the scenario's first control cycle."""
+    controller = Controller(scenario.robot, scenario)
+    controller.filter_solver, controller.dyn_solver = _KeepProblem(), _KeepProblem()
+    state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
+    obstacles = [Obstacle(body=spec.body, velocity=spec.velocity)
+                 for spec in scenario.obstacles]
+    controller.step(state, 0.0, obstacles)
+    return controller.filter_solver.problem, controller.dyn_solver.problem
 
 
 def kernels(scenario) -> dict[str, callable]:
@@ -48,19 +74,22 @@ def kernels(scenario) -> dict[str, callable]:
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
     tip = model.collision_bodies[-1]
+    filter_qp, torque_qp = first_cycle_problems(scenario)
+    solver = QpSolver()
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
         "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
+        "filter_qp": lambda: solver.solve(filter_qp),
+        "torque_qp": lambda: solver.solve(torque_qp),
     }
 
 
 def us_per_call(fn, repeat: int, seconds: float) -> float:
     timer = timeit.Timer(fn)
-    number, elapsed = timer.autorange()
-    number = max(1, int(number * seconds / elapsed))
+    number = max(1, int(seconds / timer.timeit(number=1)))
     return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
 
 

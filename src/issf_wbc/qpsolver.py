@@ -8,30 +8,58 @@ Solves
 for small dense problems (n up to ~40, a few dozen rows), the shape of both
 the velocity-level safety filter and the torque-level controller QPs.
 
-The iteration is Goldfarb–Idnani style: start from the unconstrained
-optimum, pick the most violated inequality, and take the smaller of the full
-primal step (which makes it active) and the partial dual step (which drops
-the blocking working row), keeping all working-set multipliers nonnegative
-throughout.  The dual objective is nondecreasing, so termination is exact
-for strictly convex problems.  Infeasibility is certified when the incoming
-row's normal lies in the span of the working rows with no droppable
-blocker.  Each step refactorizes one dense KKT system instead of updating a
-Cholesky factor; at these sizes a solve is tens of microseconds, well inside
-a 2 kHz budget.  All ties break toward the lowest row index, so results are
-deterministic, and a warm-started re-solve of an unchanged problem finishes
-in one iteration.
+The iteration is Goldfarb and Idnani's (Math. Programming 27, 1983): start
+from the unconstrained optimum, pick the most violated inequality, and take
+the smaller of the full primal step (which makes it active) and the partial
+dual step (which drops the blocking working row), keeping all working-set
+multipliers nonnegative throughout.  The dual objective is nondecreasing, so
+termination is exact for strictly convex problems.  Infeasibility is
+certified when the incoming row's normal lies in the span of the working
+rows with no droppable blocker.
+
+H is Cholesky-factored once per solve, H = L L^T, and a row a enters the
+arithmetic as v = L^-1 a, computed the first time the row is needed.  The
+working rows' vectors are kept orthogonalized, V_W = R Q^T with orthonormal
+q_i: R is the Cholesky factor of the k x k Gram matrix A_W H^-1 A_W^T,
+obtained without forming that matrix, so its conditioning is not squared.
+R gains a row when a row enters W and is rebuilt from the dropped position
+on when one leaves.  A step splits the incoming row against the q_i
+(O(kn)), solves one k x k triangular system for the multiplier rates and
+one triangular system with L for the primal step.  The norm of the split's
+residual is the incoming row's pivot in R, and its square is the step's
+slope: a row is independent of W when that exceeds DEP_TOL, and warm-start
+rows are seeded in index order by the same test.  The arithmetic runs on
+Python floats, which at these sizes costs less than numpy's per-call
+overhead; the m x n products with A stay in numpy.
+
+All ties break toward the lowest row index, so results are deterministic,
+and a warm-started re-solve of an unchanged problem finishes in one
+iteration.  Every solve validates its data, checks strict convexity, lets
+only the first of a set of byte-identical rows enter the working set, and
+certifies an optimal x by its KKT residual over all of the problem's rows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
 FEAS_TOL = 1e-10
 DUAL_TOL = 1e-11
 DEP_TOL = 1e-11
+# A warm-start row is seeded when its residual at the warm-start point x is
+# within SEED_TOL (1 + |b_i| + |a_i . x|), a scale set by the row alone.
+# Seeding is only a first guess at the working set and x does not depend on
+# it: a seeded row that is not active costs one iteration to drop and a
+# missed active row one to add.  A relative 1e-2 keeps a row that has moved
+# a little since x was computed, as an active row does between consecutive
+# solves of a slowly changing problem.
+SEED_TOL = 1e-2
 
 
 class QpStatus(enum.Enum):
@@ -60,17 +88,19 @@ class QpProblem:
 
     def validate(self) -> None:
         n, m = self.dims()
-        if self.H.shape != (n, n):
-            raise QpDimensionError(f"H shape {self.H.shape} vs n={n}")
-        data = (self.H, self.g, self.A_ineq, self.b_ineq) if m else (self.H, self.g)
-        if not all(np.isfinite(arr).all() for arr in data):
+        if self.H.shape != (n, n) or self.g.shape != (n,):
+            raise QpDimensionError(f"H shape {self.H.shape}, g shape {self.g.shape} vs n={n}")
+        if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
+            raise QpDimensionError("inequality block shapes inconsistent")
+        H = self.H.tolist()
+        # H, g and b are checked as floats, A (the largest) by numpy.
+        entries = chain(*H, self.g.tolist(), self.b_ineq.tolist() if m else ())
+        if not (all(map(math.isfinite, entries)) and (not m or np.isfinite(self.A_ineq).all())):
             raise QpDimensionError("QP data must be finite")
         # Exact symmetry (every H the controllers build) implies allclose;
         # only an inexactly symmetric H pays for the tolerance test.
-        if not (self.H == self.H.T).all() and not np.allclose(self.H, self.H.T, atol=1e-10):
+        if H != list(map(list, zip(*H))) and not np.allclose(self.H, self.H.T, atol=1e-10):
             raise QpDimensionError("H must be symmetric")
-        if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
-            raise QpDimensionError("inequality block shapes inconsistent")
 
     def objective(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ self.H @ x) + float(self.g @ x)
@@ -92,17 +122,90 @@ class QpSolution:
 
 def _dedup_rows(A: np.ndarray, b: np.ndarray) -> list[int]:
     """Indices of the first occurrence of each distinct (row, rhs) pair."""
-    rows = np.hstack([A, b[:, None]])
-    buf = rows.tobytes()
-    width = rows.shape[1] * rows.itemsize
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    for i in range(A.shape[0]):
-        key = buf[i * width:(i + 1) * width]
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return keep
+    rows = np.ascontiguousarray(np.hstack([A, b[:, None]]))
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    # Walking the rows backwards leaves each key mapped to its first index.
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return sorted(first.values())
+
+
+def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
+    """Lower factor L of M = L L^T (row i holds i + 1 entries; only the lower
+    triangle of M is read), or None if a pivot is not positive."""
+    L = [row[:i + 1] for i, row in enumerate(M)]
+    for k, Lk in enumerate(L):
+        d = Lk[k]
+        if not d > 0.0:
+            return None
+        Lk[k] = d = math.sqrt(d)
+        col = []
+        for Li in L[k + 1:]:
+            Li[k] = c = Li[k] / d
+            col.append(c)
+            for j, cj in enumerate(col):
+                Li[k + 1 + j] -= c * cj
+    return L
+
+
+def _solve_lower(L: list[list[float]], a: list[float]) -> list[float]:
+    """y with L y = a for lower-triangular L."""
+    y: list[float] = []
+    for Li, ai in zip(L, a):
+        y.append((ai - sum(map(mul, Li, y))) / Li[len(y)])
+    return y
+
+
+def _solve_upper(L: list[list[float]], y: list[float]) -> list[float]:
+    """x with L^T x = y for lower-triangular L."""
+    x = list(y)
+    for i in range(len(x) - 1, -1, -1):
+        Li = L[i]
+        xi = x[i] = x[i] / Li[i]
+        for j in range(i):
+            x[j] -= Li[j] * xi
+    return x
+
+
+class _WorkingSet:
+    """The working rows in entry order, with a QR factorization of their
+    vectors v_j = L^-1 a_j: v_j = sum_i R[j][i] q_i with orthonormal q_i and
+    lower-triangular R.  R is the Cholesky factor of the Gram matrix
+    A_W H^-1 A_W^T = V V^T, kept without forming V V^T so that its
+    conditioning is not squared."""
+
+    def __init__(self) -> None:
+        self.rows: list[int] = []
+        self.vs: list[list[float]] = []
+        self.R: list[list[float]] = []
+        self.Q: list[list[float]] = []
+
+    def split(self, v: list[float]) -> tuple[list[float], list[float]]:
+        """Modified Gram-Schmidt of ``v`` against the q_i: the coefficients y
+        (the off-diagonal part of the R row ``v`` would take) and the residual
+        p, whose norm is that row's pivot."""
+        y = [0.0] * len(self.Q)
+        for _ in range(2):      # a second pass restores orthogonality
+            for k, q in enumerate(self.Q):
+                c = sum(map(mul, q, v))
+                y[k] += c
+                v = [vi - c * qi for vi, qi in zip(v, q)]
+        return y, v
+
+    def add(self, row: int, v: list[float], y: list[float], p: list[float],
+            pivot: float) -> None:
+        self.rows.append(row)
+        self.vs.append(v)
+        self.R.append(y + [pivot])
+        self.Q.append([pi / pivot for pi in p])
+
+    def drop(self, pos: int) -> None:
+        """Remove the row at ``pos`` and refactor the rows after it."""
+        rows, vs = self.rows[pos + 1:], self.vs[pos + 1:]
+        for part in (self.rows, self.vs, self.R, self.Q):
+            del part[pos:]
+        for row, v in zip(rows, vs):
+            y, p = self.split(v)
+            self.add(row, v, y, p, math.sqrt(sum(map(mul, p, p))))
 
 
 class QpSolver:
@@ -119,72 +222,98 @@ class QpSolver:
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
         problem.validate()
         n, m_all = problem.dims()
-        H = problem.H
-        g = problem.g
+        # Rows keep their indices in the problem; only the first of each set
+        # of byte-identical rows can enter the working set.
+        A, b = problem.A_ineq, problem.b_ineq
+        keep = _dedup_rows(A, b) if m_all else []
+        b_list = b.tolist() if m_all else []
+        m = len(keep)
 
-        if m_all:
-            keep = _dedup_rows(problem.A_ineq, problem.b_ineq)
-            A = problem.A_ineq[keep]
-            b = problem.b_ineq[keep]
-        else:
-            keep = []
-            A = np.zeros((0, n))
-            b = np.zeros(0)
-        m = A.shape[0]
-
-        self._check_strict_convexity(H)
-
-        scale_b = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-        feas_tol = FEAS_TOL * scale_b
+        self._check_strict_convexity(problem.H)
+        H = problem.H.tolist()
+        g = problem.g.tolist()
+        L = _cholesky(H)
+        feas_tol = FEAS_TOL * (1.0 + (max(map(abs, b_list)) if m else 0.0))
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
-        work: list[int] = []
-        lam: list[float] = []
+        # Row index -> (a, L^-1 a), filled on first use.
+        rows: dict[int, tuple[list[float], list[float]]] = {}
+
+        def row(i: int) -> tuple[list[float], list[float]]:
+            if i not in rows:
+                a = A[i].tolist()
+                rows[i] = (a, _solve_lower(L, a))
+            return rows[i]
+
+        ws = _WorkingSet()
+        work = ws.rows
         if warm_start is not None and m:
-            resid = A @ warm_start - b
-            row_scale = 1.0 + np.max(np.abs(A), axis=1)
-            cand = [i for i in range(m) if abs(resid[i]) <= 1e-7 * row_scale[i] * scale_b]
-            work = self._independent_subset(A, cand)
-
-        iterations = 0
-
-        def finish(x, status, it):
-            return self._finish(problem, keep, x, status, work, lam, it)
+            # Row i is seeded when |a_i . x - b_i| is within SEED_TOL of the
+            # scale of its terms and it is independent of the rows before it.
+            ax_list = (A @ warm_start).tolist()
+            for i in keep:
+                ax, b_i = ax_list[i], b_list[i]
+                if abs(ax - b_i) <= SEED_TOL * (1.0 + abs(b_i) + abs(ax)):
+                    v = row(i)[1]
+                    y, p = ws.split(v)
+                    pivot2 = sum(map(mul, p, p))
+                    if pivot2 > DEP_TOL:
+                        ws.add(i, v, y, p, math.sqrt(pivot2))
 
         # Initial point: EQP optimum over the seeded working set, with any
         # negative-multiplier rows discarded so the dual invariant holds.
+        # With u = L^-1 g and t = R^-1 b_W + Q^T u: lam = R^-T t and
+        # x = L^-T (Q t - u).
+        u = _solve_lower(L, g)
+        iterations = 0
         while True:
             iterations += 1
-            x, neg_lam = self._kkt_solve(H, A, work, -g, b[work])
-            lam_arr = -neg_lam
-            lam = list(lam_arr)
+            y = [-c for c in u]
+            lam: list[float] = []
+            if work:
+                t = _solve_lower(ws.R, [b_list[j] for j in work])
+                for k, q in enumerate(ws.Q):
+                    t[k] += sum(map(mul, q, u))
+                    y = [yi + t[k] * qi for yi, qi in zip(y, q)]
+                lam = _solve_upper(ws.R, t)
+            x = _solve_upper(L, y)
             if not work or min(lam) >= -DUAL_TOL:
                 break
-            drop = int(np.argmin(lam_arr))
-            work.pop(drop)
+            ws.drop(lam.index(min(lam)))
             if iterations >= max_iter:
-                return finish(x, QpStatus.MAX_ITER, iterations)
+                return self._finish(problem, H, g, rows, x, QpStatus.MAX_ITER,
+                                    work, lam, iterations)
 
+        status = QpStatus.MAX_ITER
+        viol: list[float] = []      # b - A x over every row of the problem
         while iterations < max_iter:
-            viol = b - A @ x if m else np.zeros(0)
-            if work:
-                viol[work] = -np.inf
-            cand = int(np.argmax(viol)) if m else -1
-            if cand < 0 or viol[cand] <= feas_tol:
-                return finish(x, QpStatus.OPTIMAL, iterations)
+            cand, worst = -1, feas_tol
+            if m:
+                viol = (b - A @ np.array(x)).tolist()
+                for i in keep:
+                    v_i = viol[i]
+                    if v_i > worst and i not in work:
+                        cand, worst = i, v_i
+            if cand < 0:
+                status = QpStatus.OPTIMAL
+                break
 
             # Bring row `cand` into the working set (Goldfarb-Idnani steps).
+            a_c, v_c = row(cand)
             lam_cand = 0.0
             while iterations < max_iter:
                 iterations += 1
-                # Primal step z and multiplier decrease rate r for a unit
-                # increase of the incoming multiplier.
-                z, r = self._kkt_solve(H, A, work, A[cand], np.zeros(len(work)))
-                slope = float(A[cand] @ z)
-                gap = float(b[cand] - A[cand] @ x)
-                t_full = gap / slope if slope > DEP_TOL else np.inf
+                # Multiplier decrease rate r for a unit increase of the
+                # incoming multiplier, and the primal step z = L^-T p.  The
+                # slope a_c . z equals |p|^2, the square of the incoming row's
+                # pivot, which vanishes when a_c lies in the working span.
+                y, p = ws.split(v_c)
+                r = _solve_upper(ws.R, y)
+                slope = sum(map(mul, p, p))
+                gap = b_list[cand] - sum(map(mul, a_c, x))
+                t_full = gap / slope if slope > DEP_TOL else math.inf
 
-                t_dual = np.inf
+                t_dual = math.inf
                 blocker = -1
                 for k, (lam_k, r_k) in enumerate(zip(lam, r)):
                     if r_k > DEP_TOL:
@@ -192,87 +321,63 @@ class QpSolver:
                         if t_k < t_dual - 1e-15:
                             t_dual, blocker = t_k, k
 
-                if not np.isfinite(t_full) and not np.isfinite(t_dual):
-                    return finish(x, QpStatus.INFEASIBLE, iterations)
+                if t_full == math.inf and t_dual == math.inf:
+                    return self._finish(problem, H, g, rows, x, QpStatus.INFEASIBLE,
+                                        work, lam, iterations)
 
                 t = min(t_full, t_dual)
-                if np.isfinite(t_full):
-                    x = x + t * z
+                if t_full != math.inf:
+                    x = [xi + t * zi for xi, zi in zip(x, _solve_upper(L, p))]
                 lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r)]
                 lam_cand += t
 
                 if t_full <= t_dual:
-                    work.append(cand)
+                    ws.add(cand, v_c, y, p, math.sqrt(slope))
                     lam.append(lam_cand)
                     break
-                work.pop(blocker)
+                ws.drop(blocker)
                 lam.pop(blocker)
 
-        return finish(x, QpStatus.MAX_ITER, iterations)
+        return self._finish(problem, H, g, rows, x, status, work, lam, iterations, viol)
 
     # -- internals ---------------------------------------------------------
 
     @staticmethod
     def _check_strict_convexity(H: np.ndarray) -> None:
-        if not H.shape[0]:
+        """Reject H unless its smallest eigenvalue exceeds 1e-11 * max(1, max|H|),
+        that is, unless H minus that multiple of I has a Cholesky factor."""
+        rows = H.tolist()
+        if not rows:
             return
-        scale = max(1.0, float(np.max(np.abs(H))))
-        if np.min(np.linalg.eigvalsh(H)) <= 1e-11 * scale:
+        shift = 1e-11 * max(1.0, max(map(abs, chain(*rows))))
+        for i, r in enumerate(rows):
+            r[i] -= shift
+        if _cholesky(rows) is None:
             raise ValueError(
                 "QP is not strictly convex; the minimizer would not be unique"
             )
 
     @staticmethod
-    def _independent_subset(A: np.ndarray, rows: list[int]) -> list[int]:
-        picked: list[int] = []
-        for i in rows:
-            sv = np.linalg.svd(A[picked + [i]], compute_uv=False)
-            if sv[-1] > 1e-9 * max(1.0, sv[0]):
-                picked.append(i)
-        return picked
-
-    @staticmethod
-    def _kkt_solve(H, A, work, top, bottom):
-        """Solve [[H, A_w^T], [A_w, 0]] [x; y] = [top; bottom] with A_w = A[work]."""
-        n = H.shape[0]
-        rows = A[work]
-        k = rows.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = H
-        kkt[:n, n:] = rows.T
-        kkt[n:, :n] = rows
-        rhs = np.concatenate([top, bottom])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        return sol[:n], sol[n:]
-
-    def _finish(self, problem, keep, x, status, work, lam, iterations):
+    def _finish(problem, H, g, rows, x, status, work, lam, iterations, viol=()):
+        """The solution with the KKT residual of an optimal x: stationarity
+        over the rows with a multiplier, feasibility and complementarity over
+        every row as given, from ``viol`` = b - A x (the last scan's)."""
         lam_full = np.zeros(problem.dims()[1])
-        active_orig: list[int] = []
+        active: list[int] = []
         if status is not QpStatus.INFEASIBLE:
-            for lam_k, local in zip(lam, work):
-                lam_full[keep[local]] = max(lam_k, 0.0)
-                active_orig.append(keep[local])
-        residual = self._kkt_residual(problem, x, lam_full) if status is QpStatus.OPTIMAL else np.inf
-        return QpSolution(
-            x=x,
-            status=status,
-            kkt_residual=residual,
-            active_set=tuple(sorted(active_orig)),
-            iterations=iterations,
-            lam=lam_full,
-        )
-
-    @staticmethod
-    def _kkt_residual(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> float:
-        stat = problem.H @ x + problem.g
-        feas = 0.0
-        comp = 0.0
-        if problem.dims()[1]:
-            stat = stat - problem.A_ineq.T @ lam
-            slack = problem.A_ineq @ x - problem.b_ineq
-            feas = float(np.max(-slack, initial=0.0))
-            comp = float(np.max(np.abs(lam * slack), initial=0.0))
-        return max(float(np.max(np.abs(stat), initial=0.0)), feas, comp)
+            lam = [lam_k if lam_k > 0.0 else 0.0 for lam_k in lam]
+            active = list(work)
+            for i, lam_k in zip(active, lam):
+                lam_full[i] = lam_k
+        residual = math.inf
+        if status is QpStatus.OPTIMAL:
+            stat = [gi + sum(map(mul, Hi, x)) for Hi, gi in zip(H, g)]
+            for lam_k, i in zip(lam, work):
+                stat = [s - lam_k * ai for s, ai in zip(stat, rows[i][0])]
+            residual = max(map(abs, stat)) if stat else 0.0
+            if viol:
+                residual = max(residual, max(viol),
+                               *[abs(lam_k * viol[i]) for i, lam_k in zip(active, lam)])
+        active.sort()
+        return QpSolution(x=np.array(x), status=status, kkt_residual=residual,
+                          active_set=tuple(active), iterations=iterations, lam=lam_full)

@@ -9,6 +9,7 @@ from issf_wbc.qpsolver import (
     _dedup_rows,
 )
 
+import qp_oracle
 from conftest import enumerate_qp
 
 
@@ -125,6 +126,12 @@ class TestContract:
             QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros(3)))
         with pytest.raises(QpDimensionError):
             QpSolver().solve(QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2)))
+        # Misshaped g or b are rejected by their shapes before any entry is read.
+        with pytest.raises(QpDimensionError):
+            QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros((2, 1))))
+        with pytest.raises(QpDimensionError):
+            QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros(2), A_ineq=np.eye(2),
+                                       b_ineq=np.zeros((2, 1))))
 
     def test_non_finite_data_rejected(self):
         A = np.array([[1.0, 0.0]])
@@ -140,12 +147,110 @@ class TestContract:
             with pytest.raises(QpDimensionError, match="finite"):
                 QpSolver().solve(problem)
 
+    def test_warm_start_seeds_rows_by_their_own_tolerance(self):
+        # Row 1 (x >= 1) is active at x = 1; row 0 (x <= 1.5) is slack there.
+        # Whether row 0 is taken for a tight row must not depend on the loose
+        # row 2, however large its |b|: a slack row in the seeded working set
+        # has to be dropped again, which costs iterations.
+        for far in (1e2, 1e5, 1e8):
+            problem = QpProblem(H=2 * np.eye(1), g=np.zeros(1),
+                                A_ineq=np.array([[-1.0], [1.0], [-1.0]]),
+                                b_ineq=np.array([-1.5, 1.0, -far]))
+            sol = QpSolver().solve(problem, warm_start=np.array([1.0]))
+            assert sol.optimal and sol.active_set == (1,)
+            assert sol.iterations == 1, far
+
+    def test_warm_start_reseeds_a_row_that_drifted(self):
+        # Between two control cycles the active row x >= 1 moves to
+        # x >= 1.005.  The previous solution is off by 0.5% of the row's
+        # scale; the row is still seeded, however small or large the |b| of
+        # the slack row x <= far, and the re-solve takes one iteration.
+        for far in (2.0, 1e2, 1e5, 1e8):
+            problem = QpProblem(H=2 * np.eye(1), g=np.zeros(1),
+                                A_ineq=np.array([[1.0], [-1.0]]),
+                                b_ineq=np.array([1.005, -far]))
+            sol = QpSolver().solve(problem, warm_start=np.array([1.0]))
+            assert sol.optimal and sol.active_set == (0,)
+            assert sol.iterations == 1, far
+
     def test_max_iter_reported(self, rng):
         solver = QpSolver(max_iter=1)
         problem = QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -2.0]),
                             A_ineq=-np.eye(2), b_ineq=np.array([-0.1, -0.1]))
         sol = solver.solve(problem)
         assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL)
+
+
+def structured_problem(rng):
+    """A random QP built to exercise every branch of the iteration.
+
+    n is 0 to 8 and m is 0 to 32.  Rows have integer entries, so a linear
+    dependence among them is exact and an independent working set stays
+    well conditioned; zero entries carry random signs.  Rows repeat byte for
+    byte, repeat scaled by 2, repeat with their zeros' signs flipped (so
+    they differ from the original only in bytes), and combine two earlier
+    rows.  A row that is numerically but not bytewise equal to another gets
+    its own right-hand side: two such rows with one right-hand side would
+    tie in violation, and rounding, not the row index, would break the tie.
+    Half of the problems are feasible by construction.
+    """
+    n = int(rng.integers(0, 9))
+    m = int(rng.integers(0, 33))
+    f = rng.normal(size=(n, n))
+    H = f @ f.T + 0.5 * np.eye(n) if rng.random() < 0.7 else 2.0 * np.eye(n)
+    g = rng.normal(size=n)
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    A = np.where((A == 0.0) & (rng.random(A.shape) < 0.5), -0.0, A)
+    if rng.random() < 0.5:
+        b = rng.normal(size=m) * 1.5
+    else:
+        b = A @ rng.normal(size=n) - rng.uniform(0.0, 1.0, m)
+    for i in range(1, m):
+        j, k = rng.integers(0, i, 2)
+        kind = rng.integers(0, 7)
+        if kind == 1:
+            A[i], b[i] = A[j], b[j]
+        elif kind == 2:
+            c = rng.integers(1, 3, 2) * rng.choice([-1.0, 1.0], 2)
+            A[i] = c[0] * A[j] + c[1] * A[k]
+        elif kind == 3:
+            A[i], b[i] = 2.0 * A[j], 2.0 * b[j]
+        elif kind == 4:
+            A[i] = np.where(A[j] == 0.0, -A[j], A[j])
+    return QpProblem(H=H, g=g, A_ineq=A if m else None, b_ineq=b if m else None)
+
+
+class TestAgainstOracle:
+    """The float solver against the dense numpy iteration in tests/qp_oracle.py."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.status is want.status
+        assert got.active_set == want.active_set
+        assert got.iterations == want.iterations
+        if want.status is not QpStatus.INFEASIBLE:
+            # At an infeasibility verdict x is only where the iteration stopped.
+            err = np.abs(got.x - want.x).max(initial=0.0)
+            assert err <= 1e-12 * (1.0 + np.abs(want.x).max(initial=0.0))
+
+    def test_structured_problems_match_oracle(self, rng):
+        seen = {status: 0 for status in QpStatus}
+        warm_iterations = set()
+        for _ in range(600):
+            problem = structured_problem(rng)
+            max_iter = int(rng.integers(1, 4)) if rng.random() < 0.15 else None
+            want = qp_oracle.solve(problem, max_iter=max_iter)
+            self.assert_same(QpSolver(max_iter=max_iter).solve(problem), want)
+            seen[want.status] += 1
+            if not want.optimal:
+                continue
+            nudge = rng.normal(size=want.x.shape) * 10.0 ** rng.integers(-10, 1)
+            for start in (want.x, want.x + nudge):
+                want_warm = qp_oracle.solve(problem, warm_start=start)
+                self.assert_same(QpSolver().solve(problem, warm_start=start), want_warm)
+                warm_iterations.add(want_warm.iterations)
+        assert min(seen.values()) > 50
+        assert 1 in warm_iterations and max(warm_iterations) > 2
 
 
 # Reference versions of the per-solve checks, as they were written before the
