@@ -11,13 +11,16 @@ scenarios (``hand_track``: 3-DoF ``planar3``; ``obstacle_track``: 7-DoF
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
 - ``joint_dynamics`` (mass matrix and bias forces), given the FK;
+- ``step_physics``: one semi-implicit Euler substep of the scenario's plant
+  (its mass-scaled model) under zero torque, FK and the solve for qdd
+  included;
 - ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
   filter QP and of the torque QP of the scenario's first control cycle, in
   its own filter mode, with each obstacle at its initial pose and velocity.
 
-Every kernel after the first takes the pose as an argument, so no row
-includes the cost of FK: the ``joint_dynamics`` row now excludes it, as the
-torque QP reuses its control cycle's pose.  Each timed run makes as many
+Every other kernel after the first takes the pose as an argument, so its
+row excludes the cost of FK: the ``joint_dynamics`` row does, as the torque
+QP reuses its control cycle's pose.  Each timed run makes as many
 calls as one call's time fits into ``--seconds``.
 
 The package is imported from the ``src`` directory next to this script.
@@ -37,11 +40,16 @@ import numpy as np  # noqa: E402
 
 from issf_wbc._fastdyn import joint_dynamics  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
-from issf_wbc.model import JointState, forward_kinematics, point_jacobian  # noqa: E402
+from issf_wbc.model import (  # noqa: E402
+    JointState,
+    forward_kinematics,
+    point_jacobian,
+    scale_link_masses,
+)
 from issf_wbc.qpsolver import QpSolver  # noqa: E402
 from issf_wbc.safety import Obstacle  # noqa: E402
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
-from issf_wbc.sim import Controller  # noqa: E402
+from issf_wbc.sim import Controller, step_physics  # noqa: E402
 
 SCENARIOS = ("hand_track.scenario", "obstacle_track.scenario")
 
@@ -74,6 +82,10 @@ def kernels(scenario) -> dict[str, callable]:
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
     tip = model.collision_bodies[-1]
+    plant = scale_link_masses(model, scenario.sim.mass_scale)
+    state = JointState(q=q, qd=qd, t=0.0)
+    tau = np.zeros(model.n_dof)
+    dt = scenario.sim.dt_physics
     filter_qp, torque_qp = first_cycle_problems(scenario)
     solver = QpSolver()
     return {
@@ -82,6 +94,7 @@ def kernels(scenario) -> dict[str, callable]:
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
+        "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),
         "filter_qp": lambda: solver.solve(filter_qp),
         "torque_qp": lambda: solver.solve(torque_qp),
     }

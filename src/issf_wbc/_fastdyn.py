@@ -42,23 +42,25 @@ def joint_dynamics(
     """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q."""
     n = model.n_dof
     rot, pos, axes, orig = fk.rot, fk.pos, fk.joint_axis, fk.joint_origin
-    qdl = [float(v) for v in qd]
-    gx, gy, gz = (float(v) for v in gravity)
+    qdl = np.asarray(qd, dtype=float).tolist()
+    gx, gy, gz = np.asarray(gravity, dtype=float).tolist()
     inertial = _constants(model)
 
-    # World-frame CoM and inertia R I R^T per link.  All nine entries are
-    # kept: the product is not exactly symmetric in floating point.
-    com_w = []
-    inertia_w = []
+    # Forward pass (qdd = 0, base acceleration -g), one record per link:
+    # mass, world CoM, world inertia R I R^T (all nine entries: the product
+    # is not exactly symmetric in floating point), angular velocity, angular
+    # acceleration and CoM acceleration.
+    bodies = []
+    wx = wy = wz = 0.0
+    alx = aly = alz = 0.0
+    ax, ay, az = -gx, -gy, -gz
     for i in range(n):
-        _, (cx, cy, cz), (i00, i01, i02, i10, i11, i12, i20, i21, i22) = inertial[i]
+        m, (lx, ly, lz), (i00, i01, i02, i10, i11, i12, i20, i21, i22) = inertial[i]
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot[i]
         px, py, pz = pos[i]
-        com_w.append((
-            px + r00 * cx + r01 * cy + r02 * cz,
-            py + r10 * cx + r11 * cy + r12 * cz,
-            pz + r20 * cx + r21 * cy + r22 * cz,
-        ))
+        cx = px + r00 * lx + r01 * ly + r02 * lz
+        cy = py + r10 * lx + r11 * ly + r12 * lz
+        cz = pz + r20 * lx + r21 * ly + r22 * lz
         a00 = r00 * i00 + r01 * i10 + r02 * i20
         a01 = r00 * i01 + r01 * i11 + r02 * i21
         a02 = r00 * i02 + r01 * i12 + r02 * i22
@@ -68,26 +70,16 @@ def joint_dynamics(
         a20 = r20 * i00 + r21 * i10 + r22 * i20
         a21 = r20 * i01 + r21 * i11 + r22 * i21
         a22 = r20 * i02 + r21 * i12 + r22 * i22
-        inertia_w.append((
-            a00 * r00 + a01 * r01 + a02 * r02,
-            a00 * r10 + a01 * r11 + a02 * r12,
-            a00 * r20 + a01 * r21 + a02 * r22,
-            a10 * r00 + a11 * r01 + a12 * r02,
-            a10 * r10 + a11 * r11 + a12 * r12,
-            a10 * r20 + a11 * r21 + a12 * r22,
-            a20 * r00 + a21 * r01 + a22 * r02,
-            a20 * r10 + a21 * r11 + a22 * r12,
-            a20 * r20 + a21 * r21 + a22 * r22,
-        ))
+        w00 = a00 * r00 + a01 * r01 + a02 * r02
+        w01 = a00 * r10 + a01 * r11 + a02 * r12
+        w02 = a00 * r20 + a01 * r21 + a02 * r22
+        w10 = a10 * r00 + a11 * r01 + a12 * r02
+        w11 = a10 * r10 + a11 * r11 + a12 * r12
+        w12 = a10 * r20 + a11 * r21 + a12 * r22
+        w20 = a20 * r00 + a21 * r01 + a22 * r02
+        w21 = a20 * r10 + a21 * r11 + a22 * r12
+        w22 = a20 * r20 + a21 * r21 + a22 * r22
 
-    # Forward velocity/acceleration pass (qdd = 0, base acceleration -g).
-    wx = wy = wz = 0.0
-    alx = aly = alz = 0.0
-    ax, ay, az = -gx, -gy, -gz
-    omegas = []
-    alphas = []
-    acc_com = []
-    for i in range(n):
         zx, zy, zz = axes[i]
         qdi = qdl[i]
         zqx, zqy, zqz = zx * qdi, zy * qdi, zz * qdi
@@ -98,18 +90,14 @@ def joint_dynamics(
         wy += zqy
         wz += zqz
         ox, oy, oz = orig[i]
-        cx, cy, cz = com_w[i]
         rx, ry, rz = cx - ox, cy - oy, cz - oz
         # a_com = a_origin + alpha x r + w x (w x r)
         t1x = wy * rz - wz * ry
         t1y = wz * rx - wx * rz
         t1z = wx * ry - wy * rx
-        acc_com.append((
-            ax + aly * rz - alz * ry + wy * t1z - wz * t1y,
-            ay + alz * rx - alx * rz + wz * t1x - wx * t1z,
-            az + alx * ry - aly * rx + wx * t1y - wy * t1x,
-        ))
-        px, py, pz = pos[i]
+        acx = ax + aly * rz - alz * ry + wy * t1z - wz * t1y
+        acy = ay + alz * rx - alx * rz + wz * t1x - wx * t1z
+        acz = az + alx * ry - aly * rx + wx * t1y - wy * t1x
         rx, ry, rz = px - ox, py - oy, pz - oz
         t1x = wy * rz - wz * ry
         t1y = wz * rx - wx * rz
@@ -117,20 +105,17 @@ def joint_dynamics(
         ax += aly * rz - alz * ry + wy * t1z - wz * t1y
         ay += alz * rx - alx * rz + wz * t1x - wx * t1z
         az += alx * ry - aly * rx + wx * t1y - wy * t1x
-        omegas.append((wx, wy, wz))
-        alphas.append((alx, aly, alz))
+        bodies.append((m, cx, cy, cz, w00, w01, w02, w10, w11, w12, w20, w21, w22,
+                       wx, wy, wz, alx, aly, alz, acx, acy, acz))
 
     # Backward Newton-Euler pass for h.
     h = [0.0] * n
     fx = fy = fz = 0.0
     ncx = ncy = ncz = 0.0
     for i in range(n - 1, -1, -1):
-        m = inertial[i][0]
-        acx, acy, acz = acc_com[i]
+        (m, cx, cy, cz, w00, w01, w02, w10, w11, w12, w20, w21, w22,
+         wx, wy, wz, alx, aly, alz, acx, acy, acz) = bodies[i]
         fix, fiy, fiz = m * acx, m * acy, m * acz
-        w00, w01, w02, w10, w11, w12, w20, w21, w22 = inertia_w[i]
-        alx, aly, alz = alphas[i]
-        wx, wy, wz = omegas[i]
         # I alpha + w x (I w)
         iwx = w00 * wx + w01 * wy + w02 * wz
         iwy = w10 * wx + w11 * wy + w12 * wz
@@ -139,7 +124,6 @@ def joint_dynamics(
         ty = w10 * alx + w11 * aly + w12 * alz + wz * iwx - wx * iwz
         tz = w20 * alx + w21 * aly + w22 * alz + wx * iwy - wy * iwx
         ox, oy, oz = orig[i]
-        cx, cy, cz = com_w[i]
         rx, ry, rz = cx - ox, cy - oy, cz - oz
         tx += ry * fiz - rz * fiy
         ty += rz * fix - rx * fiz
@@ -163,13 +147,11 @@ def joint_dynamics(
     kx = ky = kz = 0.0
     k00 = k01 = k02 = k10 = k11 = k12 = k20 = k21 = k22 = 0.0
     for j in range(n - 1, -1, -1):
-        m = inertial[j][0]
+        m, cx, cy, cz, w00, w01, w02, w10, w11, w12, w20, w21, w22 = bodies[j][:13]
         m_new = m_acc + m
-        cx, cy, cz = com_w[j]
         nx = (m * cx + m_acc * kx) / m_new
         ny = (m * cy + m_acc * ky) / m_new
         nz = (m * cz + m_acc * kz) / m_new
-        w00, w01, w02, w10, w11, w12, w20, w21, w22 = inertia_w[j]
         dx, dy, dz = cx - nx, cy - ny, cz - nz
         d2 = dx * dx + dy * dy + dz * dz
         c00 = w00 + m * (d2 - dx * dx)

@@ -279,7 +279,9 @@ class QpSolver:
             x = _solve_upper(L, y)
             if not work or min(lam) >= -DUAL_TOL:
                 break
-            ws.drop(lam.index(min(lam)))
+            pos = lam.index(min(lam))
+            ws.drop(pos)
+            lam.pop(pos)
             if iterations >= max_iter:
                 return self._finish(problem, H, g, rows, x, QpStatus.MAX_ITER,
                                     work, lam, iterations)

@@ -11,8 +11,10 @@ first problem.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -110,34 +112,44 @@ class WaypointSpline:
     def end_time(self) -> float:
         return float(self.times[-1])
 
+    @cached_property
+    def _knots(self) -> tuple[list, list, list]:
+        """times, values and tangents as Python floats, for ``sample``."""
+        return self.times.tolist(), self.values.tolist(), self.tangents.tolist()
+
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Value and velocity at t (held with zero velocity outside the knots)."""
-        times, values = self.times, self.values
+        times, values, tangents = self._knots
         if len(times) == 1 or t <= times[0]:
-            return values[0].copy(), np.zeros(values.shape[1])
+            return np.array(values[0]), np.zeros(len(values[0]))
         if t >= times[-1]:
-            return values[-1].copy(), np.zeros(values.shape[1])
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        t0, t1 = times[i], times[i + 1]
-        dt = t1 - t0
+            return np.array(values[-1]), np.zeros(len(values[-1]))
+        i = bisect_right(times, t) - 1
+        t0 = times[i]
+        dt = times[i + 1] - t0
         s = (t - t0) / dt
+        p0, p1 = values[i], values[i + 1]
         if self.kind == "linear":
-            vel = (values[i + 1] - values[i]) / dt
-            return values[i] + s * dt * vel, vel
+            vel = [(b - a) / dt for a, b in zip(p0, p1)]
+            sdt = s * dt
+            return np.array([a + sdt * v for a, v in zip(p0, vel)]), np.array(vel)
         # Cubic Hermite basis.
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        p = (h00 * values[i] + h10 * dt * self.tangents[i]
-             + h01 * values[i + 1] + h11 * dt * self.tangents[i + 1])
-        d00 = (6 * s**2 - 6 * s) / dt
-        d10 = 3 * s**2 - 4 * s + 1
-        d01 = (-6 * s**2 + 6 * s) / dt
-        d11 = 3 * s**2 - 2 * s
-        v = (d00 * values[i] + d10 * self.tangents[i]
-             + d01 * values[i + 1] + d11 * self.tangents[i + 1])
-        return p, v
+        m0, m1 = tangents[i], tangents[i + 1]
+        s2, s3 = s**2, s**3
+        h00 = 2 * s3 - 3 * s2 + 1
+        h10 = s3 - 2 * s2 + s
+        h01 = -2 * s3 + 3 * s2
+        h11 = s3 - s2
+        h10dt, h11dt = h10 * dt, h11 * dt
+        p = [h00 * a + h10dt * ma + h01 * b + h11dt * mb
+             for a, ma, b, mb in zip(p0, m0, p1, m1)]
+        d00 = (6 * s2 - 6 * s) / dt
+        d10 = 3 * s2 - 4 * s + 1
+        d01 = (-6 * s2 + 6 * s) / dt
+        d11 = 3 * s2 - 2 * s
+        v = [d00 * a + d10 * ma + d01 * b + d11 * mb
+             for a, ma, b, mb in zip(p0, m0, p1, m1)]
+        return np.array(p), np.array(v)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 
@@ -106,10 +107,47 @@ class SimConfig:
         return max(1, round(self.dt_control / self.dt_physics))
 
 
-def _accel(model: RobotModel, q: np.ndarray, qd: np.ndarray, tau: np.ndarray,
-           gravity: np.ndarray) -> np.ndarray:
+def _qdd(model: RobotModel, q, qd, tau: list[float], gravity: np.ndarray,
+         t: float) -> list[float]:
+    """Joint accelerations M^-1 (tau - h) at (q, qd) as floats; ``q`` and
+    ``qd`` may be arrays or lists of floats.
+
+    M = L L^T is factored row by row (Cholesky-Banachiewicz), with the
+    forward substitution L y = tau - h fused into the same pass, then
+    L^T qdd = y is solved by back substitution.  A pivot that is not
+    positive means the plant's M is singular: the plant cannot be advanced.
+    """
     mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
-    return np.linalg.solve(mass, tau - bias)
+    L: list[list[float]] = []
+    y: list[float] = []
+    for i, (Mi, ti, hi) in enumerate(zip(mass.tolist(), tau, bias.tolist())):
+        Li: list[float] = []
+        for Lj in L:
+            Li.append((Mi[len(Li)] - sum(map(mul, Li, Lj))) / Lj[-1])
+        d = Mi[i] - sum(map(mul, Li, Li))
+        if not d > 0.0:
+            raise SimulationDivergedError(
+                f"plant mass matrix not positive definite at t={t:.6f} (joint {i})")
+        d = math.sqrt(d)
+        Li.append(d)
+        y.append((ti - hi - sum(map(mul, Li, y))) / d)
+        L.append(Li)
+    for i in range(len(y) - 1, -1, -1):
+        Li = L[i]
+        yi = y[i] = y[i] / Li[i]
+        for j in range(i):
+            y[j] -= Li[j] * yi
+    return y
+
+
+def _axpy(a: float, x: list[float], y: list[float]) -> list[float]:
+    """y + a x, elementwise."""
+    return [yi + a * xi for xi, yi in zip(x, y)]
+
+
+def _weighted(k1, k2, k3, k4) -> list[float]:
+    """The RK4 stage sum k1 + 2 k2 + 2 k3 + k4, elementwise."""
+    return [a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
 def step_physics(
@@ -121,26 +159,27 @@ def step_physics(
     integrator: Integrator = Integrator.SEMI_IMPLICIT_EULER,
 ) -> JointState:
     """Advance the plant one physics step under a held torque command."""
-    q, qd = state.q, state.qd
+    q, qd, tau, t = state.q.tolist(), state.qd.tolist(), tau_cmd.tolist(), state.t
     if integrator is Integrator.SEMI_IMPLICIT_EULER:
-        qdd = _accel(plant_model, q, qd, tau_cmd, gravity)
-        qd_next = qd + qdd * dt
-        q_next = q + qd_next * dt
+        qd_next = _axpy(dt, _qdd(plant_model, state.q, state.qd, tau, gravity, t), qd)
+        q_next = _axpy(dt, qd_next, q)
     else:
-        def f(qq, vv):
-            return vv, _accel(plant_model, qq, vv, tau_cmd, gravity)
-
-        k1q, k1v = f(q, qd)
-        k2q, k2v = f(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
-        k3q, k3v = f(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
-        k4q, k4v = f(q + dt * k3q, qd + dt * k3v)
-        q_next = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd_next = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):
+        half = 0.5 * dt
+        k1 = _qdd(plant_model, q, qd, tau, gravity, t)
+        v2 = _axpy(half, k1, qd)
+        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, gravity, t)
+        v3 = _axpy(half, k2, qd)
+        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, gravity, t)
+        v4 = _axpy(dt, k3, qd)
+        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, gravity, t)
+        q_next = _axpy(dt / 6.0, _weighted(qd, v2, v3, v4), q)
+        qd_next = _axpy(dt / 6.0, _weighted(k1, k2, k3, k4), qd)
+    q_arr, qd_arr = np.array(q_next), np.array(qd_next)
+    if not (all(map(math.isfinite, q_next)) and all(map(math.isfinite, qd_next))):
         raise SimulationDivergedError(
-            f"non-finite state at t={state.t + dt:.6f}: q={q_next}, qd={qd_next}"
+            f"non-finite state at t={t + dt:.6f}: q={q_arr}, qd={qd_arr}"
         )
-    return JointState(q=q_next, qd=qd_next, t=state.t + dt)
+    return JointState(q=q_arr, qd=qd_arr, t=t + dt)
 
 
 @dataclass(frozen=True)

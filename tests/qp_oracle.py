@@ -153,7 +153,9 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
         lam = list(lam_arr)
         if not work or min(lam) >= -DUAL_TOL:
             break
-        work.pop(int(np.argmin(lam_arr)))
+        pos = int(np.argmin(lam_arr))
+        work.pop(pos)
+        lam.pop(pos)
         if iterations >= max_iter:
             return finish(x, QpStatus.MAX_ITER, iterations)
 

@@ -18,6 +18,8 @@ from issf_wbc.scenario import (
     resolve_input,
 )
 
+import spline_oracle
+
 
 def write_mini_scenario(tmp_path, *, duration=0.05, name="mini", extra=None):
     doc = {
@@ -152,6 +154,27 @@ class TestSpline:
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
             WaypointSpline.from_knots([0.0, 0.0], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("kind, velocities", [
+        ("cubic", False), ("cubic", True), ("linear", False)])
+    def test_sample_matches_numpy_oracle_bitwise(self, rng, kind, velocities):
+        for k in (1, 2, 3, 7):
+            for _ in range(20):
+                d = int(rng.integers(1, 5))
+                times = np.cumsum(rng.uniform(0.01, 2.0, k)) - rng.uniform(0.0, 1.0)
+                values = rng.normal(size=(k, d)) * 3
+                vels = rng.normal(size=(k, d)) if velocities else None
+                spline = WaypointSpline.from_knots(times, values, vels, kind=kind)
+                # At, between (random and at the midpoints) and beyond the knots.
+                ts = np.concatenate([
+                    times, (times[:-1] + times[1:]) / 2,
+                    rng.uniform(times[0] - 1.0, times[-1] + 1.0, 20),
+                    [times[0] - 1e-12, times[-1] + 1e-12, -np.inf, np.inf]])
+                for t in ts.tolist():
+                    got, expected = spline.sample(t), spline_oracle.sample(spline, t)
+                    for a, b in zip(got, expected):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
 
 
 class TestRunScenario:

@@ -180,6 +180,18 @@ class TestContract:
         sol = solver.solve(problem)
         assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL)
 
+    def test_max_iter_after_a_warm_start_drop_keeps_each_rows_multiplier(self):
+        # Both rows are seeded at x = 0, where their multipliers are (-2, 4):
+        # row 0 is dropped, and the budget ends right after the drop.
+        problem = QpProblem(H=2 * np.eye(2), g=np.array([-2.0, 4.0]),
+                            A_ineq=np.eye(2), b_ineq=np.zeros(2))
+        sol = QpSolver(max_iter=1).solve(problem, warm_start=np.zeros(2))
+        assert sol.status is QpStatus.MAX_ITER and sol.active_set == (1,)
+        np.testing.assert_array_equal(sol.lam, [0.0, 4.0])
+        full = QpSolver().solve(problem, warm_start=np.zeros(2))
+        assert full.optimal and full.active_set == (1,)
+        np.testing.assert_array_equal(full.lam, [0.0, 4.0])
+
 
 def structured_problem(rng):
     """A random QP built to exercise every branch of the iteration.

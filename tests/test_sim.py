@@ -111,6 +111,54 @@ class TestStepPhysics:
         with pytest.raises(SimulationDivergedError, match="non-finite"):
             step_physics(model, state, np.array([1e308]), GRAVITY, 1.0)
 
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_accelerations_match_oracle_solve(self, rng, integrator):
+        # The acceleration (qd_next - qd) / dt of a step against the oracle's
+        # M^-1 (tau - h); for RK4, the weighted mean of its four stages.
+        # dt is a power of two, so multiplying and dividing by it is exact.
+        dt = 2.0 ** -6
+
+        def accel(model, q, qd, tau, g):
+            return np.linalg.solve(mass_matrix(model, q), tau - bias_forces(model, q, qd, g))
+
+        for n in range(1, 8):
+            for _ in range(10):
+                model = random_chain(rng, n)
+                q, qd = rng.uniform(-3, 3, n), rng.uniform(-4, 4, n)
+                tau, g = rng.normal(size=n) * 5, rng.normal(size=3) * 5
+                k1 = accel(model, q, qd, tau, g)
+                if integrator is Integrator.SEMI_IMPLICIT_EULER:
+                    expected = k1
+                else:
+                    v2 = qd + 0.5 * dt * k1
+                    k2 = accel(model, q + 0.5 * dt * qd, v2, tau, g)
+                    v3 = qd + 0.5 * dt * k2
+                    k3 = accel(model, q + 0.5 * dt * v2, v3, tau, g)
+                    k4 = accel(model, q + dt * v3, qd + dt * k3, tau, g)
+                    expected = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+                state = step_physics(model, JointState(q=q, qd=qd), tau, g, dt, integrator)
+                np.testing.assert_allclose((state.qd - qd) / dt, expected, rtol=0.0,
+                                           atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_singular_mass_matrix_aborts_with_time(self, integrator):
+        # Link 0 is massless and inertia-free, and joint 1 turns about joint
+        # 0's axis line: both joints move link 1 alone, and M = [[1, 1],
+        # [1, 1]] exactly.  The model checks reject a massless link, so it is
+        # swapped in after construction.
+        z = JointSpec(axis=np.array([0.0, 0.0, 1.0]))
+        hub = LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3), parent=-1,
+                       origin_xyz=np.zeros(3))
+        arm = LinkSpec(mass=1.0, com=np.array([0.5, 0.0, 0.0]), inertia=np.eye(3) * 0.75,
+                       parent=0, origin_xyz=np.zeros(3))
+        model = RobotModel("ghost", (hub, arm), (z, z))
+        object.__setattr__(model, "links",
+                           (replace(hub, mass=0.0, inertia=np.zeros((3, 3))), arm))
+        np.testing.assert_array_equal(mass_matrix(model, np.zeros(2)), np.ones((2, 2)))
+        state = JointState(q=np.zeros(2), qd=np.zeros(2), t=0.25)
+        with pytest.raises(SimulationDivergedError, match=r"t=0\.250000"):
+            step_physics(model, state, np.zeros(2), GRAVITY, 1e-4, integrator)
+
     def test_rk4_matches_euler_in_limit(self):
         model = point_pendulum()
         s_euler = JointState(q=np.array([0.3]), qd=np.zeros(1))
