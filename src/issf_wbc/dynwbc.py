@@ -25,13 +25,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ._fastdyn import joint_dynamics
 from .model import FkResult, JointState, RobotModel
 from .qpsolver import QpProblem, QpSolution, QpSolver
-from .safety import AccelConstraint
+from .safety import AccelRows
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +100,22 @@ class DynWbcInfeasibleError(RuntimeError):
         self.solution = solution
 
 
+_LIMITS: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
+
+
+def _torque_limits(model: RobotModel) -> tuple[list[int] | slice, np.ndarray]:
+    """The joints with a finite torque limit (a slice when that is all of
+    them) and those limits, built once per model."""
+    limits = _LIMITS.get(model)
+    if limits is None:
+        limited = [i for i, joint in enumerate(model.joints) if math.isfinite(joint.tau_max)]
+        tau_max = np.array([model.joints[i].tau_max for i in limited])
+        if len(limited) == model.n_dof:
+            limited = slice(None)
+        limits = _LIMITS[model] = (limited, tau_max)
+    return limits
+
+
 def safe_acceleration(
     q_safe: np.ndarray,
     qdot_safe: np.ndarray,
@@ -118,7 +135,7 @@ def solve_dynwbc(
     fk: FkResult,
     qddot_safe: np.ndarray,
     contact: ContactBlock | None,
-    extra_rows: list[AccelConstraint],
+    extra_rows: AccelRows | None,
     weights: DynWbcWeights,
     tau_prev: np.ndarray,
     solver: QpSolver,
@@ -146,31 +163,31 @@ def solve_dynwbc(
         H[n:, n:] += 2.0 * weights.w_c * np.eye(k)
         g[n:] -= 2.0 * weights.w_c * contact.F_c_des
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    if k:
-        for u_row in contact.U:
-            row = np.zeros(nz)
-            row[n:] = -u_row
-            rows.append(row)
-            rhs.append(0.0)
-    for c in extra_rows:
-        row = np.zeros(nz)
-        row[:n] = c.grad
-        rows.append(row)
-        rhs.append(c.rhs)
-    for i, joint in enumerate(model.joints):
-        if math.isfinite(joint.tau_max):
-            rows.append(T[i])
-            rhs.append(-bias[i] - joint.tau_max)
-            rows.append(-T[i])
-            rhs.append(bias[i] - joint.tau_max)
+    # Row blocks, in order: contact cone, acceleration barriers, then each
+    # finite torque limit as the pair T_i z >= -h_i - tau_max_i,
+    # -T_i z >= h_i - tau_max_i.
+    m_c = contact.U.shape[0] if k else 0
+    m_e = 0 if extra_rows is None else extra_rows.rhs.shape[0]
+    limited, tau_max = _torque_limits(model)
+    m = m_c + m_e + 2 * tau_max.shape[0]
+    A = b = None
+    if m:
+        A = np.zeros((m, nz))
+        b = np.zeros(m)
+        if m_c:
+            A[:m_c, n:] = -contact.U
+        if m_e:
+            A[m_c:m_c + m_e, :n] = extra_rows.grad
+            b[m_c:m_c + m_e] = extra_rows.rhs
+        if tau_max.shape[0]:
+            r0 = m_c + m_e
+            T_lim, bias_lim = T[limited], bias[limited]
+            A[r0::2] = T_lim
+            A[r0 + 1::2] = -T_lim
+            b[r0::2] = -bias_lim - tau_max
+            b[r0 + 1::2] = bias_lim - tau_max
 
-    problem = QpProblem(
-        H=H, g=g,
-        A_ineq=np.array(rows) if rows else None,
-        b_ineq=np.array(rhs) if rows else None,
-    )
+    problem = QpProblem(H=H, g=g, A_ineq=A, b_ineq=b)
     sol = solver.solve(problem, warm_start=warm_start)
     if not sol.optimal:
         raise DynWbcInfeasibleError(sol)

@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .model import FkResult, RobotModel, _normal_jacobian, _xyz
+from .model import FkResult, RobotModel, _normal_jacobian, _point_motion, _xyz
 
 Vec3 = tuple[float, float, float]
 
@@ -91,6 +91,8 @@ class ProximityResult:
     point_b: Vec3             # witness point on B's centerline (world)
     normal: Vec3              # unit vector from B's witness toward A's
     degenerate: bool = False  # witness points coincide; normal meaningless
+    s: float = 0.0            # point_a = a + s (b - a) on A's posed segment
+    t: float = 0.0            # point_b = a + t (b - a) on B's posed segment
 
 
 def pose_body(body: CollisionBody, fk: FkResult) -> WorldSegment:
@@ -116,6 +118,12 @@ def segment_closest_points(a0, a1, b0, b1) -> tuple[Vec3, Vec3]:
     among minimizers, the point pair nearest the segment-A midpoint so the
     result is deterministic.
     """
+    return _segment_witnesses(a0, a1, b0, b1)[:2]
+
+
+def _segment_witnesses(a0, a1, b0, b1) -> tuple[Vec3, Vec3, float, float]:
+    """``segment_closest_points`` plus the witnesses' parameters (s, t):
+    p_A = a0 + s (a1 - a0) and p_B = b0 + t (b1 - b0)."""
     a0x, a0y, a0z = a0
     a1x, a1y, a1z = a1
     b0x, b0y, b0z = b0
@@ -130,13 +138,13 @@ def segment_closest_points(a0, a1, b0, b1) -> tuple[Vec3, Vec3]:
     vw = vx * wx + vy * wy + vz * wz
 
     if uu < 1e-18 and vv < 1e-18:
-        return (a0x, a0y, a0z), (b0x, b0y, b0z)
+        return (a0x, a0y, a0z), (b0x, b0y, b0z), 0.0, 0.0
     if uu < 1e-18:
         t = _clamp01(vw / vv)
-        return (a0x, a0y, a0z), (b0x + t * vx, b0y + t * vy, b0z + t * vz)
+        return (a0x, a0y, a0z), (b0x + t * vx, b0y + t * vy, b0z + t * vz), 0.0, t
     if vv < 1e-18:
         s = _clamp01(-uw / uu)
-        return (a0x + s * ux, a0y + s * uy, a0z + s * uz), (b0x, b0y, b0z)
+        return (a0x + s * ux, a0y + s * uy, a0z + s * uz), (b0x, b0y, b0z), s, 0.0
 
     denom = uu * vv - uv * uv
     if denom > 1e-12 * uu * vv:
@@ -153,20 +161,20 @@ def segment_closest_points(a0, a1, b0, b1) -> tuple[Vec3, Vec3]:
     # Re-clamp s against the now-fixed t (required when t was clamped).
     s = _clamp01((uv * t - uw) / uu)
     return ((a0x + s * ux, a0y + s * uy, a0z + s * uz),
-            (b0x + t * vx, b0y + t * vy, b0z + t * vz))
+            (b0x + t * vx, b0y + t * vy, b0z + t * vz), s, t)
 
 
 def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityResult:
     """Signed distance and witness points between two posed bodies."""
-    pa, pb = segment_closest_points(shape_a.a, shape_a.b, shape_b.a, shape_b.b)
+    pa, pb, s, t = _segment_witnesses(shape_a.a, shape_a.b, shape_b.a, shape_b.b)
     dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
     dist = sqrt(dx * dx + dy * dy + dz * dz)
     h = dist - (shape_a.radius + shape_b.radius)
     if dist < DEGENERATE_DISTANCE:
         return ProximityResult(h=h, point_a=pa, point_b=pb, normal=(0.0, 0.0, 0.0),
-                               degenerate=True)
+                               degenerate=True, s=s, t=t)
     return ProximityResult(h=h, point_a=pa, point_b=pb,
-                           normal=(dx / dist, dy / dist, dz / dist))
+                           normal=(dx / dist, dy / dist, dz / dist), s=s, t=t)
 
 
 def body_pair_barrier(
@@ -232,3 +240,101 @@ def workspace_barrier(fk: FkResult, pair: WorkspacePair) -> tuple[float, np.ndar
     grad_a = _normal_jacobian(fk, n_dof, pair.link_a, pa, normal)
     grad_b = _normal_jacobian(fk, n_dof, pair.link_b, pb, normal)
     return pair.d_max - dist, np.array([gb - ga for ga, gb in zip(grad_a, grad_b)])
+
+
+# -- closed-form second time derivatives (the eCBF curvature term) ----------
+
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _segment_motion(body: CollisionBody, fk: FkResult, rates, point, velocity: Vec3):
+    """(u, u_dot, v_p, a_p) of a posed body: its segment b - a and that
+    vector's rate, and the velocity and bias acceleration of the material
+    point at world ``point``.  A world body translates at ``velocity`` with
+    no acceleration; a robot body moves with its link (``_link_rates``)."""
+    p0, p1 = _xyz(body.p0), _xyz(body.p1)
+    if body.is_world:
+        return (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), _ZERO3, velocity, _ZERO3
+    e0, e1 = fk._point(body.link, p0), fk._point(body.link, p1)
+    ux, uy, uz = e1[0] - e0[0], e1[1] - e0[1], e1[2] - e0[2]
+    (wx, wy, wz), vel, acc = _point_motion(fk, rates, body.link, point)
+    return ((ux, uy, uz), (wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux),
+            vel, acc)
+
+
+def _pair_curvature(fk: FkResult, rates, body_a: CollisionBody, body_b: CollisionBody,
+                    prox: ProximityResult, velocity_b: Vec3 = _ZERO3) -> float:
+    """Second time derivative of a body pair's signed distance at zero joint
+    acceleration, qd^T (d2h/dq2) qd + 2 qd^T (d/dt grad h) + d2h/dt2, in
+    closed form.
+
+    ``prox`` is the pair's ``closest_points`` at pose ``fk`` and ``rates``
+    its ``_link_rates``; a world body B translates at ``velocity_b``.  With
+    witnesses p_A = a + s u and p_B = b + t v, d = p_A - p_B, n = d/|d|,
+    and v_A, v_B (a_A, a_B) the velocities (bias accelerations) of the
+    material points at s and t, h_dot = n.(v_A - v_B) and
+
+        h_ddot = n_dot.(v_A - v_B) + n.(a_A - a_B) + s_dot n.u_dot - t_dot n.v_dot,
+        n_dot = (d_dot - n (n.d_dot)) / |d|,   d_dot = v_A - v_B + s_dot u - t_dot v.
+
+    An interior witness (0 < s < 1) slides at the rate that keeps u.d = 0,
+    and likewise t with v.d = 0, solved jointly when both are interior.  A
+    clamped witness, or a sphere's, stays at its end: s_dot = 0.  For
+    parallel segments the minimizer is not unique; A's witness is held
+    (s_dot = 0), so the curvature is that of the distance from A's material
+    witness point to segment B, which is exact while the segments stay
+    parallel.
+    """
+    pa, pb, (nx, ny, nz) = prox.point_a, prox.point_b, prox.normal
+    (ux, uy, uz), (udx, udy, udz), va, aa = _segment_motion(body_a, fk, rates, pa, _ZERO3)
+    (vx, vy, vz), (vdx, vdy, vdz), vb, ab = _segment_motion(body_b, fk, rates, pb,
+                                                            velocity_b)
+    dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+    dist = sqrt(dx * dx + dy * dy + dz * dz)
+    rx, ry, rz = va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]
+    uu = ux * ux + uy * uy + uz * uz
+    vv = vx * vx + vy * vy + vz * vz
+    uv = ux * vx + uy * vy + uz * vz
+    slide_a = uu >= 1e-18 and 0.0 < prox.s < 1.0
+    slide_b = vv >= 1e-18 and 0.0 < prox.t < 1.0
+    denom = uu * vv - uv * uv
+    if slide_a and slide_b and not denom > 1e-12 * uu * vv:
+        slide_a = False                       # parallel: hold A's witness
+    s_dot = t_dot = 0.0
+    if slide_a or slide_b:
+        # d/dt (u.d) = r1 + uu s_dot - uv t_dot = 0, d/dt (v.d) = r2 + uv s_dot - vv t_dot = 0
+        r1 = udx * dx + udy * dy + udz * dz + ux * rx + uy * ry + uz * rz
+        r2 = vdx * dx + vdy * dy + vdz * dz + vx * rx + vy * ry + vz * rz
+        if slide_a and slide_b:
+            s_dot = (uv * r2 - vv * r1) / denom
+            t_dot = (uu * r2 - uv * r1) / denom
+        elif slide_a:
+            s_dot = -r1 / uu
+        else:
+            t_dot = r2 / vv
+    ddx = rx + s_dot * ux - t_dot * vx
+    ddy = ry + s_dot * uy - t_dot * vy
+    ddz = rz + s_dot * uz - t_dot * vz
+    nd = nx * ddx + ny * ddy + nz * ddz
+    return (((ddx - nx * nd) * rx + (ddy - ny * nd) * ry + (ddz - nz * nd) * rz) / dist
+            + nx * (aa[0] - ab[0]) + ny * (aa[1] - ab[1]) + nz * (aa[2] - ab[2])
+            + s_dot * (nx * udx + ny * udy + nz * udz)
+            - t_dot * (nx * vdx + ny * vdy + nz * vdz))
+
+
+def _workspace_curvature(fk: FkResult, rates, pair: WorkspacePair) -> float:
+    """Second time derivative of ``workspace_barrier`` at zero joint
+    acceleration: both points are fixed on their links, so with
+    d = p_A - p_B, n = d/|d| and h = d_max - |d|,
+    h_ddot = -(|d_dot|^2 - (n.d_dot)^2)/|d| - n.(a_A - a_B).  Zero where the
+    points coincide (the barrier is constant there)."""
+    pa, pb, dist = _workspace_separation(fk, pair)
+    if dist < DEGENERATE_DISTANCE:
+        return 0.0
+    _, va, aa = _point_motion(fk, rates, pair.link_a, pa)
+    _, vb, ab = _point_motion(fk, rates, pair.link_b, pb)
+    nx, ny, nz = (pa[0] - pb[0]) / dist, (pa[1] - pb[1]) / dist, (pa[2] - pb[2]) / dist
+    rx, ry, rz = va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]
+    nd = nx * rx + ny * ry + nz * rz
+    return (-(rx * rx + ry * ry + rz * rz - nd * nd) / dist
+            - (nx * (aa[0] - ab[0]) + ny * (aa[1] - ab[1]) + nz * (aa[2] - ab[2])))

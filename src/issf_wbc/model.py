@@ -303,6 +303,54 @@ def _normal_jacobian(fk: FkResult, n_dof: int, link: int, point, normal) -> list
     return out + [0.0] * (n_dof - link - 1)
 
 
+def _link_rates(fk: FkResult, qd) -> list[tuple[float, ...]]:
+    """Link motion at pose ``fk``, joint velocity ``qd`` and zero joint acceleration.
+
+    One pass from the base gives, per link, a flat 12-tuple: the angular
+    velocity w, the velocity v of the link frame's origin, the angular
+    acceleration al and the origin's bias acceleration a (the Jdot qd terms).
+    Joint i turns about its axis z_i through o_i, which is link i-1's frame
+    origin, so with r = p_i - o_i:
+
+        w_i = w_(i-1) + z_i qd_i,          al_i = al_(i-1) + qd_i w_(i-1) x z_i,
+        v_i = v_(i-1) + w_i x r,           a_i = a_(i-1) + al_i x r + w_i x (w_i x r).
+    """
+    wx = wy = wz = vx = vy = vz = lx = ly = lz = ax = ay = az = 0.0
+    out = []
+    for qdi, (zx, zy, zz), (ox, oy, oz), (px, py, pz) in zip(
+            qd, fk.joint_axis, fk.joint_origin, fk.pos):
+        lx += qdi * (wy * zz - wz * zy)
+        ly += qdi * (wz * zx - wx * zz)
+        lz += qdi * (wx * zy - wy * zx)
+        wx += zx * qdi
+        wy += zy * qdi
+        wz += zz * qdi
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+        vx += cx
+        vy += cy
+        vz += cz
+        ax += (ly * rz - lz * ry) + (wy * cz - wz * cy)
+        ay += (lz * rx - lx * rz) + (wz * cx - wx * cz)
+        az += (lx * ry - ly * rx) + (wx * cy - wy * cx)
+        out.append((wx, wy, wz, vx, vy, vz, lx, ly, lz, ax, ay, az))
+    return out
+
+
+def _point_motion(fk: FkResult, rates: list[tuple[float, ...]], link: int,
+                  point) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """(w, v, a) of a world point moving with ``link``: the link's angular
+    velocity, and the point's velocity and bias acceleration from ``_link_rates``."""
+    wx, wy, wz, vx, vy, vz, lx, ly, lz, ax, ay, az = rates[link]
+    px, py, pz = fk.pos[link]
+    rx, ry, rz = point[0] - px, point[1] - py, point[2] - pz
+    cx, cy, cz = wy * rz - wz * ry, wz * rx - wx * rz, wx * ry - wy * rx
+    return ((wx, wy, wz), (vx + cx, vy + cy, vz + cz),
+            (ax + (ly * rz - lz * ry) + (wy * cz - wz * cy),
+             ay + (lz * rx - lx * rz) + (wz * cx - wx * cz),
+             az + (lx * ry - ly * rx) + (wx * cy - wy * cx)))
+
+
 def point_jacobian(
     model: RobotModel,
     fk: FkResult,

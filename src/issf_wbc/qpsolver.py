@@ -49,6 +49,8 @@ from operator import mul
 
 import numpy as np
 
+# Row i counts as violated when b_i - a_i . x > FEAS_TOL (1 + |b_i|), a scale
+# set by the row alone, so a far-away row cannot hide another's violation.
 FEAS_TOL = 1e-10
 DUAL_TOL = 1e-11
 DEP_TOL = 1e-11
@@ -233,7 +235,6 @@ class QpSolver:
         H = problem.H.tolist()
         g = problem.g.tolist()
         L = _cholesky(H)
-        feas_tol = FEAS_TOL * (1.0 + (max(map(abs, b_list)) if m else 0.0))
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
         # Row index -> (a, L^-1 a), filled on first use.
@@ -289,12 +290,13 @@ class QpSolver:
         status = QpStatus.MAX_ITER
         viol: list[float] = []      # b - A x over every row of the problem
         while iterations < max_iter:
-            cand, worst = -1, feas_tol
+            cand, worst = -1, 0.0
             if m:
                 viol = (b - A @ np.array(x)).tolist()
                 for i in keep:
                     v_i = viol[i]
-                    if v_i > worst and i not in work:
+                    if (v_i > worst and i not in work
+                            and v_i > FEAS_TOL * (1.0 + abs(b_list[i]))):
                         cand, worst = i, v_i
             if cand < 0:
                 status = QpStatus.OPTIMAL

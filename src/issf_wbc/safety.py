@@ -31,18 +31,21 @@ import numpy as np
 from .geometry import (
     CollisionBody,
     DegenerateWitnessError,
+    ProximityResult,
+    Vec3,
     WorkspacePair,
+    _pair_curvature,
+    _workspace_curvature,
     body_pair_barrier,
     workspace_barrier,
 )
-from .model import FkResult, JointState, RobotModel, _xyz, forward_kinematics
+from .model import FkResult, JointState, RobotModel, _link_rates, _xyz
 from .qpsolver import QpProblem, QpSolver
 
 log = logging.getLogger(__name__)
 
 DEFAULT_ACTIVATION_DISTANCE = 0.3
 DEFAULT_SLACK_WEIGHT = 1e6
-ECBF_FD_STEP = 1e-6
 
 
 class BarrierKind(enum.Enum):
@@ -65,6 +68,16 @@ class FilterInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class PairWitness:
+    """The closest-point query a collision row was built from."""
+
+    body_a: CollisionBody
+    body_b: CollisionBody
+    proximity: ProximityResult
+    velocity_b: Vec3 = (0.0, 0.0, 0.0)   # world body B's estimated velocity
+
+
+@dataclass(frozen=True)
 class BarrierConstraint:
     """One safety row: value, configuration gradient, parameters, provenance."""
 
@@ -75,8 +88,8 @@ class BarrierConstraint:
     alpha: float
     epsilon: float            # > 0, or inf for the plain barrier condition
     drift: float = 0.0        # rhs offset (obstacle-velocity term)
-    # Body pair or WorkspacePair the row was evaluated from; None for joint limits.
-    geometry: tuple[CollisionBody, CollisionBody] | WorkspacePair | None = field(
+    # What the row was evaluated from; None for joint limits.
+    geometry: PairWitness | WorkspacePair | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -197,7 +210,7 @@ def collect_constraints(
 
     for body_a, body_b in pairs:
         try:
-            h, grad, _ = body_pair_barrier(model, fk, body_a, body_b)
+            h, grad, prox = body_pair_barrier(model, fk, body_a, body_b)
         except DegenerateWitnessError as exc:
             log.warning("dropping self-collision row: %s", exc)
             continue
@@ -211,12 +224,13 @@ def collect_constraints(
                 grad=grad,
                 alpha=config.alpha[BarrierKind.SELF_COLLISION],
                 epsilon=config.epsilon[BarrierKind.SELF_COLLISION],
-                geometry=(body_a, body_b),
+                geometry=PairWitness(body_a, body_b, prox),
             )
         )
 
     for obstacle in obstacles:
-        vx, vy, vz = _xyz(obstacle.velocity)
+        velocity = _xyz(obstacle.velocity)
+        vx, vy, vz = velocity
         for body in model.collision_bodies:
             try:
                 h, grad, prox = body_pair_barrier(model, fk, body, obstacle.body)
@@ -236,7 +250,7 @@ def collect_constraints(
                     alpha=config.alpha[BarrierKind.OBJECT_COLLISION],
                     epsilon=config.epsilon[BarrierKind.OBJECT_COLLISION],
                     drift=drift,
-                    geometry=(body, obstacle.body),
+                    geometry=PairWitness(body, obstacle.body, prox, velocity),
                 )
             )
 
@@ -325,66 +339,63 @@ def filter_velocity(
 
 
 @dataclass(frozen=True)
-class AccelConstraint:
-    """Acceleration-level row grad . qdd >= rhs for the torque-level QP."""
+class AccelRows:
+    """Acceleration-level rows grad @ qdd >= rhs for the torque QP, as one block.
 
-    kind: BarrierKind
-    pair: str
-    grad: np.ndarray
-    rhs: float
-    h_e: float
+    Row i is the extended barrier of the barrier row ``keys[i]`` = (kind,
+    pair), whose value is h_e[i].
+    """
 
-
-JOINT_LIMIT_KINDS = (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)
-
-
-def _gradient_at(model: RobotModel, fk: FkResult, row: BarrierConstraint) -> np.ndarray | None:
-    """Gradient of a geometric row's barrier at pose ``fk`` (None if undefined)."""
-    geometry = row.geometry
-    if isinstance(geometry, WorkspacePair):
-        return workspace_barrier(fk, geometry)[1]
-    try:
-        return body_pair_barrier(model, fk, *geometry)[1]
-    except DegenerateWitnessError:
-        return None
+    keys: list[tuple[BarrierKind, str]]
+    grad: np.ndarray          # (m, n_dof)
+    rhs: np.ndarray           # (m,)
+    h_e: np.ndarray           # (m,)
 
 
 def ecbf_rows(
     model: RobotModel,
     state: JointState,
+    fk: FkResult,
     rows: list[BarrierConstraint],
-) -> list[AccelConstraint]:
+) -> AccelRows:
     """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha h_e.
 
     ``rows`` are this cycle's barrier rows, as collect_constraints returned
-    them for ``state``; one eCBF row is built from each, with that row's own
-    alpha.  The gradient's configuration derivative (the curvature term of
-    hd_e) is obtained from central finite differences of grad(h) along the
-    current velocity direction: one forward-kinematics pass per probe,
-    re-posing only the given rows' geometry.  Joint-limit rows have constant
-    gradients and skip it; a row whose gradient is undefined at a probe is
-    dropped with a logged event.
-    """
-    qd = state.qd
-    speed = float(np.linalg.norm(qd))
-    probes: list[FkResult] = []
-    if speed > 0.0 and any(c.kind not in JOINT_LIMIT_KINDS for c in rows):
-        step = ECBF_FD_STEP * (qd / speed)
-        probes = [forward_kinematics(model, q) for q in (state.q + step, state.q - step)]
+    them for ``state``, whose pose is ``fk``; one eCBF row is built from each,
+    in order, with that row's own alpha:
 
-    out: list[AccelConstraint] = []
-    for c in rows:
-        if c.kind in JOINT_LIMIT_KINDS or speed == 0.0:
+        grad . qdd >= -alpha h_e - c - alpha hd,   hd = grad . qd - drift,
+
+    where c is hd_dot at qdd = 0,
+
+        c = qd^T (d2h/dq2) qd + 2 qd^T (d/dt grad h) + d2h/dt2.
+
+    c is computed in closed form from the pose, one pass of link velocities
+    and bias accelerations (``model._link_rates``) and each row's witness
+    points (``geometry._pair_curvature``, ``geometry._workspace_curvature``);
+    a world body moves at the estimated velocity its row's drift uses, with no
+    acceleration.  Joint-limit rows have constant gradients and c = 0.
+    """
+    qd = state.qd.tolist()
+    grad = np.array([c.grad for c in rows]).reshape(len(rows), model.n_dof)
+    rates = None
+    rhs: list[float] = []
+    h_e: list[float] = []
+    for c, grad_qd in zip(rows, (grad @ state.qd).tolist()):
+        geometry = c.geometry
+        if geometry is None:
             curvature = 0.0
         else:
-            grad_plus, grad_minus = (_gradient_at(model, fk, c) for fk in probes)
-            if grad_plus is None or grad_minus is None:
-                log.warning("dropping eCBF row %s: gradient probe failed", c.pair)
-                continue
-            dgrad_dt = (grad_plus - grad_minus) / (2.0 * ECBF_FD_STEP) * speed
-            curvature = float(dgrad_dt @ qd)
-        h_dot = float(c.grad @ qd) - c.drift
-        h_e = h_dot + c.alpha * c.h
-        rhs = -c.alpha * h_e - curvature - c.alpha * h_dot
-        out.append(AccelConstraint(kind=c.kind, pair=c.pair, grad=c.grad, rhs=rhs, h_e=h_e))
-    return out
+            if rates is None:
+                rates = _link_rates(fk, qd)
+            if isinstance(geometry, WorkspacePair):
+                curvature = _workspace_curvature(fk, rates, geometry)
+            else:
+                curvature = _pair_curvature(fk, rates, geometry.body_a, geometry.body_b,
+                                            geometry.proximity, geometry.velocity_b)
+        h_dot = grad_qd - c.drift
+        h_e_c = h_dot + c.alpha * c.h
+        h_e.append(h_e_c)
+        rhs.append(-c.alpha * h_e_c - curvature - c.alpha * h_dot)
+    return AccelRows(keys=[(c.kind, c.pair) for c in rows], grad=grad,
+                     rhs=np.array(rhs), h_e=np.array(h_e))

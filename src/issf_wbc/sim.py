@@ -9,9 +9,9 @@ estimated obstacles to a motor torque command:
     -> velocity safety filter -> reference acceleration
     -> eCBF rows (ecbf mode only) -> torque QP -> motor command
 
-The pose from the first stage is the only one a cycle computes outside ecbf
-mode: IK, the barrier rows and the torque QP's dynamics all read it, and only
-the two eCBF curvature probes pose the robot again.  The call to
+The pose from the first stage is the only one a cycle computes: IK, the
+barrier rows, the eCBF rows (whose curvature is in closed form) and the
+torque QP's dynamics all read it.  The call to
 ``forward_kinematics`` at the top of ``Controller.step`` is this module's
 only one (``perfbench`` counts cycles by it), so the plant and the initial
 gravity torque pose through ``_fk``.
@@ -447,11 +447,12 @@ class Controller:
         q_safe = state.q + qdot_safe * dt
         qdd_safe = safe_acceleration(q_safe, qdot_safe, state, weights)
 
-        extra_rows = []
+        extra_rows = None
         h_e_min = np.nan
         if config.mode is FilterMode.ECBF:
-            extra_rows = ecbf_rows(model, state, rows)
-            h_e_min = min((r.h_e for r in extra_rows), default=np.nan)
+            extra_rows = ecbf_rows(model, state, fk, rows)
+            if rows:
+                h_e_min = float(extra_rows.h_e.min())
 
         dyn = solve_dynwbc(model, state, fk, qdd_safe, None, extra_rows, weights,
                            self.tau_prev, self.dyn_solver, scenario.sim.gravity,
@@ -535,12 +536,15 @@ def run_closed_loop(
                 ))
 
         q_before = state.q
+        tau = tau_cmd
         for j in range(cfg.substeps):
-            # Pulse windows are tested against the substep's exact time, not the
-            # accumulated state.t, whose rounding moves the window edges.
-            t_sub = t + j * cfg.dt_physics
-            tau_ext = sum((p.at(t_sub, n) for p in cfg.external_torque), np.zeros(n))
-            state = step_physics(plant_model, state, tau_cmd + tau_ext, cfg.gravity,
+            if cfg.external_torque:
+                # Pulse windows are tested against the substep's exact time, not
+                # the accumulated state.t, whose rounding moves the window edges.
+                t_sub = t + j * cfg.dt_physics
+                tau = tau_cmd + sum((p.at(t_sub, n) for p in cfg.external_torque),
+                                    np.zeros(n))
+            state = step_physics(plant_model, state, tau, cfg.gravity,
                                  cfg.dt_physics, cfg.integrator)
         d_k = (state.q - q_before) / cfg.dt_control - qdot_safe
         trace.d_inf[k] = d_inf = float(np.max(np.abs(d_k), initial=0.0))

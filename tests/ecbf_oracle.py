@@ -1,0 +1,70 @@
+"""Reference eCBF rows by finite differences along the true motion.
+
+``ecbf_rows_fd`` is the finite-difference version of ``safety.ecbf_rows``,
+extended to moving obstacles.  The package builds each row's curvature term,
+hd_dot at zero joint acceleration, in closed form; the reference
+differentiates hd = grad . qd - drift in time instead.  It re-collects every
+barrier row at the two probes tau = +-step, where the state has moved to
+q + tau qd and every obstacle by tau times its velocity, with unlimited
+activation distance, and takes
+
+    hd_dot = (hd(+step) - hd(-step)) / (2 step)
+
+for the row of the same (kind, pair).  A row with no counterpart at a probe
+(a degenerate witness there) raises ``KeyError``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from issf_wbc.model import JointState, forward_kinematics
+from issf_wbc.safety import AccelRows, Obstacle, collect_constraints
+
+FD_STEP = 1e-6
+
+
+def moved(obstacles: list[Obstacle], tau: float) -> list[Obstacle]:
+    """The obstacles after ``tau`` seconds at their velocities."""
+    out = []
+    for obstacle in obstacles:
+        shift = tau * np.asarray(obstacle.velocity, dtype=float)
+        body = replace(obstacle.body, p0=obstacle.body.p0 + shift,
+                       p1=obstacle.body.p1 + shift)
+        out.append(Obstacle(body=body, velocity=obstacle.velocity))
+    return out
+
+
+def hd_along_motion(model, state, obstacles, config, pairs, workspace_pairs, tau):
+    """(kind, pair) -> hd = grad . qd - drift at time offset ``tau``."""
+    probe = JointState(q=state.q + tau * state.qd, qd=state.qd, t=state.t + tau)
+    wide = replace(config, activation_distance=math.inf)
+    rows = collect_constraints(model, probe, forward_kinematics(model, probe.q),
+                               moved(obstacles, tau), wide, pairs, workspace_pairs)
+    return {(c.kind, c.pair): float(c.grad @ state.qd) - c.drift for c in rows}
+
+
+def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
+                 step=FD_STEP) -> tuple[AccelRows, np.ndarray]:
+    """The eCBF rows of the barrier rows collected at ``state``, with the
+    curvature term by central differences along the motion; also returns
+    that term per row."""
+    rows = collect_constraints(model, state, forward_kinematics(model, state.q),
+                               obstacles, config, pairs, workspace_pairs)
+    plus, minus = (hd_along_motion(model, state, obstacles, config, pairs,
+                                   workspace_pairs, tau) for tau in (step, -step))
+    rhs, h_e, curvature = [], [], []
+    for c in rows:
+        key = (c.kind, c.pair)
+        curv = (plus[key] - minus[key]) / (2.0 * step)
+        h_dot = float(c.grad @ state.qd) - c.drift
+        h_e.append(h_dot + c.alpha * c.h)
+        rhs.append(-c.alpha * h_e[-1] - curv - c.alpha * h_dot)
+        curvature.append(curv)
+    grad = np.array([c.grad for c in rows]).reshape(len(rows), model.n_dof)
+    return (AccelRows(keys=[(c.kind, c.pair) for c in rows], grad=grad,
+                      rhs=np.array(rhs), h_e=np.array(h_e)),
+            np.array(curvature))

@@ -120,7 +120,7 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
     m = A.shape[0]
     check_strict_convexity(H)
 
-    feas_tol = FEAS_TOL * (1.0 + (float(np.max(np.abs(b))) if m else 0.0))
+    feas_tol = FEAS_TOL * (1.0 + np.abs(b))     # per row
     max_iter = max_iter or max(10 * (n + m), 20)
 
     work: list[int] = []
@@ -161,10 +161,11 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
 
     while iterations < max_iter:
         viol = b - A @ x if m else np.zeros(0)
+        viol[viol <= feas_tol] = -np.inf
         if work:
             viol[work] = -np.inf
         cand = int(np.argmax(viol)) if m else -1
-        if cand < 0 or viol[cand] <= feas_tol:
+        if cand < 0 or viol[cand] == -np.inf:
             return finish(x, QpStatus.OPTIMAL, iterations)
 
         lam_cand = 0.0

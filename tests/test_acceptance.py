@@ -320,7 +320,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
         state = JointState(q=rng.uniform(-1, 1, 4), qd=rng.uniform(-1, 1, 4))
         qdd_safe = rng.normal(size=4)
         fk = forward_kinematics(model, state.q)
-        res = solve_dynwbc(model, state, fk, qdd_safe, None, [],
+        res = solve_dynwbc(model, state, fk, qdd_safe, None, None,
                            DynWbcWeights(w_tau=0.0, w_M=0.0), np.zeros(4),
                            QpSolver(), gravity)
         mass, bias = joint_dynamics(model, fk, state.qd, gravity)
@@ -338,7 +338,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
     qdd_safe = rng.normal(size=6)
     fk = forward_kinematics(model, state.q)
-    res = solve_dynwbc(model, state, fk, qdd_safe, contact, [], weights, np.zeros(6),
+    res = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights, np.zeros(6),
                        QpSolver(), gravity)
     mass, bias = joint_dynamics(model, fk, state.qd, gravity)
     nz = 15

@@ -14,7 +14,7 @@ from issf_wbc.dynwbc import (
 )
 from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
-from issf_wbc.safety import AccelConstraint, BarrierKind
+from issf_wbc.safety import AccelRows, BarrierKind
 
 from conftest import enumerate_qp, random_chain, two_link_planar
 
@@ -66,7 +66,7 @@ class TestSolveDynWbc:
         qdd_safe = rng.normal(size=4)
         weights = DynWbcWeights(w_tau=0.0, w_M=0.0)
         fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, qdd_safe, None, [], weights,
+        result = solve_dynwbc(model, state, fk, qdd_safe, None, None, weights,
                               np.zeros(4), QpSolver(), GRAVITY)
         mass, bias = joint_dynamics(model, fk, state.qd, GRAVITY)
         np.testing.assert_allclose(result.qddot_opt, qdd_safe, atol=1e-8)
@@ -78,7 +78,7 @@ class TestSolveDynWbc:
         state = JointState(q=rng.uniform(-1, 1, 3), qd=np.zeros(3))
         weights = DynWbcWeights(w_tau=0.0, w_M=0.0)
         fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.zeros(3), None, [], weights,
+        result = solve_dynwbc(model, state, fk, np.zeros(3), None, None, weights,
                               np.zeros(3), QpSolver(), GRAVITY)
         _, bias = joint_dynamics(model, fk, np.zeros(3), GRAVITY)
         np.testing.assert_allclose(result.tau_opt, bias, atol=1e-8)
@@ -89,7 +89,7 @@ class TestSolveDynWbc:
             n = model.n_dof
             state = JointState(q=rng.uniform(-1, 1, n), qd=rng.uniform(-1, 1, n))
             fk = forward_kinematics(model, state.q)
-            result = solve_dynwbc(model, state, fk, rng.normal(size=n), None, [],
+            result = solve_dynwbc(model, state, fk, rng.normal(size=n), None, None,
                                   DynWbcWeights(), rng.normal(size=n), QpSolver(),
                                   GRAVITY)
             assert result.dynamics_residual < 1e-8
@@ -112,7 +112,7 @@ class TestSolveDynWbc:
         weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
         qdd_safe = rng.normal(size=6)
         fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, qdd_safe, contact, [], weights,
+        result = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights,
                               np.zeros(6), QpSolver(), GRAVITY)
         mass, bias = joint_dynamics(model, fk, state.qd, GRAVITY)
         nz = 6 + 3 + 6
@@ -157,10 +157,10 @@ class TestSolveDynWbc:
                 if with_contact:
                     contact = ContactBlock(J_c=rng.normal(size=(k, n)), U=cone,
                                            F_c_des=np.array([0.5, 10.0]))
-                rows = [AccelConstraint(kind=BarrierKind.JOINT_LIMIT_MIN, pair=f"q{i}",
-                                        grad=rng.normal(size=n), rhs=float(rng.normal()),
-                                        h_e=0.0)
-                        for i in range(2)]
+                rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0"),
+                                       (BarrierKind.JOINT_LIMIT_MIN, "q1")],
+                                 grad=rng.normal(size=(2, n)), rhs=rng.normal(size=2),
+                                 h_e=np.zeros(2))
                 qdd_safe = rng.normal(size=n) * 20.0
                 tau_prev = rng.normal(size=n)
                 fk = forward_kinematics(model, state.q)
@@ -185,9 +185,9 @@ class TestSolveDynWbc:
                     for u_row in cone:
                         a_ineq.append(np.concatenate([np.zeros(n), -u_row, np.zeros(n)]))
                         b_ineq.append(0.0)
-                for row in rows:
-                    a_ineq.append(np.concatenate([row.grad, np.zeros(k + n)]))
-                    b_ineq.append(row.rhs)
+                for grad, rhs in zip(rows.grad, rows.rhs):
+                    a_ineq.append(np.concatenate([grad, np.zeros(k + n)]))
+                    b_ineq.append(rhs)
                 for i in range(n):
                     unit = np.zeros(nz)
                     unit[n + k + i] = 1.0
@@ -210,7 +210,7 @@ class TestSolveDynWbc:
         model = dataclasses.replace(model, joints=joints)
         state = JointState(q=np.array([0.3, -0.5]), qd=np.zeros(2))
         fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.array([50.0, 50.0]), None, [],
+        result = solve_dynwbc(model, state, fk, np.array([50.0, 50.0]), None, None,
                               DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
         assert np.all(np.abs(result.tau_opt) <= 1.0 + 1e-9)
         assert result.dynamics_residual < 1e-8
@@ -218,12 +218,10 @@ class TestSolveDynWbc:
     def test_infeasible_surfaced_with_active_rows(self):
         model = two_link_planar()
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
-        rows = [
-            AccelConstraint(kind=BarrierKind.JOINT_LIMIT_MIN, pair="q0",
-                            grad=np.array([1.0, 0.0]), rhs=1.0, h_e=0.0),
-            AccelConstraint(kind=BarrierKind.JOINT_LIMIT_MAX, pair="q0",
-                            grad=np.array([-1.0, 0.0]), rhs=1.0, h_e=0.0),
-        ]
+        rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0"),
+                               (BarrierKind.JOINT_LIMIT_MAX, "q0")],
+                         grad=np.array([[1.0, 0.0], [-1.0, 0.0]]), rhs=np.array([1.0, 1.0]),
+                         h_e=np.zeros(2))
         fk = forward_kinematics(model, state.q)
         with pytest.raises(DynWbcInfeasibleError):
             solve_dynwbc(model, state, fk, np.zeros(2), None, rows, DynWbcWeights(),
@@ -240,7 +238,7 @@ class TestSolveDynWbc:
         deltas = []
         for _ in range(40):
             fk = forward_kinematics(model, state.q)
-            result = solve_dynwbc(model, state, fk, qdd_safe, None, [], weights,
+            result = solve_dynwbc(model, state, fk, qdd_safe, None, None, weights,
                                   tau_prev, solver, GRAVITY)
             deltas.append(np.linalg.norm(result.tau_opt - tau_prev))
             tau_prev = result.tau_opt
@@ -251,10 +249,10 @@ class TestSolveDynWbc:
     def test_ecbf_rows_enter_inequalities(self):
         model = two_link_planar()
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
-        row = AccelConstraint(kind=BarrierKind.JOINT_LIMIT_MIN, pair="q0",
-                              grad=np.array([1.0, 0.0]), rhs=5.0, h_e=1.0)
+        row = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0")],
+                        grad=np.array([[1.0, 0.0]]), rhs=np.array([5.0]), h_e=np.ones(1))
         fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.zeros(2), None, [row],
+        result = solve_dynwbc(model, state, fk, np.zeros(2), None, row,
                               DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
         assert result.qddot_opt[0] >= 5.0 - 1e-8
 

@@ -160,6 +160,19 @@ class TestContract:
             assert sol.optimal and sol.active_set == (1,)
             assert sol.iterations == 1, far
 
+    def test_far_row_does_not_hide_a_violated_row(self):
+        # x <= 1.5, x >= 1 and -x >= -1e12: the far row's |b| must not set the
+        # tolerance of the others, or x = 0 passes for optimal with x >= 1
+        # violated by 1.
+        problem = QpProblem(H=2 * np.eye(1), g=np.zeros(1),
+                            A_ineq=np.array([[-1.0], [1.0], [-1.0]]),
+                            b_ineq=np.array([-1.5, 1.0, -1e12]))
+        for solve in (QpSolver().solve, qp_oracle.solve):
+            sol = solve(problem)
+            assert sol.optimal and sol.active_set == (1,)
+            assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
+            assert sol.kkt_residual < 1e-12
+
     def test_warm_start_reseeds_a_row_that_drifted(self):
         # Between two control cycles the active row x >= 1 moves to
         # x >= 1.005.  The previous solution is off by 0.5% of the row's

@@ -9,8 +9,6 @@ from issf_wbc.kinwbc import Task, prioritized_ik
 from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import (
-    ECBF_FD_STEP,
-    AccelConstraint,
     BarrierConstraint,
     BarrierKind,
     FilterConfig,
@@ -23,11 +21,17 @@ from issf_wbc.safety import (
 )
 
 from conftest import enumerate_qp, random_chain, two_link_planar
+from ecbf_oracle import ecbf_rows_fd
 
 
 def collect(model, state, *args):
     """collect_constraints at the pose of ``state``."""
     return collect_constraints(model, state, forward_kinematics(model, state.q), *args)
+
+
+def ecbf(model, state, rows):
+    """ecbf_rows at the pose of ``state``."""
+    return ecbf_rows(model, state, forward_kinematics(model, state.q), rows)
 
 
 def jl_row(h, alpha=10.0, epsilon=10.0, n=1, idx=0, sign=1.0):
@@ -268,11 +272,11 @@ class TestEcbf:
                               alpha={k: 5.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
         state = JointState(q=np.array([0.4]), qd=np.zeros(1))
-        rows = ecbf_rows(model, state, collect(model, state, [], config, []))
-        row = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MIN)
-        assert row.h_e == pytest.approx(5.0 * 0.4)
-        np.testing.assert_allclose(row.grad, [1.0])
-        assert row.rhs == pytest.approx(-5.0 * 5.0 * 0.4)
+        rows = ecbf(model, state, collect(model, state, [], config, []))
+        i = rows.keys.index((BarrierKind.JOINT_LIMIT_MIN, "q0"))
+        assert rows.h_e[i] == pytest.approx(5.0 * 0.4)
+        np.testing.assert_allclose(rows.grad[i], [1.0])
+        assert rows.rhs[i] == pytest.approx(-5.0 * 5.0 * 0.4)
 
     def test_h_e_direct_substitution(self):
         # hd = 0, h = 1, alpha = 5 -> h_e = 5
@@ -315,11 +319,10 @@ class TestEcbf:
             qd = rng.normal(size=2)
             state = JointState(q=q, qd=qd)
             collected = collect(model, state, [], config, [(tip, base)])
-            rows = [r for r in ecbf_rows(model, state, collected)
-                    if r.kind is BarrierKind.SELF_COLLISION]
-            if not rows:
+            rows = ecbf(model, state, collected)
+            if (BarrierKind.SELF_COLLISION, "tip|base") not in rows.keys:
                 continue
-            row = rows[0]
+            rhs = rows.rhs[rows.keys.index((BarrierKind.SELF_COLLISION, "tip|base"))]
             # hd(q, qd) by finite differences of h along qd, with qdd = 0:
             # hdd = curvature only; reconstruct from the row rhs definition
             eps = 1e-5
@@ -330,73 +333,46 @@ class TestEcbf:
             alpha = config.alpha[BarrierKind.SELF_COLLISION]
             h_e = float(g0 @ qd) + alpha * h0
             rhs_expected = -alpha * h_e - hdd_fd - alpha * float(g0 @ qd)
-            assert row.rhs == pytest.approx(rhs_expected, rel=1e-3, abs=1e-6)
+            assert rhs == pytest.approx(rhs_expected, rel=1e-3, abs=1e-6)
 
 
-def ecbf_rows_recollect(model, state, obstacles, config, pairs, workspace_pairs=(),
-                        fd_step=ECBF_FD_STEP):
-    """Reference eCBF rows: re-collects every barrier row at the state and at
-    q +- fd_step qd/|qd| with unlimited activation distance, and takes each
-    row's curvature from the gradients of the same (kind, pair) there."""
-    rows = collect(model, state, obstacles, config, pairs, workspace_pairs)
-    qd = state.qd
-    speed = float(np.linalg.norm(qd))
-    grad_plus, grad_minus = {}, {}
-    if speed > 0.0:
-        unit = qd / speed
-        wide = replace(config, activation_distance=math.inf)
-        for sign, store in ((1.0, grad_plus), (-1.0, grad_minus)):
-            probe = JointState(q=state.q + sign * fd_step * unit, qd=qd, t=state.t)
-            for c in collect(model, probe, obstacles, wide, pairs, workspace_pairs):
-                store[(c.kind, c.pair)] = c.grad
-    out = []
-    for c in rows:
-        key = (c.kind, c.pair)
-        if c.kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX) or speed == 0.0:
-            curvature = 0.0
-        elif key in grad_plus and key in grad_minus:
-            dgrad_dt = (grad_plus[key] - grad_minus[key]) / (2.0 * fd_step) * speed
-            curvature = float(dgrad_dt @ qd)
-        else:
-            continue
-        h_dot = float(c.grad @ qd) - c.drift
-        h_e = h_dot + c.alpha * c.h
-        rhs = -c.alpha * h_e - curvature - c.alpha * h_dot
-        out.append(AccelConstraint(kind=c.kind, pair=c.pair, grad=c.grad, rhs=rhs, h_e=h_e))
-    return out
-
-
-def assert_rows_equal(rows, expected):
-    assert [(r.kind, r.pair) for r in rows] == [(r.kind, r.pair) for r in expected]
-    for row, ref in zip(rows, expected):
-        np.testing.assert_array_equal(row.grad, ref.grad)
-        assert row.rhs == ref.rhs
-        assert row.h_e == ref.h_e
+def curvatures(rows, collected):
+    """The curvature term of each eCBF row, read back from its rhs:
+    rhs = -alpha h_e - c - alpha hd with hd = h_e - alpha h."""
+    return np.array([-r - c.alpha * h_e - c.alpha * (h_e - c.alpha * c.h)
+                     for r, h_e, c in zip(rows.rhs, rows.h_e, collected)])
 
 
 def bodied_chain(rng, n):
-    """Random chain with a capsule on every link and a sphere at the tip."""
+    """Random chain with a capsule on every link, a sphere at the tip and a
+    sphere on link 1."""
     model = random_chain(rng, n)
     bodies = [CollisionBody(f"cap{i}", i, float(rng.uniform(0.03, 0.08)),
                             rng.uniform(-0.2, 0.2, 3), rng.uniform(-0.2, 0.2, 3))
               for i in range(n)]
     bodies.append(CollisionBody("tip", n - 1, 0.05, np.zeros(3), np.zeros(3)))
+    bodies.append(CollisionBody("elbow", 1, 0.04, np.zeros(3), np.zeros(3)))
     return replace(model, collision_bodies=tuple(bodies))
 
 
 class TestEcbfAgainstRecollect:
-    """ecbf_rows on the cycle's rows equals the re-collecting reference bit for bit."""
+    """ecbf_rows' closed-form curvature against the finite-difference oracle,
+    which re-collects the rows along the motion of the robot and obstacles."""
 
     def test_random_chains_with_obstacle_and_workspace(self, rng):
-        checked = 0
+        kinds = set()
         for trial in range(12):
-            n = int(rng.integers(3, 7))
+            n = int(rng.integers(3, 8))
             model = bodied_chain(rng, n)
             bodies = model.collision_bodies
-            pairs = [(bodies[-1], bodies[0]), (bodies[n - 1], bodies[1])]
-            ball = CollisionBody("ball", -1, 0.1, rng.uniform(-0.5, 0.5, 3),
-                                 np.zeros(3))
-            obstacles = [Obstacle(body=ball, velocity=rng.normal(size=3))]
+            # sphere-capsule, capsule-capsule and sphere-sphere self pairs
+            pairs = [(bodies[n], bodies[0]), (bodies[n - 1], bodies[1]),
+                     (bodies[n], bodies[n + 1])]
+            centre = rng.uniform(-0.5, 0.5, 3)
+            ball = CollisionBody("ball", -1, 0.1, centre, centre)
+            rod = CollisionBody("rod", -1, 0.05, centre, centre + rng.uniform(-0.3, 0.3, 3))
+            obstacles = [Obstacle(body=ball, velocity=rng.normal(size=3)),
+                         Obstacle(body=rod, velocity=rng.normal(size=3))]
             workspace = [WorkspacePair("reach", n - 1, np.zeros(3), 0, np.zeros(3),
                                        d_max=float(rng.uniform(0.3, 1.0)))]
             config = FilterConfig(mode=FilterMode.ECBF,
@@ -406,33 +382,94 @@ class TestEcbfAgainstRecollect:
                 qd = rng.normal(size=n) if trial % 4 else np.zeros(n)
                 state = JointState(q=q, qd=qd)
                 collected = collect(model, state, obstacles, config, pairs, workspace)
-                rows = ecbf_rows(model, state, collected)
-                expected = ecbf_rows_recollect(model, state, obstacles, config, pairs,
-                                               workspace)
-                assert_rows_equal(rows, expected)
-                checked += sum(r.kind is not BarrierKind.JOINT_LIMIT_MIN
-                               and r.kind is not BarrierKind.JOINT_LIMIT_MAX for r in rows)
-        assert checked > 50   # the comparison covered many geometric rows
+                rows = ecbf(model, state, collected)
+                expected, curv_ref = ecbf_rows_fd(model, state, obstacles, config, pairs,
+                                                  workspace)
+                assert rows.keys == expected.keys
+                np.testing.assert_array_equal(rows.grad, expected.grad)
+                np.testing.assert_allclose(rows.h_e, expected.h_e, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(curvatures(rows, collected), curv_ref,
+                                           rtol=1e-6, atol=1e-7)
+                kinds |= {kind for kind, _ in rows.keys}
+        assert kinds == set(BarrierKind)
 
-    def test_degenerate_probe_drops_row_on_both_sides(self, rng, caplog):
-        # the obstacle sits exactly where the tip sphere's centre is at the
-        # + probe, so the witness points coincide there and the row is dropped
-        n = 4
-        model = bodied_chain(rng, n)
-        tip = model.collision_body("tip")
-        q = rng.uniform(-1.0, 1.0, n)
-        qd = rng.normal(size=n)
+    def test_tangentially_moving_obstacle(self):
+        # A ball 5 mm from the resting tip sphere, passing it at 2 m/s: h's
+        # second derivative is |v|^2 / |d| = 4 / 0.185, all from the
+        # obstacle's motion (the q-only curvature is 0 at rest).
+        model = two_link_planar(0.4, 0.35, bodies=[
+            CollisionBody("tip", 1, 0.06, np.zeros(3), np.zeros(3))])
+        q = np.array([0.3, 0.9])
+        tip = forward_kinematics(model, q).link_point(1, np.zeros(3))
+        centre = tip + np.array([0.0, 0.0, 0.185])
+        ball = CollisionBody("ball", -1, 0.12, centre, centre)
+        for qd in (np.zeros(2), np.array([0.7, -1.3])):
+            state = JointState(q=q, qd=qd)
+            obstacles = [Obstacle(body=ball, velocity=np.array([2.0, 0.0, 0.0]))]
+            config = FilterConfig(mode=FilterMode.ECBF)
+            collected = collect(model, state, obstacles, config, [])
+            rows = ecbf(model, state, collected)
+            _, curv_ref = ecbf_rows_fd(model, state, obstacles, config, [])
+            curv = curvatures(rows, collected)
+            np.testing.assert_allclose(curv, curv_ref, rtol=1e-6, atol=1e-7)
+            if not qd.any():
+                i = rows.keys.index((BarrierKind.OBJECT_COLLISION, "tip|ball"))
+                assert curv[i] == pytest.approx(4.0 / 0.185, rel=1e-12)
+
+
+class TestEcbfParallelSegments:
+    """For parallel segments the witness pair is not unique; A's witness is
+    held (no sliding) and B's slides along B."""
+
+    def setup_method(self):
+        # a capsule along link 0 of a planar arm, and a world rod parallel to it
+        self.arm = CollisionBody("arm", 0, 0.03, np.array([-0.3, 0.0, 0.0]),
+                                 np.array([-0.1, 0.0, 0.0]))
+        self.model = two_link_planar(0.4, 0.35, bodies=[self.arm])
+        self.config = FilterConfig(mode=FilterMode.ECBF)
+
+    def rod(self, q0, offset):
+        """World rod parallel to link 0 at angle q0, shifted by ``offset``."""
+        axis = np.array([math.cos(q0), math.sin(q0), 0.0])
+        return CollisionBody("rod", -1, 0.03, offset + 0.05 * axis, offset + 0.4 * axis)
+
+    def test_exact_while_segments_stay_parallel(self):
+        # robot at rest, rod translating along and across itself: h is the
+        # line distance throughout, and the closed form matches it
+        q = np.array([0.4, 0.2])
+        state = JointState(q=q, qd=np.zeros(2))
+        rod = self.rod(0.4, np.array([-0.05, 0.12, 0.03]))
+        obstacles = [Obstacle(body=rod, velocity=np.array([0.8, -0.5, 0.6]))]
+        collected = collect(self.model, state, obstacles, self.config, [])
+        rows = ecbf(self.model, state, collected)
+        _, curv_ref = ecbf_rows_fd(self.model, state, obstacles, self.config, [])
+        i = rows.keys.index((BarrierKind.OBJECT_COLLISION, "arm|rod"))
+        assert abs(curvatures(rows, collected)[i]) > 1.0
+        assert curvatures(rows, collected)[i] == pytest.approx(curv_ref[i], rel=1e-6)
+
+    def test_rotating_segment_holds_its_witness(self):
+        # the arm turns out of parallel: the row's curvature is that of the
+        # distance from the arm's material witness point to the rod
+        q = np.array([0.4, 0.2])
+        qd = np.array([1.5, 0.0])
         state = JointState(q=q, qd=qd)
-        probe_q = q + ECBF_FD_STEP * (qd / float(np.linalg.norm(qd)))
-        centre = forward_kinematics(model, probe_q).link_point(tip.link, tip.p0)
-        ball = CollisionBody("ball", -1, 0.1, centre, centre)
-        obstacles = [Obstacle(body=ball, velocity=np.array([0.1, 0.0, 0.0]))]
-        config = FilterConfig(mode=FilterMode.ECBF)
-        collected = collect(model, state, obstacles, config, [])
-        assert any(c.pair == "tip|ball" for c in collected)
-        with caplog.at_level("WARNING", logger="issf_wbc.safety"):
-            rows = ecbf_rows(model, state, collected)
-        assert any("gradient probe failed" in rec.message for rec in caplog.records)
-        expected = ecbf_rows_recollect(model, state, obstacles, config, [])
-        assert all(r.pair != "tip|ball" for r in expected)
-        assert_rows_equal(rows, expected)
+        rod = self.rod(0.4, np.array([0.02, 0.0, 0.1]))
+        obstacles = [Obstacle(body=rod, velocity=np.zeros(3))]
+        collected = collect(self.model, state, obstacles, self.config, [])
+        i = next(k for k, c in enumerate(collected) if c.pair == "arm|rod")
+        witness = collected[i].geometry.proximity.point_a
+        fk = forward_kinematics(self.model, q)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = fk.rot[0]
+        rel = np.asarray(witness) - np.asarray(fk.pos[0])
+        local = np.array([[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]).T @ rel
+
+        def distance(tau):
+            point = forward_kinematics(self.model, q + tau * qd).link_point(0, local)
+            a, b = rod.p0, rod.p1
+            t = np.clip((point - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+            return float(np.linalg.norm(point - (a + t * (b - a))))
+
+        step = 1e-4
+        held = (distance(step) - 2.0 * distance(0.0) + distance(-step)) / step**2
+        rows = ecbf(self.model, state, collected)
+        assert curvatures(rows, collected)[i] == pytest.approx(held, rel=1e-5)

@@ -425,8 +425,7 @@ class TestController:
                 assert trace.tau_cmd[k].tobytes() == tau_cmd.tobytes()
                 assert trace.qp_status[k] == rec.filtered.status
                 for _ in range(scenario.sim.substeps):
-                    # + the (zero) external torque, as run_closed_loop adds it
-                    state = step_physics(plant, state, tau_cmd + np.zeros(2), GRAVITY,
+                    state = step_physics(plant, state, tau_cmd, GRAVITY,
                                          scenario.sim.dt_physics)
             assert trace.cycles == 200
             if mode is FilterMode.ISSF_CBF:
@@ -435,8 +434,8 @@ class TestController:
                 assert np.isfinite(trace.h_e_min).all()
 
     def test_one_pose_per_step(self, monkeypatch):
-        # IK, the barrier rows and the torque QP's dynamics share the step's
-        # pose; only ecbf mode poses the robot again, once per curvature probe.
+        # IK, the barrier rows, the eCBF rows and the torque QP's dynamics
+        # share the step's pose, in every mode.
         from issf_wbc import model as model_module
         original = model_module._fk
         calls = []
@@ -458,7 +457,7 @@ class TestController:
                 controller = Controller(model, scenario, mode)
                 calls.clear()
                 controller.step(state, 0.0, obstacles)
-                assert len(calls) == (3 if mode is FilterMode.ECBF else 1), (name, mode)
+                assert len(calls) == 1, (name, mode)
 
 
 def config_kinds():
