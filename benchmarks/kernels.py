@@ -13,10 +13,13 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
 - ``joint_dynamics`` (mass matrix and bias forces), given the FK;
-- ``ecbf_rows``: the eCBF rows of the scenario's barrier rows at the moving
-  state, given the FK and those rows, with each obstacle where it is 1.2 s
-  into the run (``obstacle_track``'s ball is then within reach of the hand
-  and the forearm);
+- ``collect_constraints``: the scenario's barrier rows at the moving state,
+  given the FK, with each obstacle where it is 1.2 s into the run
+  (``obstacle_track``'s ball is then within reach of the hand and the
+  forearm);
+- ``filter_velocity``: the ``issf-cbf`` velocity filter on those rows, with
+  qd_des the moving state's qd and a solver of its own;
+- ``ecbf_rows``: the eCBF rows of those barrier rows, given the FK;
 - ``step_physics``: one semi-implicit Euler substep of the scenario's plant
   (its mass-scaled model) under zero torque, FK and the solve for qdd
   included;
@@ -55,7 +58,13 @@ from issf_wbc.model import (  # noqa: E402
     scale_link_masses,
 )
 from issf_wbc.qpsolver import QpSolver  # noqa: E402
-from issf_wbc.safety import Obstacle, collect_constraints, ecbf_rows  # noqa: E402
+from issf_wbc.safety import (  # noqa: E402
+    FilterMode,
+    Obstacle,
+    collect_constraints,
+    ecbf_rows,
+    filter_velocity,
+)
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
 from issf_wbc.sim import Controller, step_physics  # noqa: E402
 
@@ -101,14 +110,19 @@ def kernels(scenario) -> dict[str, callable]:
                  for spec in scenario.obstacles]
     rows = collect_constraints(model, state, fk, obstacles, scenario.filter_config,
                                scenario.collision_pairs, scenario.workspace_pairs)
+    issf = scenario.filter_config.with_mode(FilterMode.ISSF_CBF)
     filter_qp, torque_qp = first_cycle_problems(scenario)
-    solver = QpSolver()
+    filter_solver, solver = QpSolver(), QpSolver()
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
         "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
+        "collect_constraints": lambda: collect_constraints(
+            model, state, fk, obstacles, scenario.filter_config,
+            scenario.collision_pairs, scenario.workspace_pairs),
+        "filter_velocity": lambda: filter_velocity(qd, rows, issf, filter_solver),
         "ecbf_rows": lambda: ecbf_rows(model, state, fk, rows),
         "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),
         "filter_qp": lambda: solver.solve(filter_qp),

@@ -31,8 +31,8 @@ from .model import (
 )
 from .qpsolver import QpProblem, QpSolution, QpSolver, QpStatus
 from .safety import (
-    BarrierConstraint,
     BarrierKind,
+    BarrierRows,
     FilterConfig,
     FilterMode,
     Obstacle,

@@ -22,7 +22,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -190,8 +192,7 @@ def _grid(modes, alphas, epsilons, ref_alpha, ref_eps):
 
 def _sweep_worker(args):
     path, mode, alpha, eps, seed, out = args
-    result = run_scenario(path, mode, alpha=alpha, epsilon=eps, seed=seed, out=out)
-    return (mode.value, alpha, eps, result.summary)
+    return run_scenario(path, mode, alpha=alpha, epsilon=eps, seed=seed, out=out).summary
 
 
 def run_sweep(
@@ -219,25 +220,16 @@ def run_sweep(
     tasks = [(path, m, a, e, seed, out) for (m, a, e) in grid]
 
     # A point's outcome is its summary, or the exception that ended it.
-    outcomes: dict[tuple, dict | Exception] = {}
-    if jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_sweep_worker, args): args for args in tasks}
-            for future, args in futures.items():
-                key = (args[1].value, args[2], args[3])
-                try:
-                    mode_v, a, e, summary = future.result()
-                    outcomes[(mode_v, a, e)] = summary
-                except Exception as exc:  # partial failure: record and continue
-                    outcomes[key] = exc
-    else:
-        for args in tasks:
-            key = (args[1].value, args[2], args[3])
+    outcomes: list[dict | Exception] = []
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and tasks
+          else nullcontext()) as pool:
+        calls = ([pool.submit(_sweep_worker, args).result for args in tasks] if pool
+                 else [partial(_sweep_worker, args) for args in tasks])
+        for call in calls:
             try:
-                mode_v, a, e, summary = _sweep_worker(args)
-                outcomes[(mode_v, a, e)] = summary
+                outcomes.append(call())
             except Exception as exc:  # partial failure: record and continue
-                outcomes[key] = exc
+                outcomes.append(exc)
 
     def ratio(events: int) -> float:
         if ref_events == 0:
@@ -254,8 +246,7 @@ def run_sweep(
         collision_events=ref_events,
     )] if any(FilterMode(m) is FilterMode.WITHOUT_CBF for m in modes) else []
 
-    for (mode, a, e) in grid:
-        summary = outcomes[(mode.value, a, e)]
+    for (mode, a, e), summary in zip(grid, outcomes):
         if isinstance(summary, Exception):
             points.append(SweepPoint(mode=mode.value, alpha=a, epsilon=e,
                                      remaining_collision_ratio=math.nan, min_h=math.nan,

@@ -1,4 +1,4 @@
-"""Barrier-constraint catalog and the robust velocity-level safety filter.
+"""Barrier-row block and the robust velocity-level safety filter.
 
 Each barrier h contributes one linear row in joint velocity,
 
@@ -10,7 +10,10 @@ commanded and realized joint velocity, while eps = inf recovers the plain
 condition.  Four constraint families are produced: joint limits (unit
 gradients, so the margin reduces to 1/eps exactly), self-collision pairs,
 object-collision pairs (whose right-hand side carries the obstacle-velocity
-drift term), and workspace distance bounds.
+drift term), and workspace distance bounds.  ``collect_constraints`` returns
+a cycle's rows as one ``BarrierRows`` block of arrays, which the filter and
+``ecbf_rows`` read by slices; alpha, eps and the slack settings are checked
+once, when the ``FilterConfig`` is built.
 
 The filter itself is the minimally invasive projection
 argmin ||qd - qd_des||^2 subject to those rows; an infeasible projection is
@@ -25,6 +28,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -46,6 +50,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ACTIVATION_DISTANCE = 0.3
 DEFAULT_SLACK_WEIGHT = 1e6
+SLACK_POLICIES = ("hard-fail", "slack")
 
 
 class BarrierKind(enum.Enum):
@@ -77,41 +82,6 @@ class PairWitness:
     velocity_b: Vec3 = (0.0, 0.0, 0.0)   # world body B's estimated velocity
 
 
-@dataclass(frozen=True)
-class BarrierConstraint:
-    """One safety row: value, configuration gradient, parameters, provenance."""
-
-    kind: BarrierKind
-    pair: str
-    h: float
-    grad: np.ndarray
-    alpha: float
-    epsilon: float            # > 0, or inf for the plain barrier condition
-    drift: float = 0.0        # rhs offset (obstacle-velocity term)
-    # What the row was evaluated from; None for joint limits.
-    geometry: PairWitness | WorkspacePair | None = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError(f"{self.pair}: alpha must be > 0")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"{self.pair}: epsilon must be > 0 (or inf)")
-        if not np.isfinite(self.grad).all():
-            raise ValueError(f"{self.pair}: non-finite gradient")
-
-    def margin(self, epsilon: float | None = None) -> float:
-        eps = self.epsilon if epsilon is None else epsilon
-        if math.isinf(eps):
-            return 0.0
-        return float(self.grad @ self.grad) / eps
-
-    def rhs(self, plain_cbf: bool = False) -> float:
-        """Right-hand side of grad . qd >= rhs."""
-        margin = 0.0 if plain_cbf else self.margin()
-        return self.drift - self.alpha * self.h + margin
-
-
 # Per-kind (alpha, epsilon) defaults: joint limits stiff and well-conditioned,
 # collision rows in the collision-free sweep regime, workspace in between.
 DEFAULT_ALPHA = {
@@ -139,6 +109,27 @@ class FilterConfig:
     slack_weight: float = DEFAULT_SLACK_WEIGHT
     activation_distance: float = DEFAULT_ACTIVATION_DISTANCE
 
+    def __post_init__(self) -> None:
+        """Checks every parameter once, so a cycle never meets a bad one.
+
+        alpha must be finite and > 0, eps > 0 (inf gives the plain barrier
+        condition); NaN fails both.  The slack weight must be finite and > 0.
+        """
+        problems = []
+        for kind in BarrierKind:
+            alpha, eps = self.alpha.get(kind), self.epsilon.get(kind)
+            if alpha is None or not 0.0 < alpha < math.inf:
+                problems.append(f"alpha.{kind.value}: must be finite and > 0, got {alpha!r}")
+            if eps is None or not eps > 0.0:
+                problems.append(f"epsilon.{kind.value}: must be > 0 (or inf), got {eps!r}")
+        if self.slack_policy not in SLACK_POLICIES:
+            problems.append(f"slack_policy: expected one of {SLACK_POLICIES}, "
+                            f"got {self.slack_policy!r}")
+        if not 0.0 < self.slack_weight < math.inf:
+            problems.append(f"slack_weight: must be finite and > 0, got {self.slack_weight!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
     def with_mode(self, mode: FilterMode) -> "FilterConfig":
         return replace(self, mode=mode)
 
@@ -164,6 +155,53 @@ class Obstacle:
     velocity: np.ndarray
 
 
+@dataclass(frozen=True)
+class BarrierRows:
+    """A cycle's barrier rows grad @ qd >= drift - alpha h + margin, as one block.
+
+    Row i is the barrier ``keys[i]`` = (kind, pair).  The rows come in
+    ``collect_constraints``' order: the 2n joint-limit rows (q0 min, q0 max,
+    q1 min, ...), then the self-collision, object-collision and workspace
+    rows.  ``margin`` is the ISSf term |grad|^2 / eps (0 where eps = inf),
+    and ``witness[i]`` is what row i was evaluated from (None for joint
+    limits).  ``len`` is the row count.
+    """
+
+    keys: list[tuple[BarrierKind, str]]
+    h: np.ndarray             # (m,)
+    grad: np.ndarray          # (m, n_dof)
+    alpha: np.ndarray         # (m,)
+    epsilon: np.ndarray       # (m,)
+    drift: np.ndarray         # (m,) rhs offset (obstacle-velocity term)
+    margin: np.ndarray        # (m,)
+    witness: list[PairWitness | WorkspacePair | None]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def rhs(self, plain_cbf: bool = False) -> np.ndarray:
+        """Right-hand sides b of grad @ qd >= b; ``plain_cbf`` drops the margin."""
+        return self.drift - self.alpha * self.h + (0.0 if plain_cbf else self.margin)
+
+
+_JOINT_ROWS: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
+
+
+def _joint_limit_rows(model: RobotModel) -> tuple:
+    """The keys, the read-only +-I gradient block and the lower and upper
+    limits of the 2n joint-limit rows, built once per model."""
+    rows = _JOINT_ROWS.get(model)
+    if rows is None:
+        keys = [(kind, f"q{i}") for i in range(model.n_dof)
+                for kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)]
+        grad = np.kron(np.eye(model.n_dof), [[1.0], [-1.0]])     # rows e_i, -e_i
+        grad.setflags(write=False)
+        q_min = np.array([joint.q_min for joint in model.joints], dtype=float)
+        q_max = np.array([joint.q_max for joint in model.joints], dtype=float)
+        rows = _JOINT_ROWS[model] = (keys, grad, q_min, q_max)
+    return rows
+
+
 def collect_constraints(
     model: RobotModel,
     state: JointState,
@@ -172,102 +210,67 @@ def collect_constraints(
     config: FilterConfig,
     pairs: list[tuple[CollisionBody, CollisionBody]],
     workspace_pairs: list[WorkspacePair] = (),
-) -> list[BarrierConstraint]:
+) -> BarrierRows:
     """Assemble the barrier rows for the current state, whose pose is ``fk``.
 
     Joint-limit and workspace rows are always emitted; collision rows only
     inside the activation distance.  Rows with a degenerate (coincident-
-    witness) gradient are dropped for this cycle with a logged event.
+    witness) gradient are dropped for this cycle with a logged event.  Each
+    collision and workspace row's |grad|^2 is its own ``grad @ grad``.
     """
     state.validate(model.n_dof)
     q = state.q
-    n = model.n_dof
-    rows: list[BarrierConstraint] = []
+    jl_keys, jl_grad, q_min, q_max = _joint_limit_rows(model)
+    # (kind, pair, h, grad, drift, witness) of each collision and workspace row
+    rows: list[tuple] = []
 
-    for i, joint in enumerate(model.joints):
-        grad = np.zeros(n)
-        grad[i] = 1.0
-        rows.append(
-            BarrierConstraint(
-                kind=BarrierKind.JOINT_LIMIT_MIN,
-                pair=f"q{i}",
-                h=float(q[i] - joint.q_min),
-                grad=grad,
-                alpha=config.alpha[BarrierKind.JOINT_LIMIT_MIN],
-                epsilon=config.epsilon[BarrierKind.JOINT_LIMIT_MIN],
-            )
-        )
-        rows.append(
-            BarrierConstraint(
-                kind=BarrierKind.JOINT_LIMIT_MAX,
-                pair=f"q{i}",
-                h=float(joint.q_max - q[i]),
-                grad=-grad,
-                alpha=config.alpha[BarrierKind.JOINT_LIMIT_MAX],
-                epsilon=config.epsilon[BarrierKind.JOINT_LIMIT_MAX],
-            )
-        )
-
-    for body_a, body_b in pairs:
+    checks = [(BarrierKind.SELF_COLLISION, body_a, body_b, None) for body_a, body_b in pairs]
+    velocities = [_xyz(obstacle.velocity) for obstacle in obstacles]
+    checks += [(BarrierKind.OBJECT_COLLISION, body, obstacle.body, velocity)
+               for obstacle, velocity in zip(obstacles, velocities)
+               for body in model.collision_bodies]
+    for kind, body_a, body_b, velocity in checks:
         try:
             h, grad, prox = body_pair_barrier(model, fk, body_a, body_b)
         except DegenerateWitnessError as exc:
-            log.warning("dropping self-collision row: %s", exc)
+            log.warning("dropping %s row: %s", kind.value, exc)
             continue
         if h > config.activation_distance:
             continue
-        rows.append(
-            BarrierConstraint(
-                kind=BarrierKind.SELF_COLLISION,
-                pair=f"{body_a.name}|{body_b.name}",
-                h=h,
-                grad=grad,
-                alpha=config.alpha[BarrierKind.SELF_COLLISION],
-                epsilon=config.epsilon[BarrierKind.SELF_COLLISION],
-                geometry=PairWitness(body_a, body_b, prox),
-            )
-        )
-
-    for obstacle in obstacles:
-        velocity = _xyz(obstacle.velocity)
-        vx, vy, vz = velocity
-        for body in model.collision_bodies:
-            try:
-                h, grad, prox = body_pair_barrier(model, fk, body, obstacle.body)
-            except DegenerateWitnessError as exc:
-                log.warning("dropping object-collision row: %s", exc)
-                continue
-            if h > config.activation_distance:
-                continue
-            nx, ny, nz = prox.normal
-            drift = nx * vx + ny * vy + nz * vz
-            rows.append(
-                BarrierConstraint(
-                    kind=BarrierKind.OBJECT_COLLISION,
-                    pair=f"{body.name}|{obstacle.body.name}",
-                    h=h,
-                    grad=grad,
-                    alpha=config.alpha[BarrierKind.OBJECT_COLLISION],
-                    epsilon=config.epsilon[BarrierKind.OBJECT_COLLISION],
-                    drift=drift,
-                    geometry=PairWitness(body, obstacle.body, prox, velocity),
-                )
-            )
+        pair = f"{body_a.name}|{body_b.name}"
+        if velocity is None:
+            rows.append((kind, pair, h, grad, 0.0, PairWitness(body_a, body_b, prox)))
+        else:
+            (nx, ny, nz), (vx, vy, vz) = prox.normal, velocity
+            rows.append((kind, pair, h, grad, nx * vx + ny * vy + nz * vz,
+                         PairWitness(body_a, body_b, prox, velocity)))
 
     for pair in workspace_pairs:
         h, grad = workspace_barrier(fk, pair)
-        rows.append(
-            BarrierConstraint(
-                kind=BarrierKind.WORKSPACE,
-                pair=pair.name,
-                h=h,
-                grad=grad,
-                alpha=config.alpha[BarrierKind.WORKSPACE],
-                epsilon=config.epsilon[BarrierKind.WORKSPACE],
-                geometry=pair,
-            )
-        )
-    return rows
+        rows.append((BarrierKind.WORKSPACE, pair.name, h, grad, 0.0, pair))
+
+    jl = len(jl_keys)
+    kinds, names, hs, grads, drifts, witnesses = zip(*rows) if rows else ((),) * 6
+    keys = jl_keys + list(zip(kinds, names))
+    h = np.empty(len(keys))
+    h[0:jl:2] = q - q_min
+    h[1:jl:2] = q_max - q
+    h[jl:] = hs
+    grad = np.concatenate((jl_grad, grads)) if rows else jl_grad.copy()
+    if not np.isfinite(grad).all():
+        bad = int(np.argmin(np.isfinite(grad).all(axis=1)))
+        raise ValueError(f"{keys[bad][1]}: non-finite gradient")
+    eps = [config.epsilon[kind] for kind, _ in keys]
+    return BarrierRows(
+        keys=keys, h=h, grad=grad,
+        alpha=np.array([config.alpha[kind] for kind, _ in keys]),
+        epsilon=np.array(eps),
+        drift=np.array([0.0] * jl + list(drifts)),
+        # joint-limit gradients are unit vectors, so their margin is 1/eps
+        margin=np.array([1.0 / e for e in eps[:jl]]
+                        + [float(g @ g) / e for g, e in zip(grads, eps[jl:])]),
+        witness=[None] * jl + list(witnesses),
+    )
 
 
 @dataclass(frozen=True)
@@ -280,19 +283,18 @@ class FilterResult:
 
 def filter_velocity(
     qdot_des: np.ndarray,
-    constraints: list[BarrierConstraint],
+    rows: BarrierRows,
     config: FilterConfig,
     solver: QpSolver,
     warm_start: np.ndarray | None = None,
 ) -> FilterResult:
-    """Minimally invasive projection of qd_des onto the constraint rows."""
+    """Minimally invasive projection of qd_des onto the barrier rows."""
     n = qdot_des.shape[0]
-    if config.mode in (FilterMode.WITHOUT_CBF, FilterMode.ECBF) or not constraints:
+    if config.mode in (FilterMode.WITHOUT_CBF, FilterMode.ECBF) or not rows:
         return FilterResult(qdot_safe=qdot_des, status="passthrough", iterations=0, relaxed=False)
 
-    plain = config.mode is FilterMode.CBF
-    A = np.array([c.grad for c in constraints])
-    b = np.array([c.rhs(plain_cbf=plain) for c in constraints])
+    A = rows.grad
+    b = rows.rhs(plain_cbf=config.mode is FilterMode.CBF)
     problem = QpProblem(H=2.0 * np.eye(n), g=-2.0 * qdot_des, A_ineq=A, b_ineq=b)
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
@@ -302,28 +304,25 @@ def filter_velocity(
 
     if config.slack_policy == "hard-fail":
         raise FilterInfeasibleError(
-            f"safety filter QP {sol.status.value} with {len(constraints)} rows"
+            f"safety filter QP {sol.status.value} with {len(rows)} rows"
         )
 
     # One shared slack per constraint kind present; heavily weighted, logged,
     # and flagged: relaxed rows no longer guarantee safety.
-    kinds = sorted({c.kind for c in constraints}, key=lambda k: k.value)
+    kinds = sorted({kind for kind, _ in rows.keys}, key=lambda k: k.value)
     kind_col = {kind: n + j for j, kind in enumerate(kinds)}
-    ns = n + len(kinds)
+    m, ns = len(rows), n + len(kinds)
     H = np.zeros((ns, ns))
     H[:n, :n] = 2.0 * np.eye(n)
+    H[n:, n:] = 2.0 * config.slack_weight * np.eye(len(kinds))
     g = np.zeros(ns)
     g[:n] = -2.0 * qdot_des
-    for j in range(len(kinds)):
-        H[n + j, n + j] = 2.0 * config.slack_weight
-    A_s = np.zeros((len(constraints) + len(kinds), ns))
-    b_s = np.zeros(len(constraints) + len(kinds))
-    for i, c in enumerate(constraints):
-        A_s[i, :n] = c.grad
-        A_s[i, kind_col[c.kind]] = 1.0
-        b_s[i] = b[i]
-    for j in range(len(kinds)):
-        A_s[len(constraints) + j, n + j] = 1.0  # slack >= 0
+    A_s = np.zeros((m + len(kinds), ns))
+    A_s[:m, :n] = A
+    A_s[np.arange(m), [kind_col[kind] for kind, _ in rows.keys]] = 1.0
+    A_s[m:, n:] = np.eye(len(kinds))             # slack >= 0
+    b_s = np.zeros(m + len(kinds))
+    b_s[:m] = b
     relaxed_sol = solver.solve(QpProblem(H=H, g=g, A_ineq=A_s, b_ineq=b_s))
     if not relaxed_sol.optimal:
         raise FilterInfeasibleError("safety filter QP infeasible even with slack relaxation")
@@ -356,7 +355,7 @@ def ecbf_rows(
     model: RobotModel,
     state: JointState,
     fk: FkResult,
-    rows: list[BarrierConstraint],
+    rows: BarrierRows,
 ) -> AccelRows:
     """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha h_e.
 
@@ -377,25 +376,21 @@ def ecbf_rows(
     acceleration.  Joint-limit rows have constant gradients and c = 0.
     """
     qd = state.qd.tolist()
-    grad = np.array([c.grad for c in rows]).reshape(len(rows), model.n_dof)
     rates = None
-    rhs: list[float] = []
-    h_e: list[float] = []
-    for c, grad_qd in zip(rows, (grad @ state.qd).tolist()):
-        geometry = c.geometry
-        if geometry is None:
-            curvature = 0.0
+    curvature: list[float] = []
+    for witness in rows.witness:
+        if witness is None:
+            curvature.append(0.0)
+            continue
+        if rates is None:
+            rates = _link_rates(fk, qd)
+        if isinstance(witness, WorkspacePair):
+            curvature.append(_workspace_curvature(fk, rates, witness))
         else:
-            if rates is None:
-                rates = _link_rates(fk, qd)
-            if isinstance(geometry, WorkspacePair):
-                curvature = _workspace_curvature(fk, rates, geometry)
-            else:
-                curvature = _pair_curvature(fk, rates, geometry.body_a, geometry.body_b,
-                                            geometry.proximity, geometry.velocity_b)
-        h_dot = grad_qd - c.drift
-        h_e_c = h_dot + c.alpha * c.h
-        h_e.append(h_e_c)
-        rhs.append(-c.alpha * h_e_c - curvature - c.alpha * h_dot)
-    return AccelRows(keys=[(c.kind, c.pair) for c in rows], grad=grad,
-                     rhs=np.array(rhs), h_e=np.array(h_e))
+            curvature.append(_pair_curvature(fk, rates, witness.body_a, witness.body_b,
+                                             witness.proximity, witness.velocity_b))
+    alpha = rows.alpha
+    h_dot = rows.grad @ state.qd - rows.drift
+    h_e = h_dot + alpha * rows.h
+    return AccelRows(keys=rows.keys, grad=rows.grad,
+                     rhs=-alpha * h_e - np.array(curvature) - alpha * h_dot, h_e=h_e)

@@ -28,6 +28,7 @@ from .safety import (
     BarrierKind,
     DEFAULT_ALPHA,
     DEFAULT_EPSILON,
+    SLACK_POLICIES,
     FilterConfig,
     FilterMode,
 )
@@ -240,17 +241,18 @@ def _parse_filter(raw: dict, problems: list) -> FilterConfig:
     if isinstance(slack, dict):
         weight = float(slack.get("weight", 1e6))
         slack = "slack"
-    if slack not in ("hard-fail", "slack"):
-        problems.append(f"filter.slack: expected 'hard-fail' or 'slack', got {slack!r}")
+    if slack not in SLACK_POLICIES:
+        problems.append(f"filter.slack: expected one of {SLACK_POLICIES}, got {slack!r}")
         slack = "hard-fail"
-    return FilterConfig(
-        mode=mode,
-        alpha=_parse_kind_table((raw or {}).get("alpha"), DEFAULT_ALPHA, problems, "filter.alpha"),
-        epsilon=_parse_kind_table((raw or {}).get("epsilon"), DEFAULT_EPSILON, problems, "filter.epsilon"),
-        slack_policy=slack,
-        slack_weight=weight,
-        activation_distance=float((raw or {}).get("activation_distance", 0.3)),
-    )
+    alpha = _parse_kind_table((raw or {}).get("alpha"), DEFAULT_ALPHA, problems, "filter.alpha")
+    epsilon = _parse_kind_table((raw or {}).get("epsilon"), DEFAULT_EPSILON, problems, "filter.epsilon")
+    activation_distance = float((raw or {}).get("activation_distance", 0.3))
+    try:
+        return FilterConfig(mode=mode, alpha=alpha, epsilon=epsilon, slack_policy=slack,
+                            slack_weight=weight, activation_distance=activation_distance)
+    except ValueError as exc:   # FilterConfig joins its problems with "; "
+        problems.extend(f"filter.{problem}" for problem in str(exc).split("; "))
+        return FilterConfig()
 
 
 def _parse_sim(raw: dict, problems: list) -> SimConfig:

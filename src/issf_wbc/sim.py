@@ -10,8 +10,9 @@ estimated obstacles to a motor torque command:
     -> eCBF rows (ecbf mode only) -> torque QP -> motor command
 
 The pose from the first stage is the only one a cycle computes: IK, the
-barrier rows, the eCBF rows (whose curvature is in closed form) and the
-torque QP's dynamics all read it.  The call to
+barrier rows (one ``BarrierRows`` block, kept in the cycle's ``CycleRecord``),
+the eCBF rows (whose curvature is in closed form) and the torque QP's
+dynamics all read it.  The call to
 ``forward_kinematics`` at the top of ``Controller.step`` is this module's
 only one (``perfbench`` counts cycles by it), so the plant and the initial
 gravity torque pose through ``_fk``.
@@ -51,8 +52,8 @@ from .kinwbc import prioritized_ik
 from .model import FkResult, JointState, RobotModel, _fk, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
-    BarrierConstraint,
     BarrierKind,
+    BarrierRows,
     FilterMode,
     FilterResult,
     Obstacle,
@@ -398,7 +399,7 @@ class CycleRecord:
     qdot_des: np.ndarray
     filtered: FilterResult          # qdot_safe and the filter QP's outcome
     qdd_safe: np.ndarray
-    rows: list[BarrierConstraint]   # the barrier rows the filter was given
+    rows: BarrierRows               # the barrier rows the filter was given
     h_e_min: float                  # min over eCBF rows, nan outside ecbf mode
     dynamics_residual: float
     clamped: np.ndarray             # per-joint motor clamp flags
@@ -528,11 +529,12 @@ def run_closed_loop(
         trace.clamped[k] = rec.clamped
         if trace_constraints:
             tol = 1e-8 * (1.0 + float(np.max(np.abs(qdot_safe), initial=0.0)))
-            for c in rec.rows:
-                rhs = c.rhs(plain_cbf=plain)
+            rows = rec.rows
+            for (kind, pair), h, grad, rhs in zip(rows.keys, rows.h.tolist(), rows.grad,
+                                                  rows.rhs(plain_cbf=plain).tolist()):
                 trace.constraint_dump.append(ConstraintDumpRow(
-                    t=t, kind=c.kind.value, pair=c.pair, h=c.h, rhs=rhs,
-                    active=bool(c.grad @ qdot_safe - rhs <= tol),
+                    t=t, kind=kind.value, pair=pair, h=h, rhs=rhs,
+                    active=bool(grad @ qdot_safe - rhs <= tol),
                 ))
 
         q_before = state.q

@@ -44,7 +44,8 @@ def hd_along_motion(model, state, obstacles, config, pairs, workspace_pairs, tau
     wide = replace(config, activation_distance=math.inf)
     rows = collect_constraints(model, probe, forward_kinematics(model, probe.q),
                                moved(obstacles, tau), wide, pairs, workspace_pairs)
-    return {(c.kind, c.pair): float(c.grad @ state.qd) - c.drift for c in rows}
+    return {key: float(g @ state.qd) - drift
+            for key, g, drift in zip(rows.keys, rows.grad, rows.drift.tolist())}
 
 
 def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
@@ -57,14 +58,13 @@ def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
     plus, minus = (hd_along_motion(model, state, obstacles, config, pairs,
                                    workspace_pairs, tau) for tau in (step, -step))
     rhs, h_e, curvature = [], [], []
-    for c in rows:
-        key = (c.kind, c.pair)
+    for key, g, h, alpha, drift in zip(rows.keys, rows.grad, rows.h.tolist(),
+                                       rows.alpha.tolist(), rows.drift.tolist()):
         curv = (plus[key] - minus[key]) / (2.0 * step)
-        h_dot = float(c.grad @ state.qd) - c.drift
-        h_e.append(h_dot + c.alpha * c.h)
-        rhs.append(-c.alpha * h_e[-1] - curv - c.alpha * h_dot)
+        h_dot = float(g @ state.qd) - drift
+        h_e.append(h_dot + alpha * h)
+        rhs.append(-alpha * h_e[-1] - curv - alpha * h_dot)
         curvature.append(curv)
-    grad = np.array([c.grad for c in rows]).reshape(len(rows), model.n_dof)
-    return (AccelRows(keys=[(c.kind, c.pair) for c in rows], grad=grad,
+    return (AccelRows(keys=list(rows.keys), grad=rows.grad.copy(),
                       rhs=np.array(rhs), h_e=np.array(h_e)),
             np.array(curvature))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             load_scenario(path)
         assert err.value.problems == [f"{block}.{key}: unknown key"]
+
+    @pytest.mark.parametrize("table,kind,value,problem", [
+        ("alpha", "self-collision", 0.0, "must be finite and > 0, got 0.0"),
+        ("alpha", "workspace", -1.0, "must be finite and > 0, got -1.0"),
+        ("alpha", "object-collision", math.nan, "must be finite and > 0, got nan"),
+        ("epsilon", "self-collision", 0.0, "must be > 0 (or inf), got 0.0"),
+        ("epsilon", "self-collision", -1.0, "must be > 0 (or inf), got -1.0"),
+        ("epsilon", "workspace", math.nan, "must be > 0 (or inf), got nan"),
+    ])
+    def test_filter_parameters_checked_at_load(self, tmp_path, table, kind, value, problem):
+        path = write_mini_scenario(tmp_path, extra={
+            "filter": {"mode": "issf-cbf", table: {kind: value}}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [f"filter.{table}.{kind}: {problem}"]
+
+    def test_joint_limit_alias_reports_both_kinds(self, tmp_path):
+        path = write_mini_scenario(tmp_path, extra={
+            "filter": {"mode": "issf-cbf", "epsilon": {"joint-limit": -1}}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [
+            f"filter.epsilon.joint-limit-{end}: must be > 0 (or inf), got -1.0"
+            for end in ("min", "max")]
+
+    def test_misspelt_slack_policy_rejected(self, tmp_path):
+        path = write_mini_scenario(tmp_path, extra={
+            "filter": {"mode": "issf-cbf", "slack": "hard_fail"}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [
+            "filter.slack: expected one of ('hard-fail', 'slack'), got 'hard_fail'"]
 
     def test_every_known_key_accepted(self, tmp_path):
         path = write_mini_scenario(tmp_path, extra={
@@ -276,6 +309,30 @@ class TestSweep:
         assert by_alpha[("issf-cbf", 5.0)]["error"] == bad.error
         assert by_alpha[("issf-cbf", 10.0)]["error"] == ""
         assert by_alpha[("without-cbf", 10.0)]["failed"] == "0"
+
+    def test_parallel_sweep_writes_the_serial_files(self, tmp_path):
+        # jobs=2 and jobs=1 write the same bytes, a point that fails at its
+        # filter parameters (alpha = -1) included.
+        doc = json.loads(data_path("hand_track.scenario").read_text())
+        doc["sim"]["duration"] = 0.02
+        path = tmp_path / "hand_track.scenario"
+        path.write_text(json.dumps(doc))
+        outs = {}
+        for jobs in (1, 2):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            sweep = run_sweep(path, alphas=[-1.0, 10.0], epsilons=[10.0],
+                              modes=["without-cbf", "cbf", "issf-cbf"], jobs=jobs,
+                              seed=3, out=outs[jobs])
+            assert [p.failed for p in sweep.points] == [False, True, False, True, False]
+            assert sweep.point("cbf", -1.0, 10.0).error.startswith(
+                "ValueError: alpha.self-collision: must be finite and > 0")
+        files = sorted(f.relative_to(outs[1]) for f in outs[1].rglob("*.csv")
+                       if f.name in ("sweep.csv", "trace.csv"))
+        assert len(files) == 4
+        assert files == sorted(f.relative_to(outs[2]) for f in outs[2].rglob("*.csv")
+                               if f.name in ("sweep.csv", "trace.csv"))
+        for f in files:
+            assert (outs[1] / f).read_bytes() == (outs[2] / f).read_bytes(), f
 
     def test_rejects_empty_grid(self, tmp_path):
         path = write_mini_scenario(tmp_path)

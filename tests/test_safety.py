@@ -9,8 +9,8 @@ from issf_wbc.kinwbc import Task, prioritized_ik
 from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import (
-    BarrierConstraint,
     BarrierKind,
+    BarrierRows,
     FilterConfig,
     FilterInfeasibleError,
     FilterMode,
@@ -34,11 +34,65 @@ def ecbf(model, state, rows):
     return ecbf_rows(model, state, forward_kinematics(model, state.q), rows)
 
 
-def jl_row(h, alpha=10.0, epsilon=10.0, n=1, idx=0, sign=1.0):
-    grad = np.zeros(n)
-    grad[idx] = sign
-    return BarrierConstraint(kind=BarrierKind.JOINT_LIMIT_MIN, pair=f"q{idx}",
-                             h=h, grad=grad, alpha=alpha, epsilon=epsilon)
+def hand_rows(h, grad, alpha, epsilon, drift=0.0, kind=BarrierKind.JOINT_LIMIT_MIN):
+    """A BarrierRows block built by hand, one row per entry of ``h`` and
+    ``grad``; ``alpha``, ``epsilon`` and ``drift`` may be scalars.  Each
+    row's margin is its own |grad|^2 / eps, as collect_constraints forms it."""
+    m = len(h)
+    grad = np.array(grad, dtype=float).reshape(m, -1)
+
+    def per_row(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), (m,)).copy()
+
+    epsilon = per_row(epsilon)
+    return BarrierRows(keys=[(kind, f"p{i}") for i in range(m)], h=per_row(h), grad=grad,
+                       alpha=per_row(alpha), epsilon=epsilon, drift=per_row(drift),
+                       margin=np.array([float(g @ g) / e for g, e in zip(grad, epsilon)]),
+                       witness=[None] * m)
+
+
+def jl_row(h, alpha=10.0, epsilon=10.0):
+    """One lower-limit row on a 1-dof model, as a block."""
+    return hand_rows([h], [[1.0]], alpha, epsilon)
+
+
+def one_joint_model():
+    """One revolute joint about z with limits (0, 1)."""
+    import issf_wbc.model as m
+    link = m.LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-3,
+                      parent=-1, origin_xyz=np.array([1.0, 0.0, 0.0]))
+    joint = m.JointSpec(axis=np.array([0.0, 0.0, 1.0]), q_min=0.0, q_max=1.0)
+    return m.RobotModel("one", (link,), (joint,))
+
+
+def index(rows, kind):
+    """Position of the first row of ``kind`` in a block."""
+    return next(i for i, (k, _) in enumerate(rows.keys) if k is kind)
+
+
+class TestFilterConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_alpha_not_finite_positive(self, value):
+        with pytest.raises(ValueError, match="alpha.self-collision: must be finite and > 0"):
+            FilterConfig().with_collision_params(alpha=value, epsilon=None)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejects_epsilon_not_positive(self, value):
+        with pytest.raises(ValueError, match="epsilon.workspace: must be > 0"):
+            FilterConfig(epsilon={**FilterConfig().epsilon, BarrierKind.WORKSPACE: value})
+
+    def test_accepts_infinite_epsilon(self):
+        config = FilterConfig().with_collision_params(alpha=None, epsilon=math.inf)
+        assert config.epsilon[BarrierKind.OBJECT_COLLISION] == math.inf
+
+    def test_rejects_missing_kind_and_slack_settings(self):
+        with pytest.raises(ValueError) as err:
+            FilterConfig(alpha={BarrierKind.WORKSPACE: 1.0}, slack_policy="slak",
+                         slack_weight=0.0)
+        message = str(err.value)
+        assert "alpha.joint-limit-min: must be finite and > 0, got None" in message
+        assert "slack_policy: expected one of ('hard-fail', 'slack'), got 'slak'" in message
+        assert "slack_weight: must be finite and > 0, got 0.0" in message
 
 
 class TestCollect:
@@ -48,22 +102,35 @@ class TestCollect:
 
     def test_joint_limit_row_values(self):
         # q = 0.5, limits (0, 1), alpha = 10, eps = 10 -> min-row rhs -4.9
-        import issf_wbc.model as m
-        link = m.LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-3,
-                          parent=-1, origin_xyz=np.array([1.0, 0.0, 0.0]))
-        joint = m.JointSpec(axis=np.array([0.0, 0.0, 1.0]), q_min=0.0, q_max=1.0)
-        model = m.RobotModel("one", (link,), (joint,))
+        model = one_joint_model()
         config = FilterConfig(alpha={k: 10.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
         rows = collect(model, JointState(q=np.array([0.5]), qd=np.zeros(1)), [], config, [])
-        row_min = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MIN)
-        row_max = next(r for r in rows if r.kind is BarrierKind.JOINT_LIMIT_MAX)
-        np.testing.assert_allclose(row_min.grad, [1.0])
-        assert row_min.rhs() == pytest.approx(-10.0 * 0.5 + 1.0 / 10.0)
-        np.testing.assert_allclose(row_max.grad, [-1.0])
-        assert row_max.h == pytest.approx(0.5)
+        assert rows.keys == [(BarrierKind.JOINT_LIMIT_MIN, "q0"),
+                             (BarrierKind.JOINT_LIMIT_MAX, "q0")]
+        assert len(rows) == 2
+        np.testing.assert_array_equal(rows.grad, [[1.0], [-1.0]])
+        assert rows.rhs()[0] == pytest.approx(-10.0 * 0.5 + 1.0 / 10.0)
+        assert rows.h[1] == pytest.approx(0.5)
         # unit gradients: the robustness margin reduces to exactly 1/eps
-        assert row_min.margin() == pytest.approx(0.1)
+        np.testing.assert_array_equal(rows.margin, [1.0 / 10.0, 1.0 / 10.0])
+        assert rows.witness == [None, None]
+
+    def test_joint_limit_rows_interleaved_per_joint(self, rng):
+        model = random_chain(rng, 4)
+        q = np.array([rng.uniform(j.q_min, j.q_max) for j in model.joints])
+        config = FilterConfig()
+        rows = collect(model, JointState(q=q, qd=np.zeros(4)), [], config, [])
+        assert rows.keys[:8] == [(kind, f"q{i}") for i in range(4)
+                                 for kind in (BarrierKind.JOINT_LIMIT_MIN,
+                                              BarrierKind.JOINT_LIMIT_MAX)]
+        for i, joint in enumerate(model.joints):
+            assert rows.h[2 * i] == q[i] - joint.q_min
+            assert rows.h[2 * i + 1] == joint.q_max - q[i]
+            np.testing.assert_array_equal(rows.grad[2 * i], np.eye(4)[i])
+            np.testing.assert_array_equal(rows.grad[2 * i + 1], -np.eye(4)[i])
+        np.testing.assert_array_equal(
+            rows.alpha[:8], [config.alpha[kind] for kind, _ in rows.keys[:8]])
 
     def test_activation_gating_emits_only_joint_rows(self):
         # stretched arm: the self pair sits 0.41 m apart, the obstacle 4+ m
@@ -76,8 +143,8 @@ class TestCollect:
             [Obstacle(body=far, velocity=np.zeros(3))], FilterConfig(),
             [(tip, base)],
         )
-        assert all(r.kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)
-                   for r in rows)
+        assert all(kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)
+                   for kind, _ in rows.keys)
         assert len(rows) == 4
 
     def test_moving_obstacle_drift_one_dimensional(self):
@@ -92,24 +159,23 @@ class TestCollect:
             [Obstacle(body=obstacle_body, velocity=np.array([0.0, -1.0, 0.0]))],
             FilterConfig(), [],
         )
-        object_rows = [r for r in rows if r.kind is BarrierKind.OBJECT_COLLISION]
-        assert len(object_rows) == 1
-        assert object_rows[0].drift == pytest.approx(1.0, abs=1e-9)
+        assert [kind for kind, _ in rows.keys].count(BarrierKind.OBJECT_COLLISION) == 1
+        assert rows.drift[index(rows, BarrierKind.OBJECT_COLLISION)] == pytest.approx(
+            1.0, abs=1e-9)
         stationary = collect(
             model, JointState(q=np.zeros(2), qd=np.zeros(2)),
             [Obstacle(body=obstacle_body, velocity=np.zeros(3))], FilterConfig(), [],
         )
-        obj = [r for r in stationary if r.kind is BarrierKind.OBJECT_COLLISION]
-        assert obj[0].drift == 0.0
+        assert stationary.drift[index(stationary, BarrierKind.OBJECT_COLLISION)] == 0.0
 
     def test_workspace_rows_always_emitted(self):
         model = two_link_planar(0.31, 0.31)
         pair = WorkspacePair("reach", 1, np.zeros(3), 0, np.array([-0.31, 0.0, 0.0]), 0.62)
         rows = collect(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
                        [], FilterConfig(), [], [pair])
-        ws = [r for r in rows if r.kind is BarrierKind.WORKSPACE]
-        assert len(ws) == 1
-        assert ws[0].h == pytest.approx(0.0, abs=1e-12)
+        assert rows.keys[4:] == [(BarrierKind.WORKSPACE, "reach")]
+        assert rows.h[4] == pytest.approx(0.0, abs=1e-12)
+        assert rows.witness[4] is pair
 
     def test_degenerate_row_dropped_with_log(self, caplog):
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
@@ -120,7 +186,7 @@ class TestCollect:
         with caplog.at_level("WARNING", logger="issf_wbc.safety"):
             rows = collect(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
                            [Obstacle(body=ghost, velocity=np.zeros(3))], FilterConfig(), [])
-        assert not any(r.kind is BarrierKind.OBJECT_COLLISION for r in rows)
+        assert not any(kind is BarrierKind.OBJECT_COLLISION for kind, _ in rows.keys)
         assert any("dropping" in rec.message for rec in caplog.records)
 
 
@@ -128,7 +194,7 @@ class TestFilter:
     def test_passthrough_when_already_safe(self, rng):
         solver = QpSolver()
         qdot = rng.normal(size=3) * 0.01
-        rows = [jl_row(h=2.0, n=3, idx=i) for i in range(3)]
+        rows = hand_rows([2.0] * 3, np.eye(3), 10.0, 10.0)
         result = filter_velocity(qdot, rows, FilterConfig(mode=FilterMode.ISSF_CBF), solver)
         np.testing.assert_allclose(result.qdot_safe, qdot, atol=1e-9)
 
@@ -136,7 +202,7 @@ class TestFilter:
         # h = q = 0.1, alpha = 10, eps = 10, qdot_des = -10 -> clipped to -0.9
         solver = QpSolver()
         row = jl_row(h=0.1, alpha=10.0, epsilon=10.0)
-        result = filter_velocity(np.array([-10.0]), [row],
+        result = filter_velocity(np.array([-10.0]), row,
                                  FilterConfig(mode=FilterMode.ISSF_CBF), solver)
         assert result.qdot_safe[0] == pytest.approx(-0.9, abs=1e-9)
 
@@ -144,7 +210,7 @@ class TestFilter:
         solver = QpSolver()
         row = jl_row(h=0.001, alpha=10.0, epsilon=10.0)
         for mode in (FilterMode.WITHOUT_CBF, FilterMode.ECBF):
-            result = filter_velocity(np.array([-10.0]), [row],
+            result = filter_velocity(np.array([-10.0]), row,
                                      FilterConfig(mode=mode), solver)
             assert result.qdot_safe[0] == -10.0
             assert result.status == "passthrough"
@@ -152,54 +218,51 @@ class TestFilter:
     def test_cbf_mode_drops_issf_margin(self):
         solver = QpSolver()
         row = jl_row(h=0.1, alpha=10.0, epsilon=10.0)
-        result = filter_velocity(np.array([-10.0]), [row],
+        result = filter_velocity(np.array([-10.0]), row,
                                  FilterConfig(mode=FilterMode.CBF), solver)
         assert result.qdot_safe[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_mode_rows_differ_only_by_margin(self, rng):
         # CBF rows equal ISSf rows minus the margin term exactly
-        rows = [jl_row(h=float(rng.uniform(0, 1)), alpha=10.0, epsilon=20.0, n=2, idx=i)
-                for i in range(2)]
-        for row in rows:
-            assert row.rhs() - row.rhs(plain_cbf=True) == pytest.approx(row.margin())
+        rows = hand_rows(rng.uniform(0, 1, 3), rng.normal(size=(3, 2)), 10.0, 20.0,
+                         drift=rng.normal(size=3))
+        np.testing.assert_allclose(rows.rhs() - rows.rhs(plain_cbf=True), rows.margin,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(rows.rhs(plain_cbf=True),
+                                      rows.drift - rows.alpha * rows.h)
 
     def test_random_instances_match_enumeration(self, rng):
         solver = QpSolver()
         for _ in range(50):
             n = int(rng.integers(1, 4))
             qdot_des = rng.normal(size=n)
-            rows = []
-            for k in range(int(rng.integers(1, 5))):
-                grad = rng.normal(size=n)
-                alpha = float(rng.uniform(1, 30))
-                eps = float(rng.uniform(5, 50))
-                drift = float(rng.normal() * 0.1)
-                # h large enough that qd = 0 satisfies the row: instance feasible
-                h_floor = (drift + float(grad @ grad) / eps) / alpha
-                rows.append(BarrierConstraint(
-                    kind=BarrierKind.SELF_COLLISION, pair=f"p{k}",
-                    h=h_floor + float(rng.uniform(0.0, 0.5)), grad=grad,
-                    alpha=alpha, epsilon=eps, drift=drift,
-                ))
+            m = int(rng.integers(1, 5))
+            grad = rng.normal(size=(m, n))
+            alpha = rng.uniform(1, 30, m)
+            eps = rng.uniform(5, 50, m)
+            drift = rng.normal(size=m) * 0.1
+            # h large enough that qd = 0 satisfies the row: instance feasible
+            margin = np.array([float(g @ g) for g in grad]) / eps
+            h = (drift + margin) / alpha + rng.uniform(0.0, 0.5, m)
+            rows = hand_rows(h, grad, alpha, eps, drift, kind=BarrierKind.SELF_COLLISION)
             result = filter_velocity(qdot_des, rows, FilterConfig(mode=FilterMode.ISSF_CBF),
                                      solver)
-            problem = QpProblem(H=2 * np.eye(n), g=-2 * qdot_des,
-                                A_ineq=np.array([r.grad for r in rows]),
-                                b_ineq=np.array([r.rhs() for r in rows]))
+            problem = QpProblem(H=2 * np.eye(n), g=-2 * qdot_des, A_ineq=grad,
+                                b_ineq=drift - alpha * h + margin)
             oracle = enumerate_qp(problem)
             assert oracle is not None
             np.testing.assert_allclose(result.qdot_safe, oracle[1], atol=1e-6)
 
     def test_hard_fail_policy_raises(self):
         solver = QpSolver()
-        rows = [jl_row(h=0.1, sign=1.0), jl_row(h=-2.0, sign=-1.0, alpha=100.0, epsilon=1.0)]
+        rows = hand_rows([0.1, -2.0], [1.0, -1.0], [10.0, 100.0], [10.0, 1.0])
         with pytest.raises(FilterInfeasibleError):
             filter_velocity(np.zeros(1), rows, FilterConfig(mode=FilterMode.ISSF_CBF),
                             solver)
 
     def test_slack_relaxation_flags_and_logs(self, caplog):
         solver = QpSolver()
-        rows = [jl_row(h=0.1, sign=1.0), jl_row(h=-2.0, sign=-1.0, alpha=100.0, epsilon=1.0)]
+        rows = hand_rows([0.1, -2.0], [1.0, -1.0], [10.0, 100.0], [10.0, 1.0])
         config = FilterConfig(mode=FilterMode.ISSF_CBF, slack_policy="slack")
         with caplog.at_level("WARNING", logger="issf_wbc.safety"):
             result = filter_velocity(np.zeros(1), rows, config, solver)
@@ -226,12 +289,11 @@ class TestFilter:
             qdot_des, _ = prioritized_ik(model, state, fk, [task], dt)
             rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
             result = filter_velocity(qdot_des, rows, config, solver)
-            for row in rows:
-                key = (row.kind, row.pair)
+            for key, h, alpha in zip(rows.keys, rows.h, rows.alpha):
                 if key in prev:
                     h_prev, alpha_prev = prev[key]
-                    assert row.h >= (1 - alpha_prev * dt) * h_prev - 1e-6
-                prev[key] = (row.h, row.alpha)
+                    assert h >= (1 - alpha_prev * dt) * h_prev - 1e-6
+                prev[key] = (h, alpha)
             q = q + result.qdot_safe * dt
 
     def test_epsilon_monotonicity_on_rom(self):
@@ -253,8 +315,8 @@ class TestFilter:
                 qdot_des, _ = prioritized_ik(model, state, fk, [task], dt)
                 rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
                 result = filter_velocity(qdot_des, rows, config, solver)
-                h_min = min(h_min, min(r.h for r in rows
-                                       if r.kind is BarrierKind.SELF_COLLISION))
+                h_min = min(h_min, min(h for (kind, _), h in zip(rows.keys, rows.h)
+                                       if kind is BarrierKind.SELF_COLLISION))
                 q = q + result.qdot_safe * dt
             mins.append(h_min)
         assert mins[0] >= mins[1] - 1e-12 >= mins[2] - 2e-12
@@ -263,11 +325,7 @@ class TestFilter:
 class TestEcbf:
     def test_static_joint_limit_reduction(self):
         # qd = 0: h_e = alpha h and the row reduces to e_i qdd >= -alpha^2 h
-        import issf_wbc.model as m
-        link = m.LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-3,
-                          parent=-1, origin_xyz=np.array([1.0, 0.0, 0.0]))
-        joint = m.JointSpec(axis=np.array([0.0, 0.0, 1.0]), q_min=0.0, q_max=1.0)
-        model = m.RobotModel("one", (link,), (joint,))
+        model = one_joint_model()
         config = FilterConfig(mode=FilterMode.ECBF,
                               alpha={k: 5.0 for k in BarrierKind},
                               epsilon={k: 10.0 for k in BarrierKind})
@@ -279,10 +337,15 @@ class TestEcbf:
         assert rows.rhs[i] == pytest.approx(-5.0 * 5.0 * 0.4)
 
     def test_h_e_direct_substitution(self):
-        # hd = 0, h = 1, alpha = 5 -> h_e = 5
-        row = jl_row(h=1.0, alpha=5.0)
-        h_e = float(row.grad @ np.zeros(1)) - row.drift + row.alpha * row.h
-        assert h_e == pytest.approx(5.0)
+        # hd = 0, h = 1, alpha = 5 -> h_e = 5; hd = -0.5 - 0.25 -> h_e = 4.25,
+        # rhs = -alpha h_e - alpha hd
+        model = one_joint_model()
+        row = hand_rows([1.0, 1.0], [[1.0], [-1.0]], 5.0, 10.0, drift=[0.0, 0.25])
+        rest = ecbf(model, JointState(q=np.array([0.5]), qd=np.zeros(1)), row)
+        assert rest.h_e[0] == pytest.approx(5.0)
+        moving = ecbf(model, JointState(q=np.array([0.5]), qd=np.array([0.5])), row)
+        assert moving.h_e[1] == pytest.approx(4.25)
+        assert moving.rhs[1] == pytest.approx(-5.0 * 4.25 - 5.0 * -0.75)
 
     def test_double_integrator_forward_invariance(self):
         # 1-dof double integrator with the eCBF row enforced exactly keeps
@@ -339,8 +402,8 @@ class TestEcbf:
 def curvatures(rows, collected):
     """The curvature term of each eCBF row, read back from its rhs:
     rhs = -alpha h_e - c - alpha hd with hd = h_e - alpha h."""
-    return np.array([-r - c.alpha * h_e - c.alpha * (h_e - c.alpha * c.h)
-                     for r, h_e, c in zip(rows.rhs, rows.h_e, collected)])
+    alpha = collected.alpha
+    return -rows.rhs - alpha * rows.h_e - alpha * (rows.h_e - alpha * collected.h)
 
 
 def bodied_chain(rng, n):
@@ -456,8 +519,8 @@ class TestEcbfParallelSegments:
         rod = self.rod(0.4, np.array([0.02, 0.0, 0.1]))
         obstacles = [Obstacle(body=rod, velocity=np.zeros(3))]
         collected = collect(self.model, state, obstacles, self.config, [])
-        i = next(k for k, c in enumerate(collected) if c.pair == "arm|rod")
-        witness = collected[i].geometry.proximity.point_a
+        i = collected.keys.index((BarrierKind.OBJECT_COLLISION, "arm|rod"))
+        witness = collected.witness[i].proximity.point_a
         fk = forward_kinematics(self.model, q)
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = fk.rot[0]
         rel = np.asarray(witness) - np.asarray(fk.pos[0])

@@ -12,9 +12,10 @@ from issf_wbc.model import (
     JointState,
     LinkSpec,
     RobotModel,
+    forward_kinematics,
     scale_link_masses,
 )
-from issf_wbc.safety import FilterConfig, FilterMode, Obstacle
+from issf_wbc.safety import FilterConfig, FilterMode, Obstacle, collect_constraints
 from issf_wbc.scenario import (
     ObstacleSpec,
     Scenario,
@@ -30,6 +31,9 @@ from issf_wbc.sim import (
     SimConfig,
     SimulationDivergedError,
     TorquePulse,
+    _barrier_catalog,
+    _ObstacleTruth,
+    _truth_barriers,
     run_closed_loop,
     step_physics,
 )
@@ -458,6 +462,34 @@ class TestController:
                 calls.clear()
                 controller.step(state, 0.0, obstacles)
                 assert len(calls) == 1, (name, mode)
+
+
+class TestBarrierEnumerations:
+    @pytest.mark.parametrize("name", ["hand_track.scenario", "obstacle_track.scenario"])
+    def test_rows_catalog_and_truth_agree(self, name, rng):
+        # The trace's catalog, its ground-truth values and the controller's
+        # row block list the same barriers in the same order, with every row
+        # active and the obstacles at their true pose.
+        scenario = load_scenario(data_path(name))
+        model = scenario.robot
+        config = replace(scenario.filter_config, activation_distance=math.inf)
+        truths = [_ObstacleTruth(spec.body, spec.velocity, 0.0, spec.process_noise)
+                  for spec in scenario.obstacles]
+        catalog = [f"{kind}|{pair}" for kind, pair in _barrier_catalog(scenario)]
+        poses = [(scenario.q0, 0.0)] + [
+            (np.array([rng.uniform(j.q_min, j.q_max) for j in model.joints]),
+             float(rng.uniform(0.0, scenario.sim.duration)))
+            for _ in range(5)]
+        for q, t in poses:
+            fk = forward_kinematics(model, q)
+            obstacles = [Obstacle(body=truth.at(t), velocity=truth.velocity)
+                         for truth in truths]
+            rows = collect_constraints(model, JointState(q=q, qd=np.zeros(model.n_dof)), fk,
+                                       obstacles, config, scenario.collision_pairs,
+                                       scenario.workspace_pairs)
+            assert [f"{kind.value}|{pair}" for kind, pair in rows.keys] == catalog
+            truth_h = _truth_barriers(model, q, fk, scenario, truths, t)
+            assert rows.h.tobytes() == truth_h.tobytes()
 
 
 def config_kinds():
