@@ -13,6 +13,8 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
 - ``joint_dynamics`` (mass matrix and bias forces), given the FK;
+- ``prioritized_ik``: the scenario's task stack sampled at t = 0, at the
+  moving state, given the FK;
 - ``collect_constraints``: the scenario's barrier rows at the moving state,
   given the FK, with each obstacle where it is 1.2 s into the run
   (``obstacle_track``'s ball is then within reach of the hand and the
@@ -20,9 +22,15 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``filter_velocity``: the ``issf-cbf`` velocity filter on those rows, with
   qd_des the moving state's qd and a solver of its own;
 - ``ecbf_rows``: the eCBF rows of those barrier rows, given the FK;
+- ``motor_torque``: the motor command for the gravity torque at the start
+  pose and the reference q + qd dt, qd of the moving state, with the
+  controller's resolved gains and torque limits;
 - ``step_physics``: one semi-implicit Euler substep of the scenario's plant
   (its mass-scaled model) under zero torque, FK and the solve for qdd
   included;
+- ``kalman_update``: one update of a constant-velocity Kalman filter (5 mm
+  measurement noise) that has already seen a measurement; it is the same on
+  both robots;
 - ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
   filter QP and of the torque QP of the scenario's first control cycle, in
   its own filter mode, with each obstacle at its initial pose and velocity.
@@ -50,7 +58,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from issf_wbc._fastdyn import joint_dynamics  # noqa: E402
+from issf_wbc.dynwbc import motor_torque  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
+from issf_wbc.kinwbc import prioritized_ik  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
     JointState,
     forward_kinematics,
@@ -66,7 +76,7 @@ from issf_wbc.safety import (  # noqa: E402
     filter_velocity,
 )
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
-from issf_wbc.sim import Controller, step_physics  # noqa: E402
+from issf_wbc.sim import ConstantVelocityKalman, Controller, step_physics  # noqa: E402
 
 SCENARIOS = ("hand_track.scenario", "obstacle_track.scenario")
 ECBF_T = 1.2
@@ -80,15 +90,16 @@ class _KeepProblem(QpSolver):
         return super().solve(problem, warm_start)
 
 
-def first_cycle_problems(scenario):
-    """The filter QP and the torque QP of the scenario's first control cycle."""
+def first_cycle(scenario):
+    """A controller of the scenario after its first control cycle, whose
+    solvers keep that cycle's filter QP and torque QP."""
     controller = Controller(scenario.robot, scenario)
     controller.filter_solver, controller.dyn_solver = _KeepProblem(), _KeepProblem()
     state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
     obstacles = [Obstacle(body=spec.body, velocity=spec.velocity)
                  for spec in scenario.obstacles]
     controller.step(state, 0.0, obstacles)
-    return controller.filter_solver.problem, controller.dyn_solver.problem
+    return controller
 
 
 def kernels(scenario) -> dict[str, callable]:
@@ -111,20 +122,32 @@ def kernels(scenario) -> dict[str, callable]:
     rows = collect_constraints(model, state, fk, obstacles, scenario.filter_config,
                                scenario.collision_pairs, scenario.workspace_pairs)
     issf = scenario.filter_config.with_mode(FilterMode.ISSF_CBF)
-    filter_qp, torque_qp = first_cycle_problems(scenario)
+    controller = first_cycle(scenario)
+    filter_qp, torque_qp = controller.filter_solver.problem, controller.dyn_solver.problem
     filter_solver, solver = QpSolver(), QpSolver()
+    tasks = [spec.task_at(0.0) for spec in scenario.tasks]
+    dt_control = scenario.sim.dt_control
+    tau_gravity = joint_dynamics(model, fk, np.zeros(model.n_dof), gravity)[1]
+    q_ref = q + qd * dt_control
+    kalman = ConstantVelocityKalman(0.005)
+    z = np.array([0.4, -0.2, 0.1])
+    kalman.update(z, dt_control)
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
         "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
+        "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks, dt_control),
         "collect_constraints": lambda: collect_constraints(
             model, state, fk, obstacles, scenario.filter_config,
             scenario.collision_pairs, scenario.workspace_pairs),
         "filter_velocity": lambda: filter_velocity(qd, rows, issf, filter_solver),
         "ecbf_rows": lambda: ecbf_rows(model, state, fk, rows),
+        "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd, state, controller.gains,
+                                             controller.tau_max),
         "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),
+        "kalman_update": lambda: kalman.update(z, dt_control),
         "filter_qp": lambda: solver.solve(filter_qp),
         "torque_qp": lambda: solver.solve(torque_qp),
     }

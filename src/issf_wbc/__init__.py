@@ -18,7 +18,7 @@ from .geometry import (
     workspace_barrier,
 )
 from .harness import RunResult, SweepResult, run_scenario, run_sweep
-from .kinwbc import Task, prioritized_ik, truncated_pinv
+from .kinwbc import Task, prioritized_ik
 from .model import (
     JointSpec,
     JointState,

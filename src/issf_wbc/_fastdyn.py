@@ -6,7 +6,8 @@ here on floats, written out as named scalars, on a pose (``FkResult``) the
 caller already computed, so the torque QP reuses its control cycle's pose.
 ``joint_dynamics`` must agree to machine precision with the numpy reference
 ``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``; the test
-suite cross-checks that on random chains.
+suite cross-checks that on random chains.  Its core, ``_joint_dynamics``,
+takes and returns lists, so the plant's substep runs on floats throughout.
 """
 
 from __future__ import annotations
@@ -40,10 +41,19 @@ def joint_dynamics(
     gravity: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q."""
+    mat, h = _joint_dynamics(model, (fk.rot, fk.pos, fk.joint_axis, fk.joint_origin),
+                             np.asarray(qd, dtype=float).tolist(),
+                             np.asarray(gravity, dtype=float).tolist())
+    return np.array(mat), np.array(h)
+
+
+def _joint_dynamics(model: RobotModel, pose: tuple[list, list, list, list],
+                    qdl: list[float], gravity: list[float]) -> tuple[list, list]:
+    """``joint_dynamics`` on floats: M as a list of rows and h as a list, at the
+    pose ``(rot, pos, joint_axis, joint_origin)`` that ``model._fk`` returns."""
     n = model.n_dof
-    rot, pos, axes, orig = fk.rot, fk.pos, fk.joint_axis, fk.joint_origin
-    qdl = np.asarray(qd, dtype=float).tolist()
-    gx, gy, gz = np.asarray(gravity, dtype=float).tolist()
+    rot, pos, axes, orig = pose
+    gx, gy, gz = gravity
     inertial = _constants(model)
 
     # Forward pass (qdd = 0, base acceleration -g), one record per link:
@@ -199,4 +209,4 @@ def joint_dynamics(
             )
             mat[i][j] = mij
             row_j[i] = mij
-    return np.array(mat), np.array(h)
+    return mat, h

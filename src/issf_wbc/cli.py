@@ -96,8 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, SimulationDivergedError, FilterInfeasibleError,
-            DynWbcInfeasibleError) as exc:
+    except (FileNotFoundError, ValueError, SimulationDivergedError, FilterInfeasibleError,
+            DynWbcInfeasibleError) as exc:   # ValueError: a rejected --alpha/--epsilon
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

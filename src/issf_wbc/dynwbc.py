@@ -17,7 +17,8 @@ so they hold by construction and need no equality rows:
 The reference acceleration comes from PD feedback on the safety-filtered
 kinematic reference, qdd_safe = Kp (q_safe - q) + Kd (qd_safe - qd), and the
 final actuator command adds motor PD feedback on top of the optimized
-torque to fight friction and other unmodeled effects.
+torque to fight friction and other unmodeled effects.  Both run per joint on
+Python floats, with the gains resolved once (``DynWbcWeights.gains``).
 """
 
 from __future__ import annotations
@@ -65,6 +66,21 @@ class DynWbcWeights:
         for name in ("w_c", "w_tau", "w_M"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+
+    def gains(self, n: int) -> "FeedbackGains":
+        """The four feedback gains as n floats each."""
+        return FeedbackGains(*(tuple(_diag_gain(getattr(self, name), n).tolist())
+                               for name in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd")))
+
+
+@dataclass(frozen=True)
+class FeedbackGains:
+    """The diagonal PD gains of ``DynWbcWeights`` for n joints, one float per joint."""
+
+    kp_dyn: tuple[float, ...]
+    kd_dyn: tuple[float, ...]
+    motor_kp: tuple[float, ...]
+    motor_kd: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -120,13 +136,15 @@ def safe_acceleration(
     q_safe: np.ndarray,
     qdot_safe: np.ndarray,
     state: JointState,
-    weights: DynWbcWeights,
+    gains: FeedbackGains,
 ) -> np.ndarray:
     """PD feedback converting the filtered kinematic reference to an acceleration."""
-    n = state.q.shape[0]
-    kp = _diag_gain(weights.kp_dyn, n)
-    kd = _diag_gain(weights.kd_dyn, n)
-    return kp * (q_safe - state.q) + kd * (qdot_safe - state.qd)
+    return np.array([
+        kp * (qs - q) + kd * (vs - v)
+        for kp, kd, qs, q, vs, v in zip(gains.kp_dyn, gains.kd_dyn, q_safe.tolist(),
+                                        state.q.tolist(), qdot_safe.tolist(),
+                                        state.qd.tolist(), strict=True)
+    ])
 
 
 def solve_dynwbc(
@@ -211,20 +229,24 @@ def motor_torque(
     q_safe: np.ndarray,
     qdot_safe: np.ndarray,
     state: JointState,
-    weights: DynWbcWeights,
-    tau_max: np.ndarray | None = None,
+    gains: FeedbackGains,
+    tau_max: tuple[float, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Actuator command tau_opt + Kp (q_safe - q) + Kd (qd_safe - qd), clamped.
+    """Actuator command tau_opt + Kp (q_safe - q) + Kd (qd_safe - qd), clamped
+    to [-tau_max, tau_max] per joint when ``tau_max`` is given.
 
     Returns the command and a per-joint clamp mask (clamping is also logged).
     """
-    n = state.q.shape[0]
-    kp = _diag_gain(weights.motor_kp, n)
-    kd = _diag_gain(weights.motor_kd, n)
-    tau = tau_opt + kp * (q_safe - state.q) + kd * (qdot_safe - state.qd)
+    tau = [
+        t + kp * (qs - q) + kd * (vs - v)
+        for t, kp, kd, qs, q, vs, v in zip(tau_opt.tolist(), gains.motor_kp, gains.motor_kd,
+                                           q_safe.tolist(), state.q.tolist(),
+                                           qdot_safe.tolist(), state.qd.tolist(), strict=True)
+    ]
     if tau_max is None:
-        return tau, np.zeros(n, dtype=bool)
-    clamped = np.abs(tau) > tau_max
-    if np.any(clamped):
-        log.debug("torque clamp on joints %s", np.nonzero(clamped)[0].tolist())
-    return np.clip(tau, -tau_max, tau_max), clamped
+        return np.array(tau), np.zeros(len(tau), dtype=bool)
+    clamped = [abs(t) > limit for t, limit in zip(tau, tau_max, strict=True)]
+    if any(clamped):
+        log.debug("torque clamp on joints %s", [i for i, c in enumerate(clamped) if c])
+        tau = [min(max(t, -limit), limit) for t, limit in zip(tau, tau_max)]
+    return np.array(tau), np.array(clamped)

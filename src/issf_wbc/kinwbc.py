@@ -2,30 +2,45 @@
 
 Tasks are ranked strictly by priority; each level contributes a velocity
 correction through the pseudo-inverse of its Jacobian projected onto the
-null space of all higher levels,
+null space of all higher levels (Siciliano & Slotine, ICAR 1991),
 
     qd_i = qd_{i-1} + pinv(J_i N_{i-1}) (xd_i_cmd - xd_i - J_i qd_{i-1}),
+    N_i = N_{i-1} - pinv(J_i N_{i-1}) J_i N_{i-1},
 
 initialized with qd_0 = 0, N_0 = I.  The commanded task velocity adds
 position-error feedback, xd_cmd = xd_ff + k (x_target - x), and xd_i is
 taken as zero: subtracting the *measured* task velocity instead closes a
 positive-feedback loop through the tracking controller -- the plant realizes
 the command one cycle later and the command negates it again, which rings at
-the control rate on a stiff plant.  The pseudo-inverse is SVD-based with small
-singular values zeroed at a relative threshold, so commands stay bounded
-through kinematic singularities.  The desired position is q + qd dt.
+the control rate on a stiff plant.  Each level takes one SVD of its
+projected Jacobian, J_i N_{i-1} = U S V^T, and keeps the singular triplets
+with s > sigma_rel s_0, so commands stay bounded through kinematic
+singularities; both updates come from that one SVD:
+pinv(J_i N_{i-1}) = V_r S_r^-1 U_r^T and pinv(J_i N_{i-1}) J_i N_{i-1} =
+V_r V_r^T.  A level whose projected Jacobian is zero changes nothing.  The
+desired position is q + qd dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .model import FkResult, JointState, RobotModel, _jacobian_rows, _xyz
+from .model import FkResult, JointState, RobotModel, _jacobian_rows
 
 SIGMA_REL_DEFAULT = 1e-4
 DEFAULT_TASK_GAIN = 5.0
+
+
+@cache
+def _selector(n_dof: int, joint_indices: tuple[int, ...]) -> np.ndarray:
+    """The read-only Jacobian of a joint task: rows of I picking ``joint_indices``."""
+    jac = np.zeros((len(joint_indices), n_dof))
+    jac[range(len(joint_indices)), list(joint_indices)] = 1.0
+    jac.flags.writeable = False
+    return jac
 
 
 @dataclass(frozen=True)
@@ -33,7 +48,8 @@ class Task:
     """One operational-space or joint-space task.
 
     Point tasks track a world-frame point attached to ``link`` at
-    ``point_in_link``; joint tasks track a subset of joint coordinates.
+    ``point_in_link`` (three floats); joint tasks track a subset of joint
+    coordinates.
     """
 
     priority: int
@@ -41,7 +57,7 @@ class Task:
     feedforward: np.ndarray | None = None
     gain: float = DEFAULT_TASK_GAIN
     link: int | None = None
-    point_in_link: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    point_in_link: tuple[float, float, float] = (0.0, 0.0, 0.0)
     joint_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -52,21 +68,9 @@ class Task:
         self, model: RobotModel, q: np.ndarray, fk: FkResult
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.link is not None:
-            point = fk._point(self.link, _xyz(self.point_in_link))
+            point = fk._point(self.link, self.point_in_link)
             return np.array(_jacobian_rows(fk, model.n_dof, self.link, point)), np.array(point)
-        idx = list(self.joint_indices)
-        jac = np.zeros((len(idx), model.n_dof))
-        jac[range(len(idx)), idx] = 1.0
-        return jac, q[idx]
-
-
-def truncated_pinv(jac: np.ndarray, sigma_rel: float = SIGMA_REL_DEFAULT) -> np.ndarray:
-    """SVD pseudo-inverse with singular values below sigma_rel * sigma_max set to 0."""
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return jac.T * 0.0
-    inv = np.where(s > sigma_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+        return _selector(model.n_dof, self.joint_indices), q[list(self.joint_indices)]
 
 
 def solve_priority_stack(
@@ -75,7 +79,7 @@ def solve_priority_stack(
     n_dof: int,
     sigma_rel: float = SIGMA_REL_DEFAULT,
 ) -> np.ndarray:
-    """Core recursion over explicit (J_i, xd_i_cmd - xd_i) pairs."""
+    """Core recursion over explicit (J_i, xd_i_cmd - xd_i) pairs, one SVD per level."""
     qdot = np.zeros(n_dof)
     nullspace = np.eye(n_dof)
     for jac, term in zip(jacobians, velocity_terms):
@@ -84,9 +88,13 @@ def solve_priority_stack(
                 f"task dimension mismatch: J has {jac.shape[0]} rows, command has {term.shape[0]}"
             )
         jac_pre = jac @ nullspace
-        pinv = truncated_pinv(jac_pre, sigma_rel)
-        qdot = qdot + pinv @ (term - jac @ qdot)
-        nullspace = nullspace - pinv @ jac_pre
+        u, s, vt = np.linalg.svd(jac_pre, full_matrices=False)
+        if s.size == 0 or s[0] == 0.0:
+            continue
+        r = int(np.count_nonzero(s > sigma_rel * s[0]))
+        v_r = vt[:r]
+        qdot = qdot + v_r.T @ ((u[:, :r].T @ (term - jac @ qdot)) / s[:r])
+        nullspace = nullspace - v_r.T @ v_r
     return qdot
 
 

@@ -186,9 +186,9 @@ def _frames(model: RobotModel) -> list[tuple]:
     return frames
 
 
-def _fk(model: RobotModel, q) -> tuple[list, list, list, list]:
-    """Forward kinematics on floats: (rot 9-tuples, pos, joint_axis, joint_origin)."""
-    ql = np.asarray(q, dtype=float).tolist()
+def _fk(model: RobotModel, ql: list[float]) -> tuple[list, list, list, list]:
+    """Forward kinematics on floats at the joint angles ``ql``:
+    (rot 9-tuples, pos, joint_axis, joint_origin)."""
     rot, pos, axes, orig = [], [], [], []
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     px = py = pz = 0.0
@@ -271,7 +271,7 @@ class FkResult:
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> FkResult:
     """Compose world-frame link poses parent-to-child (base is the identity)."""
-    return FkResult(*_fk(model, model.check_q(q)))
+    return FkResult(*_fk(model, model.check_q(q).tolist()))
 
 
 def _jacobian_rows(fk: FkResult, n_dof: int, link: int, point) -> list[list[float]]:

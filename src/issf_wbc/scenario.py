@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import cached_property
 from importlib import resources
@@ -159,7 +159,7 @@ class TaskSpec:
     spline: WaypointSpline
     gain: float = 5.0
     link: int | None = None
-    point: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    point: tuple[float, float, float] = (0.0, 0.0, 0.0)   # in the link frame
     joints: tuple[int, ...] | None = None
 
     def task_at(self, t: float) -> Task:
@@ -216,6 +216,15 @@ def _reject_unknown(raw: dict, known, problems: list, where: str) -> None:
             problems.append(f"{where}.{key}: unknown key")
 
 
+def _number(raw, default: float, problems: list, where: str) -> float:
+    """``raw`` as a float; ``default`` and a problem naming ``where`` if it is not a number."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        problems.append(f"{where}: expected a number, got {raw!r}")
+        return default
+
+
 def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> dict:
     table = dict(defaults)
     for key, value in (raw or {}).items():
@@ -224,7 +233,7 @@ def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> 
             problems.append(f"{where}.{key}: unknown constraint kind")
             continue
         for kind in kinds:
-            table[kind] = float(value)
+            table[kind] = _number(value, defaults[kind], problems, f"{where}.{key}")
     return table
 
 
@@ -239,14 +248,15 @@ def _parse_filter(raw: dict, problems: list) -> FilterConfig:
     slack = (raw or {}).get("slack", "hard-fail")
     weight = 1e6
     if isinstance(slack, dict):
-        weight = float(slack.get("weight", 1e6))
+        weight = _number(slack.get("weight", weight), weight, problems, "filter.slack.weight")
         slack = "slack"
     if slack not in SLACK_POLICIES:
         problems.append(f"filter.slack: expected one of {SLACK_POLICIES}, got {slack!r}")
         slack = "hard-fail"
     alpha = _parse_kind_table((raw or {}).get("alpha"), DEFAULT_ALPHA, problems, "filter.alpha")
     epsilon = _parse_kind_table((raw or {}).get("epsilon"), DEFAULT_EPSILON, problems, "filter.epsilon")
-    activation_distance = float((raw or {}).get("activation_distance", 0.3))
+    activation_distance = _number((raw or {}).get("activation_distance", 0.3), 0.3, problems,
+                                  "filter.activation_distance")
     try:
         return FilterConfig(mode=mode, alpha=alpha, epsilon=epsilon, slack_policy=slack,
                             slack_weight=weight, activation_distance=activation_distance)
@@ -368,7 +378,8 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
             spline=spline,
             gain=float(raw.get("gain", 5.0)),
             link=int(raw["link"]) if has_link else None,
-            point=_vec(raw.get("point", [0, 0, 0]), 3, problems, f"{where}.point"),
+            point=tuple(_vec(raw.get("point", [0, 0, 0]), 3, problems,
+                             f"{where}.point").tolist()),
             joints=tuple(int(j) for j in raw["joints"]) if has_joints else None,
         ))
     seen_priorities = [t.priority for t in tasks]

@@ -45,7 +45,7 @@ from operator import mul
 
 import numpy as np
 
-from ._fastdyn import joint_dynamics
+from ._fastdyn import _joint_dynamics, joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
@@ -108,20 +108,19 @@ class SimConfig:
         return max(1, round(self.dt_control / self.dt_physics))
 
 
-def _qdd(model: RobotModel, q, qd, tau: list[float], gravity: np.ndarray,
-         t: float) -> list[float]:
-    """Joint accelerations M^-1 (tau - h) at (q, qd) as floats; ``q`` and
-    ``qd`` may be arrays or lists of floats.
+def _qdd(model: RobotModel, q: list[float], qd: list[float], tau: list[float],
+         gravity: list[float], t: float) -> list[float]:
+    """Joint accelerations M^-1 (tau - h) at (q, qd), all lists of floats.
 
     M = L L^T is factored row by row (Cholesky-Banachiewicz), with the
     forward substitution L y = tau - h fused into the same pass, then
     L^T qdd = y is solved by back substitution.  A pivot that is not
     positive means the plant's M is singular: the plant cannot be advanced.
     """
-    mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
+    mass, bias = _joint_dynamics(model, _fk(model, q), qd, gravity)
     L: list[list[float]] = []
     y: list[float] = []
-    for i, (Mi, ti, hi) in enumerate(zip(mass.tolist(), tau, bias.tolist())):
+    for i, (Mi, ti, hi) in enumerate(zip(mass, tau, bias)):
         Li: list[float] = []
         for Lj in L:
             Li.append((Mi[len(Li)] - sum(map(mul, Li, Lj))) / Lj[-1])
@@ -161,81 +160,79 @@ def step_physics(
 ) -> JointState:
     """Advance the plant one physics step under a held torque command."""
     q, qd, tau, t = state.q.tolist(), state.qd.tolist(), tau_cmd.tolist(), state.t
+    g = np.asarray(gravity, dtype=float).tolist()
     if integrator is Integrator.SEMI_IMPLICIT_EULER:
-        qd_next = _axpy(dt, _qdd(plant_model, state.q, state.qd, tau, gravity, t), qd)
+        qd_next = _axpy(dt, _qdd(plant_model, q, qd, tau, g, t), qd)
         q_next = _axpy(dt, qd_next, q)
     else:
         half = 0.5 * dt
-        k1 = _qdd(plant_model, q, qd, tau, gravity, t)
+        k1 = _qdd(plant_model, q, qd, tau, g, t)
         v2 = _axpy(half, k1, qd)
-        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, gravity, t)
+        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, g, t)
         v3 = _axpy(half, k2, qd)
-        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, gravity, t)
+        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, g, t)
         v4 = _axpy(dt, k3, qd)
-        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, gravity, t)
+        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, g, t)
         q_next = _axpy(dt / 6.0, _weighted(qd, v2, v3, v4), q)
         qd_next = _axpy(dt / 6.0, _weighted(k1, k2, k3, k4), qd)
-    q_arr, qd_arr = np.array(q_next), np.array(qd_next)
     if not (all(map(math.isfinite, q_next)) and all(map(math.isfinite, qd_next))):
         raise SimulationDivergedError(
-            f"non-finite state at t={t + dt:.6f}: q={q_arr}, qd={qd_arr}"
+            f"non-finite state at t={t + dt:.6f}: q={np.array(q_next)}, qd={np.array(qd_next)}"
         )
-    return JointState(q=q_arr, qd=qd_arr, t=t + dt)
+    return JointState(q=np.array(q_next), qd=np.array(qd_next), t=t + dt)
 
 
 @dataclass(frozen=True)
 class ObstacleEstimate:
     position: np.ndarray
     velocity: np.ndarray
-    covariance: np.ndarray
 
 
 class ConstantVelocityKalman:
-    """Linear Kalman filter on [position; velocity] with a constant-velocity model."""
+    """Linear Kalman filter on [position; velocity] with a constant-velocity model.
+
+    The measurement noise is r I3 and the transition and process noise act
+    on each axis alike, so the 6x6 covariance stays kron(P, I3) with P the
+    2x2 covariance of one axis: the filter runs one 2-state covariance on
+    floats, shared by the three axes, with the operations of the 6x6 filter
+    (``tests/kalman_oracle.py``).  ``P`` holds the rows of that 2x2
+    covariance, the prior until the first measurement.
+    """
 
     def __init__(self, meas_std: float, process_noise: float = 1e-2):
         self.r = max(meas_std, 1e-6) ** 2
         self.q = process_noise
-        self.x: np.ndarray | None = None
-        self.P = np.zeros((6, 6))
-        self._R = self.r * np.eye(3)
-        self._models: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _transition(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """State transition F and process noise Q over dt, built once per dt."""
-        model = self._models.get(dt)
-        if model is None:
-            eye3 = np.eye(3)
-            F = np.block([[eye3, dt * eye3], [np.zeros((3, 3)), eye3]])
-            Q = self.q * np.block([
-                [dt ** 3 / 3.0 * eye3, dt ** 2 / 2.0 * eye3],
-                [dt ** 2 / 2.0 * eye3, dt * eye3],
-            ])
-            model = self._models[dt] = (F, Q)
-        return model
+        self.position: list[float] | None = None     # set by the first measurement
+        self.velocity = [0.0, 0.0, 0.0]
+        self.P = ((self.r, 0.0), (0.0, 1.0))
 
     def update(self, measurement: np.ndarray, dt: float) -> ObstacleEstimate:
-        z = np.asarray(measurement, dtype=float)
-        if self.x is None:
-            eye3 = np.eye(3)
-            self.x = np.concatenate([z, np.zeros(3)])
-            self.P = np.block([
-                [self.r * eye3, np.zeros((3, 3))],
-                [np.zeros((3, 3)), 1.0 * eye3],
-            ])
+        z = np.asarray(measurement, dtype=float).tolist()
+        if self.position is None:
+            self.position = z
         else:
-            F, Q = self._transition(dt)
-            self.x = F @ self.x
-            self.P = F @ self.P @ F.T + Q
-            S = self.P[:3, :3] + self._R
-            K = np.linalg.solve(S.T, self.P[:, :3].T).T
-            self.x = self.x + K @ (z - self.x[:3])
-            self.P = self.P - K @ self.P[:3, :]
-        return ObstacleEstimate(
-            position=self.x[:3].copy(),
-            velocity=self.x[3:].copy(),
-            covariance=self.P.copy(),
-        )
+            # Predict: x <- F x, P <- F P F^T + Q with F = [[1, dt], [0, 1]].
+            (p00, p01), (p10, p11) = self.P
+            a00 = p00 + dt * p10
+            a01 = p01 + dt * p11
+            q = self.q
+            p00 = a00 + a01 * dt + q * (dt ** 3 / 3.0)
+            p01 = a01 + q * (dt ** 2 / 2.0)
+            p10 = p10 + p11 * dt + q * (dt ** 2 / 2.0)
+            p11 = p11 + q * dt
+            # Correct with the gain K = P H^T / (P00 + r), H = [1, 0].
+            s = p00 + self.r
+            k0, k1 = p00 / s, p10 / s
+            position, velocity = [], []
+            for zi, pi, vi in zip(z, self.position, self.velocity):
+                pi = pi + dt * vi
+                innovation = zi - pi
+                position.append(pi + k0 * innovation)
+                velocity.append(vi + k1 * innovation)
+            self.position, self.velocity = position, velocity
+            self.P = ((p00 - k0 * p00, p01 - k0 * p01), (p10 - k1 * p00, p11 - k1 * p01))
+        return ObstacleEstimate(position=np.array(self.position),
+                                velocity=np.array(self.velocity))
 
 
 @dataclass
@@ -421,16 +418,17 @@ class Controller:
             self.filter_config = self.filter_config.with_mode(mode)
         self.filter_solver = QpSolver()
         self.dyn_solver = QpSolver()
+        self.gains = scenario.weights.gains(model.n_dof)
+        self.tau_max = tuple(model.tau_max.tolist())
         self.filter_warm: np.ndarray | None = None
         self.dyn_warm: np.ndarray | None = None
-        self.tau_prev = joint_dynamics(model, FkResult(*_fk(model, scenario.q0)),
+        self.tau_prev = joint_dynamics(model, FkResult(*_fk(model, scenario.q0.tolist())),
                                        np.zeros(model.n_dof), scenario.sim.gravity)[1]
 
     def step(self, state: JointState, t: float,
              obstacles: list[Obstacle]) -> tuple[np.ndarray, CycleRecord]:
         """Motor torque command for the measured ``state`` at cycle time ``t``."""
         model, scenario, config = self.model, self.scenario, self.filter_config
-        weights = scenario.weights
         dt = scenario.sim.dt_control
         fk = forward_kinematics(model, state.q)
 
@@ -446,7 +444,7 @@ class Controller:
                                    warm_start=self.filter_warm)
         qdot_safe = self.filter_warm = filtered.qdot_safe
         q_safe = state.q + qdot_safe * dt
-        qdd_safe = safe_acceleration(q_safe, qdot_safe, state, weights)
+        qdd_safe = safe_acceleration(q_safe, qdot_safe, state, self.gains)
 
         extra_rows = None
         h_e_min = np.nan
@@ -455,13 +453,13 @@ class Controller:
             if rows:
                 h_e_min = float(extra_rows.h_e.min())
 
-        dyn = solve_dynwbc(model, state, fk, qdd_safe, None, extra_rows, weights,
+        dyn = solve_dynwbc(model, state, fk, qdd_safe, None, extra_rows, scenario.weights,
                            self.tau_prev, self.dyn_solver, scenario.sim.gravity,
                            warm_start=self.dyn_warm)
         self.dyn_warm = dyn.solution.x
         self.tau_prev = dyn.tau_opt
-        tau_cmd, clamped = motor_torque(dyn.tau_opt, q_safe, qdot_safe, state, weights,
-                                        tau_max=model.tau_max)
+        tau_cmd, clamped = motor_torque(dyn.tau_opt, q_safe, qdot_safe, state, self.gains,
+                                        tau_max=self.tau_max)
         return tau_cmd, CycleRecord(
             fk=fk, qdot_des=qdot_des, filtered=filtered, qdd_safe=qdd_safe, rows=rows,
             h_e_min=h_e_min, dynamics_residual=dyn.dynamics_residual, clamped=clamped,

@@ -6,6 +6,13 @@ frames composed as 3x3 matrices, with numpy-array fields on ``FkResult``.
 ``point_jacobian`` builds every column with ``np.cross``.  The float kernel
 ``issf_wbc.model.forward_kinematics`` must agree with them to machine
 precision, and ``dynamics_oracle`` is built on them.
+
+``truncated_pinv`` and ``solve_priority_stack`` are the prioritized-IK
+recursion the package used before it took both of a level's updates from
+one SVD: an explicit truncated pseudo-inverse per level, applied to the task
+term and multiplied back onto the projected Jacobian for the null-space
+update.  ``issf_wbc.kinwbc.solve_priority_stack`` must agree with it to
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from issf_wbc.kinwbc import SIGMA_REL_DEFAULT
 from issf_wbc.model import ModelError, RobotModel
 
 
@@ -88,3 +96,33 @@ def point_jacobian(
     k = link_index + 1
     jac[:, :k] = np.cross(fk.joint_axis[:k], p[None, :] - fk.joint_origin[:k]).T
     return jac
+
+
+def truncated_pinv(jac: np.ndarray, sigma_rel: float = SIGMA_REL_DEFAULT) -> np.ndarray:
+    """SVD pseudo-inverse with singular values below sigma_rel * sigma_max set to 0."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return jac.T * 0.0
+    inv = np.where(s > sigma_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return (vt.T * inv) @ u.T
+
+
+def solve_priority_stack(
+    jacobians: list[np.ndarray],
+    velocity_terms: list[np.ndarray],
+    n_dof: int,
+    sigma_rel: float = SIGMA_REL_DEFAULT,
+) -> np.ndarray:
+    """The prioritized-IK recursion over explicit (J_i, xd_i_cmd - xd_i) pairs."""
+    qdot = np.zeros(n_dof)
+    nullspace = np.eye(n_dof)
+    for jac, term in zip(jacobians, velocity_terms):
+        if jac.shape[0] != term.shape[0]:
+            raise ValueError(
+                f"task dimension mismatch: J has {jac.shape[0]} rows, command has {term.shape[0]}"
+            )
+        jac_pre = jac @ nullspace
+        pinv = truncated_pinv(jac_pre, sigma_rel)
+        qdot = qdot + pinv @ (term - jac @ qdot)
+        nullspace = nullspace - pinv @ jac_pre
+    return qdot

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from issf_wbc.harness import collision_events, run_scenario, run_sweep
-from issf_wbc.kinwbc import solve_priority_stack, truncated_pinv
+from issf_wbc.kinwbc import solve_priority_stack
 from issf_wbc.qpsolver import QpProblem, QpSolver, QpStatus
 from issf_wbc.safety import BarrierKind
 from issf_wbc.scenario import data_path, load_scenario
 
 from conftest import enumerate_qp
+from kinematics_oracle import truncated_pinv
 
 ALPHAS = [1.0, 5.0, 10.0, 20.0, 30.0]
 EPSILONS = [10.0, 20.0, 30.0]

@@ -26,14 +26,14 @@ class TestSafeAcceleration:
         q = rng.normal(size=3)
         qd = rng.normal(size=3)
         state = JointState(q=q, qd=qd)
-        out = safe_acceleration(q, qd, state, DynWbcWeights())
+        out = safe_acceleration(q, qd, state, DynWbcWeights().gains(3))
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_direct_substitution(self):
         # Kp = 100 I, Kd = 20 I, position error 0.01 rad, zero velocity error
         weights = DynWbcWeights(kp_dyn=100.0, kd_dyn=20.0)
         state = JointState(q=np.zeros(1), qd=np.zeros(1))
-        out = safe_acceleration(np.array([0.01]), np.zeros(1), state, weights)
+        out = safe_acceleration(np.array([0.01]), np.zeros(1), state, weights.gains(1))
         assert out[0] == pytest.approx(1.0)
 
     def test_step_response_no_overshoot(self):
@@ -54,7 +54,7 @@ class TestSafeAcceleration:
     def test_vector_gains(self):
         weights = DynWbcWeights(kp_dyn=np.array([100.0, 50.0]), kd_dyn=0.0)
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
-        out = safe_acceleration(np.array([0.01, 0.01]), np.zeros(2), state, weights)
+        out = safe_acceleration(np.array([0.01, 0.01]), np.zeros(2), state, weights.gains(2))
         np.testing.assert_allclose(out, [1.0, 0.5])
 
 
@@ -263,21 +263,21 @@ class TestMotorTorque:
         qd = rng.normal(size=3)
         tau_opt = rng.normal(size=3)
         tau, clamped = motor_torque(tau_opt, q, qd, JointState(q=q, qd=qd),
-                                    DynWbcWeights())
+                                    DynWbcWeights().gains(3))
         np.testing.assert_allclose(tau, tau_opt)
         assert not clamped.any()
 
     def test_direct_substitution(self):
         weights = DynWbcWeights(motor_kp=50.0, motor_kd=0.0)
         state = JointState(q=np.zeros(1), qd=np.zeros(1))
-        tau, _ = motor_torque(np.zeros(1), np.array([0.1]), np.zeros(1), state, weights)
+        tau, _ = motor_torque(np.zeros(1), np.array([0.1]), np.zeros(1), state, weights.gains(1))
         assert tau[0] == pytest.approx(5.0)
 
     def test_saturation_flagged(self):
         weights = DynWbcWeights(motor_kp=50.0, motor_kd=0.0)
         state = JointState(q=np.zeros(1), qd=np.zeros(1))
         tau, clamped = motor_torque(np.array([98.0]), np.array([0.1]), np.zeros(1),
-                                    state, weights, tau_max=np.array([100.0]))
+                                    state, weights.gains(1), tau_max=(100.0,))
         assert tau[0] == pytest.approx(100.0)
         assert clamped[0]
 

@@ -120,6 +120,18 @@ class TestScenarioParsing:
             f"filter.epsilon.joint-limit-{end}: must be > 0 (or inf), got -1.0"
             for end in ("min", "max")]
 
+    @pytest.mark.parametrize("filter_block,where", [
+        ({"alpha": {"workspace": "abc"}}, "filter.alpha.workspace"),
+        ({"activation_distance": "abc"}, "filter.activation_distance"),
+        ({"slack": {"weight": "abc"}}, "filter.slack.weight"),
+    ], ids=["alpha", "activation_distance", "slack_weight"])
+    def test_non_numeric_filter_value_rejected(self, tmp_path, filter_block, where):
+        path = write_mini_scenario(tmp_path, extra={
+            "filter": {"mode": "issf-cbf", **filter_block}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [f"{where}: expected a number, got 'abc'"]
+
     def test_misspelt_slack_policy_rejected(self, tmp_path):
         path = write_mini_scenario(tmp_path, extra={
             "filter": {"mode": "issf-cbf", "slack": "hard_fail"}})
@@ -379,6 +391,20 @@ class TestCli:
 
     def test_missing_file_exit_code(self, capsys):
         assert cli_main(["run", "nope.scenario"]) == 1
+
+    @pytest.mark.parametrize("flag,value,problem", [
+        ("--alpha", "-1", "alpha.self-collision: must be finite and > 0, got -1.0"),
+        ("--epsilon", "0", "epsilon.self-collision: must be > 0 (or inf), got 0.0"),
+    ], ids=["alpha", "epsilon"])
+    def test_bad_collision_parameter_reports_error(self, tmp_path, capsys, flag, value,
+                                                   problem):
+        path = write_mini_scenario(tmp_path)
+        assert cli_main(["run", str(path), flag, value, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {problem}; ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("error", [
         FilterInfeasibleError("safety filter QP infeasible with 7 rows"),

@@ -13,6 +13,7 @@ def test_kernels_script_runs_every_kernel(capsys):
     assert kernels.main(["--repeat", "1", "--seconds", "0.001"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     names = ("forward_kinematics", "point_jacobian", "closest_points",
-             "body_pair_barrier", "joint_dynamics", "collect_constraints",
-             "filter_velocity", "ecbf_rows", "step_physics", "filter_qp", "torque_qp")
+             "body_pair_barrier", "joint_dynamics", "prioritized_ik", "collect_constraints",
+             "filter_velocity", "ecbf_rows", "motor_torque", "step_physics",
+             "kalman_update", "filter_qp", "torque_qp")
     assert [row.split()[1] for row in rows] == list(names) * 2

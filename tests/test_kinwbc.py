@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from issf_wbc.kinwbc import Task, prioritized_ik, solve_priority_stack, truncated_pinv
-from issf_wbc.model import JointState, forward_kinematics, point_jacobian
+from issf_wbc.kinwbc import Task, prioritized_ik, solve_priority_stack
+from issf_wbc.model import JointState, forward_kinematics, load_robot, point_jacobian
+from issf_wbc.scenario import data_path
 
+import kinematics_oracle
 from conftest import random_chain, two_link_planar
+from kinematics_oracle import truncated_pinv
 
 
 class TestRecursion:
@@ -134,3 +137,77 @@ def test_point_task_tracks_target_direction(rng):
     jac = point_jacobian(model, fk, 3, np.zeros(3))
     # realized task velocity points toward the target
     assert (jac @ qdot) @ (target - current) > 0.0
+
+
+def assert_agrees(qdot, ref):
+    assert np.abs(qdot - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def oracle_qdot(model, q, fk, tasks):
+    """The former recursion on the terms ``prioritized_ik`` builds from ``tasks``."""
+    jacobians, terms = [], []
+    for task in sorted(tasks, key=lambda t: t.priority):
+        jac, value = task.jacobian_and_value(model, q, fk)
+        ff = np.zeros(jac.shape[0]) if task.feedforward is None else task.feedforward
+        jacobians.append(jac)
+        terms.append(ff + task.gain * (task.target - value))
+    return kinematics_oracle.solve_priority_stack(jacobians, terms, model.n_dof)
+
+
+class TestAgainstOracle:
+    """One SVD per level against the truncated-pinv recursion, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("robot", ["planar3.robot", "arm7.robot", "random"])
+    def test_random_poses(self, rng, robot):
+        # The bundled scenarios' stack: a point task on the last link above a
+        # posture task on every joint, whose projected Jacobian is rank
+        # deficient (rank n - 2 on planar3, n - 3 on arm7); every tenth pose
+        # is a singular one (q = 0 stretches planar3 and aligns arm7's axes).
+        # Random chains have more joints than the point task has rank (4-7),
+        # so the posture task keeps a null space to act in.
+        for k in range(200):
+            model = (random_chain(rng, int(rng.integers(4, 8)), planar=k % 2 == 0)
+                     if robot == "random" else load_robot(data_path(robot)))
+            n = model.n_dof
+            q = np.zeros(n) if k % 10 == 0 else rng.uniform(-np.pi, np.pi, n)
+            fk = forward_kinematics(model, q)
+            point = tuple(rng.uniform(-0.1, 0.1, 3).tolist())
+            tasks = [
+                Task(priority=1, target=fk.link_point(n - 1, point) + rng.normal(0, 0.05, 3),
+                     feedforward=rng.normal(size=3), gain=5.0, link=n - 1,
+                     point_in_link=point),
+                Task(priority=2, target=rng.uniform(-1, 1, n), gain=1.0,
+                     joint_indices=tuple(range(n))),
+            ]
+            state = JointState(q=q, qd=np.zeros(n))
+            qdot, _ = prioritized_ik(model, state, fk, tasks, dt=5e-4)
+            assert_agrees(qdot, oracle_qdot(model, q, fk, tasks))
+
+    def test_three_levels_with_a_rank_deficient_middle(self, rng):
+        # A middle level of two rows that differ only in scale has rank 1 once
+        # projected: its second singular value is rounding noise and dropped.
+        for _ in range(200):
+            n = int(rng.integers(3, 8))
+            top = rng.normal(size=(1, n))
+            row = rng.normal(size=(1, n))
+            stack = [top, np.vstack([row, 2.0 * row]), rng.normal(size=(2, n))]
+            terms = [rng.normal(size=1), rng.normal(size=2), rng.normal(size=2)]
+            assert_agrees(solve_priority_stack(stack, terms, n),
+                          kinematics_oracle.solve_priority_stack(stack, terms, n))
+
+    def test_zero_jacobian_level_changes_nothing(self, rng):
+        n = 4
+        jac, term = rng.normal(size=(2, n)), rng.normal(size=2)
+        zero, zero_term = np.zeros((3, n)), rng.normal(size=3)
+        alone = solve_priority_stack([jac], [term], n)
+        for stack, terms in (([zero, jac], [zero_term, term]), ([jac, zero], [term, zero_term])):
+            qdot = solve_priority_stack(stack, terms, n)
+            assert qdot.tobytes() == alone.tobytes()
+            assert_agrees(qdot, kinematics_oracle.solve_priority_stack(stack, terms, n))
+        assert not solve_priority_stack([zero], [zero_term], n).any()
+
+    def test_dimension_mismatch_rejected_like_the_oracle(self):
+        stack, terms = [np.eye(3), np.ones((2, 3))], [np.zeros(3), np.zeros(3)]
+        for solve in (solve_priority_stack, kinematics_oracle.solve_priority_stack):
+            with pytest.raises(ValueError, match="J has 2 rows, command has 3"):
+                solve(stack, terms, 3)

@@ -40,6 +40,7 @@ from issf_wbc.sim import (
 
 from conftest import random_chain, two_link_planar
 from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix
+from kalman_oracle import KalmanOracle
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -200,57 +201,41 @@ class TestKalman:
             if k > 1000:
                 errors.append(est.velocity - vel)
         empirical = np.std(np.array(errors), axis=0)
-        predicted = math.sqrt(kf.P[3, 3])   # converged Riccati covariance
+        predicted = math.sqrt(kf.P[1][1])   # converged Riccati covariance
         assert np.all(empirical < 1.2 * predicted)
 
     def test_covariance_stays_symmetric_psd(self, rng):
         kf = ConstantVelocityKalman(meas_std=0.01)
         for k in range(200):
-            est = kf.update(rng.normal(size=3), 1e-3)
-        assert np.abs(est.covariance - est.covariance.T).max() < 1e-12
-        assert np.linalg.eigvalsh(est.covariance).min() > 0.0
+            kf.update(rng.normal(size=3), 1e-3)
+        cov = np.array(kf.P)
+        assert np.abs(cov - cov.T).max() < 1e-12
+        assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
-class KalmanPerUpdateReference(ConstantVelocityKalman):
-    """The update as written before F and Q were cached: both rebuilt per call."""
-
-    def update(self, measurement, dt):
-        z = np.asarray(measurement, dtype=float)
-        eye3 = np.eye(3)
-        if self.x is None:
-            self.x = np.concatenate([z, np.zeros(3)])
-            self.P = np.block([
-                [self.r * eye3, np.zeros((3, 3))],
-                [np.zeros((3, 3)), 1.0 * eye3],
-            ])
-        else:
-            F = np.block([[eye3, dt * eye3], [np.zeros((3, 3)), eye3]])
-            Q = self.q * np.block([
-                [dt ** 3 / 3.0 * eye3, dt ** 2 / 2.0 * eye3],
-                [dt ** 2 / 2.0 * eye3, dt * eye3],
-            ])
-            self.x = F @ self.x
-            self.P = F @ self.P @ F.T + Q
-            S = self.P[:3, :3] + self.r * eye3
-            K = np.linalg.solve(S.T, self.P[:, :3].T).T
-            self.x = self.x + K @ (z - self.x[:3])
-            self.P = self.P - K @ self.P[:3, :]
-        return self.x[:3].copy(), self.x[3:].copy(), self.P.copy()
-
-
-class TestKalmanAgainstPerUpdateReference:
+class TestKalmanAgainstOracle:
+    # The 2-state filter is the 6x6 filter's arithmetic per axis, but the 6x6
+    # products and the 3x3 solve round differently, so they agree to 1e-12
+    # relative rather than bit for bit.  The covariance is compared on the
+    # scale of the largest variance seen so far: P = P - K P[:3] cancels
+    # its leading digits once the filter converges (with meas_std = 0, r is
+    # clamped to 1e-12 and the prior's unit velocity variance shrinks to
+    # 6e-5), so the rounding of the prior's scale stays in the difference.
     @pytest.mark.parametrize("meas_std,process_noise", [(0.005, 1e-2), (0.0, 0.3)])
-    def test_bitwise_equal_when_dt_changes_midway(self, rng, meas_std, process_noise):
+    def test_matches_6x6_filter_when_dt_changes_midway(self, rng, meas_std, process_noise):
         kf = ConstantVelocityKalman(meas_std, process_noise)
-        ref = KalmanPerUpdateReference(meas_std, process_noise)
+        ref = KalmanOracle(meas_std, process_noise)
         dts = [5e-4] * 150 + [1e-3] * 100 + [5e-4] * 50 + [2.5e-4, 1e-3, 5e-4] * 20
+        scale = 0.0
         for k, dt in enumerate(dts):
             z = np.array([0.4, -0.2, 0.1]) * k * dt + rng.normal(0.0, 0.005, 3)
             est = kf.update(z, dt)
             pos, vel, cov = ref.update(z, dt)
-            assert est.position.tobytes() == pos.tobytes()
-            assert est.velocity.tobytes() == vel.tobytes()
-            assert est.covariance.tobytes() == cov.tobytes()
+            assert np.abs(est.position - pos).max() <= 1e-12 * np.abs(pos).max()
+            assert np.abs(est.velocity - vel).max() <= 1e-12 * np.abs(vel).max()
+            scale = max(scale, np.abs(cov).max())
+            # the 6x6 covariance is kron(P, I3)
+            assert np.abs(np.kron(np.array(kf.P), np.eye(3)) - cov).max() <= 1e-12 * scale
 
 
 class TestClosedLoop:
