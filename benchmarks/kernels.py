@@ -12,7 +12,8 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``point_jacobian`` of the last link's collision body, given the FK;
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
-- ``joint_dynamics`` (mass matrix and bias forces), given the FK;
+- ``joint_dynamics`` (mass matrix and bias forces as lists), given the FK,
+  qd and gravity as lists;
 - ``prioritized_ik``: the scenario's task stack sampled at t = 0, at the
   moving state, given the FK;
 - ``collect_constraints``: the scenario's barrier rows at the moving state,
@@ -107,6 +108,7 @@ def kernels(scenario) -> dict[str, callable]:
     q = scenario.q0
     qd = np.linspace(-1.0, 1.0, model.n_dof)
     gravity = scenario.sim.gravity
+    qd_list, gravity_list = qd.tolist(), gravity.tolist()
     fk = forward_kinematics(model, q)
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
@@ -127,7 +129,7 @@ def kernels(scenario) -> dict[str, callable]:
     filter_solver, solver = QpSolver(), QpSolver()
     tasks = [spec.task_at(0.0) for spec in scenario.tasks]
     dt_control = scenario.sim.dt_control
-    tau_gravity = joint_dynamics(model, fk, np.zeros(model.n_dof), gravity)[1]
+    tau_gravity = np.array(joint_dynamics(model, fk, [0.0] * model.n_dof, gravity_list)[1])
     q_ref = q + qd * dt_control
     kalman = ConstantVelocityKalman(0.005)
     z = np.array([0.4, -0.2, 0.1])
@@ -137,7 +139,7 @@ def kernels(scenario) -> dict[str, callable]:
         "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
-        "joint_dynamics": lambda: joint_dynamics(model, fk, qd, gravity),
+        "joint_dynamics": lambda: joint_dynamics(model, fk, qd_list, gravity_list),
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks, dt_control),
         "collect_constraints": lambda: collect_constraints(
             model, state, fk, obstacles, scenario.filter_config,

@@ -6,8 +6,9 @@ here on floats, written out as named scalars, on a pose (``FkResult``) the
 caller already computed, so the torque QP reuses its control cycle's pose.
 ``joint_dynamics`` must agree to machine precision with the numpy reference
 ``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``; the test
-suite cross-checks that on random chains.  Its core, ``_joint_dynamics``,
-takes and returns lists, so the plant's substep runs on floats throughout.
+suite cross-checks that on random chains.  It takes and returns lists, so
+the plant's substep runs on floats throughout; the torque QP turns its
+result into arrays.
 """
 
 from __future__ import annotations
@@ -37,22 +38,16 @@ def _constants(model: RobotModel) -> list[tuple]:
 def joint_dynamics(
     model: RobotModel,
     fk: FkResult,
-    qd: np.ndarray,
-    gravity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q."""
-    mat, h = _joint_dynamics(model, (fk.rot, fk.pos, fk.joint_axis, fk.joint_origin),
-                             np.asarray(qd, dtype=float).tolist(),
-                             np.asarray(gravity, dtype=float).tolist())
-    return np.array(mat), np.array(h)
+    qd: list[float],
+    gravity: list[float],
+) -> tuple[list[list[float]], list[float]]:
+    """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q.
 
-
-def _joint_dynamics(model: RobotModel, pose: tuple[list, list, list, list],
-                    qdl: list[float], gravity: list[float]) -> tuple[list, list]:
-    """``joint_dynamics`` on floats: M as a list of rows and h as a list, at the
-    pose ``(rot, pos, joint_axis, joint_origin)`` that ``model._fk`` returns."""
+    ``qd`` and ``gravity`` are lists of floats; M comes back as a list of
+    rows and h as a list.
+    """
     n = model.n_dof
-    rot, pos, axes, orig = pose
+    rot, pos, axes, orig = fk.rot, fk.pos, fk.joint_axis, fk.joint_origin
     gx, gy, gz = gravity
     inertial = _constants(model)
 
@@ -91,7 +86,7 @@ def _joint_dynamics(model: RobotModel, pose: tuple[list, list, list, list],
         w22 = a20 * r20 + a21 * r21 + a22 * r22
 
         zx, zy, zz = axes[i]
-        qdi = qdl[i]
+        qdi = qd[i]
         zqx, zqy, zqz = zx * qdi, zy * qdi, zz * qdi
         alx += wy * zqz - wz * zqy
         aly += wz * zqx - wx * zqz

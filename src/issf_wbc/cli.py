@@ -18,7 +18,7 @@ import sys
 
 from .dynwbc import DynWbcInfeasibleError
 from .harness import run_scenario, run_sweep
-from .safety import FilterInfeasibleError, FilterMode
+from .safety import FilterConfig, FilterInfeasibleError, FilterMode
 from .scenario import ScenarioError, load_scenario, resolve_input
 from .sim import SimulationDivergedError
 
@@ -64,6 +64,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            try:   # FilterConfig's own checks, before any file is read
+                FilterConfig().with_collision_params(args.alpha, args.epsilon)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             result = run_scenario(
                 args.scenario, args.mode, alpha=args.alpha, epsilon=args.epsilon,
                 seed=args.seed, out=args.out, trace_constraints=args.trace_constraints,
@@ -96,8 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, SimulationDivergedError, FilterInfeasibleError,
-            DynWbcInfeasibleError) as exc:   # ValueError: a rejected --alpha/--epsilon
+    except (FileNotFoundError, SimulationDivergedError, FilterInfeasibleError,
+            DynWbcInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

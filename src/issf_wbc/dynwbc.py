@@ -167,7 +167,9 @@ def solve_dynwbc(
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
     nz = n + k
-    mass, bias = joint_dynamics(model, fk, state.qd, gravity)
+    mass, bias = joint_dynamics(model, fk, state.qd.tolist(),
+                                np.asarray(gravity, dtype=float).tolist())
+    mass, bias = np.array(mass), np.array(bias)
     T = np.empty((n, nz))
     T[:, :n] = mass
     if k:

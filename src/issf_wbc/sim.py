@@ -45,7 +45,7 @@ from operator import mul
 
 import numpy as np
 
-from ._fastdyn import _joint_dynamics, joint_dynamics
+from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
@@ -117,7 +117,7 @@ def _qdd(model: RobotModel, q: list[float], qd: list[float], tau: list[float],
     L^T qdd = y is solved by back substitution.  A pivot that is not
     positive means the plant's M is singular: the plant cannot be advanced.
     """
-    mass, bias = _joint_dynamics(model, _fk(model, q), qd, gravity)
+    mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
     L: list[list[float]] = []
     y: list[float] = []
     for i, (Mi, ti, hi) in enumerate(zip(mass, tau, bias)):
@@ -422,8 +422,9 @@ class Controller:
         self.tau_max = tuple(model.tau_max.tolist())
         self.filter_warm: np.ndarray | None = None
         self.dyn_warm: np.ndarray | None = None
-        self.tau_prev = joint_dynamics(model, FkResult(*_fk(model, scenario.q0.tolist())),
-                                       np.zeros(model.n_dof), scenario.sim.gravity)[1]
+        self.tau_prev = np.array(joint_dynamics(
+            model, FkResult(*_fk(model, scenario.q0.tolist())), [0.0] * model.n_dof,
+            np.asarray(scenario.sim.gravity, dtype=float).tolist())[1])
 
     def step(self, state: JointState, t: float,
              obstacles: list[Obstacle]) -> tuple[np.ndarray, CycleRecord]:

@@ -4,8 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.model import JointSpec, LinkSpec, RobotModel
 from issf_wbc.qpsolver import QpProblem
+
+
+def dynamics_arrays(model: RobotModel, fk, qd, gravity) -> tuple[np.ndarray, np.ndarray]:
+    """``joint_dynamics`` on array inputs, with M and h returned as arrays."""
+    mass, bias = joint_dynamics(model, fk, np.asarray(qd, dtype=float).tolist(),
+                                np.asarray(gravity, dtype=float).tolist())
+    return np.array(mass), np.array(bias)
 
 
 def random_chain(rng: np.random.Generator, n: int, planar: bool = False) -> RobotModel:

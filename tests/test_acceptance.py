@@ -308,10 +308,9 @@ def test_criterion_6_kinwbc_properties(rng):
 
 def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
                                       obstacle_issf, obstacle_ref, out_root):
-    from issf_wbc._fastdyn import joint_dynamics
     from issf_wbc.dynwbc import ContactBlock, DynWbcWeights, solve_dynwbc
     from issf_wbc.model import JointState, forward_kinematics
-    from conftest import random_chain
+    from conftest import dynamics_arrays, random_chain
 
     gravity = np.array([0.0, 0.0, -9.81])
     # unconstrained optimum reproduces inverse dynamics to 1e-8
@@ -324,7 +323,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
         res = solve_dynwbc(model, state, fk, qdd_safe, None, None,
                            DynWbcWeights(w_tau=0.0, w_M=0.0), np.zeros(4),
                            QpSolver(), gravity)
-        mass, bias = joint_dynamics(model, fk, state.qd, gravity)
+        mass, bias = dynamics_arrays(model, fk, state.qd, gravity)
         worst_id = max(worst_id,
                        np.abs(res.qddot_opt - qdd_safe).max(),
                        np.abs(res.tau_opt - (mass @ qdd_safe + bias)).max())
@@ -341,7 +340,7 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     fk = forward_kinematics(model, state.q)
     res = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights, np.zeros(6),
                        QpSolver(), gravity)
-    mass, bias = joint_dynamics(model, fk, state.qd, gravity)
+    mass, bias = dynamics_arrays(model, fk, state.qd, gravity)
     nz = 15
     H = np.zeros((nz, nz))
     H[:6, :6] = 2 * (weights.w_qdd * np.eye(6) + weights.w_M * mass)

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.dynwbc import (
     ContactBlock,
     DynWbcInfeasibleError,
@@ -16,7 +15,7 @@ from issf_wbc.model import JointState, forward_kinematics
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import AccelRows, BarrierKind
 
-from conftest import enumerate_qp, random_chain, two_link_planar
+from conftest import dynamics_arrays, enumerate_qp, random_chain, two_link_planar
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -68,7 +67,7 @@ class TestSolveDynWbc:
         fk = forward_kinematics(model, state.q)
         result = solve_dynwbc(model, state, fk, qdd_safe, None, None, weights,
                               np.zeros(4), QpSolver(), GRAVITY)
-        mass, bias = joint_dynamics(model, fk, state.qd, GRAVITY)
+        mass, bias = dynamics_arrays(model, fk, state.qd, GRAVITY)
         np.testing.assert_allclose(result.qddot_opt, qdd_safe, atol=1e-8)
         np.testing.assert_allclose(result.tau_opt, mass @ qdd_safe + bias, atol=1e-8)
         assert result.dynamics_residual < 1e-8
@@ -80,7 +79,7 @@ class TestSolveDynWbc:
         fk = forward_kinematics(model, state.q)
         result = solve_dynwbc(model, state, fk, np.zeros(3), None, None, weights,
                               np.zeros(3), QpSolver(), GRAVITY)
-        _, bias = joint_dynamics(model, fk, np.zeros(3), GRAVITY)
+        _, bias = dynamics_arrays(model, fk, np.zeros(3), GRAVITY)
         np.testing.assert_allclose(result.tau_opt, bias, atol=1e-8)
 
     def test_dynamics_residual_with_default_weights(self, rng):
@@ -114,7 +113,7 @@ class TestSolveDynWbc:
         fk = forward_kinematics(model, state.q)
         result = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights,
                               np.zeros(6), QpSolver(), GRAVITY)
-        mass, bias = joint_dynamics(model, fk, state.qd, GRAVITY)
+        mass, bias = dynamics_arrays(model, fk, state.qd, GRAVITY)
         nz = 6 + 3 + 6
         H = np.zeros((nz, nz))
         H[:6, :6] = 2 * (weights.w_qdd * np.eye(6) + weights.w_M * mass)
@@ -146,8 +145,8 @@ class TestSolveDynWbc:
             for with_contact in (False, True):
                 chain = random_chain(rng, n)
                 state = JointState(q=rng.uniform(-1, 1, n), qd=rng.uniform(-0.5, 0.5, n))
-                mass, bias = joint_dynamics(chain, forward_kinematics(chain, state.q), state.qd,
-                                            GRAVITY)
+                mass, bias = dynamics_arrays(chain, forward_kinematics(chain, state.q), state.qd,
+                                             GRAVITY)
                 tau_max = np.abs(bias) + rng.uniform(0.5, 2.0, n)
                 joints = tuple(dataclasses.replace(j, tau_max=float(t))
                                for j, t in zip(chain.joints, tau_max))

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.model import forward_kinematics, load_robot, scale_link_masses
 from issf_wbc.scenario import data_path
 
-from conftest import near_identity_chain, random_chain
+from conftest import dynamics_arrays, near_identity_chain, random_chain
 from fastdyn_oracle import joint_dynamics_reference
 
 
@@ -16,7 +15,7 @@ def assert_bitwise(actual, expected):
 
 
 def assert_same_dynamics(model, q, qd, g):
-    mass, bias = joint_dynamics(model, forward_kinematics(model, q), qd, g)
+    mass, bias = dynamics_arrays(model, forward_kinematics(model, q), qd, g)
     mass_ref, bias_ref = joint_dynamics_reference(model, q, qd, g)
     assert_bitwise(mass, mass_ref)
     assert_bitwise(bias, bias_ref)
@@ -65,6 +64,22 @@ class TestAgainstNestedLoopKernel:
         model = random_chain(rng, 5)
         assert_same_dynamics(model, np.zeros(5), np.zeros(5), np.zeros(3))
         fk = forward_kinematics(model, rng.uniform(-1, 1, 5))
-        mass, bias = joint_dynamics(model, fk, np.zeros(5), np.zeros(3))
+        mass, bias = dynamics_arrays(model, fk, np.zeros(5), np.zeros(3))
         np.testing.assert_array_equal(bias, 0.0)
         assert np.array_equal(mass, mass.T)
+
+    def test_returns_lists_of_floats(self, rng):
+        # The plant's substep runs on these lists without converting them.
+        from issf_wbc._fastdyn import joint_dynamics
+
+        model = random_chain(rng, 4)
+        q, qd = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+        mass, bias = joint_dynamics(model, forward_kinematics(model, q), qd.tolist(),
+                                    [0.0, 0.0, -9.81])
+        assert type(mass) is list and type(bias) is list and len(mass) == len(bias) == 4
+        assert all(type(row) is list and len(row) == 4 for row in mass)
+        assert all(type(x) is float for row in mass for x in row)
+        assert all(type(x) is float for x in bias)
+        ref_mass, ref_bias = joint_dynamics_reference(model, q, qd, np.array([0.0, 0.0, -9.81]))
+        assert_bitwise(np.array(mass), ref_mass)
+        assert_bitwise(np.array(bias), ref_bias)

@@ -406,6 +406,16 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    def test_internal_value_error_is_not_reported_as_a_bad_parameter(self, monkeypatch):
+        # Only a rejected filter parameter becomes an error line; any other
+        # ValueError is a fault of the program and keeps its traceback.
+        def fail(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(issf_wbc.cli, "run_scenario", fail)
+        with pytest.raises(ValueError, match="broadcast"):
+            cli_main(["run", "hand_track.scenario"])
+
     @pytest.mark.parametrize("error", [
         FilterInfeasibleError("safety filter QP infeasible with 7 rows"),
         DynWbcInfeasibleError(QpSolution(x=np.zeros(2), status=QpStatus.INFEASIBLE,

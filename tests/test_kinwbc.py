@@ -183,6 +183,25 @@ class TestAgainstOracle:
             qdot, _ = prioritized_ik(model, state, fk, tasks, dt=5e-4)
             assert_agrees(qdot, oracle_qdot(model, q, fk, tasks))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a level whose projected Jacobian is rounding noise is truncated relative "
+        "to its own largest singular value, so the noise is inverted"))
+    def test_level_inside_the_higher_row_space_changes_nothing(self):
+        # The point task on link 1 of a two-link planar arm already uses both
+        # joints, so the posture task below it has no null space left: the
+        # command should be the point task's alone.  Both this solver and the
+        # oracle return about 1e17 rad/s instead.
+        model = two_link_planar()
+        q = np.array([0.3, 0.7])
+        state = JointState(q=q, qd=np.zeros(2))
+        fk = forward_kinematics(model, q)
+        point = Task(priority=1, target=fk.link_point(1, np.zeros(3)) + [0.02, 0.0, -0.03],
+                     gain=5.0, link=1)
+        posture = Task(priority=2, target=np.zeros(2), gain=1.0, joint_indices=(0, 1))
+        alone, _ = prioritized_ik(model, state, fk, [point], dt=5e-4)
+        qdot, _ = prioritized_ik(model, state, fk, [point, posture], dt=5e-4)
+        np.testing.assert_allclose(qdot, alone, rtol=0.0, atol=1e-9)
+
     def test_three_levels_with_a_rank_deficient_middle(self, rng):
         # A middle level of two rows that differ only in scale has rank 1 once
         # projected: its second singular value is rounding noise and dropped.

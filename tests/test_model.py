@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.model import (
     JointSpec,
     LinkSpec,
@@ -15,7 +14,7 @@ from issf_wbc.model import (
 from issf_wbc.scenario import data_path
 
 import kinematics_oracle
-from conftest import near_identity_chain, random_chain
+from conftest import dynamics_arrays, near_identity_chain, random_chain
 from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix, potential_energy
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -200,7 +199,7 @@ class TestDynamics:
         e0 = kinetic_energy(model, q, qd) + potential_energy(model, q, GRAVITY)
         work = 0.0
         for _ in range(steps):
-            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, GRAVITY)
+            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, GRAVITY)
             qdd = np.linalg.solve(mm, tau - h)
             work += float(qd @ tau) * dt + 0.5 * float(qdd @ tau) * dt * dt
             q = q + qd * dt + 0.5 * qdd * dt * dt
@@ -214,7 +213,7 @@ class TestDynamics:
             q = rng.uniform(-2, 2, model.n_dof)
             qd = rng.uniform(-3, 3, model.n_dof)
             g = rng.normal(size=3) * 4
-            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, g)
+            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, g)
             np.testing.assert_allclose(mm, mass_matrix(model, q), atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, g), atol=1e-12)
 
@@ -224,7 +223,7 @@ class TestDynamics:
         for _ in range(5):
             q = rng.uniform(-2, 2, 4)
             qd = rng.uniform(-3, 3, 4)
-            mm, h = joint_dynamics(model, forward_kinematics(model, q), qd, GRAVITY)
+            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, GRAVITY)
             np.testing.assert_allclose(mm, mass_matrix(model, q), rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, GRAVITY),
                                        rtol=0.0, atol=1e-12)
