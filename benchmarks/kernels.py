@@ -14,6 +14,9 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
 - ``joint_dynamics`` (mass matrix and bias forces as lists), given the FK,
   qd and gravity as lists;
+- ``cholesky_solve``: qdd from M qdd = tau - h by the plant's generated
+  Cholesky factor and its two triangular solves, given that row's M and h
+  and zero torque as lists;
 - ``prioritized_ik``: the scenario's task stack sampled at t = 0, at the
   moving state, given the FK;
 - ``collect_constraints``: the scenario's barrier rows at the moving state,
@@ -58,6 +61,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from issf_wbc._codegen import cholesky, solve_lower, solve_upper  # noqa: E402
 from issf_wbc._fastdyn import joint_dynamics  # noqa: E402
 from issf_wbc.dynwbc import motor_torque  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
@@ -131,6 +135,13 @@ def kernels(scenario) -> dict[str, callable]:
     dt_control = scenario.sim.dt_control
     tau_gravity = np.array(joint_dynamics(model, fk, [0.0] * model.n_dof, gravity_list)[1])
     q_ref = q + qd * dt_control
+    mass, bias = joint_dynamics(model, fk, qd_list, gravity_list)
+    n = model.n_dof
+
+    def cholesky_solve():
+        L = cholesky[n](mass)
+        return solve_upper[n](L, solve_lower[n](L, [0.0 - hi for hi in bias]))
+
     kalman = ConstantVelocityKalman(0.005)
     z = np.array([0.4, -0.2, 0.1])
     kalman.update(z, dt_control)
@@ -140,6 +151,7 @@ def kernels(scenario) -> dict[str, callable]:
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, fk, qd_list, gravity_list),
+        "cholesky_solve": cholesky_solve,
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks, dt_control),
         "collect_constraints": lambda: collect_constraints(
             model, state, fk, obstacles, scenario.filter_config,

@@ -12,9 +12,12 @@ where Xfix_i is the link's fixed transform (where the next joint sits).
 With unit x offsets, a 2-link chain at q = 0 therefore ends at (2, 0, 0).
 
 Forward kinematics and point Jacobians run on plain Python floats: at
-n <= 7 numpy's per-call overhead costs more than the arithmetic.  The
-per-frame constants of a model are cached on first use (keyed weakly by the
-model, which is immutable); otherwise the functions are pure.  A pose is
+n <= 7 numpy's per-call overhead costs more than the arithmetic.  Forward
+kinematics is one straight-line function per set of kinematic constants
+(joint axes, origin offsets and rotations), generated on first use and
+shared by every model with those constants, such as a model and its
+mass-scaled plant; a model finds its kernel through a cache keyed weakly by
+the model, which is immutable.  Otherwise the functions are pure.  A pose is
 computed once and then read by every consumer: the point Jacobians here, the
 barriers in ``geometry``, IK, and the rigid-body dynamics (mass matrix and
 bias forces) in ``_fastdyn`` all take an ``FkResult``.
@@ -25,13 +28,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import cos, sin
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
 
 import numpy as np
+
+from ._codegen import Expr, expr_kernel, unpacking
 
 if TYPE_CHECKING:
     from .geometry import CollisionBody
@@ -166,35 +170,40 @@ def _xyz(point) -> tuple[float, float, float]:
     return tuple(np.asarray(point, dtype=float).tolist())
 
 
-_FRAMES: "WeakKeyDictionary[RobotModel, list]" = WeakKeyDictionary()
-
-
-def _frames(model: RobotModel) -> list[tuple]:
+def _frames(model: RobotModel) -> tuple[tuple, ...]:
     """Per-frame FK constants: joint axis, its products, origin offset and rotation."""
-    frames = _FRAMES.get(model)
-    if frames is None:
-        frames = []
-        for link, joint in zip(model.links, model.joints):
-            x, y, z = _xyz(joint.axis)
-            rfix = link.origin_rotation
-            frames.append((
-                x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
-                _xyz(link.origin_xyz),
-                None if np.array_equal(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
-            ))
-        _FRAMES[model] = frames
-    return frames
+    frames = []
+    for link, joint in zip(model.links, model.joints):
+        x, y, z = _xyz(joint.axis)
+        rfix = link.origin_rotation
+        frames.append((
+            x, y, z, x * x, x * y, x * z, y * y, y * z, z * z,
+            _xyz(link.origin_xyz),
+            None if np.array_equal(rfix, np.eye(3)) else tuple(rfix.ravel().tolist()),
+        ))
+    return tuple(frames)
 
 
-def _fk(model: RobotModel, ql: list[float]) -> tuple[list, list, list, list]:
-    """Forward kinematics on floats at the joint angles ``ql``:
-    (rot 9-tuples, pos, joint_axis, joint_origin)."""
+@lru_cache(maxsize=128)
+def _fk_kernel(frames: tuple[tuple, ...]) -> Callable[[list[float]], tuple]:
+    """Forward kinematics for the constants ``frames``, as one straight-line
+    function of the joint angles.
+
+    The loop below runs once, on traced expressions (``_codegen.Expr``), and
+    the kernel is its arithmetic unrolled: per frame, the axis-angle rotation
+    (Rodrigues), the joint axis and origin in the world, the composed
+    rotation and the link origin, with the fixed origin rotation applied
+    when it is not the identity.  Constants that are exactly 0.0 or 1.0 fold
+    away, which at these sizes removes most of a planar chain's products.
+    """
+    n = len(frames)
     rot, pos, axes, orig = [], [], [], []
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     px = py = pz = 0.0
-    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(_frames(model)):
-        c = cos(ql[i])
-        s = sin(ql[i])
+    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(frames):
+        qi = Expr.input(f"q{i}")
+        c = Expr("cos", qi)
+        s = Expr("sin", qi)
         v = 1.0 - c
         xs, ys, zs = x * s, y * s, z * s
         xyv, xzv, yzv = xy * v, xz * v, yz * v
@@ -240,7 +249,32 @@ def _fk(model: RobotModel, ql: list[float]) -> tuple[list, list, list, list]:
             a22 = j20 * f02 + j21 * f12 + j22 * f22
         rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
         pos.append((px, py, pz))
-    return rot, pos, axes, orig
+    groups = [rot, pos, axes, orig]
+    outputs = ", ".join(
+        "[" + ", ".join("(" + ", ".join(["{}"] * len(entry)) + ")" for entry in group) + "]"
+        for group in groups)
+    values = [value for group in groups for entry in group for value in entry]
+    unpack = [unpacking([f"q{i}" for i in range(n)], "ql")] if n else []
+    # A digest of the constants keeps the kernels of two chains of one size
+    # apart in tracebacks (a tuple of floats hashes the same in every run).
+    name = f"fk_{n}_{hash(frames) & 0xFFFFFFFF:08x}"
+    return expr_kernel(name, "ql", unpack, outputs, values)
+
+
+_FK: "WeakKeyDictionary[RobotModel, Callable]" = WeakKeyDictionary()
+
+
+def _fk(model: RobotModel, ql: list[float]) -> tuple[list, list, list, list]:
+    """Forward kinematics on floats at the joint angles ``ql``:
+    (rot 9-tuples, pos, joint_axis, joint_origin).
+
+    Runs the model's generated kernel, looked up weakly by model (which is
+    immutable) and shared by every model with the same kinematic constants.
+    """
+    kernel = _FK.get(model)
+    if kernel is None:
+        kernel = _FK[model] = _fk_kernel(_frames(model))
+    return kernel(ql)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,10 @@ residual is the incoming row's pivot in R, and its square is the step's
 slope: a row is independent of W when that exceeds DEP_TOL, and warm-start
 rows are seeded in index order by the same test.  The arithmetic runs on
 Python floats, which at these sizes costs less than numpy's per-call
-overhead; the m x n products with A stay in numpy.
+overhead; the m x n products with A stay in numpy.  The Cholesky factor (of
+H, and of H - shift I for the convexity verdict) and every triangular solve
+with L or R are straight-line kernels generated once per size
+(``_codegen``), dispatched on the matrix's size.
 
 All ties break toward the lowest row index, so results are deterministic,
 and a warm-started re-solve of an unchanged problem finishes in one
@@ -48,6 +51,8 @@ from itertools import chain
 from operator import mul
 
 import numpy as np
+
+from ._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
 
 # Row i counts as violated when b_i - a_i . x > FEAS_TOL (1 + |b_i|), a scale
 # set by the row alone, so a far-away row cannot hide another's violation.
@@ -131,43 +136,6 @@ def _dedup_rows(A: np.ndarray, b: np.ndarray) -> list[int]:
     return sorted(first.values())
 
 
-def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
-    """Lower factor L of M = L L^T (row i holds i + 1 entries; only the lower
-    triangle of M is read), or None if a pivot is not positive."""
-    L = [row[:i + 1] for i, row in enumerate(M)]
-    for k, Lk in enumerate(L):
-        d = Lk[k]
-        if not d > 0.0:
-            return None
-        Lk[k] = d = math.sqrt(d)
-        col = []
-        for Li in L[k + 1:]:
-            Li[k] = c = Li[k] / d
-            col.append(c)
-            for j, cj in enumerate(col):
-                Li[k + 1 + j] -= c * cj
-    return L
-
-
-def _solve_lower(L: list[list[float]], a: list[float]) -> list[float]:
-    """y with L y = a for lower-triangular L."""
-    y: list[float] = []
-    for Li, ai in zip(L, a):
-        y.append((ai - sum(map(mul, Li, y))) / Li[len(y)])
-    return y
-
-
-def _solve_upper(L: list[list[float]], y: list[float]) -> list[float]:
-    """x with L^T x = y for lower-triangular L."""
-    x = list(y)
-    for i in range(len(x) - 1, -1, -1):
-        Li = L[i]
-        xi = x[i] = x[i] / Li[i]
-        for j in range(i):
-            x[j] -= Li[j] * xi
-    return x
-
-
 class _WorkingSet:
     """The working rows in entry order, with a QR factorization of their
     vectors v_j = L^-1 a_j: v_j = sum_i R[j][i] q_i with orthonormal q_i and
@@ -234,7 +202,8 @@ class QpSolver:
         self._check_strict_convexity(problem.H)
         H = problem.H.tolist()
         g = problem.g.tolist()
-        L = _cholesky(H)
+        L = cholesky[n](H)
+        lower, upper = solve_lower[n], solve_upper[n]
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
         # Row index -> (a, L^-1 a), filled on first use.
@@ -243,7 +212,7 @@ class QpSolver:
         def row(i: int) -> tuple[list[float], list[float]]:
             if i not in rows:
                 a = A[i].tolist()
-                rows[i] = (a, _solve_lower(L, a))
+                rows[i] = (a, lower(L, a))
             return rows[i]
 
         ws = _WorkingSet()
@@ -265,19 +234,20 @@ class QpSolver:
         # negative-multiplier rows discarded so the dual invariant holds.
         # With u = L^-1 g and t = R^-1 b_W + Q^T u: lam = R^-T t and
         # x = L^-T (Q t - u).
-        u = _solve_lower(L, g)
+        u = lower(L, g)
         iterations = 0
         while True:
             iterations += 1
             y = [-c for c in u]
             lam: list[float] = []
             if work:
-                t = _solve_lower(ws.R, [b_list[j] for j in work])
+                size = len(work)
+                t = solve_lower[size](ws.R, [b_list[j] for j in work])
                 for k, q in enumerate(ws.Q):
                     t[k] += sum(map(mul, q, u))
                     y = [yi + t[k] * qi for yi, qi in zip(y, q)]
-                lam = _solve_upper(ws.R, t)
-            x = _solve_upper(L, y)
+                lam = solve_upper[size](ws.R, t)
+            x = upper(L, y)
             if not work or min(lam) >= -DUAL_TOL:
                 break
             pos = lam.index(min(lam))
@@ -312,7 +282,7 @@ class QpSolver:
                 # slope a_c . z equals |p|^2, the square of the incoming row's
                 # pivot, which vanishes when a_c lies in the working span.
                 y, p = ws.split(v_c)
-                r = _solve_upper(ws.R, y)
+                r = solve_upper[len(work)](ws.R, y)
                 slope = sum(map(mul, p, p))
                 gap = b_list[cand] - sum(map(mul, a_c, x))
                 t_full = gap / slope if slope > DEP_TOL else math.inf
@@ -331,7 +301,7 @@ class QpSolver:
 
                 t = min(t_full, t_dual)
                 if t_full != math.inf:
-                    x = [xi + t * zi for xi, zi in zip(x, _solve_upper(L, p))]
+                    x = [xi + t * zi for xi, zi in zip(x, upper(L, p))]
                 lam = [lam_k - t * r_k for lam_k, r_k in zip(lam, r)]
                 lam_cand += t
 
@@ -356,10 +326,12 @@ class QpSolver:
         shift = 1e-11 * max(1.0, max(map(abs, chain(*rows))))
         for i, r in enumerate(rows):
             r[i] -= shift
-        if _cholesky(rows) is None:
+        try:
+            cholesky[len(rows)](rows)
+        except NotPositiveDefinite:
             raise ValueError(
                 "QP is not strictly convex; the minimizer would not be unique"
-            )
+            ) from None
 
     @staticmethod
     def _finish(problem, H, g, rows, x, status, work, lam, iterations, viol=()):

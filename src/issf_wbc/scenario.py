@@ -339,6 +339,14 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     except (TypeError, ValueError) as exc:
         problems.append(f"dynwbc: {exc}")
         weights = DynWbcWeights()
+    if robot is not None:
+        # The gains are resolved per joint by the controller; a vector must
+        # have one entry per joint.
+        for key in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd"):
+            gain = np.asarray(getattr(weights, key))
+            if gain.ndim and gain.shape != (n,):
+                problems.append(
+                    f"dynwbc.{key}: expected a scalar or {n} values, got {gain.size}")
 
     tasks: list[TaskSpec] = []
     for i, raw in enumerate(doc.get("tasks", [])):

@@ -41,10 +41,10 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
-from operator import mul
 
 import numpy as np
 
+from ._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
 from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
@@ -112,32 +112,22 @@ def _qdd(model: RobotModel, q: list[float], qd: list[float], tau: list[float],
          gravity: list[float], t: float) -> list[float]:
     """Joint accelerations M^-1 (tau - h) at (q, qd), all lists of floats.
 
-    M = L L^T is factored row by row (Cholesky-Banachiewicz), with the
-    forward substitution L y = tau - h fused into the same pass, then
-    L^T qdd = y is solved by back substitution.  A pivot that is not
-    positive means the plant's M is singular: the plant cannot be advanced.
+    M = L L^T is factored row by row (Cholesky-Banachiewicz), then
+    L y = tau - h is solved by forward and L^T qdd = y by back substitution:
+    three straight-line kernels generated for the model's size
+    (``_codegen``), which do the operations of the former fused loop
+    (``tests/linalg_oracle.py``) in its order.  A pivot that is not positive
+    means the plant's M is singular: the plant cannot be advanced.
     """
     mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
-    L: list[list[float]] = []
-    y: list[float] = []
-    for i, (Mi, ti, hi) in enumerate(zip(mass, tau, bias)):
-        Li: list[float] = []
-        for Lj in L:
-            Li.append((Mi[len(Li)] - sum(map(mul, Li, Lj))) / Lj[-1])
-        d = Mi[i] - sum(map(mul, Li, Li))
-        if not d > 0.0:
-            raise SimulationDivergedError(
-                f"plant mass matrix not positive definite at t={t:.6f} (joint {i})")
-        d = math.sqrt(d)
-        Li.append(d)
-        y.append((ti - hi - sum(map(mul, Li, y))) / d)
-        L.append(Li)
-    for i in range(len(y) - 1, -1, -1):
-        Li = L[i]
-        yi = y[i] = y[i] / Li[i]
-        for j in range(i):
-            y[j] -= Li[j] * yi
-    return y
+    n = len(mass)
+    try:
+        L = cholesky[n](mass)
+    except NotPositiveDefinite as exc:
+        raise SimulationDivergedError(
+            f"plant mass matrix not positive definite at t={t:.6f} (joint {exc.index})"
+        ) from None
+    return solve_upper[n](L, solve_lower[n](L, [ti - hi for ti, hi in zip(tau, bias)]))
 
 
 def _axpy(a: float, x: list[float], y: list[float]) -> list[float]:

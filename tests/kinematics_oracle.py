@@ -7,6 +7,11 @@ frames composed as 3x3 matrices, with numpy-array fields on ``FkResult``.
 ``issf_wbc.model.forward_kinematics`` must agree with them to machine
 precision, and ``dynamics_oracle`` is built on them.
 
+``fk_loop`` is the float loop the package ran before its forward kinematics
+was generated as straight-line code per set of kinematic constants
+(``issf_wbc.model._fk_kernel``): the generated kernel must equal it, and be
+byte-equal to it away from exact zero joint angles.
+
 ``truncated_pinv`` and ``solve_priority_stack`` are the prioritized-IK
 recursion the package used before it took both of a level's updates from
 one SVD: an explicit truncated pseudo-inverse per level, applied to the task
@@ -19,11 +24,69 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
 from issf_wbc.kinwbc import SIGMA_REL_DEFAULT
 from issf_wbc.model import ModelError, RobotModel
+
+
+def fk_loop(frames, ql: list[float]) -> tuple[list, list, list, list]:
+    """Forward kinematics on floats from ``model._frames(model)`` at the joint
+    angles ``ql``: (rot 9-tuples, pos, joint_axis, joint_origin)."""
+    rot, pos, axes, orig = [], [], [], []
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    px = py = pz = 0.0
+    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(frames):
+        c = cos(ql[i])
+        s = sin(ql[i])
+        v = 1.0 - c
+        xs, ys, zs = x * s, y * s, z * s
+        xyv, xzv, yzv = xy * v, xz * v, yz * v
+        q00 = xx * v + c
+        q01 = xyv - zs
+        q02 = xzv + ys
+        q10 = xyv + zs
+        q11 = yy * v + c
+        q12 = yzv - xs
+        q20 = xzv - ys
+        q21 = yzv + xs
+        q22 = zz * v + c
+        axes.append((a00 * x + a01 * y + a02 * z,
+                     a10 * x + a11 * y + a12 * z,
+                     a20 * x + a21 * y + a22 * z))
+        orig.append((px, py, pz))
+        j00 = a00 * q00 + a01 * q10 + a02 * q20
+        j01 = a00 * q01 + a01 * q11 + a02 * q21
+        j02 = a00 * q02 + a01 * q12 + a02 * q22
+        j10 = a10 * q00 + a11 * q10 + a12 * q20
+        j11 = a10 * q01 + a11 * q11 + a12 * q21
+        j12 = a10 * q02 + a11 * q12 + a12 * q22
+        j20 = a20 * q00 + a21 * q10 + a22 * q20
+        j21 = a20 * q01 + a21 * q11 + a22 * q21
+        j22 = a20 * q02 + a21 * q12 + a22 * q22
+        ox, oy, oz = xyz
+        px = px + j00 * ox + j01 * oy + j02 * oz
+        py = py + j10 * ox + j11 * oy + j12 * oz
+        pz = pz + j20 * ox + j21 * oy + j22 * oz
+        if rfix is None:
+            a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
+                j00, j01, j02, j10, j11, j12, j20, j21, j22)
+        else:
+            f00, f01, f02, f10, f11, f12, f20, f21, f22 = rfix
+            a00 = j00 * f00 + j01 * f10 + j02 * f20
+            a01 = j00 * f01 + j01 * f11 + j02 * f21
+            a02 = j00 * f02 + j01 * f12 + j02 * f22
+            a10 = j10 * f00 + j11 * f10 + j12 * f20
+            a11 = j10 * f01 + j11 * f11 + j12 * f21
+            a12 = j10 * f02 + j11 * f12 + j12 * f22
+            a20 = j20 * f00 + j21 * f10 + j22 * f20
+            a21 = j20 * f01 + j21 * f11 + j22 * f21
+            a22 = j20 * f02 + j21 * f12 + j22 * f22
+        rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
+        pos.append((px, py, pz))
+    return rot, pos, axes, orig
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -1,0 +1,139 @@
+"""The generated straight-line kernels against the loops they replace."""
+
+import traceback
+
+import numpy as np
+import pytest
+
+from issf_wbc._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
+from issf_wbc._fastdyn import joint_dynamics
+from issf_wbc.model import FkResult, _fk, _fk_kernel, _frames, scale_link_masses
+from issf_wbc.scenario import data_path, load_scenario
+from issf_wbc.sim import _qdd
+
+import linalg_oracle
+from conftest import near_identity_chain, random_chain
+from kinematics_oracle import fk_loop
+
+
+def random_spd(rng, n):
+    f = rng.normal(size=(n, n))
+    return (f @ f.T + 0.1 * np.eye(n)).tolist()
+
+
+def as_bytes(rows):
+    return [np.array(row, dtype=float).tobytes() for row in rows]
+
+
+def flat(fk):
+    return [value for group in fk for entry in group for value in entry]
+
+
+class TestCholeskyKernels:
+    @pytest.mark.parametrize("n", range(9))
+    def test_factor_and_solves_byte_equal_to_loops(self, rng, n):
+        for _ in range(50):
+            M = random_spd(rng, n)
+            L = cholesky[n](M)
+            assert as_bytes(L) == as_bytes(linalg_oracle.cholesky_rows(M))
+            a = rng.normal(size=n).tolist()
+            assert as_bytes([solve_lower[n](L, a)]) == as_bytes([linalg_oracle.solve_lower(L, a)])
+            assert as_bytes([solve_upper[n](L, a)]) == as_bytes([linalg_oracle.solve_upper(L, a)])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bad_pivot_index_matches_loop(self, rng, n):
+        seen = set()
+        for _ in range(60):
+            f = rng.normal(size=(n, n))
+            eig = rng.choice([-1.0, 0.0, 1.0], size=n, p=[0.2, 0.2, 0.6])
+            q, _ = np.linalg.qr(f)
+            M = (q @ np.diag(eig) @ q.T).tolist()
+            if rng.random() < 0.1:
+                i = int(rng.integers(0, n))
+                M[i][i] = np.nan
+            try:
+                linalg_oracle.cholesky_rows(M)
+                expected = None
+            except linalg_oracle.PivotError as exc:
+                expected = exc.index
+            try:
+                cholesky[n](M)
+                got = None
+            except NotPositiveDefinite as exc:
+                got = exc.index
+            assert got == expected, M
+            seen.add(got)
+        assert len(seen - {None}) >= 1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_factor_agrees_with_column_order_factor(self, rng, n):
+        for _ in range(50):
+            M = random_spd(rng, n)
+            L = cholesky[n](M)
+            ref = linalg_oracle.cholesky_columns(M)
+            for row, ref_row in zip(L, ref):
+                np.testing.assert_allclose(row, ref_row, rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref_row).max())
+
+    def test_plant_solve_is_the_fused_loop(self, rng):
+        # _qdd's factor and two substitutions give the former fused loop's bytes.
+        for n in range(1, 8):
+            for _ in range(10):
+                model = random_chain(rng, n)
+                q, qd = rng.uniform(-3, 3, n).tolist(), rng.uniform(-4, 4, n).tolist()
+                tau, g = (rng.normal(size=n) * 5).tolist(), (rng.normal(size=3) * 5).tolist()
+                mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, g)
+                expected = linalg_oracle.qdd_fused(mass, tau, bias)
+                got = _qdd(model, q, qd, tau, g, 0.0)
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_traceback_names_the_kernel_and_its_size(self):
+        with pytest.raises(NotPositiveDefinite) as err:
+            cholesky[3]([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert err.value.index == 1
+        frame = traceback.extract_tb(err.tb)[-1]
+        assert frame.filename == "<cholesky_3>"
+        assert "raise NotPositiveDefinite(1)" in frame.line
+
+
+def fk_models(rng):
+    models = [random_chain(rng, n) for n in range(1, 8) for _ in range(3)]
+    models += [random_chain(rng, n, planar=True) for n in range(1, 8)]
+    models += [near_identity_chain(rng)]
+    models += [load_scenario(data_path(name)).robot
+               for name in ("hand_track.scenario", "obstacle_track.scenario")]
+    return models
+
+
+class TestFkKernel:
+    def test_random_poses_byte_equal_to_loop(self, rng):
+        for model in fk_models(rng):
+            frames = _frames(model)
+            for _ in range(40):
+                q = rng.uniform(-3.5, 3.5, model.n_dof).tolist()
+                got, expected = flat(_fk(model, q)), flat(fk_loop(frames, q))
+                assert got == expected
+                assert np.array(got).tobytes() == np.array(expected).tobytes(), model.name
+
+    def test_zero_angles_differ_at_most_in_the_sign_of_zero(self, rng):
+        for model in fk_models(rng):
+            frames = _frames(model)
+            for q in ([0.0] * model.n_dof, [-0.0] * model.n_dof,
+                      [(0.0, -0.0)[i % 2] for i in range(model.n_dof)]):
+                got, expected = flat(_fk(model, q)), flat(fk_loop(frames, q))
+                assert got == expected
+                for a, b in zip(got, expected):
+                    assert np.array(a).tobytes() == np.array(b).tobytes() or a == b == 0.0
+
+    def test_one_kernel_per_kinematics(self):
+        # The nominal model, its mass-scaled plant and a freshly loaded copy
+        # have the same kinematic constants, so they share one kernel.
+        path = data_path("obstacle_track.scenario")
+        nominal = load_scenario(path).robot
+        plant = scale_link_masses(nominal, 1.3)
+        fresh = load_scenario(path).robot
+        kernel = _fk_kernel(_frames(nominal))
+        assert _fk_kernel(_frames(plant)) is kernel
+        assert _fk_kernel(_frames(fresh)) is kernel
+        assert _fk_kernel(_frames(load_scenario(data_path("hand_track.scenario")).robot)) \
+            is not kernel

@@ -96,6 +96,16 @@ class TestScenarioParsing:
             load_scenario(path)
         assert err.value.problems == [f"{block}.{key}: unknown key"]
 
+    @pytest.mark.parametrize("key", ["kp_dyn", "kd_dyn", "motor_kp", "motor_kd"])
+    def test_dynwbc_gain_vector_length_checked_at_load(self, tmp_path, key):
+        # planar3 has 3 joints: a scalar or 3 values are accepted, 2 are not.
+        for gain in (100.0, [100.0, 100.0, 100.0]):
+            load_scenario(write_mini_scenario(tmp_path, extra={"dynwbc": {key: gain}}))
+        path = write_mini_scenario(tmp_path, extra={"dynwbc": {key: [100.0, 100.0]}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [f"dynwbc.{key}: expected a scalar or 3 values, got 2"]
+
     @pytest.mark.parametrize("table,kind,value,problem", [
         ("alpha", "self-collision", 0.0, "must be finite and > 0, got 0.0"),
         ("alpha", "workspace", -1.0, "must be finite and > 0, got -1.0"),

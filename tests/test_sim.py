@@ -161,7 +161,7 @@ class TestStepPhysics:
                            (replace(hub, mass=0.0, inertia=np.zeros((3, 3))), arm))
         np.testing.assert_array_equal(mass_matrix(model, np.zeros(2)), np.ones((2, 2)))
         state = JointState(q=np.zeros(2), qd=np.zeros(2), t=0.25)
-        with pytest.raises(SimulationDivergedError, match=r"t=0\.250000"):
+        with pytest.raises(SimulationDivergedError, match=r"t=0\.250000 \(joint 1\)"):
             step_physics(model, state, np.zeros(2), GRAVITY, 1e-4, integrator)
 
     def test_rk4_matches_euler_in_limit(self):
