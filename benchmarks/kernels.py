@@ -12,8 +12,9 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``point_jacobian`` of the last link's collision body, given the FK;
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
-- ``joint_dynamics`` (mass matrix and bias forces as lists), given the FK,
-  qd and gravity as lists;
+- ``joint_dynamics`` (mass matrix and bias forces as lists), given q, qd
+  and gravity as lists: its generated kernel computes the pose inline, so
+  this row includes FK;
 - ``cholesky_solve``: qdd from M qdd = tau - h by the plant's generated
   Cholesky factor and its two triangular solves, given that row's M and h
   and zero torque as lists;
@@ -37,13 +38,16 @@ host's phases and two runs of the script compare row by row.  The rows:
   both robots;
 - ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
   filter QP and of the torque QP of the scenario's first control cycle, in
-  its own filter mode, with each obstacle at its initial pose and velocity.
+  its own filter mode, with each obstacle at its initial pose and velocity;
+- ``dynamics_codegen``: the one-time generation of the robot's
+  ``joint_dynamics`` kernel (trace, source and compile), bypassing the
+  kernel cache, in microseconds per generation; the row also prints the
+  generation's tracemalloc peak, measured in a separate untimed call.
 
-Every other kernel after the first takes the pose as an argument, so its
-row excludes the cost of FK: the ``joint_dynamics`` row does, as the torque
-QP reuses its control cycle's pose.  The moving state is the start pose
-with qd = linspace(-1, 1, n).  Each timed run makes as many calls as one
-call's time fits into ``--seconds``.
+Every kernel after the first other than ``joint_dynamics`` takes the pose
+as an argument, so its row excludes the cost of FK.  The moving state is the
+start pose with qd = linspace(-1, 1, n).  Each timed run makes as many calls
+as one call's time fits into ``--seconds``.
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -54,6 +58,7 @@ import argparse
 import platform
 import sys
 import timeit
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,12 +67,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from issf_wbc._codegen import cholesky, solve_lower, solve_upper  # noqa: E402
-from issf_wbc._fastdyn import joint_dynamics  # noqa: E402
+from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics  # noqa: E402
 from issf_wbc.dynwbc import motor_torque  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
 from issf_wbc.kinwbc import prioritized_ik  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
     JointState,
+    _frames,
     forward_kinematics,
     point_jacobian,
     scale_link_masses,
@@ -112,7 +118,7 @@ def kernels(scenario) -> dict[str, callable]:
     q = scenario.q0
     qd = np.linspace(-1.0, 1.0, model.n_dof)
     gravity = scenario.sim.gravity
-    qd_list, gravity_list = qd.tolist(), gravity.tolist()
+    q_list, qd_list, gravity_list = q.tolist(), qd.tolist(), gravity.tolist()
     fk = forward_kinematics(model, q)
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
@@ -133,9 +139,9 @@ def kernels(scenario) -> dict[str, callable]:
     filter_solver, solver = QpSolver(), QpSolver()
     tasks = [spec.task_at(0.0) for spec in scenario.tasks]
     dt_control = scenario.sim.dt_control
-    tau_gravity = np.array(joint_dynamics(model, fk, [0.0] * model.n_dof, gravity_list)[1])
+    tau_gravity = np.array(joint_dynamics(model, q_list, [0.0] * model.n_dof, gravity_list)[1])
     q_ref = q + qd * dt_control
-    mass, bias = joint_dynamics(model, fk, qd_list, gravity_list)
+    mass, bias = joint_dynamics(model, q_list, qd_list, gravity_list)
     n = model.n_dof
 
     def cholesky_solve():
@@ -150,7 +156,7 @@ def kernels(scenario) -> dict[str, callable]:
         "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
-        "joint_dynamics": lambda: joint_dynamics(model, fk, qd_list, gravity_list),
+        "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
         "cholesky_solve": cholesky_solve,
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks, dt_control),
         "collect_constraints": lambda: collect_constraints(
@@ -164,11 +170,25 @@ def kernels(scenario) -> dict[str, callable]:
         "kalman_update": lambda: kalman.update(z, dt_control),
         "filter_qp": lambda: solver.solve(filter_qp),
         "torque_qp": lambda: solver.solve(torque_qp),
+        "dynamics_codegen": lambda: _dynamics_kernel.__wrapped__(_frames(model),
+                                                                 _inertial(model)),
     }
 
 
+def tracemalloc_peak(fn) -> int:
+    """The peak traced allocation, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def calls_per_run(fn, seconds: float) -> int:
-    """How many calls of ``fn`` fit into ``seconds``, from one timed call."""
+    """How many calls of ``fn`` fit into ``seconds``, from one timed call
+    after an untimed one (a first call may generate a kernel)."""
+    fn()
     return max(1, int(seconds / timeit.Timer(fn).timeit(number=1)))
 
 
@@ -189,8 +209,12 @@ def main(argv: list[str] | None = None) -> int:
             best[i] = min(best[i], timeit.Timer(fn).timeit(number=number) / number)
     print(f"python {platform.python_version()}, numpy {np.__version__}")
     print(f"{'robot':10s} {'kernel':20s} {'us/call':>9s}")
-    for (robot, kernel, _, _), seconds in zip(table, best):
-        print(f"{robot:10s} {kernel:20s} {seconds * 1e6:9.2f}")
+    for (robot, kernel, fn, _), seconds in zip(table, best):
+        note = ""
+        if kernel == "dynamics_codegen":
+            note = (f"  ({seconds * 1e3:.1f} ms, tracemalloc peak "
+                    f"{tracemalloc_peak(fn) / 1e6:.2f} MB)")
+        print(f"{robot:10s} {kernel:20s} {seconds * 1e6:9.2f}{note}")
     return 0
 
 

@@ -5,9 +5,10 @@ iterators, ``zip``, ``sum(map(...))``, list appends and index arithmetic.
 A kernel unrolled for one size does the same float operations in the same
 order with none of that, so its results are bit for bit the loop's.  Each
 kernel is generated once per key (a matrix size here, a set of kinematic
-constants in ``model``) the first time it is needed, never at import, and
-compiled under a filename that names it and its size, so that a traceback
-points at the generated line.
+constants in ``model``, of kinematic and inertial constants in ``_fastdyn``)
+the first time it is needed, never at import, and compiled under a filename
+that names it and its size, so that a traceback points at the generated
+line.
 
 - ``cholesky[n](M)`` is the row-oriented (Cholesky-Banachiewicz) factor
   M = L L^T of an n x n matrix given as rows, of which only the lower
@@ -18,8 +19,9 @@ points at the generated line.
 
 ``Expr`` traces a loop's float arithmetic into an expression graph, folding
 the operations whose operand is the exact constant 0.0 or 1.0, and
-``expr_kernel`` emits that graph as one function: ``model`` builds its
-forward kinematics this way.
+``expr_kernel`` emits that graph as straight-line code, a chain of
+functions when it is long: ``model`` builds its forward kinematics this way
+and ``_fastdyn`` its joint-space dynamics.
 """
 
 from __future__ import annotations
@@ -37,20 +39,24 @@ class NotPositiveDefinite(ValueError):
         self.index = index
 
 
-def compile_kernel(name: str, source: str) -> Callable:
+def compile_kernel(name: str, source: str | list[tuple[int, str]]) -> Callable:
     """The function ``name`` defined by ``source``, compiled under ``<name>``.
 
-    The source is registered with ``linecache``, so a traceback through the
-    kernel shows its generated line.
+    ``source`` may also be a list of (first line, source) parts, compiled one
+    at a time into one namespace, so that no part's syntax tree is held while
+    the next is compiled.  The whole source is registered with ``linecache``,
+    so a traceback through the kernel shows its generated line.
     """
     import linecache     # here, not at import: it pulls in tokenize
 
+    parts = [(1, source)] if isinstance(source, str) else source
     filename = f"<{name}>"
-    lines = source.splitlines(keepends=True)
-    linecache.cache[filename] = (len(source), None, lines, filename)
+    lines = [line for _, part in parts for line in part.splitlines(keepends=True)]
+    linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
     scope = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin,
              "NotPositiveDefinite": NotPositiveDefinite}
-    exec(compile(source, filename, "exec"), scope)
+    for first, part in parts:
+        exec(compile("\n" * (first - 1) + part, filename, "exec"), scope)
     return scope[name]
 
 
@@ -146,17 +152,20 @@ class Expr:
     Arithmetic with Python floats folds exactly as the loop computes it:
     constants combine into constants, and an operand that is the exact
     constant 0.0 or 1.0 drops out (x * 0.0 -> 0.0, x * 1.0 -> x, x + 0.0 -> x,
-    x - 0.0 -> x, 0.0 - x -> -x).  Those folds equal the loop's result except,
-    at most, in the sign of an exact zero.
+    x - 0.0 -> x, 0.0 - x -> -x, x / 1.0 -> x).  Those folds equal the loop's
+    result except, at most, in the sign of an exact zero.  Nodes are numbered
+    in the order the loop creates them, which orders a kernel's statements.
     """
 
-    __slots__ = ("op", "args", "uses", "name")
+    __slots__ = ("op", "args", "uses", "name", "serial")
+    _serials = count()
 
     def __init__(self, op: str, *args):
-        self.op = op            # "+", "-", "*", "neg", a function name or "input"
+        self.op = op            # "+", "-", "*", "/", "neg", a function name or "input"
         self.args = args
         self.uses = 0
         self.name: str | None = None
+        self.serial = next(Expr._serials)
 
     @classmethod
     def input(cls, name: str) -> "Expr":
@@ -193,46 +202,122 @@ class Expr:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if _is_const(other, 1.0):
+            return self
+        return Expr("/", self, other)
+
     def __neg__(self):
         return Expr("neg", self)
 
 
-def expr_kernel(name: str, params: str, prologue: list[str], outputs: str,
-                values: list) -> Callable:
-    """Compile ``def name(params)``: the ``prologue`` lines (which bind the
-    inputs' names), then ``return outputs`` over traced expressions.
+def kernel_name(prefix: str, n: int, constants: tuple) -> str:
+    """A kernel's name: ``prefix``, its size and a digest of its constants,
+    which keeps two kernels of one size apart in tracebacks (a tuple of
+    floats hashes the same in every run)."""
+    return f"{prefix}_{n}_{hash(constants) & 0xFFFFFFFF:08x}"
 
-    ``outputs`` is a format string with one ``{}`` per entry of ``values``
-    (each an ``Expr`` or a float).  An expression used more than once is
-    computed once into a local; one used once is written inline.
+
+# The most statements in one generated function.  A kernel longer than this
+# is compiled as a chain of functions, each passing its live locals to the
+# next: compiling one long function costs several times the memory.
+CHAIN_STATEMENTS = 120
+
+
+def expr_kernel(name: str, params: dict[str, list[str]], outputs: str,
+                trace: Callable[[], list]) -> Callable:
+    """Compile ``def name(*params)`` returning ``outputs`` over traced expressions.
+
+    ``params`` maps each parameter to the input names unpacked from it.
+    ``trace()`` runs the loop on those inputs (``Expr.input``) and gives the
+    values to return: ``outputs`` is a format string with one ``{}`` per
+    value (an ``Expr`` or a float).  An expression used more than once, and
+    each output, is computed once into a local, in the order the loop
+    created it; any other is written inline.  Beyond ``CHAIN_STATEMENTS``
+    statements the body is split into a chain of functions ``name``,
+    ``name_1``, ... (see ``_chain``).  The traced graph and the statements
+    are freed before the source is compiled.
     """
+    return compile_kernel(name, _chain(name, list(params),
+                                       *_statements(params, outputs, trace())))
+
+
+def _statements(params: dict[str, list[str]], outputs: str,
+                values: list) -> tuple[list[tuple], str, set]:
+    """The statements of ``expr_kernel``, each (names assigned, source line,
+    names read), then the returned expression and the names it reads."""
+    shared = []
     stack = [v for v in values if isinstance(v, Expr)]
     while stack:        # count each node's uses, visiting a node's operands once
         node = stack.pop()
         node.uses += 1
         if node.uses == 1:
             stack.extend(a for a in node.args if isinstance(a, Expr))
-    body = list(prologue)
-    temps = count()
+        elif node.uses == 2 and node.op != "input":
+            shared.append(node)
+    # Each output is computed into a local too, where the loop computes it,
+    # so that a chain does not carry the locals it reads to the end.
+    shared += [v for v in values if isinstance(v, Expr) and v.uses == 1 and v.op != "input"]
 
-    def render(x) -> str:
+    def render(x, reads: set) -> str:
         if not isinstance(x, Expr):
             return repr(x)
         if x.name is not None:
+            reads.add(x.name)
             return x.name
         if x.op == "neg":
-            text = f"(-{render(x.args[0])})"
-        elif x.op in ("+", "-", "*"):
+            return f"(-{render(x.args[0], reads)})"
+        if x.op in ("+", "-", "*", "/"):
             a, b = x.args
-            text = f"({render(a)} {x.op} {render(b)})"
-        else:
-            text = f"{x.op}({render(x.args[0])})"
-        if x.uses > 1:
-            x.name = f"t{next(temps)}"
-            body.append(f"{x.name} = {text}")
-            return x.name
-        return text
+            return f"({render(a, reads)} {x.op} {render(b, reads)})"
+        return f"{x.op}({render(x.args[0], reads)})"
 
-    rendered = [render(v) for v in values]
-    body.append("return " + outputs.format(*rendered))
-    return compile_kernel(name, _function(name, params, body))
+    statements = [(targets, unpacking(targets, param), {param})
+                  for param, targets in params.items() if targets]
+    for i, node in enumerate(sorted(shared, key=lambda node: node.serial)):
+        reads: set = set()
+        text = render(node, reads)
+        node.name = f"t{i}"
+        statements.append(([node.name], f"{node.name} = {text}", reads))
+    reads = set()
+    return statements, outputs.format(*(render(v, reads) for v in values)), reads
+
+
+def _chain(name: str, params: list[str], statements: list[tuple],
+           result: str, result_reads: set) -> list[tuple[int, str]]:
+    """The source parts of ``statements`` then ``return result`` as a chain of
+    functions of ``CHAIN_STATEMENTS`` statements each (the last may be
+    shorter).
+
+    Each link ends by calling the next on the locals still to be read.  Each
+    is compiled on its own under the chain's filename, with the line numbers
+    of the whole source (``compile_kernel``).
+    """
+    last_read = {}
+    for k, (_, _, reads) in enumerate(statements):
+        for var in reads:
+            last_read[var] = k
+    for var in result_reads:
+        last_read[var] = len(statements)
+    assigned = [(p, 0) for p in params]
+    assigned += [(var, k + 1) for k, (targets, _, _) in enumerate(statements)
+                 for var in targets]
+
+    def live_at(k: int) -> list[str]:
+        """The locals assigned before statement k and read at or after it."""
+        return [var for var, start in assigned if start <= k <= last_read.get(var, -1)]
+
+    cuts = [*range(0, max(len(statements), 1), CHAIN_STATEMENTS), len(statements)]
+    names = [name] + [f"{name}_{i}" for i in range(1, len(cuts) - 1)]
+    sources, line = [], 1
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        head = ", ".join(params) if i == 0 else ", ".join(live_at(lo))
+        body = [text for _, text, _ in statements[lo:hi]]
+        if i + 1 < len(names):
+            body.append(f"return {names[i + 1]}({', '.join(live_at(hi))})")
+        else:
+            body.append(f"return {result}")
+        source = _function(names[i], head, body)
+        sources.append((line, source))
+        line += source.count("\n")
+    return sources

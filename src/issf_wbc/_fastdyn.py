@@ -1,55 +1,93 @@
-"""Joint-space dynamics on plain Python floats.
+"""Joint-space dynamics as one generated straight-line kernel per model.
 
-numpy's per-call overhead dominates the recursive dynamics at n <= 7, so
-the Newton-Euler bias pass and the composite-rigid-body mass-matrix pass run
-here on floats, written out as named scalars, on a pose (``FkResult``) the
-caller already computed, so the torque QP reuses its control cycle's pose.
-``joint_dynamics`` must agree to machine precision with the numpy reference
-``mass_matrix`` / ``bias_forces`` in ``tests/dynamics_oracle.py``; the test
-suite cross-checks that on random chains.  It takes and returns lists, so
-the plant's substep runs on floats throughout; the torque QP turns its
-result into arrays.
+``joint_dynamics(model, q, qd, gravity)`` returns the mass matrix and the
+bias forces at (q, qd), all lists of floats.  At n <= 7 a loop spends most
+of its time on itself, so the kernel is forward kinematics (``model.fk_trace``),
+the Newton-Euler bias pass and the composite-rigid-body mass-matrix pass
+(``dynamics_trace``; Featherstone, *Rigid Body Dynamics Algorithms*, 2008)
+traced once on ``_codegen.Expr`` values with q, qd and gravity as inputs.
+The link constants fold into the trace: diagonal inertias, CoMs with zero
+entries and planar axes drop most of the products.  The kernel is generated
+on first use and shared by every model with the same kinematic and inertial
+constants, such as a reloaded sweep model; a mass-scaled plant has its own.
+
+The kernel does the loops' float operations in their order, so it agrees bit
+for bit with the nested-loop reference in ``tests/fastdyn_oracle.py``, except at
+most in the sign of an exact zero (at rest, for instance); the test suite
+cross-checks that on random chains.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Callable
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .model import FkResult, RobotModel
+from ._codegen import Expr, expr_kernel, kernel_name
+from .model import RobotModel, _frames, fk_trace
 
-_CACHE: "WeakKeyDictionary[RobotModel, list]" = WeakKeyDictionary()
+_KERNELS: "WeakKeyDictionary[RobotModel, Callable]" = WeakKeyDictionary()
 
 
-def _constants(model: RobotModel) -> list[tuple]:
+def _inertial(model: RobotModel) -> tuple[tuple, ...]:
     """Per-link (mass, com, inertia 9-tuple)."""
-    inertial = _CACHE.get(model)
-    if inertial is None:
-        inertial = [
-            (float(link.mass), tuple(link.com.tolist()),
-             tuple(np.asarray(link.inertia).ravel().tolist()))
-            for link in model.links
-        ]
-        _CACHE[model] = inertial
-    return inertial
+    return tuple(
+        (float(link.mass), tuple(link.com.tolist()),
+         tuple(np.asarray(link.inertia).ravel().tolist()))
+        for link in model.links
+    )
 
 
 def joint_dynamics(
     model: RobotModel,
-    fk: FkResult,
+    q: list[float],
     qd: list[float],
     gravity: list[float],
 ) -> tuple[list[list[float]], list[float]]:
-    """(M, h) in one pass: mass matrix and bias forces at (q, qd), ``fk`` the pose at q.
+    """(M, h) in one pass: mass matrix and bias forces at (q, qd).
 
-    ``qd`` and ``gravity`` are lists of floats; M comes back as a list of
-    rows and h as a list.
+    ``q``, ``qd`` and ``gravity`` are lists of floats; M comes back as a list
+    of rows and h as a list.  Runs the model's kernel, looked up weakly by
+    model (which is immutable).
     """
-    n = model.n_dof
-    rot, pos, axes, orig = fk.rot, fk.pos, fk.joint_axis, fk.joint_origin
+    kernel = _KERNELS.get(model)
+    if kernel is None:
+        kernel = _KERNELS[model] = _dynamics_kernel(_frames(model), _inertial(model))
+    return kernel(q, qd, gravity)
+
+
+@lru_cache(maxsize=128)
+def _dynamics_kernel(frames: tuple[tuple, ...], inertial: tuple[tuple, ...]) -> Callable:
+    """``dynamics_trace`` after ``fk_trace`` for these constants, unrolled
+    into a function of (q, qd, gravity)."""
+    n = len(frames)
+    q, qd = [f"q{i}" for i in range(n)], [f"qd{i}" for i in range(n)]
+    gravity = ["gx", "gy", "gz"]
+
+    def trace() -> list:
+        mat, h = dynamics_trace(inertial, fk_trace(frames, [Expr.input(x) for x in q]),
+                                [Expr.input(x) for x in qd], [Expr.input(x) for x in gravity])
+        return [value for row in mat for value in row] + h
+
+    row = "[" + ", ".join(["{}"] * n) + "]"
+    return expr_kernel(kernel_name("dynamics", n, (frames, inertial)),
+                       {"ql": q, "qdl": qd, "gl": gravity},
+                       "[" + ", ".join([row] * n) + "], " + row, trace)
+
+
+def dynamics_trace(inertial: tuple[tuple, ...], fk: tuple[list, list, list, list],
+                   qd: list, gravity: list) -> tuple[list[list], list]:
+    """(M, h) from the link constants ``inertial``, the pose ``fk`` (rot
+    9-tuples, pos, joint_axis, joint_origin), ``qd`` and ``gravity``.
+
+    This loop is the source of the generated kernel: it runs on traced
+    values there, and on floats it is the loop the kernel unrolls.
+    """
+    n = len(inertial)
+    rot, pos, axes, orig = fk
     gx, gy, gz = gravity
-    inertial = _constants(model)
 
     # Forward pass (qdd = 0, base acceleration -g), one record per link:
     # mass, world CoM, world inertia R I R^T (all nine entries: the product

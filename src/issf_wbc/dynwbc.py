@@ -31,7 +31,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ._fastdyn import joint_dynamics
-from .model import FkResult, JointState, RobotModel
+from .model import JointState, RobotModel
 from .qpsolver import QpProblem, QpSolution, QpSolver
 from .safety import AccelRows
 
@@ -150,7 +150,6 @@ def safe_acceleration(
 def solve_dynwbc(
     model: RobotModel,
     state: JointState,
-    fk: FkResult,
     qddot_safe: np.ndarray,
     contact: ContactBlock | None,
     extra_rows: AccelRows | None,
@@ -160,14 +159,14 @@ def solve_dynwbc(
     gravity: np.ndarray,
     warm_start: np.ndarray | None = None,
 ) -> DynWbcResult:
-    """Solve the torque QP at ``state``, whose pose is ``fk``.
+    """Solve the torque QP at ``state``.
 
     The variables are stacked [qdd, F_c]; tau is recovered.
     """
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
     nz = n + k
-    mass, bias = joint_dynamics(model, fk, state.qd.tolist(),
+    mass, bias = joint_dynamics(model, state.q.tolist(), state.qd.tolist(),
                                 np.asarray(gravity, dtype=float).tolist())
     mass, bias = np.array(mass), np.array(bias)
     T = np.empty((n, nz))

@@ -18,9 +18,11 @@ kinematics is one straight-line function per set of kinematic constants
 shared by every model with those constants, such as a model and its
 mass-scaled plant; a model finds its kernel through a cache keyed weakly by
 the model, which is immutable.  Otherwise the functions are pure.  A pose is
-computed once and then read by every consumer: the point Jacobians here, the
-barriers in ``geometry``, IK, and the rigid-body dynamics (mass matrix and
-bias forces) in ``_fastdyn`` all take an ``FkResult``.
+computed once and then read by every kinematic consumer: the point
+Jacobians here, the barriers in ``geometry`` and IK all take an
+``FkResult``.  The rigid-body dynamics in ``_fastdyn`` take q instead: their
+generated kernel traces the same FK loop (``fk_trace``) with the links'
+inertial constants and computes the pose inline.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from ._codegen import Expr, expr_kernel, unpacking
+from ._codegen import Expr, expr_kernel, kernel_name
 
 if TYPE_CHECKING:
     from .geometry import CollisionBody
@@ -184,24 +186,21 @@ def _frames(model: RobotModel) -> tuple[tuple, ...]:
     return tuple(frames)
 
 
-@lru_cache(maxsize=128)
-def _fk_kernel(frames: tuple[tuple, ...]) -> Callable[[list[float]], tuple]:
-    """Forward kinematics for the constants ``frames``, as one straight-line
-    function of the joint angles.
+def fk_trace(frames: tuple[tuple, ...], q: list) -> tuple[list, list, list, list]:
+    """Forward kinematics for the constants ``frames`` on traced joint angles
+    ``q`` (``_codegen.Expr`` inputs): (rot 9-tuples, pos, joint_axis,
+    joint_origin), each entry an ``Expr`` or a float.
 
-    The loop below runs once, on traced expressions (``_codegen.Expr``), and
-    the kernel is its arithmetic unrolled: per frame, the axis-angle rotation
-    (Rodrigues), the joint axis and origin in the world, the composed
-    rotation and the link origin, with the fixed origin rotation applied
-    when it is not the identity.  Constants that are exactly 0.0 or 1.0 fold
-    away, which at these sizes removes most of a planar chain's products.
+    This loop is the source of the generated FK kernel and of the FK part of
+    the dynamics kernel (``_fastdyn``); it runs only on traced values.  Per
+    frame: the axis-angle rotation (Rodrigues), the joint axis and origin in
+    the world, the composed rotation and the link origin, with the fixed
+    origin rotation applied when it is not the identity.
     """
-    n = len(frames)
     rot, pos, axes, orig = [], [], [], []
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     px = py = pz = 0.0
-    for i, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in enumerate(frames):
-        qi = Expr.input(f"q{i}")
+    for qi, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in zip(q, frames):
         c = Expr("cos", qi)
         s = Expr("sin", qi)
         v = 1.0 - c
@@ -249,16 +248,26 @@ def _fk_kernel(frames: tuple[tuple, ...]) -> Callable[[list[float]], tuple]:
             a22 = j20 * f02 + j21 * f12 + j22 * f22
         rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
         pos.append((px, py, pz))
-    groups = [rot, pos, axes, orig]
-    outputs = ", ".join(
-        "[" + ", ".join("(" + ", ".join(["{}"] * len(entry)) + ")" for entry in group) + "]"
-        for group in groups)
-    values = [value for group in groups for entry in group for value in entry]
-    unpack = [unpacking([f"q{i}" for i in range(n)], "ql")] if n else []
-    # A digest of the constants keeps the kernels of two chains of one size
-    # apart in tracebacks (a tuple of floats hashes the same in every run).
-    name = f"fk_{n}_{hash(frames) & 0xFFFFFFFF:08x}"
-    return expr_kernel(name, "ql", unpack, outputs, values)
+    return rot, pos, axes, orig
+
+
+@lru_cache(maxsize=128)
+def _fk_kernel(frames: tuple[tuple, ...]) -> Callable[[list[float]], tuple]:
+    """Forward kinematics for the constants ``frames``, as one straight-line
+    function of the joint angles: ``fk_trace`` unrolled.  Constants that are
+    exactly 0.0 or 1.0 fold away, which at these sizes removes most of a
+    planar chain's products.
+    """
+    n = len(frames)
+    names = [f"q{i}" for i in range(n)]
+    outputs = ", ".join(["[" + ", ".join(["(" + ", ".join(["{}"] * 9) + ")"] * n) + "]"]
+                        + ["[" + ", ".join(["({}, {}, {})"] * n) + "]"] * 3)
+
+    def trace() -> list:
+        groups = fk_trace(frames, [Expr.input(name) for name in names])
+        return [value for group in groups for entry in group for value in entry]
+
+    return expr_kernel(kernel_name("fk", n, frames), {"ql": names}, outputs, trace)
 
 
 _FK: "WeakKeyDictionary[RobotModel, Callable]" = WeakKeyDictionary()

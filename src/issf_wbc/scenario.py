@@ -343,8 +343,15 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         # The gains are resolved per joint by the controller; a vector must
         # have one entry per joint.
         for key in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd"):
-            gain = np.asarray(getattr(weights, key))
-            if gain.ndim and gain.shape != (n,):
+            value = getattr(weights, key)
+            try:
+                gain = np.asarray(value)
+            except ValueError:      # a ragged nesting of lists
+                gain = None
+            if gain is None or gain.dtype.kind not in "iuf" or not np.isfinite(gain).all():
+                problems.append(
+                    f"dynwbc.{key}: expected a number or {n} numbers, got {value!r}")
+            elif gain.ndim and gain.shape != (n,):
                 problems.append(
                     f"dynwbc.{key}: expected a scalar or {n} values, got {gain.size}")
 

@@ -9,13 +9,14 @@ estimated obstacles to a motor torque command:
     -> velocity safety filter -> reference acceleration
     -> eCBF rows (ecbf mode only) -> torque QP -> motor command
 
-The pose from the first stage is the only one a cycle computes: IK, the
-barrier rows (one ``BarrierRows`` block, kept in the cycle's ``CycleRecord``),
-the eCBF rows (whose curvature is in closed form) and the torque QP's
-dynamics all read it.  The call to
-``forward_kinematics`` at the top of ``Controller.step`` is this module's
-only one (``perfbench`` counts cycles by it), so the plant and the initial
-gravity torque pose through ``_fk``.
+The pose from the first stage is read by IK, the barrier rows (one
+``BarrierRows`` block, kept in the cycle's ``CycleRecord``) and the eCBF rows
+(whose curvature is in closed form).  The torque QP's dynamics, the plant's
+substeps and the initial gravity torque call ``_fastdyn.joint_dynamics`` on
+q itself: its generated kernel recomputes the pose inline, which costs less
+than reading it from an ``FkResult``.  The call to ``forward_kinematics`` at
+the top of ``Controller.step`` is this module's only one (``perfbench``
+counts cycles by it).
 
 ``run_closed_loop`` is the plant loop that drives it at the control rate:
 sense the obstacles, step the controller, log the ground-truth barrier
@@ -49,7 +50,7 @@ from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
 from .kinwbc import prioritized_ik
-from .model import FkResult, JointState, RobotModel, _fk, forward_kinematics
+from .model import FkResult, JointState, RobotModel, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
     BarrierKind,
@@ -80,10 +81,8 @@ class TorquePulse:
     end: float
     torque: np.ndarray
 
-    def at(self, t: float, n: int) -> np.ndarray:
-        if self.start <= t < self.end:
-            return self.torque
-        return np.zeros(n)
+    def active(self, t: float) -> bool:
+        return self.start <= t < self.end
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def _qdd(model: RobotModel, q: list[float], qd: list[float], tau: list[float],
     (``tests/linalg_oracle.py``) in its order.  A pivot that is not positive
     means the plant's M is singular: the plant cannot be advanced.
     """
-    mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, gravity)
+    mass, bias = joint_dynamics(model, q, qd, gravity)
     n = len(mass)
     try:
         L = cholesky[n](mass)
@@ -413,7 +412,7 @@ class Controller:
         self.filter_warm: np.ndarray | None = None
         self.dyn_warm: np.ndarray | None = None
         self.tau_prev = np.array(joint_dynamics(
-            model, FkResult(*_fk(model, scenario.q0.tolist())), [0.0] * model.n_dof,
+            model, scenario.q0.tolist(), [0.0] * model.n_dof,
             np.asarray(scenario.sim.gravity, dtype=float).tolist())[1])
 
     def step(self, state: JointState, t: float,
@@ -444,7 +443,7 @@ class Controller:
             if rows:
                 h_e_min = float(extra_rows.h_e.min())
 
-        dyn = solve_dynwbc(model, state, fk, qdd_safe, None, extra_rows, scenario.weights,
+        dyn = solve_dynwbc(model, state, qdd_safe, None, extra_rows, scenario.weights,
                            self.tau_prev, self.dyn_solver, scenario.sim.gravity,
                            warm_start=self.dyn_warm)
         self.dyn_warm = dyn.solution.x
@@ -494,6 +493,7 @@ def run_closed_loop(
     )
     state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
     dbar = 0.0
+    pulses, zeros = cfg.external_torque, np.zeros(n)
 
     wall_start = time.perf_counter()
     for k in range(cycles):
@@ -528,13 +528,18 @@ def run_closed_loop(
 
         q_before = state.q
         tau = tau_cmd
+        pulsed = {}     # the substep torque by the pulses active in it
         for j in range(cfg.substeps):
-            if cfg.external_torque:
+            if pulses:
                 # Pulse windows are tested against the substep's exact time, not
                 # the accumulated state.t, whose rounding moves the window edges.
                 t_sub = t + j * cfg.dt_physics
-                tau = tau_cmd + sum((p.at(t_sub, n) for p in cfg.external_torque),
-                                    np.zeros(n))
+                active = tuple(p.active(t_sub) for p in pulses)
+                tau = pulsed.get(active)
+                if tau is None:
+                    tau = pulsed[active] = tau_cmd + sum(
+                        (p.torque if on else zeros for p, on in zip(pulses, active)),
+                        np.zeros(n))
             state = step_physics(plant_model, state, tau, cfg.gravity,
                                  cfg.dt_physics, cfg.integrator)
         d_k = (state.q - q_before) / cfg.dt_control - qdot_safe

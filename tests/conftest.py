@@ -9,10 +9,10 @@ from issf_wbc.model import JointSpec, LinkSpec, RobotModel
 from issf_wbc.qpsolver import QpProblem
 
 
-def dynamics_arrays(model: RobotModel, fk, qd, gravity) -> tuple[np.ndarray, np.ndarray]:
+def dynamics_arrays(model: RobotModel, q, qd, gravity) -> tuple[np.ndarray, np.ndarray]:
     """``joint_dynamics`` on array inputs, with M and h returned as arrays."""
-    mass, bias = joint_dynamics(model, fk, np.asarray(qd, dtype=float).tolist(),
-                                np.asarray(gravity, dtype=float).tolist())
+    mass, bias = joint_dynamics(model, *(np.asarray(x, dtype=float).tolist()
+                                         for x in (q, qd, gravity)))
     return np.array(mass), np.array(bias)
 
 

@@ -309,7 +309,7 @@ def test_criterion_6_kinwbc_properties(rng):
 def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
                                       obstacle_issf, obstacle_ref, out_root):
     from issf_wbc.dynwbc import ContactBlock, DynWbcWeights, solve_dynwbc
-    from issf_wbc.model import JointState, forward_kinematics
+    from issf_wbc.model import JointState
     from conftest import dynamics_arrays, random_chain
 
     gravity = np.array([0.0, 0.0, -9.81])
@@ -319,11 +319,10 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
         model = random_chain(rng, 4)
         state = JointState(q=rng.uniform(-1, 1, 4), qd=rng.uniform(-1, 1, 4))
         qdd_safe = rng.normal(size=4)
-        fk = forward_kinematics(model, state.q)
-        res = solve_dynwbc(model, state, fk, qdd_safe, None, None,
+        res = solve_dynwbc(model, state, qdd_safe, None, None,
                            DynWbcWeights(w_tau=0.0, w_M=0.0), np.zeros(4),
                            QpSolver(), gravity)
-        mass, bias = dynamics_arrays(model, fk, state.qd, gravity)
+        mass, bias = dynamics_arrays(model, state.q, state.qd, gravity)
         worst_id = max(worst_id,
                        np.abs(res.qddot_opt - qdd_safe).max(),
                        np.abs(res.tau_opt - (mass @ qdd_safe + bias)).max())
@@ -337,10 +336,9 @@ def test_criterion_7_dynwbc_exactness(rng, hand_ref, hand_issf, hand_cbf,
     contact = ContactBlock(J_c=j_c, U=cone, F_c_des=np.array([1.0, -0.5, 30.0]))
     weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
     qdd_safe = rng.normal(size=6)
-    fk = forward_kinematics(model, state.q)
-    res = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights, np.zeros(6),
+    res = solve_dynwbc(model, state, qdd_safe, contact, None, weights, np.zeros(6),
                        QpSolver(), gravity)
-    mass, bias = dynamics_arrays(model, fk, state.qd, gravity)
+    mass, bias = dynamics_arrays(model, state.q, state.qd, gravity)
     nz = 15
     H = np.zeros((nz, nz))
     H[:6, :6] = 2 * (weights.w_qdd * np.eye(6) + weights.w_M * mass)

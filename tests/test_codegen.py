@@ -1,13 +1,15 @@
 """The generated straight-line kernels against the loops they replace."""
 
+import linecache
+import tracemalloc
 import traceback
 
 import numpy as np
 import pytest
 
 from issf_wbc._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
-from issf_wbc._fastdyn import joint_dynamics
-from issf_wbc.model import FkResult, _fk, _fk_kernel, _frames, scale_link_masses
+from issf_wbc._fastdyn import _dynamics_kernel, _inertial, dynamics_trace, joint_dynamics
+from issf_wbc.model import _fk, _fk_kernel, _frames, load_robot, scale_link_masses
 from issf_wbc.scenario import data_path, load_scenario
 from issf_wbc.sim import _qdd
 
@@ -82,7 +84,7 @@ class TestCholeskyKernels:
                 model = random_chain(rng, n)
                 q, qd = rng.uniform(-3, 3, n).tolist(), rng.uniform(-4, 4, n).tolist()
                 tau, g = (rng.normal(size=n) * 5).tolist(), (rng.normal(size=3) * 5).tolist()
-                mass, bias = joint_dynamics(model, FkResult(*_fk(model, q)), qd, g)
+                mass, bias = joint_dynamics(model, q, qd, g)
                 expected = linalg_oracle.qdd_fused(mass, tau, bias)
                 got = _qdd(model, q, qd, tau, g, 0.0)
                 assert np.array(got).tobytes() == np.array(expected).tobytes()
@@ -137,3 +139,77 @@ class TestFkKernel:
         assert _fk_kernel(_frames(fresh)) is kernel
         assert _fk_kernel(_frames(load_scenario(data_path("hand_track.scenario")).robot)) \
             is not kernel
+
+
+def dynamics_loop(model, q, qd, g):
+    """The loop the dynamics kernel unrolls, run on floats: FK, then
+    ``dynamics_trace``."""
+    return dynamics_trace(_inertial(model), fk_loop(_frames(model), q), qd, g)
+
+
+def dynamics_models(rng):
+    models = fk_models(rng)
+    bundled = models[-2:]       # fk_models ends with the two bundled robots
+    return models + [scale_link_masses(model, 1.2) for model in bundled]
+
+
+class TestDynamicsKernel:
+    def test_random_states_byte_equal_to_loop(self, rng):
+        for model in dynamics_models(rng):
+            n = model.n_dof
+            for _ in range(20):
+                q, qd = rng.uniform(-3.5, 3.5, n).tolist(), rng.uniform(-4, 4, n).tolist()
+                g = (rng.normal(size=3) * 5).tolist()
+                got, expected = joint_dynamics(model, q, qd, g), dynamics_loop(model, q, qd, g)
+                assert as_bytes(got[0]) == as_bytes(expected[0]), model.name
+                assert as_bytes([got[1]]) == as_bytes([expected[1]]), model.name
+
+    def test_rest_and_zero_gravity_differ_at_most_in_the_sign_of_zero(self, rng):
+        for model in dynamics_models(rng):
+            n = model.n_dof
+            for q, qd, g in (([0.0] * n, [0.0] * n, [0.0] * 3),
+                             ([-0.0] * n, [-0.0] * n, [-0.0] * 3),
+                             ([0.0] * n, [0.0] * n, [0.0, 0.0, -9.81]),
+                             (rng.uniform(-1, 1, n).tolist(), [0.0] * n, [0.0] * 3)):
+                mass, bias = joint_dynamics(model, q, qd, g)
+                mass_loop, bias_loop = dynamics_loop(model, q, qd, g)
+                got = [x for row in mass for x in row] + bias
+                expected = [x for row in mass_loop for x in row] + bias_loop
+                assert got == expected
+                for a, b in zip(got, expected):
+                    assert np.array(a).tobytes() == np.array(b).tobytes() or a == b == 0.0
+
+    def test_one_kernel_per_set_of_constants(self):
+        # A reloaded model shares the nominal model's kernel; the mass-scaled
+        # plant has the same kinematics but its own inertial constants.
+        path = data_path("obstacle_track.scenario")
+        nominal = load_scenario(path).robot
+        plant = scale_link_masses(nominal, 1.3)
+        fresh = load_scenario(path).robot
+        kernel = _dynamics_kernel(_frames(nominal), _inertial(nominal))
+        assert _dynamics_kernel(_frames(fresh), _inertial(fresh)) is kernel
+        assert _dynamics_kernel(_frames(plant), _inertial(plant)) is not kernel
+        assert _fk_kernel(_frames(plant)) is _fk_kernel(_frames(nominal))
+
+    def test_traceback_names_the_generated_line(self):
+        # arm7's kernel is a chain of functions; qd6 is first read in a later link.
+        model = load_robot(data_path("arm7.robot"))
+        kernel = _dynamics_kernel(_frames(model), _inertial(model))
+        with pytest.raises(TypeError) as err:
+            joint_dynamics(model, [0.1] * 7, [0.2] * 6 + ["x"], [0.0, 0.0, -9.81])
+        frame = traceback.extract_tb(err.tb)[-1]
+        assert frame.filename == f"<{kernel.__name__}>"
+        assert frame.name.startswith(kernel.__name__ + "_")
+        assert "qd6" in frame.line
+        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
+
+    def test_generation_memory_budget(self):
+        model = load_robot(data_path("arm7.robot"))
+        frames, inertial = _frames(model), _inertial(model)
+        tracemalloc.start()
+        try:
+            _dynamics_kernel.__wrapped__(frames, inertial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -11,7 +11,7 @@ from issf_wbc.dynwbc import (
     safe_acceleration,
     solve_dynwbc,
 )
-from issf_wbc.model import JointState, forward_kinematics
+from issf_wbc.model import JointState
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import AccelRows, BarrierKind
 
@@ -64,10 +64,9 @@ class TestSolveDynWbc:
         state = JointState(q=rng.uniform(-1, 1, 4), qd=rng.uniform(-1, 1, 4))
         qdd_safe = rng.normal(size=4)
         weights = DynWbcWeights(w_tau=0.0, w_M=0.0)
-        fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, qdd_safe, None, None, weights,
+        result = solve_dynwbc(model, state, qdd_safe, None, None, weights,
                               np.zeros(4), QpSolver(), GRAVITY)
-        mass, bias = dynamics_arrays(model, fk, state.qd, GRAVITY)
+        mass, bias = dynamics_arrays(model, state.q, state.qd, GRAVITY)
         np.testing.assert_allclose(result.qddot_opt, qdd_safe, atol=1e-8)
         np.testing.assert_allclose(result.tau_opt, mass @ qdd_safe + bias, atol=1e-8)
         assert result.dynamics_residual < 1e-8
@@ -76,10 +75,9 @@ class TestSolveDynWbc:
         model = random_chain(rng, 3)
         state = JointState(q=rng.uniform(-1, 1, 3), qd=np.zeros(3))
         weights = DynWbcWeights(w_tau=0.0, w_M=0.0)
-        fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.zeros(3), None, None, weights,
+        result = solve_dynwbc(model, state, np.zeros(3), None, None, weights,
                               np.zeros(3), QpSolver(), GRAVITY)
-        _, bias = dynamics_arrays(model, fk, np.zeros(3), GRAVITY)
+        _, bias = dynamics_arrays(model, state.q, np.zeros(3), GRAVITY)
         np.testing.assert_allclose(result.tau_opt, bias, atol=1e-8)
 
     def test_dynamics_residual_with_default_weights(self, rng):
@@ -87,8 +85,7 @@ class TestSolveDynWbc:
             model = random_chain(rng, int(rng.integers(2, 6)))
             n = model.n_dof
             state = JointState(q=rng.uniform(-1, 1, n), qd=rng.uniform(-1, 1, n))
-            fk = forward_kinematics(model, state.q)
-            result = solve_dynwbc(model, state, fk, rng.normal(size=n), None, None,
+            result = solve_dynwbc(model, state, rng.normal(size=n), None, None,
                                   DynWbcWeights(), rng.normal(size=n), QpSolver(),
                                   GRAVITY)
             assert result.dynamics_residual < 1e-8
@@ -110,10 +107,9 @@ class TestSolveDynWbc:
         contact = ContactBlock(J_c=j_c, U=cone, F_c_des=fc_des)
         weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
         qdd_safe = rng.normal(size=6)
-        fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, qdd_safe, contact, None, weights,
+        result = solve_dynwbc(model, state, qdd_safe, contact, None, weights,
                               np.zeros(6), QpSolver(), GRAVITY)
-        mass, bias = dynamics_arrays(model, fk, state.qd, GRAVITY)
+        mass, bias = dynamics_arrays(model, state.q, state.qd, GRAVITY)
         nz = 6 + 3 + 6
         H = np.zeros((nz, nz))
         H[:6, :6] = 2 * (weights.w_qdd * np.eye(6) + weights.w_M * mass)
@@ -145,8 +141,7 @@ class TestSolveDynWbc:
             for with_contact in (False, True):
                 chain = random_chain(rng, n)
                 state = JointState(q=rng.uniform(-1, 1, n), qd=rng.uniform(-0.5, 0.5, n))
-                mass, bias = dynamics_arrays(chain, forward_kinematics(chain, state.q), state.qd,
-                                             GRAVITY)
+                mass, bias = dynamics_arrays(chain, state.q, state.qd, GRAVITY)
                 tau_max = np.abs(bias) + rng.uniform(0.5, 2.0, n)
                 joints = tuple(dataclasses.replace(j, tau_max=float(t))
                                for j, t in zip(chain.joints, tau_max))
@@ -162,8 +157,7 @@ class TestSolveDynWbc:
                                  h_e=np.zeros(2))
                 qdd_safe = rng.normal(size=n) * 20.0
                 tau_prev = rng.normal(size=n)
-                fk = forward_kinematics(model, state.q)
-                result = solve_dynwbc(model, state, fk, qdd_safe, contact, rows, weights,
+                result = solve_dynwbc(model, state, qdd_safe, contact, rows, weights,
                                       tau_prev, QpSolver(), GRAVITY)
 
                 nz = 2 * n + k
@@ -208,8 +202,7 @@ class TestSolveDynWbc:
         joints = tuple(dataclasses.replace(j, tau_max=1.0) for j in model.joints)
         model = dataclasses.replace(model, joints=joints)
         state = JointState(q=np.array([0.3, -0.5]), qd=np.zeros(2))
-        fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.array([50.0, 50.0]), None, None,
+        result = solve_dynwbc(model, state, np.array([50.0, 50.0]), None, None,
                               DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
         assert np.all(np.abs(result.tau_opt) <= 1.0 + 1e-9)
         assert result.dynamics_residual < 1e-8
@@ -221,9 +214,8 @@ class TestSolveDynWbc:
                                (BarrierKind.JOINT_LIMIT_MAX, "q0")],
                          grad=np.array([[1.0, 0.0], [-1.0, 0.0]]), rhs=np.array([1.0, 1.0]),
                          h_e=np.zeros(2))
-        fk = forward_kinematics(model, state.q)
         with pytest.raises(DynWbcInfeasibleError):
-            solve_dynwbc(model, state, fk, np.zeros(2), None, rows, DynWbcWeights(),
+            solve_dynwbc(model, state, np.zeros(2), None, rows, DynWbcWeights(),
                          np.zeros(2), QpSolver(), GRAVITY)
 
     def test_torque_smoothing_settles(self, rng):
@@ -236,8 +228,7 @@ class TestSolveDynWbc:
         qdd_safe = rng.normal(size=3)
         deltas = []
         for _ in range(40):
-            fk = forward_kinematics(model, state.q)
-            result = solve_dynwbc(model, state, fk, qdd_safe, None, None, weights,
+            result = solve_dynwbc(model, state, qdd_safe, None, None, weights,
                                   tau_prev, solver, GRAVITY)
             deltas.append(np.linalg.norm(result.tau_opt - tau_prev))
             tau_prev = result.tau_opt
@@ -250,8 +241,7 @@ class TestSolveDynWbc:
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
         row = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0")],
                         grad=np.array([[1.0, 0.0]]), rhs=np.array([5.0]), h_e=np.ones(1))
-        fk = forward_kinematics(model, state.q)
-        result = solve_dynwbc(model, state, fk, np.zeros(2), None, row,
+        result = solve_dynwbc(model, state, np.zeros(2), None, row,
                               DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
         assert result.qddot_opt[0] >= 5.0 - 1e-8
 

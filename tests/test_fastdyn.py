@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from issf_wbc.model import forward_kinematics, load_robot, scale_link_masses
+from issf_wbc.model import load_robot, scale_link_masses
 from issf_wbc.scenario import data_path
 
 from conftest import dynamics_arrays, near_identity_chain, random_chain
@@ -15,7 +15,7 @@ def assert_bitwise(actual, expected):
 
 
 def assert_same_dynamics(model, q, qd, g):
-    mass, bias = dynamics_arrays(model, forward_kinematics(model, q), qd, g)
+    mass, bias = dynamics_arrays(model, q, qd, g)
     mass_ref, bias_ref = joint_dynamics_reference(model, q, qd, g)
     assert_bitwise(mass, mass_ref)
     assert_bitwise(bias, bias_ref)
@@ -63,8 +63,7 @@ class TestAgainstNestedLoopKernel:
     def test_rest_state_and_zero_gravity(self, rng):
         model = random_chain(rng, 5)
         assert_same_dynamics(model, np.zeros(5), np.zeros(5), np.zeros(3))
-        fk = forward_kinematics(model, rng.uniform(-1, 1, 5))
-        mass, bias = dynamics_arrays(model, fk, np.zeros(5), np.zeros(3))
+        mass, bias = dynamics_arrays(model, rng.uniform(-1, 1, 5), np.zeros(5), np.zeros(3))
         np.testing.assert_array_equal(bias, 0.0)
         assert np.array_equal(mass, mass.T)
 
@@ -74,8 +73,7 @@ class TestAgainstNestedLoopKernel:
 
         model = random_chain(rng, 4)
         q, qd = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        mass, bias = joint_dynamics(model, forward_kinematics(model, q), qd.tolist(),
-                                    [0.0, 0.0, -9.81])
+        mass, bias = joint_dynamics(model, q.tolist(), qd.tolist(), [0.0, 0.0, -9.81])
         assert type(mass) is list and type(bias) is list and len(mass) == len(bias) == 4
         assert all(type(row) is list and len(row) == 4 for row in mass)
         assert all(type(x) is float for row in mass for x in row)

@@ -106,6 +106,16 @@ class TestScenarioParsing:
             load_scenario(path)
         assert err.value.problems == [f"dynwbc.{key}: expected a scalar or 3 values, got 2"]
 
+    @pytest.mark.parametrize("key", ["kp_dyn", "kd_dyn", "motor_kp", "motor_kd"])
+    @pytest.mark.parametrize("gain", ["abc", "100", None, True, float("nan"),
+                                      [100.0, "x", 100.0], [[1.0, 2.0], [3.0]], {"kp": 1.0}])
+    def test_dynwbc_gain_not_a_number_rejected_at_load(self, tmp_path, key, gain):
+        path = write_mini_scenario(tmp_path, extra={"dynwbc": {key: gain}})
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [
+            f"dynwbc.{key}: expected a number or 3 numbers, got {gain!r}"]
+
     @pytest.mark.parametrize("table,kind,value,problem", [
         ("alpha", "self-collision", 0.0, "must be finite and > 0, got 0.0"),
         ("alpha", "workspace", -1.0, "must be finite and > 0, got -1.0"),

@@ -15,5 +15,5 @@ def test_kernels_script_runs_every_kernel(capsys):
     names = ("forward_kinematics", "point_jacobian", "closest_points",
              "body_pair_barrier", "joint_dynamics", "cholesky_solve", "prioritized_ik",
              "collect_constraints", "filter_velocity", "ecbf_rows", "motor_torque",
-             "step_physics", "kalman_update", "filter_qp", "torque_qp")
+             "step_physics", "kalman_update", "filter_qp", "torque_qp", "dynamics_codegen")
     assert [row.split()[1] for row in rows] == list(names) * 2

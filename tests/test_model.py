@@ -199,7 +199,7 @@ class TestDynamics:
         e0 = kinetic_energy(model, q, qd) + potential_energy(model, q, GRAVITY)
         work = 0.0
         for _ in range(steps):
-            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, GRAVITY)
+            mm, h = dynamics_arrays(model, q, qd, GRAVITY)
             qdd = np.linalg.solve(mm, tau - h)
             work += float(qd @ tau) * dt + 0.5 * float(qdd @ tau) * dt * dt
             q = q + qd * dt + 0.5 * qdd * dt * dt
@@ -213,7 +213,7 @@ class TestDynamics:
             q = rng.uniform(-2, 2, model.n_dof)
             qd = rng.uniform(-3, 3, model.n_dof)
             g = rng.normal(size=3) * 4
-            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, g)
+            mm, h = dynamics_arrays(model, q, qd, g)
             np.testing.assert_allclose(mm, mass_matrix(model, q), atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, g), atol=1e-12)
 
@@ -223,7 +223,7 @@ class TestDynamics:
         for _ in range(5):
             q = rng.uniform(-2, 2, 4)
             qd = rng.uniform(-3, 3, 4)
-            mm, h = dynamics_arrays(model, forward_kinematics(model, q), qd, GRAVITY)
+            mm, h = dynamics_arrays(model, q, qd, GRAVITY)
             np.testing.assert_allclose(mm, mass_matrix(model, q), rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(h, bias_forces(model, q, qd, GRAVITY),
                                        rtol=0.0, atol=1e-12)

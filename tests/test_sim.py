@@ -347,14 +347,14 @@ class TestClosedLoop:
         model = two_link_planar(0.4, 0.4)
         pulse = TorquePulse(start=1e-4, end=25e-4, torque=np.array([2.0, 0.0]))
         applied = []
-        original = TorquePulse.at
+        original = TorquePulse.active
 
-        def at(self, t, n):
-            tau = original(self, t, n)
-            applied.append(tau is self.torque)
-            return tau
+        def active(self, t):
+            on = original(self, t)
+            applied.append(on)
+            return on
 
-        monkeypatch.setattr(TorquePulse, "at", at)
+        monkeypatch.setattr(TorquePulse, "active", active)
         run_closed_loop(model, model, mini_scenario(model, 0.005, pulses=[pulse]))
         assert len(applied) == 50
         assert [i for i, on in enumerate(applied) if on] == list(range(1, 25))
