@@ -186,68 +186,84 @@ def _frames(model: RobotModel) -> tuple[tuple, ...]:
     return tuple(frames)
 
 
+# Trace-time 3x3 algebra for ``fk_trace`` and ``_fastdyn.dynamics_trace``:
+# matrices are row-major 9-tuples, vectors 3-tuples.  Every sum runs left to
+# right, and entries are built in row-major order: a kernel numbers its
+# statements in the order the trace creates them.
+
+def _mat_mul(a: tuple, b: tuple) -> tuple:
+    """A B."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+                 for i in (0, 3, 6) for j in (0, 1, 2))
+
+
+def _mat_mul_t(a: tuple, b: tuple) -> tuple:
+    """A B^T."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 1] + a[i + 2] * b[j + 2]
+                 for i in (0, 3, 6) for j in (0, 3, 6))
+
+
+def _mat_vec(a: tuple, v: tuple) -> tuple:
+    """A v."""
+    x, y, z = v
+    return tuple(a[i] * x + a[i + 1] * y + a[i + 2] * z for i in (0, 3, 6))
+
+
+def _affine(p: tuple, a: tuple, v: tuple) -> tuple:
+    """p + A v, each entry summed left to right from p."""
+    x, y, z = v
+    return tuple(pi + a[i] * x + a[i + 1] * y + a[i + 2] * z
+                 for pi, i in zip(p, (0, 3, 6)))
+
+
+def _cross(a: tuple, b: tuple):
+    """a x b, yielded entry by entry: ``_add(c, _cross(a, b))`` then builds
+    each entry of c + a x b before the next, in the loop's order."""
+    ax, ay, az = a
+    bx, by, bz = b
+    yield ay * bz - az * by
+    yield az * bx - ax * bz
+    yield ax * by - ay * bx
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def fk_trace(frames: tuple[tuple, ...], q: list) -> tuple[list, list, list, list]:
     """Forward kinematics for the constants ``frames`` on traced joint angles
     ``q`` (``_codegen.Expr`` inputs): (rot 9-tuples, pos, joint_axis,
     joint_origin), each entry an ``Expr`` or a float.
 
-    This loop is the source of the generated FK kernel and of the FK part of
-    the dynamics kernel (``_fastdyn``); it runs only on traced values.  Per
-    frame: the axis-angle rotation (Rodrigues), the joint axis and origin in
+    This loop runs only when a kernel is generated: it is the source of the
+    FK kernel and of the FK part of the dynamics kernel (``_fastdyn``), and
+    its sums run left to right, as the kernels' do.  Per frame: the axis-angle rotation (Rodrigues), the joint axis and origin in
     the world, the composed rotation and the link origin, with the fixed
     origin rotation applied when it is not the identity.
     """
     rot, pos, axes, orig = [], [], [], []
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    px = py = pz = 0.0
+    a = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    p = (0.0, 0.0, 0.0)
     for qi, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in zip(q, frames):
         c = Expr("cos", qi)
         s = Expr("sin", qi)
         v = 1.0 - c
         xs, ys, zs = x * s, y * s, z * s
         xyv, xzv, yzv = xy * v, xz * v, yz * v
-        q00 = xx * v + c
-        q01 = xyv - zs
-        q02 = xzv + ys
-        q10 = xyv + zs
-        q11 = yy * v + c
-        q12 = yzv - xs
-        q20 = xzv - ys
-        q21 = yzv + xs
-        q22 = zz * v + c
-        axes.append((a00 * x + a01 * y + a02 * z,
-                     a10 * x + a11 * y + a12 * z,
-                     a20 * x + a21 * y + a22 * z))
-        orig.append((px, py, pz))
-        j00 = a00 * q00 + a01 * q10 + a02 * q20
-        j01 = a00 * q01 + a01 * q11 + a02 * q21
-        j02 = a00 * q02 + a01 * q12 + a02 * q22
-        j10 = a10 * q00 + a11 * q10 + a12 * q20
-        j11 = a10 * q01 + a11 * q11 + a12 * q21
-        j12 = a10 * q02 + a11 * q12 + a12 * q22
-        j20 = a20 * q00 + a21 * q10 + a22 * q20
-        j21 = a20 * q01 + a21 * q11 + a22 * q21
-        j22 = a20 * q02 + a21 * q12 + a22 * q22
-        ox, oy, oz = xyz
-        px = px + j00 * ox + j01 * oy + j02 * oz
-        py = py + j10 * ox + j11 * oy + j12 * oz
-        pz = pz + j20 * ox + j21 * oy + j22 * oz
-        if rfix is None:
-            a00, a01, a02, a10, a11, a12, a20, a21, a22 = (
-                j00, j01, j02, j10, j11, j12, j20, j21, j22)
-        else:
-            f00, f01, f02, f10, f11, f12, f20, f21, f22 = rfix
-            a00 = j00 * f00 + j01 * f10 + j02 * f20
-            a01 = j00 * f01 + j01 * f11 + j02 * f21
-            a02 = j00 * f02 + j01 * f12 + j02 * f22
-            a10 = j10 * f00 + j11 * f10 + j12 * f20
-            a11 = j10 * f01 + j11 * f11 + j12 * f21
-            a12 = j10 * f02 + j11 * f12 + j12 * f22
-            a20 = j20 * f00 + j21 * f10 + j22 * f20
-            a21 = j20 * f01 + j21 * f11 + j22 * f21
-            a22 = j20 * f02 + j21 * f12 + j22 * f22
-        rot.append((a00, a01, a02, a10, a11, a12, a20, a21, a22))
-        pos.append((px, py, pz))
+        turn = (xx * v + c, xyv - zs, xzv + ys,
+                xyv + zs, yy * v + c, yzv - xs,
+                xzv - ys, yzv + xs, zz * v + c)
+        axes.append(_mat_vec(a, (x, y, z)))
+        orig.append(p)
+        j = _mat_mul(a, turn)
+        p = _affine(p, j, xyz)
+        a = j if rfix is None else _mat_mul(j, rfix)
+        rot.append(a)
+        pos.append(p)
     return rot, pos, axes, orig
 
 
