@@ -158,12 +158,12 @@ def kernels(scenario) -> dict[str, callable]:
         "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
         "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
         "cholesky_solve": cholesky_solve,
-        "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks, dt_control),
+        "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks),
         "collect_constraints": lambda: collect_constraints(
             model, state, fk, obstacles, scenario.filter_config,
             scenario.collision_pairs, scenario.workspace_pairs),
         "filter_velocity": lambda: filter_velocity(qd, rows, issf, filter_solver),
-        "ecbf_rows": lambda: ecbf_rows(model, state, fk, rows),
+        "ecbf_rows": lambda: ecbf_rows(state, fk, rows),
         "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd, state, controller.gains,
                                              controller.tau_max),
         "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),

@@ -38,15 +38,6 @@ from .safety import AccelRows
 log = logging.getLogger(__name__)
 
 
-def _diag_gain(value, n: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"gain has shape {arr.shape}, expected scalar or ({n},)")
-    return arr
-
-
 @dataclass(frozen=True)
 class DynWbcWeights:
     """Objective weights and feedback gains (diagonal, given as scalars or vectors)."""
@@ -68,9 +59,28 @@ class DynWbcWeights:
                 raise ValueError(f"{name} must be >= 0")
 
     def gains(self, n: int) -> "FeedbackGains":
-        """The four feedback gains as n floats each."""
-        return FeedbackGains(*(tuple(_diag_gain(getattr(self, name), n).tolist())
-                               for name in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd")))
+        """The four feedback gains as n floats each.
+
+        Each gain must be a finite number or n of them.  Every problem found
+        is raised in one ``ValueError``, joined with "; " (as
+        ``FilterConfig`` does), each naming its gain.
+        """
+        resolved, problems = [], []
+        for name in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd"):
+            value = getattr(self, name)
+            try:
+                gain = np.asarray(value)
+            except ValueError:      # a ragged nesting of lists
+                gain = None
+            if gain is None or gain.dtype.kind not in "iuf" or not np.isfinite(gain).all():
+                problems.append(f"{name}: expected a number or {n} numbers, got {value!r}")
+            elif gain.ndim and gain.shape != (n,):
+                problems.append(f"{name}: expected a scalar or {n} values, got {gain.size}")
+            else:
+                resolved.append(tuple(np.broadcast_to(gain.astype(float), (n,)).tolist()))
+        if problems:
+            raise ValueError("; ".join(problems))
+        return FeedbackGains(*resolved)
 
 
 @dataclass(frozen=True)
@@ -231,10 +241,10 @@ def motor_torque(
     qdot_safe: np.ndarray,
     state: JointState,
     gains: FeedbackGains,
-    tau_max: tuple[float, ...] | None = None,
+    tau_max: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Actuator command tau_opt + Kp (q_safe - q) + Kd (qd_safe - qd), clamped
-    to [-tau_max, tau_max] per joint when ``tau_max`` is given.
+    to [-tau_max, tau_max] per joint (an infinite limit clamps nothing).
 
     Returns the command and a per-joint clamp mask (clamping is also logged).
     """
@@ -244,8 +254,6 @@ def motor_torque(
                                            q_safe.tolist(), state.q.tolist(),
                                            qdot_safe.tolist(), state.qd.tolist(), strict=True)
     ]
-    if tau_max is None:
-        return np.array(tau), np.zeros(len(tau), dtype=bool)
     clamped = [abs(t) > limit for t, limit in zip(tau, tau_max, strict=True)]
     if any(clamped):
         log.debug("torque clamp on joints %s", [i for i, c in enumerate(clamped) if c])

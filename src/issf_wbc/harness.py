@@ -93,7 +93,7 @@ def summarize(trace: RunTrace, *, mode: str, alpha: float | None, epsilon: float
         "mean_qdot_dev": float(np.mean(np.abs(dev))) if trace.cycles else 0.0,
         "jitter": jitter,
         "max_dynamics_residual": float(trace.dynamics_residual.max()) if trace.cycles else 0.0,
-        "relaxed_cycles": int(trace.relaxed.sum()),
+        "relaxed_cycles": trace.qp_status.count("relaxed"),
         "clamped_cycles": int(trace.clamped.any(axis=1).sum()) if trace.cycles else 0,
     }
 
@@ -177,17 +177,12 @@ class SweepResult:
         raise KeyError((mode, alpha, epsilon))
 
 
-def _grid(modes, alphas, epsilons, ref_alpha, ref_eps):
-    points = []
-    for mode in modes:
-        mode = FilterMode(mode) if isinstance(mode, str) else mode
-        if mode is FilterMode.WITHOUT_CBF:
-            points.append((mode, ref_alpha, ref_eps))
-        else:
-            for alpha in alphas:
-                for eps in epsilons:
-                    points.append((mode, float(alpha), float(eps)))
-    return points
+def _grid(modes, alphas, epsilons):
+    """The (mode, alpha, epsilon) points of the filtered modes; the without-cbf
+    reference run is made once, apart from the grid."""
+    modes = [FilterMode(mode) for mode in modes]
+    return [(mode, float(alpha), float(eps)) for mode in modes
+            if mode is not FilterMode.WITHOUT_CBF for alpha in alphas for eps in epsilons]
 
 
 def _sweep_worker(args):
@@ -215,8 +210,7 @@ def run_sweep(
     reference = run_scenario(path, FilterMode.WITHOUT_CBF, seed=seed, out=out)
     ref_events = reference.summary["collision_events"]
 
-    grid = _grid(modes, alphas, epsilons, ref_alpha, ref_eps)
-    grid = [(m, a, e) for (m, a, e) in grid if m is not FilterMode.WITHOUT_CBF]
+    grid = _grid(modes, alphas, epsilons)
     tasks = [(path, m, a, e, seed, out) for (m, a, e) in grid]
 
     # A point's outcome is its summary, or the exception that ended it.

@@ -17,8 +17,7 @@ projected Jacobian, J_i N_{i-1} = U S V^T, and keeps the singular triplets
 with s > sigma_rel s_0, so commands stay bounded through kinematic
 singularities; both updates come from that one SVD:
 pinv(J_i N_{i-1}) = V_r S_r^-1 U_r^T and pinv(J_i N_{i-1}) J_i N_{i-1} =
-V_r V_r^T.  A level whose projected Jacobian is zero changes nothing.  The
-desired position is q + qd dt.
+V_r V_r^T.  A level whose projected Jacobian is zero changes nothing.
 """
 
 from __future__ import annotations
@@ -103,18 +102,13 @@ def prioritized_ik(
     state: JointState,
     fk: FkResult,
     tasks: list[Task],
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nominal joint velocity command and its integrated position reference.
-
-    ``fk`` is the pose at ``state.q``.
+) -> np.ndarray:
+    """Nominal joint velocity command; ``fk`` is the pose at ``state.q``.
 
     Tasks must carry strictly increasing priorities (1 = highest).  The
     measured velocity is not fed back into the task terms (see module
     docstring).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
     ordered = sorted(tasks, key=lambda t: t.priority)
     for a, b in zip(ordered, ordered[1:]):
         if a.priority == b.priority:
@@ -130,6 +124,4 @@ def prioritized_ik(
         jacobians.append(jac)
         terms.append(xd_cmd)
 
-    qdot_des = solve_priority_stack(jacobians, terms, model.n_dof)
-    q_des = state.q + qdot_des * dt
-    return qdot_des, q_des
+    return solve_priority_stack(jacobians, terms, model.n_dof)

@@ -278,7 +278,6 @@ class FilterResult:
     qdot_safe: np.ndarray
     status: str                  # "passthrough" | "optimal" | "relaxed"
     iterations: int
-    relaxed: bool
 
 
 def filter_velocity(
@@ -291,16 +290,14 @@ def filter_velocity(
     """Minimally invasive projection of qd_des onto the barrier rows."""
     n = qdot_des.shape[0]
     if config.mode in (FilterMode.WITHOUT_CBF, FilterMode.ECBF) or not rows:
-        return FilterResult(qdot_safe=qdot_des, status="passthrough", iterations=0, relaxed=False)
+        return FilterResult(qdot_safe=qdot_des, status="passthrough", iterations=0)
 
     A = rows.grad
     b = rows.rhs(plain_cbf=config.mode is FilterMode.CBF)
     problem = QpProblem(H=2.0 * np.eye(n), g=-2.0 * qdot_des, A_ineq=A, b_ineq=b)
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
-        return FilterResult(
-            qdot_safe=sol.x, status="optimal", iterations=sol.iterations, relaxed=False,
-        )
+        return FilterResult(qdot_safe=sol.x, status="optimal", iterations=sol.iterations)
 
     if config.slack_policy == "hard-fail":
         raise FilterInfeasibleError(
@@ -331,10 +328,8 @@ def filter_velocity(
         "safety filter relaxed (safety not guaranteed): slack per kind %s",
         {k.value: float(s) for k, s in zip(kinds, slacks)},
     )
-    return FilterResult(
-        qdot_safe=relaxed_sol.x[:n], status="relaxed",
-        iterations=sol.iterations + relaxed_sol.iterations, relaxed=True,
-    )
+    return FilterResult(qdot_safe=relaxed_sol.x[:n], status="relaxed",
+                        iterations=sol.iterations + relaxed_sol.iterations)
 
 
 @dataclass(frozen=True)
@@ -351,12 +346,7 @@ class AccelRows:
     h_e: np.ndarray           # (m,)
 
 
-def ecbf_rows(
-    model: RobotModel,
-    state: JointState,
-    fk: FkResult,
-    rows: BarrierRows,
-) -> AccelRows:
+def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
     """Extended-barrier rows h_e = hd + alpha h enforced as hd_e >= -alpha h_e.
 
     ``rows`` are this cycle's barrier rows, as collect_constraints returned

@@ -340,20 +340,10 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         problems.append(f"dynwbc: {exc}")
         weights = DynWbcWeights()
     if robot is not None:
-        # The gains are resolved per joint by the controller; a vector must
-        # have one entry per joint.
-        for key in ("kp_dyn", "kd_dyn", "motor_kp", "motor_kd"):
-            value = getattr(weights, key)
-            try:
-                gain = np.asarray(value)
-            except ValueError:      # a ragged nesting of lists
-                gain = None
-            if gain is None or gain.dtype.kind not in "iuf" or not np.isfinite(gain).all():
-                problems.append(
-                    f"dynwbc.{key}: expected a number or {n} numbers, got {value!r}")
-            elif gain.ndim and gain.shape != (n,):
-                problems.append(
-                    f"dynwbc.{key}: expected a scalar or {n} values, got {gain.size}")
+        try:
+            weights.gains(n)
+        except ValueError as exc:   # gains joins its problems with "; "
+            problems.extend(f"dynwbc.{problem}" for problem in str(exc).split("; "))
 
     tasks: list[TaskSpec] = []
     for i, raw in enumerate(doc.get("tasks", [])):

@@ -253,7 +253,6 @@ class RunTrace:
     qp_status: list[str]
     dynamics_residual: np.ndarray
     h_e_min: np.ndarray                 # min over eCBF rows, nan outside ecbf mode
-    relaxed: np.ndarray
     clamped: np.ndarray                 # (cycles, n_dof) per-joint clamp flags
     runtime_per_cycle_us: float = 0.0
     constraint_dump: list[ConstraintDumpRow] = field(default_factory=list)
@@ -332,8 +331,8 @@ class _ObstacleTruth:
         shift = self.velocity * t
         return replace(self.body, p0=self.body.p0 + shift, p1=self.body.p1 + shift)
 
-    def estimate(self, t: float, dt: float, rng: np.random.Generator) -> Obstacle:
-        truth = self.at(t)
+    def estimate(self, truth: CollisionBody, dt: float, rng: np.random.Generator) -> Obstacle:
+        """The controller's view of ``truth``, this body's pose at the cycle."""
         noise = rng.normal(0.0, self.meas_std, 3) if self.meas_std > 0 else np.zeros(3)
         est = self.kalman.update(truth.p0 + noise, dt)
         offset = est.position - self.body.p0
@@ -358,8 +357,9 @@ def _barrier_catalog(scenario) -> list[tuple[str, str]]:
     return keys
 
 
-def _truth_barriers(model, q, fk, scenario, obstacle_truths, t) -> np.ndarray:
-    """Ground-truth barrier values for the trace (estimates are controller-side)."""
+def _truth_barriers(model, q, fk, scenario, obstacle_bodies) -> np.ndarray:
+    """Ground-truth barrier values for the trace (estimates are controller-side);
+    ``obstacle_bodies`` are the obstacles' true poses at the cycle."""
     vals: list[float] = []
     for i, joint in enumerate(model.joints):
         vals.append(float(q[i] - joint.q_min))
@@ -367,8 +367,7 @@ def _truth_barriers(model, q, fk, scenario, obstacle_truths, t) -> np.ndarray:
     for a, b in scenario.collision_pairs:
         prox = closest_points(pose_body(a, fk), pose_body(b, fk))
         vals.append(prox.h)
-    for truth in obstacle_truths:
-        obs_body = truth.at(t)
+    for obs_body in obstacle_bodies:
         for body in model.collision_bodies:
             prox = closest_points(pose_body(body, fk), pose_body(obs_body, fk))
             vals.append(prox.h)
@@ -423,10 +422,7 @@ class Controller:
         fk = forward_kinematics(model, state.q)
 
         tasks = [spec.task_at(t) for spec in scenario.tasks]
-        if tasks:
-            qdot_des, _ = prioritized_ik(model, state, fk, tasks, dt)
-        else:
-            qdot_des = np.zeros(model.n_dof)
+        qdot_des = prioritized_ik(model, state, fk, tasks) if tasks else np.zeros(model.n_dof)
 
         rows = collect_constraints(model, state, fk, obstacles, config,
                                    scenario.collision_pairs, scenario.workspace_pairs)
@@ -439,7 +435,7 @@ class Controller:
         extra_rows = None
         h_e_min = np.nan
         if config.mode is FilterMode.ECBF:
-            extra_rows = ecbf_rows(model, state, fk, rows)
+            extra_rows = ecbf_rows(state, fk, rows)
             if rows:
                 h_e_min = float(extra_rows.h_e.min())
 
@@ -489,7 +485,7 @@ def run_closed_loop(
         d_inf=np.zeros(cycles), dbar=np.zeros(cycles),
         qp_iters=np.zeros(cycles, dtype=int), qp_status=[],
         dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
-        relaxed=np.zeros(cycles, dtype=bool), clamped=np.zeros((cycles, n), dtype=bool),
+        clamped=np.zeros((cycles, n), dtype=bool),
     )
     state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
     dbar = 0.0
@@ -498,7 +494,9 @@ def run_closed_loop(
     wall_start = time.perf_counter()
     for k in range(cycles):
         t = k * cfg.dt_control
-        obstacles = [truth.estimate(t, cfg.dt_control, rng) for truth in obstacle_truths]
+        bodies = [truth.at(t) for truth in obstacle_truths]
+        obstacles = [truth.estimate(body, cfg.dt_control, rng)
+                     for truth, body in zip(obstacle_truths, bodies)]
         tau_cmd, rec = controller.step(state, t, obstacles)
         qdot_safe = rec.filtered.qdot_safe
 
@@ -508,13 +506,11 @@ def run_closed_loop(
         trace.qdot_des[k] = rec.qdot_des
         trace.qdot_safe[k] = qdot_safe
         trace.tau_cmd[k] = tau_cmd
-        trace.h[k] = _truth_barriers(nominal_model, state.q, rec.fk, scenario,
-                                     obstacle_truths, t)
+        trace.h[k] = _truth_barriers(nominal_model, state.q, rec.fk, scenario, bodies)
         trace.qp_iters[k] = rec.filtered.iterations
         trace.qp_status.append(rec.filtered.status)
         trace.dynamics_residual[k] = rec.dynamics_residual
         trace.h_e_min[k] = rec.h_e_min
-        trace.relaxed[k] = rec.filtered.relaxed
         trace.clamped[k] = rec.clamped
         if trace_constraints:
             tol = 1e-8 * (1.0 + float(np.max(np.abs(qdot_safe), initial=0.0)))

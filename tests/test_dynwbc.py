@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -252,14 +253,15 @@ class TestMotorTorque:
         qd = rng.normal(size=3)
         tau_opt = rng.normal(size=3)
         tau, clamped = motor_torque(tau_opt, q, qd, JointState(q=q, qd=qd),
-                                    DynWbcWeights().gains(3))
+                                    DynWbcWeights().gains(3), tau_max=(math.inf,) * 3)
         np.testing.assert_allclose(tau, tau_opt)
         assert not clamped.any()
 
     def test_direct_substitution(self):
         weights = DynWbcWeights(motor_kp=50.0, motor_kd=0.0)
         state = JointState(q=np.zeros(1), qd=np.zeros(1))
-        tau, _ = motor_torque(np.zeros(1), np.array([0.1]), np.zeros(1), state, weights.gains(1))
+        tau, _ = motor_torque(np.zeros(1), np.array([0.1]), np.zeros(1), state, weights.gains(1),
+                              tau_max=(math.inf,))
         assert tau[0] == pytest.approx(5.0)
 
     def test_saturation_flagged(self):

@@ -17,10 +17,8 @@ class TestRecursion:
         xd = np.array([0.3, -0.7])
         task = Task(priority=1, target=np.zeros(2), feedforward=xd, gain=0.0,
                     joint_indices=(0, 1))
-        qdot, q_des = prioritized_ik(model, state, forward_kinematics(model, state.q), [task],
-                                     dt=5e-4)
+        qdot = prioritized_ik(model, state, forward_kinematics(model, state.q), [task])
         np.testing.assert_allclose(qdot, xd, atol=1e-12)
-        np.testing.assert_allclose(q_des, state.q + xd * 5e-4, atol=1e-15)
 
     def test_two_scalar_tasks_hand_computed(self):
         # J1 = [1 0] target a, J2 = [1 1] target b  ->  qdot = (a, b - a)
@@ -40,7 +38,7 @@ class TestRecursion:
         task = Task(priority=1, target=np.array([0.8, 0.0, 0.0]), feedforward=xd,
                     gain=0.0, link=1)
         fk = forward_kinematics(model, state.q)
-        qdot, _ = prioritized_ik(model, state, fk, [task], dt=5e-4)
+        qdot = prioritized_ik(model, state, fk, [task])
         jac = point_jacobian(model, fk, 1, np.zeros(3))
         sigma_max = np.linalg.svd(jac, compute_uv=False)[0]
         assert np.linalg.norm(qdot) <= np.linalg.norm(xd) / (1e-4 * sigma_max) + 1e-9
@@ -51,7 +49,7 @@ class TestRecursion:
         tasks = [Task(priority=1, target=np.zeros(2), joint_indices=(0, 1)),
                  Task(priority=1, target=np.zeros(1), joint_indices=(0,))]
         with pytest.raises(ValueError, match="priority"):
-            prioritized_ik(model, state, forward_kinematics(model, state.q), tasks, dt=1e-3)
+            prioritized_ik(model, state, forward_kinematics(model, state.q), tasks)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -133,7 +131,7 @@ def test_point_task_tracks_target_direction(rng):
     current = fk.link_point(3, np.zeros(3))
     target = current + np.array([0.05, -0.02, 0.04])
     task = Task(priority=1, target=target, gain=5.0, link=3)
-    qdot, _ = prioritized_ik(model, state, fk, [task], dt=5e-4)
+    qdot = prioritized_ik(model, state, fk, [task])
     jac = point_jacobian(model, fk, 3, np.zeros(3))
     # realized task velocity points toward the target
     assert (jac @ qdot) @ (target - current) > 0.0
@@ -180,7 +178,7 @@ class TestAgainstOracle:
                      joint_indices=tuple(range(n))),
             ]
             state = JointState(q=q, qd=np.zeros(n))
-            qdot, _ = prioritized_ik(model, state, fk, tasks, dt=5e-4)
+            qdot = prioritized_ik(model, state, fk, tasks)
             assert_agrees(qdot, oracle_qdot(model, q, fk, tasks))
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -198,8 +196,8 @@ class TestAgainstOracle:
         point = Task(priority=1, target=fk.link_point(1, np.zeros(3)) + [0.02, 0.0, -0.03],
                      gain=5.0, link=1)
         posture = Task(priority=2, target=np.zeros(2), gain=1.0, joint_indices=(0, 1))
-        alone, _ = prioritized_ik(model, state, fk, [point], dt=5e-4)
-        qdot, _ = prioritized_ik(model, state, fk, [point, posture], dt=5e-4)
+        alone = prioritized_ik(model, state, fk, [point])
+        qdot = prioritized_ik(model, state, fk, [point, posture])
         np.testing.assert_allclose(qdot, alone, rtol=0.0, atol=1e-9)
 
     def test_three_levels_with_a_rank_deficient_middle(self, rng):
