@@ -27,6 +27,7 @@ and ``_fastdyn`` its joint-space dynamics.
 from __future__ import annotations
 
 import math
+import zlib
 from itertools import count
 from typing import Callable
 
@@ -213,9 +214,10 @@ class Expr:
 
 def kernel_name(prefix: str, n: int, constants: tuple) -> str:
     """A kernel's name: ``prefix``, its size and a digest of its constants,
-    which keeps two kernels of one size apart in tracebacks (a tuple of
-    floats hashes the same in every run)."""
-    return f"{prefix}_{n}_{hash(constants) & 0xFFFFFFFF:08x}"
+    which keeps two kernels of one size apart in tracebacks.  The digest is
+    a CRC-32 of the constants' repr, the same in every run (``hash`` is
+    not: ``None``, which stands for an identity rotation, hashes by address)."""
+    return f"{prefix}_{n}_{zlib.crc32(repr(constants).encode()):08x}"
 
 
 # The most statements in one generated function.  A kernel longer than this

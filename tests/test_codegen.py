@@ -1,8 +1,12 @@
 """The generated straight-line kernels against the loops they replace."""
 
 import linecache
+import os
+import subprocess
+import sys
 import tracemalloc
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +217,27 @@ class TestDynamicsKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+NAMES_SCRIPT = """
+from issf_wbc._fastdyn import _dynamics_kernel, _inertial
+from issf_wbc.model import _fk_kernel, _frames, load_robot
+from issf_wbc.scenario import data_path
+for name in ("planar3.robot", "arm7.robot"):
+    model = load_robot(data_path(name))
+    print(_fk_kernel(_frames(model)).__name__,
+          _dynamics_kernel(_frames(model), _inertial(model)).__name__)
+"""
+
+
+def test_kernel_names_are_the_same_in_every_process():
+    # Both bundled robots have identity origin rotations, which _frames
+    # stores as None: a name digested from hash() differed between runs.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    names = [subprocess.run([sys.executable, "-c", NAMES_SCRIPT], check=True, text=True,
+                            capture_output=True,
+                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                            ).stdout
+             for seed in ("0", "1")]
+    assert names[0] == names[1]
+    assert len(set(names[0].split())) == 4
