@@ -462,6 +462,12 @@ def _inertia_matrix(raw, where: str) -> np.ndarray:
     raise ModelError(f"{where}: inertia must be a diagonal 3-vector or 3x3 matrix")
 
 
+def _required(raw: dict, key: str, where: str):
+    if key not in raw:
+        raise ModelError(f"{where}.{key}: required")
+    return raw[key]
+
+
 def load_robot(path: str | Path) -> RobotModel:
     """Load a robot description file (JSON schema ``issf-wbc/robot/v1``)."""
     from .geometry import CollisionBody  # deferred: geometry imports this module
@@ -480,9 +486,9 @@ def load_robot(path: str | Path) -> RobotModel:
         origin = raw.get("origin", {})
         links.append(
             LinkSpec(
-                mass=float(raw["mass"]),
+                mass=float(_required(raw, "mass", where)),
                 com=_vec3(raw.get("com", [0, 0, 0]), where + ".com"),
-                inertia=_inertia_matrix(raw["inertia"], where),
+                inertia=_inertia_matrix(_required(raw, "inertia", where), where),
                 parent=int(raw.get("parent", i - 1)),
                 origin_xyz=_vec3(origin.get("xyz", [0, 0, 0]), where + ".origin.xyz"),
                 origin_rpy=_vec3(origin.get("rpy", [0, 0, 0]), where + ".origin.rpy"),
@@ -491,7 +497,7 @@ def load_robot(path: str | Path) -> RobotModel:
     joints = []
     for i, raw in enumerate(doc.get("joints", [])):
         where = f"{path}: joints[{i}]"
-        axis = _vec3(raw["axis"], where + ".axis")
+        axis = _vec3(_required(raw, "axis", where), where + ".axis")
         norm = float(np.linalg.norm(axis))
         if norm == 0.0:
             raise ModelError(where + ": zero joint axis")
@@ -515,12 +521,12 @@ def load_robot(path: str | Path) -> RobotModel:
         if shape not in ("sphere", "capsule"):
             raise ModelError(where + f": shape must be sphere or capsule, got {shape!r}")
         p0 = _vec3(raw.get("p0", [0, 0, 0]), where + ".p0")
-        p1 = _vec3(raw["p1"], where + ".p1") if shape == "capsule" else p0
+        p1 = _vec3(_required(raw, "p1", where), where + ".p1") if shape == "capsule" else p0
         bodies.append(
             CollisionBody(
                 name=str(raw.get("name", f"body{i}")),
-                link=int(raw["link"]),
-                radius=float(raw["radius"]),
+                link=int(_required(raw, "link", where)),
+                radius=float(_required(raw, "radius", where)),
                 p0=p0,
                 p1=p1,
             )

@@ -11,6 +11,7 @@ first problem.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
@@ -200,20 +201,33 @@ class Scenario:
 
 
 def _vec(raw, length, problems, where) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (length,):
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (length,):
         problems.append(f"{where}: expected {length} numbers, got {raw!r}")
         return np.zeros(length)
     return arr
 
 
+_SCENARIO_KEYS = frozenset({"format", "name", "robot", "q0", "qd0", "tasks", "obstacles",
+                            "collision_pairs", "workspace", "filter", "dynwbc", "sim"})
 _FILTER_KEYS = frozenset({"mode", "alpha", "epsilon", "slack", "activation_distance"})
+_TASK_KEYS = frozenset({"priority", "link", "point", "joints", "gain", "waypoints",
+                        "interpolation"})
+_WAYPOINT_KEYS = frozenset({"t", "value", "velocity"})
+_OBSTACLE_KEYS = frozenset({"name", "shape", "position", "p1", "radius", "velocity",
+                            "measurement_noise_std", "process_noise"})
+_WORKSPACE_KEYS = frozenset({"name", "link_a", "point_a", "link_b", "point_b", "d_max"})
+_PULSE_KEYS = frozenset({"start", "end", "torque"})
+_INTERPOLATIONS = ("cubic", "linear")
 
 
 def _reject_unknown(raw: dict, known, problems: list, where: str) -> None:
     for key in raw or {}:
         if key not in known:
-            problems.append(f"{where}.{key}: unknown key")
+            problems.append(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
 
 
 def _number(raw, default: float, problems: list, where: str) -> float:
@@ -223,6 +237,19 @@ def _number(raw, default: float, problems: list, where: str) -> float:
     except (TypeError, ValueError):
         problems.append(f"{where}: expected a number, got {raw!r}")
         return default
+
+
+def _integer(raw, default: int, problems: list, where: str) -> int:
+    """``raw`` as an int; ``default`` and a problem naming ``where`` if it is not
+    a whole number (1.5 is not rounded)."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value.is_integer():
+        problems.append(f"{where}: expected an integer, got {raw!r}")
+        return default
+    return raw if isinstance(raw, int) else int(value)
 
 
 def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> dict:
@@ -265,7 +292,9 @@ def _parse_filter(raw: dict, problems: list) -> FilterConfig:
         return FilterConfig()
 
 
-def _parse_sim(raw: dict, problems: list) -> SimConfig:
+def _parse_sim(raw: dict, n: int | None, problems: list) -> SimConfig:
+    """The ``sim`` block; ``n`` is the robot's joint count (None when the
+    robot did not load), which each pulse torque must match."""
     raw = raw or {}
     _reject_unknown(raw, SimConfig.__dataclass_fields__, problems, "sim")
     if "duration" not in raw:
@@ -278,20 +307,23 @@ def _parse_sim(raw: dict, problems: list) -> SimConfig:
         integrator = Integrator.SEMI_IMPLICIT_EULER
     pulses = []
     for i, p in enumerate(raw.get("external_torque", [])):
+        where = f"sim.external_torque[{i}]"
+        _reject_unknown(p, _PULSE_KEYS, problems, where)
         pulses.append(TorquePulse(
-            start=float(p.get("start", 0.0)),
-            end=float(p.get("end", 0.0)),
-            torque=np.asarray(p.get("torque", []), dtype=float),
+            start=_number(p.get("start", 0.0), 0.0, problems, f"{where}.start"),
+            end=_number(p.get("end", 0.0), 0.0, problems, f"{where}.end"),
+            torque=(np.zeros(0) if n is None
+                    else _vec(p.get("torque"), n, problems, f"{where}.torque")),
         ))
+    number = {key: _number(raw.get(key, default), default, problems, f"sim.{key}")
+              for key, default in (("duration", 0.0), ("dt_control", 5e-4),
+                                   ("dt_physics", 1e-4), ("mass_scale", 1.0))}
     try:
         return SimConfig(
-            duration=float(raw.get("duration", 0.0)),
-            dt_control=float(raw.get("dt_control", 5e-4)),
-            dt_physics=float(raw.get("dt_physics", 1e-4)),
-            mass_scale=float(raw.get("mass_scale", 1.0)),
+            **number,
             integrator=integrator,
-            seed=int(raw.get("seed", 0)),
-            gravity=np.asarray(raw.get("gravity", [0.0, 0.0, -9.81]), dtype=float),
+            seed=_integer(raw.get("seed", 0), 0, problems, "sim.seed"),
+            gravity=_vec(raw.get("gravity", [0.0, 0.0, -9.81]), 3, problems, "sim.gravity"),
             external_torque=tuple(pulses),
         )
     except ValueError as exc:
@@ -309,6 +341,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         raise ScenarioError(path, [f"line {exc.lineno}, col {exc.colno}: {exc.msg}"]) from exc
 
     problems: list[str] = []
+    _reject_unknown(doc, _SCENARIO_KEYS, problems, "")
     if doc.get("format") != SCENARIO_FORMAT:
         problems.append(f"format: must be {SCENARIO_FORMAT!r}, got {doc.get('format')!r}")
 
@@ -324,7 +357,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     q0 = _vec(doc.get("q0", [0.0] * n), n, problems, "q0") if robot else np.zeros(0)
     qd0 = _vec(doc.get("qd0", [0.0] * n), n, problems, "qd0") if robot else np.zeros(0)
 
-    sim = _parse_sim(doc.get("sim"), problems)
+    sim = _parse_sim(doc.get("sim"), n if robot is not None else None, problems)
     if seed is not None:
         sim = dc_replace(sim, seed=seed)
     filter_config = _parse_filter(doc.get("filter"), problems)
@@ -348,6 +381,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     tasks: list[TaskSpec] = []
     for i, raw in enumerate(doc.get("tasks", [])):
         where = f"tasks[{i}]"
+        _reject_unknown(raw, _TASK_KEYS, problems, where)
         has_link = "link" in raw
         has_joints = "joints" in raw
         if has_link == has_joints:
@@ -357,19 +391,38 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         if not knots:
             problems.append(f"{where}.waypoints: at least one waypoint required")
             continue
-        dim = 3 if has_link else len(raw["joints"])
-        times = [float(w.get("t", 0.0)) for w in knots]
+        found = len(problems)       # a task with a bad field is not built further
+        kind = raw.get("interpolation", "cubic")
+        if kind not in _INTERPOLATIONS:
+            problems.append(f"{where}.interpolation: expected one of {_INTERPOLATIONS}, "
+                            f"got {kind!r}")
+        joints = None
+        if has_joints:
+            joints = tuple(_integer(j, 0, problems, f"{where}.joints[{k}]")
+                           for k, j in enumerate(raw["joints"]))
+        dim = 3 if has_link else len(joints)
+        for j, w in enumerate(knots):
+            _reject_unknown(w, _WAYPOINT_KEYS, problems, f"{where}.waypoints[{j}]")
+        times = [_number(w.get("t", 0.0), 0.0, problems, f"{where}.waypoints[{j}].t")
+                 for j, w in enumerate(knots)]
         values = [_vec(w.get("value"), dim, problems, f"{where}.waypoints[{j}].value")
                   for j, w in enumerate(knots)]
         vels = None
         if all("velocity" in w for w in knots):
             vels = [_vec(w["velocity"], dim, problems, f"{where}.waypoints[{j}].velocity")
                     for j, w in enumerate(knots)]
+        spec = dict(
+            priority=_integer(raw.get("priority", i + 1), i + 1, problems, f"{where}.priority"),
+            gain=_number(raw.get("gain", 5.0), 5.0, problems, f"{where}.gain"),
+            link=_integer(raw["link"], 0, problems, f"{where}.link") if has_link else None,
+            point=tuple(_vec(raw.get("point", [0, 0, 0]), 3, problems,
+                             f"{where}.point").tolist()),
+            joints=joints,
+        )
+        if len(problems) > found:
+            continue
         try:
-            spline = WaypointSpline.from_knots(
-                times, np.array(values), vels,
-                kind=raw.get("interpolation", "cubic"),
-            )
+            spline = WaypointSpline.from_knots(times, np.array(values), vels, kind=kind)
         except ValueError as exc:
             problems.append(f"{where}.waypoints: {exc}")
             continue
@@ -378,15 +431,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
                 f"{where}.waypoints: spline ends at {spline.end_time} s "
                 f"but sim.duration is {sim.duration} s"
             )
-        tasks.append(TaskSpec(
-            priority=int(raw.get("priority", i + 1)),
-            spline=spline,
-            gain=float(raw.get("gain", 5.0)),
-            link=int(raw["link"]) if has_link else None,
-            point=tuple(_vec(raw.get("point", [0, 0, 0]), 3, problems,
-                             f"{where}.point").tolist()),
-            joints=tuple(int(j) for j in raw["joints"]) if has_joints else None,
-        ))
+        tasks.append(TaskSpec(spline=spline, **spec))
     seen_priorities = [t.priority for t in tasks]
     if len(set(seen_priorities)) != len(seen_priorities):
         problems.append("tasks: priorities must be unique")
@@ -394,26 +439,31 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     obstacles: list[ObstacleSpec] = []
     for i, raw in enumerate(doc.get("obstacles", [])):
         where = f"obstacles[{i}]"
+        _reject_unknown(raw, _OBSTACLE_KEYS, problems, where)
         shape = raw.get("shape", "sphere")
         if shape not in ("sphere", "capsule"):
             problems.append(f"{where}.shape: must be sphere or capsule")
             continue
+        found = len(problems)
         p0 = _vec(raw.get("position"), 3, problems, f"{where}.position")
-        p1 = _vec(raw["p1"], 3, problems, f"{where}.p1") if shape == "capsule" else p0
+        p1 = _vec(raw.get("p1"), 3, problems, f"{where}.p1") if shape == "capsule" else p0
+        radius = _number(raw.get("radius", 0.0), 0.0, problems, f"{where}.radius")
+        spec = dict(
+            velocity=_vec(raw.get("velocity", [0, 0, 0]), 3, problems, f"{where}.velocity"),
+            measurement_noise_std=_number(raw.get("measurement_noise_std", 0.0), 0.0,
+                                          problems, f"{where}.measurement_noise_std"),
+            process_noise=_number(raw.get("process_noise", 1e-2), 1e-2, problems,
+                                  f"{where}.process_noise"),
+        )
+        if len(problems) > found:
+            continue
         try:
-            body = CollisionBody(
-                name=str(raw.get("name", f"obstacle{i}")), link=-1,
-                radius=float(raw.get("radius", 0.0)), p0=p0, p1=p1,
-            )
+            body = CollisionBody(name=str(raw.get("name", f"obstacle{i}")), link=-1,
+                                 radius=radius, p0=p0, p1=p1)
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
-        obstacles.append(ObstacleSpec(
-            body=body,
-            velocity=_vec(raw.get("velocity", [0, 0, 0]), 3, problems, f"{where}.velocity"),
-            measurement_noise_std=float(raw.get("measurement_noise_std", 0.0)),
-            process_noise=float(raw.get("process_noise", 1e-2)),
-        ))
+        obstacles.append(ObstacleSpec(body=body, **spec))
 
     pairs: list[tuple[CollisionBody, CollisionBody]] = []
     if robot is not None:
@@ -439,18 +489,22 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     workspace: list[WorkspacePair] = []
     for i, raw in enumerate(doc.get("workspace", [])):
         where = f"workspace[{i}]"
-        d_max = float(raw.get("d_max", 0.0))
-        if d_max <= 0.0:
+        _reject_unknown(raw, _WORKSPACE_KEYS, problems, where)
+        found = len(problems)
+        pair = dict(
+            name=str(raw.get("name", f"ws{i}")),
+            link_a=_integer(raw.get("link_a", 0), 0, problems, f"{where}.link_a"),
+            point_a=_vec(raw.get("point_a", [0, 0, 0]), 3, problems, f"{where}.point_a"),
+            link_b=_integer(raw.get("link_b", 0), 0, problems, f"{where}.link_b"),
+            point_b=_vec(raw.get("point_b", [0, 0, 0]), 3, problems, f"{where}.point_b"),
+            d_max=_number(raw.get("d_max", 0.0), 0.0, problems, f"{where}.d_max"),
+        )
+        if len(problems) > found:
+            continue
+        if pair["d_max"] <= 0.0:
             problems.append(f"{where}.d_max: must be > 0")
             continue
-        workspace.append(WorkspacePair(
-            name=str(raw.get("name", f"ws{i}")),
-            link_a=int(raw.get("link_a", 0)),
-            point_a=_vec(raw.get("point_a", [0, 0, 0]), 3, problems, f"{where}.point_a"),
-            link_b=int(raw.get("link_b", 0)),
-            point_b=_vec(raw.get("point_b", [0, 0, 0]), 3, problems, f"{where}.point_b"),
-            d_max=d_max,
-        ))
+        workspace.append(WorkspacePair(**pair))
 
     if robot is not None:
         for i, t in enumerate(tasks):

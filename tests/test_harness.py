@@ -192,6 +192,105 @@ class TestScenarioParsing:
             resolve_input("missing.scenario")
 
 
+
+def every_block_scenario(tmp_path, path=(), key=None, value=None, robot="planar3.robot"):
+    """A mini scenario with a joint task, a link task, an obstacle, a workspace
+    bound and a torque pulse, with ``doc[path...][key] = value`` applied."""
+    hold = {"t": 0.0, "value": [1.1, 2.1, 1.4]}
+    doc = {
+        "format": "issf-wbc/scenario/v1", "name": "mini", "robot": robot,
+        "q0": [1.1, 2.1, 1.4],
+        "tasks": [
+            {"priority": 1, "joints": [0, 1, 2], "gain": 2.0,
+             "waypoints": [hold, {**hold, "t": 0.05}]},
+            {"priority": 2, "link": 2, "point": [0.0, 0.0, 0.0], "interpolation": "linear",
+             "waypoints": [{"t": 0.0, "value": [0.1, 0.0, 0.4]},
+                           {"t": 0.05, "value": [0.1, 0.0, 0.4]}]},
+        ],
+        "obstacles": [{"name": "ball", "shape": "sphere", "position": [2.0, 0.0, 2.0],
+                       "radius": 0.05, "velocity": [0.0, 0.0, 0.0]}],
+        "workspace": [{"name": "ws", "link_a": 0, "point_a": [0.0, 0.0, 0.0],
+                       "link_b": 2, "point_b": [0.0, 0.0, 0.0], "d_max": 5.0}],
+        "collision_pairs": [["hand", "upper"]],
+        "sim": {"duration": 0.05, "seed": 3,
+                "external_torque": [{"start": 0.0, "end": 0.01, "torque": [0.1, 0.0, 0.0]}]},
+    }
+    target = doc
+    for step in path:
+        target = target[step]
+    if key is not None:
+        target[key] = value
+    scenario = tmp_path / "mini.scenario"
+    scenario.write_text(json.dumps(doc))
+    return scenario
+
+
+def single_problem(path):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert len(err.value.problems) == 1, err.value.problems
+    return err.value.problems[0]
+
+
+class TestEveryScenarioValueHonouredOrRejected:
+    @pytest.mark.parametrize("path,key,where", [
+        (("tasks", 0), "gain", "tasks[0].gain"),
+        (("tasks", 1, "waypoints", 0), "t", "tasks[1].waypoints[0].t"),
+        (("workspace", 0), "d_max", "workspace[0].d_max"),
+        (("obstacles", 0), "radius", "obstacles[0].radius"),
+        (("sim", "external_torque", 0), "start", "sim.external_torque[0].start"),
+    ])
+    def test_non_numeric_value_rejected(self, tmp_path, path, key, where):
+        problem = single_problem(every_block_scenario(tmp_path, path, key, "x"))
+        assert problem == f"{where}: expected a number, got 'x'"
+
+    @pytest.mark.parametrize("path,key,where", [
+        (("tasks", 0), "priority", "tasks[0].priority"),
+        (("tasks", 1), "link", "tasks[1].link"),
+        (("tasks", 0, "joints"), 0, "tasks[0].joints[0]"),
+        (("workspace", 0), "link_a", "workspace[0].link_a"),
+        (("sim",), "seed", "sim.seed"),
+    ])
+    @pytest.mark.parametrize("value", ["x", 1.5])
+    def test_non_integer_value_rejected(self, tmp_path, path, key, where, value):
+        problem = single_problem(every_block_scenario(tmp_path, path, key, value))
+        assert problem == f"{where}: expected an integer, got {value!r}"
+
+    @pytest.mark.parametrize("torque", [[1.0], [0.1, 0.0, 0.0, 0.0], [], "abc"])
+    def test_pulse_torque_needs_one_entry_per_joint(self, tmp_path, torque):
+        path = every_block_scenario(tmp_path, ("sim", "external_torque", 0), "torque", torque)
+        assert single_problem(path) == (
+            f"sim.external_torque[0].torque: expected 3 numbers, got {torque!r}")
+
+    @pytest.mark.parametrize("kind", ["quintic", "Linear"])
+    def test_unknown_interpolation_rejected(self, tmp_path, kind):
+        path = every_block_scenario(tmp_path, ("tasks", 1), "interpolation", kind)
+        assert single_problem(path) == (
+            f"tasks[1].interpolation: expected one of ('cubic', 'linear'), got {kind!r}")
+
+    @pytest.mark.parametrize("path,where", [
+        ((), "colour"),
+        (("tasks", 0), "tasks[0].colour"),
+        (("tasks", 1, "waypoints", 1), "tasks[1].waypoints[1].colour"),
+        (("obstacles", 0), "obstacles[0].colour"),
+        (("workspace", 0), "workspace[0].colour"),
+        (("sim", "external_torque", 0), "sim.external_torque[0].colour"),
+    ])
+    def test_unknown_key_rejected_in_every_block(self, tmp_path, path, where):
+        problem = single_problem(every_block_scenario(tmp_path, path, "colour", "red"))
+        assert problem == f"{where}: unknown key"
+
+    @pytest.mark.parametrize("block,key", [
+        ("links", "mass"), ("links", "inertia"), ("joints", "axis"), ("collision", "radius"),
+    ])
+    def test_robot_without_required_key_rejected(self, tmp_path, block, key):
+        robot = json.loads(data_path("planar3.robot").read_text())
+        del robot[block][0][key]
+        robot_path = tmp_path / "planar3.robot"
+        robot_path.write_text(json.dumps(robot))
+        path = every_block_scenario(tmp_path, robot=str(robot_path))
+        assert single_problem(path) == f"robot: {robot_path}: {block}[0].{key}: required"
+
 class TestSpline:
     def test_linear_interpolation(self):
         spline = WaypointSpline.from_knots([0.0, 1.0], [[0.0], [2.0]], kind="linear")
