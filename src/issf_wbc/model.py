@@ -241,9 +241,10 @@ def fk_trace(frames: tuple[tuple, ...], q: list) -> tuple[list, list, list, list
 
     This loop runs only when a kernel is generated: it is the source of the
     FK kernel and of the FK part of the dynamics kernel (``_fastdyn``), and
-    its sums run left to right, as the kernels' do.  Per frame: the axis-angle rotation (Rodrigues), the joint axis and origin in
-    the world, the composed rotation and the link origin, with the fixed
-    origin rotation applied when it is not the identity.
+    its sums run left to right, as the kernels' do.  Per frame: the
+    axis-angle rotation (Rodrigues), the joint axis and origin in the world,
+    the composed rotation and the link origin, with the fixed origin
+    rotation applied when it is not the identity.
     """
     rot, pos, axes, orig = [], [], [], []
     a = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
