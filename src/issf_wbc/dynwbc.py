@@ -53,10 +53,10 @@ class DynWbcWeights:
 
     def __post_init__(self) -> None:
         if self.w_qdd <= 0.0:
-            raise ValueError("w_qdd must be > 0")
+            raise ValueError("w_qdd: must be > 0")
         for name in ("w_c", "w_tau", "w_M"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name}: must be >= 0")
 
     def gains(self, n: int) -> "FeedbackGains":
         """The four feedback gains as n floats each.

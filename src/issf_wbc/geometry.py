@@ -50,7 +50,7 @@ class CollisionBody:
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
-            raise ValueError(f"collision body {self.name!r}: radius must be > 0")
+            raise ValueError(f"radius: must be > 0, got {self.radius!r}")
 
     @property
     def is_world(self) -> bool:
@@ -70,7 +70,7 @@ class WorkspacePair:
 
     def __post_init__(self) -> None:
         if self.d_max <= 0.0:
-            raise ValueError(f"workspace pair {self.name!r}: d_max must be > 0")
+            raise ValueError(f"d_max: must be > 0, got {self.d_max!r}")
 
 
 @dataclass(frozen=True)

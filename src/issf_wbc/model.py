@@ -46,7 +46,12 @@ ROBOT_FORMAT = "issf-wbc/robot/v1"
 
 
 class ModelError(ValueError):
-    """Invalid robot description or state."""
+    """Invalid robot description or state; from ``load_robot``, ``problems``
+    lists every problem of the file, each starting with its field path."""
+
+    def __init__(self, message: str, problems: list[str] | None = None):
+        super().__init__(message)
+        self.problems = [message] if problems is None else problems
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -86,7 +91,6 @@ class JointSpec:
     axis: np.ndarray
     q_min: float = -math.pi
     q_max: float = math.pi
-    qd_max: float = math.inf
     tau_max: float = math.inf
 
 
@@ -118,25 +122,29 @@ class RobotModel:
     collision_bodies: tuple["CollisionBody", ...] = ()
 
     def __post_init__(self) -> None:
+        """Each message starts with the field of a robot file that it names."""
         if len(self.links) != len(self.joints):
-            raise ModelError("links and joints must pair up one-to-one")
+            raise ModelError(f"joints: {len(self.joints)} joints for {len(self.links)} links")
         for i, link in enumerate(self.links):
             if link.parent != i - 1:
-                raise ModelError(
-                    f"link {i}: parent {link.parent} breaks the single serial chain"
-                )
-            if link.mass <= 0.0:
-                raise ModelError(f"link {i}: mass must be > 0")
+                raise ModelError(f"links[{i}].parent: {link.parent} breaks the serial chain")
+            if not 0.0 < link.mass < math.inf:
+                raise ModelError(f"links[{i}].mass: must be finite and > 0, got {link.mass!r}")
             inertia = np.asarray(link.inertia)
+            if not np.isfinite(inertia).all():
+                raise ModelError(f"links[{i}].inertia: must be finite")
             if not np.allclose(inertia, inertia.T, atol=1e-12):
-                raise ModelError(f"link {i}: inertia not symmetric")
+                raise ModelError(f"links[{i}].inertia: not symmetric")
             if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
-                raise ModelError(f"link {i}: inertia not positive definite")
+                raise ModelError(f"links[{i}].inertia: not positive definite")
         for i, joint in enumerate(self.joints):
             if joint.q_min >= joint.q_max:
-                raise ModelError(f"joint {i}: q_min must be < q_max")
+                raise ModelError(f"joints[{i}].limits: lower must be < upper")
             if not math.isclose(float(np.linalg.norm(joint.axis)), 1.0, abs_tol=1e-9):
-                raise ModelError(f"joint {i}: axis must be a unit vector")
+                raise ModelError(f"joints[{i}].axis: must be a unit vector")
+        for i, body in enumerate(self.collision_bodies):
+            if not 0 <= body.link < len(self.links):
+                raise ModelError(f"collision[{i}].link: {body.link} out of range")
 
     @property
     def n_dof(self) -> int:
@@ -447,97 +455,213 @@ def scale_link_masses(model: RobotModel, factor: float) -> RobotModel:
     )
 
 
-def _vec3(raw, where: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (3,):
-        raise ModelError(f"{where}: expected 3 numbers, got {raw!r}")
-    return arr
+def _number(raw) -> float | None:
+    """A JSON int or float as a float: not a bool (JSON values have exact
+    types), a string or NaN; infinity is a number."""
+    try:
+        value = float(raw) if type(raw) in (int, float) else math.nan
+    except OverflowError:       # an int beyond the float range
+        value = math.nan
+    return None if math.isnan(value) else value
 
 
-def _inertia_matrix(raw, where: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape == (3,):
-        return np.diag(arr)
-    if arr.shape == (3, 3):
-        return arr
-    raise ModelError(f"{where}: inertia must be a diagonal 3-vector or 3x3 matrix")
+def _integer(raw) -> int | None:
+    """A JSON int, or a float with a whole value (1.5 is not rounded)."""
+    if type(raw) is float and raw.is_integer():
+        return int(raw)
+    return raw if type(raw) is int else None
 
 
-def _required(raw: dict, key: str, where: str):
-    if key not in raw:
-        raise ModelError(f"{where}.{key}: required")
-    return raw[key]
+def _numbers(raw, n: int) -> np.ndarray | None:
+    """A JSON list of n numbers as an array."""
+    if type(raw) is list and len(raw) == n:
+        values = [_number(x) for x in raw]
+        if None not in values:
+            return np.array(values)
+    return None
+
+
+_REQUIRED = object()    # the default of a key that must be given
+
+
+class Fields:
+    """One JSON object or list of an input file, its entries read by kind.
+
+    ``where`` is the block's field path ("" for the document) and ``problems``
+    the list shared by the whole file.  A reader takes a key (a name, or an
+    index into a list) and a default, which is read like a given value; a key
+    without a default is required.  A missing required entry or one of the
+    wrong kind adds one problem, ``<field path>: <message>``, and reads as
+    None, so that a file is read in full before it is rejected.  A block of
+    the wrong kind reads as an empty block whose entries all read as None.
+    """
+
+    def __init__(self, raw, where: str, problems: list[str], known=()):
+        self.raw, self.where, self.problems = raw, where, problems
+        self.found = len(problems)
+        for key in raw if type(raw) is dict else ():
+            if key not in known:
+                self.problem(key, "unknown key")
+
+    @staticmethod
+    def load(path: Path, form: str, known) -> "Fields":
+        """The document of the JSON file ``path``, which must declare the
+        format ``form``, with a new problem list."""
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:   # not UTF-8, or not JSON
+            return Fields(None, "", [str(exc)])
+        if type(raw) is not dict:
+            return Fields(None, "", [f"expected an object, got {raw!r}"])
+        doc = Fields(raw, "", [], known)
+        doc.string("format", options=(form,))
+        return doc
+
+    @property
+    def ok(self) -> bool:
+        """The block was read, and no problem has been found in it yet."""
+        return self.raw is not None and len(self.problems) == self.found
+
+    def __contains__(self, key) -> bool:
+        return type(self.raw) is dict and key in self.raw
+
+    def __iter__(self):
+        """The keys of an object, the indices of a list."""
+        return iter(range(len(self.raw)) if type(self.raw) is list else self.raw or ())
+
+    def path(self, key) -> str:
+        if type(key) is int:
+            return f"{self.where}[{key}]"
+        return f"{self.where}.{key}" if self.where else key
+
+    def problem(self, key, message: str) -> None:
+        self.problems.append(f"{self.path(key)}: {message}")
+
+    def read(self, key, expected: str, convert, default=_REQUIRED):
+        """The entry at ``key`` (or ``default``) through ``convert``, which
+        gives None for a value that is not ``expected``."""
+        block = self.raw
+        if block is None:
+            return None
+        if type(block) is list or key in block:
+            raw = block[key]
+        elif default is _REQUIRED:
+            self.problem(key, "required")
+            return None
+        else:
+            raw = default
+        value = convert(raw)
+        if value is None:
+            self.problem(key, f"expected {expected}, got {raw!r}")
+        return value
+
+    def number(self, key, default=_REQUIRED) -> float | None:
+        return self.read(key, "a number", _number, default)
+
+    def integer(self, key, default=_REQUIRED) -> int | None:
+        return self.read(key, "an integer", _integer, default)
+
+    def vector(self, key, n: int, default=_REQUIRED) -> np.ndarray | None:
+        return self.read(key, f"{n} numbers", lambda raw: _numbers(raw, n), default)
+
+    def string(self, key, default=_REQUIRED, options: tuple[str, ...] | None = None):
+        """A string; one of ``options`` when they are given."""
+        expected = "a string" if options is None else f"one of {options!r}"
+        return self.read(key, expected, lambda raw: raw if type(raw) is str and (
+            options is None or raw in options) else None, default)
+
+    def block(self, key, known=None, default=_REQUIRED) -> "Fields":
+        """The object at ``key``, whose keys must be in ``known``; with no
+        ``known``, the list at ``key``."""
+        kind, expected = (list, "a list") if known is None else (dict, "an object")
+        where = self.path(key)
+        block = self.read(key, expected, lambda raw: Fields(raw, where, self.problems, known)
+                          if type(raw) is kind else None, default)
+        return Fields(None, where, self.problems) if block is None else block
+
+    def objects(self, known):
+        """(index, entry) for each entry of this list that is an object with
+        keys in ``known``; any other entry is a problem."""
+        for i in self:
+            entry = self.block(i, known)
+            if entry.raw is not None:
+                yield i, entry
+
+    def build(self, make, default=None):
+        """``make()`` once this block has been read without a problem, else
+        ``default``.  A ``ValueError`` from ``make`` is a problem; its message
+        starts with a key of this block."""
+        if not self.ok:
+            return default
+        try:
+            return make()
+        except ValueError as exc:
+            self.problems.extend(self.path(problem) for problem in str(exc).split("; "))
+            return default
+
+
+SHAPES = ("sphere", "capsule")
+
+
+def _inertia(raw) -> np.ndarray | None:
+    """The inertia about the CoM: its diagonal as 3 numbers, or 3 rows of 3."""
+    rows = [_numbers(row, 3) for row in raw] if type(raw) is list and len(raw) == 3 else ()
+    if rows and all(row is not None for row in rows):
+        return np.array(rows)
+    diagonal = _numbers(raw, 3)
+    return None if diagonal is None else np.diag(diagonal)
+
+
+def _axis(raw) -> np.ndarray | None:
+    """A joint axis, scaled to unit length."""
+    axis = _numbers(raw, 3)
+    norm = 0.0 if axis is None else float(np.linalg.norm(axis))
+    return axis / norm if 0.0 < norm < math.inf else None
 
 
 def load_robot(path: str | Path) -> RobotModel:
-    """Load a robot description file (JSON schema ``issf-wbc/robot/v1``)."""
+    """Load a robot description file (JSON schema ``issf-wbc/robot/v1``).
+
+    Every problem found is raised in one ``ModelError``, each one starting
+    with its field path (``links[0].mass: required``).
+    """
     from .geometry import CollisionBody  # deferred: geometry imports this module
 
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    if doc.get("format") != ROBOT_FORMAT:
-        raise ModelError(f"{path}: format must be {ROBOT_FORMAT!r}, got {doc.get('format')!r}")
-
+    doc = Fields.load(path, ROBOT_FORMAT, {"format", "name", "links", "joints", "collision"})
     links = []
-    for i, raw in enumerate(doc.get("links", [])):
-        where = f"{path}: links[{i}]"
-        origin = raw.get("origin", {})
-        links.append(
-            LinkSpec(
-                mass=float(_required(raw, "mass", where)),
-                com=_vec3(raw.get("com", [0, 0, 0]), where + ".com"),
-                inertia=_inertia_matrix(_required(raw, "inertia", where), where),
-                parent=int(raw.get("parent", i - 1)),
-                origin_xyz=_vec3(origin.get("xyz", [0, 0, 0]), where + ".origin.xyz"),
-                origin_rpy=_vec3(origin.get("rpy", [0, 0, 0]), where + ".origin.rpy"),
-            )
-        )
+    for i, link in doc.block("links", default=[]).objects(
+            {"mass", "com", "inertia", "parent", "origin"}):
+        origin = link.block("origin", {"xyz", "rpy"}, {})
+        links.append(LinkSpec(
+            mass=link.number("mass"),
+            com=link.vector("com", 3, [0.0, 0.0, 0.0]),
+            inertia=link.read("inertia", "3 numbers or 3 rows of 3", _inertia),
+            parent=link.integer("parent", i - 1),
+            origin_xyz=origin.vector("xyz", 3, [0.0, 0.0, 0.0]),
+            origin_rpy=origin.vector("rpy", 3, [0.0, 0.0, 0.0]),
+        ))
     joints = []
-    for i, raw in enumerate(doc.get("joints", [])):
-        where = f"{path}: joints[{i}]"
-        axis = _vec3(_required(raw, "axis", where), where + ".axis")
-        norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise ModelError(where + ": zero joint axis")
-        limits = raw.get("limits", {})
-        joints.append(
-            JointSpec(
-                axis=axis / norm,
-                q_min=float(limits.get("lower", -math.pi)),
-                q_max=float(limits.get("upper", math.pi)),
-                qd_max=float(limits.get("velocity", math.inf)),
-                tau_max=float(limits.get("torque", math.inf)),
-            )
-        )
-    if len(links) != len(joints):
-        raise ModelError(f"{path}: {len(links)} links vs {len(joints)} joints")
-
+    for _, joint in doc.block("joints", default=[]).objects({"axis", "limits"}):
+        limits = joint.block("limits", {"lower", "upper", "torque"}, {})
+        joints.append(JointSpec(
+            axis=joint.read("axis", "3 numbers, finite and not all 0", _axis),
+            q_min=limits.number("lower", -math.pi),
+            q_max=limits.number("upper", math.pi),
+            tau_max=limits.number("torque", math.inf),
+        ))
     bodies = []
-    for i, raw in enumerate(doc.get("collision", [])):
-        where = f"{path}: collision[{i}]"
-        shape = raw.get("shape")
-        if shape not in ("sphere", "capsule"):
-            raise ModelError(where + f": shape must be sphere or capsule, got {shape!r}")
-        p0 = _vec3(raw.get("p0", [0, 0, 0]), where + ".p0")
-        p1 = _vec3(_required(raw, "p1", where), where + ".p1") if shape == "capsule" else p0
-        bodies.append(
-            CollisionBody(
-                name=str(raw.get("name", f"body{i}")),
-                link=int(_required(raw, "link", where)),
-                radius=float(_required(raw, "radius", where)),
-                p0=p0,
-                p1=p1,
-            )
-        )
-        if not 0 <= bodies[-1].link < len(links):
-            raise ModelError(where + f": link {bodies[-1].link} out of range")
-
-    return RobotModel(
-        name=str(doc.get("name", path.stem)),
-        links=tuple(links),
-        joints=tuple(joints),
-        collision_bodies=tuple(bodies),
-    )
+    for i, body in doc.block("collision", default=[]).objects(
+            {"name", "link", "shape", "radius", "p0", "p1"}):
+        shape = body.string("shape", options=SHAPES)
+        if shape == "sphere" and "p1" in body:
+            body.problem("p1", "unknown key")
+        p0 = body.vector("p0", 3, [0.0, 0.0, 0.0])
+        values = (body.string("name", f"body{i}"), body.integer("link"), body.number("radius"),
+                  p0, body.vector("p1", 3) if shape == "capsule" else p0)
+        bodies.append(body.build(lambda: CollisionBody(*values)))
+    name = doc.string("name", path.stem)
+    model = doc.build(lambda: RobotModel(name, tuple(links), tuple(joints), tuple(bodies)))
+    if doc.problems:
+        raise ModelError(f"{path}: " + "; ".join(doc.problems), doc.problems)
+    return model

@@ -10,7 +10,6 @@ first problem.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -24,11 +23,13 @@ import numpy as np
 from .dynwbc import DynWbcWeights
 from .geometry import CollisionBody, WorkspacePair
 from .kinwbc import Task
-from .model import RobotModel, load_robot
+from .model import SHAPES, Fields, ModelError, RobotModel, load_robot
 from .safety import (
     BarrierKind,
+    DEFAULT_ACTIVATION_DISTANCE,
     DEFAULT_ALPHA,
     DEFAULT_EPSILON,
+    DEFAULT_SLACK_WEIGHT,
     SLACK_POLICIES,
     FilterConfig,
     FilterMode,
@@ -183,6 +184,11 @@ class ObstacleSpec:
     measurement_noise_std: float = 0.0
     process_noise: float = 1e-2
 
+    def __post_init__(self) -> None:
+        if self.measurement_noise_std < 0.0:
+            raise ValueError(f"measurement_noise_std: must be >= 0, got "
+                             f"{self.measurement_noise_std!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -200,339 +206,203 @@ class Scenario:
     sim: SimConfig
 
 
-def _vec(raw, length, problems, where) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (length,):
-        problems.append(f"{where}: expected {length} numbers, got {raw!r}")
-        return np.zeros(length)
-    return arr
-
-
 _SCENARIO_KEYS = frozenset({"format", "name", "robot", "q0", "qd0", "tasks", "obstacles",
                             "collision_pairs", "workspace", "filter", "dynwbc", "sim"})
 _FILTER_KEYS = frozenset({"mode", "alpha", "epsilon", "slack", "activation_distance"})
 _TASK_KEYS = frozenset({"priority", "link", "point", "joints", "gain", "waypoints",
                         "interpolation"})
-_WAYPOINT_KEYS = frozenset({"t", "value", "velocity"})
 _OBSTACLE_KEYS = frozenset({"name", "shape", "position", "p1", "radius", "velocity",
                             "measurement_noise_std", "process_noise"})
 _WORKSPACE_KEYS = frozenset({"name", "link_a", "point_a", "link_b", "point_b", "d_max"})
-_PULSE_KEYS = frozenset({"start", "end", "torque"})
-_INTERPOLATIONS = ("cubic", "linear")
 
 
-def _reject_unknown(raw: dict, known, problems: list, where: str) -> None:
-    for key in raw or {}:
-        if key not in known:
-            problems.append(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
+def _kind_table(table: Fields, defaults: dict) -> dict:
+    """An ``alpha`` or ``epsilon`` table over ``defaults``.  A NaN is passed
+    on, for ``FilterConfig`` to reject with the bound it breaks."""
+    values = dict(defaults)
+    for key in table:
+        value = table.raw[key]
+        if not (type(value) is float and math.isnan(value)):
+            value = table.number(key)
+        values.update(dict.fromkeys(_KIND_ALIASES.get(key, ()), value))
+    return values
 
 
-def _number(raw, default: float, problems: list, where: str) -> float:
-    """``raw`` as a float; ``default`` and a problem naming ``where`` if it is not a number."""
+def _parse_filter(doc: Fields) -> FilterConfig:
+    block = doc.block("filter", _FILTER_KEYS, {})
+    mode = block.string("mode", "issf-cbf", tuple(mode.value for mode in FilterMode))
+    slack, weight = "slack", DEFAULT_SLACK_WEIGHT
+    if "slack" in block and type(block.raw["slack"]) is dict:
+        weight = block.block("slack", {"weight"}).number("weight", weight)
+    else:
+        slack = block.string("slack", "hard-fail", SLACK_POLICIES)
+    alpha = _kind_table(block.block("alpha", _KIND_ALIASES, {}), DEFAULT_ALPHA)
+    epsilon = _kind_table(block.block("epsilon", _KIND_ALIASES, {}), DEFAULT_EPSILON)
+    distance = block.number("activation_distance", DEFAULT_ACTIVATION_DISTANCE)
+    return block.build(lambda: FilterConfig(FilterMode(mode), alpha, epsilon, slack, weight,
+                                            distance), FilterConfig())
+
+
+def _parse_dynwbc(doc: Fields, n: int | None) -> DynWbcWeights:
+    """The ``dynwbc`` block; its gains are checked by ``DynWbcWeights.gains``
+    for a robot with ``n`` joints (None: not loaded)."""
+    block = doc.block("dynwbc", DynWbcWeights.__dataclass_fields__, {})
+    values = {key: block.number(key) if key.startswith("w_") else block.raw[key]
+              for key in block}
+    weights = block.build(lambda: DynWbcWeights(**values), DynWbcWeights())
+    if n is not None:
+        block.build(lambda: weights.gains(n))
+    return weights
+
+
+def _parse_sim(doc: Fields, n: int | None) -> SimConfig:
+    """The ``sim`` block; a pulse torque has one entry per joint of the robot
+    (``n`` joints; None: not loaded)."""
+    sim = doc.block("sim", SimConfig.__dataclass_fields__, {})
+    pulses = tuple(TorquePulse(pulse.number("start", 0.0), pulse.number("end", 0.0),
+                               np.zeros(0) if n is None else pulse.vector("torque", n))
+                   for _, pulse in sim.block("external_torque", default=[]).objects(
+                       {"start", "end", "torque"}))
+    values = dict(
+        duration=sim.number("duration"), dt_control=sim.number("dt_control", 5e-4),
+        dt_physics=sim.number("dt_physics", 1e-4), mass_scale=sim.number("mass_scale", 1.0),
+        seed=sim.integer("seed", 0), gravity=sim.vector("gravity", 3, [0.0, 0.0, -9.81]))
+    integrator = sim.string("integrator", "semi-implicit-euler",
+                            tuple(integrator.value for integrator in Integrator))
+    return sim.build(lambda: SimConfig(**values, integrator=Integrator(integrator),
+                                       external_torque=pulses), SimConfig(duration=0.0))
+
+
+def _parse_task(task: Fields, i: int, n: int | None, duration: float) -> TaskSpec | None:
+    """Task ``i`` for a robot with ``n`` joints (None: not loaded) and a run
+    of ``duration`` seconds; None when it has a problem."""
+    link = "link" in task
+    if link == ("joints" in task):
+        task.problems.append(f"{task.where}: exactly one of 'link' or 'joints' required")
+        return None
+    block = task if link else task.block("joints")
+    if block.raw is None:       # the length of the waypoints is unknown
+        return None
+    keys = ["link"] if link else list(block)
+    indices = [block.integer(key) for key in keys]
+    for key, index in zip(keys, indices):
+        if None not in (index, n) and not 0 <= index < n:
+            block.problem(key, f"{index} out of range")
+    kind = task.string("interpolation", "cubic", ("cubic", "linear"))
+    knots = task.block("waypoints", default=[])
+    if knots.raw == []:
+        task.problem("waypoints", "at least one waypoint required")
+    entries = [knot for _, knot in knots.objects({"t", "value", "velocity"})]
+    given = ["velocity" in knot for knot in entries]
+    if any(given) and not all(given):
+        task.problem("waypoints", "give a velocity at every waypoint or at none")
+    dim = 3 if link else len(indices)
+    times = [knot.number("t", 0.0) for knot in entries]
+    values = [knot.vector("value", dim) for knot in entries]
+    velocities = [knot.vector("velocity", dim) for knot in entries] if all(given) else None
+    if knots.ok:    # an index out of range does not keep the spline from being checked
+        try:
+            spline = WaypointSpline.from_knots(times, np.array(values), velocities, kind=kind)
+        except ValueError as exc:
+            task.problem("waypoints", str(exc))
+        else:
+            if duration > 0 and spline.end_time < duration - 1e-12:
+                task.problem("waypoints", f"spline ends at {spline.end_time} s "
+                                          f"but sim.duration is {duration} s")
+    priority, gain = task.integer("priority", i + 1), task.number("gain", 5.0)
+    point = task.vector("point", 3, [0.0, 0.0, 0.0])
+    return task.build(lambda: TaskSpec(priority, spline, gain, indices[0] if link else None,
+                                       tuple(point.tolist()), None if link else tuple(indices)))
+
+
+def _parse_obstacle(obstacle: Fields, i: int) -> ObstacleSpec | None:
+    shape = obstacle.string("shape", "sphere", SHAPES)
+    if shape == "sphere" and "p1" in obstacle:
+        obstacle.problem("p1", "unknown key")
+    p0 = obstacle.vector("position", 3)
+    body = (obstacle.string("name", f"obstacle{i}"), -1, obstacle.number("radius"), p0,
+            obstacle.vector("p1", 3) if shape == "capsule" else p0)
+    motion = (obstacle.vector("velocity", 3, [0.0, 0.0, 0.0]),
+              obstacle.number("measurement_noise_std", 0.0),
+              obstacle.number("process_noise", 1e-2))
+    return obstacle.build(lambda: ObstacleSpec(CollisionBody(*body), *motion))
+
+
+def _parse_pair(pairs: Fields, i: int, robot: RobotModel | None):
+    """Collision pair ``i``, the names of two of the robot's bodies; None
+    when it has a problem."""
+    entry = pairs.block(i)
+    if entry.raw is not None and len(entry.raw) != 2:
+        pairs.problem(i, f"expected [name_a, name_b], got {entry.raw!r}")
+        return None
+    names = [entry.string(k) for k in entry]
+    if robot is None or not entry.ok:
+        return None
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        problems.append(f"{where}: expected a number, got {raw!r}")
-        return default
+        a, b = (robot.collision_body(name) for name in names)
+    except ModelError as exc:
+        pairs.problem(i, str(exc))
+        return None
+    if abs(a.link - b.link) > 1:
+        return a, b
+    pairs.problem(i, f"bodies on adjacent links ({a.link}, {b.link}) are "
+                     "permanently near contact and must be whitelisted out")
+    return None
 
 
-def _integer(raw, default: int, problems: list, where: str) -> int:
-    """``raw`` as an int; ``default`` and a problem naming ``where`` if it is not
-    a whole number (1.5 is not rounded)."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not value.is_integer():
-        problems.append(f"{where}: expected an integer, got {raw!r}")
-        return default
-    return raw if isinstance(raw, int) else int(value)
-
-
-def _parse_kind_table(raw: dict, defaults: dict, problems: list, where: str) -> dict:
-    table = dict(defaults)
-    for key, value in (raw or {}).items():
-        kinds = _KIND_ALIASES.get(key)
-        if kinds is None:
-            problems.append(f"{where}.{key}: unknown constraint kind")
-            continue
-        for kind in kinds:
-            table[kind] = _number(value, defaults[kind], problems, f"{where}.{key}")
-    return table
-
-
-def _parse_filter(raw: dict, problems: list) -> FilterConfig:
-    _reject_unknown(raw, _FILTER_KEYS, problems, "filter")
-    mode_name = (raw or {}).get("mode", "issf-cbf")
-    try:
-        mode = FilterMode(mode_name)
-    except ValueError:
-        problems.append(f"filter.mode: unknown mode {mode_name!r}")
-        mode = FilterMode.ISSF_CBF
-    slack = (raw or {}).get("slack", "hard-fail")
-    weight = 1e6
-    if isinstance(slack, dict):
-        weight = _number(slack.get("weight", weight), weight, problems, "filter.slack.weight")
-        slack = "slack"
-    if slack not in SLACK_POLICIES:
-        problems.append(f"filter.slack: expected one of {SLACK_POLICIES}, got {slack!r}")
-        slack = "hard-fail"
-    alpha = _parse_kind_table((raw or {}).get("alpha"), DEFAULT_ALPHA, problems, "filter.alpha")
-    epsilon = _parse_kind_table((raw or {}).get("epsilon"), DEFAULT_EPSILON, problems, "filter.epsilon")
-    activation_distance = _number((raw or {}).get("activation_distance", 0.3), 0.3, problems,
-                                  "filter.activation_distance")
-    try:
-        return FilterConfig(mode=mode, alpha=alpha, epsilon=epsilon, slack_policy=slack,
-                            slack_weight=weight, activation_distance=activation_distance)
-    except ValueError as exc:   # FilterConfig joins its problems with "; "
-        problems.extend(f"filter.{problem}" for problem in str(exc).split("; "))
-        return FilterConfig()
-
-
-def _parse_sim(raw: dict, n: int | None, problems: list) -> SimConfig:
-    """The ``sim`` block; ``n`` is the robot's joint count (None when the
-    robot did not load), which each pulse torque must match."""
-    raw = raw or {}
-    _reject_unknown(raw, SimConfig.__dataclass_fields__, problems, "sim")
-    if "duration" not in raw:
-        problems.append("sim.duration: required")
-    integ_name = raw.get("integrator", "semi-implicit-euler")
-    try:
-        integrator = Integrator(integ_name)
-    except ValueError:
-        problems.append(f"sim.integrator: unknown integrator {integ_name!r}")
-        integrator = Integrator.SEMI_IMPLICIT_EULER
-    pulses = []
-    for i, p in enumerate(raw.get("external_torque", [])):
-        where = f"sim.external_torque[{i}]"
-        _reject_unknown(p, _PULSE_KEYS, problems, where)
-        pulses.append(TorquePulse(
-            start=_number(p.get("start", 0.0), 0.0, problems, f"{where}.start"),
-            end=_number(p.get("end", 0.0), 0.0, problems, f"{where}.end"),
-            torque=(np.zeros(0) if n is None
-                    else _vec(p.get("torque"), n, problems, f"{where}.torque")),
-        ))
-    number = {key: _number(raw.get(key, default), default, problems, f"sim.{key}")
-              for key, default in (("duration", 0.0), ("dt_control", 5e-4),
-                                   ("dt_physics", 1e-4), ("mass_scale", 1.0))}
-    try:
-        return SimConfig(
-            **number,
-            integrator=integrator,
-            seed=_integer(raw.get("seed", 0), 0, problems, "sim.seed"),
-            gravity=_vec(raw.get("gravity", [0.0, 0.0, -9.81]), 3, problems, "sim.gravity"),
-            external_torque=tuple(pulses),
-        )
-    except ValueError as exc:
-        problems.append(f"sim: {exc}")
-        return SimConfig(duration=0.0)
+def _parse_workspace(bound: Fields, i: int, n: int | None) -> WorkspacePair | None:
+    values = dict(name=bound.string("name", f"ws{i}"), link_a=bound.integer("link_a", 0),
+                  point_a=bound.vector("point_a", 3, [0.0, 0.0, 0.0]),
+                  link_b=bound.integer("link_b", 0),
+                  point_b=bound.vector("point_b", 3, [0.0, 0.0, 0.0]),
+                  d_max=bound.number("d_max"))
+    for key in ("link_a", "link_b"):
+        if None not in (values[key], n) and not 0 <= values[key] < n:
+            bound.problem(key, f"{values[key]} out of range")
+    return bound.build(lambda: WorkspacePair(**values))
 
 
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
-    """Parse and validate a scenario file; raises ScenarioError with diagnostics."""
+    """Parse and validate a scenario file; raises ScenarioError with every
+    problem found, each starting with its field path."""
     path = resolve_input(path)
-    base = path.parent
+    doc = Fields.load(path, SCENARIO_FORMAT, _SCENARIO_KEYS)
+    robot, robot_path = None, Path(".")
+    robot_name = doc.string("robot")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(path, [f"line {exc.lineno}, col {exc.colno}: {exc.msg}"]) from exc
+        if robot_name is not None:
+            robot_path = resolve_input(robot_name, path.parent)
+            robot = load_robot(robot_path)
+    except ModelError as exc:
+        doc.problems.extend(f"robot: {robot_path}: {problem}" for problem in exc.problems)
+    except OSError as exc:
+        doc.problem("robot", str(exc))
+    n = None if robot is None else robot.n_dof
 
-    problems: list[str] = []
-    _reject_unknown(doc, _SCENARIO_KEYS, problems, "")
-    if doc.get("format") != SCENARIO_FORMAT:
-        problems.append(f"format: must be {SCENARIO_FORMAT!r}, got {doc.get('format')!r}")
+    q0 = qd0 = np.zeros(0)
+    if robot is not None:
+        q0, qd0 = (doc.vector(key, n, [0.0] * n) for key in ("q0", "qd0"))
+        if q0 is not None and (np.any(q0 < robot.q_min) or np.any(q0 > robot.q_max)):
+            doc.problem("q0", "outside joint limits")
 
-    robot = None
-    robot_path = Path(".")
-    try:
-        robot_path = resolve_input(doc.get("robot", ""), base)
-        robot = load_robot(robot_path)
-    except (OSError, ValueError) as exc:
-        problems.append(f"robot: {exc}")
-    n = robot.n_dof if robot is not None else 0
-
-    q0 = _vec(doc.get("q0", [0.0] * n), n, problems, "q0") if robot else np.zeros(0)
-    qd0 = _vec(doc.get("qd0", [0.0] * n), n, problems, "qd0") if robot else np.zeros(0)
-
-    sim = _parse_sim(doc.get("sim"), n if robot is not None else None, problems)
+    sim = _parse_sim(doc, n)
     if seed is not None:
         sim = dc_replace(sim, seed=seed)
-    filter_config = _parse_filter(doc.get("filter"), problems)
-
-    fields = DynWbcWeights.__dataclass_fields__
-    _reject_unknown(doc.get("dynwbc"), fields, problems, "dynwbc")
-    try:
-        weights = DynWbcWeights(**{
-            key: value for key, value in (doc.get("dynwbc") or {}).items()
-            if key in fields
-        })
-    except (TypeError, ValueError) as exc:
-        problems.append(f"dynwbc: {exc}")
-        weights = DynWbcWeights()
-    if robot is not None:
-        try:
-            weights.gains(n)
-        except ValueError as exc:   # gains joins its problems with "; "
-            problems.extend(f"dynwbc.{problem}" for problem in str(exc).split("; "))
-
-    tasks: list[TaskSpec] = []
-    for i, raw in enumerate(doc.get("tasks", [])):
-        where = f"tasks[{i}]"
-        _reject_unknown(raw, _TASK_KEYS, problems, where)
-        has_link = "link" in raw
-        has_joints = "joints" in raw
-        if has_link == has_joints:
-            problems.append(f"{where}: exactly one of 'link' or 'joints' required")
-            continue
-        knots = raw.get("waypoints", [])
-        if not knots:
-            problems.append(f"{where}.waypoints: at least one waypoint required")
-            continue
-        found = len(problems)       # a task with a bad field is not built further
-        kind = raw.get("interpolation", "cubic")
-        if kind not in _INTERPOLATIONS:
-            problems.append(f"{where}.interpolation: expected one of {_INTERPOLATIONS}, "
-                            f"got {kind!r}")
-        joints = None
-        if has_joints:
-            joints = tuple(_integer(j, 0, problems, f"{where}.joints[{k}]")
-                           for k, j in enumerate(raw["joints"]))
-        dim = 3 if has_link else len(joints)
-        for j, w in enumerate(knots):
-            _reject_unknown(w, _WAYPOINT_KEYS, problems, f"{where}.waypoints[{j}]")
-        times = [_number(w.get("t", 0.0), 0.0, problems, f"{where}.waypoints[{j}].t")
-                 for j, w in enumerate(knots)]
-        values = [_vec(w.get("value"), dim, problems, f"{where}.waypoints[{j}].value")
-                  for j, w in enumerate(knots)]
-        vels = None
-        if all("velocity" in w for w in knots):
-            vels = [_vec(w["velocity"], dim, problems, f"{where}.waypoints[{j}].velocity")
-                    for j, w in enumerate(knots)]
-        spec = dict(
-            priority=_integer(raw.get("priority", i + 1), i + 1, problems, f"{where}.priority"),
-            gain=_number(raw.get("gain", 5.0), 5.0, problems, f"{where}.gain"),
-            link=_integer(raw["link"], 0, problems, f"{where}.link") if has_link else None,
-            point=tuple(_vec(raw.get("point", [0, 0, 0]), 3, problems,
-                             f"{where}.point").tolist()),
-            joints=joints,
-        )
-        if len(problems) > found:
-            continue
-        try:
-            spline = WaypointSpline.from_knots(times, np.array(values), vels, kind=kind)
-        except ValueError as exc:
-            problems.append(f"{where}.waypoints: {exc}")
-            continue
-        if sim.duration > 0 and spline.end_time < sim.duration - 1e-12:
-            problems.append(
-                f"{where}.waypoints: spline ends at {spline.end_time} s "
-                f"but sim.duration is {sim.duration} s"
-            )
-        tasks.append(TaskSpec(spline=spline, **spec))
-    seen_priorities = [t.priority for t in tasks]
-    if len(set(seen_priorities)) != len(seen_priorities):
-        problems.append("tasks: priorities must be unique")
-
-    obstacles: list[ObstacleSpec] = []
-    for i, raw in enumerate(doc.get("obstacles", [])):
-        where = f"obstacles[{i}]"
-        _reject_unknown(raw, _OBSTACLE_KEYS, problems, where)
-        shape = raw.get("shape", "sphere")
-        if shape not in ("sphere", "capsule"):
-            problems.append(f"{where}.shape: must be sphere or capsule")
-            continue
-        found = len(problems)
-        p0 = _vec(raw.get("position"), 3, problems, f"{where}.position")
-        p1 = _vec(raw.get("p1"), 3, problems, f"{where}.p1") if shape == "capsule" else p0
-        radius = _number(raw.get("radius", 0.0), 0.0, problems, f"{where}.radius")
-        spec = dict(
-            velocity=_vec(raw.get("velocity", [0, 0, 0]), 3, problems, f"{where}.velocity"),
-            measurement_noise_std=_number(raw.get("measurement_noise_std", 0.0), 0.0,
-                                          problems, f"{where}.measurement_noise_std"),
-            process_noise=_number(raw.get("process_noise", 1e-2), 1e-2, problems,
-                                  f"{where}.process_noise"),
-        )
-        if len(problems) > found:
-            continue
-        try:
-            body = CollisionBody(name=str(raw.get("name", f"obstacle{i}")), link=-1,
-                                 radius=radius, p0=p0, p1=p1)
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-            continue
-        obstacles.append(ObstacleSpec(body=body, **spec))
-
-    pairs: list[tuple[CollisionBody, CollisionBody]] = []
-    if robot is not None:
-        for i, raw in enumerate(doc.get("collision_pairs", [])):
-            where = f"collision_pairs[{i}]"
-            if not (isinstance(raw, list) and len(raw) == 2):
-                problems.append(f"{where}: expected [name_a, name_b]")
-                continue
-            try:
-                a = robot.collision_body(str(raw[0]))
-                b = robot.collision_body(str(raw[1]))
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
-                continue
-            if abs(a.link - b.link) <= 1:
-                problems.append(
-                    f"{where}: bodies on adjacent links ({a.link}, {b.link}) are "
-                    "permanently near contact and must be whitelisted out"
-                )
-                continue
-            pairs.append((a, b))
-
-    workspace: list[WorkspacePair] = []
-    for i, raw in enumerate(doc.get("workspace", [])):
-        where = f"workspace[{i}]"
-        _reject_unknown(raw, _WORKSPACE_KEYS, problems, where)
-        found = len(problems)
-        pair = dict(
-            name=str(raw.get("name", f"ws{i}")),
-            link_a=_integer(raw.get("link_a", 0), 0, problems, f"{where}.link_a"),
-            point_a=_vec(raw.get("point_a", [0, 0, 0]), 3, problems, f"{where}.point_a"),
-            link_b=_integer(raw.get("link_b", 0), 0, problems, f"{where}.link_b"),
-            point_b=_vec(raw.get("point_b", [0, 0, 0]), 3, problems, f"{where}.point_b"),
-            d_max=_number(raw.get("d_max", 0.0), 0.0, problems, f"{where}.d_max"),
-        )
-        if len(problems) > found:
-            continue
-        if pair["d_max"] <= 0.0:
-            problems.append(f"{where}.d_max: must be > 0")
-            continue
-        workspace.append(WorkspacePair(**pair))
-
-    if robot is not None:
-        for i, t in enumerate(tasks):
-            if t.link is not None and not 0 <= t.link < n:
-                problems.append(f"tasks[{i}].link: {t.link} out of range")
-            if t.joints is not None and any(not 0 <= j < n for j in t.joints):
-                problems.append(f"tasks[{i}].joints: index out of range")
-        for i, w in enumerate(workspace):
-            for label, link in (("link_a", w.link_a), ("link_b", w.link_b)):
-                if not 0 <= link < n:
-                    problems.append(f"workspace[{i}].{label}: {link} out of range")
-        if np.any(q0 < robot.q_min) or np.any(q0 > robot.q_max):
-            problems.append("q0: outside joint limits")
-
-    if problems:
-        raise ScenarioError(path, problems)
-
-    return Scenario(
-        name=str(doc.get("name", path.stem)),
-        robot=robot,
-        robot_path=robot_path,
-        q0=q0,
-        qd0=qd0,
-        tasks=tuple(tasks),
-        obstacles=tuple(obstacles),
-        collision_pairs=tuple(pairs),
-        workspace_pairs=tuple(workspace),
-        filter_config=filter_config,
-        weights=weights,
-        sim=sim,
-    )
+    filter_config = _parse_filter(doc)
+    weights = _parse_dynwbc(doc, n)
+    tasks = tuple(_parse_task(task, i, n, sim.duration)
+                  for i, task in doc.block("tasks", default=[]).objects(_TASK_KEYS))
+    priorities = [task.priority for task in tasks if task is not None]
+    if len(set(priorities)) != len(priorities):
+        doc.problem("tasks", "priorities must be unique")
+    obstacles = tuple(_parse_obstacle(obstacle, i) for i, obstacle
+                      in doc.block("obstacles", default=[]).objects(_OBSTACLE_KEYS))
+    pairs = doc.block("collision_pairs", default=[])
+    pairs = tuple(_parse_pair(pairs, i, robot) for i in pairs)
+    workspace = tuple(_parse_workspace(bound, i, n) for i, bound
+                      in doc.block("workspace", default=[]).objects(_WORKSPACE_KEYS))
+    name = doc.string("name", path.stem)
+    if doc.problems:
+        raise ScenarioError(path, doc.problems)
+    return Scenario(name, robot, robot_path, q0, qd0, tasks, obstacles, pairs, workspace,
+                    filter_config, weights, sim)

@@ -97,10 +97,14 @@ class SimConfig:
     external_torque: tuple[TorquePulse, ...] = ()
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration: must be finite and >= 0, got {self.duration!r}")
+        if not self.dt_physics > 0.0:
+            raise ValueError(f"dt_physics: must be > 0, got {self.dt_physics!r}")
         if self.dt_physics > self.dt_control + 1e-15:
-            raise ValueError("dt_physics must be <= dt_control")
+            raise ValueError("dt_physics: must be <= dt_control")
         if self.mass_scale <= 0.0:
-            raise ValueError("mass_scale must be > 0")
+            raise ValueError("mass_scale: must be > 0")
 
     @property
     def substeps(self) -> int:

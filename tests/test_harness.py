@@ -9,6 +9,7 @@ import issf_wbc.cli
 from issf_wbc.cli import main as cli_main
 from issf_wbc.dynwbc import DynWbcInfeasibleError
 from issf_wbc.harness import collision_events, output_root, run_scenario, run_sweep
+from issf_wbc.model import ModelError, load_robot
 from issf_wbc.qpsolver import QpSolution, QpStatus
 from issf_wbc.safety import BarrierKind, FilterInfeasibleError
 from issf_wbc.scenario import (
@@ -226,9 +227,12 @@ def every_block_scenario(tmp_path, path=(), key=None, value=None, robot="planar3
 
 
 def single_problem(path):
+    """The one problem of the scenario file ``path``, which ``issf-wbc check``
+    also reports, exiting with code 2."""
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
     assert len(err.value.problems) == 1, err.value.problems
+    assert cli_main(["check", str(path)]) == 2
     return err.value.problems[0]
 
 
@@ -290,6 +294,178 @@ class TestEveryScenarioValueHonouredOrRejected:
         robot_path.write_text(json.dumps(robot))
         path = every_block_scenario(tmp_path, robot=str(robot_path))
         assert single_problem(path) == f"robot: {robot_path}: {block}[0].{key}: required"
+
+    @pytest.mark.parametrize("path,key,where", [
+        ((), "tasks", "tasks"), ((), "obstacles", "obstacles"), ((), "workspace", "workspace"),
+        ((), "collision_pairs", "collision_pairs"),
+        (("sim",), "external_torque", "sim.external_torque"),
+        (("tasks", 0), "waypoints", "tasks[0].waypoints"),
+        (("tasks", 0), "joints", "tasks[0].joints"),
+    ])
+    def test_list_of_another_kind_rejected(self, tmp_path, path, key, where):
+        problem = single_problem(every_block_scenario(tmp_path, path, key, 5))
+        assert problem == f"{where}: expected a list, got 5"
+
+    @pytest.mark.parametrize("path,key,where,kind", [
+        (("tasks",), 0, "tasks[0]", "an object"),
+        (("tasks", 1, "waypoints"), 0, "tasks[1].waypoints[0]", "an object"),
+        (("obstacles",), 0, "obstacles[0]", "an object"),
+        (("workspace",), 0, "workspace[0]", "an object"),
+        (("sim", "external_torque"), 0, "sim.external_torque[0]", "an object"),
+        (("collision_pairs",), 0, "collision_pairs[0]", "a list"),
+    ])
+    def test_list_entry_of_another_kind_rejected(self, tmp_path, path, key, where, kind):
+        problem = single_problem(every_block_scenario(tmp_path, path, key, 1))
+        assert problem == f"{where}: expected {kind}, got 1"
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("sim", [1], "sim"), ("filter", [1], "filter"), ("dynwbc", [1], "dynwbc"),
+        ("filter", {"alpha": [1]}, "filter.alpha"),
+    ])
+    def test_block_of_another_kind_rejected(self, tmp_path, key, value, where):
+        problem = single_problem(every_block_scenario(tmp_path, (), key, value))
+        assert problem == f"{where}: expected an object, got [1]"
+
+    @pytest.mark.parametrize("key,value", [("robot", 5), ("name", [1])])
+    def test_string_of_another_kind_rejected(self, tmp_path, key, value):
+        problem = single_problem(every_block_scenario(tmp_path, (), key, value))
+        assert problem == f"{key}: expected a string, got {value!r}"
+
+    @pytest.mark.parametrize("path,key,value,problem", [
+        (("tasks", 0), "gain", "100", "tasks[0].gain: expected a number, got '100'"),
+        (("tasks", 0), "gain", True, "tasks[0].gain: expected a number, got True"),
+        (("tasks", 0), "gain", math.nan, "tasks[0].gain: expected a number, got nan"),
+        (("obstacles", 0), "radius", math.nan, "obstacles[0].radius: expected a number, got nan"),
+        (("workspace", 0), "d_max", math.nan, "workspace[0].d_max: expected a number, got nan"),
+        (("sim",), "mass_scale", math.nan, "sim.mass_scale: expected a number, got nan"),
+        (("sim",), "duration", math.nan, "sim.duration: expected a number, got nan"),
+        (("sim",), "seed", True, "sim.seed: expected an integer, got True"),
+        ((), "filter", {"activation_distance": math.nan},
+         "filter.activation_distance: expected a number, got nan"),
+        ((), "dynwbc", {"w_tau": math.nan}, "dynwbc.w_tau: expected a number, got nan"),
+        ((), "dynwbc", {"w_tau": "1e-4"}, "dynwbc.w_tau: expected a number, got '1e-4'"),
+    ])
+    def test_number_rule(self, tmp_path, path, key, value, problem):
+        assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem
+
+    @pytest.mark.parametrize("path,key,value,problem", [
+        (("sim",), "dt_physics", -1e-4, "sim.dt_physics: must be > 0, got -0.0001"),
+        (("sim",), "dt_physics", 0.0, "sim.dt_physics: must be > 0, got 0.0"),
+        (("sim",), "duration", -1.0, "sim.duration: must be finite and >= 0, got -1.0"),
+        (("sim",), "duration", math.inf, "sim.duration: must be finite and >= 0, got inf"),
+        (("obstacles", 0), "measurement_noise_std", -0.1,
+         "obstacles[0].measurement_noise_std: must be >= 0, got -0.1"),
+        ((), "dynwbc", {"w_qdd": 0.0}, "dynwbc.w_qdd: must be > 0"),
+    ])
+    def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
+        assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem
+
+    def test_sphere_obstacle_has_no_second_end(self, tmp_path):
+        path = every_block_scenario(tmp_path, ("obstacles", 0), "p1", [2.0, 0.0, 2.0])
+        assert single_problem(path) == "obstacles[0].p1: unknown key"
+
+
+def robot_problem(tmp_path, path, key, value):
+    """The one problem of a copy of ``planar3.robot`` with ``doc[path...][key]
+    = value``: ``load_robot`` raises it in a ``ModelError``, and a scenario on
+    that robot reports it under ``robot: <path>``."""
+    robot = json.loads(data_path("planar3.robot").read_text())
+    target = robot
+    for step in path:
+        target = target[step]
+    target[key] = value
+    robot_path = tmp_path / "planar3.robot"
+    robot_path.write_text(json.dumps(robot))
+    with pytest.raises(ModelError) as err:
+        load_robot(robot_path)
+    assert len(err.value.problems) == 1, err.value.problems
+    problem = err.value.problems[0]
+    assert str(err.value) == f"{robot_path}: {problem}"
+    scenario = every_block_scenario(tmp_path, robot=str(robot_path))
+    assert single_problem(scenario) == f"robot: {robot_path}: {problem}"
+    return problem
+
+
+class TestEveryRobotValueHonouredOrRejected:
+    @pytest.mark.parametrize("path,key,value,problem", [
+        ((), "links", 5, "links: expected a list, got 5"),
+        (("links",), 0, 1, "links[0]: expected an object, got 1"),
+        (("joints",), 0, 5, "joints[0]: expected an object, got 5"),
+        (("collision",), 0, 1, "collision[0]: expected an object, got 1"),
+        (("links", 0), "origin", 5, "links[0].origin: expected an object, got 5"),
+        (("joints", 0), "limits", 5, "joints[0].limits: expected an object, got 5"),
+    ])
+    def test_block_of_another_kind_rejected(self, tmp_path, path, key, value, problem):
+        assert robot_problem(tmp_path, path, key, value) == problem
+
+    @pytest.mark.parametrize("path,key,value,problem", [
+        (("links", 0), "mass", "abc", "links[0].mass: expected a number, got 'abc'"),
+        (("joints", 0, "limits"), "lower", "x",
+         "joints[0].limits.lower: expected a number, got 'x'"),
+        (("links", 0), "parent", "x", "links[0].parent: expected an integer, got 'x'"),
+        (("collision", 0), "link", 1.5, "collision[0].link: expected an integer, got 1.5"),
+        (("links", 0), "com", [0.0, 0.0], "links[0].com: expected 3 numbers, got [0.0, 0.0]"),
+        (("collision", 0), "shape", "cube",
+         "collision[0].shape: expected one of ('sphere', 'capsule'), got 'cube'"),
+    ])
+    def test_value_of_another_kind_rejected(self, tmp_path, path, key, value, problem):
+        assert robot_problem(tmp_path, path, key, value) == problem
+
+    @pytest.mark.parametrize("path,key,value", [
+        ((), "colour", "red"),
+        (("links", 0), "inertai", [1.0, 1.0, 1.0]),
+        (("links", 0, "origin"), "xzy", [0.0, 0.0, 0.0]),
+        (("joints", 0, "limits"), "velocity", 12.0),
+        (("collision", 2), "p1", [0.0, 0.0, 0.0]),      # "hand" is a sphere
+    ])
+    def test_unknown_key_rejected(self, tmp_path, path, key, value):
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                        for step in (*path, key)).lstrip(".")
+        assert robot_problem(tmp_path, path, key, value) == f"{where}: unknown key"
+
+    @pytest.mark.parametrize("path,key,value,problem", [
+        (("links", 0), "mass", 0.0, "links[0].mass: must be finite and > 0, got 0.0"),
+        (("links", 0), "inertia", [1.0, -1.0, 1.0], "links[0].inertia: not positive definite"),
+        (("links", 1), "parent", 5, "links[1].parent: 5 breaks the serial chain"),
+        (("joints", 0), "axis", [0.0, 0.0, 0.0],
+         "joints[0].axis: expected 3 numbers, finite and not all 0, got [0.0, 0.0, 0.0]"),
+        (("joints", 0, "limits"), "lower", 3.0, "joints[0].limits: lower must be < upper"),
+        (("collision", 0), "link", 3, "collision[0].link: 3 out of range"),
+        (("collision", 0), "radius", 0.0, "collision[0].radius: must be > 0, got 0.0"),
+    ])
+    def test_bad_value_names_its_field(self, tmp_path, path, key, value, problem):
+        assert robot_problem(tmp_path, path, key, value) == problem
+
+    def test_every_problem_of_the_file_is_reported(self, tmp_path):
+        robot = json.loads(data_path("planar3.robot").read_text())
+        robot["links"][0]["mass"] = "abc"
+        robot["joints"][2]["axis"] = [0.0, 1.0]
+        robot["collision"][1]["colour"] = "red"
+        path = tmp_path / "planar3.robot"
+        path.write_text(json.dumps(robot))
+        with pytest.raises(ModelError) as err:
+            load_robot(path)
+        assert err.value.problems == [
+            "links[0].mass: expected a number, got 'abc'",
+            "joints[2].axis: expected 3 numbers, finite and not all 0, got [0.0, 1.0]",
+            "collision[1].colour: unknown key",
+        ]
+
+    def test_inertia_may_be_a_full_matrix(self, tmp_path):
+        robot = json.loads(data_path("planar3.robot").read_text())
+        robot["links"][1]["inertia"] = [[0.001, 0.0, 0.0], [0.0, 0.052, 0.0], [0.0, 0.0, 0.052]]
+        path = tmp_path / "planar3.robot"
+        path.write_text(json.dumps(robot))
+        model = load_robot(path)
+        assert np.array_equal(model.links[1].inertia,
+                              load_robot(data_path("planar3.robot")).links[1].inertia)
+        robot["links"][1]["inertia"][2] = [0.0, 0.052]
+        path.write_text(json.dumps(robot))
+        with pytest.raises(ModelError) as err:
+            load_robot(path)
+        assert err.value.problems == [
+            "links[1].inertia: expected 3 numbers or 3 rows of 3, got "
+            "[[0.001, 0.0, 0.0], [0.0, 0.052, 0.0], [0.0, 0.052]]"]
 
 class TestSpline:
     def test_linear_interpolation(self):

@@ -1,6 +1,8 @@
 """The scripts under ``benchmarks/`` run against the package's current signatures."""
 
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "kernels.py"
@@ -39,3 +41,62 @@ def test_trace_digests_script_prints_every_digest(capsys):
     assert {kernel[2] for kernel in kernels} == {"fk", "dynamics"}
     assert {"planar3", "arm7", "planar3*1.2", "arm7*1.2"} <= {kernel[1] for kernel in kernels}
     assert len(runs) + len(kernels) == len(outputs[0])
+
+
+def test_opcounts_script_counts_every_stage(capsys):
+    script = SCRIPT.with_name("opcounts.py")
+    spec = importlib.util.spec_from_file_location("opcounts", script)
+    opcounts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(opcounts)
+    outputs = []
+    for _ in range(2):
+        assert opcounts.main(["--duration", "0.002"]) == 0     # 4 cycles, 2 counted
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] == outputs[1]
+    lines = [line.split() for line in outputs[0]]
+    runs = [(scenario, mode.value) for scenario in ("hand_track", "obstacle_track")
+            for mode in opcounts.FilterMode]
+    assert [line for line in lines if line[0] == "cycles"] == [
+        ["cycles", *run, "2"] for run in runs]
+    assert {tuple(line[1:3]) for line in lines} == set(runs)
+    bytecodes = {(line[1], line[2], line[3]): float(line[5]) for line in lines
+                 if line[0] == "step" and line[4] == "bytecodes"}
+    stages = {stage for _, _, stage in bytecodes}
+    assert {"forward_kinematics", "prioritized_ik", "collect_constraints", "filter_velocity",
+            "solve_dynwbc", "motor_torque", "ecbf_rows", "step", "total"} <= stages
+    for scenario, mode in runs:
+        parts = sum(count for (s, m, stage), count in bytecodes.items()
+                    if (s, m) == (scenario, mode) and stage != "total")
+        assert bytecodes[scenario, mode, "total"] == parts > 0
+    assert {line[3] for line in lines if line[0] == "plant"} == {"step_physics"}
+
+    # The total agrees with a count of whole ``Controller.step`` calls.
+    sim, counted = opcounts.sim, []
+
+    def count_opcodes(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return tally
+
+    def tally(frame, event, arg):
+        if event == "opcode":
+            counted[-1] += 1
+        return tally
+
+    def step(self, *args):
+        counted.append(0)
+        sys.settrace(count_opcodes)
+        try:
+            return opcounts.STEP(self, *args)
+        finally:
+            sys.settrace(None)
+
+    scenario = opcounts.load_scenario(opcounts.resolve_input("obstacle_track.scenario"))
+    scenario = replace(scenario, sim=replace(scenario.sim, duration=0.002))
+    plant = opcounts.scale_link_masses(scenario.robot, scenario.sim.mass_scale)
+    sim.Controller.step = step
+    try:
+        sim.run_closed_loop(scenario.robot, plant, scenario, opcounts.FilterMode.ECBF)
+    finally:
+        sim.Controller.step = opcounts.STEP
+    assert sum(counted[2:]) / 2 == bytecodes["obstacle_track", "ecbf", "total"]
