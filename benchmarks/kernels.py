@@ -13,8 +13,8 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``closest_points`` of the scenario's first collision pair, already posed;
 - ``body_pair_barrier`` of that pair (h and gradient), given the FK;
 - ``joint_dynamics`` (mass matrix and bias forces as lists), given q, qd
-  and gravity as lists: its generated kernel computes the pose inline, so
-  this row includes FK;
+  and gravity as lists: its generated kernel works in joint frames and
+  takes no pose;
 - ``cholesky_solve``: qdd from M qdd = tau - h by the plant's generated
   Cholesky factor and its two triangular solves, given that row's M and h
   and zero torque as lists;
@@ -31,8 +31,8 @@ host's phases and two runs of the script compare row by row.  The rows:
   pose and the reference q + qd dt, qd of the moving state, with the
   controller's resolved gains and torque limits;
 - ``step_physics``: one semi-implicit Euler substep of the scenario's plant
-  (its mass-scaled model) under zero torque, FK and the solve for qdd
-  included;
+  (its mass-scaled model) under zero torque, the dynamics kernel and the
+  solve for qdd included;
 - ``kalman_update``: one update of a constant-velocity Kalman filter (5 mm
   measurement noise) that has already seen a measurement; it is the same on
   both robots;

@@ -25,12 +25,19 @@ are generated:
 - ``plant <scenario> <mode> step_physics ...``: the same two counts for the
   plant's ``step_physics`` calls (all substeps of a cycle).
 - ``cycles <scenario> <mode> <n>``: the number of cycles counted.
+- ``kernel <model>/<fk|dynamics> <op> <count>``: the operations in the
+  generated source of the forward-kinematics and dynamics kernels of both
+  bundled robots and their mass-scaled plants (``<robot>*<scale>``), by
+  kind: ``+``, ``-``, ``*``, ``/``, ``neg`` (unary minus), ``cos``, ``sin``
+  and their ``total``.  A model and its plant share one FK kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
+import linecache
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -40,7 +47,8 @@ from types import FunctionType
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from issf_wbc import sim  # noqa: E402
-from issf_wbc.model import scale_link_masses  # noqa: E402
+from issf_wbc._fastdyn import _dynamics_kernel, _inertial  # noqa: E402
+from issf_wbc.model import _fk_kernel, _frames, scale_link_masses  # noqa: E402
 from issf_wbc.safety import FilterMode  # noqa: E402
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
 
@@ -150,6 +158,39 @@ def report(label: str, cycles: int, counter: OpCounter, total: bool) -> list[str
     return lines
 
 
+KERNEL_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.USub: "neg"}
+
+
+def kernel_ops(kernel) -> Counter:
+    """The operations of a generated kernel, counted in its source by kind;
+    a negative literal (``-0.04``) is a constant, not an operation."""
+    source = "".join(linecache.cache[f"<{kernel.__name__}>"][2])
+    ops: Counter = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) or (isinstance(node, ast.UnaryOp)
+                                           and not isinstance(node.operand, ast.Constant)):
+            ops[KERNEL_OPS[type(node.op)]] += 1
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("cos", "sin"):
+            ops[node.func.id] += 1
+    return ops
+
+
+def kernel_report(scenario) -> list[str]:
+    """The ``kernel`` lines of the scenario's robot and its plant."""
+    robot, scale = scenario.robot, scenario.sim.mass_scale
+    lines = []
+    for label, model in ((robot.name, robot),
+                         (f"{robot.name}*{scale:g}", scale_link_masses(robot, scale))):
+        frames = _frames(model)
+        for kind, kernel in (("fk", _fk_kernel(frames)),
+                             ("dynamics", _dynamics_kernel(frames, _inertial(model)))):
+            ops = kernel_ops(kernel)
+            lines += [f"kernel {label}/{kind} {op} {ops[op]}"
+                      for op in ("+", "-", "*", "/", "neg", "cos", "sin")]
+            lines.append(f"kernel {label}/{kind} total {sum(ops.values())}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=float, default=0.05,
@@ -167,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             lines.append(f"cycles {label} {cycles}")
             lines += report(f"step {label}", cycles, controller, total=True)
             lines += report(f"plant {label}", cycles, plant, total=False)
+        lines += kernel_report(scenario)
     print("\n".join(lines))
     return 0
 

@@ -153,16 +153,18 @@ class Expr:
     Arithmetic with Python floats folds exactly as the loop computes it:
     constants combine into constants, and an operand that is the exact
     constant 0.0 or 1.0 drops out (x * 0.0 -> 0.0, x * 1.0 -> x, x + 0.0 -> x,
-    x - 0.0 -> x, 0.0 - x -> -x, x / 1.0 -> x).  Those folds equal the loop's
-    result except, at most, in the sign of an exact zero.  Nodes are numbered
-    in the order the loop creates them, which orders a kernel's statements.
+    x - 0.0 -> x, 0.0 - x -> -x).  Those folds equal the loop's result
+    except, at most, in the sign of an exact zero.  A negation folds into a
+    negation or a product with a constant (-(-x) -> x, -(x * c) -> x * -c),
+    to the same bits.  Nodes are numbered in the order the loop creates
+    them, which orders a kernel's statements.
     """
 
     __slots__ = ("op", "args", "uses", "name", "serial")
     _serials = count()
 
     def __init__(self, op: str, *args):
-        self.op = op            # "+", "-", "*", "/", "neg", a function name or "input"
+        self.op = op            # "+", "-", "*", "neg", a function name or "input"
         self.args = args
         self.uses = 0
         self.name: str | None = None
@@ -203,12 +205,11 @@ class Expr:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if _is_const(other, 1.0):
-            return self
-        return Expr("/", self, other)
-
     def __neg__(self):
+        if self.op == "neg":
+            return self.args[0]
+        if self.op == "*" and type(self.args[1]) is float:
+            return self.args[0] * -self.args[1]
         return Expr("neg", self)
 
 
@@ -269,7 +270,7 @@ def _statements(params: dict[str, list[str]], outputs: str,
             return x.name
         if x.op == "neg":
             return f"(-{render(x.args[0], reads)})"
-        if x.op in ("+", "-", "*", "/"):
+        if x.op in ("+", "-", "*"):
             a, b = x.args
             return f"({render(a, reads)} {x.op} {render(b, reads)})"
         return f"{x.op}({render(x.args[0], reads)})"

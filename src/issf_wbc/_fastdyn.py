@@ -1,22 +1,20 @@
 """Joint-space dynamics as one generated straight-line kernel per model.
 
 ``joint_dynamics(model, q, qd, gravity)`` returns the mass matrix and the
-bias forces at (q, qd), all lists of floats.  At n <= 7 a loop spends most
-of its time on itself, so the kernel is forward kinematics (``model.fk_trace``),
-the Newton-Euler bias pass and the composite-rigid-body mass-matrix pass
-(``dynamics_trace``; Featherstone, *Rigid Body Dynamics Algorithms*, 2008)
-traced once on ``_codegen.Expr`` values with q, qd and gravity as inputs.
-The link constants fold into the trace: diagonal inertias, CoMs with zero
-entries and planar axes drop most of the products.  The kernel is generated
-on first use and shared by every model with the same kinematic and inertial
-constants, such as a reloaded sweep model; a mass-scaled plant has its own.
-
-The trace sources (``fk_trace``, ``dynamics_trace``) run only when a kernel
-is generated.  They are written as 3x3 algebra whose sums run left to right,
-and the kernel does their float operations in their order, so it agrees bit
-for bit with the nested-loop reference in ``tests/fastdyn_oracle.py``,
-except at most in the sign of an exact zero (at rest, for instance); the
-test suite cross-checks that on random chains.
+bias forces at (q, qd), all lists of floats.  Its kernel is the Newton-Euler
+and composite-rigid-body passes (Featherstone, *Rigid Body Dynamics
+Algorithms*, 2008, ch. 5-6) traced once on ``_codegen.Expr`` inputs q, qd
+and gravity (``joint_frame_trace``), in joint frames as in Pinocchio
+(Carpentier et al., SII 2019): frame i sits at joint i's origin and turns
+with the joint, so joint i's axis, link i's CoM ``xyz_i + rfix_i com_i``
+and inertia ``rfix_i I_i rfix_i^T`` are constants that fold into the trace.
+Frame i-1 holds frame i at ``xyz_(i-1)``, turned by ``rfix_(i-1) turn(q_i)``;
+``turn`` about a coordinate axis is the exact planar rotation.  Gravity
+enters as the base acceleration -g.  The kernel is generated on first use
+and shared by every model with the same kinematic and inertial constants,
+such as a reloaded sweep model; a mass-scaled plant has its own.  It agrees
+with the tests' world-frame loops to 1e-12 x max(1, largest |entry|); M is
+exactly symmetric, and h is exactly zero at zero velocity and gravity.
 """
 
 from __future__ import annotations
@@ -28,11 +26,10 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ._codegen import Expr, expr_kernel, kernel_name
-from .model import (
-    RobotModel, _add, _affine, _cross, _frames, _mat_mul, _mat_mul_t, _mat_vec, _sub, fk_trace,
-)
+from .model import RobotModel, _add, _affine, _cross, _frames, _mat_mul, _mat_vec, _rodrigues
 
 _KERNELS: "WeakKeyDictionary[RobotModel, Callable]" = WeakKeyDictionary()
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _inertial(model: RobotModel) -> tuple[tuple, ...]:
@@ -64,15 +61,15 @@ def joint_dynamics(
 
 @lru_cache(maxsize=128)
 def _dynamics_kernel(frames: tuple[tuple, ...], inertial: tuple[tuple, ...]) -> Callable:
-    """``dynamics_trace`` after ``fk_trace`` for these constants, unrolled
-    into a function of (q, qd, gravity)."""
+    """``joint_frame_trace`` for these constants, unrolled into a function of
+    (q, qd, gravity)."""
     n = len(frames)
     q, qd = [f"q{i}" for i in range(n)], [f"qd{i}" for i in range(n)]
     gravity = ["gx", "gy", "gz"]
 
     def trace() -> list:
-        mat, h = dynamics_trace(inertial, fk_trace(frames, [Expr.input(x) for x in q]),
-                                [Expr.input(x) for x in qd], [Expr.input(x) for x in gravity])
+        mat, h = joint_frame_trace(frames, inertial, *([Expr.input(x) for x in names]
+                                                        for names in (q, qd, gravity)))
         return [value for row in mat for value in row] + h
 
     row = "[" + ", ".join(["{}"] * n) + "]"
@@ -81,102 +78,108 @@ def _dynamics_kernel(frames: tuple[tuple, ...], inertial: tuple[tuple, ...]) -> 
                        "[" + ", ".join([row] * n) + "], " + row, trace)
 
 
-def _shift(inertia: tuple, m: float, d: tuple) -> tuple:
-    """The 9 entries of inertia + m (|d|^2 I - d d^T): an inertia about a
-    point moved to a point at -d from it (parallel-axis theorem)."""
-    dx, dy, dz = d
-    d2 = dx * dx + dy * dy + dz * dz
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inertia
-    return (i00 + m * (d2 - dx * dx), i01 - m * dx * dy, i02 - m * dx * dz,
-            i10 - m * dy * dx, i11 + m * (d2 - dy * dy), i12 - m * dy * dz,
-            i20 - m * dz * dx, i21 - m * dz * dy, i22 + m * (d2 - dz * dz))
+def _turn(frame: tuple, q) -> tuple:
+    """Rot(axis, q) for the joint of ``frame`` (``model._frames``), exactly
+    planar about a coordinate axis (Rodrigues gives (1 - c) + c on it)."""
+    turn = _rodrigues(frame, Expr("cos", q), Expr("sin", q))
+    axis = [abs(x) for x in frame[:3]]
+    if sorted(axis) == [0.0, 0.0, 1.0]:
+        k = 4 * axis.index(1.0)
+        turn = turn[:k] + (1.0,) + turn[k + 1:]
+    return turn
 
 
-def dynamics_trace(inertial: tuple[tuple, ...], fk: tuple[list, list, list, list],
-                   qd: list, gravity: list) -> tuple[list[list], list]:
-    """(M, h) from the link constants ``inertial``, the pose ``fk`` (rot
-    9-tuples, pos, joint_axis, joint_origin), ``qd`` and ``gravity``.
+def _transpose(a: tuple) -> tuple:
+    return a[0::3] + a[1::3] + a[2::3]
 
-    This loop is the source of the generated kernel and runs only when one is
-    generated (the tests also run it on floats, as the loop the kernel
-    unrolls).  Its sums run left to right; where a 3x3 helper would group a
-    sum otherwise, the sum is written out per entry.
-    """
-    n = len(inertial)
-    rot, pos, axes, orig = fk
 
-    # Forward pass (qdd = 0, base acceleration -g), one record per link:
-    # mass, world CoM, world inertia R I R^T (all nine entries: the product
-    # is not exactly symmetric in floating point), angular velocity, angular
-    # acceleration and CoM acceleration.
-    bodies = []
-    w = al = (0.0, 0.0, 0.0)
-    ax, ay, az = (-g for g in gravity)
-    for (m, com, inertia), r, p, z, o, qdi in zip(inertial, rot, pos, axes, orig, qd):
-        c = _affine(p, r, com)
-        world = _mat_mul_t(_mat_mul(r, inertia), r)
-        zq = tuple(zi * qdi for zi in z)
-        al = _add(al, _cross(w, zq))
-        w = _add(w, zq)
-        (wx, wy, wz), (alx, aly, alz) = w, al
-        # a_com = a_origin + alpha x r + w x (w x r)
-        rx, ry, rz = _sub(c, o)
-        t1x, t1y, t1z = _cross(w, (rx, ry, rz))
-        ac = (ax + aly * rz - alz * ry + wy * t1z - wz * t1y,
-              ay + alz * rx - alx * rz + wz * t1x - wx * t1z,
-              az + alx * ry - aly * rx + wx * t1y - wy * t1x)
-        rx, ry, rz = _sub(p, o)
-        t1x, t1y, t1z = _cross(w, (rx, ry, rz))
-        ax += aly * rz - alz * ry + wy * t1z - wz * t1y
-        ay += alz * rx - alx * rz + wz * t1x - wx * t1z
-        az += alx * ry - aly * rx + wx * t1y - wy * t1x
-        bodies.append((m, c, world, w, al, ac))
-    # Backward Newton-Euler pass for h.
-    h = [0.0] * n
-    f = nc = (0.0, 0.0, 0.0)
-    for i in range(n - 1, -1, -1):
-        m, c, world, (wx, wy, wz), al, ac = bodies[i]
-        fi = tuple(m * a for a in ac)
-        # I alpha + w x (I w), plus the moments of fi and of the child's force
-        iwx, iwy, iwz = _mat_vec(world, (wx, wy, wz))
-        tx, ty, tz = _mat_vec(world, al)
-        t = (tx + wy * iwz - wz * iwy, ty + wz * iwx - wx * iwz, tz + wx * iwy - wy * iwx)
-        (tx, ty, tz), (rx, ry, rz), (fx, fy, fz), (ncx, ncy, ncz) = (
-            _add(t, _cross(_sub(c, orig[i]), fi)), _sub(pos[i], orig[i]), f, nc)
-        nc = (tx + (ncx + ry * fz - rz * fy),
-              ty + (ncy + rz * fx - rx * fz),
-              tz + (ncz + rx * fy - ry * fx))
-        zx, zy, zz = axes[i]
-        h[i] = zx * nc[0] + zy * nc[1] + zz * nc[2]
-        f = _add(f, fi)
+def _congruence(r: tuple, inertia: tuple) -> tuple:
+    """R I R^T for a symmetric I: the upper triangle, mirrored."""
+    e = _mat_mul(_mat_mul(r, inertia), _transpose(r))
+    return (e[0], e[1], e[2], e[1], e[4], e[5], e[2], e[5], e[8])
 
-    # Composite bodies tip-to-base (mass m_acc, CoM k, inertia K about k),
-    # each closing column j of M as soon as body j joins the composite.
+
+def _dot(a: tuple, b: tuple):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def joint_frame_trace(frames: tuple[tuple, ...], inertial: tuple[tuple, ...],
+                      q: list, qd: list, gravity: list) -> tuple[list[list], list]:
+    """(M, h) for the constants ``frames`` (``model._frames``) and ``inertial``
+    at traced (q, qd) under ``gravity``, every vector of link i in frame i."""
+    n = len(frames)
+    axes = [frame[:3] for frame in frames]
+    # rots[i] carries frame i into frame i-1: turn(q_i), then rfix_(i-1),
+    # whose products with 0.0 and 1.0 fold away when it is the identity.
+    rfix = [frame[10] or _IDENTITY for frame in frames]
+    rots = list(zip(map(_turn, frames, q), [_IDENTITY] + rfix))
+    links = [(m, _affine(xyz, r, com), _congruence(r, inertia))
+             for (*_, xyz, _), r, (m, com, inertia) in zip(frames, rfix, inertial)]
+
+    def up(i: int, v: tuple) -> tuple:
+        return _mat_vec(rots[i][1], _mat_vec(rots[i][0], v))
+
+    def down(i: int, v: tuple) -> tuple:
+        return _mat_vec(_transpose(rots[i][0]), _mat_vec(_transpose(rots[i][1]), v))
+
+    def carry(i: int, f: tuple, moment: tuple) -> tuple[tuple, tuple]:
+        """A force and its moment about frame i's origin, into frame i-1."""
+        f = up(i, f)
+        return f, _add(up(i, moment), _cross(frames[i - 1][9], f))
+
+    # Composite bodies tip-to-base: mass m_c, first moment hc and inertia kc
+    # about frame j's origin of links j..n-1, in frame j.  Column j of M is
+    # the force and moment of the composite turning about axis j at unit rate.
     mat = [[0.0] * n for _ in range(n)]
-    m_acc, k, K = 0.0, (0.0, 0.0, 0.0), None
     for j in range(n - 1, -1, -1):
-        m, c, world = bodies[j][:3]
-        m_new = m_acc + m
-        k_new = tuple((m * ci + m_acc * ki) / m_new for ci, ki in zip(c, k))
-        comp = _shift(world, m, _sub(c, k_new))
-        if m_acc > 0.0:
-            comp = _add(comp, _shift(K, m_acc, _sub(k, k_new)))
-        m_acc, k, K = m_new, k_new, comp
+        m, c, inertia = links[j]
+        d2, hc_j = _dot(c, c), tuple(m * x for x in c)
+        k = [inertia[3 * r + s] + m * ((d2 if r == s else 0.0) - c[r] * c[s])
+             for r in range(3) for s in range(3)]
+        if j < n - 1:
+            # The composite beyond, turned into frame j (hr, kr) and moved by
+            # p = xyz_j: kr + m_c (|p|^2 E - p p^T) + 2 (hr.p) E - hr p^T
+            # - p hr^T, its constant terms added to link j's.  The diagonal
+            # of the last terms is 2 (hr.p - hr_r p_r).
+            p = frames[j][9]
+            d2, hr = _dot(p, p), up(j + 1, hc)
+            kr = _congruence(rots[j + 1][1], _congruence(rots[j + 1][0], kc))
+            for r, s in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+                entry = (k[3 * r + s] + m_c * ((d2 if r == s else 0.0) - p[r] * p[s])
+                         + kr[3 * r + s])
+                entry = (sum((hr[t] * (2.0 * p[t]) for t in range(3) if t != r), entry)
+                         if r == s else entry - (hr[r] * p[s] + p[r] * hr[s]))
+                k[3 * r + s] = k[3 * s + r] = entry
+            hc_j = _add([hi + m_c * pi for hi, pi in zip(hc_j, p)], hr)
+            m += m_c
+        m_c, hc, kc = m, hc_j, tuple(k)
+        f, moment = tuple(_cross(axes[j], hc)), _mat_vec(kc, axes[j])
+        mat[j][j] = _dot(axes[j], moment)
+        for i in range(j, 0, -1):
+            f, moment = carry(i, f, moment)
+            mat[i - 1][j] = mat[j][i - 1] = _dot(axes[i - 1], moment)
 
-        rx, ry, rz = _sub(k, orig[j])
-        fjx, fjy, fjz = (m_new * v for v in _cross(axes[j], (rx, ry, rz)))
-        njx, njy, njz = _mat_vec(comp, axes[j])
-        njx, njy, njz = (njx + ry * fjz - rz * fjy, njy + rz * fjx - rx * fjz,
-                         njz + rx * fjy - ry * fjx)
-        row_j = mat[j]
-        for i in range(j + 1):
-            aix, aiy, aiz = axes[i]
-            dx, dy, dz = _sub(orig[j], orig[i])
-            mij = (
-                aix * (njx + dy * fjz - dz * fjy)
-                + aiy * (njy + dz * fjx - dx * fjz)
-                + aiz * (njz + dx * fjy - dy * fjx)
-            )
-            mat[i][j] = mij
-            row_j[i] = mij
+    # Newton-Euler (qdd = 0, base acceleration -g): tip-ward, each link's w,
+    # al, its origin's acceleration a and its inertial force and moment about
+    # the joint; base-ward, each joint's force and moment, h_i about its axis.
+    forces = []
+    w = al = (0.0, 0.0, 0.0)
+    a = tuple(-g for g in gravity)
+    for i, ((m, c, inertia), z) in enumerate(zip(links, axes)):
+        if i:       # a + al x p + w x (w x p): frame i's origin, at p = xyz_(i-1)
+            p = frames[i - 1][9]
+            a = _add(a, _add(_cross(al, p), _cross(w, _cross(w, p))))
+        w, al, a = down(i, w), down(i, al), down(i, a)
+        zq = tuple(zi * qd[i] for zi in z)
+        al, w = _add(al, _cross(w, zq)), _add(w, zq)
+        f = tuple(m * x for x in _add(a, _add(_cross(al, c), _cross(w, _cross(w, c)))))
+        moment = _add(_mat_vec(inertia, al), _cross(w, _mat_vec(inertia, w)))
+        forces.append((f, _add(moment, _cross(c, f))))
+    h = [0.0] * n
+    f = moment = (0.0, 0.0, 0.0)
+    for i in range(n - 1, -1, -1):
+        f, moment = _add(forces[i][0], f), _add(forces[i][1], moment)
+        h[i] = _dot(axes[i], moment)
+        if i:
+            f, moment = carry(i, f, moment)
     return mat, h

@@ -21,8 +21,7 @@ the model, which is immutable.  Otherwise the functions are pure.  A pose is
 computed once and then read by every kinematic consumer: the point
 Jacobians here, the barriers in ``geometry`` and IK all take an
 ``FkResult``.  The rigid-body dynamics in ``_fastdyn`` take q instead: their
-generated kernel traces the same FK loop (``fk_trace``) with the links'
-inertial constants and computes the pose inline.
+generated kernel works in joint frames and needs no world pose.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ def _frames(model: RobotModel) -> tuple[tuple, ...]:
     return tuple(frames)
 
 
-# Trace-time 3x3 algebra for ``fk_trace`` and ``_fastdyn.dynamics_trace``:
+# Trace-time 3x3 algebra for ``fk_trace`` and ``_fastdyn.joint_frame_trace``:
 # matrices are row-major 9-tuples, vectors 3-tuples.  Every sum runs left to
 # right, and entries are built in row-major order: a kernel numbers its
 # statements in the order the trace creates them.
@@ -203,12 +202,6 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
     """A B."""
     return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
                  for i in (0, 3, 6) for j in (0, 1, 2))
-
-
-def _mat_mul_t(a: tuple, b: tuple) -> tuple:
-    """A B^T."""
-    return tuple(a[i] * b[j] + a[i + 1] * b[j + 1] + a[i + 2] * b[j + 2]
-                 for i in (0, 3, 6) for j in (0, 3, 6))
 
 
 def _mat_vec(a: tuple, v: tuple) -> tuple:
@@ -238,8 +231,16 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+def _rodrigues(frame: tuple, c, s) -> tuple:
+    """The rotation about the joint axis of ``frame`` (``_frames``) by the
+    angle whose cosine and sine are ``c`` and ``s`` (Rodrigues' formula)."""
+    x, y, z, xx, xy, xz, yy, yz, zz = frame[:9]
+    v = 1.0 - c
+    xs, ys, zs = x * s, y * s, z * s
+    xyv, xzv, yzv = xy * v, xz * v, yz * v
+    return (xx * v + c, xyv - zs, xzv + ys,
+            xyv + zs, yy * v + c, yzv - xs,
+            xzv - ys, yzv + xs, zz * v + c)
 
 
 def fk_trace(frames: tuple[tuple, ...], q: list) -> tuple[list, list, list, list]:
@@ -248,25 +249,18 @@ def fk_trace(frames: tuple[tuple, ...], q: list) -> tuple[list, list, list, list
     joint_origin), each entry an ``Expr`` or a float.
 
     This loop runs only when a kernel is generated: it is the source of the
-    FK kernel and of the FK part of the dynamics kernel (``_fastdyn``), and
-    its sums run left to right, as the kernels' do.  Per frame: the
-    axis-angle rotation (Rodrigues), the joint axis and origin in the world,
-    the composed rotation and the link origin, with the fixed origin
-    rotation applied when it is not the identity.
+    FK kernel, and its sums run left to right, as the kernel's do.  Per
+    frame: the axis-angle rotation (Rodrigues), the joint axis and origin in
+    the world, the composed rotation and the link origin, with the fixed
+    origin rotation applied when it is not the identity.
     """
     rot, pos, axes, orig = [], [], [], []
     a = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     p = (0.0, 0.0, 0.0)
-    for qi, (x, y, z, xx, xy, xz, yy, yz, zz, xyz, rfix) in zip(q, frames):
-        c = Expr("cos", qi)
-        s = Expr("sin", qi)
-        v = 1.0 - c
-        xs, ys, zs = x * s, y * s, z * s
-        xyv, xzv, yzv = xy * v, xz * v, yz * v
-        turn = (xx * v + c, xyv - zs, xzv + ys,
-                xyv + zs, yy * v + c, yzv - xs,
-                xzv - ys, yzv + xs, zz * v + c)
-        axes.append(_mat_vec(a, (x, y, z)))
+    for qi, frame in zip(q, frames):
+        *_, xyz, rfix = frame
+        turn = _rodrigues(frame, Expr("cos", qi), Expr("sin", qi))
+        axes.append(_mat_vec(a, frame[:3]))
         orig.append(p)
         j = _mat_mul(a, turn)
         p = _affine(p, j, xyz)

@@ -112,8 +112,8 @@ class FilterConfig:
     def __post_init__(self) -> None:
         """Checks every parameter once, so a cycle never meets a bad one.
 
-        alpha must be finite and > 0, eps > 0 (inf gives the plain barrier
-        condition); NaN fails both.  The slack weight must be finite and > 0.
+        alpha and the slack weight must be finite and > 0, eps > 0 (inf gives
+        the plain barrier condition) and the activation distance >= 0; NaN fails.
         """
         problems = []
         for kind in BarrierKind:
@@ -126,7 +126,9 @@ class FilterConfig:
             problems.append(f"slack_policy: expected one of {SLACK_POLICIES}, "
                             f"got {self.slack_policy!r}")
         if not 0.0 < self.slack_weight < math.inf:
-            problems.append(f"slack_weight: must be finite and > 0, got {self.slack_weight!r}")
+            problems.append(f"slack.weight: must be finite and > 0, got {self.slack_weight!r}")
+        if not self.activation_distance >= 0.0:
+            problems.append(f"activation_distance: must be >= 0, got {self.activation_distance!r}")
         if problems:
             raise ValueError("; ".join(problems))
 

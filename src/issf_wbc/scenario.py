@@ -185,16 +185,15 @@ class ObstacleSpec:
     process_noise: float = 1e-2
 
     def __post_init__(self) -> None:
-        if self.measurement_noise_std < 0.0:
-            raise ValueError(f"measurement_noise_std: must be >= 0, got "
-                             f"{self.measurement_noise_std!r}")
+        for key in ("measurement_noise_std", "process_noise"):
+            if not getattr(self, key) >= 0.0:       # NaN fails too
+                raise ValueError(f"{key}: must be >= 0, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     robot: RobotModel
-    robot_path: Path
     q0: np.ndarray
     qd0: np.ndarray
     tasks: tuple[TaskSpec, ...]
@@ -404,5 +403,5 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     name = doc.string("name", path.stem)
     if doc.problems:
         raise ScenarioError(path, doc.problems)
-    return Scenario(name, robot, robot_path, q0, qd0, tasks, obstacles, pairs, workspace,
+    return Scenario(name, robot, q0, qd0, tasks, obstacles, pairs, workspace,
                     filter_config, weights, sim)

@@ -13,8 +13,8 @@ The pose from the first stage is read by IK, the barrier rows (one
 ``BarrierRows`` block, kept in the cycle's ``CycleRecord``) and the eCBF rows
 (whose curvature is in closed form).  The torque QP's dynamics, the plant's
 substeps and the initial gravity torque call ``_fastdyn.joint_dynamics`` on
-q itself: its generated kernel recomputes the pose inline, which costs less
-than reading it from an ``FkResult``.  The call to ``forward_kinematics`` at
+q itself: its generated kernel works in joint frames and needs no world
+pose.  The call to ``forward_kinematics`` at
 the top of ``Controller.step`` is this module's only one (``perfbench``
 counts cycles by it).
 

@@ -16,6 +16,20 @@ def dynamics_arrays(model: RobotModel, q, qd, gravity) -> tuple[np.ndarray, np.n
     return np.array(mass), np.array(bias)
 
 
+# The dynamics kernel against the world-frame loops of the oracles: the
+# largest difference of an entry of M or h, over max(1, largest |entry|).
+DYNAMICS_RTOL = 1e-12
+
+
+def assert_dynamics_agree(got, expected, label: str = "") -> None:
+    """(M, h) ``got`` agrees with ``expected`` to ``DYNAMICS_RTOL``."""
+    got, expected = (np.concatenate([np.ravel(np.asarray(x, dtype=float)) for x in pair])
+                     for pair in (got, expected))
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert got.shape == expected.shape, label
+    assert np.abs(got - expected).max(initial=0.0) <= DYNAMICS_RTOL * scale, label
+
+
 def random_chain(rng: np.random.Generator, n: int, planar: bool = False) -> RobotModel:
     """Random serial chain with valid inertias; planar=True keeps all axes +y."""
     links, joints = [], []

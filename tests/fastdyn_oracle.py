@@ -3,8 +3,9 @@
 This is the kernel ``issf_wbc._fastdyn.joint_dynamics`` was before it was
 written out as straight-line float code: comprehensions for R I R^T, a
 separate composite-body pass with the ``shifted`` helper, and a mass matrix
-filled into ``np.zeros``.  ``tests/test_fastdyn.py`` asserts that the fast
-kernel returns bitwise the same M and h.
+filled into ``np.zeros``, all in world coordinates.  ``tests/test_fastdyn.py``
+asserts that the joint-frame kernel agrees with it to
+``conftest.DYNAMICS_RTOL``.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ import pytest
 import issf_wbc.cli
 from issf_wbc.cli import main as cli_main
 from issf_wbc.dynwbc import DynWbcInfeasibleError
+from issf_wbc.geometry import CollisionBody
 from issf_wbc.harness import collision_events, output_root, run_scenario, run_sweep
 from issf_wbc.model import ModelError, load_robot
 from issf_wbc.qpsolver import QpSolution, QpStatus
 from issf_wbc.safety import BarrierKind, FilterInfeasibleError
 from issf_wbc.scenario import (
+    ObstacleSpec,
     ScenarioError,
     WaypointSpline,
     data_path,
@@ -355,10 +357,23 @@ class TestEveryScenarioValueHonouredOrRejected:
         (("sim",), "duration", math.inf, "sim.duration: must be finite and >= 0, got inf"),
         (("obstacles", 0), "measurement_noise_std", -0.1,
          "obstacles[0].measurement_noise_std: must be >= 0, got -0.1"),
+        (("obstacles", 0), "process_noise", -1.0,
+         "obstacles[0].process_noise: must be >= 0, got -1.0"),
+        ((), "filter", {"activation_distance": -5.0},
+         "filter.activation_distance: must be >= 0, got -5.0"),
+        ((), "filter", {"slack": {"weight": 0}},
+         "filter.slack.weight: must be finite and > 0, got 0.0"),
         ((), "dynwbc", {"w_qdd": 0.0}, "dynwbc.w_qdd: must be > 0"),
     ])
     def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
         assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem
+
+    @pytest.mark.parametrize("key", ["measurement_noise_std", "process_noise"])
+    def test_nan_obstacle_noise_rejected(self, key):
+        # A file cannot give NaN (the number reader rejects it); code can.
+        body = CollisionBody("ball", -1, 0.1, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match=f"^{key}: must be >= 0, got nan$"):
+            ObstacleSpec(body, np.zeros(3), **{key: math.nan})
 
     def test_sphere_obstacle_has_no_second_end(self, tmp_path):
         path = every_block_scenario(tmp_path, ("obstacles", 0), "p1", [2.0, 0.0, 2.0])

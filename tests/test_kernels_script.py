@@ -50,10 +50,24 @@ def test_opcounts_script_counts_every_stage(capsys):
     spec.loader.exec_module(opcounts)
     outputs = []
     for _ in range(2):
+        # Each run generates its kernels afresh, so the kernel lines repeat
+        # only if generation is deterministic.
+        opcounts._dynamics_kernel.cache_clear()
+        opcounts._fk_kernel.cache_clear()
         assert opcounts.main(["--duration", "0.002"]) == 0     # 4 cycles, 2 counted
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
     lines = [line.split() for line in outputs[0]]
+    kernels = [line for line in lines if line[0] == "kernel"]
+    lines = [line for line in lines if line[0] != "kernel"]
+    ops = ["+", "-", "*", "/", "neg", "cos", "sin", "total"]
+    labels = [f"{robot}{plant}/{kind}" for robot in ("planar3", "arm7")
+              for plant in ("", "*1.2") for kind in ("fk", "dynamics")]
+    assert [line[1:3] for line in kernels] == [[label, op] for label in labels for op in ops]
+    counts = {(line[1], line[2]): int(line[3]) for line in kernels}
+    for label in labels:
+        assert counts[label, "total"] == sum(counts[label, op] for op in ops[:-1]) > 0
+        assert counts[label, "cos"] == counts[label, "sin"] == (3 if "planar3" in label else 7)
     runs = [(scenario, mode.value) for scenario in ("hand_track", "obstacle_track")
             for mode in opcounts.FilterMode]
     assert [line for line in lines if line[0] == "cycles"] == [

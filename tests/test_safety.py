@@ -92,7 +92,15 @@ class TestFilterConfig:
         message = str(err.value)
         assert "alpha.joint-limit-min: must be finite and > 0, got None" in message
         assert "slack_policy: expected one of ('hard-fail', 'slack'), got 'slak'" in message
-        assert "slack_weight: must be finite and > 0, got 0.0" in message
+        assert "slack.weight: must be finite and > 0, got 0.0" in message
+
+    @pytest.mark.parametrize("value", [-5.0, math.nan])
+    def test_rejects_negative_activation_distance(self, value):
+        with pytest.raises(ValueError, match="activation_distance: must be >= 0"):
+            FilterConfig(activation_distance=value)
+
+    def test_accepts_infinite_activation_distance(self):
+        assert FilterConfig(activation_distance=math.inf).activation_distance == math.inf
 
 
 class TestCollect:

@@ -58,7 +58,7 @@ def mini_scenario(model, duration, *, tasks=(), obstacles=(), pairs=(),
                     mass_scale=mass_scale, seed=seed, gravity=gravity,
                     external_torque=tuple(pulses))
     return Scenario(
-        name="mini", robot=model, robot_path=None,
+        name="mini", robot=model,
         q0=np.zeros(model.n_dof), qd0=np.zeros(model.n_dof),
         tasks=tuple(tasks), obstacles=tuple(obstacles), collision_pairs=tuple(pairs),
         workspace_pairs=(), filter_config=filter_config or FilterConfig(),
