@@ -13,6 +13,9 @@ the same lines.
   bundled ``hand_track`` and ``obstacle_track`` scenarios in each of the
   four filter modes.  ``--duration`` shortens every run (the default is
   each scenario's own duration).
+- ``sweep hand_track sweep.csv <sha256>``: the ``sweep.csv`` file of
+  ``harness.run_sweep`` on ``hand_track`` over the modes without-cbf, cbf
+  and issf-cbf, alpha in {5, 10} and epsilon in {10}, at ``--duration``.
 - ``kernel <model> <fk|dynamics> <sha256>``: the source of the model's
   generated forward-kinematics and dynamics kernels, with the kernel's name
   masked (it carries a digest of the constants), for both bundled robots,
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import linecache
 import sys
 import tempfile
@@ -34,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial  # noqa: E402
-from issf_wbc.harness import run_scenario  # noqa: E402
+from issf_wbc.harness import run_scenario, run_sweep  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
     JointSpec,
     LinkSpec,
@@ -50,6 +54,8 @@ SCENARIOS = ("hand_track.scenario", "obstacle_track.scenario")
 ARRAYS = ("t", "q", "qd", "qdot_des", "qdot_safe", "tau_cmd", "h", "d_inf", "dbar",
           "qp_iters", "clamped", "h_e_min", "dynamics_residual")
 CSV_FILES = ("trace.csv", "torques.csv")
+SWEEP = {"modes": ["without-cbf", "cbf", "issf-cbf"], "alphas": [5.0, 10.0],
+         "epsilons": [10.0]}
 SEED = 20260
 
 
@@ -74,6 +80,17 @@ def run_digests(duration: float | None, out: Path) -> list[str]:
             for csv in CSV_FILES:
                 lines.append(f"{label} {csv} {sha((result.out_dir / csv).read_bytes())}")
     return lines
+
+
+def sweep_digest(duration: float | None, out: Path) -> str:
+    path = resolve_input("hand_track.scenario")
+    if duration is not None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["sim"]["duration"] = duration
+        path = out / path.name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_sweep(path, out=out / "sweep", **SWEEP)
+    return f"sweep {result.scenario} sweep.csv {sha(result.csv_path.read_bytes())}"
 
 
 def random_chain(rng: np.random.Generator, n: int, planar: bool) -> RobotModel:
@@ -124,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run length in seconds (default: each scenario's own)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as out:
-        lines = run_digests(args.duration, Path(out))
+        lines = run_digests(args.duration, Path(out)) + [sweep_digest(args.duration, Path(out))]
     print("\n".join(lines + kernel_digests()))
     return 0
 

@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -85,7 +85,7 @@ def summarize(trace: RunTrace, *, mode: str, alpha: float | None, epsilon: float
         "seed": seed,
         "cycles": trace.cycles,
         "min_h_per_kind": _min_h_per_kind(trace),
-        "min_h": float(trace.h.min()) if trace.h.size else math.inf,
+        "min_h": trace.min_h(),
         "dbar": trace.final_dbar(),
         "collision_events": collision_events(trace),
         "runtime_per_cycle_us": trace.runtime_per_cycle_us,
@@ -130,10 +130,9 @@ def run_scenario(
                             trace_constraints=trace_constraints)
     runtime_s = time.perf_counter() - start
 
-    eff_alpha = (alpha if alpha is not None
-                 else filter_config.alpha[BarrierKind.SELF_COLLISION])
-    eff_eps = (epsilon if epsilon is not None
-               else filter_config.epsilon[BarrierKind.SELF_COLLISION])
+    # the collision rows' parameters, which with_collision_params has set
+    eff_alpha = filter_config.alpha[BarrierKind.SELF_COLLISION]
+    eff_eps = filter_config.epsilon[BarrierKind.SELF_COLLISION]
     summary = summarize(trace, mode=mode.value, alpha=eff_alpha, epsilon=eff_eps,
                         seed=scenario.sim.seed, runtime_s=runtime_s)
 
@@ -204,9 +203,6 @@ def run_sweep(
         raise ValueError("alphas, epsilons and modes must be non-empty")
     path = resolve_input(scenario_path)
     scenario = load_scenario(path, seed=seed)
-    ref_alpha = scenario.filter_config.alpha[BarrierKind.SELF_COLLISION]
-    ref_eps = scenario.filter_config.epsilon[BarrierKind.SELF_COLLISION]
-
     reference = run_scenario(path, FilterMode.WITHOUT_CBF, seed=seed, out=out)
     ref_events = reference.summary["collision_events"]
 
@@ -225,50 +221,29 @@ def run_sweep(
             except Exception as exc:  # partial failure: record and continue
                 outcomes.append(exc)
 
-    def ratio(events: int) -> float:
-        if ref_events == 0:
-            return 0.0 if events == 0 else math.inf
-        return events / ref_events
+    def point(mode: FilterMode, alpha: float, epsilon: float,
+              outcome: dict | Exception) -> SweepPoint:
+        if isinstance(outcome, Exception):
+            return SweepPoint(mode.value, alpha, epsilon, math.nan, math.nan, math.nan,
+                              math.nan, math.nan, -1, failed=True,
+                              error=f"{type(outcome).__name__}: {outcome}")
+        events = outcome["collision_events"]
+        ratio = events / ref_events if ref_events else (0.0 if events == 0 else math.inf)
+        return SweepPoint(mode.value, alpha, epsilon, ratio, outcome["min_h"],
+                          outcome["mean_qdot_dev"], outcome["jitter"], outcome["dbar"], events)
 
-    points = [SweepPoint(
-        mode=FilterMode.WITHOUT_CBF.value, alpha=ref_alpha, epsilon=ref_eps,
-        remaining_collision_ratio=ratio(ref_events),
-        min_h=reference.summary["min_h"],
-        mean_qdot_dev=reference.summary["mean_qdot_dev"],
-        jitter=reference.summary["jitter"],
-        dbar=reference.summary["dbar"],
-        collision_events=ref_events,
-    )] if any(FilterMode(m) is FilterMode.WITHOUT_CBF for m in modes) else []
-
-    for (mode, a, e), summary in zip(grid, outcomes):
-        if isinstance(summary, Exception):
-            points.append(SweepPoint(mode=mode.value, alpha=a, epsilon=e,
-                                     remaining_collision_ratio=math.nan, min_h=math.nan,
-                                     mean_qdot_dev=math.nan, jitter=math.nan,
-                                     dbar=math.nan, collision_events=-1, failed=True,
-                                     error=f"{type(summary).__name__}: {summary}"))
-            continue
-        points.append(SweepPoint(
-            mode=mode.value, alpha=a, epsilon=e,
-            remaining_collision_ratio=ratio(summary["collision_events"]),
-            min_h=summary["min_h"],
-            mean_qdot_dev=summary["mean_qdot_dev"],
-            jitter=summary["jitter"],
-            dbar=summary["dbar"],
-            collision_events=summary["collision_events"],
-        ))
+    points = ([point(FilterMode.WITHOUT_CBF, reference.summary["alpha"],
+                     reference.summary["epsilon"], reference.summary)]
+              if any(FilterMode(m) is FilterMode.WITHOUT_CBF for m in modes) else [])
+    points += [point(*spec, outcome) for spec, outcome in zip(grid, outcomes)]
 
     root = output_root(out) / scenario.name
     root.mkdir(parents=True, exist_ok=True)
     csv_path = root / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mode", "alpha", "epsilon", "remaining_collision_ratio", "min_h",
-                         "mean_qdot_dev", "jitter", "dbar", "collision_events", "failed",
-                         "error"])
+        writer.writerow(field.name for field in fields(SweepPoint))
         for p in points:
-            writer.writerow([p.mode, p.alpha, p.epsilon, p.remaining_collision_ratio,
-                             p.min_h, p.mean_qdot_dev, p.jitter, p.dbar,
-                             p.collision_events, int(p.failed), p.error])
+            writer.writerow(int(v) if type(v) is bool else v for v in astuple(p))
     return SweepResult(scenario=scenario.name, reference_events=ref_events,
                        points=tuple(points), csv_path=csv_path)

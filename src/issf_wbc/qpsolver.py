@@ -93,21 +93,23 @@ class QpProblem:
         m = 0 if self.A_ineq is None else self.A_ineq.shape[0]
         return n, m
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[list[list[float]], list[float], list[float]]:
+        """Check the data; returns H, g and b (empty without rows) as float lists."""
         n, m = self.dims()
         if self.H.shape != (n, n) or self.g.shape != (n,):
             raise QpDimensionError(f"H shape {self.H.shape}, g shape {self.g.shape} vs n={n}")
         if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
             raise QpDimensionError("inequality block shapes inconsistent")
-        H = self.H.tolist()
+        H, g, b = self.H.tolist(), self.g.tolist(), self.b_ineq.tolist() if m else []
         # H, g and b are checked as floats, A (the largest) by numpy.
-        entries = chain(*H, self.g.tolist(), self.b_ineq.tolist() if m else ())
-        if not (all(map(math.isfinite, entries)) and (not m or np.isfinite(self.A_ineq).all())):
+        if not (all(map(math.isfinite, chain(*H, g, b)))
+                and (not m or np.isfinite(self.A_ineq).all())):
             raise QpDimensionError("QP data must be finite")
         # Exact symmetry (every H the controllers build) implies allclose;
         # only an inexactly symmetric H pays for the tolerance test.
         if H != list(map(list, zip(*H))) and not np.allclose(self.H, self.H.T, atol=1e-10):
             raise QpDimensionError("H must be symmetric")
+        return H, g, b
 
     def objective(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ self.H @ x) + float(self.g @ x)
@@ -190,18 +192,15 @@ class QpSolver:
         self.max_iter_override = max_iter
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
-        problem.validate()
+        H, g, b_list = problem.validate()
         n, m_all = problem.dims()
         # Rows keep their indices in the problem; only the first of each set
         # of byte-identical rows can enter the working set.
         A, b = problem.A_ineq, problem.b_ineq
         keep = _dedup_rows(A, b) if m_all else []
-        b_list = b.tolist() if m_all else []
         m = len(keep)
 
-        self._check_strict_convexity(problem.H)
-        H = problem.H.tolist()
-        g = problem.g.tolist()
+        self._check_strict_convexity(H)
         L = cholesky[n](H)
         lower, upper = solve_lower[n], solve_upper[n]
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
@@ -317,10 +316,10 @@ class QpSolver:
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def _check_strict_convexity(H: np.ndarray) -> None:
-        """Reject H unless its smallest eigenvalue exceeds 1e-11 * max(1, max|H|),
-        that is, unless H minus that multiple of I has a Cholesky factor."""
-        rows = H.tolist()
+    def _check_strict_convexity(H: list[list[float]]) -> None:
+        """Reject the rows H unless their smallest eigenvalue exceeds 1e-11 * max(1, max|H|),
+        that is, unless a copy of H minus that multiple of I has a Cholesky factor."""
+        rows = [list(r) for r in H]
         if not rows:
             return
         shift = 1e-11 * max(1.0, max(map(abs, chain(*rows))))

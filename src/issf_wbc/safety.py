@@ -15,6 +15,10 @@ a cycle's rows as one ``BarrierRows`` block of arrays, which the filter and
 ``ecbf_rows`` read by slices; alpha, eps and the slack settings are checked
 once, when the ``FilterConfig`` is built.
 
+This module owns the barrier catalog: the rows, a run trace's keys
+(``_barrier_catalog``) and its ground-truth h (``_barrier_values``) all
+read the collision barriers' row order from ``_collision_barriers``.
+
 The filter itself is the minimally invasive projection
 argmin ||qd - qd_des||^2 subject to those rows; an infeasible projection is
 either surfaced (hard-fail policy) or relaxed with one heavily weighted
@@ -41,7 +45,10 @@ from .geometry import (
     _pair_curvature,
     _workspace_curvature,
     body_pair_barrier,
+    closest_points,
+    pose_body,
     workspace_barrier,
+    workspace_barrier_value,
 )
 from .model import FkResult, JointState, RobotModel, _link_rates, _xyz
 from .qpsolver import QpProblem, QpSolver
@@ -204,6 +211,46 @@ def _joint_limit_rows(model: RobotModel) -> tuple:
     return rows
 
 
+def _collision_barriers(model: RobotModel, pairs, obstacle_bodies) -> list[tuple]:
+    """The collision barriers in row order, as (kind, pair, body A, body B, j):
+    the self-collision ``pairs`` (j None), then each robot body against
+    obstacle j of ``obstacle_bodies``, obstacle by obstacle."""
+    return ([(BarrierKind.SELF_COLLISION, f"{a.name}|{b.name}", a, b, None) for a, b in pairs]
+            + [(BarrierKind.OBJECT_COLLISION, f"{a.name}|{b.name}", a, b, j)
+               for j, b in enumerate(obstacle_bodies) for a in model.collision_bodies])
+
+
+def _barrier_h(model: RobotModel, q: np.ndarray, values) -> np.ndarray:
+    """The joint-limit rows' h at ``q`` (q0 min, q0 max, q1 min, ...), then ``values``."""
+    _, _, q_min, q_max = _joint_limit_rows(model)
+    jl = 2 * model.n_dof
+    h = np.empty(jl + len(values))
+    h[0:jl:2] = q - q_min
+    h[1:jl:2] = q_max - q
+    h[jl:] = values
+    return h
+
+
+def _barrier_catalog(model: RobotModel, pairs, obstacle_bodies,
+                     workspace_pairs) -> list[tuple[BarrierKind, str]]:
+    """The (kind, pair) key of every barrier, in the order of
+    ``collect_constraints``' rows when none is inactive or dropped."""
+    return (_joint_limit_rows(model)[0]
+            + [(kind, pair) for kind, pair, *_ in
+               _collision_barriers(model, pairs, obstacle_bodies)]
+            + [(BarrierKind.WORKSPACE, pair.name) for pair in workspace_pairs])
+
+
+def _barrier_values(model: RobotModel, q: np.ndarray, fk: FkResult, pairs, obstacle_bodies,
+                    workspace_pairs) -> np.ndarray:
+    """The h of every barrier of ``_barrier_catalog`` at ``q``, whose pose is
+    ``fk``, without gradients: the ground truth a run is judged on."""
+    values = [closest_points(pose_body(a, fk), pose_body(b, fk)).h
+              for _, _, a, b, _ in _collision_barriers(model, pairs, obstacle_bodies)]
+    values += [workspace_barrier_value(fk, pair) for pair in workspace_pairs]
+    return _barrier_h(model, q, values)
+
+
 def collect_constraints(
     model: RobotModel,
     state: JointState,
@@ -221,17 +268,13 @@ def collect_constraints(
     collision and workspace row's |grad|^2 is its own ``grad @ grad``.
     """
     state.validate(model.n_dof)
-    q = state.q
-    jl_keys, jl_grad, q_min, q_max = _joint_limit_rows(model)
+    jl_keys, jl_grad, _, _ = _joint_limit_rows(model)
     # (kind, pair, h, grad, drift, witness) of each collision and workspace row
     rows: list[tuple] = []
 
-    checks = [(BarrierKind.SELF_COLLISION, body_a, body_b, None) for body_a, body_b in pairs]
     velocities = [_xyz(obstacle.velocity) for obstacle in obstacles]
-    checks += [(BarrierKind.OBJECT_COLLISION, body, obstacle.body, velocity)
-               for obstacle, velocity in zip(obstacles, velocities)
-               for body in model.collision_bodies]
-    for kind, body_a, body_b, velocity in checks:
+    for kind, pair, body_a, body_b, j in _collision_barriers(
+            model, pairs, [obstacle.body for obstacle in obstacles]):
         try:
             h, grad, prox = body_pair_barrier(model, fk, body_a, body_b)
         except DegenerateWitnessError as exc:
@@ -239,13 +282,12 @@ def collect_constraints(
             continue
         if h > config.activation_distance:
             continue
-        pair = f"{body_a.name}|{body_b.name}"
-        if velocity is None:
+        if j is None:
             rows.append((kind, pair, h, grad, 0.0, PairWitness(body_a, body_b, prox)))
         else:
-            (nx, ny, nz), (vx, vy, vz) = prox.normal, velocity
+            (nx, ny, nz), (vx, vy, vz) = prox.normal, velocities[j]
             rows.append((kind, pair, h, grad, nx * vx + ny * vy + nz * vz,
-                         PairWitness(body_a, body_b, prox, velocity)))
+                         PairWitness(body_a, body_b, prox, velocities[j])))
 
     for pair in workspace_pairs:
         h, grad = workspace_barrier(fk, pair)
@@ -254,17 +296,13 @@ def collect_constraints(
     jl = len(jl_keys)
     kinds, names, hs, grads, drifts, witnesses = zip(*rows) if rows else ((),) * 6
     keys = jl_keys + list(zip(kinds, names))
-    h = np.empty(len(keys))
-    h[0:jl:2] = q - q_min
-    h[1:jl:2] = q_max - q
-    h[jl:] = hs
     grad = np.concatenate((jl_grad, grads)) if rows else jl_grad.copy()
     if not np.isfinite(grad).all():
         bad = int(np.argmin(np.isfinite(grad).all(axis=1)))
         raise ValueError(f"{keys[bad][1]}: non-finite gradient")
     eps = [config.epsilon[kind] for kind, _ in keys]
     return BarrierRows(
-        keys=keys, h=h, grad=grad,
+        keys=keys, h=_barrier_h(model, state.q, hs), grad=grad,
         alpha=np.array([config.alpha[kind] for kind, _ in keys]),
         epsilon=np.array(eps),
         drift=np.array([0.0] * jl + list(drifts)),

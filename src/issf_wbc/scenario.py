@@ -185,9 +185,11 @@ class ObstacleSpec:
     process_noise: float = 1e-2
 
     def __post_init__(self) -> None:
-        for key in ("measurement_noise_std", "process_noise"):
-            if not getattr(self, key) >= 0.0:       # NaN fails too
-                raise ValueError(f"{key}: must be >= 0, got {getattr(self, key)!r}")
+        problems = [f"{key}: must be finite and >= 0, got {getattr(self, key)!r}"
+                    for key in ("measurement_noise_std", "process_noise")
+                    if not 0.0 <= getattr(self, key) < math.inf]    # NaN fails too
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

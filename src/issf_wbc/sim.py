@@ -19,11 +19,11 @@ the top of ``Controller.step`` is this module's only one (``perfbench``
 counts cycles by it).
 
 ``run_closed_loop`` is the plant loop that drives it at the control rate:
-sense the obstacles, step the controller, log the ground-truth barrier
-values, then hold the command over the physics substeps of the full-order
-dynamics qdd = M^-1 (tau - h).  The plant is a *separately scaled* model:
-mass mismatch is injected only on the plant side, and the controller keeps
-the nominal model.
+sense the obstacles, step the controller, log the ground-truth values of
+the barriers in ``safety``'s catalog, then hold the command over the
+physics substeps of the full-order dynamics qdd = M^-1 (tau - h).  The
+plant is a *separately scaled* model: mass mismatch is injected only on the
+plant side, and the controller keeps the nominal model.
 
 The per-cycle discrepancy between the commanded and realized joint velocity,
 
@@ -48,16 +48,17 @@ import numpy as np
 from ._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
 from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
-from .geometry import CollisionBody, closest_points, pose_body, workspace_barrier_value
+from .geometry import CollisionBody
 from .kinwbc import prioritized_ik
 from .model import FkResult, JointState, RobotModel, forward_kinematics
 from .qpsolver import QpSolver
 from .safety import (
-    BarrierKind,
     BarrierRows,
     FilterMode,
     FilterResult,
     Obstacle,
+    _barrier_catalog,
+    _barrier_values,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
@@ -242,6 +243,9 @@ class ConstraintDumpRow:
 class RunTrace:
     """Per-cycle record of a closed-loop run plus derived metrics."""
 
+    # the per-joint blocks of a trace.csv row, in column order (not fields)
+    _vector_blocks = ("q", "qd", "qdot_des", "qdot_safe", "tau_cmd")
+
     n_dof: int
     barrier_keys: list[str]
     t: np.ndarray
@@ -270,7 +274,7 @@ class RunTrace:
 
     def column_names(self) -> list[str]:
         names = ["t"]
-        for block in ("q", "qd", "qdot_des", "qdot_safe", "tau_cmd"):
+        for block in self._vector_blocks:
             names += [f"{block}{i}" for i in range(self.n_dof)]
         names += [f"h:{key}" for key in self.barrier_keys]
         names += ["d_inf", "dbar", "qp_iters", "qp_status"]
@@ -279,17 +283,13 @@ class RunTrace:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.column_names()) + "\n")
+            blocks = [getattr(self, block) for block in self._vector_blocks] + [self.h]
             for k in range(self.cycles):
                 cells = [repr(float(self.t[k]))]
-                for block in (self.q, self.qd, self.qdot_des, self.qdot_safe, self.tau_cmd):
+                for block in blocks:
                     cells += [repr(float(v)) for v in block[k]]
-                cells += [repr(float(v)) for v in self.h[k]]
-                cells += [
-                    repr(float(self.d_inf[k])),
-                    repr(float(self.dbar[k])),
-                    str(int(self.qp_iters[k])),
-                    self.qp_status[k],
-                ]
+                cells += [repr(float(self.d_inf[k])), repr(float(self.dbar[k])),
+                          str(int(self.qp_iters[k])), self.qp_status[k]]
                 fh.write(",".join(cells) + "\n")
 
     def to_torque_csv(self, path) -> None:
@@ -342,42 +342,6 @@ class _ObstacleTruth:
         offset = est.position - self.body.p0
         body = replace(self.body, p0=self.body.p0 + offset, p1=self.body.p1 + offset)
         return Obstacle(body=body, velocity=est.velocity)
-
-
-def _barrier_catalog(scenario) -> list[tuple[str, str]]:
-    """Stable (kind, pair) keys recorded at every cycle."""
-    keys: list[tuple[str, str]] = []
-    n = scenario.robot.n_dof
-    for i in range(n):
-        keys.append((BarrierKind.JOINT_LIMIT_MIN.value, f"q{i}"))
-        keys.append((BarrierKind.JOINT_LIMIT_MAX.value, f"q{i}"))
-    for a, b in scenario.collision_pairs:
-        keys.append((BarrierKind.SELF_COLLISION.value, f"{a.name}|{b.name}"))
-    for spec in scenario.obstacles:
-        for body in scenario.robot.collision_bodies:
-            keys.append((BarrierKind.OBJECT_COLLISION.value, f"{body.name}|{spec.body.name}"))
-    for pair in scenario.workspace_pairs:
-        keys.append((BarrierKind.WORKSPACE.value, pair.name))
-    return keys
-
-
-def _truth_barriers(model, q, fk, scenario, obstacle_bodies) -> np.ndarray:
-    """Ground-truth barrier values for the trace (estimates are controller-side);
-    ``obstacle_bodies`` are the obstacles' true poses at the cycle."""
-    vals: list[float] = []
-    for i, joint in enumerate(model.joints):
-        vals.append(float(q[i] - joint.q_min))
-        vals.append(float(joint.q_max - q[i]))
-    for a, b in scenario.collision_pairs:
-        prox = closest_points(pose_body(a, fk), pose_body(b, fk))
-        vals.append(prox.h)
-    for obs_body in obstacle_bodies:
-        for body in model.collision_bodies:
-            prox = closest_points(pose_body(body, fk), pose_body(obs_body, fk))
-            vals.append(prox.h)
-    for pair in scenario.workspace_pairs:
-        vals.append(workspace_barrier_value(fk, pair))
-    return np.array(vals)
 
 
 @dataclass(frozen=True)
@@ -480,9 +444,10 @@ def run_closed_loop(
     plain = controller.filter_config.mode is FilterMode.CBF
 
     cycles = int(round(cfg.duration / cfg.dt_control))
-    catalog = _barrier_catalog(scenario)
+    catalog = _barrier_catalog(nominal_model, scenario.collision_pairs,
+                               [truth.body for truth in obstacle_truths], scenario.workspace_pairs)
     trace = RunTrace(
-        n_dof=n, barrier_keys=[f"{kind}|{pair}" for kind, pair in catalog],
+        n_dof=n, barrier_keys=[f"{kind.value}|{pair}" for kind, pair in catalog],
         t=np.zeros(cycles), q=np.zeros((cycles, n)), qd=np.zeros((cycles, n)),
         qdot_des=np.zeros((cycles, n)), qdot_safe=np.zeros((cycles, n)),
         tau_cmd=np.zeros((cycles, n)), h=np.zeros((cycles, len(catalog))),
@@ -510,7 +475,8 @@ def run_closed_loop(
         trace.qdot_des[k] = rec.qdot_des
         trace.qdot_safe[k] = qdot_safe
         trace.tau_cmd[k] = tau_cmd
-        trace.h[k] = _truth_barriers(nominal_model, state.q, rec.fk, scenario, bodies)
+        trace.h[k] = _barrier_values(nominal_model, state.q, rec.fk, scenario.collision_pairs,
+                                     bodies, scenario.workspace_pairs)
         trace.qp_iters[k] = rec.filtered.iterations
         trace.qp_status.append(rec.filtered.status)
         trace.dynamics_residual[k] = rec.dynamics_residual

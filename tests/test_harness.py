@@ -356,9 +356,13 @@ class TestEveryScenarioValueHonouredOrRejected:
         (("sim",), "duration", -1.0, "sim.duration: must be finite and >= 0, got -1.0"),
         (("sim",), "duration", math.inf, "sim.duration: must be finite and >= 0, got inf"),
         (("obstacles", 0), "measurement_noise_std", -0.1,
-         "obstacles[0].measurement_noise_std: must be >= 0, got -0.1"),
+         "obstacles[0].measurement_noise_std: must be finite and >= 0, got -0.1"),
+        (("obstacles", 0), "measurement_noise_std", math.inf,
+         "obstacles[0].measurement_noise_std: must be finite and >= 0, got inf"),
         (("obstacles", 0), "process_noise", -1.0,
-         "obstacles[0].process_noise: must be >= 0, got -1.0"),
+         "obstacles[0].process_noise: must be finite and >= 0, got -1.0"),
+        (("obstacles", 0), "process_noise", math.inf,
+         "obstacles[0].process_noise: must be finite and >= 0, got inf"),
         ((), "filter", {"activation_distance": -5.0},
          "filter.activation_distance: must be >= 0, got -5.0"),
         ((), "filter", {"slack": {"weight": 0}},
@@ -372,8 +376,20 @@ class TestEveryScenarioValueHonouredOrRejected:
     def test_nan_obstacle_noise_rejected(self, key):
         # A file cannot give NaN (the number reader rejects it); code can.
         body = CollisionBody("ball", -1, 0.1, np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match=f"^{key}: must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match=f"^{key}: must be finite and >= 0, got nan$"):
             ObstacleSpec(body, np.zeros(3), **{key: math.nan})
+
+    def test_both_infinite_obstacle_noises_reported(self, tmp_path):
+        # An infinite noise makes the Kalman estimate NaN from its second update.
+        path = every_block_scenario(tmp_path, ("obstacles", 0), "process_noise", math.inf)
+        doc = json.loads(path.read_text())
+        doc["obstacles"][0]["measurement_noise_std"] = math.inf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [
+            "obstacles[0].measurement_noise_std: must be finite and >= 0, got inf",
+            "obstacles[0].process_noise: must be finite and >= 0, got inf"]
 
     def test_sphere_obstacle_has_no_second_end(self, tmp_path):
         path = every_block_scenario(tmp_path, ("obstacles", 0), "p1", [2.0, 0.0, 2.0])

@@ -40,7 +40,9 @@ def test_trace_digests_script_prints_every_digest(capsys):
     kernels = [line.split() for line in outputs[0] if line.startswith("kernel ")]
     assert {kernel[2] for kernel in kernels} == {"fk", "dynamics"}
     assert {"planar3", "arm7", "planar3*1.2", "arm7*1.2"} <= {kernel[1] for kernel in kernels}
-    assert len(runs) + len(kernels) == len(outputs[0])
+    sweeps = [line.split() for line in outputs[0] if line.startswith("sweep ")]
+    assert [sweep[:3] for sweep in sweeps] == [["sweep", "hand_track", "sweep.csv"]]
+    assert len(runs) + len(kernels) + len(sweeps) == len(outputs[0])
 
 
 def test_opcounts_script_counts_every_stage(capsys):

@@ -373,8 +373,10 @@ class TestChecksAgainstReference:
             cases.append(0.5 * (H + H.T))
         verdicts = set()
         for H in cases:
-            got = outcome(QpSolver._check_strict_convexity, H)
+            rows = H.tolist()
+            got = outcome(QpSolver._check_strict_convexity, rows)
             assert got == outcome(strict_convexity_reference, H), H
+            assert rows == H.tolist()       # the caller's H is left as it is
             verdicts.add(got)
         assert {"accept", "ValueError"} <= verdicts
         # A non-finite H never reaches the eigenvalues: validation rejects it.

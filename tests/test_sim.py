@@ -15,7 +15,14 @@ from issf_wbc.model import (
     forward_kinematics,
     scale_link_masses,
 )
-from issf_wbc.safety import FilterConfig, FilterMode, Obstacle, collect_constraints
+from issf_wbc.safety import (
+    FilterConfig,
+    FilterMode,
+    Obstacle,
+    _barrier_catalog,
+    _barrier_values,
+    collect_constraints,
+)
 from issf_wbc.scenario import (
     ObstacleSpec,
     Scenario,
@@ -31,9 +38,7 @@ from issf_wbc.sim import (
     SimConfig,
     SimulationDivergedError,
     TorquePulse,
-    _barrier_catalog,
     _ObstacleTruth,
-    _truth_barriers,
     run_closed_loop,
     step_physics,
 )
@@ -457,10 +462,15 @@ class TestBarrierEnumerations:
         # active and the obstacles at their true pose.
         scenario = load_scenario(data_path(name))
         model = scenario.robot
+        pairs, workspace_pairs = scenario.collision_pairs, scenario.workspace_pairs
         config = replace(scenario.filter_config, activation_distance=math.inf)
         truths = [_ObstacleTruth(spec.body, spec.velocity, 0.0, spec.process_noise)
                   for spec in scenario.obstacles]
-        catalog = [f"{kind}|{pair}" for kind, pair in _barrier_catalog(scenario)]
+        catalog = _barrier_catalog(model, pairs, [truth.body for truth in truths],
+                                   workspace_pairs)
+        empty_run = replace(scenario, sim=replace(scenario.sim, duration=0.0))
+        trace = run_closed_loop(model, model, empty_run)
+        assert trace.barrier_keys == [f"{kind.value}|{pair}" for kind, pair in catalog]
         poses = [(scenario.q0, 0.0)] + [
             (np.array([rng.uniform(j.q_min, j.q_max) for j in model.joints]),
              float(rng.uniform(0.0, scenario.sim.duration)))
@@ -470,11 +480,10 @@ class TestBarrierEnumerations:
             obstacles = [Obstacle(body=truth.at(t), velocity=truth.velocity)
                          for truth in truths]
             rows = collect_constraints(model, JointState(q=q, qd=np.zeros(model.n_dof)), fk,
-                                       obstacles, config, scenario.collision_pairs,
-                                       scenario.workspace_pairs)
-            assert [f"{kind.value}|{pair}" for kind, pair in rows.keys] == catalog
-            truth_h = _truth_barriers(model, q, fk, scenario,
-                                      [truth.at(t) for truth in truths])
+                                       obstacles, config, pairs, workspace_pairs)
+            assert rows.keys == catalog
+            truth_h = _barrier_values(model, q, fk, pairs, [truth.at(t) for truth in truths],
+                                      workspace_pairs)
             assert rows.h.tobytes() == truth_h.tobytes()
 
 
