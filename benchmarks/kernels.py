@@ -21,9 +21,12 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``prioritized_ik``: the scenario's task stack sampled at t = 0, at the
   moving state, given the FK;
 - ``collect_constraints``: the scenario's barrier rows at the moving state,
-  given the FK, with each obstacle where it is 1.2 s into the run
+  given the FK and the controller's barrier plan (``safety.barrier_plan``,
+  built once per run), with each obstacle where it is 1.2 s into the run
   (``obstacle_track``'s ball is then within reach of the hand and the
   forearm);
+- ``truth_values``: the loop's ground-truth h of every barrier of that plan
+  (``safety._barrier_values``), given the FK, with the obstacles there;
 - ``filter_velocity``: the ``issf-cbf`` velocity filter on those rows, with
   qd_des the moving state's qd and a solver of its own;
 - ``ecbf_rows``: the eCBF rows of those barrier rows, given the FK;
@@ -82,6 +85,8 @@ from issf_wbc.qpsolver import QpSolver  # noqa: E402
 from issf_wbc.safety import (  # noqa: E402
     FilterMode,
     Obstacle,
+    _barrier_values,
+    barrier_plan,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
@@ -131,8 +136,10 @@ def kernels(scenario) -> dict[str, callable]:
                                        p1=spec.body.p1 + ECBF_T * spec.velocity),
                           velocity=spec.velocity)
                  for spec in scenario.obstacles]
-    rows = collect_constraints(model, state, fk, obstacles, scenario.filter_config,
-                               scenario.collision_pairs, scenario.workspace_pairs)
+    plan = barrier_plan(model, scenario.filter_config, scenario.collision_pairs,
+                        [spec.body for spec in scenario.obstacles], scenario.workspace_pairs)
+    rows = collect_constraints(plan, state, fk, obstacles)
+    obstacle_bodies = [obstacle.body for obstacle in obstacles]
     issf = scenario.filter_config.with_mode(FilterMode.ISSF_CBF)
     controller = first_cycle(scenario)
     filter_qp, torque_qp = controller.filter_solver.problem, controller.dyn_solver.problem
@@ -159,9 +166,8 @@ def kernels(scenario) -> dict[str, callable]:
         "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
         "cholesky_solve": cholesky_solve,
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks),
-        "collect_constraints": lambda: collect_constraints(
-            model, state, fk, obstacles, scenario.filter_config,
-            scenario.collision_pairs, scenario.workspace_pairs),
+        "collect_constraints": lambda: collect_constraints(plan, state, fk, obstacles),
+        "truth_values": lambda: _barrier_values(plan, q, fk, obstacle_bodies),
         "filter_velocity": lambda: filter_velocity(qd, rows, issf, filter_solver),
         "ecbf_rows": lambda: ecbf_rows(state, fk, rows),
         "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd, state, controller.gains,

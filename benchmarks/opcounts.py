@@ -24,6 +24,9 @@ are generated:
   numpy's share is understated.
 - ``plant <scenario> <mode> step_physics ...``: the same two counts for the
   plant's ``step_physics`` calls (all substeps of a cycle).
+- ``truth <scenario> <mode> bytecodes <per cycle>`` and ``truth <scenario>
+  <mode> c:<function> <per cycle>``: the same two counts for the loop's
+  ground-truth barrier values (``sim._barrier_values``, once per cycle).
 - ``cycles <scenario> <mode> <n>``: the number of cycles counted.
 - ``kernel <model>/<fk|dynamics> <op> <count>``: the operations in the
   generated source of the forward-kinematics and dynamics kernels of both
@@ -115,11 +118,13 @@ class OpCounter:
             sys.setprofile(None)
 
 
-def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter]:
-    """(cycles counted, controller counts, plant counts) of one closed-loop run."""
+def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, OpCounter]:
+    """(cycles counted, controller counts, plant counts, truth counts) of one
+    closed-loop run."""
     controller, plant = OpCounter("step", STAGES), OpCounter("step_physics", {})
+    truth = OpCounter("", {})
     cycle = -1
-    step_physics = sim.step_physics
+    step_physics, barrier_values = sim.step_physics, sim._barrier_values
 
     def counted_step(self, *args):
         nonlocal cycle
@@ -133,8 +138,14 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter]:
             return step_physics(*args)
         return plant.count(step_physics, *args)
 
+    def counted_truth(*args):
+        if cycle < SKIPPED_CYCLES:
+            return barrier_values(*args)
+        return truth.count(barrier_values, *args)
+
     plant_model = scale_link_masses(scenario.robot, scenario.sim.mass_scale)
     sim.Controller.step, sim.step_physics = counted_step, counted_physics
+    sim._barrier_values = counted_truth
     gc.collect()
     gc.disable()        # a collection would run weakref callbacks inside a count
     try:
@@ -142,18 +153,21 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter]:
     finally:
         gc.enable()
         sim.Controller.step, sim.step_physics = STEP, step_physics
-    return cycle + 1 - SKIPPED_CYCLES, controller, plant
+        sim._barrier_values = barrier_values
+    return cycle + 1 - SKIPPED_CYCLES, controller, plant, truth
 
 
 def report(label: str, cycles: int, counter: OpCounter, total: bool) -> list[str]:
-    """The lines of one counter; with ``total``, a last stage that sums the others."""
+    """The lines of one counter; with ``total``, a last stage that sums the
+    others.  A counter whose one stage is named "" prints no stage name."""
     bytecodes = dict(sorted(counter.bytecodes.items()))
     if total:
         bytecodes["total"] = sum(bytecodes.values())
     lines = []
     for stage, count in bytecodes.items():
-        lines.append(f"{label} {stage} bytecodes {count / cycles:.1f}")
-        lines += [f"{label} {stage} c:{name} {calls / cycles:.1f}"
+        head = f"{label} {stage}" if stage else label
+        lines.append(f"{head} bytecodes {count / cycles:.1f}")
+        lines += [f"{head} c:{name} {calls / cycles:.1f}"
                   for (where, name), calls in sorted(counter.c_calls.items()) if where == stage]
     return lines
 
@@ -201,13 +215,14 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(resolve_input(name))
         scenario = replace(scenario, sim=replace(scenario.sim, duration=args.duration))
         for mode in FilterMode:
-            cycles, controller, plant = count_run(scenario, mode)
+            cycles, controller, plant, truth = count_run(scenario, mode)
             if cycles < 1:
                 parser.error(f"--duration {args.duration} leaves no cycle to count")
             label = f"{scenario.name} {mode.value}"
             lines.append(f"cycles {label} {cycles}")
             lines += report(f"step {label}", cycles, controller, total=True)
             lines += report(f"plant {label}", cycles, plant, total=False)
+            lines += report(f"truth {label}", cycles, truth, total=False)
         lines += kernel_report(scenario)
     print("\n".join(lines))
     return 0

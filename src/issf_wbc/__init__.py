@@ -32,10 +32,12 @@ from .model import (
 from .qpsolver import QpProblem, QpSolution, QpSolver, QpStatus
 from .safety import (
     BarrierKind,
+    BarrierPlan,
     BarrierRows,
     FilterConfig,
     FilterMode,
     Obstacle,
+    barrier_plan,
     collect_constraints,
     ecbf_rows,
     filter_velocity,

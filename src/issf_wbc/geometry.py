@@ -29,6 +29,8 @@ Vec3 = tuple[float, float, float]
 # Below this witness separation the contact normal is numerically meaningless.
 DEGENERATE_DISTANCE = 1e-9
 
+_ZERO3 = (0.0, 0.0, 0.0)
+
 
 class DegenerateWitnessError(RuntimeError):
     """Coincident witness points: the barrier gradient is undefined this cycle."""
@@ -97,14 +99,15 @@ class ProximityResult:
 
 def pose_body(body: CollisionBody, fk: FkResult) -> WorldSegment:
     """World-frame segment of a body; world bodies keep their coordinates."""
-    p0, p1 = _xyz(body.p0), _xyz(body.p1)
-    if body.is_world:
-        return WorldSegment(a=p0, b=p1, radius=body.radius)
-    return WorldSegment(
-        a=fk._point(body.link, p0),
-        b=fk._point(body.link, p1),
-        radius=body.radius,
-    )
+    return _pose(fk, body.link, _xyz(body.p0), _xyz(body.p1), body.radius)
+
+
+def _pose(fk: FkResult, link: int, p0: Vec3, p1: Vec3, radius: float) -> WorldSegment:
+    """``pose_body`` of a body on ``link`` (-1: the world) whose end points
+    are given as float tuples in that link's frame."""
+    if link < 0:
+        return WorldSegment(a=p0, b=p1, radius=radius)
+    return WorldSegment(a=fk._point(link, p0), b=fk._point(link, p1), radius=radius)
 
 
 def _clamp01(x: float) -> float:
@@ -197,17 +200,22 @@ def body_pair_barrier(
         raise DegenerateWitnessError(
             f"coincident witness points for pair ({body_a.name}, {body_b.name})"
         )
-    n_dof = model.n_dof
-    if body_b.is_world:
-        grad = _normal_jacobian(fk, n_dof, body_a.link, prox.point_a, prox.normal)
-    else:
-        grad_b = _normal_jacobian(fk, n_dof, body_b.link, prox.point_b, prox.normal)
-        if body_a.is_world:
-            grad = [-g for g in grad_b]
-        else:
-            grad_a = _normal_jacobian(fk, n_dof, body_a.link, prox.point_a, prox.normal)
-            grad = [ga - gb for ga, gb in zip(grad_a, grad_b)]
-    return prox.h, np.array(grad), prox
+    return prox.h, np.array(_pair_gradient(fk, model.n_dof, body_a.link, body_b.link,
+                                            prox)), prox
+
+
+def _pair_gradient(fk: FkResult, n_dof: int, link_a: int, link_b: int,
+                   prox: ProximityResult) -> list[float]:
+    """n . (J_A(p_A) - J_B(p_B)) of a pair of bodies on ``link_a`` and
+    ``link_b`` (-1: the world, whose Jacobian is zero) whose non-degenerate
+    ``closest_points`` at pose ``fk`` is ``prox``."""
+    if link_b < 0:
+        return _normal_jacobian(fk, n_dof, link_a, prox.point_a, prox.normal)
+    grad_b = _normal_jacobian(fk, n_dof, link_b, prox.point_b, prox.normal)
+    if link_a < 0:
+        return [-g for g in grad_b]
+    grad_a = _normal_jacobian(fk, n_dof, link_a, prox.point_a, prox.normal)
+    return [ga - gb for ga, gb in zip(grad_a, grad_b)]
 
 
 def _workspace_separation(fk: FkResult, pair: WorkspacePair) -> tuple[Vec3, Vec3, float]:
@@ -244,32 +252,32 @@ def workspace_barrier(fk: FkResult, pair: WorkspacePair) -> tuple[float, np.ndar
 
 # -- closed-form second time derivatives (the eCBF curvature term) ----------
 
-_ZERO3 = (0.0, 0.0, 0.0)
-
-
-def _segment_motion(body: CollisionBody, fk: FkResult, rates, point, velocity: Vec3):
-    """(u, u_dot, v_p, a_p) of a posed body: its segment b - a and that
-    vector's rate, and the velocity and bias acceleration of the material
-    point at world ``point``.  A world body translates at ``velocity`` with
-    no acceleration; a robot body moves with its link (``_link_rates``)."""
-    p0, p1 = _xyz(body.p0), _xyz(body.p1)
+def _segment_motion(body: CollisionBody, segment: WorldSegment, fk: FkResult, rates, point,
+                    velocity: Vec3):
+    """(u, u_dot, v_p, a_p) of a body posed as ``segment``: its segment
+    b - a and that vector's rate, and the velocity and bias acceleration of
+    the material point at world ``point``.  A world body translates at
+    ``velocity`` with no acceleration; a robot body moves with its link
+    (``_link_rates``)."""
+    (ax, ay, az), (bx, by, bz) = segment.a, segment.b
+    ux, uy, uz = bx - ax, by - ay, bz - az
     if body.is_world:
-        return (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]), _ZERO3, velocity, _ZERO3
-    e0, e1 = fk._point(body.link, p0), fk._point(body.link, p1)
-    ux, uy, uz = e1[0] - e0[0], e1[1] - e0[1], e1[2] - e0[2]
+        return (ux, uy, uz), _ZERO3, velocity, _ZERO3
     (wx, wy, wz), vel, acc = _point_motion(fk, rates, body.link, point)
     return ((ux, uy, uz), (wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux),
             vel, acc)
 
 
-def _pair_curvature(fk: FkResult, rates, body_a: CollisionBody, body_b: CollisionBody,
-                    prox: ProximityResult, velocity_b: Vec3 = _ZERO3) -> float:
+def _pair_curvature(fk: FkResult, rates, body_a: CollisionBody, segment_a: WorldSegment,
+                    body_b: CollisionBody, segment_b: WorldSegment, prox: ProximityResult,
+                    velocity_b: Vec3 = _ZERO3) -> float:
     """Second time derivative of a body pair's signed distance at zero joint
     acceleration, qd^T (d2h/dq2) qd + 2 qd^T (d/dt grad h) + d2h/dt2, in
     closed form.
 
-    ``prox`` is the pair's ``closest_points`` at pose ``fk`` and ``rates``
-    its ``_link_rates``; a world body B translates at ``velocity_b``.  With
+    ``prox`` is the pair's ``closest_points`` of the bodies posed at ``fk``
+    as ``segment_a`` and ``segment_b``, and ``rates`` its ``_link_rates``; a
+    world body B translates at ``velocity_b``.  With
     witnesses p_A = a + s u and p_B = b + t v, d = p_A - p_B, n = d/|d|,
     and v_A, v_B (a_A, a_B) the velocities (bias accelerations) of the
     material points at s and t, h_dot = n.(v_A - v_B) and
@@ -286,9 +294,10 @@ def _pair_curvature(fk: FkResult, rates, body_a: CollisionBody, body_b: Collisio
     parallel.
     """
     pa, pb, (nx, ny, nz) = prox.point_a, prox.point_b, prox.normal
-    (ux, uy, uz), (udx, udy, udz), va, aa = _segment_motion(body_a, fk, rates, pa, _ZERO3)
-    (vx, vy, vz), (vdx, vdy, vdz), vb, ab = _segment_motion(body_b, fk, rates, pb,
-                                                            velocity_b)
+    (ux, uy, uz), (udx, udy, udz), va, aa = _segment_motion(body_a, segment_a, fk, rates,
+                                                            pa, _ZERO3)
+    (vx, vy, vz), (vdx, vdy, vdz), vb, ab = _segment_motion(body_b, segment_b, fk, rates,
+                                                            pb, velocity_b)
     dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
     dist = sqrt(dx * dx + dy * dy + dz * dz)
     rx, ry, rz = va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]

@@ -202,7 +202,6 @@ def run_sweep(
     if not alphas or not epsilons or not modes:
         raise ValueError("alphas, epsilons and modes must be non-empty")
     path = resolve_input(scenario_path)
-    scenario = load_scenario(path, seed=seed)
     reference = run_scenario(path, FilterMode.WITHOUT_CBF, seed=seed, out=out)
     ref_events = reference.summary["collision_events"]
 
@@ -237,13 +236,12 @@ def run_sweep(
               if any(FilterMode(m) is FilterMode.WITHOUT_CBF for m in modes) else [])
     points += [point(*spec, outcome) for spec, outcome in zip(grid, outcomes)]
 
-    root = output_root(out) / scenario.name
-    root.mkdir(parents=True, exist_ok=True)
+    root = reference.out_dir.parents[1]         # <out>/<scenario>, from <mode>/<label>
     csv_path = root / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(field.name for field in fields(SweepPoint))
         for p in points:
             writer.writerow(int(v) if type(v) is bool else v for v in astuple(p))
-    return SweepResult(scenario=scenario.name, reference_events=ref_events,
+    return SweepResult(scenario=root.name, reference_events=ref_events,
                        points=tuple(points), csv_path=csv_path)

@@ -14,14 +14,18 @@ positive-feedback loop through the tracking controller -- the plant realizes
 the command one cycle later and the command negates it again, which rings at
 the control rate on a stiff plant.  Each level takes one SVD of its
 projected Jacobian, J_i N_{i-1} = U S V^T, and keeps the singular triplets
-with s > sigma_rel s_0, so commands stay bounded through kinematic
-singularities; both updates come from that one SVD:
+with s > sigma_rel ||J_i||_F, so commands stay bounded through kinematic
+singularities.  The threshold is set by the unprojected level's scale: a
+level that lies inside the higher levels' row space keeps only rounding
+noise after projection, which a threshold relative to that noise's own
+largest value would invert.  Both updates come from that one SVD:
 pinv(J_i N_{i-1}) = V_r S_r^-1 U_r^T and pinv(J_i N_{i-1}) J_i N_{i-1} =
 V_r V_r^T.  A level whose projected Jacobian is zero changes nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -90,7 +94,8 @@ def solve_priority_stack(
         u, s, vt = np.linalg.svd(jac_pre, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             continue
-        r = int(np.count_nonzero(s > sigma_rel * s[0]))
+        frobenius = math.sqrt(np.vdot(jac, jac))           # ||J_i||_F, unprojected
+        r = int(np.count_nonzero(s > sigma_rel * frobenius))
         v_r = vt[:r]
         qdot = qdot + v_r.T @ ((u[:, :r].T @ (term - jac @ qdot)) / s[:r])
         nullspace = nullspace - v_r.T @ v_r

@@ -95,6 +95,8 @@ class QpProblem:
 
     def validate(self) -> tuple[list[list[float]], list[float], list[float]]:
         """Check the data; returns H, g and b (empty without rows) as float lists."""
+        if (self.A_ineq is None) != (self.b_ineq is None):
+            raise QpDimensionError("A_ineq and b_ineq must be given together")
         n, m = self.dims()
         if self.H.shape != (n, n) or self.g.shape != (n,):
             raise QpDimensionError(f"H shape {self.H.shape}, g shape {self.g.shape} vs n={n}")

@@ -15,9 +15,14 @@ a cycle's rows as one ``BarrierRows`` block of arrays, which the filter and
 ``ecbf_rows`` read by slices; alpha, eps and the slack settings are checked
 once, when the ``FilterConfig`` is built.
 
-This module owns the barrier catalog: the rows, a run trace's keys
-(``_barrier_catalog``) and its ground-truth h (``_barrier_values``) all
-read the collision barriers' row order from ``_collision_barriers``.
+This module owns the barrier catalog.  ``barrier_plan`` builds it once per
+run as a ``BarrierPlan``: every barrier's key in row order, each row's alpha
+and eps, the joint-limit margins, the bodies of each pair and their
+link-frame end points as float tuples.  The rows, a run trace's keys
+(``BarrierPlan.keys``) and its ground-truth h (``_barrier_values``) all
+read it.  A cycle poses each body once, builds a gradient only for an active
+collision row, and hands the posed segments to ``ecbf_rows`` in the row's
+``PairWitness``.
 
 The filter itself is the minimally invasive projection
 argmin ||qd - qd_des||^2 subject to those rows; an infeasible projection is
@@ -32,19 +37,20 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .geometry import (
+    _ZERO3,
     CollisionBody,
-    DegenerateWitnessError,
     ProximityResult,
     Vec3,
     WorkspacePair,
+    WorldSegment,
     _pair_curvature,
+    _pair_gradient,
+    _pose,
     _workspace_curvature,
-    body_pair_barrier,
     closest_points,
     pose_body,
     workspace_barrier,
@@ -81,12 +87,15 @@ class FilterInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class PairWitness:
-    """The closest-point query a collision row was built from."""
+    """The closest-point query a collision row was built from: the bodies,
+    their segments at the cycle's pose and the query's result."""
 
     body_a: CollisionBody
     body_b: CollisionBody
+    segment_a: WorldSegment
+    segment_b: WorldSegment
     proximity: ProximityResult
-    velocity_b: Vec3 = (0.0, 0.0, 0.0)   # world body B's estimated velocity
+    velocity_b: Vec3 = _ZERO3            # world body B's estimated velocity
 
 
 # Per-kind (alpha, epsilon) defaults: joint limits stiff and well-conditioned,
@@ -193,123 +202,195 @@ class BarrierRows:
         return self.drift - self.alpha * self.h + (0.0 if plain_cbf else self.margin)
 
 
-_JOINT_ROWS: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
+@dataclass(frozen=True)
+class BarrierPlan:
+    """A run's barrier catalog, built once by ``barrier_plan`` and read each cycle.
+
+    ``keys`` lists every barrier as (kind, pair) in the order of
+    ``collect_constraints``' rows when none is inactive or dropped: the 2n
+    joint-limit rows (q0 min, q0 max, q1 min, ...), the collision barriers,
+    then the workspace bounds.  The collision barriers are the
+    self-collision pairs, then each robot body against each obstacle,
+    obstacle by obstacle.  ``collisions`` holds each as (kind, pair, a, b,
+    j, alpha, eps): a indexes ``bodies``, and so does b for a self-collision
+    pair (j is None), while b is None for a body against obstacle j.
+    ``bodies`` holds every body a pair poses, once, as (body, link, p0, p1)
+    with its end points as float tuples in its link's frame (in the world
+    for a world body), and ``workspace`` each bound as (pair, alpha, eps).
+    The joint-limit rows' alpha, eps and margin 1/eps (their gradients are
+    unit vectors) are lists in row order.
+    """
+
+    n_dof: int
+    keys: list[tuple[BarrierKind, str]]
+    q_min: np.ndarray
+    q_max: np.ndarray
+    joint_grad: np.ndarray          # read-only (2n, n) block of rows e_i, -e_i
+    joint_alpha: list[float]
+    joint_epsilon: list[float]
+    joint_margin: list[float]
+    bodies: tuple[tuple, ...]
+    collisions: tuple[tuple, ...]
+    workspace: tuple[tuple, ...]
+    n_obstacles: int
+    activation_distance: float
 
 
-def _joint_limit_rows(model: RobotModel) -> tuple:
-    """The keys, the read-only +-I gradient block and the lower and upper
-    limits of the 2n joint-limit rows, built once per model."""
-    rows = _JOINT_ROWS.get(model)
-    if rows is None:
-        keys = [(kind, f"q{i}") for i in range(model.n_dof)
-                for kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)]
-        grad = np.kron(np.eye(model.n_dof), [[1.0], [-1.0]])     # rows e_i, -e_i
-        grad.setflags(write=False)
-        q_min = np.array([joint.q_min for joint in model.joints], dtype=float)
-        q_max = np.array([joint.q_max for joint in model.joints], dtype=float)
-        rows = _JOINT_ROWS[model] = (keys, grad, q_min, q_max)
-    return rows
+def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bodies=(),
+                 workspace_pairs=()) -> BarrierPlan:
+    """The barrier catalog of ``model`` under ``config``: the self-collision
+    ``pairs``, each robot body against each of ``obstacle_bodies`` (whose
+    estimates a cycle's obstacles are, in the same order) and the
+    ``workspace_pairs``."""
+    bodies: list[tuple] = []
+
+    def index(body: CollisionBody) -> int:
+        for i, entry in enumerate(bodies):
+            if entry[0] is body:
+                return i
+        bodies.append((body, body.link, _xyz(body.p0), _xyz(body.p1)))
+        return len(bodies) - 1
+
+    collisions = []
+    kind = BarrierKind.SELF_COLLISION
+    for a, b in pairs:
+        if a.is_world and b.is_world:
+            raise ValueError(f"{a.name}|{b.name}: at least one body must be attached "
+                             "to the robot")
+        collisions.append((kind, f"{a.name}|{b.name}", index(a), index(b), None,
+                           config.alpha[kind], config.epsilon[kind]))
+    kind = BarrierKind.OBJECT_COLLISION
+    for j, obstacle in enumerate(obstacle_bodies):
+        collisions += [(kind, f"{a.name}|{obstacle.name}", index(a), None, j,
+                        config.alpha[kind], config.epsilon[kind])
+                       for a in model.collision_bodies]
+    kind = BarrierKind.WORKSPACE
+    workspace = tuple((pair, config.alpha[kind], config.epsilon[kind])
+                      for pair in workspace_pairs)
+
+    n = model.n_dof
+    joint_keys = [(kind, f"q{i}") for i in range(n)
+                  for kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)]
+    joint_grad = np.kron(np.eye(n), [[1.0], [-1.0]])
+    joint_grad.setflags(write=False)
+    joint_epsilon = [config.epsilon[kind] for kind, _ in joint_keys]
+    return BarrierPlan(
+        n_dof=n,
+        keys=(joint_keys + [(kind, pair) for kind, pair, *_ in collisions]
+              + [(BarrierKind.WORKSPACE, pair.name) for pair in workspace_pairs]),
+        q_min=np.array([joint.q_min for joint in model.joints], dtype=float),
+        q_max=np.array([joint.q_max for joint in model.joints], dtype=float),
+        joint_grad=joint_grad,
+        joint_alpha=[config.alpha[kind] for kind, _ in joint_keys],
+        joint_epsilon=joint_epsilon,
+        joint_margin=[1.0 / e for e in joint_epsilon],
+        bodies=tuple(bodies),
+        collisions=tuple(collisions),
+        workspace=workspace,
+        n_obstacles=len(obstacle_bodies),
+        activation_distance=config.activation_distance,
+    )
 
 
-def _collision_barriers(model: RobotModel, pairs, obstacle_bodies) -> list[tuple]:
-    """The collision barriers in row order, as (kind, pair, body A, body B, j):
-    the self-collision ``pairs`` (j None), then each robot body against
-    obstacle j of ``obstacle_bodies``, obstacle by obstacle."""
-    return ([(BarrierKind.SELF_COLLISION, f"{a.name}|{b.name}", a, b, None) for a, b in pairs]
-            + [(BarrierKind.OBJECT_COLLISION, f"{a.name}|{b.name}", a, b, j)
-               for j, b in enumerate(obstacle_bodies) for a in model.collision_bodies])
+def _posed_bodies(plan: BarrierPlan, fk: FkResult) -> list[tuple[CollisionBody, WorldSegment]]:
+    """(body, its segment at pose ``fk``) of each of the plan's bodies."""
+    return [(body, _pose(fk, link, p0, p1, body.radius)) for body, link, p0, p1 in plan.bodies]
 
 
-def _barrier_h(model: RobotModel, q: np.ndarray, values) -> np.ndarray:
+def _barrier_h(plan: BarrierPlan, q: np.ndarray, values) -> np.ndarray:
     """The joint-limit rows' h at ``q`` (q0 min, q0 max, q1 min, ...), then ``values``."""
-    _, _, q_min, q_max = _joint_limit_rows(model)
-    jl = 2 * model.n_dof
+    jl = 2 * plan.n_dof
     h = np.empty(jl + len(values))
-    h[0:jl:2] = q - q_min
-    h[1:jl:2] = q_max - q
+    h[0:jl:2] = q - plan.q_min
+    h[1:jl:2] = plan.q_max - q
     h[jl:] = values
     return h
 
 
-def _barrier_catalog(model: RobotModel, pairs, obstacle_bodies,
-                     workspace_pairs) -> list[tuple[BarrierKind, str]]:
-    """The (kind, pair) key of every barrier, in the order of
-    ``collect_constraints``' rows when none is inactive or dropped."""
-    return (_joint_limit_rows(model)[0]
-            + [(kind, pair) for kind, pair, *_ in
-               _collision_barriers(model, pairs, obstacle_bodies)]
-            + [(BarrierKind.WORKSPACE, pair.name) for pair in workspace_pairs])
-
-
-def _barrier_values(model: RobotModel, q: np.ndarray, fk: FkResult, pairs, obstacle_bodies,
-                    workspace_pairs) -> np.ndarray:
-    """The h of every barrier of ``_barrier_catalog`` at ``q``, whose pose is
-    ``fk``, without gradients: the ground truth a run is judged on."""
-    values = [closest_points(pose_body(a, fk), pose_body(b, fk)).h
-              for _, _, a, b, _ in _collision_barriers(model, pairs, obstacle_bodies)]
-    values += [workspace_barrier_value(fk, pair) for pair in workspace_pairs]
-    return _barrier_h(model, q, values)
+def _barrier_values(plan: BarrierPlan, q: np.ndarray, fk: FkResult,
+                    obstacle_bodies) -> np.ndarray:
+    """The h of every barrier of ``plan.keys`` at ``q``, whose pose is ``fk``,
+    with the obstacles at ``obstacle_bodies``, without gradients: the ground
+    truth a run is judged on.  Each body is posed once."""
+    posed = _posed_bodies(plan, fk)
+    worlds = [pose_body(body, fk) for body in obstacle_bodies]
+    values = [closest_points(posed[a][1], posed[b][1] if j is None else worlds[j]).h
+              for _, _, a, b, j, _, _ in plan.collisions]
+    values += [workspace_barrier_value(fk, pair) for pair, _, _ in plan.workspace]
+    return _barrier_h(plan, q, values)
 
 
 def collect_constraints(
-    model: RobotModel,
+    plan: BarrierPlan,
     state: JointState,
     fk: FkResult,
     obstacles: list[Obstacle],
-    config: FilterConfig,
-    pairs: list[tuple[CollisionBody, CollisionBody]],
-    workspace_pairs: list[WorkspacePair] = (),
 ) -> BarrierRows:
-    """Assemble the barrier rows for the current state, whose pose is ``fk``.
+    """Assemble the barrier rows of ``plan`` for the current state, whose pose is ``fk``.
 
-    Joint-limit and workspace rows are always emitted; collision rows only
-    inside the activation distance.  Rows with a degenerate (coincident-
-    witness) gradient are dropped for this cycle with a logged event.  Each
-    collision and workspace row's |grad|^2 is its own ``grad @ grad``.
+    ``obstacles`` are the estimates of the plan's obstacle bodies, in order.
+    Each body is posed once.  Joint-limit and workspace rows are always
+    emitted; collision rows only inside the activation distance, and only
+    those get a gradient.  Rows with a degenerate (coincident-witness)
+    gradient are dropped for this cycle with a logged event, active or not.
+    Each collision and workspace row's |grad|^2 is its own ``grad @ grad``.
     """
-    state.validate(model.n_dof)
-    jl_keys, jl_grad, _, _ = _joint_limit_rows(model)
-    # (kind, pair, h, grad, drift, witness) of each collision and workspace row
-    rows: list[tuple] = []
-
+    state.validate(plan.n_dof)
+    if len(obstacles) != plan.n_obstacles:
+        raise ValueError(f"{len(obstacles)} obstacles for a plan of {plan.n_obstacles}")
+    n_dof, activation_distance = plan.n_dof, plan.activation_distance
+    posed = _posed_bodies(plan, fk)
+    worlds = [(obstacle.body, pose_body(obstacle.body, fk)) for obstacle in obstacles]
     velocities = [_xyz(obstacle.velocity) for obstacle in obstacles]
-    for kind, pair, body_a, body_b, j in _collision_barriers(
-            model, pairs, [obstacle.body for obstacle in obstacles]):
-        try:
-            h, grad, prox = body_pair_barrier(model, fk, body_a, body_b)
-        except DegenerateWitnessError as exc:
-            log.warning("dropping %s row: %s", kind.value, exc)
+    keys, hs, grads, alphas, epsilons, drifts, witnesses = [], [], [], [], [], [], []
+
+    for kind, pair, a, b, j, alpha, eps in plan.collisions:
+        body_a, seg_a = posed[a]
+        body_b, seg_b = posed[b] if j is None else worlds[j]
+        prox = closest_points(seg_a, seg_b)
+        if prox.degenerate:
+            log.warning("dropping %s row: coincident witness points for pair (%s, %s)",
+                        kind.value, body_a.name, body_b.name)
             continue
-        if h > config.activation_distance:
+        if prox.h > activation_distance:
             continue
         if j is None:
-            rows.append((kind, pair, h, grad, 0.0, PairWitness(body_a, body_b, prox)))
+            drift, velocity = 0.0, _ZERO3
         else:
-            (nx, ny, nz), (vx, vy, vz) = prox.normal, velocities[j]
-            rows.append((kind, pair, h, grad, nx * vx + ny * vy + nz * vz,
-                         PairWitness(body_a, body_b, prox, velocities[j])))
+            (nx, ny, nz), velocity = prox.normal, velocities[j]
+            drift = nx * velocity[0] + ny * velocity[1] + nz * velocity[2]
+        keys.append((kind, pair))
+        hs.append(prox.h)
+        grads.append(np.array(_pair_gradient(fk, n_dof, body_a.link, body_b.link, prox)))
+        alphas.append(alpha)
+        epsilons.append(eps)
+        drifts.append(drift)
+        witnesses.append(PairWitness(body_a, body_b, seg_a, seg_b, prox, velocity))
 
-    for pair in workspace_pairs:
+    for pair, alpha, eps in plan.workspace:
         h, grad = workspace_barrier(fk, pair)
-        rows.append((BarrierKind.WORKSPACE, pair.name, h, grad, 0.0, pair))
+        keys.append((BarrierKind.WORKSPACE, pair.name))
+        hs.append(h)
+        grads.append(grad)
+        alphas.append(alpha)
+        epsilons.append(eps)
+        drifts.append(0.0)
+        witnesses.append(pair)
 
-    jl = len(jl_keys)
-    kinds, names, hs, grads, drifts, witnesses = zip(*rows) if rows else ((),) * 6
-    keys = jl_keys + list(zip(kinds, names))
-    grad = np.concatenate((jl_grad, grads)) if rows else jl_grad.copy()
+    jl = 2 * n_dof
+    keys = plan.keys[:jl] + keys
+    grad = np.concatenate((plan.joint_grad, grads)) if grads else plan.joint_grad.copy()
     if not np.isfinite(grad).all():
         bad = int(np.argmin(np.isfinite(grad).all(axis=1)))
         raise ValueError(f"{keys[bad][1]}: non-finite gradient")
-    eps = [config.epsilon[kind] for kind, _ in keys]
     return BarrierRows(
-        keys=keys, h=_barrier_h(model, state.q, hs), grad=grad,
-        alpha=np.array([config.alpha[kind] for kind, _ in keys]),
-        epsilon=np.array(eps),
-        drift=np.array([0.0] * jl + list(drifts)),
-        # joint-limit gradients are unit vectors, so their margin is 1/eps
-        margin=np.array([1.0 / e for e in eps[:jl]]
-                        + [float(g @ g) / e for g, e in zip(grads, eps[jl:])]),
-        witness=[None] * jl + list(witnesses),
+        keys=keys, h=_barrier_h(plan, state.q, hs), grad=grad,
+        alpha=np.array(plan.joint_alpha + alphas),
+        epsilon=np.array(plan.joint_epsilon + epsilons),
+        drift=np.array([0.0] * jl + drifts),
+        margin=np.array(plan.joint_margin
+                        + [float(g @ g) / e for g, e in zip(grads, epsilons)]),
+        witness=[None] * jl + witnesses,
     )
 
 
@@ -401,7 +482,8 @@ def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
 
     c is computed in closed form from the pose, one pass of link velocities
     and bias accelerations (``model._link_rates``) and each row's witness
-    points (``geometry._pair_curvature``, ``geometry._workspace_curvature``);
+    points and posed segments (``geometry._pair_curvature``,
+    ``geometry._workspace_curvature``);
     a world body moves at the estimated velocity its row's drift uses, with no
     acceleration.  Joint-limit rows have constant gradients and c = 0.
     """
@@ -417,7 +499,8 @@ def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
         if isinstance(witness, WorkspacePair):
             curvature.append(_workspace_curvature(fk, rates, witness))
         else:
-            curvature.append(_pair_curvature(fk, rates, witness.body_a, witness.body_b,
+            curvature.append(_pair_curvature(fk, rates, witness.body_a, witness.segment_a,
+                                             witness.body_b, witness.segment_b,
                                              witness.proximity, witness.velocity_b))
     alpha = rows.alpha
     h_dot = rows.grad @ state.qd - rows.drift

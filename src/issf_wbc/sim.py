@@ -11,7 +11,10 @@ estimated obstacles to a motor torque command:
 
 The pose from the first stage is read by IK, the barrier rows (one
 ``BarrierRows`` block, kept in the cycle's ``CycleRecord``) and the eCBF rows
-(whose curvature is in closed form).  The torque QP's dynamics, the plant's
+(whose curvature is in closed form).  The barrier rows follow the
+controller's ``safety.BarrierPlan``, which it builds once, from its own
+arguments; ``collect_constraints`` is called once per cycle through this
+module's binding.  The torque QP's dynamics, the plant's
 substeps and the initial gravity torque call ``_fastdyn.joint_dynamics`` on
 q itself: its generated kernel works in joint frames and needs no world
 pose.  The call to ``forward_kinematics`` at
@@ -20,8 +23,10 @@ counts cycles by it).
 
 ``run_closed_loop`` is the plant loop that drives it at the control rate:
 sense the obstacles, step the controller, log the ground-truth values of
-the barriers in ``safety``'s catalog, then hold the command over the
-physics substeps of the full-order dynamics qdd = M^-1 (tau - h).  The
+the barriers in the controller's plan (``safety._barrier_values``, which
+poses each body once and calls ``geometry.closest_points`` per pair), then
+hold the command over the physics substeps of the full-order dynamics
+qdd = M^-1 (tau - h).  The
 plant is a *separately scaled* model: mass mismatch is injected only on the
 plant side, and the controller keeps the nominal model.
 
@@ -57,8 +62,8 @@ from .safety import (
     FilterMode,
     FilterResult,
     Obstacle,
-    _barrier_catalog,
     _barrier_values,
+    barrier_plan,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
@@ -372,6 +377,9 @@ class Controller:
         self.filter_config = scenario.filter_config
         if mode is not None:
             self.filter_config = self.filter_config.with_mode(mode)
+        self.plan = barrier_plan(model, self.filter_config, scenario.collision_pairs,
+                                 [spec.body for spec in scenario.obstacles],
+                                 scenario.workspace_pairs)
         self.filter_solver = QpSolver()
         self.dyn_solver = QpSolver()
         self.gains = scenario.weights.gains(model.n_dof)
@@ -392,8 +400,7 @@ class Controller:
         tasks = [spec.task_at(t) for spec in scenario.tasks]
         qdot_des = prioritized_ik(model, state, fk, tasks) if tasks else np.zeros(model.n_dof)
 
-        rows = collect_constraints(model, state, fk, obstacles, config,
-                                   scenario.collision_pairs, scenario.workspace_pairs)
+        rows = collect_constraints(self.plan, state, fk, obstacles)
         filtered = filter_velocity(qdot_des, rows, config, self.filter_solver,
                                    warm_start=self.filter_warm)
         qdot_safe = self.filter_warm = filtered.qdot_safe
@@ -444,8 +451,7 @@ def run_closed_loop(
     plain = controller.filter_config.mode is FilterMode.CBF
 
     cycles = int(round(cfg.duration / cfg.dt_control))
-    catalog = _barrier_catalog(nominal_model, scenario.collision_pairs,
-                               [truth.body for truth in obstacle_truths], scenario.workspace_pairs)
+    catalog = controller.plan.keys
     trace = RunTrace(
         n_dof=n, barrier_keys=[f"{kind.value}|{pair}" for kind, pair in catalog],
         t=np.zeros(cycles), q=np.zeros((cycles, n)), qd=np.zeros((cycles, n)),
@@ -475,8 +481,7 @@ def run_closed_loop(
         trace.qdot_des[k] = rec.qdot_des
         trace.qdot_safe[k] = qdot_safe
         trace.tau_cmd[k] = tau_cmd
-        trace.h[k] = _barrier_values(nominal_model, state.q, rec.fk, scenario.collision_pairs,
-                                     bodies, scenario.workspace_pairs)
+        trace.h[k] = _barrier_values(controller.plan, state.q, rec.fk, bodies)
         trace.qp_iters[k] = rec.filtered.iterations
         trace.qp_status.append(rec.filtered.status)
         trace.dynamics_residual[k] = rec.dynamics_residual

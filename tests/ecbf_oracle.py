@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from issf_wbc.model import JointState, forward_kinematics
-from issf_wbc.safety import AccelRows, Obstacle, collect_constraints
+from issf_wbc.safety import AccelRows, Obstacle, barrier_plan, collect_constraints
 
 FD_STEP = 1e-6
 
@@ -42,8 +42,10 @@ def hd_along_motion(model, state, obstacles, config, pairs, workspace_pairs, tau
     """(kind, pair) -> hd = grad . qd - drift at time offset ``tau``."""
     probe = JointState(q=state.q + tau * state.qd, qd=state.qd, t=state.t + tau)
     wide = replace(config, activation_distance=math.inf)
-    rows = collect_constraints(model, probe, forward_kinematics(model, probe.q),
-                               moved(obstacles, tau), wide, pairs, workspace_pairs)
+    plan = barrier_plan(model, wide, pairs, [obstacle.body for obstacle in obstacles],
+                        workspace_pairs)
+    rows = collect_constraints(plan, probe, forward_kinematics(model, probe.q),
+                               moved(obstacles, tau))
     return {key: float(g @ state.qd) - drift
             for key, g, drift in zip(rows.keys, rows.grad, rows.drift.tolist())}
 
@@ -53,8 +55,9 @@ def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
     """The eCBF rows of the barrier rows collected at ``state``, with the
     curvature term by central differences along the motion; also returns
     that term per row."""
-    rows = collect_constraints(model, state, forward_kinematics(model, state.q),
-                               obstacles, config, pairs, workspace_pairs)
+    plan = barrier_plan(model, config, pairs, [obstacle.body for obstacle in obstacles],
+                        workspace_pairs)
+    rows = collect_constraints(plan, state, forward_kinematics(model, state.q), obstacles)
     plus, minus = (hd_along_motion(model, state, obstacles, config, pairs,
                                    workspace_pairs, tau) for tau in (step, -step))
     rhs, h_e, curvature = [], [], []

@@ -161,12 +161,15 @@ def point_jacobian(
     return jac
 
 
-def truncated_pinv(jac: np.ndarray, sigma_rel: float = SIGMA_REL_DEFAULT) -> np.ndarray:
-    """SVD pseudo-inverse with singular values below sigma_rel * sigma_max set to 0."""
+def truncated_pinv(jac: np.ndarray, sigma_rel: float = SIGMA_REL_DEFAULT,
+                   scale: float | None = None) -> np.ndarray:
+    """SVD pseudo-inverse with singular values below sigma_rel * scale set to 0;
+    ``scale`` defaults to the largest singular value of ``jac``."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return jac.T * 0.0
-    inv = np.where(s > sigma_rel * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > sigma_rel * (s[0] if scale is None else scale),
+                   1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
 
@@ -176,7 +179,8 @@ def solve_priority_stack(
     n_dof: int,
     sigma_rel: float = SIGMA_REL_DEFAULT,
 ) -> np.ndarray:
-    """The prioritized-IK recursion over explicit (J_i, xd_i_cmd - xd_i) pairs."""
+    """The prioritized-IK recursion over explicit (J_i, xd_i_cmd - xd_i) pairs;
+    each level truncates relative to its unprojected Jacobian's Frobenius norm."""
     qdot = np.zeros(n_dof)
     nullspace = np.eye(n_dof)
     for jac, term in zip(jacobians, velocity_terms):
@@ -185,7 +189,7 @@ def solve_priority_stack(
                 f"task dimension mismatch: J has {jac.shape[0]} rows, command has {term.shape[0]}"
             )
         jac_pre = jac @ nullspace
-        pinv = truncated_pinv(jac_pre, sigma_rel)
+        pinv = truncated_pinv(jac_pre, sigma_rel, scale=np.linalg.norm(jac))
         qdot = qdot + pinv @ (term - jac @ qdot)
         nullspace = nullspace - pinv @ jac_pre
     return qdot

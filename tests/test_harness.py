@@ -619,6 +619,23 @@ class TestSweep:
         assert len(first.points) == 2
         assert first.points == second.points
 
+    def test_loads_the_scenario_once_per_run(self, tmp_path, monkeypatch):
+        import issf_wbc.harness as harness
+        loads = []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_scenario", counted)
+        path = write_mini_scenario(tmp_path)
+        sweep = run_sweep(path, alphas=[5.0, 10.0], epsilons=[10.0],
+                          modes=["without-cbf", "issf-cbf"], seed=3, out=tmp_path / "o")
+        assert len(sweep.points) == 3                # the reference run and two points
+        assert len(loads) == 3
+        assert sweep.scenario == "mini"
+        assert sweep.csv_path == tmp_path / "o" / "mini" / "sweep.csv"
+
     def test_failed_point_records_its_error(self, tmp_path, monkeypatch):
         import issf_wbc.harness as harness
         real_worker = harness._sweep_worker

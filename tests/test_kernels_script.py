@@ -16,7 +16,8 @@ def test_kernels_script_runs_every_kernel(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     names = ("forward_kinematics", "point_jacobian", "closest_points",
              "body_pair_barrier", "joint_dynamics", "cholesky_solve", "prioritized_ik",
-             "collect_constraints", "filter_velocity", "ecbf_rows", "motor_torque",
+             "collect_constraints", "truth_values", "filter_velocity", "ecbf_rows",
+             "motor_torque",
              "step_physics", "kalman_update", "filter_qp", "torque_qp", "dynamics_codegen")
     assert [row.split()[1] for row in rows] == list(names) * 2
 
@@ -85,6 +86,9 @@ def test_opcounts_script_counts_every_stage(capsys):
                     if (s, m) == (scenario, mode) and stage != "total")
         assert bytecodes[scenario, mode, "total"] == parts > 0
     assert {line[3] for line in lines if line[0] == "plant"} == {"step_physics"}
+    truth = {(line[1], line[2]): float(line[4]) for line in lines
+             if line[0] == "truth" and line[3] == "bytecodes"}
+    assert set(truth) == set(runs) and all(count > 0 for count in truth.values())
 
     # The total agrees with a count of whole ``Controller.step`` calls.
     sim, counted = opcounts.sim, []

@@ -181,14 +181,12 @@ class TestAgainstOracle:
             qdot = prioritized_ik(model, state, fk, tasks)
             assert_agrees(qdot, oracle_qdot(model, q, fk, tasks))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a level whose projected Jacobian is rounding noise is truncated relative "
-        "to its own largest singular value, so the noise is inverted"))
     def test_level_inside_the_higher_row_space_changes_nothing(self):
         # The point task on link 1 of a two-link planar arm already uses both
         # joints, so the posture task below it has no null space left: the
-        # command should be the point task's alone.  Both this solver and the
-        # oracle return about 1e17 rad/s instead.
+        # command should be the point task's alone.  Truncating relative to
+        # the projected level's own largest singular value inverted that
+        # level's rounding noise instead (about 1e17 rad/s).
         model = two_link_planar()
         q = np.array([0.3, 0.7])
         state = JointState(q=q, qd=np.zeros(2))

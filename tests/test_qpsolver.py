@@ -133,6 +133,16 @@ class TestContract:
             QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros(2), A_ineq=np.eye(2),
                                        b_ineq=np.zeros((2, 1))))
 
+    def test_inequality_matrix_without_rhs_rejected(self):
+        with pytest.raises(QpDimensionError, match="together"):
+            QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.zeros(2),
+                                       A_ineq=np.ones((1, 2))))
+
+    def test_inequality_rhs_without_matrix_rejected(self):
+        # b alone is not solved as an unconstrained QP with b ignored.
+        with pytest.raises(QpDimensionError, match="together"):
+            QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.zeros(2), b_ineq=np.ones(1)))
+
     def test_non_finite_data_rejected(self):
         A = np.array([[1.0, 0.0]])
         b = np.array([1.0])

@@ -15,6 +15,7 @@ from issf_wbc.safety import (
     FilterInfeasibleError,
     FilterMode,
     Obstacle,
+    barrier_plan,
     collect_constraints,
     ecbf_rows,
     filter_velocity,
@@ -24,9 +25,12 @@ from conftest import enumerate_qp, random_chain, two_link_planar
 from ecbf_oracle import ecbf_rows_fd
 
 
-def collect(model, state, *args):
-    """collect_constraints at the pose of ``state``."""
-    return collect_constraints(model, state, forward_kinematics(model, state.q), *args)
+def collect(model, state, obstacles, config, pairs, workspace_pairs=()):
+    """collect_constraints at the pose of ``state``, under the plan of these
+    pairs and obstacles."""
+    plan = barrier_plan(model, config, pairs, [obstacle.body for obstacle in obstacles],
+                        workspace_pairs)
+    return collect_constraints(plan, state, forward_kinematics(model, state.q), obstacles)
 
 
 def ecbf(model, state, rows):
@@ -289,12 +293,13 @@ class TestFilter:
         q = np.array([0.4, 2.0])
         target = np.array([0.05, 0.0, 0.02])   # deep inside, drives at the barrier
         prev = {}
+        plan = barrier_plan(model, config, [(tip, base)])
         for step in range(1200):
             state = JointState(q=q, qd=np.zeros(2))
             task = Task(priority=1, target=target, gain=5.0, link=1)
             fk = forward_kinematics(model, q)
             qdot_des = prioritized_ik(model, state, fk, [task])
-            rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
+            rows = collect_constraints(plan, state, fk, [])
             result = filter_velocity(qdot_des, rows, config, solver)
             for key, h, alpha in zip(rows.keys, rows.h, rows.alpha):
                 if key in prev:
@@ -315,12 +320,13 @@ class TestFilter:
             config = FilterConfig(mode=FilterMode.ISSF_CBF).with_collision_params(10.0, eps)
             q = np.array([0.4, 2.0])
             h_min = math.inf
+            plan = barrier_plan(model, config, [(tip, base)])
             for step in range(1500):
                 state = JointState(q=q, qd=np.zeros(2))
                 task = Task(priority=1, target=np.array([0.05, 0.0, 0.02]), gain=5.0, link=1)
                 fk = forward_kinematics(model, q)
                 qdot_des = prioritized_ik(model, state, fk, [task])
-                rows = collect_constraints(model, state, fk, [], config, [(tip, base)])
+                rows = collect_constraints(plan, state, fk, [])
                 result = filter_velocity(qdot_des, rows, config, solver)
                 h_min = min(h_min, min(h for (kind, _), h in zip(rows.keys, rows.h)
                                        if kind is BarrierKind.SELF_COLLISION))

@@ -19,8 +19,8 @@ from issf_wbc.safety import (
     FilterConfig,
     FilterMode,
     Obstacle,
-    _barrier_catalog,
     _barrier_values,
+    barrier_plan,
     collect_constraints,
 )
 from issf_wbc.scenario import (
@@ -466,11 +466,11 @@ class TestBarrierEnumerations:
         config = replace(scenario.filter_config, activation_distance=math.inf)
         truths = [_ObstacleTruth(spec.body, spec.velocity, 0.0, spec.process_noise)
                   for spec in scenario.obstacles]
-        catalog = _barrier_catalog(model, pairs, [truth.body for truth in truths],
-                                   workspace_pairs)
+        plan = barrier_plan(model, config, pairs, [truth.body for truth in truths],
+                            workspace_pairs)
         empty_run = replace(scenario, sim=replace(scenario.sim, duration=0.0))
         trace = run_closed_loop(model, model, empty_run)
-        assert trace.barrier_keys == [f"{kind.value}|{pair}" for kind, pair in catalog]
+        assert trace.barrier_keys == [f"{kind.value}|{pair}" for kind, pair in plan.keys]
         poses = [(scenario.q0, 0.0)] + [
             (np.array([rng.uniform(j.q_min, j.q_max) for j in model.joints]),
              float(rng.uniform(0.0, scenario.sim.duration)))
@@ -479,11 +479,10 @@ class TestBarrierEnumerations:
             fk = forward_kinematics(model, q)
             obstacles = [Obstacle(body=truth.at(t), velocity=truth.velocity)
                          for truth in truths]
-            rows = collect_constraints(model, JointState(q=q, qd=np.zeros(model.n_dof)), fk,
-                                       obstacles, config, pairs, workspace_pairs)
-            assert rows.keys == catalog
-            truth_h = _barrier_values(model, q, fk, pairs, [truth.at(t) for truth in truths],
-                                      workspace_pairs)
+            rows = collect_constraints(plan, JointState(q=q, qd=np.zeros(model.n_dof)), fk,
+                                       obstacles)
+            assert rows.keys == plan.keys
+            truth_h = _barrier_values(plan, q, fk, [truth.at(t) for truth in truths])
             assert rows.h.tobytes() == truth_h.tobytes()
 
 
