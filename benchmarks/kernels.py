@@ -62,7 +62,6 @@ import platform
 import sys
 import timeit
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -132,8 +131,7 @@ def kernels(scenario) -> dict[str, callable]:
     state = JointState(q=q, qd=qd, t=0.0)
     tau = np.zeros(model.n_dof)
     dt = scenario.sim.dt_physics
-    obstacles = [Obstacle(body=replace(spec.body, p0=spec.body.p0 + ECBF_T * spec.velocity,
-                                       p1=spec.body.p1 + ECBF_T * spec.velocity),
+    obstacles = [Obstacle(body=spec.body.moved([ECBF_T * v for v in spec.velocity]),
                           velocity=spec.velocity)
                  for spec in scenario.obstacles]
     plan = barrier_plan(model, scenario.filter_config, scenario.collision_pairs,

@@ -27,6 +27,10 @@ are generated:
 - ``truth <scenario> <mode> bytecodes <per cycle>`` and ``truth <scenario>
   <mode> c:<function> <per cycle>``: the same two counts for the loop's
   ground-truth barrier values (``sim._barrier_values``, once per cycle).
+- ``sense <scenario> <mode> bytecodes <per cycle>`` and ``sense <scenario>
+  <mode> c:<function> <per cycle>``: the same two counts for the loop's
+  obstacle sensing (``sim._ObstacleTruth.at`` and ``.estimate``, once per
+  obstacle and cycle); 0 bytecodes for a scenario without obstacles.
 - ``cycles <scenario> <mode> <n>``: the number of cycles counted.
 - ``kernel <model>/<fk|dynamics> <op> <count>``: the operations in the
   generated source of the forward-kinematics and dynamics kernels of both
@@ -118,13 +122,15 @@ class OpCounter:
             sys.setprofile(None)
 
 
-def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, OpCounter]:
-    """(cycles counted, controller counts, plant counts, truth counts) of one
-    closed-loop run."""
+def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, OpCounter,
+                                                   OpCounter]:
+    """(cycles counted, controller counts, plant counts, truth counts, sense
+    counts) of one closed-loop run."""
     controller, plant = OpCounter("step", STAGES), OpCounter("step_physics", {})
-    truth = OpCounter("", {})
+    truth, sense = OpCounter("", {}), OpCounter("", {})
     cycle = -1
     step_physics, barrier_values = sim.step_physics, sim._barrier_values
+    at, estimate = sim._ObstacleTruth.at, sim._ObstacleTruth.estimate
 
     def counted_step(self, *args):
         nonlocal cycle
@@ -143,9 +149,19 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, Op
             return barrier_values(*args)
         return truth.count(barrier_values, *args)
 
+    def counted_sensing(method):
+        def counted(*args):
+            # A cycle senses before its step, so ``cycle`` is still the last one.
+            if cycle + 1 < SKIPPED_CYCLES:
+                return method(*args)
+            return sense.count(method, *args)
+        return counted
+
     plant_model = scale_link_masses(scenario.robot, scenario.sim.mass_scale)
     sim.Controller.step, sim.step_physics = counted_step, counted_physics
     sim._barrier_values = counted_truth
+    sim._ObstacleTruth.at, sim._ObstacleTruth.estimate = (counted_sensing(at),
+                                                          counted_sensing(estimate))
     gc.collect()
     gc.disable()        # a collection would run weakref callbacks inside a count
     try:
@@ -154,13 +170,15 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, Op
         gc.enable()
         sim.Controller.step, sim.step_physics = STEP, step_physics
         sim._barrier_values = barrier_values
-    return cycle + 1 - SKIPPED_CYCLES, controller, plant, truth
+        sim._ObstacleTruth.at, sim._ObstacleTruth.estimate = at, estimate
+    return cycle + 1 - SKIPPED_CYCLES, controller, plant, truth, sense
 
 
 def report(label: str, cycles: int, counter: OpCounter, total: bool) -> list[str]:
     """The lines of one counter; with ``total``, a last stage that sums the
-    others.  A counter whose one stage is named "" prints no stage name."""
-    bytecodes = dict(sorted(counter.bytecodes.items()))
+    others.  A counter whose one stage is named "" prints no stage name, and
+    one that counted nothing prints 0 bytecodes."""
+    bytecodes = dict(sorted(counter.bytecodes.items())) or {"": 0}
     if total:
         bytecodes["total"] = sum(bytecodes.values())
     lines = []
@@ -215,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(resolve_input(name))
         scenario = replace(scenario, sim=replace(scenario.sim, duration=args.duration))
         for mode in FilterMode:
-            cycles, controller, plant, truth = count_run(scenario, mode)
+            cycles, controller, plant, truth, sense = count_run(scenario, mode)
             if cycles < 1:
                 parser.error(f"--duration {args.duration} leaves no cycle to count")
             label = f"{scenario.name} {mode.value}"
@@ -223,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             lines += report(f"step {label}", cycles, controller, total=True)
             lines += report(f"plant {label}", cycles, plant, total=False)
             lines += report(f"truth {label}", cycles, truth, total=False)
+            lines += report(f"sense {label}", cycles, sense, total=False)
         lines += kernel_report(scenario)
     print("\n".join(lines))
     return 0

@@ -11,18 +11,20 @@ configuration gradient, by the envelope theorem (witness points move as
 material points), is n^T (J_A - J_B) with n = (p_A^r - p_B^r)/||.||.
 The Jacobians are taken at the centerline witness points themselves:
 offsetting them by rho*n to the surface would not change the row, because
-n . (w x n) = 0 for any angular velocity w.  Points, normals and gradients
-are computed on plain Python floats.
+n . (w x n) = 0 for any angular velocity w.  A point is three Python floats:
+the bodies convert theirs once, when built, so posing, moving and every
+closest-point, normal and gradient computation run on plain floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import FkResult, RobotModel, _normal_jacobian, _point_motion, _xyz
+from .model import FkResult, RobotModel, _normal_jacobian, _point_motion
 
 Vec3 = tuple[float, float, float]
 
@@ -40,43 +42,53 @@ class DegenerateWitnessError(RuntimeError):
 class CollisionBody:
     """Sphere or capsule attached to a robot link (``link >= 0``) or the world.
 
-    ``p0 == p1`` encodes a sphere.  For world bodies the segment is given
-    directly in world coordinates.
+    ``p0 == p1`` encodes a sphere; both are stored as float 3-tuples.  For
+    world bodies the segment is given directly in world coordinates.
     """
 
     name: str
     link: int                     # -1 = world-attached
     radius: float
-    p0: np.ndarray
-    p1: np.ndarray
+    p0: Vec3
+    p1: Vec3
 
     def __post_init__(self) -> None:
         if self.radius <= 0.0:
             raise ValueError(f"radius: must be > 0, got {self.radius!r}")
+        object.__setattr__(self, "p0", tuple(map(float, self.p0)))
+        object.__setattr__(self, "p1", tuple(map(float, self.p1)))
 
     @property
     def is_world(self) -> bool:
         return self.link < 0
 
+    def moved(self, offset: Vec3) -> "CollisionBody":
+        """This body with both end points shifted by ``offset`` (three floats)."""
+        ox, oy, oz = offset
+        (ax, ay, az), (bx, by, bz) = self.p0, self.p1
+        return CollisionBody(self.name, self.link, self.radius, (ax + ox, ay + oy, az + oz),
+                             (bx + ox, by + oy, bz + oz))
+
 
 @dataclass(frozen=True)
 class WorkspacePair:
-    """Maximum-distance bound d_max between two points attached to links."""
+    """Maximum-distance bound d_max between two link points (float 3-tuples)."""
 
     name: str
     link_a: int
-    point_a: np.ndarray
+    point_a: Vec3
     link_b: int
-    point_b: np.ndarray
+    point_b: Vec3
     d_max: float
 
     def __post_init__(self) -> None:
         if self.d_max <= 0.0:
             raise ValueError(f"d_max: must be > 0, got {self.d_max!r}")
+        object.__setattr__(self, "point_a", tuple(map(float, self.point_a)))
+        object.__setattr__(self, "point_b", tuple(map(float, self.point_b)))
 
 
-@dataclass(frozen=True)
-class WorldSegment:
+class WorldSegment(NamedTuple):
     """A collision body posed in the world frame (end points as 3-vectors)."""
 
     a: Vec3
@@ -84,8 +96,7 @@ class WorldSegment:
     radius: float
 
 
-@dataclass(frozen=True)
-class ProximityResult:
+class ProximityResult(NamedTuple):
     """Closest-point query result between two posed bodies (points as floats)."""
 
     h: float                  # signed distance [m]
@@ -99,34 +110,24 @@ class ProximityResult:
 
 def pose_body(body: CollisionBody, fk: FkResult) -> WorldSegment:
     """World-frame segment of a body; world bodies keep their coordinates."""
-    return _pose(fk, body.link, _xyz(body.p0), _xyz(body.p1), body.radius)
-
-
-def _pose(fk: FkResult, link: int, p0: Vec3, p1: Vec3, radius: float) -> WorldSegment:
-    """``pose_body`` of a body on ``link`` (-1: the world) whose end points
-    are given as float tuples in that link's frame."""
-    if link < 0:
-        return WorldSegment(a=p0, b=p1, radius=radius)
-    return WorldSegment(a=fk._point(link, p0), b=fk._point(link, p1), radius=radius)
+    if body.link < 0:
+        return WorldSegment(body.p0, body.p1, body.radius)
+    return WorldSegment(fk._point(body.link, body.p0), fk._point(body.link, body.p1), body.radius)
 
 
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def segment_closest_points(a0, a1, b0, b1) -> tuple[Vec3, Vec3]:
-    """Closest points between segments [a0,a1] and [b0,b1], as 3-tuples.
+def _segment_witnesses(a0, a1, b0, b1) -> tuple[Vec3, Vec3, float, float]:
+    """Closest points p_A, p_B between segments [a0,a1] and [b0,b1], as
+    3-tuples, and their parameters (s, t): p_A = a0 + s (a1 - a0) and
+    p_B = b0 + t (b1 - b0).
 
     Clamped-parameter algorithm; the parallel case breaks ties by picking,
     among minimizers, the point pair nearest the segment-A midpoint so the
     result is deterministic.
     """
-    return _segment_witnesses(a0, a1, b0, b1)[:2]
-
-
-def _segment_witnesses(a0, a1, b0, b1) -> tuple[Vec3, Vec3, float, float]:
-    """``segment_closest_points`` plus the witnesses' parameters (s, t):
-    p_A = a0 + s (a1 - a0) and p_B = b0 + t (b1 - b0)."""
     a0x, a0y, a0z = a0
     a1x, a1y, a1z = a1
     b0x, b0y, b0z = b0
@@ -174,10 +175,8 @@ def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityRes
     dist = sqrt(dx * dx + dy * dy + dz * dz)
     h = dist - (shape_a.radius + shape_b.radius)
     if dist < DEGENERATE_DISTANCE:
-        return ProximityResult(h=h, point_a=pa, point_b=pb, normal=(0.0, 0.0, 0.0),
-                               degenerate=True, s=s, t=t)
-    return ProximityResult(h=h, point_a=pa, point_b=pb,
-                           normal=(dx / dist, dy / dist, dz / dist), s=s, t=t)
+        return ProximityResult(h, pa, pb, _ZERO3, True, s, t)
+    return ProximityResult(h, pa, pb, (dx / dist, dy / dist, dz / dist), False, s, t)
 
 
 def body_pair_barrier(
@@ -220,8 +219,8 @@ def _pair_gradient(fk: FkResult, n_dof: int, link_a: int, link_b: int,
 
 def _workspace_separation(fk: FkResult, pair: WorkspacePair) -> tuple[Vec3, Vec3, float]:
     """(p_A, p_B, ||p_A - p_B||) for a workspace pair at pose ``fk``."""
-    pa = fk._point(pair.link_a, _xyz(pair.point_a))
-    pb = fk._point(pair.link_b, _xyz(pair.point_b))
+    pa = fk._point(pair.link_a, pair.point_a)
+    pb = fk._point(pair.link_b, pair.point_b)
     dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
     return pa, pb, sqrt(dx * dx + dy * dy + dz * dz)
 

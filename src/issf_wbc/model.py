@@ -428,8 +428,8 @@ def point_jacobian(
 
 def scale_link_masses(model: RobotModel, factor: float) -> RobotModel:
     """Uniform density scaling (mass and inertia), used to inject model mismatch."""
-    if factor <= 0.0:
-        raise ModelError("mass scale must be > 0")
+    if not 0.0 < factor < math.inf:
+        raise ModelError(f"mass scale must be finite and > 0, got {factor!r}")
     links = tuple(
         LinkSpec(
             mass=link.mass * factor,

@@ -191,6 +191,8 @@ class QpSolver:
     """
 
     def __init__(self, max_iter: int | None = None):
+        if max_iter is not None and not max_iter >= 1:
+            raise ValueError(f"max_iter: must be >= 1 (or None), got {max_iter!r}")
         self.max_iter_override = max_iter
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:

@@ -17,12 +17,11 @@ once, when the ``FilterConfig`` is built.
 
 This module owns the barrier catalog.  ``barrier_plan`` builds it once per
 run as a ``BarrierPlan``: every barrier's key in row order, each row's alpha
-and eps, the joint-limit margins, the bodies of each pair and their
-link-frame end points as float tuples.  The rows, a run trace's keys
-(``BarrierPlan.keys``) and its ground-truth h (``_barrier_values``) all
-read it.  A cycle poses each body once, builds a gradient only for an active
-collision row, and hands the posed segments to ``ecbf_rows`` in the row's
-``PairWitness``.
+and eps, the joint-limit margins and the bodies the pairs pose.  The rows, a
+run trace's keys (``BarrierPlan.keys``) and its ground-truth h
+(``_barrier_values``) all read it.  A cycle poses each body once, on floats
+(``geometry.pose_body``), builds a gradient only for an active collision
+row, and hands the posed segments to ``ecbf_rows`` in the row's ``PairWitness``.
 
 The filter itself is the minimally invasive projection
 argmin ||qd - qd_des||^2 subject to those rows; an infeasible projection is
@@ -37,6 +36,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,14 +49,13 @@ from .geometry import (
     WorldSegment,
     _pair_curvature,
     _pair_gradient,
-    _pose,
     _workspace_curvature,
     closest_points,
     pose_body,
     workspace_barrier,
     workspace_barrier_value,
 )
-from .model import FkResult, JointState, RobotModel, _link_rates, _xyz
+from .model import FkResult, JointState, RobotModel, _link_rates
 from .qpsolver import QpProblem, QpSolver
 
 log = logging.getLogger(__name__)
@@ -85,8 +84,7 @@ class FilterInfeasibleError(RuntimeError):
     """Velocity filter QP infeasible under the hard-fail policy."""
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """The closest-point query a collision row was built from: the bodies,
     their segments at the cycle's pose and the query's result."""
 
@@ -165,12 +163,11 @@ class FilterConfig:
         return replace(self, alpha=a, epsilon=e)
 
 
-@dataclass(frozen=True)
-class Obstacle:
-    """World collision body with its estimated rigid velocity."""
+class Obstacle(NamedTuple):
+    """World collision body with its estimated rigid velocity (three floats)."""
 
     body: CollisionBody
-    velocity: np.ndarray
+    velocity: Vec3
 
 
 @dataclass(frozen=True)
@@ -214,9 +211,8 @@ class BarrierPlan:
     obstacle by obstacle.  ``collisions`` holds each as (kind, pair, a, b,
     j, alpha, eps): a indexes ``bodies``, and so does b for a self-collision
     pair (j is None), while b is None for a body against obstacle j.
-    ``bodies`` holds every body a pair poses, once, as (body, link, p0, p1)
-    with its end points as float tuples in its link's frame (in the world
-    for a world body), and ``workspace`` each bound as (pair, alpha, eps).
+    ``bodies`` holds every body a pair poses, once, and ``workspace`` each
+    bound as (pair, alpha, eps).
     The joint-limit rows' alpha, eps and margin 1/eps (their gradients are
     unit vectors) are lists in row order.
     """
@@ -229,7 +225,7 @@ class BarrierPlan:
     joint_alpha: list[float]
     joint_epsilon: list[float]
     joint_margin: list[float]
-    bodies: tuple[tuple, ...]
+    bodies: tuple[CollisionBody, ...]
     collisions: tuple[tuple, ...]
     workspace: tuple[tuple, ...]
     n_obstacles: int
@@ -242,13 +238,13 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
     ``pairs``, each robot body against each of ``obstacle_bodies`` (whose
     estimates a cycle's obstacles are, in the same order) and the
     ``workspace_pairs``."""
-    bodies: list[tuple] = []
+    bodies: list[CollisionBody] = []
 
     def index(body: CollisionBody) -> int:
         for i, entry in enumerate(bodies):
-            if entry[0] is body:
+            if entry is body:
                 return i
-        bodies.append((body, body.link, _xyz(body.p0), _xyz(body.p1)))
+        bodies.append(body)
         return len(bodies) - 1
 
     collisions = []
@@ -292,11 +288,6 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
     )
 
 
-def _posed_bodies(plan: BarrierPlan, fk: FkResult) -> list[tuple[CollisionBody, WorldSegment]]:
-    """(body, its segment at pose ``fk``) of each of the plan's bodies."""
-    return [(body, _pose(fk, link, p0, p1, body.radius)) for body, link, p0, p1 in plan.bodies]
-
-
 def _barrier_h(plan: BarrierPlan, q: np.ndarray, values) -> np.ndarray:
     """The joint-limit rows' h at ``q`` (q0 min, q0 max, q1 min, ...), then ``values``."""
     jl = 2 * plan.n_dof
@@ -312,9 +303,9 @@ def _barrier_values(plan: BarrierPlan, q: np.ndarray, fk: FkResult,
     """The h of every barrier of ``plan.keys`` at ``q``, whose pose is ``fk``,
     with the obstacles at ``obstacle_bodies``, without gradients: the ground
     truth a run is judged on.  Each body is posed once."""
-    posed = _posed_bodies(plan, fk)
+    posed = [pose_body(body, fk) for body in plan.bodies]
     worlds = [pose_body(body, fk) for body in obstacle_bodies]
-    values = [closest_points(posed[a][1], posed[b][1] if j is None else worlds[j]).h
+    values = [closest_points(posed[a], posed[b] if j is None else worlds[j]).h
               for _, _, a, b, j, _, _ in plan.collisions]
     values += [workspace_barrier_value(fk, pair) for pair, _, _ in plan.workspace]
     return _barrier_h(plan, q, values)
@@ -339,9 +330,8 @@ def collect_constraints(
     if len(obstacles) != plan.n_obstacles:
         raise ValueError(f"{len(obstacles)} obstacles for a plan of {plan.n_obstacles}")
     n_dof, activation_distance = plan.n_dof, plan.activation_distance
-    posed = _posed_bodies(plan, fk)
+    posed = [(body, pose_body(body, fk)) for body in plan.bodies]
     worlds = [(obstacle.body, pose_body(obstacle.body, fk)) for obstacle in obstacles]
-    velocities = [_xyz(obstacle.velocity) for obstacle in obstacles]
     keys, hs, grads, alphas, epsilons, drifts, witnesses = [], [], [], [], [], [], []
 
     for kind, pair, a, b, j, alpha, eps in plan.collisions:
@@ -357,7 +347,7 @@ def collect_constraints(
         if j is None:
             drift, velocity = 0.0, _ZERO3
         else:
-            (nx, ny, nz), velocity = prox.normal, velocities[j]
+            (nx, ny, nz), velocity = prox.normal, obstacles[j].velocity
             drift = nx * velocity[0] + ny * velocity[1] + nz * velocity[2]
         keys.append((kind, pair))
         hs.append(prox.h)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynwbc import DynWbcWeights
-from .geometry import CollisionBody, WorkspacePair
+from .geometry import CollisionBody, Vec3, WorkspacePair
 from .kinwbc import Task
 from .model import SHAPES, Fields, ModelError, RobotModel, load_robot
 from .safety import (
@@ -180,11 +180,12 @@ class TaskSpec:
 @dataclass(frozen=True)
 class ObstacleSpec:
     body: CollisionBody              # world-attached, pose at t = 0
-    velocity: np.ndarray
+    velocity: Vec3                   # stored as three floats
     measurement_noise_std: float = 0.0
     process_noise: float = 1e-2
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
         problems = [f"{key}: must be finite and >= 0, got {getattr(self, key)!r}"
                     for key in ("measurement_noise_std", "process_noise")
                     if not 0.0 <= getattr(self, key) < math.inf]    # NaN fails too

@@ -36,9 +36,10 @@ The per-cycle discrepancy between the commanded and realized joint velocity,
 
 is the disturbance against which the velocity filter's robustness margin is
 sized; its running max-norm dbar feeds the degradation-bound checks.
-Obstacle positions are measured with seeded Gaussian noise and tracked by a
-constant-velocity Kalman filter, whose velocity estimate supplies the
-object-row drift term.  Runs are bitwise deterministic for a fixed seed.
+An obstacle's true pose and the Kalman filter's estimate of it, from a
+noisy measurement, are its ``ObstacleSpec`` body moved on floats
+(``_ObstacleTruth``); the estimated velocity supplies the object-row drift
+term.  Runs are bitwise deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,6 +70,9 @@ from .safety import (
     ecbf_rows,
     filter_velocity,
 )
+
+if TYPE_CHECKING:
+    from .scenario import ObstacleSpec
 
 
 class Integrator(enum.Enum):
@@ -103,14 +108,21 @@ class SimConfig:
     external_torque: tuple[TorquePulse, ...] = ()
 
     def __post_init__(self) -> None:
+        problems = []
         if not 0.0 <= self.duration < math.inf:
-            raise ValueError(f"duration: must be finite and >= 0, got {self.duration!r}")
+            problems.append(f"duration: must be finite and >= 0, got {self.duration!r}")
+        if not 0.0 < self.dt_control < math.inf:
+            problems.append(f"dt_control: must be finite and > 0, got {self.dt_control!r}")
         if not self.dt_physics > 0.0:
-            raise ValueError(f"dt_physics: must be > 0, got {self.dt_physics!r}")
-        if self.dt_physics > self.dt_control + 1e-15:
-            raise ValueError("dt_physics: must be <= dt_control")
-        if self.mass_scale <= 0.0:
-            raise ValueError("mass_scale: must be > 0")
+            problems.append(f"dt_physics: must be > 0, got {self.dt_physics!r}")
+        elif self.dt_physics > self.dt_control + 1e-15:
+            problems.append("dt_physics: must be <= dt_control")
+        if not 0.0 < self.mass_scale < math.inf:
+            problems.append(f"mass_scale: must be finite and > 0, got {self.mass_scale!r}")
+        if not np.isfinite(self.gravity).all():
+            problems.append(f"gravity: must be finite, got {np.asarray(self.gravity).tolist()}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def substeps(self) -> int:
@@ -181,12 +193,6 @@ def step_physics(
     return JointState(q=np.array(q_next), qd=np.array(qd_next), t=t + dt)
 
 
-@dataclass(frozen=True)
-class ObstacleEstimate:
-    position: np.ndarray
-    velocity: np.ndarray
-
-
 class ConstantVelocityKalman:
     """Linear Kalman filter on [position; velocity] with a constant-velocity model.
 
@@ -194,8 +200,9 @@ class ConstantVelocityKalman:
     on each axis alike, so the 6x6 covariance stays kron(P, I3) with P the
     2x2 covariance of one axis: the filter runs one 2-state covariance on
     floats, shared by the three axes, with the operations of the 6x6 filter
-    (``tests/kalman_oracle.py``).  ``P`` holds the rows of that 2x2
-    covariance, the prior until the first measurement.
+    (``tests/kalman_oracle.py``).  The estimate is ``position`` and ``velocity``,
+    lists that ``update`` replaces but never mutates.  ``P`` holds the rows
+    of that 2x2 covariance, the prior until the first measurement.
     """
 
     def __init__(self, meas_std: float, process_noise: float = 1e-2):
@@ -205,7 +212,7 @@ class ConstantVelocityKalman:
         self.velocity = [0.0, 0.0, 0.0]
         self.P = ((self.r, 0.0), (0.0, 1.0))
 
-    def update(self, measurement: np.ndarray, dt: float) -> ObstacleEstimate:
+    def update(self, measurement: np.ndarray, dt: float) -> None:
         z = np.asarray(measurement, dtype=float).tolist()
         if self.position is None:
             self.position = z
@@ -230,8 +237,6 @@ class ConstantVelocityKalman:
                 velocity.append(vi + k1 * innovation)
             self.position, self.velocity = position, velocity
             self.P = ((p00 - k0 * p00, p01 - k0 * p01), (p10 - k1 * p00, p11 - k1 * p01))
-        return ObstacleEstimate(position=np.array(self.position),
-                                velocity=np.array(self.velocity))
 
 
 @dataclass
@@ -327,26 +332,25 @@ class RunTrace:
 
 
 class _ObstacleTruth:
-    """Ground-truth constant-velocity motion of one world collision body."""
+    """Ground-truth constant-velocity motion of the world collision body of
+    ``spec`` and the Kalman filter that tracks it."""
 
-    def __init__(self, body: CollisionBody, velocity: np.ndarray, meas_std: float,
-                 process_noise: float):
-        self.body = body
-        self.velocity = np.asarray(velocity, dtype=float)
-        self.meas_std = meas_std
-        self.kalman = ConstantVelocityKalman(meas_std, process_noise)
+    def __init__(self, spec: ObstacleSpec):
+        self.spec = spec
+        self.kalman = ConstantVelocityKalman(spec.measurement_noise_std, spec.process_noise)
 
     def at(self, t: float) -> CollisionBody:
-        shift = self.velocity * t
-        return replace(self.body, p0=self.body.p0 + shift, p1=self.body.p1 + shift)
+        vx, vy, vz = self.spec.velocity
+        return self.spec.body.moved((vx * t, vy * t, vz * t))
 
     def estimate(self, truth: CollisionBody, dt: float, rng: np.random.Generator) -> Obstacle:
         """The controller's view of ``truth``, this body's pose at the cycle."""
-        noise = rng.normal(0.0, self.meas_std, 3) if self.meas_std > 0 else np.zeros(3)
-        est = self.kalman.update(truth.p0 + noise, dt)
-        offset = est.position - self.body.p0
-        body = replace(self.body, p0=self.body.p0 + offset, p1=self.body.p1 + offset)
-        return Obstacle(body=body, velocity=est.velocity)
+        spec, kalman = self.spec, self.kalman
+        std = spec.measurement_noise_std
+        noise = rng.normal(0.0, std, 3) if std > 0 else np.zeros(3)
+        kalman.update(truth.p0 + noise, dt)
+        (x, y, z), (x0, y0, z0) = kalman.position, spec.body.p0
+        return Obstacle(spec.body.moved((x - x0, y - y0, z - z0)), kalman.velocity)
 
 
 @dataclass(frozen=True)
@@ -442,11 +446,7 @@ def run_closed_loop(
     cfg: SimConfig = scenario.sim
     n = nominal_model.n_dof
     rng = np.random.default_rng(cfg.seed)
-    obstacle_truths = [
-        _ObstacleTruth(spec.body, spec.velocity, spec.measurement_noise_std,
-                       spec.process_noise)
-        for spec in scenario.obstacles
-    ]
+    obstacle_truths = [_ObstacleTruth(spec) for spec in scenario.obstacles]
     controller = Controller(nominal_model, scenario, mode)
     plain = controller.filter_config.mode is FilterMode.CBF
 

@@ -29,13 +29,8 @@ FD_STEP = 1e-6
 
 def moved(obstacles: list[Obstacle], tau: float) -> list[Obstacle]:
     """The obstacles after ``tau`` seconds at their velocities."""
-    out = []
-    for obstacle in obstacles:
-        shift = tau * np.asarray(obstacle.velocity, dtype=float)
-        body = replace(obstacle.body, p0=obstacle.body.p0 + shift,
-                       p1=obstacle.body.p1 + shift)
-        out.append(Obstacle(body=body, velocity=obstacle.velocity))
-    return out
+    return [Obstacle(body=obstacle.body.moved([tau * v for v in obstacle.velocity]),
+                     velocity=obstacle.velocity) for obstacle in obstacles]
 
 
 def hd_along_motion(model, state, obstacles, config, pairs, workspace_pairs, tau):

@@ -49,9 +49,10 @@ def random_case(rng, n):
     pairs = [(bodies[2], bodies[0]), (bodies[1], bodies[2]), (post, bodies[0])]
     centre = rng.uniform(-0.5, 0.5, 3)
     obstacles = [
-        Obstacle(body=CollisionBody("ball", -1, 0.1, centre, centre), velocity=rng.normal(size=3)),
+        Obstacle(body=CollisionBody("ball", -1, 0.1, centre, centre),
+                 velocity=tuple(rng.normal(size=3).tolist())),
         Obstacle(body=CollisionBody("rod", -1, 0.05, centre, centre + rng.uniform(-0.3, 0.3, 3)),
-                 velocity=rng.normal(size=3)),
+                 velocity=tuple(rng.normal(size=3).tolist())),
     ]
     workspace = [WorkspacePair("reach", n - 1, rng.uniform(-0.1, 0.1, 3), 0, np.zeros(3),
                                d_max=float(rng.uniform(0.3, 1.0)))]
@@ -60,8 +61,7 @@ def random_case(rng, n):
 
 def moved(obstacles, tau):
     """The obstacles' bodies ``tau`` seconds later: the truth to their estimate."""
-    return [replace(o.body, p0=o.body.p0 + tau * o.velocity, p1=o.body.p1 + tau * o.velocity)
-            for o in obstacles]
+    return [o.body.moved([tau * v for v in o.velocity]) for o in obstacles]
 
 
 def assert_rows_equal(rows, expected):
@@ -166,7 +166,7 @@ class TestDegenerateAndNonFinite:
             real = geometry.closest_points
 
             def far(shape_a, shape_b):
-                return replace(real(shape_a, shape_b), h=1.0)
+                return real(shape_a, shape_b)._replace(h=1.0)
 
             monkeypatch.setattr(safety, "closest_points", far)
             monkeypatch.setattr(geometry, "closest_points", far)

@@ -11,11 +11,11 @@ from issf_wbc.geometry import (
     body_pair_barrier,
     closest_points,
     pose_body,
-    segment_closest_points,
     workspace_barrier,
     workspace_barrier_value,
 )
 from issf_wbc.model import forward_kinematics
+from issf_wbc.scenario import ObstacleSpec
 
 import geometry_oracle
 from conftest import random_chain, two_link_planar
@@ -121,7 +121,8 @@ class TestClosestPoints:
         for _ in range(200):
             a0, a1 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             b0, b1 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            pa, pb = segment_closest_points(a0, a1, b0, b1)
+            res = closest_points(capsule(a0, a1, 0.1), capsule(b0, b1, 0.1))
+            pa, pb = res.point_a, res.point_b
             d = np.linalg.norm(np.subtract(pa, pb))
             ts = np.linspace(0, 1, 250)[:, None]
             grid = np.linalg.norm(
@@ -173,9 +174,6 @@ class TestAgainstNumpyOracle:
             np.testing.assert_allclose(res.point_b, ref.point_b, **CLOSE)
             np.testing.assert_allclose(res.normal, ref.normal, **CLOSE)
             assert (res.h >= 0.0, res.degenerate) == (ref.h >= 0.0, ref.degenerate)
-            pa, pb = segment_closest_points(seg_a.a, seg_a.b, seg_b.a, seg_b.b)
-            np.testing.assert_allclose(pa, ref.point_a, **CLOSE)
-            np.testing.assert_allclose(pb, ref.point_b, **CLOSE)
             # the cases reach the parallel tie-break and the clamps
             u = seg_a.b - seg_a.a
             s = float((ref.point_a - seg_a.a) @ u / (u @ u)) if u.any() else 0.0
@@ -396,3 +394,32 @@ def test_pose_body_world_passthrough():
 def test_collision_body_rejects_bad_radius():
     with pytest.raises(ValueError):
         CollisionBody("bad", 0, 0.0, np.zeros(3), np.zeros(3))
+
+
+class TestFloatTuplePoints:
+    """Bodies, workspace pairs and obstacle specs hold their points as float 3-tuples."""
+
+    def test_points_stored_as_float_tuples(self):
+        for points in ([1, 2, 3], np.array([1.0, 2.0, 3.0]), (1, 2.0, np.float64(3.0))):
+            body = CollisionBody("b", 0, 0.1, points, points)
+            pair = WorkspacePair("ws", 0, points, 1, points, 1.0)
+            spec = ObstacleSpec(CollisionBody("o", -1, 0.1, points, points), points)
+            for value in (body.p0, body.p1, pair.point_a, pair.point_b, spec.velocity,
+                          spec.body.p0):
+                assert type(value) is tuple and value == (1.0, 2.0, 3.0)
+                assert all(type(x) is float for x in value)
+
+    def test_equal_bodies_compare_equal_and_hash_alike(self):
+        a = CollisionBody("b", 1, 0.1, np.array([0.1, 0.2, 0.3]), [0.4, 0.5, 0.6])
+        b = CollisionBody("b", 1, 0.1, (0.1, 0.2, 0.3), np.array([0.4, 0.5, 0.6]))
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(b, p1=(0.4, 0.5, 0.7))
+
+    def test_moved_equals_numpy_shift_byte_for_byte(self, rng):
+        for _ in range(200):
+            p0, p1, offset = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 1e3, (3, 1))
+            body = CollisionBody("b", -1, 0.1, p0, p1)
+            moved = body.moved(tuple(offset.tolist()))
+            assert (moved.name, moved.link, moved.radius) == ("b", -1, 0.1)
+            assert np.array(moved.p0).tobytes() == (p0 + offset).tobytes()
+            assert np.array(moved.p1).tobytes() == (p1 + offset).tobytes()

@@ -368,6 +368,10 @@ class TestEveryScenarioValueHonouredOrRejected:
         ((), "filter", {"slack": {"weight": 0}},
          "filter.slack.weight: must be finite and > 0, got 0.0"),
         ((), "dynwbc", {"w_qdd": 0.0}, "dynwbc.w_qdd: must be > 0"),
+        (("sim",), "dt_control", math.inf, "sim.dt_control: must be finite and > 0, got inf"),
+        (("sim",), "mass_scale", math.inf, "sim.mass_scale: must be finite and > 0, got inf"),
+        (("sim",), "gravity", [0.0, 0.0, -math.inf],
+         "sim.gravity: must be finite, got [0.0, 0.0, -inf]"),
     ])
     def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
         assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem

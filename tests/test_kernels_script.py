@@ -89,6 +89,12 @@ def test_opcounts_script_counts_every_stage(capsys):
     truth = {(line[1], line[2]): float(line[4]) for line in lines
              if line[0] == "truth" and line[3] == "bytecodes"}
     assert set(truth) == set(runs) and all(count > 0 for count in truth.values())
+    sense = {(line[1], line[2]): float(line[4]) for line in lines
+             if line[0] == "sense" and line[3] == "bytecodes"}
+    assert set(sense) == set(runs)
+    assert all((count > 0) == (scenario == "obstacle_track")
+               for (scenario, _), count in sense.items())
+    assert {line[3].split(":")[0] for line in lines if line[0] == "sense"} <= {"bytecodes", "c"}
 
     # The total agrees with a count of whole ``Controller.step`` calls.
     sim, counted = opcounts.sim, []

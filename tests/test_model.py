@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,8 +237,9 @@ class TestDynamics:
         np.testing.assert_allclose(
             mass_matrix(scaled, np.zeros(1)), 1.2 * mass_matrix(model, np.zeros(1))
         )
-        with pytest.raises(ModelError):
-            scale_link_masses(model, 0.0)
+        for factor in (0.0, math.inf, math.nan):
+            with pytest.raises(ModelError, match="mass scale must be finite and > 0"):
+                scale_link_masses(model, factor)
 
 
 class TestValidation:

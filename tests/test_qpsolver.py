@@ -56,6 +56,12 @@ class TestExamples:
 
 
 class TestContract:
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        message = rf"^max_iter: must be >= 1 \(or None\), got {max_iter}$"
+        with pytest.raises(ValueError, match=message):
+            QpSolver(max_iter=max_iter)
+
     def test_kkt_certificates(self, rng):
         for _ in range(50):
             problem = random_problem(rng)

@@ -541,7 +541,7 @@ class TestEcbfParallelSegments:
 
         def distance(tau):
             point = forward_kinematics(self.model, q + tau * qd).link_point(0, local)
-            a, b = rod.p0, rod.p1
+            a, b = np.asarray(rod.p0), np.asarray(rod.p1)
             t = np.clip((point - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
             return float(np.linalg.norm(point - (a + t * (b - a))))
 

@@ -184,15 +184,15 @@ class TestKalman:
         kf = ConstantVelocityKalman(meas_std=0.0)
         pos = np.array([1.0, 2.0, 3.0])
         for _ in range(100):
-            est = kf.update(pos, 5e-4)
-        assert np.abs(est.velocity).max() < 1e-6
+            kf.update(pos, 5e-4)
+        assert np.abs(kf.velocity).max() < 1e-6
 
     def test_constant_velocity_convergence(self):
         kf = ConstantVelocityKalman(meas_std=0.0)
         vel = np.array([0.5, 0.0, 0.0])
         for k in range(200):
-            est = kf.update(vel * k * 5e-4, 5e-4)
-        assert est.velocity[0] == pytest.approx(0.5, rel=0.01)
+            kf.update(vel * k * 5e-4, 5e-4)
+        assert kf.velocity[0] == pytest.approx(0.5, rel=0.01)
 
     def test_noisy_velocity_error_below_riccati_bound(self, rng):
         std = 0.005
@@ -202,9 +202,9 @@ class TestKalman:
         errors = []
         for k in range(4000):
             truth = vel * k * dt
-            est = kf.update(truth + rng.normal(0.0, std, 3), dt)
+            kf.update(truth + rng.normal(0.0, std, 3), dt)
             if k > 1000:
-                errors.append(est.velocity - vel)
+                errors.append(kf.velocity - vel)
         empirical = np.std(np.array(errors), axis=0)
         predicted = math.sqrt(kf.P[1][1])   # converged Riccati covariance
         assert np.all(empirical < 1.2 * predicted)
@@ -234,10 +234,10 @@ class TestKalmanAgainstOracle:
         scale = 0.0
         for k, dt in enumerate(dts):
             z = np.array([0.4, -0.2, 0.1]) * k * dt + rng.normal(0.0, 0.005, 3)
-            est = kf.update(z, dt)
+            kf.update(z, dt)
             pos, vel, cov = ref.update(z, dt)
-            assert np.abs(est.position - pos).max() <= 1e-12 * np.abs(pos).max()
-            assert np.abs(est.velocity - vel).max() <= 1e-12 * np.abs(vel).max()
+            assert np.abs(kf.position - pos).max() <= 1e-12 * np.abs(pos).max()
+            assert np.abs(kf.velocity - vel).max() <= 1e-12 * np.abs(vel).max()
             scale = max(scale, np.abs(cov).max())
             # the 6x6 covariance is kron(P, I3)
             assert np.abs(np.kron(np.array(kf.P), np.eye(3)) - cov).max() <= 1e-12 * scale
@@ -464,9 +464,8 @@ class TestBarrierEnumerations:
         model = scenario.robot
         pairs, workspace_pairs = scenario.collision_pairs, scenario.workspace_pairs
         config = replace(scenario.filter_config, activation_distance=math.inf)
-        truths = [_ObstacleTruth(spec.body, spec.velocity, 0.0, spec.process_noise)
-                  for spec in scenario.obstacles]
-        plan = barrier_plan(model, config, pairs, [truth.body for truth in truths],
+        truths = [_ObstacleTruth(spec) for spec in scenario.obstacles]
+        plan = barrier_plan(model, config, pairs, [truth.spec.body for truth in truths],
                             workspace_pairs)
         empty_run = replace(scenario, sim=replace(scenario.sim, duration=0.0))
         trace = run_closed_loop(model, model, empty_run)
@@ -477,7 +476,7 @@ class TestBarrierEnumerations:
             for _ in range(5)]
         for q, t in poses:
             fk = forward_kinematics(model, q)
-            obstacles = [Obstacle(body=truth.at(t), velocity=truth.velocity)
+            obstacles = [Obstacle(body=truth.at(t), velocity=truth.spec.velocity)
                          for truth in truths]
             rows = collect_constraints(plan, JointState(q=q, qd=np.zeros(model.n_dof)), fk,
                                        obstacles)
