@@ -39,9 +39,14 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``kalman_update``: one update of a constant-velocity Kalman filter (5 mm
   measurement noise) that has already seen a measurement; it is the same on
   both robots;
+- ``torque_qp_data``: the torque QP's H, g and torque-limit right-hand
+  sides from the generated kernel of the robot's size, given that row's M
+  and h as lists, the gravity torque at the start pose as tau_prev, zero
+  qdd_safe and the scenario's weights;
 - ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
   filter QP and of the torque QP of the scenario's first control cycle, in
-  its own filter mode, with each obstacle at its initial pose and velocity;
+  its own filter mode, with each obstacle at its initial pose and velocity,
+  each by a new solver, which has no convexity verdict or factor to reuse;
 - ``dynamics_codegen``: the one-time generation of the robot's
   ``joint_dynamics`` kernel (trace, source and compile), bypassing the
   kernel cache, in microseconds per generation; the row also prints the
@@ -70,7 +75,7 @@ import numpy as np  # noqa: E402
 
 from issf_wbc._codegen import cholesky, solve_lower, solve_upper  # noqa: E402
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics  # noqa: E402
-from issf_wbc.dynwbc import motor_torque  # noqa: E402
+from issf_wbc.dynwbc import _qp_data, _torque_limits, motor_torque  # noqa: E402
 from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
 from issf_wbc.kinwbc import prioritized_ik  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
@@ -141,7 +146,7 @@ def kernels(scenario) -> dict[str, callable]:
     issf = scenario.filter_config.with_mode(FilterMode.ISSF_CBF)
     controller = first_cycle(scenario)
     filter_qp, torque_qp = controller.filter_solver.problem, controller.dyn_solver.problem
-    filter_solver, solver = QpSolver(), QpSolver()
+    filter_solver = QpSolver()
     tasks = [spec.task_at(0.0) for spec in scenario.tasks]
     dt_control = scenario.sim.dt_control
     tau_gravity = np.array(joint_dynamics(model, q_list, [0.0] * model.n_dof, gravity_list)[1])
@@ -153,6 +158,7 @@ def kernels(scenario) -> dict[str, callable]:
         L = cholesky[n](mass)
         return solve_upper[n](L, solve_lower[n](L, [0.0 - hi for hi in bias]))
 
+    tau_prev, tau_max, weights = tau_gravity.tolist(), _torque_limits(model)[0], scenario.weights
     kalman = ConstantVelocityKalman(0.005)
     z = np.array([0.4, -0.2, 0.1])
     kalman.update(z, dt_control)
@@ -172,8 +178,10 @@ def kernels(scenario) -> dict[str, callable]:
                                              controller.tau_max),
         "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),
         "kalman_update": lambda: kalman.update(z, dt_control),
-        "filter_qp": lambda: solver.solve(filter_qp),
-        "torque_qp": lambda: solver.solve(torque_qp),
+        "torque_qp_data": lambda: _qp_data[n](mass, bias, tau_prev, [0.0] * n, tau_max,
+                                              weights.w_qdd, weights.w_tau, weights.w_M),
+        "filter_qp": lambda: QpSolver().solve(filter_qp),
+        "torque_qp": lambda: QpSolver().solve(torque_qp),
         "dynamics_codegen": lambda: _dynamics_kernel.__wrapped__(_frames(model),
                                                                  _inertial(model)),
     }

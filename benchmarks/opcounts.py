@@ -1,6 +1,6 @@
 """Bytecodes and C calls per control cycle, stage by stage, for diffing.
 
-    python3 benchmarks/opcounts.py [--duration SECONDS] > opcounts.txt
+    python3 benchmarks/opcounts.py [--duration SECONDS] [--full] > opcounts.txt
 
 Counts are not time, but the host cannot move them: two runs of one tree
 print the same lines, so two source trees compare with ``diff`` (run the
@@ -32,6 +32,12 @@ are generated:
   obstacle sensing (``sim._ObstacleTruth.at`` and ``.estimate``, once per
   obstacle and cycle); 0 bytecodes for a scenario without obstacles.
 - ``cycles <scenario> <mode> <n>``: the number of cycles counted.
+- with ``--full``, ``cycle <scenario> <mode> <stat> <bytecodes>``: the
+  p50, p99 (nearest rank) and max of the bytecodes of one counted
+  ``Controller.step`` call, and ``cycle <scenario> <mode> argmax <k>``,
+  the index in the run of the first cycle with the max.  ``--full`` runs
+  each scenario for its own duration unless ``--duration`` is given; under
+  ``sys.settrace`` that takes minutes per scenario and mode.
 - ``kernel <model>/<fk|dynamics> <op> <count>``: the operations in the
   generated source of the forward-kinematics and dynamics kernels of both
   bundled robots and their mass-scaled plants (``<robot>*<scale>``), by
@@ -45,6 +51,7 @@ import argparse
 import ast
 import gc
 import linecache
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -123,12 +130,14 @@ class OpCounter:
 
 
 def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, OpCounter,
-                                                   OpCounter]:
+                                                   OpCounter, list[int]]:
     """(cycles counted, controller counts, plant counts, truth counts, sense
-    counts) of one closed-loop run."""
+    counts, the controller's bytecodes in each counted cycle) of one
+    closed-loop run."""
     controller, plant = OpCounter("step", STAGES), OpCounter("step_physics", {})
     truth, sense = OpCounter("", {}), OpCounter("", {})
     cycle = -1
+    per_cycle: list[int] = []
     step_physics, barrier_values = sim.step_physics, sim._barrier_values
     at, estimate = sim._ObstacleTruth.at, sim._ObstacleTruth.estimate
 
@@ -137,7 +146,11 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, Op
         cycle += 1
         if cycle < SKIPPED_CYCLES:
             return STEP(self, *args)
-        return controller.count(STEP, self, *args)
+        before = controller.bytecodes.total()
+        try:
+            return controller.count(STEP, self, *args)
+        finally:
+            per_cycle.append(controller.bytecodes.total() - before)
 
     def counted_physics(*args):
         if cycle < SKIPPED_CYCLES:
@@ -171,7 +184,16 @@ def count_run(scenario, mode: FilterMode) -> tuple[int, OpCounter, OpCounter, Op
         sim.Controller.step, sim.step_physics = STEP, step_physics
         sim._barrier_values = barrier_values
         sim._ObstacleTruth.at, sim._ObstacleTruth.estimate = at, estimate
-    return cycle + 1 - SKIPPED_CYCLES, controller, plant, truth, sense
+    return cycle + 1 - SKIPPED_CYCLES, controller, plant, truth, sense, per_cycle
+
+
+def cycle_report(label: str, per_cycle: list[int]) -> list[str]:
+    """The ``cycle`` lines of one run's per-cycle bytecodes."""
+    ranked = sorted(per_cycle)
+    stats = {"p50": ranked[math.ceil(0.5 * len(ranked)) - 1],
+             "p99": ranked[math.ceil(0.99 * len(ranked)) - 1], "max": ranked[-1],
+             "argmax": SKIPPED_CYCLES + per_cycle.index(ranked[-1])}
+    return [f"cycle {label} {stat} {value}" for stat, value in stats.items()]
 
 
 def report(label: str, cycles: int, counter: OpCounter, total: bool) -> list[str]:
@@ -225,19 +247,26 @@ def kernel_report(scenario) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--duration", type=float, default=0.05,
-                        help="run length in seconds (default 0.05, 100 cycles)")
+    parser.add_argument("--duration", type=float, default=None,
+                        help="run length in seconds (default 0.05, 100 cycles; with "
+                             "--full, the scenario's own)")
+    parser.add_argument("--full", action="store_true",
+                        help="also print the p50, p99 and max bytecodes of one cycle")
     args = parser.parse_args(argv)
+    duration = args.duration if args.duration is not None or args.full else 0.05
     lines = []
     for name in SCENARIOS:
         scenario = load_scenario(resolve_input(name))
-        scenario = replace(scenario, sim=replace(scenario.sim, duration=args.duration))
+        if duration is not None:
+            scenario = replace(scenario, sim=replace(scenario.sim, duration=duration))
         for mode in FilterMode:
-            cycles, controller, plant, truth, sense = count_run(scenario, mode)
+            cycles, controller, plant, truth, sense, per_cycle = count_run(scenario, mode)
             if cycles < 1:
-                parser.error(f"--duration {args.duration} leaves no cycle to count")
+                parser.error(f"--duration {duration} leaves no cycle to count")
             label = f"{scenario.name} {mode.value}"
             lines.append(f"cycles {label} {cycles}")
+            if args.full:
+                lines += cycle_report(label, per_cycle)
             lines += report(f"step {label}", cycles, controller, total=True)
             lines += report(f"plant {label}", cycles, plant, total=False)
             lines += report(f"truth {label}", cycles, truth, total=False)

@@ -14,6 +14,12 @@ so they hold by construction and need no equality rows:
          grad . qdd >= rhs                    (optional acceleration barriers)
          |T z + h| <= tau_max                 (finite joint torque limits)
 
+H, g and the torque limits' right-hand sides are Python floats: for T = M,
+one straight-line kernel per size n (``_qp_data``, generated on first use)
+computes them from the dynamics kernel's M rows and h, tau_prev, qdd_safe
+and the weights, H's lower triangle mirrored, and a ``ContactBlock`` adds
+its columns and rows to those float rows.  A stays a numpy array.
+
 The reference acceleration comes from PD feedback on the safety-filtered
 kinematic reference, qdd_safe = Kp (q_safe - q) + Kd (qd_safe - qd), and the
 final actuator command adds motor PD feedback on top of the optimized
@@ -30,6 +36,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from ._codegen import _PerSize, _function, compile_kernel, unpacking
 from ._fastdyn import joint_dynamics
 from .model import JointState, RobotModel
 from .qpsolver import QpProblem, QpSolution, QpSolver
@@ -129,17 +136,43 @@ class DynWbcInfeasibleError(RuntimeError):
 _LIMITS: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
 
 
-def _torque_limits(model: RobotModel) -> tuple[list[int] | slice, np.ndarray]:
-    """The joints with a finite torque limit (a slice when that is all of
-    them) and those limits, built once per model."""
+def _torque_limits(model: RobotModel) -> tuple[list[float], list[int]]:
+    """Each joint's torque limit (inf for none) and the joints with a finite
+    one, built once per model."""
     limits = _LIMITS.get(model)
     if limits is None:
-        limited = [i for i, joint in enumerate(model.joints) if math.isfinite(joint.tau_max)]
-        tau_max = np.array([model.joints[i].tau_max for i in limited])
-        if len(limited) == model.n_dof:
-            limited = slice(None)
-        limits = _LIMITS[model] = (limited, tau_max)
+        tau_max = [joint.tau_max for joint in model.joints]
+        limits = _LIMITS[model] = (tau_max, [i for i, t in enumerate(tau_max) if math.isfinite(t)])
     return limits
+
+
+def _make_qp_data(n: int):
+    """``qp_data(M, h, tau_prev, qdd, tau_max, w_qdd, w_tau, w_M)``: the torque
+    QP's H rows and g for T = M, and each joint's torque-limit right-hand
+    sides (-h_i - tau_max_i, h_i - tau_max_i), all as floats.  With
+    c = 2 w_tau and r = h - tau_prev, H = c M^T M + 2 (w_qdd I + w_M M) and
+    g = c M^T r - 2 w_qdd qdd."""
+    name = f"torque_qp_data_{n}"
+    body = []
+    if n:
+        body.append(unpacking(["[" + ", ".join(f"m{i}_{j}" for j in range(n)) + "]"
+                               for i in range(n)], "M"))
+        body += [unpacking([f"{vec}{i}" for i in range(n)], vec) for vec in "hpat"]
+    body += ["c = 2.0 * w_tau", "d = 2.0 * w_qdd"] + [f"r{i} = h{i} - p{i}" for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            mm = " + ".join(f"m{k}_{i} * m{k}_{j}" for k in range(n))
+            diag = f"w_qdd + w_M * m{i}_{j}" if i == j else f"w_M * m{i}_{j}"
+            body.append(f"H{i}_{j} = c * ({mm}) + 2.0 * ({diag})")
+        body.append(f"g{i} = c * ({' + '.join(f'm{k}_{i} * r{k}' for k in range(n))}) - d * a{i}")
+    rows = ", ".join("[" + ", ".join(f"H{max(i, j)}_{min(i, j)}" for j in range(n)) + "]"
+                     for i in range(n))
+    body.append(f"return [{rows}], [{', '.join(f'g{i}' for i in range(n))}], "
+                f"[{', '.join(f'-h{i} - t{i}, h{i} - t{i}' for i in range(n))}]")
+    return compile_kernel(name, _function(name, "M, h, p, a, t, w_qdd, w_tau, w_M", body))
+
+
+_qp_data = _PerSize(_make_qp_data)
 
 
 def safe_acceleration(
@@ -175,46 +208,46 @@ def solve_dynwbc(
     """
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
-    nz = n + k
     mass, bias = joint_dynamics(model, state.q.tolist(), state.qd.tolist(),
                                 np.asarray(gravity, dtype=float).tolist())
-    mass, bias = np.array(mass), np.array(bias)
-    T = np.empty((n, nz))
-    T[:, :n] = mass
+    tau_max, limited = _torque_limits(model)
+    H, g, limit_rhs = _qp_data[n](mass, bias, tau_prev.tolist(), qddot_safe.tolist(), tau_max,
+                                  weights.w_qdd, weights.w_tau, weights.w_M)
+    T = mass = np.array(mass)
+    bias = np.array(bias)
     if k:
-        T[:, n:] = -contact.J_c.T
-
-    H = 2.0 * weights.w_tau * (T.T @ T)
-    g = 2.0 * weights.w_tau * (T.T @ (bias - tau_prev))
-    H[:n, :n] += 2.0 * (weights.w_qdd * np.eye(n) + weights.w_M * mass)
-    g[:n] -= 2.0 * weights.w_qdd * qddot_safe
-    if k:
-        H[n:, n:] += 2.0 * weights.w_c * np.eye(k)
-        g[n:] -= 2.0 * weights.w_c * contact.F_c_des
+        # T's contact columns -J_c^T add H's off-diagonal blocks and the
+        # force block, its lower triangle mirrored, and g's force entries.
+        T = np.hstack([mass, -contact.J_c.T])
+        c, T_c = 2.0 * weights.w_tau, T[:, n:]
+        cross = c * (mass.T @ T_c)
+        forces = c * (T_c.T @ T_c) + 2.0 * weights.w_c * np.eye(k)
+        forces = np.tril(forces) + np.tril(forces, -1).T
+        H = [row + extra for row, extra in zip(H, cross.tolist())]
+        H += np.hstack([cross.T, forces]).tolist()
+        g += (c * (T_c.T @ (bias - tau_prev)) - 2.0 * weights.w_c * contact.F_c_des).tolist()
 
     # Row blocks, in order: contact cone, acceleration barriers, then each
     # finite torque limit as the pair T_i z >= -h_i - tau_max_i,
     # -T_i z >= h_i - tau_max_i.
+    if len(limited) < n:
+        limit_rhs = [limit_rhs[2 * i + side] for i in limited for side in (0, 1)]
+        T_lim = T[limited]
+    else:
+        T_lim = T
     m_c = contact.U.shape[0] if k else 0
     m_e = 0 if extra_rows is None else extra_rows.rhs.shape[0]
-    limited, tau_max = _torque_limits(model)
-    m = m_c + m_e + 2 * tau_max.shape[0]
+    m = m_c + m_e + len(limit_rhs)
     A = b = None
     if m:
-        A = np.zeros((m, nz))
-        b = np.zeros(m)
+        A = np.zeros((m, n + k))
         if m_c:
             A[:m_c, n:] = -contact.U
         if m_e:
             A[m_c:m_c + m_e, :n] = extra_rows.grad
-            b[m_c:m_c + m_e] = extra_rows.rhs
-        if tau_max.shape[0]:
-            r0 = m_c + m_e
-            T_lim, bias_lim = T[limited], bias[limited]
-            A[r0::2] = T_lim
-            A[r0 + 1::2] = -T_lim
-            b[r0::2] = -bias_lim - tau_max
-            b[r0 + 1::2] = bias_lim - tau_max
+        A[m_c + m_e::2] = T_lim
+        A[m_c + m_e + 1::2] = -T_lim
+        b = [0.0] * m_c + (extra_rows.rhs.tolist() if m_e else []) + limit_rhs
 
     problem = QpProblem(H=H, g=g, A_ineq=A, b_ineq=b)
     sol = solver.solve(problem, warm_start=warm_start)
@@ -230,7 +263,7 @@ def solve_dynwbc(
         tau_opt=tau,
         qddot_opt=qdd,
         fc_opt=fc,
-        dynamics_residual=float(np.max(np.abs(residual))),
+        dynamics_residual=float(np.abs(residual).max()),
         solution=sol,
     )
 

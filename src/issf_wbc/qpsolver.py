@@ -30,7 +30,8 @@ residual is the incoming row's pivot in R, and its square is the step's
 slope: a row is independent of W when that exceeds DEP_TOL, and warm-start
 rows are seeded in index order by the same test.  The arithmetic runs on
 Python floats, which at these sizes costs less than numpy's per-call
-overhead; the m x n products with A stay in numpy.  The Cholesky factor (of
+overhead: a ``QpProblem`` holds H, g and b as float rows, and only A, whose
+m x n products with x stay in numpy, is an array.  The Cholesky factor (of
 H, and of H - shift I for the convexity verdict) and every triangular solve
 with L or R are straight-line kernels generated once per size
 (``_codegen``), dispatched on the matrix's size.
@@ -40,12 +41,16 @@ and a warm-started re-solve of an unchanged problem finishes in one
 iteration.  Every solve validates its data, checks strict convexity, lets
 only the first of a set of byte-identical rows enter the working set, and
 certifies an optimal x by its KKT residual over all of the problem's rows.
+A solver reuses the convexity verdict and the factor of the last H it
+verified for a byte-identical H, such as the velocity filter's 2 I.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
@@ -81,40 +86,50 @@ class QpDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Dense QP data: finite H and g, optional inequalities ``A_ineq x >= b_ineq``."""
+    """Dense QP data: finite H and g, optional inequalities ``A_ineq x >= b_ineq``.
 
-    H: np.ndarray
-    g: np.ndarray
+    H, g and b are float rows and A an array; numpy H, g and b are converted once.
+    """
+
+    H: Sequence[Sequence[float]]
+    g: list[float]
     A_ineq: np.ndarray | None = None
-    b_ineq: np.ndarray | None = None
+    b_ineq: list[float] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("H", "g", "b_ineq"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, value.tolist())
 
     def dims(self) -> tuple[int, int]:
-        n = self.g.shape[0]
+        n = len(self.g)
         m = 0 if self.A_ineq is None else self.A_ineq.shape[0]
         return n, m
 
-    def validate(self) -> tuple[list[list[float]], list[float], list[float]]:
-        """Check the data; returns H, g and b (empty without rows) as float lists."""
-        if (self.A_ineq is None) != (self.b_ineq is None):
+    def validate(self) -> tuple[Sequence[Sequence[float]], list[float], list[float]]:
+        """Check the data; returns H, g and b (empty without rows)."""
+        H, g, A, b = self.H, self.g, self.A_ineq, self.b_ineq
+        if (A is None) != (b is None):
             raise QpDimensionError("A_ineq and b_ineq must be given together")
         n, m = self.dims()
-        if self.H.shape != (n, n) or self.g.shape != (n,):
-            raise QpDimensionError(f"H shape {self.H.shape}, g shape {self.g.shape} vs n={n}")
-        if m and (self.A_ineq.shape != (m, n) or self.b_ineq.shape != (m,)):
-            raise QpDimensionError("inequality block shapes inconsistent")
-        H, g, b = self.H.tolist(), self.g.tolist(), self.b_ineq.tolist() if m else []
-        # H, g and b are checked as floats, A (the largest) by numpy.
-        if not (all(map(math.isfinite, chain(*H, g, b)))
-                and (not m or np.isfinite(self.A_ineq).all())):
+        b = [] if b is None else b
+        try:        # a TypeError: a row that is not a list, or an entry not a number
+            if (len(H) != n or any(len(row) != n for row in H)
+                    or m and (A.shape != (m, n) or len(b) != m)):
+                raise QpDimensionError(f"shapes inconsistent with g's {n} entries")
+            # H, g and b are checked as floats, A (the largest) by numpy.
+            finite = all(map(math.isfinite, chain(*H, g, b)))
+        except TypeError:
+            raise QpDimensionError("H, g and b_ineq must be rows of numbers") from None
+        if not finite or (m and not np.isfinite(A).all()):
             raise QpDimensionError("QP data must be finite")
         # Exact symmetry (every H the controllers build) implies allclose;
         # only an inexactly symmetric H pays for the tolerance test.
-        if H != list(map(list, zip(*H))) and not np.allclose(self.H, self.H.T, atol=1e-10):
+        if (list(map(tuple, H)) != list(zip(*H))
+                and not np.allclose(H, np.transpose(H), atol=1e-10)):
             raise QpDimensionError("H must be symmetric")
         return H, g, b
-
-    def objective(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ self.H @ x) + float(self.g @ x)
 
 
 @dataclass(frozen=True)
@@ -131,12 +146,18 @@ class QpSolution:
         return self.status is QpStatus.OPTIMAL
 
 
-def _dedup_rows(A: np.ndarray, b: np.ndarray) -> list[int]:
+def _dedup_rows(A: np.ndarray, b: Sequence[float]) -> list[int]:
     """Indices of the first occurrence of each distinct (row, rhs) pair."""
-    rows = np.ascontiguousarray(np.hstack([A, b[:, None]]))
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    m, n = A.shape
+    if len(set(b)) == m:        # right-hand sides unequal in value differ in bytes
+        return list(range(m))
+    rows = np.empty((m, n + 1))
+    rows[:, :n] = A
+    rows[:, n] = b
+    data, width = rows.tobytes(), rows.itemsize * (n + 1)
+    keys = [data[i:i + width] for i in range(0, m * width, width)]
     # Walking the rows backwards leaves each key mapped to its first index.
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    first = dict(zip(reversed(keys), range(m - 1, -1, -1)))
     return sorted(first.values())
 
 
@@ -194,18 +215,24 @@ class QpSolver:
         if max_iter is not None and not max_iter >= 1:
             raise ValueError(f"max_iter: must be >= 1 (or None), got {max_iter!r}")
         self.max_iter_override = max_iter
+        # The bytes of the last H found strictly convex, and its factor.
+        self._H_bytes: bytes | None = None
+        self._L: list[list[float]] = []
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
         H, g, b_list = problem.validate()
         n, m_all = problem.dims()
         # Rows keep their indices in the problem; only the first of each set
         # of byte-identical rows can enter the working set.
-        A, b = problem.A_ineq, problem.b_ineq
-        keep = _dedup_rows(A, b) if m_all else []
+        A = problem.A_ineq
+        keep = _dedup_rows(A, b_list) if m_all else []
         m = len(keep)
 
-        self._check_strict_convexity(H)
-        L = cholesky[n](H)
+        key = struct.pack(f"{n * n}d", *chain(*H))
+        if key != self._H_bytes:        # else H is the last H verified, byte for byte
+            self._check_strict_convexity(H)
+            self._L, self._H_bytes = cholesky[n](H), key
+        L = self._L
         lower, upper = solve_lower[n], solve_upper[n]
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
@@ -265,7 +292,7 @@ class QpSolver:
         while iterations < max_iter:
             cand, worst = -1, 0.0
             if m:
-                viol = (b - A @ np.array(x)).tolist()
+                viol = [b_i - ax for b_i, ax in zip(b_list, (A @ x).tolist())]
                 for i in keep:
                     v_i = viol[i]
                     if (v_i > worst and i not in work
@@ -320,7 +347,7 @@ class QpSolver:
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def _check_strict_convexity(H: list[list[float]]) -> None:
+    def _check_strict_convexity(H: Sequence[Sequence[float]]) -> None:
         """Reject the rows H unless their smallest eigenvalue exceeds 1e-11 * max(1, max|H|),
         that is, unless a copy of H minus that multiple of I has a Cholesky factor."""
         rows = [list(r) for r in H]
@@ -341,7 +368,7 @@ class QpSolver:
         """The solution with the KKT residual of an optimal x: stationarity
         over the rows with a multiplier, feasibility and complementarity over
         every row as given, from ``viol`` = b - A x (the last scan's)."""
-        lam_full = np.zeros(problem.dims()[1])
+        lam_full = [0.0] * problem.dims()[1]
         active: list[int] = []
         if status is not QpStatus.INFEASIBLE:
             lam = [lam_k if lam_k > 0.0 else 0.0 for lam_k in lam]
@@ -359,4 +386,5 @@ class QpSolver:
                                *[abs(lam_k * viol[i]) for i, lam_k in zip(active, lam)])
         active.sort()
         return QpSolution(x=np.array(x), status=status, kkt_residual=residual,
-                          active_set=tuple(active), iterations=iterations, lam=lam_full)
+                          active_set=tuple(active), iterations=iterations,
+                          lam=np.array(lam_full))

@@ -36,6 +36,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -391,6 +392,12 @@ class FilterResult:
     iterations: int
 
 
+@lru_cache(maxsize=None)
+def _two_identity(n: int) -> tuple[tuple[float, ...], ...]:
+    """The filter QP's H = 2 I as n float rows, built once per size."""
+    return tuple(tuple(2.0 if i == j else 0.0 for j in range(n)) for i in range(n))
+
+
 def filter_velocity(
     qdot_des: np.ndarray,
     rows: BarrierRows,
@@ -404,8 +411,9 @@ def filter_velocity(
         return FilterResult(qdot_safe=qdot_des, status="passthrough", iterations=0)
 
     A = rows.grad
-    b = rows.rhs(plain_cbf=config.mode is FilterMode.CBF)
-    problem = QpProblem(H=2.0 * np.eye(n), g=-2.0 * qdot_des, A_ineq=A, b_ineq=b)
+    g = [-2.0 * v for v in qdot_des.tolist()]
+    problem = QpProblem(H=_two_identity(n), g=g, A_ineq=A,
+                        b_ineq=rows.rhs(plain_cbf=config.mode is FilterMode.CBF))
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
         return FilterResult(qdot_safe=sol.x, status="optimal", iterations=sol.iterations)
@@ -420,18 +428,14 @@ def filter_velocity(
     kinds = sorted({kind for kind, _ in rows.keys}, key=lambda k: k.value)
     kind_col = {kind: n + j for j, kind in enumerate(kinds)}
     m, ns = len(rows), n + len(kinds)
-    H = np.zeros((ns, ns))
-    H[:n, :n] = 2.0 * np.eye(n)
-    H[n:, n:] = 2.0 * config.slack_weight * np.eye(len(kinds))
-    g = np.zeros(ns)
-    g[:n] = -2.0 * qdot_des
+    diagonal = [2.0] * n + [2.0 * config.slack_weight] * len(kinds)
+    H = [[d if i == j else 0.0 for j in range(ns)] for i, d in enumerate(diagonal)]
     A_s = np.zeros((m + len(kinds), ns))
     A_s[:m, :n] = A
     A_s[np.arange(m), [kind_col[kind] for kind, _ in rows.keys]] = 1.0
     A_s[m:, n:] = np.eye(len(kinds))             # slack >= 0
-    b_s = np.zeros(m + len(kinds))
-    b_s[:m] = b
-    relaxed_sol = solver.solve(QpProblem(H=H, g=g, A_ineq=A_s, b_ineq=b_s))
+    relaxed_sol = solver.solve(QpProblem(H=H, g=g + [0.0] * len(kinds), A_ineq=A_s,
+                                         b_ineq=problem.b_ineq + [0.0] * len(kinds)))
     if not relaxed_sol.optimal:
         raise FilterInfeasibleError("safety filter QP infeasible even with slack relaxation")
     slacks = relaxed_sol.x[n:]

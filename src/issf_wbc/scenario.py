@@ -261,10 +261,11 @@ def _parse_sim(doc: Fields, n: int | None) -> SimConfig:
     """The ``sim`` block; a pulse torque has one entry per joint of the robot
     (``n`` joints; None: not loaded)."""
     sim = doc.block("sim", SimConfig.__dataclass_fields__, {})
-    pulses = tuple(TorquePulse(pulse.number("start", 0.0), pulse.number("end", 0.0),
-                               np.zeros(0) if n is None else pulse.vector("torque", n))
-                   for _, pulse in sim.block("external_torque", default=[]).objects(
-                       {"start", "end", "torque"}))
+    pulses = []
+    for _, pulse in sim.block("external_torque", default=[]).objects({"start", "end", "torque"}):
+        start, end = pulse.number("start", 0.0), pulse.number("end", 0.0)
+        torque = np.zeros(0) if n is None else pulse.vector("torque", n)
+        pulses.append(pulse.build(lambda: TorquePulse(start, end, torque)))
     values = dict(
         duration=sim.number("duration"), dt_control=sim.number("dt_control", 5e-4),
         dt_physics=sim.number("dt_physics", 1e-4), mass_scale=sim.number("mass_scale", 1.0),
@@ -272,7 +273,7 @@ def _parse_sim(doc: Fields, n: int | None) -> SimConfig:
     integrator = sim.string("integrator", "semi-implicit-euler",
                             tuple(integrator.value for integrator in Integrator))
     return sim.build(lambda: SimConfig(**values, integrator=Integrator(integrator),
-                                       external_torque=pulses), SimConfig(duration=0.0))
+                                       external_torque=tuple(pulses)), SimConfig(duration=0.0))
 
 
 def _parse_task(task: Fields, i: int, n: int | None, duration: float) -> TaskSpec | None:

@@ -92,6 +92,16 @@ class TorquePulse:
     end: float
     torque: np.ndarray
 
+    def __post_init__(self) -> None:
+        problems = [f"{key}: must be finite, got {getattr(self, key)!r}"
+                    for key in ("start", "end") if not math.isfinite(getattr(self, key))]
+        if not problems and not self.end > self.start:
+            problems.append(f"end: must be > start ({self.start!r}), got {self.end!r}")
+        if not np.isfinite(self.torque).all():
+            problems.append(f"torque: must be finite, got {np.asarray(self.torque).tolist()}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
     def active(self, t: float) -> bool:
         return self.start <= t < self.end
 

@@ -8,6 +8,8 @@ from issf_wbc._fastdyn import joint_dynamics
 from issf_wbc.model import JointSpec, LinkSpec, RobotModel
 from issf_wbc.qpsolver import QpProblem
 
+import qp_oracle
+
 
 def dynamics_arrays(model: RobotModel, q, qd, gravity) -> tuple[np.ndarray, np.ndarray]:
     """``joint_dynamics`` on array inputs, with M and h returned as arrays."""
@@ -77,8 +79,8 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9,
     ``A_eq x = b_eq`` are extra equality rows held in every subproblem.
     Returns (objective, x) or None when no subset yields a feasible point."""
     n, m = problem.dims()
+    H, g, b = qp_oracle.arrays(problem)
     A = problem.A_ineq if m else np.zeros((0, n))
-    b = problem.b_ineq if m else np.zeros(0)
     p = 0 if A_eq is None else A_eq.shape[0]
     Aeq = A_eq if p else np.zeros((0, n))
     beq = b_eq if p else np.zeros(0)
@@ -90,10 +92,10 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9,
                 continue
             kk = rows.shape[0]
             kkt = np.zeros((n + kk, n + kk))
-            kkt[:n, :n] = problem.H
+            kkt[:n, :n] = H
             kkt[:n, n:] = rows.T
             kkt[n:, :n] = rows
-            rhs = np.concatenate([-problem.g, beq, b[list(subset)]])
+            rhs = np.concatenate([-g, beq, b[list(subset)]])
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
@@ -103,7 +105,7 @@ def enumerate_qp(problem: QpProblem, tol: float = 1e-9,
                 continue
             if p and np.max(np.abs(Aeq @ x - beq)) > tol:
                 continue
-            f = problem.objective(x)
+            f = 0.5 * float(x @ H @ x) + float(g @ x)
             if best is None or f < best[0] - 1e-12:
                 best = (f, x)
     return best

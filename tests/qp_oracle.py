@@ -30,17 +30,25 @@ DEP_TOL = 1e-11
 SEED_TOL = 1e-2
 
 
+def arrays(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The problem's H, g and b_ineq (float rows) as arrays; b is empty
+    without rows."""
+    H = np.array(problem.H, dtype=float)
+    b = np.zeros(0) if problem.b_ineq is None else np.array(problem.b_ineq, dtype=float)
+    return H.reshape(H.shape if H.size else (0, 0)), np.array(problem.g, dtype=float), b
+
+
 def validate(problem: QpProblem) -> None:
     n, m = problem.dims()
-    H = problem.H
+    H, g, b = arrays(problem)
     if H.shape != (n, n):
         raise QpDimensionError(f"H shape {H.shape} vs n={n}")
-    data = (H, problem.g, problem.A_ineq, problem.b_ineq) if m else (H, problem.g)
+    data = (H, g, problem.A_ineq, b) if m else (H, g)
     if not all(np.isfinite(arr).all() for arr in data):
         raise QpDimensionError("QP data must be finite")
     if not np.allclose(H, H.T, atol=1e-10):
         raise QpDimensionError("H must be symmetric")
-    if m and (problem.A_ineq.shape != (m, n) or problem.b_ineq.shape != (m,)):
+    if m and (problem.A_ineq.shape != (m, n) or b.shape != (m,)):
         raise QpDimensionError("inequality block shapes inconsistent")
 
 
@@ -92,12 +100,13 @@ def kkt_solve(H, A, work, top, bottom):
 
 
 def kkt_residual(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> float:
-    stat = problem.H @ x + problem.g
+    H, g, b = arrays(problem)
+    stat = H @ x + g
     feas = 0.0
     comp = 0.0
     if problem.dims()[1]:
         stat = stat - problem.A_ineq.T @ lam
-        slack = problem.A_ineq @ x - problem.b_ineq
+        slack = problem.A_ineq @ x - b
         feas = float(np.max(-slack, initial=0.0))
         comp = float(np.max(np.abs(lam * slack), initial=0.0))
     return max(float(np.max(np.abs(stat), initial=0.0)), feas, comp)
@@ -107,12 +116,11 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
           max_iter: int | None = None) -> QpSolution:
     validate(problem)
     n, m_all = problem.dims()
-    H = problem.H
-    g = problem.g
+    H, g, b = arrays(problem)
     if m_all:
-        keep = dedup_rows(problem.A_ineq, problem.b_ineq)
+        keep = dedup_rows(problem.A_ineq, b)
         A = problem.A_ineq[keep]
-        b = problem.b_ineq[keep]
+        b = b[keep]
     else:
         keep = []
         A = np.zeros((0, n))

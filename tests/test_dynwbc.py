@@ -16,6 +16,7 @@ from issf_wbc.model import JointState
 from issf_wbc.qpsolver import QpProblem, QpSolver
 from issf_wbc.safety import AccelRows, BarrierKind
 
+import dynwbc_oracle
 from conftest import dynamics_arrays, enumerate_qp, random_chain, two_link_planar
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -56,6 +57,14 @@ class TestSafeAcceleration:
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
         out = safe_acceleration(np.array([0.01, 0.01]), np.zeros(2), state, weights.gains(2))
         np.testing.assert_allclose(out, [1.0, 0.5])
+
+
+class KeepProblem(QpSolver):
+    """A solver that keeps the last problem it was given."""
+
+    def solve(self, problem, warm_start=None):
+        self.problem = problem
+        return super().solve(problem, warm_start)
 
 
 class TestSolveDynWbc:
@@ -196,6 +205,52 @@ class TestSolveDynWbc:
                 assert np.all(np.abs(result.tau_opt) <= tau_max + 1e-9)
                 limited += int(np.any(np.abs(result.tau_opt) > tau_max - 1e-9))
         assert limited >= 4     # most cases press against a torque limit
+
+    def test_qp_data_match_numpy_assembly(self, rng):
+        # The generated kernel's H and g and the float right-hand sides
+        # against the numpy assembly, with and without contact, some torque
+        # limits infinite.
+        weights = DynWbcWeights(w_c=0.5, w_tau=1e-3, w_M=1e-4)
+        seen = set()
+        for n in range(1, 8):
+            for _ in range(6):
+                chain = random_chain(rng, n)
+                limits = np.where(rng.random(n) < 0.3, math.inf, rng.uniform(1.0, 50.0, n))
+                joints = tuple(dataclasses.replace(j, tau_max=float(t))
+                               for j, t in zip(chain.joints, limits))
+                model = dataclasses.replace(chain, joints=joints)
+                state = JointState(q=rng.uniform(-2, 2, n), qd=rng.uniform(-2, 2, n))
+                k = int(rng.integers(0, 4))
+                contact = None
+                if k:
+                    contact = ContactBlock(J_c=rng.normal(size=(k, n)),
+                                           U=rng.normal(size=(2, k)), F_c_des=rng.normal(size=k))
+                rows = None
+                if rng.random() < 0.5:
+                    rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0")] * 2,
+                                     grad=rng.normal(size=(2, n)), rhs=rng.normal(size=2),
+                                     h_e=np.zeros(2))
+                args = [model, state, rng.normal(size=n) * 10.0, contact, rows, weights,
+                        rng.normal(size=n) * 10.0, GRAVITY]
+                solver = KeepProblem()
+                try:
+                    solve_dynwbc(*args[:7], solver, GRAVITY)
+                except DynWbcInfeasibleError:
+                    pass
+                problem = solver.problem
+                H, g, A, b = dynwbc_oracle.torque_qp(*args)
+                assert problem.H == [list(col) for col in zip(*problem.H)]  # exactly symmetric
+                for got, want in ((problem.H, H), (problem.g, g)):
+                    err = np.abs(np.array(got) - want).max()
+                    assert err <= 1e-12 * np.abs(want).max()
+                if A is None:
+                    assert problem.A_ineq is None and problem.b_ineq is None
+                else:
+                    np.testing.assert_array_equal(problem.A_ineq, A)
+                    np.testing.assert_array_equal(problem.b_ineq, b)
+                seen.add((k > 0, bool(np.isinf(limits).any()), A is None))
+        assert {(False, True, False), (True, True, False), (False, False, False),
+                (True, False, False)} <= seen
 
     def test_torque_limits_enforced(self, rng):
         model = two_link_planar(0.4, 0.4)

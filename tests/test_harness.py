@@ -372,6 +372,16 @@ class TestEveryScenarioValueHonouredOrRejected:
         (("sim",), "mass_scale", math.inf, "sim.mass_scale: must be finite and > 0, got inf"),
         (("sim",), "gravity", [0.0, 0.0, -math.inf],
          "sim.gravity: must be finite, got [0.0, 0.0, -inf]"),
+        (("sim", "external_torque", 0), "start", -math.inf,
+         "sim.external_torque[0].start: must be finite, got -inf"),
+        (("sim", "external_torque", 0), "end", math.inf,
+         "sim.external_torque[0].end: must be finite, got inf"),
+        (("sim", "external_torque", 0), "torque", [math.inf, 0.0, 0.0],
+         "sim.external_torque[0].torque: must be finite, got [inf, 0.0, 0.0]"),
+        (("sim", "external_torque", 0), "end", 0.0,
+         "sim.external_torque[0].end: must be > start (0.0), got 0.0"),
+        (("sim", "external_torque", 0), "start", 0.02,
+         "sim.external_torque[0].end: must be > start (0.02), got 0.01"),
     ])
     def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
         assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem

@@ -18,7 +18,8 @@ def test_kernels_script_runs_every_kernel(capsys):
              "body_pair_barrier", "joint_dynamics", "cholesky_solve", "prioritized_ik",
              "collect_constraints", "truth_values", "filter_velocity", "ecbf_rows",
              "motor_torque",
-             "step_physics", "kalman_update", "filter_qp", "torque_qp", "dynamics_codegen")
+             "step_physics", "kalman_update", "torque_qp_data", "filter_qp", "torque_qp",
+             "dynamics_codegen")
     assert [row.split()[1] for row in rows] == list(names) * 2
 
 
@@ -126,3 +127,26 @@ def test_opcounts_script_counts_every_stage(capsys):
     finally:
         sim.Controller.step = opcounts.STEP
     assert sum(counted[2:]) / 2 == bytecodes["obstacle_track", "ecbf", "total"]
+
+
+def test_opcounts_full_prints_per_cycle_extremes(capsys):
+    script = SCRIPT.with_name("opcounts.py")
+    spec = importlib.util.spec_from_file_location("opcounts", script)
+    opcounts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(opcounts)
+    assert opcounts.main(["--full", "--duration", "0.002"]) == 0     # 2 cycles counted
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    runs = [(scenario, mode.value) for scenario in ("hand_track", "obstacle_track")
+            for mode in opcounts.FilterMode]
+    cycle = [line for line in lines if line[0] == "cycle"]
+    assert [line[1:4] for line in cycle] == [
+        [*run, stat] for run in runs for stat in ("p50", "p99", "max", "argmax")]
+    stats = {(line[1], line[2], line[3]): int(line[4]) for line in cycle}
+    totals = {(line[1], line[2]): float(line[5]) for line in lines
+              if line[0] == "step" and line[3] == "total" and line[4] == "bytecodes"}
+    for run in runs:
+        p50, p99, top = (stats[(*run, stat)] for stat in ("p50", "p99", "max"))
+        # Of two counted cycles, the p50 is the smaller and the max the larger.
+        assert 0 < p50 <= p99 == top
+        assert p50 + top == 2 * totals[run]
+        assert stats[(*run, "argmax")] in (2, 3)

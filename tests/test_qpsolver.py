@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from issf_wbc import qpsolver
+from issf_wbc._codegen import cholesky
 from issf_wbc.qpsolver import (
     QpDimensionError,
     QpProblem,
@@ -69,12 +71,13 @@ class TestContract:
             if not sol.optimal:
                 continue
             n, m = problem.dims()
-            scale_b = 1.0 + (np.abs(problem.b_ineq).max() if m else 0.0)
-            scale_g = 1.0 + np.abs(problem.g).max()
-            stat = problem.H @ sol.x + problem.g
+            H, g, b = qp_oracle.arrays(problem)
+            scale_b = 1.0 + (np.abs(b).max() if m else 0.0)
+            scale_g = 1.0 + np.abs(g).max()
+            stat = H @ sol.x + g
             if m:
                 stat = stat - problem.A_ineq.T @ sol.lam
-                slack = problem.A_ineq @ sol.x - problem.b_ineq
+                slack = problem.A_ineq @ sol.x - b
                 assert slack.min() > -1e-8 * scale_b
                 assert np.abs(sol.lam * slack).max() < 1e-8 * scale_b * scale_g
             assert np.abs(stat).max() < 1e-6 * scale_g
@@ -407,3 +410,85 @@ class TestChecksAgainstReference:
     def test_empty_problem_solves(self):
         sol = QpSolver().solve(QpProblem(H=np.zeros((0, 0)), g=np.zeros(0)))
         assert sol.optimal and sol.x.shape == (0,)
+
+
+class TestFloatRows:
+    """H, g and b given as float rows or as numpy arrays, and the reuse of
+    the convexity verdict and the factor between solves."""
+
+    @staticmethod
+    def assert_identical(got, want):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.active_set == want.active_set
+        assert got.iterations == want.iterations
+        assert got.status is want.status
+        assert repr(got.kkt_residual) == repr(want.kkt_residual)
+
+    def test_rows_and_arrays_solve_byte_identically(self, rng):
+        reused = QpSolver()
+        for _ in range(300):
+            H, g, b = qp_oracle.arrays(structured_problem(rng))
+            n, m = g.shape[0], b.shape[0]
+            A = rng.integers(-2, 3, size=(m, n)).astype(float) if m else None
+            arrays = QpProblem(H=H, g=g, A_ineq=A, b_ineq=b if m else None)
+            rows = QpProblem(H=H.tolist(), g=g.tolist(), A_ineq=A,
+                             b_ineq=b.tolist() if m else None)
+            start = rng.normal(size=n) if rng.random() < 0.5 else None
+            want = QpSolver().solve(arrays, warm_start=start)
+            self.assert_identical(QpSolver().solve(rows, warm_start=start), want)
+            # A solver that verified this H on the last solve reuses its factor.
+            for problem in (rows, arrays):
+                self.assert_identical(reused.solve(problem, warm_start=start), want)
+
+    def test_verdict_reused_only_for_a_byte_identical_H(self, monkeypatch):
+        g = [0.5, -0.5]
+        H = [[2.0, 0.0], [0.0, 2.0]]
+        signed = [[2.0, -0.0], [-0.0, 2.0]]         # equal values, other bytes
+        three = QpProblem(H=2.0 * np.eye(3), g=np.ones(3))
+        want, want_signed, want_three = (QpSolver().solve(QpProblem(H=H, g=g)),
+                                         QpSolver().solve(QpProblem(H=signed, g=g)),
+                                         QpSolver().solve(three))
+        factored = []
+
+        class Counting(dict):
+            def __missing__(self, n):
+                def kernel(*args):
+                    factored.append(n)
+                    return cholesky[n](*args)
+                return kernel
+
+        monkeypatch.setattr(qpsolver, "cholesky", Counting())
+        solver = QpSolver()
+        self.assert_identical(solver.solve(QpProblem(H=H, g=g)), want)
+        assert factored == [2, 2]                   # the verdict and the factor
+        for same in (H, [[2.0, 0.0], [0.0, 2.0]], np.array(H)):
+            self.assert_identical(solver.solve(QpProblem(H=same, g=g)), want)
+        assert factored == [2, 2]
+        self.assert_identical(solver.solve(QpProblem(H=signed, g=g)), want_signed)
+        assert factored == [2, 2] * 2
+        self.assert_identical(solver.solve(three), want_three)
+        assert factored == [2, 2] * 2 + [3, 3]
+        # A non-convex H after a convex one, given afresh or by changing the
+        # verified H in place.
+        with pytest.raises(ValueError, match="not strictly convex"):
+            solver.solve(QpProblem(H=np.diag([1.0, 1.0, -1.0]), g=np.zeros(3)))
+        self.assert_identical(solver.solve(QpProblem(H=H, g=g)), want)
+        H[1][1] = -2.0
+        with pytest.raises(ValueError, match="not strictly convex"):
+            solver.solve(QpProblem(H=H, g=g))
+
+    def test_rows_of_the_wrong_shape_rejected(self):
+        bad = [
+            QpProblem(H=[2.0, 2.0], g=[0.0, 0.0]),
+            QpProblem(H=[[2.0, 0.0], [0.0]], g=[0.0, 0.0]),
+            QpProblem(H=[[2.0, 0.0], [0.0, 2.0]], g=[[0.0], [0.0]]),
+            QpProblem(H=[[2.0, 0.0], [0.0, 2.0]], g=[0.0, "0"]),
+            QpProblem(H=[[2.0, 0.0], [0.0, 2.0]], g=[0.0, 0.0], A_ineq=np.eye(2),
+                      b_ineq=[0.0]),
+            QpProblem(H=[[2.0, 0.0], [0.0, 2.0]], g=[0.0, 0.0], A_ineq=np.eye(2),
+                      b_ineq=[[0.0], [0.0]]),
+        ]
+        for problem in bad:
+            with pytest.raises(QpDimensionError):
+                QpSolver().solve(problem)
