@@ -9,9 +9,13 @@ Each round times every row once, in table order, so the rows share the
 host's phases and two runs of the script compare row by row.  The rows:
 
 - ``forward_kinematics``;
-- ``point_jacobian`` of the last link's collision body, given the FK;
+- ``jacobian_rows``: the positional Jacobian rows of the last link's
+  collision body (``model._jacobian_rows``, as IK builds a point task's),
+  given the FK and the body's world point;
 - ``closest_points`` of the scenario's first collision pair, already posed;
-- ``body_pair_barrier`` of that pair (h and gradient), given the FK;
+- ``pair_gradient``: that pair's barrier gradient (``geometry._pair_gradient``,
+  as ``collect_constraints`` builds an active collision row's), given the
+  FK and the pair's ``closest_points``;
 - ``joint_dynamics`` (mass matrix and bias forces as lists), given q, qd
   and gravity as lists: its generated kernel works in joint frames and
   takes no pose;
@@ -76,13 +80,13 @@ import numpy as np  # noqa: E402
 from issf_wbc._codegen import cholesky, solve_lower, solve_upper  # noqa: E402
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics  # noqa: E402
 from issf_wbc.dynwbc import _qp_data, _torque_limits, motor_torque  # noqa: E402
-from issf_wbc.geometry import body_pair_barrier, closest_points, pose_body  # noqa: E402
+from issf_wbc.geometry import _pair_gradient, closest_points, pose_body  # noqa: E402
 from issf_wbc.kinwbc import prioritized_ik  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
     JointState,
     _frames,
+    _jacobian_rows,
     forward_kinematics,
-    point_jacobian,
     scale_link_masses,
 )
 from issf_wbc.qpsolver import QpSolver  # noqa: E402
@@ -132,6 +136,8 @@ def kernels(scenario) -> dict[str, callable]:
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
     tip = model.collision_bodies[-1]
+    tip_point = fk._point(tip.link, tip.p0)
+    prox = closest_points(seg_a, seg_b)
     plant = scale_link_masses(model, scenario.sim.mass_scale)
     state = JointState(q=q, qd=qd, t=0.0)
     tau = np.zeros(model.n_dof)
@@ -164,9 +170,9 @@ def kernels(scenario) -> dict[str, callable]:
     kalman.update(z, dt_control)
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
-        "point_jacobian": lambda: point_jacobian(model, fk, tip.link, tip.p0),
+        "jacobian_rows": lambda: _jacobian_rows(fk, n, tip.link, tip_point),
         "closest_points": lambda: closest_points(seg_a, seg_b),
-        "body_pair_barrier": lambda: body_pair_barrier(model, fk, body_a, body_b),
+        "pair_gradient": lambda: _pair_gradient(fk, n, body_a.link, body_b.link, prox),
         "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
         "cholesky_solve": cholesky_solve,
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks),

@@ -13,7 +13,6 @@ from .geometry import (
     CollisionBody,
     ProximityResult,
     WorkspacePair,
-    body_pair_barrier,
     closest_points,
     workspace_barrier,
 )
@@ -26,7 +25,6 @@ from .model import (
     RobotModel,
     forward_kinematics,
     load_robot,
-    point_jacobian,
     scale_link_masses,
 )
 from .qpsolver import QpProblem, QpSolution, QpSolver, QpStatus

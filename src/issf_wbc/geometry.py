@@ -19,12 +19,12 @@ closest-point, normal and gradient computation run on plain floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import FkResult, RobotModel, _normal_jacobian, _point_motion
+from .model import FkResult, _normal_jacobian, _point_motion
 
 Vec3 = tuple[float, float, float]
 
@@ -32,10 +32,6 @@ Vec3 = tuple[float, float, float]
 DEGENERATE_DISTANCE = 1e-9
 
 _ZERO3 = (0.0, 0.0, 0.0)
-
-
-class DegenerateWitnessError(RuntimeError):
-    """Coincident witness points: the barrier gradient is undefined this cycle."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +49,8 @@ class CollisionBody:
     p1: Vec3
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError(f"radius: must be > 0, got {self.radius!r}")
+        if not 0.0 < self.radius < inf:
+            raise ValueError(f"radius: must be finite and > 0, got {self.radius!r}")
         object.__setattr__(self, "p0", tuple(map(float, self.p0)))
         object.__setattr__(self, "p1", tuple(map(float, self.p1)))
 
@@ -82,8 +78,8 @@ class WorkspacePair:
     d_max: float
 
     def __post_init__(self) -> None:
-        if self.d_max <= 0.0:
-            raise ValueError(f"d_max: must be > 0, got {self.d_max!r}")
+        if not 0.0 < self.d_max < inf:
+            raise ValueError(f"d_max: must be finite and > 0, got {self.d_max!r}")
         object.__setattr__(self, "point_a", tuple(map(float, self.point_a)))
         object.__setattr__(self, "point_b", tuple(map(float, self.point_b)))
 
@@ -177,30 +173,6 @@ def closest_points(shape_a: WorldSegment, shape_b: WorldSegment) -> ProximityRes
     if dist < DEGENERATE_DISTANCE:
         return ProximityResult(h, pa, pb, _ZERO3, True, s, t)
     return ProximityResult(h, pa, pb, (dx / dist, dy / dist, dz / dist), False, s, t)
-
-
-def body_pair_barrier(
-    model: RobotModel,
-    fk: FkResult,
-    body_a: CollisionBody,
-    body_b: CollisionBody,
-) -> tuple[float, np.ndarray, ProximityResult]:
-    """Barrier value h and its 1 x n_dof gradient for a collision-body pair at pose ``fk``.
-
-    The gradient is n . (J_A(p_A) - J_B(p_B)) at the world witness points;
-    world-attached bodies contribute a zero Jacobian.  Raises
-    DegenerateWitnessError when the witness points coincide (gradient
-    undefined; the caller drops the row for this cycle).
-    """
-    if body_a.is_world and body_b.is_world:
-        raise ValueError("at least one body must be attached to the robot")
-    prox = closest_points(pose_body(body_a, fk), pose_body(body_b, fk))
-    if prox.degenerate:
-        raise DegenerateWitnessError(
-            f"coincident witness points for pair ({body_a.name}, {body_b.name})"
-        )
-    return prox.h, np.array(_pair_gradient(fk, model.n_dof, body_a.link, body_b.link,
-                                            prox)), prox
 
 
 def _pair_gradient(fk: FkResult, n_dof: int, link_a: int, link_b: int,

@@ -78,14 +78,15 @@ def summarize(trace: RunTrace, *, mode: str, alpha: float | None, epsilon: float
         float(np.max(np.abs(np.diff(trace.qdot_safe, axis=0))) / dt)
         if trace.cycles > 1 else 0.0
     )
+    per_kind = _min_h_per_kind(trace)
     return {
         "mode": mode,
         "alpha": alpha,
         "epsilon": epsilon,
         "seed": seed,
         "cycles": trace.cycles,
-        "min_h_per_kind": _min_h_per_kind(trace),
-        "min_h": trace.min_h(),
+        "min_h_per_kind": per_kind,
+        "min_h": min(per_kind.values(), default=math.inf),
         "dbar": trace.final_dbar(),
         "collision_events": collision_events(trace),
         "runtime_per_cycle_us": trace.runtime_per_cycle_us,

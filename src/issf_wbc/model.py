@@ -137,6 +137,12 @@ class RobotModel:
             if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
                 raise ModelError(f"links[{i}].inertia: not positive definite")
         for i, joint in enumerate(self.joints):
+            for key, value in (("lower", joint.q_min), ("upper", joint.q_max)):
+                if not math.isfinite(value):
+                    raise ModelError(f"joints[{i}].limits.{key}: must be finite, got {value!r}")
+            if not joint.tau_max > 0.0:
+                raise ModelError(f"joints[{i}].limits.torque: must be > 0 (or inf), "
+                                 f"got {joint.tau_max!r}")
             if joint.q_min >= joint.q_max:
                 raise ModelError(f"joints[{i}].limits: lower must be < upper")
             if not math.isclose(float(np.linalg.norm(joint.axis)), 1.0, abs_tol=1e-9):
@@ -327,9 +333,6 @@ class FkResult:
                 py + (r10 * x + r11 * y + r12 * z),
                 pz + (r20 * x + r21 * y + r22 * z))
 
-    def link_point(self, link: int, point_in_link: np.ndarray) -> np.ndarray:
-        return np.array(self._point(link, _xyz(point_in_link)))
-
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> FkResult:
     """Compose world-frame link poses parent-to-child (base is the identity)."""
@@ -411,19 +414,6 @@ def _point_motion(fk: FkResult, rates: list[tuple[float, ...]], link: int,
             (ax + (ly * rz - lz * ry) + (wy * cz - wz * cy),
              ay + (lz * rx - lx * rz) + (wz * cx - wx * cz),
              az + (lx * ry - ly * rx) + (wx * cy - wy * cx)))
-
-
-def point_jacobian(
-    model: RobotModel,
-    fk: FkResult,
-    link_index: int,
-    point_in_link: np.ndarray,
-) -> np.ndarray:
-    """3 x n_dof positional Jacobian of a point rigidly attached to a link, at pose ``fk``."""
-    if not 0 <= link_index < model.n_dof:
-        raise ModelError(f"link index {link_index} out of range")
-    return np.array(_jacobian_rows(fk, model.n_dof, link_index,
-                                   fk._point(link_index, _xyz(point_in_link))))
 
 
 def scale_link_masses(model: RobotModel, factor: float) -> RobotModel:

@@ -178,16 +178,15 @@ class BarrierRows:
     Row i is the barrier ``keys[i]`` = (kind, pair).  The rows come in
     ``collect_constraints``' order: the 2n joint-limit rows (q0 min, q0 max,
     q1 min, ...), then the self-collision, object-collision and workspace
-    rows.  ``margin`` is the ISSf term |grad|^2 / eps (0 where eps = inf),
-    and ``witness[i]`` is what row i was evaluated from (None for joint
-    limits).  ``len`` is the row count.
+    rows.  ``margin`` is the ISSf term |grad|^2 / eps (0 where eps = inf,
+    as on every row in cbf mode), and ``witness[i]`` is what row i was
+    evaluated from (None for joint limits).  ``len`` is the row count.
     """
 
     keys: list[tuple[BarrierKind, str]]
     h: np.ndarray             # (m,)
     grad: np.ndarray          # (m, n_dof)
     alpha: np.ndarray         # (m,)
-    epsilon: np.ndarray       # (m,)
     drift: np.ndarray         # (m,) rhs offset (obstacle-velocity term)
     margin: np.ndarray        # (m,)
     witness: list[PairWitness | WorkspacePair | None]
@@ -195,9 +194,9 @@ class BarrierRows:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def rhs(self, plain_cbf: bool = False) -> np.ndarray:
-        """Right-hand sides b of grad @ qd >= b; ``plain_cbf`` drops the margin."""
-        return self.drift - self.alpha * self.h + (0.0 if plain_cbf else self.margin)
+    def rhs(self) -> np.ndarray:
+        """Right-hand sides b of grad @ qd >= b."""
+        return self.drift - self.alpha * self.h + self.margin
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,9 @@ class BarrierPlan:
     pair (j is None), while b is None for a body against obstacle j.
     ``bodies`` holds every body a pair poses, once, and ``workspace`` each
     bound as (pair, alpha, eps).
-    The joint-limit rows' alpha, eps and margin 1/eps (their gradients are
-    unit vectors) are lists in row order.
+    The joint-limit rows' alpha and margin 1/eps (their gradients are unit
+    vectors) are lists in row order.  In cbf mode every eps is inf, so every
+    margin is 0: the plain barrier condition.
     """
 
     n_dof: int
@@ -224,7 +224,6 @@ class BarrierPlan:
     q_max: np.ndarray
     joint_grad: np.ndarray          # read-only (2n, n) block of rows e_i, -e_i
     joint_alpha: list[float]
-    joint_epsilon: list[float]
     joint_margin: list[float]
     bodies: tuple[CollisionBody, ...]
     collisions: tuple[tuple, ...]
@@ -238,7 +237,9 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
     """The barrier catalog of ``model`` under ``config``: the self-collision
     ``pairs``, each robot body against each of ``obstacle_bodies`` (whose
     estimates a cycle's obstacles are, in the same order) and the
-    ``workspace_pairs``."""
+    ``workspace_pairs``.  A cbf-mode plan gives every row eps = inf."""
+    epsilon = (dict.fromkeys(BarrierKind, math.inf) if config.mode is FilterMode.CBF
+               else config.epsilon)
     bodies: list[CollisionBody] = []
 
     def index(body: CollisionBody) -> int:
@@ -255,14 +256,14 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
             raise ValueError(f"{a.name}|{b.name}: at least one body must be attached "
                              "to the robot")
         collisions.append((kind, f"{a.name}|{b.name}", index(a), index(b), None,
-                           config.alpha[kind], config.epsilon[kind]))
+                           config.alpha[kind], epsilon[kind]))
     kind = BarrierKind.OBJECT_COLLISION
     for j, obstacle in enumerate(obstacle_bodies):
         collisions += [(kind, f"{a.name}|{obstacle.name}", index(a), None, j,
-                        config.alpha[kind], config.epsilon[kind])
+                        config.alpha[kind], epsilon[kind])
                        for a in model.collision_bodies]
     kind = BarrierKind.WORKSPACE
-    workspace = tuple((pair, config.alpha[kind], config.epsilon[kind])
+    workspace = tuple((pair, config.alpha[kind], epsilon[kind])
                       for pair in workspace_pairs)
 
     n = model.n_dof
@@ -270,7 +271,6 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
                   for kind in (BarrierKind.JOINT_LIMIT_MIN, BarrierKind.JOINT_LIMIT_MAX)]
     joint_grad = np.kron(np.eye(n), [[1.0], [-1.0]])
     joint_grad.setflags(write=False)
-    joint_epsilon = [config.epsilon[kind] for kind, _ in joint_keys]
     return BarrierPlan(
         n_dof=n,
         keys=(joint_keys + [(kind, pair) for kind, pair, *_ in collisions]
@@ -279,8 +279,7 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
         q_max=np.array([joint.q_max for joint in model.joints], dtype=float),
         joint_grad=joint_grad,
         joint_alpha=[config.alpha[kind] for kind, _ in joint_keys],
-        joint_epsilon=joint_epsilon,
-        joint_margin=[1.0 / e for e in joint_epsilon],
+        joint_margin=[1.0 / epsilon[kind] for kind, _ in joint_keys],
         bodies=tuple(bodies),
         collisions=tuple(collisions),
         workspace=workspace,
@@ -377,7 +376,6 @@ def collect_constraints(
     return BarrierRows(
         keys=keys, h=_barrier_h(plan, state.q, hs), grad=grad,
         alpha=np.array(plan.joint_alpha + alphas),
-        epsilon=np.array(plan.joint_epsilon + epsilons),
         drift=np.array([0.0] * jl + drifts),
         margin=np.array(plan.joint_margin
                         + [float(g @ g) / e for g, e in zip(grads, epsilons)]),
@@ -412,8 +410,7 @@ def filter_velocity(
 
     A = rows.grad
     g = [-2.0 * v for v in qdot_des.tolist()]
-    problem = QpProblem(H=_two_identity(n), g=g, A_ineq=A,
-                        b_ineq=rows.rhs(plain_cbf=config.mode is FilterMode.CBF))
+    problem = QpProblem(H=_two_identity(n), g=g, A_ineq=A, b_ineq=rows.rhs())
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
         return FilterResult(qdot_safe=sol.x, status="optimal", iterations=sol.iterations)

@@ -127,6 +127,10 @@ class SimConfig:
             problems.append(f"dt_physics: must be > 0, got {self.dt_physics!r}")
         elif self.dt_physics > self.dt_control + 1e-15:
             problems.append("dt_physics: must be <= dt_control")
+        elif (self.dt_control < math.inf
+              and abs(self.substeps * self.dt_physics - self.dt_control) > 1e-9 * self.dt_control):
+            problems.append(f"dt_physics: must divide dt_control ({self.dt_control!r}), "
+                            f"got {self.dt_physics!r}")
         if not 0.0 < self.mass_scale < math.inf:
             problems.append(f"mass_scale: must be finite and > 0, got {self.mass_scale!r}")
         if not np.isfinite(self.gravity).all():
@@ -332,14 +336,6 @@ class RunTrace:
                     f"{row.t!r},{row.kind},{row.pair},{row.h!r},{row.rhs!r},{int(row.active)}\n"
                 )
 
-    def min_h(self, keys: list[str] | None = None) -> float:
-        if not self.cycles:
-            return math.inf
-        if keys is None:
-            return float(self.h.min()) if self.h.size else math.inf
-        idx = [self.barrier_keys.index(k) for k in keys]
-        return float(self.h[:, idx].min()) if idx else math.inf
-
 
 class _ObstacleTruth:
     """Ground-truth constant-velocity motion of the world collision body of
@@ -458,7 +454,6 @@ def run_closed_loop(
     rng = np.random.default_rng(cfg.seed)
     obstacle_truths = [_ObstacleTruth(spec) for spec in scenario.obstacles]
     controller = Controller(nominal_model, scenario, mode)
-    plain = controller.filter_config.mode is FilterMode.CBF
 
     cycles = int(round(cfg.duration / cfg.dt_control))
     catalog = controller.plan.keys
@@ -501,7 +496,7 @@ def run_closed_loop(
             tol = 1e-8 * (1.0 + float(np.max(np.abs(qdot_safe), initial=0.0)))
             rows = rec.rows
             for (kind, pair), h, grad, rhs in zip(rows.keys, rows.h.tolist(), rows.grad,
-                                                  rows.rhs(plain_cbf=plain).tolist()):
+                                                  rows.rhs().tolist()):
                 trace.constraint_dump.append(ConstraintDumpRow(
                     t=t, kind=kind.value, pair=pair, h=h, rhs=rhs,
                     active=bool(grad @ qdot_safe - rhs <= tol),

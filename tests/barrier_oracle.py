@@ -4,35 +4,62 @@ The package builds a run's barrier catalog once (``safety.barrier_plan``)
 and poses each body once per cycle.  These are the per-cycle versions it
 replaced: ``collect_constraints`` and ``barrier_values`` rebuild the
 catalog from the model, the filter configuration and the pairs on every
-call, evaluate each collision pair with ``geometry.body_pair_barrier`` (both
-bodies posed again for every pair, a gradient built for every pair and
-dropped for an inactive one) and look up alpha and eps per row;
-``ecbf_rows`` poses each pair's bodies again for its curvature.  The
+call, evaluate each collision pair with ``body_pair_barrier`` (both bodies
+posed again for every pair, a gradient built for every pair and dropped for
+an inactive one) and look up alpha and eps per row (inf for every row in cbf
+mode); ``ecbf_rows`` poses each pair's bodies again for its curvature.  The
 package's rows, ground-truth values and eCBF rows must equal these byte for
 byte.
+
+``body_pair_barrier`` is the pair's h, gradient and closest points at a pose,
+as the package once offered it; its gradient is the cycle's own
+``geometry._pair_gradient``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
 from issf_wbc.geometry import (
-    DegenerateWitnessError,
     WorkspacePair,
     _pair_curvature,
+    _pair_gradient,
     _workspace_curvature,
-    body_pair_barrier,
     closest_points,
     pose_body,
     workspace_barrier,
     workspace_barrier_value,
 )
 from issf_wbc.model import _link_rates, _xyz
-from issf_wbc.safety import AccelRows, BarrierKind, BarrierRows, PairWitness
+from issf_wbc.safety import AccelRows, BarrierKind, BarrierRows, FilterMode, PairWitness
 
 log = logging.getLogger("issf_wbc.safety")
+
+
+class DegenerateWitnessError(RuntimeError):
+    """Coincident witness points: the barrier gradient is undefined this cycle."""
+
+
+def body_pair_barrier(model, fk, body_a, body_b):
+    """Barrier value h, its 1 x n_dof gradient and the ``closest_points`` of a
+    collision-body pair at pose ``fk``.
+
+    The gradient is n . (J_A(p_A) - J_B(p_B)) at the world witness points;
+    world-attached bodies contribute a zero Jacobian.  Raises
+    DegenerateWitnessError when the witness points coincide (gradient
+    undefined; the caller drops the row for this cycle).
+    """
+    if body_a.is_world and body_b.is_world:
+        raise ValueError("at least one body must be attached to the robot")
+    prox = closest_points(pose_body(body_a, fk), pose_body(body_b, fk))
+    if prox.degenerate:
+        raise DegenerateWitnessError(
+            f"coincident witness points for pair ({body_a.name}, {body_b.name})")
+    return prox.h, np.array(_pair_gradient(fk, model.n_dof, body_a.link, body_b.link,
+                                            prox)), prox
 
 
 def joint_limit_rows(model) -> tuple:
@@ -118,11 +145,11 @@ def collect_constraints(model, state, fk, obstacles, config, pairs,
     if not np.isfinite(grad).all():
         bad = int(np.argmin(np.isfinite(grad).all(axis=1)))
         raise ValueError(f"{keys[bad][1]}: non-finite gradient")
-    eps = [config.epsilon[kind] for kind, _ in keys]
+    eps = [math.inf if config.mode is FilterMode.CBF else config.epsilon[kind]
+           for kind, _ in keys]
     return BarrierRows(
         keys=keys, h=barrier_h(model, state.q, hs), grad=grad,
         alpha=np.array([config.alpha[kind] for kind, _ in keys]),
-        epsilon=np.array(eps),
         drift=np.array([0.0] * jl + list(drifts)),
         margin=np.array([1.0 / e for e in eps[:jl]]
                         + [float(g @ g) / e for g, e in zip(grads, eps[jl:])]),

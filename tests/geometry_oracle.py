@@ -16,12 +16,12 @@ import numpy as np
 from issf_wbc.geometry import (
     DEGENERATE_DISTANCE,
     CollisionBody,
-    DegenerateWitnessError,
     ProximityResult,
     WorldSegment,
 )
 from issf_wbc.model import RobotModel
 
+from barrier_oracle import DegenerateWitnessError
 from kinematics_oracle import FkResult, forward_kinematics, point_jacobian
 
 

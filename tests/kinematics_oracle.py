@@ -12,6 +12,12 @@ was generated as straight-line code per set of kinematic constants
 (``issf_wbc.model._fk_kernel``): the generated kernel must equal it, and be
 byte-equal to it away from exact zero joint angles.
 
+``link_point`` and ``jacobian_rows`` are a link point's world position and
+its 3 x n positional Jacobian at a pose of ``issf_wbc.model.forward_kinematics``,
+as numpy arrays, as the package once offered them; each is a thin wrapper
+over the function the control cycle calls (``FkResult._point``,
+``model._jacobian_rows``), so that the tests check the cycle's own code.
+
 ``truncated_pinv`` and ``solve_priority_stack`` are the prioritized-IK
 recursion the package used before it took both of a level's updates from
 one SVD: an explicit truncated pseudo-inverse per level, applied to the task
@@ -28,8 +34,22 @@ from math import cos, sin
 
 import numpy as np
 
+from issf_wbc import model as float_model
 from issf_wbc.kinwbc import SIGMA_REL_DEFAULT
 from issf_wbc.model import ModelError, RobotModel
+
+
+def link_point(fk: float_model.FkResult, link: int, point_in_link) -> np.ndarray:
+    """World position of a point fixed in ``link``, at the package's pose ``fk``."""
+    return np.array(fk._point(link, float_model._xyz(point_in_link)))
+
+
+def jacobian_rows(model: RobotModel, fk: float_model.FkResult, link: int,
+                  point_in_link) -> np.ndarray:
+    """3 x n_dof positional Jacobian of a point fixed in ``link``, at the
+    package's pose ``fk``."""
+    return np.array(float_model._jacobian_rows(
+        fk, model.n_dof, link, fk._point(link, float_model._xyz(point_in_link))))
 
 
 def fk_loop(frames, ql: list[float]) -> tuple[list, list, list, list]:

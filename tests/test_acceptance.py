@@ -7,6 +7,7 @@ module dominates the suite's wall time (several minutes on one core).
 
 import csv
 import json
+import math
 import time
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from kinematics_oracle import truncated_pinv
 
 ALPHAS = [1.0, 5.0, 10.0, 20.0, 30.0]
 EPSILONS = [10.0, 20.0, 30.0]
-COLLISION_KINDS = ("self-collision", "object-collision")
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -78,14 +78,11 @@ def obstacle_cbf30(out_root):
                         out=out_root)
 
 
-def _collision_min(trace) -> float:
-    keys = [k for k in trace.barrier_keys if k.startswith(COLLISION_KINDS)]
-    return trace.min_h(keys)
-
-
 def _self_min(trace) -> float:
-    keys = [k for k in trace.barrier_keys if k.startswith("self-collision")]
-    return trace.min_h(keys)
+    """The least h over the run of every self-collision barrier."""
+    columns = [j for j, key in enumerate(trace.barrier_keys)
+               if key.startswith("self-collision")]
+    return float(trace.h[:, columns].min()) if columns and trace.cycles else math.inf
 
 
 # ---------------------------------------------------------------- criteria
@@ -217,8 +214,8 @@ def test_criterion_4_qp_oracle_and_budget(rng):
 
 
 def test_criterion_5_geometry_oracle(rng):
-    from issf_wbc.geometry import WorldSegment, body_pair_barrier, closest_points
-    from issf_wbc.geometry import CollisionBody, DegenerateWitnessError
+    from issf_wbc.geometry import CollisionBody, WorldSegment, closest_points
+    from barrier_oracle import DegenerateWitnessError, body_pair_barrier
     from issf_wbc.model import forward_kinematics
     from conftest import two_link_planar
 

@@ -2,7 +2,7 @@
 
 ``barrier_oracle`` rebuilds the catalog and poses every pair's bodies on
 every call; the plan-based rows, ground-truth values and eCBF rows must equal
-it byte for byte.
+it byte for byte, in ecbf mode and in cbf mode (every eps inf).
 """
 
 import math
@@ -13,6 +13,7 @@ import pytest
 
 import barrier_oracle
 from conftest import random_chain
+from kinematics_oracle import link_point
 from issf_wbc import geometry, safety, sim
 from issf_wbc.geometry import CollisionBody, WorkspacePair
 from issf_wbc.model import JointState, forward_kinematics
@@ -31,7 +32,7 @@ from issf_wbc.scenario import data_path, load_scenario
 
 ACTIVATION_DISTANCES = (0.0, 0.3, math.inf)
 COLLISION_KINDS = (BarrierKind.SELF_COLLISION, BarrierKind.OBJECT_COLLISION)
-ROW_ARRAYS = ("h", "grad", "alpha", "epsilon", "drift", "margin")
+ROW_ARRAYS = ("h", "grad", "alpha", "drift", "margin")
 
 
 def random_case(rng, n):
@@ -87,9 +88,11 @@ class TestAgainstOracle:
         for n in range(1, 8):
             model, pairs, obstacles, workspace = random_case(rng, n)
             config = FilterConfig(mode=FilterMode.ECBF, activation_distance=activation_distance)
-            plan = barrier_plan(model, config, pairs, [o.body for o in obstacles], workspace)
-            assert plan.keys == barrier_oracle.barrier_catalog(
-                model, pairs, [o.body for o in obstacles], workspace)
+            cbf = config.with_mode(FilterMode.CBF)
+            bodies = [o.body for o in obstacles]
+            plan = barrier_plan(model, config, pairs, bodies, workspace)
+            cbf_plan = barrier_plan(model, cbf, pairs, bodies, workspace)
+            assert plan.keys == barrier_oracle.barrier_catalog(model, pairs, bodies, workspace)
             for _ in range(4):
                 q = rng.uniform(-2.0, 2.0, n)
                 state = JointState(q=q, qd=rng.normal(size=n))
@@ -98,6 +101,9 @@ class TestAgainstOracle:
                 expected = barrier_oracle.collect_constraints(
                     model, state, fk, obstacles, config, pairs, workspace)
                 assert_rows_equal(rows, expected)
+                assert_rows_equal(collect_constraints(cbf_plan, state, fk, obstacles),
+                                  barrier_oracle.collect_constraints(
+                                      model, state, fk, obstacles, cbf, pairs, workspace))
 
                 truth = moved(obstacles, 0.01)
                 got = _barrier_values(plan, q, fk, truth)
@@ -145,7 +151,7 @@ class TestDegenerateAndNonFinite:
         self.q = np.array([0.3, -0.4])
         self.state = JointState(q=self.q, qd=np.zeros(2))
         self.fk = forward_kinematics(self.model, self.q)
-        at_tip = self.fk.link_point(1, np.zeros(3))
+        at_tip = link_point(self.fk, 1, np.zeros(3))
         self.ghost = CollisionBody("ghost", -1, 0.2, at_tip, at_tip)
 
     def sides(self, obstacles, config):

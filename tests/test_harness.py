@@ -382,6 +382,12 @@ class TestEveryScenarioValueHonouredOrRejected:
          "sim.external_torque[0].end: must be > start (0.0), got 0.0"),
         (("sim", "external_torque", 0), "start", 0.02,
          "sim.external_torque[0].end: must be > start (0.02), got 0.01"),
+        (("obstacles", 0), "radius", math.inf,
+         "obstacles[0].radius: must be finite and > 0, got inf"),
+        (("workspace", 0), "d_max", math.inf,
+         "workspace[0].d_max: must be finite and > 0, got inf"),
+        (("sim",), "dt_physics", 3e-4,
+         "sim.dt_physics: must divide dt_control (0.0005), got 0.0003"),
     ])
     def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
         assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem
@@ -476,7 +482,17 @@ class TestEveryRobotValueHonouredOrRejected:
          "joints[0].axis: expected 3 numbers, finite and not all 0, got [0.0, 0.0, 0.0]"),
         (("joints", 0, "limits"), "lower", 3.0, "joints[0].limits: lower must be < upper"),
         (("collision", 0), "link", 3, "collision[0].link: 3 out of range"),
-        (("collision", 0), "radius", 0.0, "collision[0].radius: must be > 0, got 0.0"),
+        (("collision", 0), "radius", 0.0, "collision[0].radius: must be finite and > 0, got 0.0"),
+        (("collision", 0), "radius", math.inf,
+         "collision[0].radius: must be finite and > 0, got inf"),
+        (("joints", 0, "limits"), "lower", -math.inf,
+         "joints[0].limits.lower: must be finite, got -inf"),
+        (("joints", 1, "limits"), "upper", math.inf,
+         "joints[1].limits.upper: must be finite, got inf"),
+        (("joints", 0, "limits"), "torque", -5.0,
+         "joints[0].limits.torque: must be > 0 (or inf), got -5.0"),
+        (("joints", 2, "limits"), "torque", 0.0,
+         "joints[2].limits.torque: must be > 0 (or inf), got 0.0"),
     ])
     def test_bad_value_names_its_field(self, tmp_path, path, key, value, problem):
         assert robot_problem(tmp_path, path, key, value) == problem

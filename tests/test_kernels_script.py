@@ -14,8 +14,8 @@ def test_kernels_script_runs_every_kernel(capsys):
     spec.loader.exec_module(kernels)
     assert kernels.main(["--repeat", "1", "--seconds", "0.001"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
-    names = ("forward_kinematics", "point_jacobian", "closest_points",
-             "body_pair_barrier", "joint_dynamics", "cholesky_solve", "prioritized_ik",
+    names = ("forward_kinematics", "jacobian_rows", "closest_points",
+             "pair_gradient", "joint_dynamics", "cholesky_solve", "prioritized_ik",
              "collect_constraints", "truth_values", "filter_velocity", "ecbf_rows",
              "motor_torque",
              "step_physics", "kalman_update", "torque_qp_data", "filter_qp", "torque_qp",

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from issf_wbc.kinwbc import Task, prioritized_ik, solve_priority_stack
-from issf_wbc.model import JointState, forward_kinematics, load_robot, point_jacobian
+from issf_wbc.model import JointState, forward_kinematics, load_robot
 from issf_wbc.scenario import data_path
 
 import kinematics_oracle
 from conftest import random_chain, two_link_planar
-from kinematics_oracle import truncated_pinv
+from kinematics_oracle import jacobian_rows, link_point, truncated_pinv
 
 
 class TestRecursion:
@@ -39,7 +39,7 @@ class TestRecursion:
                     gain=0.0, link=1)
         fk = forward_kinematics(model, state.q)
         qdot = prioritized_ik(model, state, fk, [task])
-        jac = point_jacobian(model, fk, 1, np.zeros(3))
+        jac = jacobian_rows(model, fk, 1, np.zeros(3))
         sigma_max = np.linalg.svd(jac, compute_uv=False)[0]
         assert np.linalg.norm(qdot) <= np.linalg.norm(xd) / (1e-4 * sigma_max) + 1e-9
 
@@ -128,11 +128,11 @@ def test_point_task_tracks_target_direction(rng):
     q = rng.uniform(-1, 1, 4)
     state = JointState(q=q, qd=np.zeros(4))
     fk = forward_kinematics(model, q)
-    current = fk.link_point(3, np.zeros(3))
+    current = link_point(fk, 3, np.zeros(3))
     target = current + np.array([0.05, -0.02, 0.04])
     task = Task(priority=1, target=target, gain=5.0, link=3)
     qdot = prioritized_ik(model, state, fk, [task])
-    jac = point_jacobian(model, fk, 3, np.zeros(3))
+    jac = jacobian_rows(model, fk, 3, np.zeros(3))
     # realized task velocity points toward the target
     assert (jac @ qdot) @ (target - current) > 0.0
 
@@ -171,7 +171,7 @@ class TestAgainstOracle:
             fk = forward_kinematics(model, q)
             point = tuple(rng.uniform(-0.1, 0.1, 3).tolist())
             tasks = [
-                Task(priority=1, target=fk.link_point(n - 1, point) + rng.normal(0, 0.05, 3),
+                Task(priority=1, target=link_point(fk, n - 1, point) + rng.normal(0, 0.05, 3),
                      feedforward=rng.normal(size=3), gain=5.0, link=n - 1,
                      point_in_link=point),
                 Task(priority=2, target=rng.uniform(-1, 1, n), gain=1.0,
@@ -191,7 +191,7 @@ class TestAgainstOracle:
         q = np.array([0.3, 0.7])
         state = JointState(q=q, qd=np.zeros(2))
         fk = forward_kinematics(model, q)
-        point = Task(priority=1, target=fk.link_point(1, np.zeros(3)) + [0.02, 0.0, -0.03],
+        point = Task(priority=1, target=link_point(fk, 1, np.zeros(3)) + [0.02, 0.0, -0.03],
                      gain=5.0, link=1)
         posture = Task(priority=2, target=np.zeros(2), gain=1.0, joint_indices=(0, 1))
         alone = prioritized_ik(model, state, fk, [point])

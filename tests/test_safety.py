@@ -21,8 +21,10 @@ from issf_wbc.safety import (
     filter_velocity,
 )
 
+from barrier_oracle import body_pair_barrier
 from conftest import enumerate_qp, random_chain, two_link_planar
 from ecbf_oracle import ecbf_rows_fd
+from kinematics_oracle import link_point
 
 
 def collect(model, state, obstacles, config, pairs, workspace_pairs=()):
@@ -48,10 +50,10 @@ def hand_rows(h, grad, alpha, epsilon, drift=0.0, kind=BarrierKind.JOINT_LIMIT_M
     def per_row(value):
         return np.broadcast_to(np.asarray(value, dtype=float), (m,)).copy()
 
-    epsilon = per_row(epsilon)
     return BarrierRows(keys=[(kind, f"p{i}") for i in range(m)], h=per_row(h), grad=grad,
-                       alpha=per_row(alpha), epsilon=epsilon, drift=per_row(drift),
-                       margin=np.array([float(g @ g) / e for g, e in zip(grad, epsilon)]),
+                       alpha=per_row(alpha), drift=per_row(drift),
+                       margin=np.array([float(g @ g) / e
+                                        for g, e in zip(grad, per_row(epsilon))]),
                        witness=[None] * m)
 
 
@@ -193,8 +195,8 @@ class TestCollect:
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
         model = two_link_planar(0.5, 0.5, bodies=[tip])
         fk = forward_kinematics(model, np.zeros(2))
-        ghost = CollisionBody("ghost", -1, 0.2, fk.link_point(1, np.zeros(3)),
-                              fk.link_point(1, np.zeros(3)))
+        at_tip = link_point(fk, 1, np.zeros(3))
+        ghost = CollisionBody("ghost", -1, 0.2, at_tip, at_tip)
         with caplog.at_level("WARNING", logger="issf_wbc.safety"):
             rows = collect(model, JointState(q=np.zeros(2), qd=np.zeros(2)),
                            [Obstacle(body=ghost, velocity=np.zeros(3))], FilterConfig(), [])
@@ -228,20 +230,36 @@ class TestFilter:
             assert result.status == "passthrough"
 
     def test_cbf_mode_drops_issf_margin(self):
-        solver = QpSolver()
-        row = jl_row(h=0.1, alpha=10.0, epsilon=10.0)
-        result = filter_velocity(np.array([-10.0]), row,
-                                 FilterConfig(mode=FilterMode.CBF), solver)
-        assert result.qdot_safe[0] == pytest.approx(-1.0, abs=1e-9)
+        # h = q = 0.1, alpha = 10, eps = 10, qdot_des = -10: the cbf plan's
+        # rows have no margin, so the command is clipped to -1.0, not -0.9
+        state = JointState(q=np.array([0.1]), qd=np.zeros(1))
+        for mode, clipped in ((FilterMode.CBF, -1.0), (FilterMode.ISSF_CBF, -0.9)):
+            config = FilterConfig(mode=mode, alpha={k: 10.0 for k in BarrierKind},
+                                  epsilon={k: 10.0 for k in BarrierKind})
+            rows = collect(one_joint_model(), state, [], config, [])
+            result = filter_velocity(np.array([-10.0]), rows, config, QpSolver())
+            assert result.qdot_safe[0] == pytest.approx(clipped, abs=1e-9)
 
     def test_mode_rows_differ_only_by_margin(self, rng):
-        # CBF rows equal ISSf rows minus the margin term exactly
-        rows = hand_rows(rng.uniform(0, 1, 3), rng.normal(size=(3, 2)), 10.0, 20.0,
-                         drift=rng.normal(size=3))
-        np.testing.assert_allclose(rows.rhs() - rows.rhs(plain_cbf=True), rows.margin,
-                                   rtol=1e-12)
-        np.testing.assert_array_equal(rows.rhs(plain_cbf=True),
-                                      rows.drift - rows.alpha * rows.h)
+        # The same state under both modes: cbf rows equal issf-cbf rows but
+        # for the margin, which is 0, so their rhs is drift - alpha h exactly.
+        tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
+        model = two_link_planar(0.5, 0.5, bodies=[tip])
+        centre = np.array([1.0, 0.25, 0.0])
+        obstacles = [Obstacle(body=CollisionBody("ball", -1, 0.1, centre, centre),
+                              velocity=(0.0, -1.0, 0.0))]
+        bound = WorkspacePair("reach", 1, np.zeros(3), 0, np.array([-0.5, 0.0, 0.0]), 0.9)
+        for _ in range(10):
+            state = JointState(q=rng.uniform(-0.1, 0.1, 2), qd=np.zeros(2))
+            issf, cbf = (collect(model, state, obstacles, FilterConfig(mode=mode), [], [bound])
+                         for mode in (FilterMode.ISSF_CBF, FilterMode.CBF))
+            assert cbf.keys == issf.keys
+            assert (BarrierKind.OBJECT_COLLISION, "tip|ball") in cbf.keys
+            for name in ("h", "grad", "alpha", "drift"):
+                assert getattr(cbf, name).tobytes() == getattr(issf, name).tobytes(), name
+            assert not cbf.margin.any() and issf.margin.all()
+            np.testing.assert_array_equal(cbf.rhs(), cbf.drift - cbf.alpha * cbf.h)
+            np.testing.assert_array_equal(issf.rhs(), cbf.rhs() + issf.margin)
 
     def test_random_instances_match_enumeration(self, rng):
         solver = QpSolver()
@@ -385,7 +403,6 @@ class TestEcbf:
         tip = CollisionBody("tip", 1, 0.06, np.zeros(3), np.zeros(3))
         base = CollisionBody("base", 0, 0.05, np.array([-0.4, 0.0, 0.0]), np.zeros(3))
         config = FilterConfig(mode=FilterMode.ECBF)
-        from issf_wbc.geometry import body_pair_barrier
 
         def barrier(qq):
             return body_pair_barrier(model, forward_kinematics(model, qq), tip, base)
@@ -476,7 +493,7 @@ class TestEcbfAgainstRecollect:
         model = two_link_planar(0.4, 0.35, bodies=[
             CollisionBody("tip", 1, 0.06, np.zeros(3), np.zeros(3))])
         q = np.array([0.3, 0.9])
-        tip = forward_kinematics(model, q).link_point(1, np.zeros(3))
+        tip = link_point(forward_kinematics(model, q), 1, np.zeros(3))
         centre = tip + np.array([0.0, 0.0, 0.185])
         ball = CollisionBody("ball", -1, 0.12, centre, centre)
         for qd in (np.zeros(2), np.array([0.7, -1.3])):
@@ -540,7 +557,7 @@ class TestEcbfParallelSegments:
         local = np.array([[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]).T @ rel
 
         def distance(tau):
-            point = forward_kinematics(self.model, q + tau * qd).link_point(0, local)
+            point = link_point(forward_kinematics(self.model, q + tau * qd), 0, local)
             a, b = np.asarray(rod.p0), np.asarray(rod.p1)
             t = np.clip((point - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
             return float(np.linalg.norm(point - (a + t * (b - a))))

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from issf_wbc.sim import (
     ConstantVelocityKalman,
     Controller,
     Integrator,
+    RunTrace,
     SimConfig,
     SimulationDivergedError,
     TorquePulse,
@@ -268,6 +269,30 @@ class TestClosedLoop:
         for name in ("a", "b"):
             run_closed_loop(model, model, scenario).to_csv(tmp_path / f"{name}.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["hand_track", "obstacle_track"])
+    def test_cbf_run_is_issf_run_with_infinite_eps(self, name):
+        # The plain barrier condition is the ISSf one at eps = inf: a cbf run
+        # equals, array for array, an issf-cbf run with every eps inf.
+        scenario = load_scenario(data_path(f"{name}.scenario"))
+        scenario = replace(scenario, sim=replace(scenario.sim, duration=0.1))
+        plant = scale_link_masses(scenario.robot, scenario.sim.mass_scale)
+        infinite = replace(scenario, filter_config=replace(
+            scenario.filter_config, epsilon=dict.fromkeys(config_kinds(), math.inf)))
+        cbf, issf, own = (run_closed_loop(scenario.robot, plant, each, mode,
+                                          trace_constraints=True)
+                          for each, mode in ((scenario, FilterMode.CBF),
+                                             (infinite, FilterMode.ISSF_CBF),
+                                             (scenario, FilterMode.ISSF_CBF)))
+        assert cbf.cycles == 200
+        for field in fields(RunTrace):
+            got, want = getattr(cbf, field.name), getattr(issf, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+            elif field.name != "runtime_per_cycle_us":
+                assert got == want, field.name
+        # the scenario's own finite eps moves the right-hand sides
+        assert [row.rhs for row in own.constraint_dump] != [row.rhs for row in cbf.constraint_dump]
 
     def test_seed_changes_noisy_trace(self, tmp_path):
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
