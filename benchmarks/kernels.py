@@ -20,8 +20,9 @@ host's phases and two runs of the script compare row by row.  The rows:
   and gravity as lists: its generated kernel works in joint frames and
   takes no pose;
 - ``cholesky_solve``: qdd from M qdd = tau - h by the plant's generated
-  Cholesky factor and its two triangular solves, given that row's M and h
-  and zero torque as lists;
+  ``cholesky_solve`` kernel (the Cholesky factor and both triangular
+  solves in one function), given that row's M and h and zero torque as
+  lists;
 - ``prioritized_ik``: the scenario's task stack sampled at t = 0, at the
   moving state, given the FK;
 - ``collect_constraints``: the scenario's barrier rows at the moving state,
@@ -39,7 +40,8 @@ host's phases and two runs of the script compare row by row.  The rows:
   controller's resolved gains and torque limits;
 - ``step_physics``: one semi-implicit Euler substep of the scenario's plant
   (its mass-scaled model) under zero torque, the dynamics kernel and the
-  solve for qdd included;
+  solve for qdd included, given q, qd, torque and gravity as lists, as the
+  loop carries them;
 - ``kalman_update``: one update of a constant-velocity Kalman filter (5 mm
   measurement noise) that has already seen a measurement; it is the same on
   both robots;
@@ -47,6 +49,9 @@ host's phases and two runs of the script compare row by row.  The rows:
   sides from the generated kernel of the robot's size, given that row's M
   and h as lists, the gravity torque at the start pose as tau_prev, zero
   qdd_safe and the scenario's weights;
+- ``trace_csv``: ``RunTrace.to_csv`` of a 400-cycle closed-loop run of the
+  scenario (0.2 s in its own filter mode, against its plant), written to
+  ``os.devnull`` so that the row is the formatting and not the disk;
 - ``filter_qp`` and ``torque_qp``: a cold ``QpSolver.solve`` of the velocity
   filter QP and of the torque QP of the scenario's first control cycle, in
   its own filter mode, with each obstacle at its initial pose and velocity,
@@ -67,17 +72,19 @@ The package is imported from the ``src`` directory next to this script.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import sys
 import timeit
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from issf_wbc._codegen import cholesky, solve_lower, solve_upper  # noqa: E402
+from issf_wbc._codegen import cholesky_solve  # noqa: E402
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics  # noqa: E402
 from issf_wbc.dynwbc import _qp_data, _torque_limits, motor_torque  # noqa: E402
 from issf_wbc.geometry import _pair_gradient, closest_points, pose_body  # noqa: E402
@@ -100,10 +107,16 @@ from issf_wbc.safety import (  # noqa: E402
     filter_velocity,
 )
 from issf_wbc.scenario import load_scenario, resolve_input  # noqa: E402
-from issf_wbc.sim import ConstantVelocityKalman, Controller, step_physics  # noqa: E402
+from issf_wbc.sim import (  # noqa: E402
+    ConstantVelocityKalman,
+    Controller,
+    run_closed_loop,
+    step_physics,
+)
 
 SCENARIOS = ("hand_track.scenario", "obstacle_track.scenario")
 ECBF_T = 1.2
+CSV_DURATION = 0.2
 
 
 class _KeepProblem(QpSolver):
@@ -140,7 +153,7 @@ def kernels(scenario) -> dict[str, callable]:
     prox = closest_points(seg_a, seg_b)
     plant = scale_link_masses(model, scenario.sim.mass_scale)
     state = JointState(q=q, qd=qd, t=0.0)
-    tau = np.zeros(model.n_dof)
+    tau = [0.0] * model.n_dof
     dt = scenario.sim.dt_physics
     obstacles = [Obstacle(body=spec.body.moved([ECBF_T * v for v in spec.velocity]),
                           velocity=spec.velocity)
@@ -160,21 +173,19 @@ def kernels(scenario) -> dict[str, callable]:
     mass, bias = joint_dynamics(model, q_list, qd_list, gravity_list)
     n = model.n_dof
 
-    def cholesky_solve():
-        L = cholesky[n](mass)
-        return solve_upper[n](L, solve_lower[n](L, [0.0 - hi for hi in bias]))
-
     tau_prev, tau_max, weights = tau_gravity.tolist(), _torque_limits(model)[0], scenario.weights
     kalman = ConstantVelocityKalman(0.005)
     z = np.array([0.4, -0.2, 0.1])
     kalman.update(z, dt_control)
+    trace = run_closed_loop(model, plant, replace(
+        scenario, sim=replace(scenario.sim, duration=CSV_DURATION)))
     return {
         "forward_kinematics": lambda: forward_kinematics(model, q),
         "jacobian_rows": lambda: _jacobian_rows(fk, n, tip.link, tip_point),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "pair_gradient": lambda: _pair_gradient(fk, n, body_a.link, body_b.link, prox),
         "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
-        "cholesky_solve": cholesky_solve,
+        "cholesky_solve": lambda: cholesky_solve[n](mass, [0.0 - hi for hi in bias]),
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks),
         "collect_constraints": lambda: collect_constraints(plan, state, fk, obstacles),
         "truth_values": lambda: _barrier_values(plan, q, fk, obstacle_bodies),
@@ -182,10 +193,12 @@ def kernels(scenario) -> dict[str, callable]:
         "ecbf_rows": lambda: ecbf_rows(state, fk, rows),
         "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd, state, controller.gains,
                                              controller.tau_max),
-        "step_physics": lambda: step_physics(plant, state, tau, gravity, dt),
+        "step_physics": lambda: step_physics(plant, q_list, qd_list, tau, gravity_list,
+                                             0.0, dt),
         "kalman_update": lambda: kalman.update(z, dt_control),
         "torque_qp_data": lambda: _qp_data[n](mass, bias, tau_prev, [0.0] * n, tau_max,
                                               weights.w_qdd, weights.w_tau, weights.w_M),
+        "trace_csv": lambda: trace.to_csv(os.devnull),
         "filter_qp": lambda: QpSolver().solve(filter_qp),
         "torque_qp": lambda: QpSolver().solve(torque_qp),
         "dynamics_codegen": lambda: _dynamics_kernel.__wrapped__(_frames(model),

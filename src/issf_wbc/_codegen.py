@@ -16,6 +16,11 @@ line.
   positive raises ``NotPositiveDefinite`` with its index.
 - ``solve_lower[n](L, a)`` is y with L y = a (forward substitution) and
   ``solve_upper[n](L, y)`` is x with L^T x = y (back substitution).
+- ``cholesky_solve[n](M, a)`` is x with M x = a: the factor and both
+  substitutions in one function, raising as ``cholesky[n]`` does.
+
+The four are emitted from one builder per step (``_factor``, ``_forward``,
+``_backward``), so each formula is written once.
 
 ``Expr`` traces a loop's float arithmetic into an expression graph, folding
 the operations whose operand is the exact constant 0.0 or 1.0, and
@@ -83,11 +88,13 @@ def _lower_rows(n: int) -> list[str]:
     return ["[" + ", ".join(f"l{i}_{j}" for j in range(i + 1)) + "]" for i in range(n)]
 
 
-def _make_cholesky(n: int) -> Callable:
-    name = f"cholesky_{n}"
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _factor(n: int) -> list[str]:
+    """Statements of the factor: l{i}_{j} from the rows M{i}."""
     body = []
-    if n:
-        body.append(unpacking([f"M{i}" for i in range(n)], "M"))
     for i in range(n):
         for j in range(i):
             prods = [f"l{i}_{k} * l{j}_{k}" for k in range(j)]
@@ -98,47 +105,55 @@ def _make_cholesky(n: int) -> Callable:
         body.append("if not d > 0.0:")
         body.append(f"    raise NotPositiveDefinite({i})")
         body.append(f"l{i}_{i} = sqrt(d)")
-    body.append(f"return [{', '.join(_lower_rows(n))}]")
-    return compile_kernel(name, _function(name, "M", body))
+    return body
 
 
-def _make_solve_lower(n: int) -> Callable:
-    name = f"solve_lower_{n}"
+def _forward(n: int) -> list[str]:
+    """Statements of the forward substitution: y{i} from a{i} and the l{i}_{j}."""
     body = []
-    if n:
-        body.append(unpacking(_lower_rows(n), "L"))
-        body.append(unpacking([f"a{i}" for i in range(n)], "a"))
     for i in range(n):
         prods = [f"l{i}_{k} * y{k}" for k in range(i)]
         num = f"(a{i} - ({' + '.join(prods)}))" if prods else f"a{i}"
         body.append(f"y{i} = {num} / l{i}_{i}")
-    body.append("return [" + ", ".join(f"y{i}" for i in range(n)) + "]")
-    return compile_kernel(name, _function(name, "L, a", body))
+    return body
 
 
-def _make_solve_upper(n: int) -> Callable:
-    name = f"solve_upper_{n}"
+def _backward(n: int) -> list[str]:
+    """Statements of the back substitution: x{j} from y{j} and the l{i}_{j}."""
     body = []
-    if n:
-        body.append(unpacking(_lower_rows(n), "L"))
-        body.append(unpacking([f"y{i}" for i in range(n)], "y"))
     for j in range(n - 1, -1, -1):
         # The loop subtracts L[i][j] x_i from y_j for i = n-1 down to j+1.
         num = f"y{j}"
         for i in range(n - 1, j, -1):
             num = f"({num} - l{i}_{j} * x{i})"
         body.append(f"x{j} = {num} / l{j}_{j}")
-    body.append("return [" + ", ".join(f"x{i}" for i in range(n)) + "]")
-    return compile_kernel(name, _function(name, "L, y", body))
+    return body
+
+
+def _linalg_kernel(name: str, unpacked: dict[str, list[str]], body: list[str],
+                   result: list[str]) -> Callable:
+    """``def name(*unpacked)``: unpack each parameter into its names, run
+    ``body`` and return the list of ``result``."""
+    head = [unpacking(targets, param) for param, targets in unpacked.items() if targets]
+    body = head + body + ["return [" + ", ".join(result) + "]"]
+    return compile_kernel(name, _function(name, ", ".join(unpacked), body))
 
 
 def _function(name: str, params: str, body: list[str]) -> str:
     return f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
 
 
-cholesky = _PerSize(_make_cholesky)
-solve_lower = _PerSize(_make_solve_lower)
-solve_upper = _PerSize(_make_solve_upper)
+cholesky = _PerSize(lambda n: _linalg_kernel(
+    f"cholesky_{n}", {"M": _names("M", n)}, _factor(n), _lower_rows(n)))
+solve_lower = _PerSize(lambda n: _linalg_kernel(
+    f"solve_lower_{n}", {"L": _lower_rows(n), "a": _names("a", n)}, _forward(n),
+    _names("y", n)))
+solve_upper = _PerSize(lambda n: _linalg_kernel(
+    f"solve_upper_{n}", {"L": _lower_rows(n), "y": _names("y", n)}, _backward(n),
+    _names("x", n)))
+cholesky_solve = _PerSize(lambda n: _linalg_kernel(
+    f"cholesky_solve_{n}", {"M": _names("M", n), "a": _names("a", n)},
+    _factor(n) + _forward(n) + _backward(n), _names("x", n)))
 
 
 # -- traced expressions --------------------------------------------------------

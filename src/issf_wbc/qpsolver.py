@@ -27,8 +27,11 @@ on when one leaves.  A step splits the incoming row against the q_i
 (O(kn)), solves one k x k triangular system for the multiplier rates and
 one triangular system with L for the primal step.  The norm of the split's
 residual is the incoming row's pivot in R, and its square is the step's
-slope: a row is independent of W when that exceeds DEP_TOL, and warm-start
-rows are seeded in index order by the same test.  The arithmetic runs on
+slope: a row is independent of W when that exceeds DEP_TOL times the
+row's own |L^-1 a|^2 = a H^-1 a, and warm-start rows are seeded in index
+order by the same test.  A working row blocks a step when its multiplier's
+decrease rate, scaled by the two rows' |L^-1 a|, exceeds DEP_TOL, so no
+test depends on a row's scale.  The arithmetic runs on
 Python floats, which at these sizes costs less than numpy's per-call
 overhead: a ``QpProblem`` holds H, g and b as float rows, and only A, whose
 m x n products with x stay in numpy, is an array.  The Cholesky factor (of
@@ -236,13 +239,14 @@ class QpSolver:
         lower, upper = solve_lower[n], solve_upper[n]
         max_iter = self.max_iter_override or max(10 * (n + m), 20)
 
-        # Row index -> (a, L^-1 a), filled on first use.
-        rows: dict[int, tuple[list[float], list[float]]] = {}
+        # Row index -> (a, v = L^-1 a, |v|), filled on first use.
+        rows: dict[int, tuple[list[float], list[float], float]] = {}
 
-        def row(i: int) -> tuple[list[float], list[float]]:
+        def row(i: int) -> tuple[list[float], list[float], float]:
             if i not in rows:
                 a = A[i].tolist()
-                rows[i] = (a, lower(L, a))
+                v = lower(L, a)
+                rows[i] = (a, v, math.sqrt(sum(map(mul, v, v))))
             return rows[i]
 
         ws = _WorkingSet()
@@ -254,10 +258,10 @@ class QpSolver:
             for i in keep:
                 ax, b_i = ax_list[i], b_list[i]
                 if abs(ax - b_i) <= SEED_TOL * (1.0 + abs(b_i) + abs(ax)):
-                    v = row(i)[1]
+                    _, v, norm = row(i)
                     y, p = ws.split(v)
                     pivot2 = sum(map(mul, p, p))
-                    if pivot2 > DEP_TOL:
+                    if pivot2 > DEP_TOL * norm * norm:
                         ws.add(i, v, y, p, math.sqrt(pivot2))
 
         # Initial point: EQP optimum over the seeded working set, with any
@@ -303,7 +307,8 @@ class QpSolver:
                 break
 
             # Bring row `cand` into the working set (Goldfarb-Idnani steps).
-            a_c, v_c = row(cand)
+            a_c, v_c, norm_c = row(cand)
+            dependent, blocking = DEP_TOL * norm_c * norm_c, DEP_TOL * norm_c
             lam_cand = 0.0
             while iterations < max_iter:
                 iterations += 1
@@ -315,12 +320,14 @@ class QpSolver:
                 r = solve_upper[len(work)](ws.R, y)
                 slope = sum(map(mul, p, p))
                 gap = b_list[cand] - sum(map(mul, a_c, x))
-                t_full = gap / slope if slope > DEP_TOL else math.inf
+                t_full = gap / slope if slope > dependent else math.inf
 
+                # r_k scales as |v_c| / |v_k|: working row k blocks when
+                # r_k |v_k| exceeds DEP_TOL |v_c|, whatever the rows' scales.
                 t_dual = math.inf
                 blocker = -1
-                for k, (lam_k, r_k) in enumerate(zip(lam, r)):
-                    if r_k > DEP_TOL:
+                for k, (lam_k, r_k, j) in enumerate(zip(lam, r, work)):
+                    if r_k * rows[j][2] > blocking:
                         t_k = lam_k / r_k
                         if t_k < t_dual - 1e-15:
                             t_dual, blocker = t_k, k

@@ -220,8 +220,8 @@ class BarrierPlan:
 
     n_dof: int
     keys: list[tuple[BarrierKind, str]]
-    q_min: np.ndarray
-    q_max: np.ndarray
+    q_min: tuple[float, ...]
+    q_max: tuple[float, ...]
     joint_grad: np.ndarray          # read-only (2n, n) block of rows e_i, -e_i
     joint_alpha: list[float]
     joint_margin: list[float]
@@ -275,8 +275,8 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
         n_dof=n,
         keys=(joint_keys + [(kind, pair) for kind, pair, *_ in collisions]
               + [(BarrierKind.WORKSPACE, pair.name) for pair in workspace_pairs]),
-        q_min=np.array([joint.q_min for joint in model.joints], dtype=float),
-        q_max=np.array([joint.q_max for joint in model.joints], dtype=float),
+        q_min=tuple(float(joint.q_min) for joint in model.joints),
+        q_max=tuple(float(joint.q_max) for joint in model.joints),
         joint_grad=joint_grad,
         joint_alpha=[config.alpha[kind] for kind, _ in joint_keys],
         joint_margin=[1.0 / epsilon[kind] for kind, _ in joint_keys],
@@ -288,14 +288,14 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
     )
 
 
-def _barrier_h(plan: BarrierPlan, q: np.ndarray, values) -> np.ndarray:
+def _barrier_h(plan: BarrierPlan, q: np.ndarray, values: list[float]) -> np.ndarray:
     """The joint-limit rows' h at ``q`` (q0 min, q0 max, q1 min, ...), then ``values``."""
-    jl = 2 * plan.n_dof
-    h = np.empty(jl + len(values))
-    h[0:jl:2] = q - plan.q_min
-    h[1:jl:2] = plan.q_max - q
-    h[jl:] = values
-    return h
+    h = []
+    for qi, lo, hi in zip(q.tolist(), plan.q_min, plan.q_max):
+        h.append(qi - lo)
+        h.append(hi - qi)
+    h += values
+    return np.array(h)
 
 
 def _barrier_values(plan: BarrierPlan, q: np.ndarray, fk: FkResult,

@@ -26,7 +26,10 @@ sense the obstacles, step the controller, log the ground-truth values of
 the barriers in the controller's plan (``safety._barrier_values``, which
 poses each body once and calls ``geometry.closest_points`` per pair), then
 hold the command over the physics substeps of the full-order dynamics
-qdd = M^-1 (tau - h).  The
+qdd = M^-1 (tau - h).  The plant's q and qd stay float lists across a
+cycle's substeps (``step_physics`` maps lists to lists, solving for qdd in
+one generated kernel, ``_codegen.cholesky_solve``), and the controller gets
+one ``JointState`` per cycle.  The
 plant is a *separately scaled* model: mass mismatch is injected only on the
 plant side, and the controller keeps the nominal model.
 
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
+from ._codegen import NotPositiveDefinite, cholesky_solve
 from ._fastdyn import joint_dynamics
 from .dynwbc import motor_torque, safe_acceleration, solve_dynwbc
 from .geometry import CollisionBody
@@ -147,22 +150,20 @@ def _qdd(model: RobotModel, q: list[float], qd: list[float], tau: list[float],
          gravity: list[float], t: float) -> list[float]:
     """Joint accelerations M^-1 (tau - h) at (q, qd), all lists of floats.
 
-    M = L L^T is factored row by row (Cholesky-Banachiewicz), then
-    L y = tau - h is solved by forward and L^T qdd = y by back substitution:
-    three straight-line kernels generated for the model's size
-    (``_codegen``), which do the operations of the former fused loop
-    (``tests/linalg_oracle.py``) in its order.  A pivot that is not positive
-    means the plant's M is singular: the plant cannot be advanced.
+    ``cholesky_solve`` factors M = L L^T row by row (Cholesky-Banachiewicz)
+    and solves L y = tau - h and L^T qdd = y in one straight-line kernel
+    generated for the model's size (``_codegen``), which does the operations
+    of the former fused loop (``tests/linalg_oracle.py``) in its order.  A
+    pivot that is not positive means the plant's M is singular: the plant
+    cannot be advanced.
     """
     mass, bias = joint_dynamics(model, q, qd, gravity)
-    n = len(mass)
     try:
-        L = cholesky[n](mass)
+        return cholesky_solve[len(mass)](mass, [ti - hi for ti, hi in zip(tau, bias)])
     except NotPositiveDefinite as exc:
         raise SimulationDivergedError(
             f"plant mass matrix not positive definite at t={t:.6f} (joint {exc.index})"
         ) from None
-    return solve_upper[n](L, solve_lower[n](L, [ti - hi for ti, hi in zip(tau, bias)]))
 
 
 def _axpy(a: float, x: list[float], y: list[float]) -> list[float]:
@@ -177,34 +178,35 @@ def _weighted(k1, k2, k3, k4) -> list[float]:
 
 def step_physics(
     plant_model: RobotModel,
-    state: JointState,
-    tau_cmd: np.ndarray,
-    gravity: np.ndarray,
+    q: list[float],
+    qd: list[float],
+    tau: list[float],
+    gravity: list[float],
+    t: float,
     dt: float,
     integrator: Integrator = Integrator.SEMI_IMPLICIT_EULER,
-) -> JointState:
-    """Advance the plant one physics step under a held torque command."""
-    q, qd, tau, t = state.q.tolist(), state.qd.tolist(), tau_cmd.tolist(), state.t
-    g = np.asarray(gravity, dtype=float).tolist()
+) -> tuple[list[float], list[float]]:
+    """The plant's (q, qd) one physics step of ``dt`` after time ``t``, under
+    a held torque ``tau``; every vector is a list of floats."""
     if integrator is Integrator.SEMI_IMPLICIT_EULER:
-        qd_next = _axpy(dt, _qdd(plant_model, q, qd, tau, g, t), qd)
+        qd_next = _axpy(dt, _qdd(plant_model, q, qd, tau, gravity, t), qd)
         q_next = _axpy(dt, qd_next, q)
     else:
         half = 0.5 * dt
-        k1 = _qdd(plant_model, q, qd, tau, g, t)
+        k1 = _qdd(plant_model, q, qd, tau, gravity, t)
         v2 = _axpy(half, k1, qd)
-        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, g, t)
+        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, gravity, t)
         v3 = _axpy(half, k2, qd)
-        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, g, t)
+        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, gravity, t)
         v4 = _axpy(dt, k3, qd)
-        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, g, t)
+        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, gravity, t)
         q_next = _axpy(dt / 6.0, _weighted(qd, v2, v3, v4), q)
         qd_next = _axpy(dt / 6.0, _weighted(k1, k2, k3, k4), qd)
     if not (all(map(math.isfinite, q_next)) and all(map(math.isfinite, qd_next))):
         raise SimulationDivergedError(
             f"non-finite state at t={t + dt:.6f}: q={np.array(q_next)}, qd={np.array(qd_next)}"
         )
-    return JointState(q=np.array(q_next), qd=np.array(qd_next), t=t + dt)
+    return q_next, qd_next
 
 
 class ConstantVelocityKalman:
@@ -305,28 +307,23 @@ class RunTrace:
         return names
 
     def to_csv(self, path) -> None:
+        floats = np.column_stack([self.t, *(getattr(self, block) for block in self._vector_blocks),
+                                  self.h, self.d_inf, self.dbar])
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.column_names()) + "\n")
-            blocks = [getattr(self, block) for block in self._vector_blocks] + [self.h]
-            for k in range(self.cycles):
-                cells = [repr(float(self.t[k]))]
-                for block in blocks:
-                    cells += [repr(float(v)) for v in block[k]]
-                cells += [repr(float(self.d_inf[k])), repr(float(self.dbar[k])),
-                          str(int(self.qp_iters[k])), self.qp_status[k]]
-                fh.write(",".join(cells) + "\n")
+            for row, iters, status in zip(floats.tolist(), self.qp_iters.tolist(),
+                                          self.qp_status):
+                fh.write(f"{','.join(map(repr, row))},{iters},{status}\n")
 
     def to_torque_csv(self, path) -> None:
         """Torque command trace: t, per-joint command, per-joint clamp flag."""
+        floats = np.column_stack([self.t, self.tau_cmd])
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             header = (["t"] + [f"tau_cmd{i}" for i in range(self.n_dof)]
                       + [f"clamped{i}" for i in range(self.n_dof)])
             fh.write(",".join(header) + "\n")
-            for k in range(self.cycles):
-                cells = [repr(float(self.t[k]))]
-                cells += [repr(float(v)) for v in self.tau_cmd[k]]
-                cells += [str(int(v)) for v in self.clamped[k]]
-                fh.write(",".join(cells) + "\n")
+            for row, flags in zip(floats.tolist(), self.clamped.astype(int).tolist()):
+                fh.write(f"{','.join(map(repr, row))},{','.join(map(str, flags))}\n")
 
     def dump_constraints_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -467,13 +464,16 @@ def run_closed_loop(
         dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
         clamped=np.zeros((cycles, n), dtype=bool),
     )
-    state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy(), t=0.0)
+    # The plant's state, carried as floats; t_plant sums dt_physics per substep.
+    q, qd, t_plant = scenario.q0.tolist(), scenario.qd0.tolist(), 0.0
+    gravity = np.asarray(cfg.gravity, dtype=float).tolist()
     dbar = 0.0
     pulses, zeros = cfg.external_torque, np.zeros(n)
 
     wall_start = time.perf_counter()
     for k in range(cycles):
         t = k * cfg.dt_control
+        state = JointState(q=np.array(q), qd=np.array(qd), t=t_plant)
         bodies = [truth.at(t) for truth in obstacle_truths]
         obstacles = [truth.estimate(body, cfg.dt_control, rng)
                      for truth, body in zip(obstacle_truths, bodies)]
@@ -502,24 +502,26 @@ def run_closed_loop(
                     active=bool(grad @ qdot_safe - rhs <= tol),
                 ))
 
-        q_before = state.q
-        tau = tau_cmd
+        q_before = q
+        tau = tau_cmd.tolist()
         pulsed = {}     # the substep torque by the pulses active in it
         for j in range(cfg.substeps):
             if pulses:
                 # Pulse windows are tested against the substep's exact time, not
-                # the accumulated state.t, whose rounding moves the window edges.
+                # the accumulated t_plant, whose rounding moves the window edges.
                 t_sub = t + j * cfg.dt_physics
                 active = tuple(p.active(t_sub) for p in pulses)
                 tau = pulsed.get(active)
                 if tau is None:
-                    tau = pulsed[active] = tau_cmd + sum(
+                    tau = pulsed[active] = (tau_cmd + sum(
                         (p.torque if on else zeros for p, on in zip(pulses, active)),
-                        np.zeros(n))
-            state = step_physics(plant_model, state, tau, cfg.gravity,
+                        np.zeros(n))).tolist()
+            q, qd = step_physics(plant_model, q, qd, tau, gravity, t_plant,
                                  cfg.dt_physics, cfg.integrator)
-        d_k = (state.q - q_before) / cfg.dt_control - qdot_safe
-        trace.d_inf[k] = d_inf = float(np.max(np.abs(d_k), initial=0.0))
+            t_plant += cfg.dt_physics
+        trace.d_inf[k] = d_inf = max(
+            (abs((qi - qb) / cfg.dt_control - si)
+             for qi, qb, si in zip(q, q_before, qdot_safe.tolist())), default=0.0)
         trace.dbar[k] = dbar = max(dbar, d_inf)
 
     if cycles:

@@ -4,7 +4,8 @@
 (Cholesky-Banachiewicz) factor of the plant's former ``sim._qdd`` and the
 QP solver's former triangular solves, as loops over lists of floats.
 ``issf_wbc._codegen.cholesky``, ``solve_lower`` and ``solve_upper`` unroll
-them per size and must give the same bytes.  ``cholesky_columns`` is the QP
+them per size and must give the same bytes, and so must
+``cholesky_solve``, which runs all three in one kernel.  ``cholesky_columns`` is the QP
 solver's former column-oriented factor, which rounds differently; the
 generated factor must agree with it to 1e-12 relative.  ``qdd_fused`` is the
 former plant solve, the factor with the forward substitution fused into its

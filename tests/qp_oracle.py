@@ -76,7 +76,7 @@ def independent_subset(A: np.ndarray, rows: list[int]) -> list[int]:
     picked: list[int] = []
     for i in rows:
         sv = np.linalg.svd(A[picked + [i]], compute_uv=False)
-        if len(sv) > len(picked) and sv[-1] > 1e-9 * max(1.0, sv[0]):
+        if len(sv) > len(picked) and sv[-1] > 1e-9 * sv[0]:
             picked.append(i)
     return picked
 
@@ -127,6 +127,7 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
         b = np.zeros(0)
     m = A.shape[0]
     check_strict_convexity(H)
+    norms = np.sqrt(np.einsum("ij,ji->i", A, np.linalg.solve(H, A.T))) if m else np.zeros(0)
 
     feas_tol = FEAS_TOL * (1.0 + np.abs(b))     # per row
     max_iter = max_iter or max(10 * (n + m), 20)
@@ -182,12 +183,13 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
             z, r = kkt_solve(H, A, work, A[cand], np.zeros(len(work)))
             slope = float(z @ H @ z)   # = A[cand] @ z, and >= 0 under rounding
             gap = float(b[cand] - A[cand] @ x)
-            t_full = gap / slope if slope > DEP_TOL else np.inf
+            # The rows' own norms |a|_{H^-1} set the scale of dependence.
+            t_full = gap / slope if slope > DEP_TOL * norms[cand] ** 2 else np.inf
 
             t_dual = np.inf
             blocker = -1
             for k, (lam_k, r_k) in enumerate(zip(lam, r)):
-                if r_k > DEP_TOL:
+                if r_k * norms[work[k]] > DEP_TOL * norms[cand]:
                     t_k = lam_k / r_k
                     if t_k < t_dual - 1e-15:
                         t_dual, blocker = t_k, k

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from issf_wbc._codegen import (
-    Expr, NotPositiveDefinite, cholesky, expr_kernel, solve_lower, solve_upper,
+    Expr, NotPositiveDefinite, cholesky, cholesky_solve, expr_kernel, solve_lower, solve_upper,
 )
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics
 from issf_wbc.model import _fk, _fk_kernel, _frames, load_robot, scale_link_masses
@@ -74,6 +74,32 @@ class TestCholeskyKernels:
             assert got == expected, M
             seen.add(got)
         assert len(seen - {None}) >= 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cholesky_solve_byte_equal_to_factor_then_solves(self, rng, n):
+        # The one kernel is the loops' factor, forward and back substitution;
+        # on a matrix that is not positive definite, the same pivot raises.
+        for _ in range(50):
+            M = random_spd(rng, n)
+            a = rng.normal(size=n).tolist()
+            L = linalg_oracle.cholesky_rows(M)
+            expected = linalg_oracle.solve_upper(L, linalg_oracle.solve_lower(L, a))
+            assert as_bytes([cholesky_solve[n](M, a)]) == as_bytes([expected])
+        seen = set()
+        for _ in range(60):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            eig = rng.choice([-1.0, 0.0, 1.0], size=n, p=[0.3, 0.2, 0.5])
+            M = (q @ np.diag(eig) @ q.T).tolist()
+            try:
+                linalg_oracle.cholesky_rows(M)
+                continue
+            except linalg_oracle.PivotError as exc:
+                expected = exc.index
+            with pytest.raises(NotPositiveDefinite) as err:
+                cholesky_solve[n](M, [1.0] * n)
+            assert err.value.index == expected
+            seen.add(expected)
+        assert seen
 
     @pytest.mark.parametrize("n", range(9))
     def test_factor_agrees_with_column_order_factor(self, rng, n):

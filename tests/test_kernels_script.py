@@ -18,8 +18,8 @@ def test_kernels_script_runs_every_kernel(capsys):
              "pair_gradient", "joint_dynamics", "cholesky_solve", "prioritized_ik",
              "collect_constraints", "truth_values", "filter_velocity", "ecbf_rows",
              "motor_torque",
-             "step_physics", "kalman_update", "torque_qp_data", "filter_qp", "torque_qp",
-             "dynamics_codegen")
+             "step_physics", "kalman_update", "torque_qp_data", "trace_csv", "filter_qp",
+             "torque_qp", "dynamics_codegen")
     assert [row.split()[1] for row in rows] == list(names) * 2
 
 

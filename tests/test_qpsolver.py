@@ -126,6 +126,39 @@ class TestContract:
         sol = QpSolver().solve(problem)
         assert sol.status is QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("scale", [10.0 ** -k for k in range(9)])
+    def test_dependence_is_relative_to_the_row(self, scale):
+        # x >= 2 posed as scale * x >= 2 * scale is one independent row at
+        # every scale, cold or warm-started; a row parallel to a working row
+        # stays dependent: it is not seeded, and a contradicting one is
+        # infeasible.  x0 + x1 >= 2 scaled up by 1 / scale still blocks the
+        # step that brings in x0 >= 3 scaled down by scale.  The reference
+        # solver agrees on every outcome.
+        single = QpProblem(H=2 * np.eye(1), g=np.zeros(1), A_ineq=np.array([[scale]]),
+                           b_ineq=np.array([2 * scale]))
+        parallel = QpProblem(H=2 * np.eye(2), g=np.zeros(2),
+                             A_ineq=scale * np.array([[1.0, 0.0], [2.0, 0.0]]),
+                             b_ineq=scale * np.array([1.0, 2.0]))
+        contradicting = QpProblem(H=2 * np.eye(1), g=np.zeros(1),
+                                  A_ineq=scale * np.array([[1.0], [-1.0]]),
+                                  b_ineq=scale * np.array([1.0, 1.0]))
+        blocking = QpProblem(H=2 * np.eye(2), g=np.zeros(2),
+                             A_ineq=np.array([[1.0 / scale, 1.0 / scale], [scale, 0.0]]),
+                             b_ineq=np.array([2.0 / scale, 3.0 * scale]))
+        cases = [(single, None, QpStatus.OPTIMAL, (0,), [2.0]),
+                 (blocking, None, QpStatus.OPTIMAL, (1,), [3.0, 0.0]),
+                 (single, np.array([2.0]), QpStatus.OPTIMAL, (0,), [2.0]),
+                 (parallel, np.array([1.0, 0.0]), QpStatus.OPTIMAL, (0,), [1.0, 0.0]),
+                 (contradicting, None, QpStatus.INFEASIBLE, (), None)]
+        for problem, warm, status, active, x in cases:
+            for solve in (QpSolver().solve, qp_oracle.solve):
+                sol = solve(problem, warm)
+                assert (sol.status, sol.active_set) == (status, active), (scale, problem)
+                if x is not None:
+                    np.testing.assert_allclose(sol.x, x, rtol=1e-12, atol=1e-12)
+            if warm is not None:
+                assert QpSolver().solve(problem, warm).iterations == 1
+
     def test_rejects_nonconvex(self):
         with pytest.raises(ValueError):
             QpSolver().solve(QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2)))

@@ -44,6 +44,7 @@ from issf_wbc.sim import (
     step_physics,
 )
 
+import sim_oracle
 from conftest import random_chain, two_link_planar
 from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix
 from kalman_oracle import KalmanOracle
@@ -82,25 +83,26 @@ class TestStepPhysics:
     def test_pendulum_small_oscillation_period(self):
         model = point_pendulum(l=0.5)
         expected = 2 * math.pi * math.sqrt(0.5 / 9.81)
-        state = JointState(q=np.array([0.02]), qd=np.zeros(1))
+        q, qd, t = [0.02], [0.0], 0.0
         crossings = []
         for _ in range(int(3.0 / 1e-4)):
-            prev = state.q[0]
-            state = step_physics(model, state, np.zeros(1), GRAVITY, 1e-4)
-            if prev > 0.0 >= state.q[0]:
-                crossings.append(state.t)
+            prev = q[0]
+            q, qd = step_physics(model, q, qd, [0.0], GRAVITY.tolist(), t, 1e-4)
+            t += 1e-4
+            if prev > 0.0 >= q[0]:
+                crossings.append(t)
         period = np.mean(np.diff(crossings))
         assert period == pytest.approx(expected, rel=0.01)
 
     def test_free_motion_conserves_energy(self, rng):
         # tau = 0, gravity = 0: kinetic energy drift < 0.1% over 10 s (RK4)
         model = random_chain(rng, 2)
-        state = JointState(q=rng.uniform(-1, 1, 2), qd=np.array([0.8, -0.5]))
-        e0 = kinetic_energy(model, state.q, state.qd)
-        for _ in range(10000):
-            state = step_physics(model, state, np.zeros(2), np.zeros(3), 1e-3,
+        q, qd = rng.uniform(-1, 1, 2).tolist(), [0.8, -0.5]
+        e0 = kinetic_energy(model, np.array(q), np.array(qd))
+        for k in range(10000):
+            q, qd = step_physics(model, q, qd, [0.0, 0.0], [0.0, 0.0, 0.0], k * 1e-3, 1e-3,
                                  Integrator.RK4)
-        e1 = kinetic_energy(model, state.q, state.qd)
+        e1 = kinetic_energy(model, np.array(q), np.array(qd))
         assert abs(e1 - e0) / e0 < 1e-3
 
     def test_gravity_hold_residual_matches_mismatch(self, rng):
@@ -113,14 +115,14 @@ class TestStepPhysics:
         h_plant = bias_forces(plant, q, np.zeros(3), GRAVITY)
         expected = np.linalg.solve(mass_matrix(plant, q), tau - h_plant)
         dt = 1e-5
-        state = step_physics(plant, JointState(q=q, qd=np.zeros(3)), tau, GRAVITY, dt)
-        np.testing.assert_allclose(state.qd / dt, expected, rtol=1e-3)
+        _, qd = step_physics(plant, q.tolist(), [0.0] * 3, tau.tolist(), GRAVITY.tolist(),
+                             0.0, dt)
+        np.testing.assert_allclose(np.array(qd) / dt, expected, rtol=1e-3)
 
     def test_divergence_aborts_with_diagnostic(self):
         model = point_pendulum()
-        state = JointState(q=np.zeros(1), qd=np.zeros(1))
         with pytest.raises(SimulationDivergedError, match="non-finite"):
-            step_physics(model, state, np.array([1e308]), GRAVITY, 1.0)
+            step_physics(model, [0.0], [0.0], [1e308], GRAVITY.tolist(), 0.0, 1.0)
 
     @pytest.mark.parametrize("integrator", list(Integrator))
     def test_accelerations_match_oracle_solve(self, rng, integrator):
@@ -147,9 +149,43 @@ class TestStepPhysics:
                     k3 = accel(model, q + 0.5 * dt * v2, v3, tau, g)
                     k4 = accel(model, q + dt * v3, qd + dt * k3, tau, g)
                     expected = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-                state = step_physics(model, JointState(q=q, qd=qd), tau, g, dt, integrator)
-                np.testing.assert_allclose((state.qd - qd) / dt, expected, rtol=0.0,
+                _, qd_next = step_physics(model, q.tolist(), qd.tolist(), tau.tolist(),
+                                          g.tolist(), 0.0, dt, integrator)
+                np.testing.assert_allclose((np.array(qd_next) - qd) / dt, expected, rtol=0.0,
                                            atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("integrator", list(Integrator))
+    def test_byte_equal_to_array_step(self, rng, integrator):
+        # The list step with its one generated solve gives the former
+        # array-based step's bytes, substep after substep, and its errors.
+        dt = 1e-3
+        for n in range(1, 8):
+            for _ in range(5):
+                model = random_chain(rng, n)
+                q, qd = rng.uniform(-3, 3, n).tolist(), rng.uniform(-4, 4, n).tolist()
+                tau, g = rng.normal(size=n) * 5, rng.normal(size=3) * 5
+                state, t = JointState(q=np.array(q), qd=np.array(qd)), 0.0
+                for _ in range(20):
+                    state = sim_oracle.step_physics(model, state, tau, g, dt, integrator)
+                    q, qd = step_physics(model, q, qd, tau.tolist(), g.tolist(), t, dt,
+                                         integrator)
+                    t += dt
+                    assert np.array(q).tobytes() == state.q.tobytes()
+                    assert np.array(qd).tobytes() == state.qd.tobytes()
+                    assert t == state.t
+        # A huge torque overflows the state (an RK4 stage takes the cosine of
+        # an infinite angle first): both steps fail with the same error.
+        model = point_pendulum()
+        errors = []
+        for step in (sim_oracle.step_physics, step_physics):
+            with pytest.raises((SimulationDivergedError, ValueError)) as err:
+                if step is step_physics:
+                    step(model, [0.1], [0.0], [1e308], GRAVITY.tolist(), 0.5, 1.0, integrator)
+                else:
+                    step(model, JointState(q=np.array([0.1]), qd=np.zeros(1), t=0.5),
+                         np.array([1e308]), GRAVITY, 1.0, integrator)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("integrator", list(Integrator))
     def test_singular_mass_matrix_aborts_with_time(self, integrator):
@@ -166,18 +202,20 @@ class TestStepPhysics:
         object.__setattr__(model, "links",
                            (replace(hub, mass=0.0, inertia=np.zeros((3, 3))), arm))
         np.testing.assert_array_equal(mass_matrix(model, np.zeros(2)), np.ones((2, 2)))
-        state = JointState(q=np.zeros(2), qd=np.zeros(2), t=0.25)
         with pytest.raises(SimulationDivergedError, match=r"t=0\.250000 \(joint 1\)"):
-            step_physics(model, state, np.zeros(2), GRAVITY, 1e-4, integrator)
+            step_physics(model, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], GRAVITY.tolist(), 0.25,
+                         1e-4, integrator)
 
     def test_rk4_matches_euler_in_limit(self):
         model = point_pendulum()
-        s_euler = JointState(q=np.array([0.3]), qd=np.zeros(1))
-        s_rk4 = JointState(q=np.array([0.3]), qd=np.zeros(1))
-        for _ in range(2000):
-            s_euler = step_physics(model, s_euler, np.zeros(1), GRAVITY, 1e-5)
-            s_rk4 = step_physics(model, s_rk4, np.zeros(1), GRAVITY, 1e-5, Integrator.RK4)
-        np.testing.assert_allclose(s_euler.q, s_rk4.q, atol=1e-5)
+        q_euler, qd_euler = [0.3], [0.0]
+        q_rk4, qd_rk4 = [0.3], [0.0]
+        g = GRAVITY.tolist()
+        for k in range(2000):
+            q_euler, qd_euler = step_physics(model, q_euler, qd_euler, [0.0], g, k * 1e-5, 1e-5)
+            q_rk4, qd_rk4 = step_physics(model, q_rk4, qd_rk4, [0.0], g, k * 1e-5, 1e-5,
+                                         Integrator.RK4)
+        np.testing.assert_allclose(q_euler, q_rk4, atol=1e-5)
 
 
 class TestKalman:
@@ -419,6 +457,56 @@ class TestClosedLoop:
         assert "relaxed" in trace.qp_status
 
 
+class TestTraceCsv:
+    # The row writers give the former per-cell writers' bytes.
+    @staticmethod
+    def assert_writers_match(trace, tmp_path):
+        for write, oracle in ((RunTrace.to_csv, sim_oracle.to_csv),
+                              (RunTrace.to_torque_csv, sim_oracle.to_torque_csv)):
+            write(trace, tmp_path / "got.csv")
+            oracle(trace, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", list(FilterMode))
+    def test_short_run_in_each_mode(self, tmp_path, mode):
+        for name in ("hand_track", "obstacle_track"):
+            scenario = load_scenario(data_path(f"{name}.scenario"))
+            scenario = replace(scenario, sim=replace(scenario.sim, duration=0.01))
+            plant = scale_link_masses(scenario.robot, scenario.sim.mass_scale)
+            trace = run_closed_loop(scenario.robot, plant, scenario, mode)
+            assert trace.cycles == 20
+            self.assert_writers_match(trace, tmp_path)
+
+    def test_special_values(self, tmp_path):
+        cells = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+                 1e300, -1e-300, 0.1, 1 / 3, 123456789.0]
+        cycles, n, keys = 4, 2, ["joint-limit-min|q0", "self-collision|a-b"]
+        values = iter(cells * 20)
+
+        def block(*shape):
+            return np.array([next(values) for _ in range(math.prod(shape))]).reshape(shape)
+
+        trace = RunTrace(
+            n_dof=n, barrier_keys=keys, t=block(cycles), q=block(cycles, n),
+            qd=block(cycles, n), qdot_des=block(cycles, n), qdot_safe=block(cycles, n),
+            tau_cmd=block(cycles, n), h=block(cycles, len(keys)), d_inf=block(cycles),
+            dbar=block(cycles), qp_iters=np.array([0, 3, 17, 250]),
+            qp_status=["passthrough", "optimal", "relaxed", "optimal"],
+            dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
+            clamped=np.array([[True, False], [False, False], [True, True], [False, True]]),
+        )
+        self.assert_writers_match(trace, tmp_path)
+        text = (tmp_path / "got.csv").read_text()
+        for cell in ("-0.0", "inf", "-inf", "nan", "5e-324", "1e+300"):
+            assert cell in text.replace("\n", ",").split(",")
+        empty = replace(trace, t=trace.t[:0], q=trace.q[:0], qd=trace.qd[:0],
+                        qdot_des=trace.qdot_des[:0], qdot_safe=trace.qdot_safe[:0],
+                        tau_cmd=trace.tau_cmd[:0], h=trace.h[:0], d_inf=trace.d_inf[:0],
+                        dbar=trace.dbar[:0], qp_iters=trace.qp_iters[:0], qp_status=[],
+                        clamped=trace.clamped[:0])
+        self.assert_writers_match(empty, tmp_path)
+
+
 class TestController:
     def test_plant_loop_in_test_matches_run_closed_loop_bitwise(self):
         # The controller steps without the simulator: a plant loop written
@@ -435,8 +523,9 @@ class TestController:
         for mode in (FilterMode.ISSF_CBF, FilterMode.ECBF):
             trace = run_closed_loop(model, plant, scenario, mode=mode)
             controller = Controller(model, scenario, mode)
-            state = JointState(q=scenario.q0.copy(), qd=scenario.qd0.copy())
+            q, qd, t = scenario.q0.tolist(), scenario.qd0.tolist(), 0.0
             for k in range(trace.cycles):
+                state = JointState(q=np.array(q), qd=np.array(qd), t=t)
                 tau_cmd, rec = controller.step(state, k * dt, [])
                 assert trace.q[k].tobytes() == state.q.tobytes()
                 assert trace.qdot_des[k].tobytes() == rec.qdot_des.tobytes()
@@ -444,8 +533,9 @@ class TestController:
                 assert trace.tau_cmd[k].tobytes() == tau_cmd.tobytes()
                 assert trace.qp_status[k] == rec.filtered.status
                 for _ in range(scenario.sim.substeps):
-                    state = step_physics(plant, state, tau_cmd, GRAVITY,
+                    q, qd = step_physics(plant, q, qd, tau_cmd.tolist(), GRAVITY.tolist(), t,
                                          scenario.sim.dt_physics)
+                    t += scenario.sim.dt_physics
             assert trace.cycles == 200
             if mode is FilterMode.ISSF_CBF:
                 assert not np.array_equal(trace.qdot_safe, trace.qdot_des)
