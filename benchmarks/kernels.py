@@ -5,8 +5,12 @@
 Times each kernel with ``timeit`` on the robot and start pose of both bundled
 scenarios (``hand_track``: 3-DoF ``planar3``; ``obstacle_track``: 7-DoF
 ``arm7``) and prints the best of ``--repeat`` rounds in microseconds per call.
-Each round times every row once, in table order, so the rows share the
-host's phases and two runs of the script compare row by row.  The rows:
+Each round times every row once, in table order, so the rows of one run
+share the host's phases.  One pair of runs of two trees is biased by run
+order: back to back, the second run reads slower, by a few percent in the
+median row and up to about 10% in one, whichever tree runs second.  Compare
+two trees over several alternating runs of each, never over one pair.  The
+rows:
 
 - ``forward_kinematics``;
 - ``jacobian_rows``: the positional Jacobian rows of the last link's
@@ -16,9 +20,9 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``pair_gradient``: that pair's barrier gradient (``geometry._pair_gradient``,
   as ``collect_constraints`` builds an active collision row's), given the
   FK and the pair's ``closest_points``;
-- ``joint_dynamics`` (mass matrix and bias forces as lists), given q, qd
-  and gravity as lists: its generated kernel works in joint frames and
-  takes no pose;
+- ``joint_dynamics`` (mass matrix and bias forces as lists), given q and
+  qd as lists and the scenario's gravity tuple: its generated kernel works
+  in joint frames and takes no pose;
 - ``cholesky_solve``: qdd from M qdd = tau - h by the plant's generated
   ``cholesky_solve`` kernel (the Cholesky factor and both triangular
   solves in one function), given that row's M and h and zero torque as
@@ -37,11 +41,11 @@ host's phases and two runs of the script compare row by row.  The rows:
 - ``ecbf_rows``: the eCBF rows of those barrier rows, given the FK;
 - ``motor_torque``: the motor command for the gravity torque at the start
   pose and the reference q + qd dt, qd of the moving state, with the
-  controller's resolved gains and torque limits;
+  controller's resolved gains and the model's torque limits, all floats;
 - ``step_physics``: one semi-implicit Euler substep of the scenario's plant
   (its mass-scaled model) under zero torque, the dynamics kernel and the
-  solve for qdd included, given q, qd, torque and gravity as lists, as the
-  loop carries them;
+  solve for qdd included, given q, qd and torque as lists and the gravity
+  tuple, as the loop carries them;
 - ``kalman_update``: one update of a constant-velocity Kalman filter (5 mm
   measurement noise) that has already seen a measurement; it is the same on
   both robots;
@@ -63,7 +67,8 @@ host's phases and two runs of the script compare row by row.  The rows:
 
 Every kernel after the first other than ``joint_dynamics`` takes the pose
 as an argument, so its row excludes the cost of FK.  The moving state is the
-start pose with qd = linspace(-1, 1, n).  Each timed run makes as many calls
+start pose with qd = linspace(-1, 1, n), a ``JointState`` whose float tuples
+the rows take as the controller does.  Each timed run makes as many calls
 as one call's time fits into ``--seconds``.
 
 The package is imported from the ``src`` directory next to this script.
@@ -86,7 +91,7 @@ import numpy as np  # noqa: E402
 
 from issf_wbc._codegen import cholesky_solve  # noqa: E402
 from issf_wbc._fastdyn import _dynamics_kernel, _inertial, joint_dynamics  # noqa: E402
-from issf_wbc.dynwbc import _qp_data, _torque_limits, motor_torque  # noqa: E402
+from issf_wbc.dynwbc import _qp_data, motor_torque  # noqa: E402
 from issf_wbc.geometry import _pair_gradient, closest_points, pose_body  # noqa: E402
 from issf_wbc.kinwbc import prioritized_ik  # noqa: E402
 from issf_wbc.model import (  # noqa: E402
@@ -144,15 +149,15 @@ def kernels(scenario) -> dict[str, callable]:
     q = scenario.q0
     qd = np.linspace(-1.0, 1.0, model.n_dof)
     gravity = scenario.sim.gravity
-    q_list, qd_list, gravity_list = q.tolist(), qd.tolist(), gravity.tolist()
-    fk = forward_kinematics(model, q)
+    q_list, qd_list = q.tolist(), qd.tolist()
+    state = JointState(q=q, qd=qd, t=0.0)
+    fk = forward_kinematics(model, state.q)
     body_a, body_b = scenario.collision_pairs[0]
     seg_a, seg_b = pose_body(body_a, fk), pose_body(body_b, fk)
     tip = model.collision_bodies[-1]
     tip_point = fk._point(tip.link, tip.p0)
     prox = closest_points(seg_a, seg_b)
     plant = scale_link_masses(model, scenario.sim.mass_scale)
-    state = JointState(q=q, qd=qd, t=0.0)
     tau = [0.0] * model.n_dof
     dt = scenario.sim.dt_physics
     obstacles = [Obstacle(body=spec.body.moved([ECBF_T * v for v in spec.velocity]),
@@ -168,36 +173,35 @@ def kernels(scenario) -> dict[str, callable]:
     filter_solver = QpSolver()
     tasks = [spec.task_at(0.0) for spec in scenario.tasks]
     dt_control = scenario.sim.dt_control
-    tau_gravity = np.array(joint_dynamics(model, q_list, [0.0] * model.n_dof, gravity_list)[1])
-    q_ref = q + qd * dt_control
-    mass, bias = joint_dynamics(model, q_list, qd_list, gravity_list)
+    tau_gravity = joint_dynamics(model, q_list, [0.0] * model.n_dof, gravity)[1]
+    q_ref = [qi + vi * dt_control for qi, vi in zip(q_list, qd_list)]
+    mass, bias = joint_dynamics(model, q_list, qd_list, gravity)
     n = model.n_dof
-
-    tau_prev, tau_max, weights = tau_gravity.tolist(), _torque_limits(model)[0], scenario.weights
+    weights = scenario.weights
     kalman = ConstantVelocityKalman(0.005)
     z = np.array([0.4, -0.2, 0.1])
     kalman.update(z, dt_control)
     trace = run_closed_loop(model, plant, replace(
         scenario, sim=replace(scenario.sim, duration=CSV_DURATION)))
     return {
-        "forward_kinematics": lambda: forward_kinematics(model, q),
+        "forward_kinematics": lambda: forward_kinematics(model, state.q),
         "jacobian_rows": lambda: _jacobian_rows(fk, n, tip.link, tip_point),
         "closest_points": lambda: closest_points(seg_a, seg_b),
         "pair_gradient": lambda: _pair_gradient(fk, n, body_a.link, body_b.link, prox),
-        "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity_list),
+        "joint_dynamics": lambda: joint_dynamics(model, q_list, qd_list, gravity),
         "cholesky_solve": lambda: cholesky_solve[n](mass, [0.0 - hi for hi in bias]),
         "prioritized_ik": lambda: prioritized_ik(model, state, fk, tasks),
         "collect_constraints": lambda: collect_constraints(plan, state, fk, obstacles),
-        "truth_values": lambda: _barrier_values(plan, q, fk, obstacle_bodies),
-        "filter_velocity": lambda: filter_velocity(qd, rows, issf, filter_solver),
+        "truth_values": lambda: _barrier_values(plan, state.q, fk, obstacle_bodies),
+        "filter_velocity": lambda: filter_velocity(qd_list, rows, issf, filter_solver),
         "ecbf_rows": lambda: ecbf_rows(state, fk, rows),
-        "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd, state, controller.gains,
-                                             controller.tau_max),
-        "step_physics": lambda: step_physics(plant, q_list, qd_list, tau, gravity_list,
-                                             0.0, dt),
+        "motor_torque": lambda: motor_torque(tau_gravity, q_ref, qd_list, state,
+                                             controller.gains, model.tau_max),
+        "step_physics": lambda: step_physics(plant, q_list, qd_list, tau, gravity, 0.0, dt),
         "kalman_update": lambda: kalman.update(z, dt_control),
-        "torque_qp_data": lambda: _qp_data[n](mass, bias, tau_prev, [0.0] * n, tau_max,
-                                              weights.w_qdd, weights.w_tau, weights.w_M),
+        "torque_qp_data": lambda: _qp_data[n](mass, bias, tau_gravity, [0.0] * n,
+                                              model.tau_max, weights.w_qdd, weights.w_tau,
+                                              weights.w_M),
         "trace_csv": lambda: trace.to_csv(os.devnull),
         "filter_qp": lambda: QpSolver().solve(filter_qp),
         "torque_qp": lambda: QpSolver().solve(torque_qp),

@@ -16,9 +16,10 @@ so they hold by construction and need no equality rows:
 
 H, g and the torque limits' right-hand sides are Python floats: for T = M,
 one straight-line kernel per size n (``_qp_data``, generated on first use)
-computes them from the dynamics kernel's M rows and h, tau_prev, qdd_safe
-and the weights, H's lower triangle mirrored, and a ``ContactBlock`` adds
-its columns and rows to those float rows.  A stays a numpy array.
+computes them from the dynamics kernel's M rows and h, tau_prev, qdd_safe,
+the model's ``tau_max`` and the weights (all floats), H's lower triangle
+mirrored, and a ``ContactBlock`` adds its columns and rows to those float
+rows.  A and the recovery tau = T z + h stay numpy products.
 
 The reference acceleration comes from PD feedback on the safety-filtered
 kinematic reference, qdd_safe = Kp (q_safe - q) + Kd (qd_safe - qd), and the
@@ -32,7 +33,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -133,19 +133,6 @@ class DynWbcInfeasibleError(RuntimeError):
         self.solution = solution
 
 
-_LIMITS: "WeakKeyDictionary[RobotModel, tuple]" = WeakKeyDictionary()
-
-
-def _torque_limits(model: RobotModel) -> tuple[list[float], list[int]]:
-    """Each joint's torque limit (inf for none) and the joints with a finite
-    one, built once per model."""
-    limits = _LIMITS.get(model)
-    if limits is None:
-        tau_max = [joint.tau_max for joint in model.joints]
-        limits = _LIMITS[model] = (tau_max, [i for i, t in enumerate(tau_max) if math.isfinite(t)])
-    return limits
-
-
 def _make_qp_data(n: int):
     """``qp_data(M, h, tau_prev, qdd, tau_max, w_qdd, w_tau, w_M)``: the torque
     QP's H rows and g for T = M, and each joint's torque-limit right-hand
@@ -176,30 +163,27 @@ _qp_data = _PerSize(_make_qp_data)
 
 
 def safe_acceleration(
-    q_safe: np.ndarray,
-    qdot_safe: np.ndarray,
+    q_safe: list[float],
+    qdot_safe: list[float],
     state: JointState,
     gains: FeedbackGains,
-) -> np.ndarray:
+) -> list[float]:
     """PD feedback converting the filtered kinematic reference to an acceleration."""
-    return np.array([
-        kp * (qs - q) + kd * (vs - v)
-        for kp, kd, qs, q, vs, v in zip(gains.kp_dyn, gains.kd_dyn, q_safe.tolist(),
-                                        state.q.tolist(), qdot_safe.tolist(),
-                                        state.qd.tolist(), strict=True)
-    ])
+    return [kp * (qs - q) + kd * (vs - v)
+            for kp, kd, qs, q, vs, v in zip(gains.kp_dyn, gains.kd_dyn, q_safe, state.q,
+                                            qdot_safe, state.qd, strict=True)]
 
 
 def solve_dynwbc(
     model: RobotModel,
     state: JointState,
-    qddot_safe: np.ndarray,
+    qddot_safe: list[float],
     contact: ContactBlock | None,
     extra_rows: AccelRows | None,
     weights: DynWbcWeights,
-    tau_prev: np.ndarray,
+    tau_prev: list[float],
     solver: QpSolver,
-    gravity: np.ndarray,
+    gravity: tuple[float, ...],
     warm_start: np.ndarray | None = None,
 ) -> DynWbcResult:
     """Solve the torque QP at ``state``.
@@ -208,10 +192,10 @@ def solve_dynwbc(
     """
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
-    mass, bias = joint_dynamics(model, state.q.tolist(), state.qd.tolist(),
-                                np.asarray(gravity, dtype=float).tolist())
-    tau_max, limited = _torque_limits(model)
-    H, g, limit_rhs = _qp_data[n](mass, bias, tau_prev.tolist(), qddot_safe.tolist(), tau_max,
+    mass, bias = joint_dynamics(model, state.q, state.qd, gravity)
+    tau_max = model.tau_max
+    limited = [i for i, limit in enumerate(tau_max) if limit < math.inf]
+    H, g, limit_rhs = _qp_data[n](mass, bias, tau_prev, qddot_safe, tau_max,
                                   weights.w_qdd, weights.w_tau, weights.w_M)
     T = mass = np.array(mass)
     bias = np.array(bias)
@@ -236,7 +220,7 @@ def solve_dynwbc(
     else:
         T_lim = T
     m_c = contact.U.shape[0] if k else 0
-    m_e = 0 if extra_rows is None else extra_rows.rhs.shape[0]
+    m_e = 0 if extra_rows is None else len(extra_rows.rhs)
     m = m_c + m_e + len(limit_rhs)
     A = b = None
     if m:
@@ -247,7 +231,7 @@ def solve_dynwbc(
             A[m_c:m_c + m_e, :n] = extra_rows.grad
         A[m_c + m_e::2] = T_lim
         A[m_c + m_e + 1::2] = -T_lim
-        b = [0.0] * m_c + (extra_rows.rhs.tolist() if m_e else []) + limit_rhs
+        b = [0.0] * m_c + (extra_rows.rhs if m_e else []) + limit_rhs
 
     problem = QpProblem(H=H, g=g, A_ineq=A, b_ineq=b)
     sol = solver.solve(problem, warm_start=warm_start)
@@ -269,26 +253,26 @@ def solve_dynwbc(
 
 
 def motor_torque(
-    tau_opt: np.ndarray,
-    q_safe: np.ndarray,
-    qdot_safe: np.ndarray,
+    tau_opt: list[float],
+    q_safe: list[float],
+    qdot_safe: list[float],
     state: JointState,
     gains: FeedbackGains,
     tau_max: tuple[float, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[float], np.ndarray]:
     """Actuator command tau_opt + Kp (q_safe - q) + Kd (qd_safe - qd), clamped
     to [-tau_max, tau_max] per joint (an infinite limit clamps nothing).
 
-    Returns the command and a per-joint clamp mask (clamping is also logged).
+    Returns the command and a per-joint bool array clamp mask (clamping is
+    also logged).
     """
     tau = [
         t + kp * (qs - q) + kd * (vs - v)
-        for t, kp, kd, qs, q, vs, v in zip(tau_opt.tolist(), gains.motor_kp, gains.motor_kd,
-                                           q_safe.tolist(), state.q.tolist(),
-                                           qdot_safe.tolist(), state.qd.tolist(), strict=True)
+        for t, kp, kd, qs, q, vs, v in zip(tau_opt, gains.motor_kp, gains.motor_kd,
+                                           q_safe, state.q, qdot_safe, state.qd, strict=True)
     ]
     clamped = [abs(t) > limit for t, limit in zip(tau, tau_max, strict=True)]
     if any(clamped):
         log.debug("torque clamp on joints %s", [i for i, c in enumerate(clamped) if c])
         tau = [min(max(t, -limit), limit) for t, limit in zip(tau, tau_max)]
-    return np.array(tau), np.array(clamped)
+    return tau, np.array(clamped)

@@ -21,6 +21,7 @@ noise after projection, which a threshold relative to that noise's own
 largest value would invert.  Both updates come from that one SVD:
 pinv(J_i N_{i-1}) = V_r S_r^-1 U_r^T and pinv(J_i N_{i-1}) J_i N_{i-1} =
 V_r V_r^T.  A level whose projected Jacobian is zero changes nothing.
+The recursion runs in numpy; ``prioritized_ik`` returns a float list.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ class Task:
             raise ValueError("task needs exactly one of link or joint_indices")
 
     def jacobian_and_value(
-        self, model: RobotModel, q: np.ndarray, fk: FkResult
+        self, model: RobotModel, q, fk: FkResult
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.link is not None:
             point = fk._point(self.link, self.point_in_link)
             return np.array(_jacobian_rows(fk, model.n_dof, self.link, point)), np.array(point)
-        return _selector(model.n_dof, self.joint_indices), q[list(self.joint_indices)]
+        return (_selector(model.n_dof, self.joint_indices),
+                np.array([q[i] for i in self.joint_indices]))
 
 
 def solve_priority_stack(
@@ -107,7 +109,7 @@ def prioritized_ik(
     state: JointState,
     fk: FkResult,
     tasks: list[Task],
-) -> np.ndarray:
+) -> list[float]:
     """Nominal joint velocity command; ``fk`` is the pose at ``state.q``.
 
     Tasks must carry strictly increasing priorities (1 = highest).  The
@@ -129,4 +131,4 @@ def prioritized_ik(
         jacobians.append(jac)
         terms.append(xd_cmd)
 
-    return solve_priority_stack(jacobians, terms, model.n_dof)
+    return solve_priority_stack(jacobians, terms, model.n_dof).tolist()

@@ -22,6 +22,9 @@ computed once and then read by every kinematic consumer: the point
 Jacobians here, the barriers in ``geometry`` and IK all take an
 ``FkResult``.  The rigid-body dynamics in ``_fastdyn`` take q instead: their
 generated kernel works in joint frames and needs no world pose.
+
+A joint vector is a tuple of floats, built once: a ``JointState``'s q and
+qd, and a model's ``q_min``, ``q_max`` and ``tau_max`` (inf: no limit).
 """
 
 from __future__ import annotations
@@ -95,19 +98,24 @@ class JointSpec:
 
 @dataclass(frozen=True)
 class JointState:
-    """Configuration and velocity at time t (the reduced state y is q)."""
+    """Configuration and velocity at time t (the reduced state y is q), as
+    float tuples converted once from any flat sequence of numbers."""
 
-    q: np.ndarray
-    qd: np.ndarray
+    q: tuple[float, ...]
+    qd: tuple[float, ...]
     t: float = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
+        object.__setattr__(self, "qd", tuple(map(float, self.qd)))
+
     def validate(self, n_dof: int) -> None:
-        if self.q.shape != (n_dof,) or self.qd.shape != (n_dof,):
+        if len(self.q) != n_dof or len(self.qd) != n_dof:
             raise ModelError(
-                f"state dimension mismatch: q {self.q.shape}, qd {self.qd.shape}, "
+                f"state dimension mismatch: q ({len(self.q)},), qd ({len(self.qd)},), "
                 f"expected ({n_dof},)"
             )
-        if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
+        if not (all(map(math.isfinite, self.q)) and all(map(math.isfinite, self.qd))):
             raise ModelError("non-finite entries in joint state")
 
 
@@ -155,29 +163,23 @@ class RobotModel:
     def n_dof(self) -> int:
         return len(self.joints)
 
-    @property
-    def q_min(self) -> np.ndarray:
-        return np.array([j.q_min for j in self.joints])
+    @cached_property
+    def q_min(self) -> tuple[float, ...]:
+        return tuple(float(j.q_min) for j in self.joints)
 
-    @property
-    def q_max(self) -> np.ndarray:
-        return np.array([j.q_max for j in self.joints])
+    @cached_property
+    def q_max(self) -> tuple[float, ...]:
+        return tuple(float(j.q_max) for j in self.joints)
 
-    @property
-    def tau_max(self) -> np.ndarray:
-        return np.array([j.tau_max for j in self.joints])
+    @cached_property
+    def tau_max(self) -> tuple[float, ...]:
+        return tuple(float(j.tau_max) for j in self.joints)
 
     def collision_body(self, name: str) -> "CollisionBody":
         for body in self.collision_bodies:
             if body.name == name:
                 return body
         raise ModelError(f"unknown collision body {name!r}")
-
-    def check_q(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.n_dof,):
-            raise ModelError(f"q has shape {q.shape}, expected ({self.n_dof},)")
-        return q
 
 
 def _xyz(point) -> tuple[float, float, float]:
@@ -334,9 +336,12 @@ class FkResult:
                 pz + (r20 * x + r21 * y + r22 * z))
 
 
-def forward_kinematics(model: RobotModel, q: np.ndarray) -> FkResult:
-    """Compose world-frame link poses parent-to-child (base is the identity)."""
-    return FkResult(*_fk(model, model.check_q(q).tolist()))
+def forward_kinematics(model: RobotModel, q) -> FkResult:
+    """Compose world-frame link poses parent-to-child (base is the identity)
+    at ``q``, n floats such as ``JointState.q``."""
+    if len(q) != model.n_dof:
+        raise ModelError(f"q has shape ({len(q)},), expected ({model.n_dof},)")
+    return FkResult(*_fk(model, q))
 
 
 def _jacobian_rows(fk: FkResult, n_dof: int, link: int, point) -> list[list[float]]:

@@ -62,8 +62,10 @@ import numpy as np
 
 from ._codegen import NotPositiveDefinite, cholesky, solve_lower, solve_upper
 
-# Row i counts as violated when b_i - a_i . x > FEAS_TOL (1 + |b_i|), a scale
-# set by the row alone, so a far-away row cannot hide another's violation.
+# Row i counts as violated when b_i - a_i . x > FEAS_TOL min(1 + |b_i|,
+# |b_i| + sum_j |a_ij x_j|), a scale set by the row alone, so a far-away row
+# cannot hide another's violation.  The second scale, summed only for a row
+# that the first passes, lets a row whose terms are all far below 1 count.
 FEAS_TOL = 1e-10
 DUAL_TOL = 1e-11
 DEP_TOL = 1e-11
@@ -299,8 +301,10 @@ class QpSolver:
                 viol = [b_i - ax for b_i, ax in zip(b_list, (A @ x).tolist())]
                 for i in keep:
                     v_i = viol[i]
-                    if (v_i > worst and i not in work
-                            and v_i > FEAS_TOL * (1.0 + abs(b_list[i]))):
+                    if v_i > worst and i not in work and (
+                            v_i > FEAS_TOL * (1.0 + abs(b_list[i]))
+                            or v_i > FEAS_TOL * sum(map(abs, map(mul, A[i].tolist(), x)),
+                                                    abs(b_list[i]))):
                         cand, worst = i, v_i
             if cand < 0:
                 status = QpStatus.OPTIMAL

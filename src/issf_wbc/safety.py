@@ -11,9 +11,10 @@ condition.  Four constraint families are produced: joint limits (unit
 gradients, so the margin reduces to 1/eps exactly), self-collision pairs,
 object-collision pairs (whose right-hand side carries the obstacle-velocity
 drift term), and workspace distance bounds.  ``collect_constraints`` returns
-a cycle's rows as one ``BarrierRows`` block of arrays, which the filter and
-``ecbf_rows`` read by slices; alpha, eps and the slack settings are checked
-once, when the ``FilterConfig`` is built.
+a cycle's rows as one ``BarrierRows`` block, the gradients an array and the
+per-row values float lists, which the filter and ``ecbf_rows`` read; alpha,
+eps and the slack settings are checked once, when the ``FilterConfig`` is
+built.
 
 This module owns the barrier catalog.  ``barrier_plan`` builds it once per
 run as a ``BarrierPlan``: every barrier's key in row order, each row's alpha
@@ -24,7 +25,8 @@ run trace's keys (``BarrierPlan.keys``) and its ground-truth h
 row, and hands the posed segments to ``ecbf_rows`` in the row's ``PairWitness``.
 
 The filter itself is the minimally invasive projection
-argmin ||qd - qd_des||^2 subject to those rows; an infeasible projection is
+argmin ||qd - qd_des||^2 subject to those rows, on float lists; an
+infeasible projection is
 either surfaced (hard-fail policy) or relaxed with one heavily weighted
 slack per constraint kind, which is logged and flagged because relaxed
 rows no longer guarantee safety.
@@ -184,19 +186,19 @@ class BarrierRows:
     """
 
     keys: list[tuple[BarrierKind, str]]
-    h: np.ndarray             # (m,)
+    h: list[float]
     grad: np.ndarray          # (m, n_dof)
-    alpha: np.ndarray         # (m,)
-    drift: np.ndarray         # (m,) rhs offset (obstacle-velocity term)
-    margin: np.ndarray        # (m,)
+    alpha: list[float]
+    drift: list[float]        # rhs offset (obstacle-velocity term)
+    margin: list[float]
     witness: list[PairWitness | WorkspacePair | None]
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def rhs(self) -> np.ndarray:
-        """Right-hand sides b of grad @ qd >= b."""
-        return self.drift - self.alpha * self.h + self.margin
+    def rhs(self) -> list[float]:
+        """Right-hand sides b of grad @ qd >= b, drift - alpha h + margin per row."""
+        return [d - a * h + m for d, a, h, m in zip(self.drift, self.alpha, self.h, self.margin)]
 
 
 @dataclass(frozen=True)
@@ -275,8 +277,8 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
         n_dof=n,
         keys=(joint_keys + [(kind, pair) for kind, pair, *_ in collisions]
               + [(BarrierKind.WORKSPACE, pair.name) for pair in workspace_pairs]),
-        q_min=tuple(float(joint.q_min) for joint in model.joints),
-        q_max=tuple(float(joint.q_max) for joint in model.joints),
+        q_min=model.q_min,
+        q_max=model.q_max,
         joint_grad=joint_grad,
         joint_alpha=[config.alpha[kind] for kind, _ in joint_keys],
         joint_margin=[1.0 / epsilon[kind] for kind, _ in joint_keys],
@@ -288,18 +290,17 @@ def barrier_plan(model: RobotModel, config: FilterConfig, pairs=(), obstacle_bod
     )
 
 
-def _barrier_h(plan: BarrierPlan, q: np.ndarray, values: list[float]) -> np.ndarray:
+def _barrier_h(plan: BarrierPlan, q, values: list[float]) -> list[float]:
     """The joint-limit rows' h at ``q`` (q0 min, q0 max, q1 min, ...), then ``values``."""
     h = []
-    for qi, lo, hi in zip(q.tolist(), plan.q_min, plan.q_max):
+    for qi, lo, hi in zip(q, plan.q_min, plan.q_max):
         h.append(qi - lo)
         h.append(hi - qi)
     h += values
-    return np.array(h)
+    return h
 
 
-def _barrier_values(plan: BarrierPlan, q: np.ndarray, fk: FkResult,
-                    obstacle_bodies) -> np.ndarray:
+def _barrier_values(plan: BarrierPlan, q, fk: FkResult, obstacle_bodies) -> list[float]:
     """The h of every barrier of ``plan.keys`` at ``q``, whose pose is ``fk``,
     with the obstacles at ``obstacle_bodies``, without gradients: the ground
     truth a run is judged on.  Each body is posed once."""
@@ -375,17 +376,16 @@ def collect_constraints(
         raise ValueError(f"{keys[bad][1]}: non-finite gradient")
     return BarrierRows(
         keys=keys, h=_barrier_h(plan, state.q, hs), grad=grad,
-        alpha=np.array(plan.joint_alpha + alphas),
-        drift=np.array([0.0] * jl + drifts),
-        margin=np.array(plan.joint_margin
-                        + [float(g @ g) / e for g, e in zip(grads, epsilons)]),
+        alpha=plan.joint_alpha + alphas,
+        drift=[0.0] * jl + drifts,
+        margin=plan.joint_margin + [float(g @ g) / e for g, e in zip(grads, epsilons)],
         witness=[None] * jl + witnesses,
     )
 
 
 @dataclass(frozen=True)
 class FilterResult:
-    qdot_safe: np.ndarray
+    qdot_safe: list[float]
     status: str                  # "passthrough" | "optimal" | "relaxed"
     iterations: int
 
@@ -397,23 +397,24 @@ def _two_identity(n: int) -> tuple[tuple[float, ...], ...]:
 
 
 def filter_velocity(
-    qdot_des: np.ndarray,
+    qdot_des: list[float],
     rows: BarrierRows,
     config: FilterConfig,
     solver: QpSolver,
-    warm_start: np.ndarray | None = None,
+    warm_start: list[float] | None = None,
 ) -> FilterResult:
     """Minimally invasive projection of qd_des onto the barrier rows."""
-    n = qdot_des.shape[0]
+    n = len(qdot_des)
     if config.mode in (FilterMode.WITHOUT_CBF, FilterMode.ECBF) or not rows:
         return FilterResult(qdot_safe=qdot_des, status="passthrough", iterations=0)
 
     A = rows.grad
-    g = [-2.0 * v for v in qdot_des.tolist()]
+    g = [-2.0 * v for v in qdot_des]
     problem = QpProblem(H=_two_identity(n), g=g, A_ineq=A, b_ineq=rows.rhs())
     sol = solver.solve(problem, warm_start=warm_start)
     if sol.optimal:
-        return FilterResult(qdot_safe=sol.x, status="optimal", iterations=sol.iterations)
+        return FilterResult(qdot_safe=sol.x.tolist(), status="optimal",
+                            iterations=sol.iterations)
 
     if config.slack_policy == "hard-fail":
         raise FilterInfeasibleError(
@@ -440,7 +441,7 @@ def filter_velocity(
         "safety filter relaxed (safety not guaranteed): slack per kind %s",
         {k.value: float(s) for k, s in zip(kinds, slacks)},
     )
-    return FilterResult(qdot_safe=relaxed_sol.x[:n], status="relaxed",
+    return FilterResult(qdot_safe=relaxed_sol.x[:n].tolist(), status="relaxed",
                         iterations=sol.iterations + relaxed_sol.iterations)
 
 
@@ -454,8 +455,8 @@ class AccelRows:
 
     keys: list[tuple[BarrierKind, str]]
     grad: np.ndarray          # (m, n_dof)
-    rhs: np.ndarray           # (m,)
-    h_e: np.ndarray           # (m,)
+    rhs: list[float]
+    h_e: list[float]
 
 
 def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
@@ -478,7 +479,7 @@ def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
     a world body moves at the estimated velocity its row's drift uses, with no
     acceleration.  Joint-limit rows have constant gradients and c = 0.
     """
-    qd = state.qd.tolist()
+    qd = state.qd
     rates = None
     curvature: list[float] = []
     for witness in rows.witness:
@@ -493,8 +494,7 @@ def ecbf_rows(state: JointState, fk: FkResult, rows: BarrierRows) -> AccelRows:
             curvature.append(_pair_curvature(fk, rates, witness.body_a, witness.segment_a,
                                              witness.body_b, witness.segment_b,
                                              witness.proximity, witness.velocity_b))
-    alpha = rows.alpha
-    h_dot = rows.grad @ state.qd - rows.drift
-    h_e = h_dot + alpha * rows.h
-    return AccelRows(keys=rows.keys, grad=rows.grad,
-                     rhs=-alpha * h_e - np.array(curvature) - alpha * h_dot, h_e=h_e)
+    h_dot = [rate - drift for rate, drift in zip((rows.grad @ qd).tolist(), rows.drift)]
+    h_e = [hd + a * h for hd, a, h in zip(h_dot, rows.alpha, rows.h)]
+    rhs = [-a * e - c - a * hd for a, e, c, hd in zip(rows.alpha, h_e, curvature, h_dot)]
+    return AccelRows(keys=rows.keys, grad=rows.grad, rhs=rhs, h_e=h_e)

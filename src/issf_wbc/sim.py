@@ -3,7 +3,7 @@
 ``Controller`` is one cycle of the controller on the nominal model.  It owns
 what carries over between cycles (the two QP solvers, their warm starts and
 the previous torque), and its ``step`` maps a measured state and the
-estimated obstacles to a motor torque command:
+estimated obstacles to a motor torque command, on float joint vectors:
 
     forward kinematics -> prioritized IK -> constraint collection
     -> velocity safety filter -> reference acceleration
@@ -29,7 +29,8 @@ hold the command over the physics substeps of the full-order dynamics
 qdd = M^-1 (tau - h).  The plant's q and qd stay float lists across a
 cycle's substeps (``step_physics`` maps lists to lists, solving for qdd in
 one generated kernel, ``_codegen.cholesky_solve``), and the controller gets
-one ``JointState`` per cycle.  The
+one ``JointState`` per cycle.  Gravity and pulse torques are float
+tuples, converted once (``SimConfig``, ``TorquePulse``).  The
 plant is a *separately scaled* model: mass mismatch is injected only on the
 plant side, and the controller keeps the nominal model.
 
@@ -93,15 +94,16 @@ class TorquePulse:
 
     start: float
     end: float
-    torque: np.ndarray
+    torque: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "torque", tuple(map(float, self.torque)))
         problems = [f"{key}: must be finite, got {getattr(self, key)!r}"
                     for key in ("start", "end") if not math.isfinite(getattr(self, key))]
         if not problems and not self.end > self.start:
             problems.append(f"end: must be > start ({self.start!r}), got {self.end!r}")
-        if not np.isfinite(self.torque).all():
-            problems.append(f"torque: must be finite, got {np.asarray(self.torque).tolist()}")
+        if not all(map(math.isfinite, self.torque)):
+            problems.append(f"torque: must be finite, got {list(self.torque)}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -117,10 +119,11 @@ class SimConfig:
     mass_scale: float = 1.0
     integrator: Integrator = Integrator.SEMI_IMPLICIT_EULER
     seed: int = 0
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
+    gravity: tuple[float, ...] = (0.0, 0.0, -9.81)
     external_torque: tuple[TorquePulse, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gravity", tuple(map(float, self.gravity)))
         problems = []
         if not 0.0 <= self.duration < math.inf:
             problems.append(f"duration: must be finite and >= 0, got {self.duration!r}")
@@ -136,8 +139,8 @@ class SimConfig:
                             f"got {self.dt_physics!r}")
         if not 0.0 < self.mass_scale < math.inf:
             problems.append(f"mass_scale: must be finite and > 0, got {self.mass_scale!r}")
-        if not np.isfinite(self.gravity).all():
-            problems.append(f"gravity: must be finite, got {np.asarray(self.gravity).tolist()}")
+        if not all(map(math.isfinite, self.gravity)):
+            problems.append(f"gravity: must be finite, got {list(self.gravity)}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -176,37 +179,42 @@ def _weighted(k1, k2, k3, k4) -> list[float]:
     return [a + 2 * b + 2 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
+def _finite(q: list[float], qd: list[float], t: float) -> tuple[list[float], list[float]]:
+    """(q, qd), the plant's state at time ``t``, unless an entry is not finite."""
+    if not (all(map(math.isfinite, q)) and all(map(math.isfinite, qd))):
+        raise SimulationDivergedError(
+            f"non-finite state at t={t:.6f}: q={np.array(q)}, qd={np.array(qd)}")
+    return q, qd
+
+
 def step_physics(
     plant_model: RobotModel,
     q: list[float],
     qd: list[float],
     tau: list[float],
-    gravity: list[float],
+    gravity: tuple[float, ...],
     t: float,
     dt: float,
     integrator: Integrator = Integrator.SEMI_IMPLICIT_EULER,
 ) -> tuple[list[float], list[float]]:
     """The plant's (q, qd) one physics step of ``dt`` after time ``t``, under
-    a held torque ``tau``; every vector is a list of floats."""
+    a held torque ``tau``; every vector is a list of floats.  A non-finite
+    state, an RK4 stage's included, raises ``SimulationDivergedError``."""
     if integrator is Integrator.SEMI_IMPLICIT_EULER:
         qd_next = _axpy(dt, _qdd(plant_model, q, qd, tau, gravity, t), qd)
         q_next = _axpy(dt, qd_next, q)
     else:
         half = 0.5 * dt
         k1 = _qdd(plant_model, q, qd, tau, gravity, t)
-        v2 = _axpy(half, k1, qd)
-        k2 = _qdd(plant_model, _axpy(half, qd, q), v2, tau, gravity, t)
-        v3 = _axpy(half, k2, qd)
-        k3 = _qdd(plant_model, _axpy(half, v2, q), v3, tau, gravity, t)
-        v4 = _axpy(dt, k3, qd)
-        k4 = _qdd(plant_model, _axpy(dt, v3, q), v4, tau, gravity, t)
+        q2, v2 = _finite(_axpy(half, qd, q), _axpy(half, k1, qd), t + half)
+        k2 = _qdd(plant_model, q2, v2, tau, gravity, t)
+        q3, v3 = _finite(_axpy(half, v2, q), _axpy(half, k2, qd), t + half)
+        k3 = _qdd(plant_model, q3, v3, tau, gravity, t)
+        q4, v4 = _finite(_axpy(dt, v3, q), _axpy(dt, k3, qd), t + dt)
+        k4 = _qdd(plant_model, q4, v4, tau, gravity, t)
         q_next = _axpy(dt / 6.0, _weighted(qd, v2, v3, v4), q)
         qd_next = _axpy(dt / 6.0, _weighted(k1, k2, k3, k4), qd)
-    if not (all(map(math.isfinite, q_next)) and all(map(math.isfinite, qd_next))):
-        raise SimulationDivergedError(
-            f"non-finite state at t={t + dt:.6f}: q={np.array(q_next)}, qd={np.array(qd_next)}"
-        )
-    return q_next, qd_next
+    return _finite(q_next, qd_next, t + dt)
 
 
 class ConstantVelocityKalman:
@@ -361,9 +369,9 @@ class CycleRecord:
     """What one controller cycle computed besides the torque command."""
 
     fk: FkResult                    # nominal kinematics at the measured q
-    qdot_des: np.ndarray
+    qdot_des: list[float]
     filtered: FilterResult          # qdot_safe and the filter QP's outcome
-    qdd_safe: np.ndarray
+    qdd_safe: list[float]
     rows: BarrierRows               # the barrier rows the filter was given
     h_e_min: float                  # min over eCBF rows, nan outside ecbf mode
     dynamics_residual: float
@@ -390,44 +398,42 @@ class Controller:
         self.filter_solver = QpSolver()
         self.dyn_solver = QpSolver()
         self.gains = scenario.weights.gains(model.n_dof)
-        self.tau_max = tuple(model.tau_max.tolist())
-        self.filter_warm: np.ndarray | None = None
+        self.filter_warm: list[float] | None = None
         self.dyn_warm: np.ndarray | None = None
-        self.tau_prev = np.array(joint_dynamics(
-            model, scenario.q0.tolist(), [0.0] * model.n_dof,
-            np.asarray(scenario.sim.gravity, dtype=float).tolist())[1])
+        self.tau_prev = joint_dynamics(model, scenario.q0.tolist(), [0.0] * model.n_dof,
+                                       scenario.sim.gravity)[1]
 
     def step(self, state: JointState, t: float,
-             obstacles: list[Obstacle]) -> tuple[np.ndarray, CycleRecord]:
+             obstacles: list[Obstacle]) -> tuple[list[float], CycleRecord]:
         """Motor torque command for the measured ``state`` at cycle time ``t``."""
         model, scenario, config = self.model, self.scenario, self.filter_config
         dt = scenario.sim.dt_control
         fk = forward_kinematics(model, state.q)
 
         tasks = [spec.task_at(t) for spec in scenario.tasks]
-        qdot_des = prioritized_ik(model, state, fk, tasks) if tasks else np.zeros(model.n_dof)
+        qdot_des = prioritized_ik(model, state, fk, tasks) if tasks else [0.0] * model.n_dof
 
         rows = collect_constraints(self.plan, state, fk, obstacles)
         filtered = filter_velocity(qdot_des, rows, config, self.filter_solver,
                                    warm_start=self.filter_warm)
         qdot_safe = self.filter_warm = filtered.qdot_safe
-        q_safe = state.q + qdot_safe * dt
+        q_safe = [q + v * dt for q, v in zip(state.q, qdot_safe)]
         qdd_safe = safe_acceleration(q_safe, qdot_safe, state, self.gains)
 
         extra_rows = None
-        h_e_min = np.nan
+        h_e_min = math.nan
         if config.mode is FilterMode.ECBF:
             extra_rows = ecbf_rows(state, fk, rows)
             if rows:
-                h_e_min = float(extra_rows.h_e.min())
+                h_e_min = min(extra_rows.h_e)
 
         dyn = solve_dynwbc(model, state, qdd_safe, None, extra_rows, scenario.weights,
                            self.tau_prev, self.dyn_solver, scenario.sim.gravity,
                            warm_start=self.dyn_warm)
         self.dyn_warm = dyn.solution.x
-        self.tau_prev = dyn.tau_opt
-        tau_cmd, clamped = motor_torque(dyn.tau_opt, q_safe, qdot_safe, state, self.gains,
-                                        tau_max=self.tau_max)
+        self.tau_prev = tau_opt = dyn.tau_opt.tolist()
+        tau_cmd, clamped = motor_torque(tau_opt, q_safe, qdot_safe, state, self.gains,
+                                        tau_max=model.tau_max)
         return tau_cmd, CycleRecord(
             fk=fk, qdot_des=qdot_des, filtered=filtered, qdd_safe=qdd_safe, rows=rows,
             h_e_min=h_e_min, dynamics_residual=dyn.dynamics_residual, clamped=clamped,
@@ -466,14 +472,13 @@ def run_closed_loop(
     )
     # The plant's state, carried as floats; t_plant sums dt_physics per substep.
     q, qd, t_plant = scenario.q0.tolist(), scenario.qd0.tolist(), 0.0
-    gravity = np.asarray(cfg.gravity, dtype=float).tolist()
     dbar = 0.0
-    pulses, zeros = cfg.external_torque, np.zeros(n)
+    pulses = cfg.external_torque
 
     wall_start = time.perf_counter()
     for k in range(cycles):
         t = k * cfg.dt_control
-        state = JointState(q=np.array(q), qd=np.array(qd), t=t_plant)
+        state = JointState(q=q, qd=qd, t=t_plant)
         bodies = [truth.at(t) for truth in obstacle_truths]
         obstacles = [truth.estimate(body, cfg.dt_control, rng)
                      for truth, body in zip(obstacle_truths, bodies)]
@@ -493,35 +498,33 @@ def run_closed_loop(
         trace.h_e_min[k] = rec.h_e_min
         trace.clamped[k] = rec.clamped
         if trace_constraints:
-            tol = 1e-8 * (1.0 + float(np.max(np.abs(qdot_safe), initial=0.0)))
+            tol = 1e-8 * (1.0 + max(map(abs, qdot_safe), default=0.0))
             rows = rec.rows
-            for (kind, pair), h, grad, rhs in zip(rows.keys, rows.h.tolist(), rows.grad,
-                                                  rows.rhs().tolist()):
+            for (kind, pair), h, grad, rhs in zip(rows.keys, rows.h, rows.grad, rows.rhs()):
                 trace.constraint_dump.append(ConstraintDumpRow(
                     t=t, kind=kind.value, pair=pair, h=h, rhs=rhs,
                     active=bool(grad @ qdot_safe - rhs <= tol),
                 ))
 
         q_before = q
-        tau = tau_cmd.tolist()
-        pulsed = {}     # the substep torque by the pulses active in it
+        tau = tau_cmd
         for j in range(cfg.substeps):
             if pulses:
                 # Pulse windows are tested against the substep's exact time, not
                 # the accumulated t_plant, whose rounding moves the window edges.
+                # tau_cmd + ((0 + p_1) + p_2 ...) over the active pulses.
                 t_sub = t + j * cfg.dt_physics
-                active = tuple(p.active(t_sub) for p in pulses)
-                tau = pulsed.get(active)
-                if tau is None:
-                    tau = pulsed[active] = (tau_cmd + sum(
-                        (p.torque if on else zeros for p, on in zip(pulses, active)),
-                        np.zeros(n))).tolist()
-            q, qd = step_physics(plant_model, q, qd, tau, gravity, t_plant,
+                pulse_sum = [0.0] * n
+                for pulse in pulses:
+                    if pulse.active(t_sub):
+                        pulse_sum = [s + p for s, p in zip(pulse_sum, pulse.torque)]
+                tau = [c + s for c, s in zip(tau_cmd, pulse_sum)]
+            q, qd = step_physics(plant_model, q, qd, tau, cfg.gravity, t_plant,
                                  cfg.dt_physics, cfg.integrator)
             t_plant += cfg.dt_physics
         trace.d_inf[k] = d_inf = max(
             (abs((qi - qb) / cfg.dt_control - si)
-             for qi, qb, si in zip(q, q_before, qdot_safe.tolist())), default=0.0)
+             for qi, qb, si in zip(q, q_before, qdot_safe)), default=0.0)
         trace.dbar[k] = dbar = max(dbar, d_inf)
 
     if cycles:

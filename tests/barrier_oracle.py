@@ -159,7 +159,7 @@ def collect_constraints(model, state, fk, obstacles, config, pairs,
 
 def ecbf_rows(state, fk, rows: BarrierRows) -> AccelRows:
     """``safety.ecbf_rows`` with each pair's bodies posed again from ``fk``."""
-    qd = state.qd.tolist()
+    qd = list(state.qd)
     rates = _link_rates(fk, qd)
     curvature: list[float] = []
     for witness in rows.witness:

@@ -13,7 +13,7 @@ import numpy as np
 
 from issf_wbc.model import ModelError, RobotModel
 
-from kinematics_oracle import FkResult, forward_kinematics
+from kinematics_oracle import FkResult, check_q, forward_kinematics
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ def _shift_inertia(inertia: np.ndarray, mass: float, d: np.ndarray) -> np.ndarra
 
 def mass_matrix(model: RobotModel, q: np.ndarray, fk: FkResult | None = None) -> np.ndarray:
     """Generalized inertia matrix via composite-rigid-body accumulation."""
-    q = model.check_q(q)
+    q = check_q(model, q)
     if fk is None:
         fk = forward_kinematics(model, q)
     n = model.n_dof
@@ -91,7 +91,7 @@ def bias_forces(
 
     Gravity enters through the standard base-acceleration trick a_0 = -g.
     """
-    q = model.check_q(q)
+    q = check_q(model, q)
     qd = np.asarray(qd, dtype=float)
     if qd.shape != (model.n_dof,):
         raise ModelError(f"qd has shape {qd.shape}, expected ({model.n_dof},)")

@@ -21,8 +21,7 @@ def torque_qp(model, state, qddot_safe, contact, extra_rows, weights, tau_prev, 
     n = model.n_dof
     k = 0 if contact is None else contact.J_c.shape[0]
     nz = n + k
-    mass, bias = joint_dynamics(model, state.q.tolist(), state.qd.tolist(),
-                                np.asarray(gravity, dtype=float).tolist())
+    mass, bias = joint_dynamics(model, list(state.q), list(state.qd), list(gravity))
     mass, bias = np.array(mass), np.array(bias)
     T = np.empty((n, nz))
     T[:, :n] = mass
@@ -32,7 +31,7 @@ def torque_qp(model, state, qddot_safe, contact, extra_rows, weights, tau_prev, 
     H = 2.0 * weights.w_tau * (T.T @ T)
     g = 2.0 * weights.w_tau * (T.T @ (bias - tau_prev))
     H[:n, :n] += 2.0 * (weights.w_qdd * np.eye(n) + weights.w_M * mass)
-    g[:n] -= 2.0 * weights.w_qdd * qddot_safe
+    g[:n] -= 2.0 * weights.w_qdd * np.asarray(qddot_safe)
     if k:
         H[n:, n:] += 2.0 * weights.w_c * np.eye(k)
         g[n:] -= 2.0 * weights.w_c * contact.F_c_des
@@ -40,7 +39,7 @@ def torque_qp(model, state, qddot_safe, contact, extra_rows, weights, tau_prev, 
     limited = [i for i, joint in enumerate(model.joints) if math.isfinite(joint.tau_max)]
     tau_max = np.array([model.joints[i].tau_max for i in limited])
     m_c = contact.U.shape[0] if k else 0
-    m_e = 0 if extra_rows is None else extra_rows.rhs.shape[0]
+    m_e = 0 if extra_rows is None else len(extra_rows.rhs)
     m = m_c + m_e + 2 * len(limited)
     if not m:
         return H, g, None, None

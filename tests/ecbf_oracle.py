@@ -35,14 +35,15 @@ def moved(obstacles: list[Obstacle], tau: float) -> list[Obstacle]:
 
 def hd_along_motion(model, state, obstacles, config, pairs, workspace_pairs, tau):
     """(kind, pair) -> hd = grad . qd - drift at time offset ``tau``."""
-    probe = JointState(q=state.q + tau * state.qd, qd=state.qd, t=state.t + tau)
+    probe = JointState(q=np.array(state.q) + tau * np.array(state.qd), qd=state.qd,
+                       t=state.t + tau)
     wide = replace(config, activation_distance=math.inf)
     plan = barrier_plan(model, wide, pairs, [obstacle.body for obstacle in obstacles],
                         workspace_pairs)
     rows = collect_constraints(plan, probe, forward_kinematics(model, probe.q),
                                moved(obstacles, tau))
     return {key: float(g @ state.qd) - drift
-            for key, g, drift in zip(rows.keys, rows.grad, rows.drift.tolist())}
+            for key, g, drift in zip(rows.keys, rows.grad, rows.drift)}
 
 
 def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
@@ -56,8 +57,7 @@ def ecbf_rows_fd(model, state, obstacles, config, pairs, workspace_pairs=(),
     plus, minus = (hd_along_motion(model, state, obstacles, config, pairs,
                                    workspace_pairs, tau) for tau in (step, -step))
     rhs, h_e, curvature = [], [], []
-    for key, g, h, alpha, drift in zip(rows.keys, rows.grad, rows.h.tolist(),
-                                       rows.alpha.tolist(), rows.drift.tolist()):
+    for key, g, h, alpha, drift in zip(rows.keys, rows.grad, rows.h, rows.alpha, rows.drift):
         curv = (plus[key] - minus[key]) / (2.0 * step)
         h_dot = float(g @ state.qd) - drift
         h_e.append(h_dot + alpha * h)

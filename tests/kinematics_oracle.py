@@ -39,6 +39,14 @@ from issf_wbc.kinwbc import SIGMA_REL_DEFAULT
 from issf_wbc.model import ModelError, RobotModel
 
 
+def check_q(model: RobotModel, q) -> np.ndarray:
+    """``q`` as an array of the model's n joint angles."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (model.n_dof,):
+        raise ModelError(f"q has shape {q.shape}, expected ({model.n_dof},)")
+    return q
+
+
 def link_point(fk: float_model.FkResult, link: int, point_in_link) -> np.ndarray:
     """World position of a point fixed in ``link``, at the package's pose ``fk``."""
     return np.array(fk._point(link, float_model._xyz(point_in_link)))
@@ -138,7 +146,7 @@ class FkResult:
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> FkResult:
     """Compose world-frame link poses parent-to-child (base is the identity)."""
-    q = model.check_q(q)
+    q = check_q(model, q)
     n = model.n_dof
     rot = np.empty((n, 3, 3))
     pos = np.empty((n, 3))

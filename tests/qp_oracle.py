@@ -18,6 +18,8 @@ iterative refinement.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from issf_wbc.qpsolver import QpDimensionError, QpProblem, QpSolution, QpStatus
@@ -129,7 +131,7 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
     check_strict_convexity(H)
     norms = np.sqrt(np.einsum("ij,ji->i", A, np.linalg.solve(H, A.T))) if m else np.zeros(0)
 
-    feas_tol = FEAS_TOL * (1.0 + np.abs(b))     # per row
+    feas_tol = FEAS_TOL * (1.0 + np.abs(b))     # per row, before the relative scale
     max_iter = max_iter or max(10 * (n + m), 20)
 
     work: list[int] = []
@@ -170,7 +172,13 @@ def solve(problem: QpProblem, warm_start: np.ndarray | None = None,
 
     while iterations < max_iter:
         viol = b - A @ x if m else np.zeros(0)
-        viol[viol <= feas_tol] = -np.inf
+        for i in np.flatnonzero((viol > 0.0) & (viol <= feas_tol)):
+            # Within the absolute scale: violated when beyond the row's own,
+            # |b_i| + sum_j |a_ij x_j|, summed left to right.
+            if viol[i] <= FEAS_TOL * sum(map(abs, map(mul, A[i].tolist(), x.tolist())),
+                                         abs(b[i])):
+                viol[i] = -np.inf
+        viol[viol <= 0.0] = -np.inf
         if work:
             viol[work] = -np.inf
         cand = int(np.argmax(viol)) if m else -1

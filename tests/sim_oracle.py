@@ -38,7 +38,7 @@ def qdd(model, q, qd, tau, gravity, t):
 
 def step_physics(plant_model, state: JointState, tau_cmd: np.ndarray, gravity: np.ndarray,
                  dt: float, integrator=Integrator.SEMI_IMPLICIT_EULER) -> JointState:
-    q, qd, tau, t = state.q.tolist(), state.qd.tolist(), tau_cmd.tolist(), state.t
+    q, qd, tau, t = list(state.q), list(state.qd), tau_cmd.tolist(), state.t
     g = np.asarray(gravity, dtype=float).tolist()
     if integrator is Integrator.SEMI_IMPLICIT_EULER:
         qd_next = _axpy(dt, qdd(plant_model, q, qd, tau, g, t), qd)

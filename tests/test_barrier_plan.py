@@ -68,7 +68,7 @@ def moved(obstacles, tau):
 def assert_rows_equal(rows, expected):
     assert rows.keys == expected.keys
     for name in ROW_ARRAYS:
-        got, want = getattr(rows, name), getattr(expected, name)
+        got, want = np.asarray(getattr(rows, name)), getattr(expected, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert len(rows.witness) == len(expected.witness)
     for got, want in zip(rows.witness, expected.witness):
@@ -106,7 +106,7 @@ class TestAgainstOracle:
                                       model, state, fk, obstacles, cbf, pairs, workspace))
 
                 truth = moved(obstacles, 0.01)
-                got = _barrier_values(plan, q, fk, truth)
+                got = np.array(_barrier_values(plan, q, fk, truth))
                 want = barrier_oracle.barrier_values(model, q, fk, pairs, truth, workspace)
                 assert got.tobytes() == want.tobytes()
 
@@ -114,7 +114,7 @@ class TestAgainstOracle:
                 accel_expected = barrier_oracle.ecbf_rows(state, fk, expected)
                 assert accel.keys == accel_expected.keys
                 for name in ("grad", "rhs", "h_e"):
-                    assert (getattr(accel, name).tobytes()
+                    assert (np.asarray(getattr(accel, name)).tobytes()
                             == getattr(accel_expected, name).tobytes()), name
 
                 active += sum(kind in COLLISION_KINDS for kind, _ in rows.keys)

@@ -19,7 +19,7 @@ from issf_wbc.safety import AccelRows, BarrierKind
 import dynwbc_oracle
 from conftest import dynamics_arrays, enumerate_qp, random_chain, two_link_planar
 
-GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY = (0.0, 0.0, -9.81)
 
 
 class TestSafeAcceleration:
@@ -163,12 +163,12 @@ class TestSolveDynWbc:
                                            F_c_des=np.array([0.5, 10.0]))
                 rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0"),
                                        (BarrierKind.JOINT_LIMIT_MIN, "q1")],
-                                 grad=rng.normal(size=(2, n)), rhs=rng.normal(size=2),
-                                 h_e=np.zeros(2))
+                                 grad=rng.normal(size=(2, n)), rhs=rng.normal(size=2).tolist(),
+                                 h_e=[0.0, 0.0])
                 qdd_safe = rng.normal(size=n) * 20.0
                 tau_prev = rng.normal(size=n)
-                result = solve_dynwbc(model, state, qdd_safe, contact, rows, weights,
-                                      tau_prev, QpSolver(), GRAVITY)
+                result = solve_dynwbc(model, state, qdd_safe.tolist(), contact, rows, weights,
+                                      tau_prev.tolist(), QpSolver(), GRAVITY)
 
                 nz = 2 * n + k
                 H = np.zeros((nz, nz))
@@ -228,10 +228,10 @@ class TestSolveDynWbc:
                 rows = None
                 if rng.random() < 0.5:
                     rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0")] * 2,
-                                     grad=rng.normal(size=(2, n)), rhs=rng.normal(size=2),
-                                     h_e=np.zeros(2))
-                args = [model, state, rng.normal(size=n) * 10.0, contact, rows, weights,
-                        rng.normal(size=n) * 10.0, GRAVITY]
+                                     grad=rng.normal(size=(2, n)),
+                                     rhs=rng.normal(size=2).tolist(), h_e=[0.0, 0.0])
+                args = [model, state, (rng.normal(size=n) * 10.0).tolist(), contact, rows,
+                        weights, (rng.normal(size=n) * 10.0).tolist(), GRAVITY]
                 solver = KeepProblem()
                 try:
                     solve_dynwbc(*args[:7], solver, GRAVITY)
@@ -258,8 +258,8 @@ class TestSolveDynWbc:
         joints = tuple(dataclasses.replace(j, tau_max=1.0) for j in model.joints)
         model = dataclasses.replace(model, joints=joints)
         state = JointState(q=np.array([0.3, -0.5]), qd=np.zeros(2))
-        result = solve_dynwbc(model, state, np.array([50.0, 50.0]), None, None,
-                              DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
+        result = solve_dynwbc(model, state, [50.0, 50.0], None, None,
+                              DynWbcWeights(), [0.0, 0.0], QpSolver(), GRAVITY)
         assert np.all(np.abs(result.tau_opt) <= 1.0 + 1e-9)
         assert result.dynamics_residual < 1e-8
 
@@ -268,11 +268,11 @@ class TestSolveDynWbc:
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
         rows = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0"),
                                (BarrierKind.JOINT_LIMIT_MAX, "q0")],
-                         grad=np.array([[1.0, 0.0], [-1.0, 0.0]]), rhs=np.array([1.0, 1.0]),
-                         h_e=np.zeros(2))
+                         grad=np.array([[1.0, 0.0], [-1.0, 0.0]]), rhs=[1.0, 1.0],
+                         h_e=[0.0, 0.0])
         with pytest.raises(DynWbcInfeasibleError):
-            solve_dynwbc(model, state, np.zeros(2), None, rows, DynWbcWeights(),
-                         np.zeros(2), QpSolver(), GRAVITY)
+            solve_dynwbc(model, state, [0.0, 0.0], None, rows, DynWbcWeights(),
+                         [0.0, 0.0], QpSolver(), GRAVITY)
 
     def test_torque_smoothing_settles(self, rng):
         # with w_tau > 0 and constant inputs the command converges monotonically
@@ -280,14 +280,14 @@ class TestSolveDynWbc:
         state = JointState(q=rng.uniform(-1, 1, 3), qd=np.zeros(3))
         weights = DynWbcWeights(w_tau=0.5)
         solver = QpSolver()
-        tau_prev = rng.normal(size=3) * 5
-        qdd_safe = rng.normal(size=3)
+        tau_prev = (rng.normal(size=3) * 5).tolist()
+        qdd_safe = rng.normal(size=3).tolist()
         deltas = []
         for _ in range(40):
             result = solve_dynwbc(model, state, qdd_safe, None, None, weights,
                                   tau_prev, solver, GRAVITY)
             deltas.append(np.linalg.norm(result.tau_opt - tau_prev))
-            tau_prev = result.tau_opt
+            tau_prev = result.tau_opt.tolist()
         for a, b in zip(deltas, deltas[1:]):
             assert b <= a + 1e-12
         assert deltas[-1] < 1e-6
@@ -296,9 +296,9 @@ class TestSolveDynWbc:
         model = two_link_planar()
         state = JointState(q=np.zeros(2), qd=np.zeros(2))
         row = AccelRows(keys=[(BarrierKind.JOINT_LIMIT_MIN, "q0")],
-                        grad=np.array([[1.0, 0.0]]), rhs=np.array([5.0]), h_e=np.ones(1))
-        result = solve_dynwbc(model, state, np.zeros(2), None, row,
-                              DynWbcWeights(), np.zeros(2), QpSolver(), GRAVITY)
+                        grad=np.array([[1.0, 0.0]]), rhs=[5.0], h_e=[1.0])
+        result = solve_dynwbc(model, state, [0.0, 0.0], None, row,
+                              DynWbcWeights(), [0.0, 0.0], QpSolver(), GRAVITY)
         assert result.qddot_opt[0] >= 5.0 - 1e-8
 
 

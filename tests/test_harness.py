@@ -388,6 +388,8 @@ class TestEveryScenarioValueHonouredOrRejected:
          "workspace[0].d_max: must be finite and > 0, got inf"),
         (("sim",), "dt_physics", 3e-4,
          "sim.dt_physics: must divide dt_control (0.0005), got 0.0003"),
+        ((), "q0", [1.1, 2.1, 100.0], "q0: outside joint limits"),
+        ((), "q0", [-100.0, 2.1, 1.4], "q0: outside joint limits"),
     ])
     def test_value_out_of_bounds_rejected(self, tmp_path, path, key, value, problem):
         assert single_problem(every_block_scenario(tmp_path, path, key, value)) == problem

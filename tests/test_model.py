@@ -5,6 +5,7 @@ import pytest
 
 from issf_wbc.model import (
     JointSpec,
+    JointState,
     LinkSpec,
     ModelError,
     RobotModel,
@@ -256,6 +257,55 @@ class TestValidation:
                             parent=-1, origin_xyz=np.ones(3))
         with pytest.raises(ModelError):
             RobotModel("bad", (bad_link,), (JointSpec(axis=np.array([0.0, 0, 1])),))
+
+
+class TestFloatFormat:
+    """Joint vectors are float tuples, converted once from any sequence."""
+
+    def test_joint_state_from_arrays_lists_and_tuples(self, rng):
+        q, qd = rng.normal(size=4), rng.normal(size=4)
+        states = [JointState(q=make(q), qd=make(qd), t=0.5)
+                  for make in (np.array, lambda v: v.tolist(), lambda v: tuple(v.tolist()))]
+        for state in states:
+            assert state.q == tuple(q.tolist()) and state.qd == tuple(qd.tolist())
+            assert all(type(v) is float for v in state.q + state.qd)
+            state.validate(4)
+        state = JointState(q=[1, 2], qd=(0, -1))
+        assert state.q == (1.0, 2.0) and type(state.qd[1]) is float
+
+    def test_joint_state_rejects_bad_lengths_and_non_finite_entries(self):
+        with pytest.raises(ModelError, match=r"^state dimension mismatch: q \(2,\), "
+                                             r"qd \(3,\), expected \(3,\)$"):
+            JointState(q=np.zeros(2), qd=[0.0] * 3).validate(3)
+        with pytest.raises(ModelError, match=r"^state dimension mismatch: q \(3,\), "
+                                             r"qd \(3,\), expected \(2,\)$"):
+            JointState(q=(0.0,) * 3, qd=np.zeros(3)).validate(2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ModelError, match="^non-finite entries in joint state$"):
+                JointState(q=[0.0, bad], qd=[0.0, 0.0]).validate(2)
+            with pytest.raises(ModelError, match="^non-finite entries in joint state$"):
+                JointState(q=[0.0, 0.0], qd=np.array([bad, 0.0])).validate(2)
+        with pytest.raises(TypeError):      # not a flat sequence of numbers
+            JointState(q=np.zeros((3, 1)), qd=np.zeros(3))
+
+    def test_forward_kinematics_rejects_a_wrong_length(self):
+        for q in ([0.0] * 3, (0.0,), np.zeros(3)):
+            with pytest.raises(ModelError, match=r"^q has shape \(\d,\), expected \(2,\)$"):
+                forward_kinematics(unit_chain(2), q)
+
+    def test_limits_are_float_tuples_built_once(self):
+        links = tuple(LinkSpec(mass=1.0, com=np.zeros(3), inertia=np.eye(3) * 1e-3,
+                               parent=i - 1, origin_xyz=np.ones(3)) for i in range(2))
+        joints = (JointSpec(axis=np.array([0.0, 0.0, 1.0]), q_min=-1, q_max=np.float64(2.0),
+                            tau_max=5),
+                  JointSpec(axis=np.array([0.0, 1.0, 0.0])))
+        model = RobotModel("limits", links, joints)
+        assert model.q_min == (-1.0, -math.pi)
+        assert model.q_max == (2.0, math.pi)
+        assert model.tau_max == (5.0, math.inf)
+        for limits in (model.q_min, model.q_max, model.tau_max):
+            assert all(type(v) is float for v in limits)
+        assert model.tau_max is model.tau_max and model.q_min is model.q_min
 
 
 class TestRobotFile:

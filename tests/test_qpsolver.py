@@ -159,6 +159,20 @@ class TestContract:
             if warm is not None:
                 assert QpSolver().solve(problem, warm).iterations == 1
 
+    @pytest.mark.parametrize("scale", [10.0 ** -k for k in range(15)])
+    def test_small_rows_are_enforced(self, scale):
+        # x >= 2 posed as scale * x >= 2 * scale: at x = 0 the row is violated
+        # by 2 * scale, below the absolute scale FEAS_TOL (1 + |b|) from
+        # scale 1e-11 on, but far beyond its own |b| + |a x|.  The row is
+        # enforced at every scale, by both solvers.
+        problem = QpProblem(H=[[2.0]], g=[0.0], A_ineq=np.array([[scale]]),
+                            b_ineq=[2.0 * scale])
+        for solve in (QpSolver().solve, qp_oracle.solve):
+            sol = solve(problem)
+            assert (sol.status, sol.active_set) == (QpStatus.OPTIMAL, (0,)), scale
+            np.testing.assert_allclose(sol.x, [2.0], rtol=1e-12)
+            assert sol.kkt_residual < 1e-12
+
     def test_rejects_nonconvex(self):
         with pytest.raises(ValueError):
             QpSolver().solve(QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2)))

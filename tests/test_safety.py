@@ -48,12 +48,11 @@ def hand_rows(h, grad, alpha, epsilon, drift=0.0, kind=BarrierKind.JOINT_LIMIT_M
     grad = np.array(grad, dtype=float).reshape(m, -1)
 
     def per_row(value):
-        return np.broadcast_to(np.asarray(value, dtype=float), (m,)).copy()
+        return np.broadcast_to(np.asarray(value, dtype=float), (m,)).tolist()
 
     return BarrierRows(keys=[(kind, f"p{i}") for i in range(m)], h=per_row(h), grad=grad,
                        alpha=per_row(alpha), drift=per_row(drift),
-                       margin=np.array([float(g @ g) / e
-                                        for g, e in zip(grad, per_row(epsilon))]),
+                       margin=[float(g @ g) / e for g, e in zip(grad, per_row(epsilon))],
                        witness=[None] * m)
 
 
@@ -256,10 +255,29 @@ class TestFilter:
             assert cbf.keys == issf.keys
             assert (BarrierKind.OBJECT_COLLISION, "tip|ball") in cbf.keys
             for name in ("h", "grad", "alpha", "drift"):
-                assert getattr(cbf, name).tobytes() == getattr(issf, name).tobytes(), name
-            assert not cbf.margin.any() and issf.margin.all()
-            np.testing.assert_array_equal(cbf.rhs(), cbf.drift - cbf.alpha * cbf.h)
-            np.testing.assert_array_equal(issf.rhs(), cbf.rhs() + issf.margin)
+                assert (np.asarray(getattr(cbf, name)).tobytes()
+                        == np.asarray(getattr(issf, name)).tobytes()), name
+            cbf_margin, issf_margin = np.array(cbf.margin), np.array(issf.margin)
+            assert not cbf_margin.any() and issf_margin.all()
+            np.testing.assert_array_equal(
+                cbf.rhs(), np.array(cbf.drift) - np.array(cbf.alpha) * np.array(cbf.h))
+            np.testing.assert_array_equal(issf.rhs(), np.array(cbf.rhs()) + issf_margin)
+
+    def test_rhs_equals_the_former_array_expression(self, rng):
+        # rhs() per row on floats gives the bytes of the array expression
+        # drift - alpha * h + margin, over random rows with inf-eps rows
+        # (margin 0), zero drifts and h across eight decades among them.
+        for m in range(1, 13):
+            h = rng.normal(size=m) * 10.0 ** rng.integers(-6, 3, m)
+            eps = np.where(rng.random(m) < 0.3, math.inf, rng.uniform(1.0, 60.0, m))
+            drift = np.where(rng.random(m) < 0.5, 0.0, rng.normal(size=m))
+            rows = hand_rows(h, rng.normal(size=(m, 3)), rng.uniform(0.5, 50.0, m), eps, drift)
+            assert 0.0 in rows.margin or m < 4
+            expected = (np.array(rows.drift) - np.array(rows.alpha) * np.array(rows.h)
+                        + np.array(rows.margin))
+            rhs = rows.rhs()
+            assert all(type(b) is float for b in rhs)
+            assert np.array(rhs).tobytes() == expected.tobytes()
 
     def test_random_instances_match_enumeration(self, rng):
         solver = QpSolver()
@@ -324,7 +342,7 @@ class TestFilter:
                     h_prev, alpha_prev = prev[key]
                     assert h >= (1 - alpha_prev * dt) * h_prev - 1e-6
                 prev[key] = (h, alpha)
-            q = q + result.qdot_safe * dt
+            q = q + np.array(result.qdot_safe) * dt
 
     def test_epsilon_monotonicity_on_rom(self):
         # same kinematic scenario; min-over-time h non-increasing as eps grows
@@ -348,7 +366,7 @@ class TestFilter:
                 result = filter_velocity(qdot_des, rows, config, solver)
                 h_min = min(h_min, min(h for (kind, _), h in zip(rows.keys, rows.h)
                                        if kind is BarrierKind.SELF_COLLISION))
-                q = q + result.qdot_safe * dt
+                q = q + np.array(result.qdot_safe) * dt
             mins.append(h_min)
         assert mins[0] >= mins[1] - 1e-12 >= mins[2] - 2e-12
 
@@ -432,8 +450,9 @@ class TestEcbf:
 def curvatures(rows, collected):
     """The curvature term of each eCBF row, read back from its rhs:
     rhs = -alpha h_e - c - alpha hd with hd = h_e - alpha h."""
-    alpha = collected.alpha
-    return -rows.rhs - alpha * rows.h_e - alpha * (rows.h_e - alpha * collected.h)
+    alpha, h = np.array(collected.alpha), np.array(collected.h)
+    rhs, h_e = np.array(rows.rhs), np.array(rows.h_e)
+    return -rhs - alpha * h_e - alpha * (h_e - alpha * h)
 
 
 def bodied_chain(rng, n):

@@ -44,6 +44,7 @@ from issf_wbc.sim import (
     step_physics,
 )
 
+import issf_wbc.sim as sim_module
 import sim_oracle
 from conftest import random_chain, two_link_planar
 from dynamics_oracle import bias_forces, kinetic_energy, mass_matrix
@@ -170,22 +171,27 @@ class TestStepPhysics:
                     q, qd = step_physics(model, q, qd, tau.tolist(), g.tolist(), t, dt,
                                          integrator)
                     t += dt
-                    assert np.array(q).tobytes() == state.q.tobytes()
-                    assert np.array(qd).tobytes() == state.qd.tobytes()
+                    assert np.array(q).tobytes() == np.array(state.q).tobytes()
+                    assert np.array(qd).tobytes() == np.array(state.qd).tobytes()
                     assert t == state.t
-        # A huge torque overflows the state (an RK4 stage takes the cosine of
-        # an infinite angle first): both steps fail with the same error.
+        # A huge torque overflows the state.  Euler: both steps fail with the
+        # same error.  RK4: the list step stops at the second stage's state,
+        # whose velocity is infinite, where the former step went on to take
+        # the cosine of an infinite angle in the third stage.
         model = point_pendulum()
-        errors = []
-        for step in (sim_oracle.step_physics, step_physics):
-            with pytest.raises((SimulationDivergedError, ValueError)) as err:
-                if step is step_physics:
-                    step(model, [0.1], [0.0], [1e308], GRAVITY.tolist(), 0.5, 1.0, integrator)
-                else:
-                    step(model, JointState(q=np.array([0.1]), qd=np.zeros(1), t=0.5),
-                         np.array([1e308]), GRAVITY, 1.0, integrator)
-            errors.append((type(err.value), str(err.value)))
-        assert errors[0] == errors[1]
+        with pytest.raises(SimulationDivergedError) as err:
+            step_physics(model, [0.1], [0.0], [1e308], GRAVITY.tolist(), 0.5, 1.0, integrator)
+        former = JointState(q=np.array([0.1]), qd=np.zeros(1), t=0.5)
+        if integrator is Integrator.SEMI_IMPLICIT_EULER:
+            with pytest.raises(SimulationDivergedError) as old:
+                sim_oracle.step_physics(model, former, np.array([1e308]), GRAVITY, 1.0,
+                                        integrator)
+            assert str(err.value) == str(old.value)
+        else:
+            assert str(err.value) == "non-finite state at t=1.000000: q=[0.1], qd=[inf]"
+            with pytest.raises(ValueError, match="math domain error"):
+                sim_oracle.step_physics(model, former, np.array([1e308]), GRAVITY, 1.0,
+                                        integrator)
 
     @pytest.mark.parametrize("integrator", list(Integrator))
     def test_singular_mass_matrix_aborts_with_time(self, integrator):
@@ -369,11 +375,11 @@ class TestClosedLoop:
             dbar = 0.0
             for k in range(round(0.4 / dt_c)):
                 _, rec = controller.step(state, k * dt_c, [])
-                q_before = state.q
+                q_before = np.array(state.q)
                 for _ in range(scenario.sim.substeps):
-                    qd = state.qd + rec.qdd_safe * dt_p
-                    state = JointState(q=state.q + qd * dt_p, qd=qd, t=state.t + dt_p)
-                d_k = (state.q - q_before) / dt_c - rec.filtered.qdot_safe
+                    qd = np.array(state.qd) + np.array(rec.qdd_safe) * dt_p
+                    state = JointState(q=np.array(state.q) + qd * dt_p, qd=qd, t=state.t + dt_p)
+                d_k = (np.array(state.q) - q_before) / dt_c - np.array(rec.filtered.qdot_safe)
                 dbar = max(dbar, float(np.abs(d_k).max()))
             dbars.append(dbar)
         assert dbars[1] < 0.6 * dbars[0]
@@ -427,6 +433,33 @@ class TestClosedLoop:
         assert len(applied) == 50
         assert [i for i, on in enumerate(applied) if on] == list(range(1, 25))
 
+    def test_pulse_torques_sum_to_the_former_array_bytes(self, monkeypatch):
+        # Overlapping pulses, with -0.0 entries and sums that rounding makes
+        # depend on their order: each substep's torque has the bytes of the
+        # former tau_cmd + sum(active torque or zeros, zeros(n)).
+        model = two_link_planar(0.4, 0.4)
+        pulses = [TorquePulse(0.0, 3e-3, (0.1, -0.0)), TorquePulse(1e-3, 4e-3, (0.2, 1e-3)),
+                  TorquePulse(2e-3, 5e-3, (0.3, -0.0))]
+        scenario = mini_scenario(model, 0.006, tasks=[hold_task(model, np.zeros(2), 0.006)],
+                                 pulses=pulses)
+        applied = []
+        original = sim_module.step_physics
+
+        def recording(plant, q, qd, tau, *args):
+            applied.append(tau)
+            return original(plant, q, qd, tau, *args)
+
+        monkeypatch.setattr(sim_module, "step_physics", recording)
+        trace = run_closed_loop(model, model, scenario)
+        cfg, zeros = scenario.sim, np.zeros(2)
+        assert len(applied) == trace.cycles * cfg.substeps
+        for i, tau in enumerate(applied):
+            k, j = divmod(i, cfg.substeps)
+            t_sub = k * cfg.dt_control + j * cfg.dt_physics
+            expected = trace.tau_cmd[k] + sum(
+                (np.array(p.torque) if p.active(t_sub) else zeros for p in pulses), np.zeros(2))
+            assert np.array(tau).tobytes() == expected.tobytes(), (k, j)
+
     def test_ecbf_mode_keeps_extended_barrier_nonnegative(self):
         # exact dynamics (no mismatch, no motor PD), fine dt: h_e >= -1e-4
         model = two_link_planar(0.4, 0.4)
@@ -455,6 +488,29 @@ class TestClosedLoop:
         scenario = mini_scenario(model, 0.05, tasks=[task], filter_config=config)
         trace = run_closed_loop(model, model, scenario)
         assert "relaxed" in trace.qp_status
+
+
+class TestFloatFormat:
+    """Gravity and pulse torques are float tuples, converted once."""
+
+    def test_gravity_and_pulse_torque_from_arrays_lists_and_tuples(self):
+        for make in (np.array, list, tuple):
+            config = SimConfig(duration=1.0, gravity=make([0.5, -1, -9.81]))
+            pulse = TorquePulse(start=0.0, end=1.0, torque=make([2, -0.0, 1.5]))
+            assert config.gravity == (0.5, -1.0, -9.81)
+            assert pulse.torque == (2.0, -0.0, 1.5)
+            assert math.copysign(1.0, pulse.torque[1]) == -1.0
+            assert all(type(v) is float for v in config.gravity + pulse.torque)
+            assert replace(config, duration=2.0).gravity == config.gravity
+        assert SimConfig(duration=1.0).gravity == (0.0, 0.0, -9.81)
+
+    def test_non_finite_entries_rejected_with_their_values(self):
+        for make in (np.array, list, tuple):
+            with pytest.raises(ValueError, match=r"^gravity: must be finite, "
+                                                 r"got \[0\.0, nan, -9\.81\]$"):
+                SimConfig(duration=1.0, gravity=make([0.0, math.nan, -9.81]))
+            with pytest.raises(ValueError, match=r"^torque: must be finite, got \[inf, 0\.0\]$"):
+                TorquePulse(start=0.0, end=1.0, torque=make([math.inf, 0.0]))
 
 
 class TestTraceCsv:
@@ -525,15 +581,15 @@ class TestController:
             controller = Controller(model, scenario, mode)
             q, qd, t = scenario.q0.tolist(), scenario.qd0.tolist(), 0.0
             for k in range(trace.cycles):
-                state = JointState(q=np.array(q), qd=np.array(qd), t=t)
+                state = JointState(q=q, qd=qd, t=t)
                 tau_cmd, rec = controller.step(state, k * dt, [])
-                assert trace.q[k].tobytes() == state.q.tobytes()
-                assert trace.qdot_des[k].tobytes() == rec.qdot_des.tobytes()
-                assert trace.qdot_safe[k].tobytes() == rec.filtered.qdot_safe.tobytes()
-                assert trace.tau_cmd[k].tobytes() == tau_cmd.tobytes()
+                assert trace.q[k].tobytes() == np.array(state.q).tobytes()
+                assert trace.qdot_des[k].tobytes() == np.array(rec.qdot_des).tobytes()
+                assert trace.qdot_safe[k].tobytes() == np.array(rec.filtered.qdot_safe).tobytes()
+                assert trace.tau_cmd[k].tobytes() == np.array(tau_cmd).tobytes()
                 assert trace.qp_status[k] == rec.filtered.status
                 for _ in range(scenario.sim.substeps):
-                    q, qd = step_physics(plant, q, qd, tau_cmd.tolist(), GRAVITY.tolist(), t,
+                    q, qd = step_physics(plant, q, qd, tau_cmd, GRAVITY.tolist(), t,
                                          scenario.sim.dt_physics)
                     t += scenario.sim.dt_physics
             assert trace.cycles == 200
@@ -597,7 +653,7 @@ class TestBarrierEnumerations:
                                        obstacles)
             assert rows.keys == plan.keys
             truth_h = _barrier_values(plan, q, fk, [truth.at(t) for truth in truths])
-            assert rows.h.tobytes() == truth_h.tobytes()
+            assert np.array(rows.h).tobytes() == np.array(truth_h).tobytes()
 
 
 def config_kinds():
