@@ -179,7 +179,7 @@ def kernels(scenario) -> dict[str, callable]:
     n = model.n_dof
     weights = scenario.weights
     kalman = ConstantVelocityKalman(0.005)
-    z = np.array([0.4, -0.2, 0.1])
+    z = [0.4, -0.2, 0.1]     # the measurement as the loop passes it, a float list
     kalman.update(z, dt_control)
     trace = run_closed_loop(model, plant, replace(
         scenario, sim=replace(scenario.sim, duration=CSV_DURATION)))

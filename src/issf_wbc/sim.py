@@ -22,11 +22,13 @@ the top of ``Controller.step`` is this module's only one (``perfbench``
 counts cycles by it).
 
 ``run_closed_loop`` is the plant loop that drives it at the control rate:
-sense the obstacles, step the controller, log the ground-truth values of
-the barriers in the controller's plan (``safety._barrier_values``, which
-poses each body once and calls ``geometry.closest_points`` per pair), then
-hold the command over the physics substeps of the full-order dynamics
-qdd = M^-1 (tau - h).  The plant's q and qd stay float lists across a
+sense the obstacles, step the controller, hold the command over the physics
+substeps of the full-order dynamics qdd = M^-1 (tau - h), then record the
+cycle in one ``RunTrace.record`` call, the ground-truth barrier values
+(``safety._barrier_values``) among its outputs.  Each per-cycle output is
+one ``RunTrace`` field made by ``_output``, which the allocation
+(``RunTrace.empty``), ``record`` and both CSV writers read, in column
+order.  The plant's q and qd stay float lists across a
 cycle's substeps (``step_physics`` maps lists to lists, solving for qdd in
 one generated kernel, ``_codegen.cholesky_solve``), and the controller gets
 one ``JointState`` per cycle.  Gravity and pulse torques are float
@@ -51,7 +53,8 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -236,8 +239,8 @@ class ConstantVelocityKalman:
         self.velocity = [0.0, 0.0, 0.0]
         self.P = ((self.r, 0.0), (0.0, 1.0))
 
-    def update(self, measurement: np.ndarray, dt: float) -> None:
-        z = np.asarray(measurement, dtype=float).tolist()
+    def update(self, measurement: Sequence[float], dt: float) -> None:
+        z = list(map(float, measurement))
         if self.position is None:
             self.position = z
         else:
@@ -273,31 +276,53 @@ class ConstraintDumpRow:
     active: bool
 
 
+def _output(width: int | str, dtype: type, *files: str):
+    """Declare a per-cycle output of ``RunTrace``: ``width`` values a cycle (1,
+    ``"n"`` per joint or ``"rows"`` per barrier row) of ``dtype``, in ``files``."""
+    return field(metadata={"output": (width, dtype, files)})
+
+
+def _suffixes(n_dof: int, barrier_keys: list[str]) -> dict:
+    """Each output width's CSV column-name suffixes, one per value of a cycle."""
+    return {1: [""], "n": range(n_dof), "rows": [f":{key}" for key in barrier_keys]}
+
+
 @dataclass
 class RunTrace:
     """Per-cycle record of a closed-loop run plus derived metrics."""
 
-    # the per-joint blocks of a trace.csv row, in column order (not fields)
-    _vector_blocks = ("q", "qd", "qdot_des", "qdot_safe", "tau_cmd")
-
     n_dof: int
     barrier_keys: list[str]
-    t: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    qdot_des: np.ndarray
-    qdot_safe: np.ndarray
-    tau_cmd: np.ndarray
-    h: np.ndarray                       # (cycles, len(barrier_keys))
-    d_inf: np.ndarray
-    dbar: np.ndarray
-    qp_iters: np.ndarray
-    qp_status: list[str]
-    dynamics_residual: np.ndarray
-    h_e_min: np.ndarray                 # min over eCBF rows, nan outside ecbf mode
-    clamped: np.ndarray                 # (cycles, n_dof) per-joint clamp flags
+    t: np.ndarray = _output(1, float, "trace.csv", "torques.csv")
+    q: np.ndarray = _output("n", float, "trace.csv")
+    qd: np.ndarray = _output("n", float, "trace.csv")
+    qdot_des: np.ndarray = _output("n", float, "trace.csv")
+    qdot_safe: np.ndarray = _output("n", float, "trace.csv")
+    tau_cmd: np.ndarray = _output("n", float, "trace.csv", "torques.csv")
+    h: np.ndarray = _output("rows", float, "trace.csv")
+    d_inf: np.ndarray = _output(1, float, "trace.csv")
+    dbar: np.ndarray = _output(1, float, "trace.csv")
+    qp_iters: np.ndarray = _output(1, int, "trace.csv")
+    qp_status: list[str] = _output(1, str, "trace.csv")
+    clamped: np.ndarray = _output("n", bool, "torques.csv")     # per-joint clamp flags
+    h_e_min: np.ndarray = _output(1, float)     # min over eCBF rows, nan outside ecbf mode
+    dynamics_residual: np.ndarray = _output(1, float)
     runtime_per_cycle_us: float = 0.0
     constraint_dump: list[ConstraintDumpRow] = field(default_factory=list)
+
+    @classmethod
+    def empty(cls, n_dof: int, barrier_keys: list[str], cycles: int) -> RunTrace:
+        """A trace of ``cycles`` cycles, every output allocated and zero ("")."""
+        suffixes = _suffixes(n_dof, barrier_keys)
+        return cls(n_dof, barrier_keys, **{
+            name: [""] * cycles if dtype is str
+            else np.zeros(cycles if width == 1 else (cycles, len(suffixes[width])), dtype)
+            for name, width, dtype, _ in OUTPUTS})
+
+    def record(self, k: int, **values) -> None:
+        """Set cycle ``k`` of each output named in ``values``."""
+        for name, value in values.items():
+            getattr(self, name)[k] = value
 
     @property
     def cycles(self) -> int:
@@ -306,32 +331,23 @@ class RunTrace:
     def final_dbar(self) -> float:
         return float(self.dbar[-1]) if self.cycles else 0.0
 
-    def column_names(self) -> list[str]:
-        names = ["t"]
-        for block in self._vector_blocks:
-            names += [f"{block}{i}" for i in range(self.n_dof)]
-        names += [f"h:{key}" for key in self.barrier_keys]
-        names += ["d_inf", "dbar", "qp_iters", "qp_status"]
-        return names
+    def _write(self, path, csv_file: str) -> None:
+        suffixes = _suffixes(self.n_dof, self.barrier_keys)
+        header, blocks = [], []
+        for name, width, dtype, files in OUTPUTS:
+            if csv_file in files:   # a flag is written as 0 or 1
+                header += [f"{name}{suffix}" for suffix in suffixes[width]]
+                blocks.append(np.asarray(getattr(self, name), int if dtype is bool else object))
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in np.column_stack(blocks).tolist():   # str of a float is its repr
+                fh.write(",".join(map(str, row)) + "\n")
 
     def to_csv(self, path) -> None:
-        floats = np.column_stack([self.t, *(getattr(self, block) for block in self._vector_blocks),
-                                  self.h, self.d_inf, self.dbar])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.column_names()) + "\n")
-            for row, iters, status in zip(floats.tolist(), self.qp_iters.tolist(),
-                                          self.qp_status):
-                fh.write(f"{','.join(map(repr, row))},{iters},{status}\n")
+        self._write(path, "trace.csv")
 
     def to_torque_csv(self, path) -> None:
-        """Torque command trace: t, per-joint command, per-joint clamp flag."""
-        floats = np.column_stack([self.t, self.tau_cmd])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            header = (["t"] + [f"tau_cmd{i}" for i in range(self.n_dof)]
-                      + [f"clamped{i}" for i in range(self.n_dof)])
-            fh.write(",".join(header) + "\n")
-            for row, flags in zip(floats.tolist(), self.clamped.astype(int).tolist()):
-                fh.write(f"{','.join(map(repr, row))},{','.join(map(str, flags))}\n")
+        self._write(path, "torques.csv")
 
     def dump_constraints_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -340,6 +356,10 @@ class RunTrace:
                 fh.write(
                     f"{row.t!r},{row.kind},{row.pair},{row.h!r},{row.rhs!r},{int(row.active)}\n"
                 )
+
+
+# (name, width, dtype, files) of each per-cycle output, in column order
+OUTPUTS = tuple((f.name, *f.metadata["output"]) for f in fields(RunTrace) if f.metadata)
 
 
 class _ObstacleTruth:
@@ -358,8 +378,8 @@ class _ObstacleTruth:
         """The controller's view of ``truth``, this body's pose at the cycle."""
         spec, kalman = self.spec, self.kalman
         std = spec.measurement_noise_std
-        noise = rng.normal(0.0, std, 3) if std > 0 else np.zeros(3)
-        kalman.update(truth.p0 + noise, dt)
+        noise = rng.normal(0.0, std, 3).tolist() if std > 0 else (0.0, 0.0, 0.0)
+        kalman.update([p + e for p, e in zip(truth.p0, noise)], dt)
         (x, y, z), (x0, y0, z0) = kalman.position, spec.body.p0
         return Obstacle(spec.body.moved((x - x0, y - y0, z - z0)), kalman.velocity)
 
@@ -420,12 +440,8 @@ class Controller:
         q_safe = [q + v * dt for q, v in zip(state.q, qdot_safe)]
         qdd_safe = safe_acceleration(q_safe, qdot_safe, state, self.gains)
 
-        extra_rows = None
-        h_e_min = math.nan
-        if config.mode is FilterMode.ECBF:
-            extra_rows = ecbf_rows(state, fk, rows)
-            if rows:
-                h_e_min = min(extra_rows.h_e)
+        extra_rows = ecbf_rows(state, fk, rows) if config.mode is FilterMode.ECBF else None
+        h_e_min = math.nan if extra_rows is None else min(extra_rows.h_e, default=math.nan)
 
         dyn = solve_dynwbc(model, state, qdd_safe, None, extra_rows, scenario.weights,
                            self.tau_prev, self.dyn_solver, scenario.sim.gravity,
@@ -459,17 +475,8 @@ def run_closed_loop(
     controller = Controller(nominal_model, scenario, mode)
 
     cycles = int(round(cfg.duration / cfg.dt_control))
-    catalog = controller.plan.keys
-    trace = RunTrace(
-        n_dof=n, barrier_keys=[f"{kind.value}|{pair}" for kind, pair in catalog],
-        t=np.zeros(cycles), q=np.zeros((cycles, n)), qd=np.zeros((cycles, n)),
-        qdot_des=np.zeros((cycles, n)), qdot_safe=np.zeros((cycles, n)),
-        tau_cmd=np.zeros((cycles, n)), h=np.zeros((cycles, len(catalog))),
-        d_inf=np.zeros(cycles), dbar=np.zeros(cycles),
-        qp_iters=np.zeros(cycles, dtype=int), qp_status=[],
-        dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
-        clamped=np.zeros((cycles, n), dtype=bool),
-    )
+    trace = RunTrace.empty(n, [f"{kind.value}|{pair}" for kind, pair in controller.plan.keys],
+                           cycles)
     # The plant's state, carried as floats; t_plant sums dt_physics per substep.
     q, qd, t_plant = scenario.q0.tolist(), scenario.qd0.tolist(), 0.0
     dbar = 0.0
@@ -485,18 +492,6 @@ def run_closed_loop(
         tau_cmd, rec = controller.step(state, t, obstacles)
         qdot_safe = rec.filtered.qdot_safe
 
-        trace.t[k] = t
-        trace.q[k] = state.q
-        trace.qd[k] = state.qd
-        trace.qdot_des[k] = rec.qdot_des
-        trace.qdot_safe[k] = qdot_safe
-        trace.tau_cmd[k] = tau_cmd
-        trace.h[k] = _barrier_values(controller.plan, state.q, rec.fk, bodies)
-        trace.qp_iters[k] = rec.filtered.iterations
-        trace.qp_status.append(rec.filtered.status)
-        trace.dynamics_residual[k] = rec.dynamics_residual
-        trace.h_e_min[k] = rec.h_e_min
-        trace.clamped[k] = rec.clamped
         if trace_constraints:
             tol = 1e-8 * (1.0 + max(map(abs, qdot_safe), default=0.0))
             rows = rec.rows
@@ -506,7 +501,6 @@ def run_closed_loop(
                     active=bool(grad @ qdot_safe - rhs <= tol),
                 ))
 
-        q_before = q
         tau = tau_cmd
         for j in range(cfg.substeps):
             if pulses:
@@ -522,10 +516,15 @@ def run_closed_loop(
             q, qd = step_physics(plant_model, q, qd, tau, cfg.gravity, t_plant,
                                  cfg.dt_physics, cfg.integrator)
             t_plant += cfg.dt_physics
-        trace.d_inf[k] = d_inf = max(
-            (abs((qi - qb) / cfg.dt_control - si)
-             for qi, qb, si in zip(q, q_before, qdot_safe)), default=0.0)
-        trace.dbar[k] = dbar = max(dbar, d_inf)
+        d_inf = max((abs((qi - qb) / cfg.dt_control - si)
+                     for qi, qb, si in zip(q, state.q, qdot_safe)), default=0.0)
+        dbar = max(dbar, d_inf)
+        trace.record(k, t=t, q=state.q, qd=state.qd, qdot_des=rec.qdot_des,
+                     qdot_safe=qdot_safe, tau_cmd=tau_cmd,
+                     h=_barrier_values(controller.plan, state.q, rec.fk, bodies),
+                     d_inf=d_inf, dbar=dbar, qp_iters=rec.filtered.iterations,
+                     qp_status=rec.filtered.status, clamped=rec.clamped,
+                     h_e_min=rec.h_e_min, dynamics_residual=rec.dynamics_residual)
 
     if cycles:
         trace.runtime_per_cycle_us = (time.perf_counter() - wall_start) / cycles * 1e6

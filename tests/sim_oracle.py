@@ -8,8 +8,10 @@ state as lists and solves with the one ``cholesky_solve`` kernel, and must
 give the same bytes and raise the same errors.
 
 ``to_csv`` and ``to_torque_csv`` are ``RunTrace``'s former writers, which
-format one cell at a time; the package's writers format a row at a time from
-one conversion of the stacked blocks, and must write the same bytes.
+format one cell at a time with the header and column order spelled out here
+(``trace_header``, ``torque_header``); the package's writers derive both
+from ``RunTrace``'s declared outputs, format a row at a time, and must write
+the same bytes.
 """
 
 from __future__ import annotations
@@ -61,10 +63,24 @@ def step_physics(plant_model, state: JointState, tau_cmd: np.ndarray, gravity: n
     return JointState(q=np.array(q_next), qd=np.array(qd_next), t=t + dt)
 
 
+# trace.csv's per-joint blocks, in column order
+VECTOR_BLOCKS = ("q", "qd", "qdot_des", "qdot_safe", "tau_cmd")
+
+
+def trace_header(n_dof: int, barrier_keys: list[str]) -> list[str]:
+    return (["t"] + [f"{block}{i}" for block in VECTOR_BLOCKS for i in range(n_dof)]
+            + [f"h:{key}" for key in barrier_keys] + ["d_inf", "dbar", "qp_iters", "qp_status"])
+
+
+def torque_header(n_dof: int) -> list[str]:
+    return (["t"] + [f"tau_cmd{i}" for i in range(n_dof)]
+            + [f"clamped{i}" for i in range(n_dof)])
+
+
 def to_csv(trace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trace.column_names()) + "\n")
-        blocks = [getattr(trace, block) for block in trace._vector_blocks] + [trace.h]
+        fh.write(",".join(trace_header(trace.n_dof, trace.barrier_keys)) + "\n")
+        blocks = [getattr(trace, block) for block in VECTOR_BLOCKS] + [trace.h]
         for k in range(trace.cycles):
             cells = [repr(float(trace.t[k]))]
             for block in blocks:
@@ -76,9 +92,7 @@ def to_csv(trace, path) -> None:
 
 def to_torque_csv(trace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = (["t"] + [f"tau_cmd{i}" for i in range(trace.n_dof)]
-                  + [f"clamped{i}" for i in range(trace.n_dof)])
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(torque_header(trace.n_dof)) + "\n")
         for k in range(trace.cycles):
             cells = [repr(float(trace.t[k]))]
             cells += [repr(float(v)) for v in trace.tau_cmd[k]]

@@ -32,6 +32,7 @@ from issf_wbc.scenario import (
     load_scenario,
 )
 from issf_wbc.sim import (
+    OUTPUTS,
     ConstantVelocityKalman,
     Controller,
     Integrator,
@@ -294,9 +295,18 @@ class TestClosedLoop:
         scenario = mini_scenario(model, 0.0)
         trace = run_closed_loop(model, model, scenario)
         assert trace.cycles == 0
+        widths = {1: (), "n": (2,), "rows": (len(trace.barrier_keys),)}
+        assert trace.barrier_keys
+        for name, width, dtype, _ in OUTPUTS:
+            if dtype is not str:
+                value = getattr(trace, name)
+                assert value.shape == (0, *widths[width]) and value.dtype == dtype, name
+        assert trace.qp_status == []
         trace.to_csv(tmp_path / "trace.csv")
-        lines = (tmp_path / "trace.csv").read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("t,")
+        trace.to_torque_csv(tmp_path / "torques.csv")
+        for csv, header in (("trace.csv", sim_oracle.trace_header(2, trace.barrier_keys)),
+                            ("torques.csv", sim_oracle.torque_header(2))):
+            assert (tmp_path / csv).read_text() == ",".join(header) + "\n"
 
     def test_determinism_bitwise(self, tmp_path):
         tip = CollisionBody("tip", 1, 0.05, np.zeros(3), np.zeros(3))
@@ -524,7 +534,15 @@ class TestTraceCsv:
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("mode", list(FilterMode))
-    def test_short_run_in_each_mode(self, tmp_path, mode):
+    def test_short_run_in_each_mode(self, tmp_path, mode, monkeypatch):
+        # Each cycle's one record call names every declared output.
+        record, named = RunTrace.record, []
+
+        def spy(trace, k, **values):
+            named.append(set(values))
+            record(trace, k, **values)
+
+        monkeypatch.setattr(RunTrace, "record", spy)
         for name in ("hand_track", "obstacle_track"):
             scenario = load_scenario(data_path(f"{name}.scenario"))
             scenario = replace(scenario, sim=replace(scenario.sim, duration=0.01))
@@ -532,6 +550,7 @@ class TestTraceCsv:
             trace = run_closed_loop(scenario.robot, plant, scenario, mode)
             assert trace.cycles == 20
             self.assert_writers_match(trace, tmp_path)
+        assert named == [{name for name, *_ in OUTPUTS}] * 40
 
     def test_special_values(self, tmp_path):
         cells = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
@@ -539,27 +558,21 @@ class TestTraceCsv:
         cycles, n, keys = 4, 2, ["joint-limit-min|q0", "self-collision|a-b"]
         values = iter(cells * 20)
 
-        def block(*shape):
-            return np.array([next(values) for _ in range(math.prod(shape))]).reshape(shape)
-
-        trace = RunTrace(
-            n_dof=n, barrier_keys=keys, t=block(cycles), q=block(cycles, n),
-            qd=block(cycles, n), qdot_des=block(cycles, n), qdot_safe=block(cycles, n),
-            tau_cmd=block(cycles, n), h=block(cycles, len(keys)), d_inf=block(cycles),
-            dbar=block(cycles), qp_iters=np.array([0, 3, 17, 250]),
-            qp_status=["passthrough", "optimal", "relaxed", "optimal"],
-            dynamics_residual=np.zeros(cycles), h_e_min=np.full(cycles, np.nan),
-            clamped=np.array([[True, False], [False, False], [True, True], [False, True]]),
-        )
+        special = {int: [0, 3, 17, 250],
+                   str: ["passthrough", "optimal", "relaxed", "optimal"],
+                   bool: [[True, False], [False, False], [True, True], [False, True]]}
+        trace = RunTrace.empty(n, keys, cycles)
+        for name, _, dtype, _ in OUTPUTS:
+            value = getattr(trace, name)
+            if dtype is float:
+                value[...] = np.reshape([next(values) for _ in range(value.size)], value.shape)
+            else:
+                value[:] = special[dtype]
         self.assert_writers_match(trace, tmp_path)
         text = (tmp_path / "got.csv").read_text()
         for cell in ("-0.0", "inf", "-inf", "nan", "5e-324", "1e+300"):
             assert cell in text.replace("\n", ",").split(",")
-        empty = replace(trace, t=trace.t[:0], q=trace.q[:0], qd=trace.qd[:0],
-                        qdot_des=trace.qdot_des[:0], qdot_safe=trace.qdot_safe[:0],
-                        tau_cmd=trace.tau_cmd[:0], h=trace.h[:0], d_inf=trace.d_inf[:0],
-                        dbar=trace.dbar[:0], qp_iters=trace.qp_iters[:0], qp_status=[],
-                        clamped=trace.clamped[:0])
+        empty = replace(trace, **{name: getattr(trace, name)[:0] for name, *_ in OUTPUTS})
         self.assert_writers_match(empty, tmp_path)
 
 
